@@ -9,6 +9,7 @@
 //	kollaps-bench -exp fig8 -quick     # reduced durations
 //	kollaps-bench -exp alloc           # allocator microbench -> BENCH_allocator.json
 //	kollaps-bench -exp sweep           # period-vs-accuracy sweep -> BENCH_sweep.json
+//	kollaps-bench -exp fig8 -cpuprofile cpu.prof -memprofile mem.prof   # + pprof profiles
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -28,7 +30,22 @@ func main() {
 	failoverOut := flag.String("failover-out", "BENCH_failover.json", "output path for the failover experiment's JSON report (empty = don't write)")
 	sweepOut := flag.String("sweep-out", "BENCH_sweep.json", "output path for the sweep experiment's JSON report (empty = don't write)")
 	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the chaos experiment's JSON report (empty = don't write)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write the allocation profile to this path when the experiments finish")
 	flag.Parse()
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	// Runs on the normal return paths; an experiment that fails exits
+	// without a profile.
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}()
 	// `-exp all` must not silently rewrite the committed CI baselines on a
 	// developer box; each JSON is only written when its experiment (or an
 	// explicit output path) is requested.

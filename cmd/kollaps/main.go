@@ -8,6 +8,7 @@
 //	kollaps plan -hosts 4 topology.yaml   # placement + orchestrator artifacts
 //	kollaps run -hosts 4 -for 60s topology.yaml  # deploy and idle-run
 //	kollaps run -trace out.json topology.yaml    # + flight-recorder trace
+//	kollaps run -cpuprofile cpu.prof -memprofile mem.prof topology.yaml  # + pprof profiles of deploy and run
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/orchestrator"
 	"repro/internal/topology"
 	"repro/kollaps"
@@ -38,6 +40,8 @@ func main() {
 	gossipRounds := fs.Int("gossip-rounds", 0, "gossip: infect-and-die hop budget (0 = log_fanout(hosts)+1)")
 	traceOut := fs.String("trace", "", "run: write the flight recorder as Chrome trace_event JSON to this path (chrome://tracing / Perfetto)")
 	probeEvery := fs.Int("probe", 0, "run: sample the emulation-accuracy probe every N periods (0 = off)")
+	cpuProfile := fs.String("cpuprofile", "", "run: write a CPU profile of deploy and run to this path (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "run: write the allocation profile to this path after the run")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -105,10 +109,18 @@ func main() {
 		if *probeEvery > 0 {
 			deployOpts = append(deployOpts, kollaps.WithAccuracyProbe(*probeEvery))
 		}
-		if err := exp.Deploy(*hosts, deployOpts...); err != nil {
+		stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+		if err != nil {
 			fatal(err)
 		}
-		if err := exp.Run(*runFor); err != nil {
+		err = exp.Deploy(*hosts, deployOpts...)
+		if err == nil {
+			err = exp.Run(*runFor)
+		}
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+		if err != nil {
 			fatal(err)
 		}
 		sent, recv := exp.MetadataTraffic()
@@ -134,7 +146,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: kollaps {validate|collapse|plan|run} [-hosts N] [-for D] [-seed S] [-dissem broadcast|delta|tree|gossip] [-epsilon E] [-adaptive-eps] [-resync N] [-fanout K] [-gossip-rounds R] [-trace out.json] [-probe N] topology.{yaml,xml}")
+	fmt.Fprintln(os.Stderr, "usage: kollaps {validate|collapse|plan|run} [-hosts N] [-for D] [-seed S] [-dissem broadcast|delta|tree|gossip] [-epsilon E] [-adaptive-eps] [-resync N] [-fanout K] [-gossip-rounds R] [-trace out.json] [-probe N] [-cpuprofile F] [-memprofile F] topology.{yaml,xml}")
 	os.Exit(2)
 }
 

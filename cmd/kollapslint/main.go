@@ -52,10 +52,11 @@ var contractPackages = map[string][]string{
 
 // annotationFloors pins how many of each field/func-scope annotation a
 // package must carry — the same evasion-stopper for the concurrency
-// contracts: unguarding the tracer ring or de-annotating the solver
-// arenas silently disables guardedby/arenaescape, so the floor makes
-// the deletion itself a finding. Floors sit at the current real counts
-// for load-bearing surfaces; adding annotations never fails.
+// and allocation contracts: unguarding the tracer ring, de-annotating the
+// solver arenas or un-rooting the per-packet path silently disables
+// guardedby/arenaescape/hotpath, so the floor makes the deletion itself a
+// finding. Floors sit at the current real counts for load-bearing
+// surfaces; adding annotations never fails.
 var annotationFloors = map[string]map[string]int{
 	"repro/internal/obs": {
 		"guardedby": 5, // Tracer ring (ev, head) + Registry maps (counts, gauges, hists)
@@ -67,6 +68,16 @@ var annotationFloors = map[string]map[string]int{
 	},
 	"repro/internal/dissem": {
 		"arena": 4, // per-node view scratch (broadcast, gossip, delta×2)
+	},
+	// The per-event and per-packet path: 0 allocs at steady state.
+	"repro/internal/sim": {
+		"hotpath": 3, // Engine.At, AtPacket, Step
+	},
+	"repro/internal/netem": {
+		"hotpath": 3, // Netem.Enqueue, TokenBucket.Enqueue, TokenBucket.drain
+	},
+	"repro/internal/fabric": {
+		"hotpath": 1, // Network.forward
 	},
 }
 

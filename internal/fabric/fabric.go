@@ -55,6 +55,7 @@ type Network struct {
 	handlers map[packet.IP]packet.Handler
 	ipToNode map[packet.IP]graph.NodeID
 	routes   map[graph.NodeID]map[graph.NodeID]int // node -> dst node -> out link id
+	ingress  func(*packet.Packet)                  // Send's delayed entry, bound once
 
 	// Delivered counts packets handed to endpoint handlers.
 	Delivered int64
@@ -69,7 +70,8 @@ type pipe struct {
 	tb      *netem.TokenBucket
 	ne      *netem.Netem
 	to      graph.NodeID
-	waiters []func()
+	enqueue func(*packet.Packet) // tb.Enqueue, bound once for delayed emits
+	waiters netem.FIFO[func()]
 }
 
 // senderTSQ is the backpressure threshold applied at a sender's own
@@ -92,6 +94,7 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 		ipToNode: make(map[packet.IP]graph.NodeID),
 		routes:   make(map[graph.NodeID]map[graph.NodeID]int),
 	}
+	n.ingress = func(p *packet.Packet) { n.forward(n.ipToNode[p.Src], p) }
 	for id := 0; id < g.NumLinks(); id++ {
 		if g.LinkRemoved(id) {
 			continue
@@ -108,14 +111,13 @@ func (n *Network) buildPipe(id int) {
 	arrive := func(pk *packet.Packet) { n.arrive(p.to, pk) }
 	p.ne = netem.NewNetem(n.eng, l.Latency, l.Jitter, l.Loss, arrive)
 	p.tb = netem.NewTokenBucket(n.eng, l.Bandwidth, p.ne.Enqueue)
+	p.enqueue = p.tb.Enqueue
 	p.tb.OnDequeue = func() {
 		// Wake one waiter per departure (FIFO): waking them all would
 		// let the first refill the queue and starve the rest, whereas
 		// the kernel's fq qdisc round-robins flows sharing a NIC.
-		if len(p.waiters) > 0 && p.tb.Backlog()+packet.MSS <= senderTSQ {
-			w := p.waiters[0]
-			p.waiters = p.waiters[1:]
-			w()
+		if p.waiters.Len() > 0 && p.tb.Backlog()+packet.MSS <= senderTSQ {
+			p.waiters.Pop()()
 		}
 	}
 	n.setQueue(p.tb, l.LinkProps)
@@ -154,7 +156,7 @@ func (n *Network) NotifyWritable(src, dst packet.IP, fn func()) {
 		fn()
 		return
 	}
-	p.waiters = append(p.waiters, fn)
+	p.waiters.Push(fn)
 }
 
 func (n *Network) setQueue(tb *netem.TokenBucket, lp graph.LinkProps) {
@@ -208,25 +210,28 @@ func (n *Network) Send(p *packet.Packet) {
 		return
 	}
 	p.SentAt = n.eng.Now()
-	ingress := func() { n.forward(src, p) }
 	if n.opt.EndpointDelay > 0 {
-		n.eng.After(n.opt.EndpointDelay, ingress)
+		n.eng.AtPacket(n.eng.Now()+n.opt.EndpointDelay, n.ingress, p)
 		return
 	}
-	ingress()
+	n.forward(src, p)
 }
 
 // arrive handles a packet reaching a node: local delivery or next hop,
 // after per-hop processing.
 func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
-	step := func() { n.forward(node, p) }
 	if n.opt.Hook != nil {
-		n.opt.Hook(node, p, step)
+		n.opt.Hook(node, p, func() { n.forward(node, p) })
 		return
 	}
-	step()
+	n.forward(node, p)
 }
 
+// forward moves p one step from node: to its handler at the destination,
+// else into the next link's queue. Delays are typed packet events, so the
+// default path allocates nothing per hop.
+//
+//kollaps:hotpath
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 	dstNode, ok := n.ipToNode[p.Dst]
 	if !ok {
@@ -239,12 +244,11 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 			return
 		}
 		n.Delivered++
-		deliver := func() { h(p) }
 		if n.opt.EndpointDelay > 0 {
-			n.eng.After(n.opt.EndpointDelay, deliver)
+			n.eng.AtPacket(n.eng.Now()+n.opt.EndpointDelay, h, p)
 			return
 		}
-		deliver()
+		h(p)
 		return
 	}
 	link, ok := n.nextHop(node, dstNode)
@@ -257,23 +261,29 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 		n.DroppedNoRoute++
 		return
 	}
-	emit := func() { pipe.tb.Enqueue(p) }
 	if n.opt.PerHopDelay > 0 && n.g.Node(node).Kind == graph.Bridge {
-		n.eng.After(n.opt.PerHopDelay, emit)
+		n.eng.AtPacket(n.eng.Now()+n.opt.PerHopDelay, pipe.enqueue, p)
 		return
 	}
-	emit()
+	pipe.tb.Enqueue(p)
 }
 
-// nextHop returns the outgoing link id from node toward dst, computing and
-// caching routes lazily (one Dijkstra per source node, plus seeding of
-// every intermediate node along computed paths).
+// nextHop returns the outgoing link id from node toward dst from the route
+// cache, filled lazily by computeRoutes.
 func (n *Network) nextHop(node, dst graph.NodeID) (int, bool) {
 	if m := n.routes[node]; m != nil {
 		if l, ok := m[dst]; ok {
 			return l, l >= 0
 		}
 	}
+	return n.computeRoutes(node, dst)
+}
+
+// computeRoutes is nextHop's cache miss: one Dijkstra per source node, plus
+// seeding of every intermediate node along computed paths.
+//
+//kollaps:coldpath
+func (n *Network) computeRoutes(node, dst graph.NodeID) (int, bool) {
 	paths := n.g.ShortestPaths(node)
 	m := n.routes[node]
 	if m == nil {

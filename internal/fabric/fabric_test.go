@@ -290,3 +290,74 @@ func BenchmarkFabricForwarding(b *testing.B) {
 	}
 	eng.RunAll()
 }
+
+// The zero-alloc contract of the forwarding path: one packet over a
+// three-hop line with default Options (per-hop delay on, no endpoint delay,
+// no hook) costs nothing beyond the caller's packet at steady state.
+func TestForwardAllocatesNothingPerPacket(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := graph.New()
+	lp := props(100*time.Microsecond, 10*units.Gbps)
+	a := g.MustAddNode("a", graph.Service)
+	s1 := g.MustAddNode("s1", graph.Bridge)
+	s2 := g.MustAddNode("s2", graph.Bridge)
+	b := g.MustAddNode("b", graph.Service)
+	g.AddBiLink(a, s1, lp)
+	g.AddBiLink(s1, s2, lp)
+	g.AddBiLink(s2, b, lp)
+	nw := New(eng, g, Options{})
+	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+	delivered := 0
+	nw.AttachEndpoint(a, ipA, nil)
+	nw.AttachEndpoint(b, ipB, func(*packet.Packet) { delivered++ })
+	p := &packet.Packet{Src: ipA, Dst: ipB, Proto: packet.UDP, Size: packet.MTU}
+	send := func() {
+		nw.Send(p)
+		eng.Run(eng.Now() + 2*time.Microsecond)
+	}
+	for i := 0; i < 500; i++ { // routes cached, the line full of packets
+		send()
+	}
+	if got := testing.AllocsPerRun(500, send); got != 0 {
+		t.Fatalf("%v allocs per packet over three hops, want 0", got)
+	}
+	eng.RunAll()
+	if delivered != 1001 {
+		t.Fatalf("delivered %d of 1001", delivered)
+	}
+}
+
+// TestZeroBandwidthReleasesBacklog: SetLinkProps with zero (= unlimited)
+// bandwidth on a backlogged link lets the queue go instead of stranding it,
+// and wakes a sender parked on the first hop.
+func TestZeroBandwidthReleasesBacklog(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := graph.New()
+	a := g.MustAddNode("a", graph.Service)
+	b := g.MustAddNode("b", graph.Service)
+	fwd := g.AddLink(a, b, props(time.Millisecond, units.Mbps))
+	nw := New(eng, g, Options{QueueBytes: 1 << 20})
+	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+	delivered := 0
+	nw.AttachEndpoint(a, ipA, nil)
+	nw.AttachEndpoint(b, ipB, func(*packet.Packet) { delivered++ })
+	for i := 0; i < 50; i++ {
+		nw.Send(&packet.Packet{Src: ipA, Dst: ipB, Size: packet.MTU})
+	}
+	if nw.Writable(ipA, ipB, packet.MSS) {
+		t.Fatal("setup: first hop still writable with 75 kB queued at 1 Mb/s")
+	}
+	var woken []int
+	for i := 0; i < 3; i++ {
+		i := i
+		nw.NotifyWritable(ipA, ipB, func() { woken = append(woken, i) })
+	}
+	nw.SetLinkProps(fwd, props(time.Millisecond, 0))
+	eng.Run(eng.Now() + 10*time.Millisecond)
+	if delivered != 50 {
+		t.Fatalf("delivered %d of 50 within 10 ms of the link becoming unlimited", delivered)
+	}
+	if len(woken) != 1 || woken[0] != 0 {
+		t.Fatalf("woken = %v, want the first waiter only (one per departure batch)", woken)
+	}
+}

@@ -50,10 +50,11 @@ type TokenBucket struct {
 	tokens float64 // bytes
 	last   time.Duration
 
-	queue    []*packet.Packet
-	queued   int  // bytes
-	draining bool // a future drain is scheduled
-	inDrain  bool // the drain loop is on the stack (reentrancy guard)
+	queue    FIFO[*packet.Packet]
+	queued   int    // bytes
+	draining bool   // a future drain is scheduled
+	inDrain  bool   // the drain loop is on the stack (reentrancy guard)
+	wake     func() // the scheduled drain, built once so waiting allocates nothing
 
 	// OnDequeue, when set, runs after a drain pass that released at
 	// least one packet — the hook the TCAL uses to wake TSQ-throttled
@@ -73,6 +74,10 @@ type TokenBucket struct {
 // 100 ms worth of bytes at the configured rate (min 16 KiB).
 func NewTokenBucket(eng *sim.Engine, rate units.Bandwidth, next func(*packet.Packet)) *TokenBucket {
 	tb := &TokenBucket{eng: eng, next: next}
+	tb.wake = func() {
+		tb.draining = false
+		tb.drain()
+	}
 	tb.SetRate(rate)
 	tb.tokens = tb.burst
 	tb.last = eng.Now()
@@ -81,7 +86,8 @@ func NewTokenBucket(eng *sim.Engine, rate units.Bandwidth, next func(*packet.Pac
 
 // SetRate changes the shaping rate at runtime — the operation the
 // Emulation Core performs on every loop iteration. Accrued tokens are
-// settled at the old rate first.
+// settled at the old rate first. A backlog held when the rate becomes
+// unlimited is released at once: no token will ever accrue for it.
 func (tb *TokenBucket) SetRate(rate units.Bandwidth) {
 	tb.refill()
 	tb.rate = rate
@@ -97,7 +103,7 @@ func (tb *TokenBucket) SetRate(rate units.Bandwidth) {
 	if tb.tokens > tb.burst {
 		tb.tokens = tb.burst
 	}
-	if len(tb.queue) > 0 && !tb.draining {
+	if tb.queue.Len() > 0 && (!tb.draining || rate <= 0) {
 		tb.drain()
 	}
 }
@@ -131,6 +137,8 @@ func (tb *TokenBucket) refill() {
 }
 
 // Enqueue shapes one packet.
+//
+//kollaps:hotpath
 func (tb *TokenBucket) Enqueue(p *packet.Packet) {
 	if tb.rate <= 0 { // unlimited
 		tb.SentBytes += int64(p.Size)
@@ -138,50 +146,49 @@ func (tb *TokenBucket) Enqueue(p *packet.Packet) {
 		tb.next(p)
 		return
 	}
-	if tb.queued+p.Size > tb.limit && len(tb.queue) > 0 {
+	if tb.queued+p.Size > tb.limit && tb.queue.Len() > 0 {
 		tb.Dropped++
 		tb.DroppedBytes += int64(p.Size)
 		return
 	}
-	tb.queue = append(tb.queue, p)
+	tb.queue.Push(p)
 	tb.queued += p.Size
 	if !tb.draining && !tb.inDrain {
 		tb.drain()
 	}
 }
 
+// drain releases queued packets while tokens last (all of them when the
+// rate is unlimited) and schedules its own wake-up for the rest.
+//
+//kollaps:hotpath
 func (tb *TokenBucket) drain() {
 	tb.inDrain = true
 	tb.refill()
 	released := false
-	for len(tb.queue) > 0 {
-		head := tb.queue[0]
+	for tb.queue.Len() > 0 {
+		head := tb.queue.Peek()
 		need := float64(head.Size)
-		if tb.tokens >= need {
+		if tb.rate > 0 {
+			if tb.tokens < need {
+				// Wait until enough tokens accrue for the head packet. The
+				// 1µs floor bounds event churn against float rounding.
+				wait := time.Duration((need - tb.tokens) / tb.rate.Bps() * float64(time.Second))
+				if wait < time.Microsecond {
+					wait = time.Microsecond
+				}
+				tb.draining = true
+				tb.eng.After(wait, tb.wake)
+				break
+			}
 			tb.tokens -= need
-			tb.queue = tb.queue[1:]
-			tb.queued -= head.Size
-			tb.SentBytes += int64(head.Size)
-			tb.SentPackets++
-			tb.next(head)
-			released = true
-			continue
 		}
-		// Wait until enough tokens accrue for the head packet. The 1µs
-		// floor bounds event churn against float rounding.
-		wait := time.Duration((need - tb.tokens) / tb.rate.Bps() * float64(time.Second))
-		if wait < time.Microsecond {
-			wait = time.Microsecond
-		}
-		tb.draining = true
-		// Packet-wait scheduling is the data plane: it allocates a timer
-		// event by design and never runs in a quiescent control period.
-		//kollaps:coldpath
-		tb.eng.After(wait, func() {
-			tb.draining = false
-			tb.drain()
-		})
-		break
+		tb.queue.Pop()
+		tb.queued -= head.Size
+		tb.SentBytes += int64(head.Size)
+		tb.SentPackets++
+		tb.next(head)
+		released = true
 	}
 	tb.inDrain = false
 	if released && tb.OnDequeue != nil {
@@ -231,6 +238,8 @@ func (n *Netem) Jitter() time.Duration { return n.jitter }
 func (n *Netem) Loss() units.Loss { return n.loss }
 
 // Enqueue applies loss, then schedules delivery after delay + jitter.
+//
+//kollaps:hotpath
 func (n *Netem) Enqueue(p *packet.Packet) {
 	if n.loss > 0 && n.eng.Rand().Float64() < float64(n.loss) {
 		n.LostPackets++
@@ -251,7 +260,7 @@ func (n *Netem) Enqueue(p *packet.Packet) {
 	}
 	n.lastExit = exit
 	n.SentPackets++
-	n.eng.At(exit, func() { n.next(p) })
+	n.eng.AtPacket(exit, n.next, p)
 }
 
 // Chain is the per-destination qdisc pair the TCAL installs: an htb stage

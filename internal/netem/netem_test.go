@@ -318,3 +318,139 @@ func BenchmarkU32Classify(b *testing.B) {
 		f.Classify(p)
 	}
 }
+
+// TestSetRateUnlimitedFlushesBacklog: a backlog held when the rate becomes
+// unlimited must leave at once. Before the fix drain re-armed a 1µs timer
+// forever (need/0 = +Inf, floored), releasing nothing.
+func TestSetRateUnlimitedFlushesBacklog(t *testing.T) {
+	eng := sim.NewEngine(1)
+	delivered, woken := 0, 0
+	tb := NewTokenBucket(eng, 1*units.Mbps, func(*packet.Packet) { delivered++ })
+	tb.OnDequeue = func() { woken++ }
+	for i := 0; i < 10; i++ {
+		tb.Enqueue(mkPacket(packet.MTU))
+	}
+	if tb.Backlog() == 0 {
+		t.Fatal("setup: no backlog at 1 Mb/s")
+	}
+	wokenBefore := woken
+	tb.SetRate(0)
+	if delivered != 10 || tb.Backlog() != 0 || tb.queue.Len() != 0 {
+		t.Fatalf("after SetRate(0): %d/10 delivered, %d B queued", delivered, tb.Backlog())
+	}
+	if woken != wokenBefore+1 {
+		t.Fatalf("OnDequeue ran %d times for the flush, want 1", woken-wokenBefore)
+	}
+	for fired := 0; eng.Step(); fired++ {
+		if fired > 4 {
+			t.Fatal("drain timer still re-arming after the flush")
+		}
+	}
+	// The bucket shapes again once it gets a rate back.
+	tb.SetRate(1 * units.Mbps)
+	for i := 0; i < 5; i++ {
+		tb.Enqueue(mkPacket(packet.MTU))
+	}
+	if tb.Backlog() == 0 {
+		t.Fatal("no backlog after the rate came back")
+	}
+	eng.RunAll()
+	if delivered != 15 || tb.SentPackets != 15 {
+		t.Fatalf("%d delivered, %d counted after re-shaping, want 15", delivered, tb.SentPackets)
+	}
+}
+
+// backing returns every cell of a FIFO's array, popped ones included.
+func backing[T any](q *FIFO[T]) []T { return q.buf[:cap(q.buf)] }
+
+func TestFIFOOrderAndReuse(t *testing.T) {
+	var q FIFO[int]
+	next, want := 0, 0
+	// A standing backlog of up to 7 under push/pop churn: the array must
+	// stop growing once it covers the backlog.
+	for round := 0; round < 1000; round++ {
+		for q.Len() < 3+round%5 {
+			q.Push(next)
+			next++
+		}
+		for q.Len() > round%3 {
+			if got := q.Peek(); got != want {
+				t.Fatalf("Peek = %d, want %d", got, want)
+			}
+			if got := q.Pop(); got != want {
+				t.Fatalf("Pop = %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	if cap(q.buf) > 32 {
+		t.Fatalf("array grew to %d cells for a backlog of at most 7", cap(q.buf))
+	}
+}
+
+// TestDrainedQueuesRetainNothing: a popped packet or waiter must not stay
+// reachable from the queue's array (queue = queue[1:] kept it until the
+// next regrowth).
+func TestDrainedQueuesRetainNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tb := NewTokenBucket(eng, 10*units.Mbps, func(*packet.Packet) {})
+	for round := 0; round < 3; round++ { // refill after a drain: exercises the slide too
+		for i := 0; i < 9; i++ {
+			tb.Enqueue(mkPacket(1000))
+		}
+		eng.Run(eng.Now() + 2*time.Millisecond)
+		tb.Enqueue(mkPacket(1000))
+	}
+	eng.RunAll()
+	if tb.queue.Len() != 0 || tb.Backlog() != 0 {
+		t.Fatalf("bucket not drained: %d packets, %d B", tb.queue.Len(), tb.Backlog())
+	}
+	for i, p := range backing(&tb.queue) {
+		if p != nil {
+			t.Fatalf("empty bucket still references a packet in cell %d", i)
+		}
+	}
+
+	var q FIFO[*int]
+	for i := 0; i < 100; i++ {
+		q.Push(new(int))
+		q.Push(new(int))
+		q.Pop()
+	}
+	held := 0
+	for _, p := range backing(&q) {
+		if p != nil {
+			held++
+		}
+	}
+	if held != q.Len() {
+		t.Fatalf("array holds %d pointers for a queue of %d", held, q.Len())
+	}
+}
+
+// The zero-alloc contract of the shaping path: one packet through
+// htb → netem → sink costs nothing beyond the caller's packet, queued or
+// not, at steady state.
+func TestChainAllocatesNothingPerPacket(t *testing.T) {
+	eng := sim.NewEngine(1)
+	delivered := 0
+	ch := NewChain(eng, ChainProps{Delay: 10 * time.Millisecond, Rate: 100 * units.Mbps},
+		func(*packet.Packet) { delivered++ })
+	p := mkPacket(packet.MTU)
+	gap := (100 * units.Mbps).TimeToSend(packet.MTU)
+	send := func() {
+		ch.Enqueue(p) // passes on tokens
+		ch.Enqueue(p) // queues behind it, waits for the wake-up
+		eng.Run(eng.Now() + 2*gap)
+	}
+	for i := 0; i < 200; i++ { // fill the 10 ms pipe: slot table and heap at working size
+		send()
+	}
+	if got := testing.AllocsPerRun(500, send); got != 0 {
+		t.Fatalf("%v allocs per two packets through the chain, want 0", got)
+	}
+	eng.RunAll()
+	if delivered == 0 || int64(delivered) != ch.HTB.SentPackets {
+		t.Fatalf("delivered %d of %d", delivered, ch.HTB.SentPackets)
+	}
+}

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -206,5 +208,28 @@ func TestProbeWindows(t *testing.T) {
 	}
 	if got := p.MaxBetween(31*time.Millisecond, 40*time.Millisecond); got != 0 {
 		t.Fatalf("MaxBetween outside window = %g, want 0", got)
+	}
+}
+
+func TestStartProfilesWritesBothFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := StartProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{cpu, mem} {
+		if st, err := os.Stat(name); err != nil || st.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", name, err)
+		}
+	}
+	if stop, err = StartProfiles("", ""); err != nil || stop() != nil {
+		t.Errorf("no-profile call failed: %v", err)
+	}
+	if _, err := StartProfiles(filepath.Join(dir, "no", "such", "dir"), ""); err == nil {
+		t.Error("unwritable cpuprofile path accepted")
 	}
 }

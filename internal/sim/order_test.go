@@ -1,0 +1,399 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/packet"
+)
+
+// sched is the engine surface the order tests drive, with cancellation
+// reduced to a stop func so the engine and the reference share a script.
+type sched interface {
+	Now() time.Duration
+	At(at time.Duration, fn func()) (stop func())
+	After(d time.Duration, fn func()) (stop func())
+	AtPacket(at time.Duration, fn func()) (stop func())
+	Every(period time.Duration, fn func()) (stop func())
+	Step() bool
+	Run(until time.Duration)
+	Halt()
+	Pending() int
+}
+
+type realSched struct{ *Engine }
+
+func (r realSched) At(at time.Duration, fn func()) func()   { return r.Engine.At(at, fn).Stop }
+func (r realSched) After(d time.Duration, fn func()) func() { return r.Engine.After(d, fn).Stop }
+func (r realSched) Every(p time.Duration, fn func()) func() {
+	return r.Engine.Every(p, fn).Stop
+}
+func (r realSched) AtPacket(at time.Duration, fn func()) func() {
+	want := &packet.Packet{}
+	return r.Engine.AtPacket(at, func(got *packet.Packet) {
+		if got != want {
+			panic("sim: AtPacket delivered a different packet")
+		}
+		fn()
+	}, want).Stop
+}
+
+// refSched is the specification: pending events in a plain list, the next
+// one found by sorting on (at, seq), cancellation by linear scan.
+type refSched struct {
+	now     time.Duration
+	seq     uint64
+	pending []*refEvent
+	halted  bool
+}
+
+type refEvent struct {
+	at, period time.Duration
+	seq        uint64
+	fn         func()
+	dead       bool
+}
+
+func (r *refSched) Now() time.Duration { return r.now }
+func (r *refSched) Pending() int       { return len(r.pending) }
+func (r *refSched) Halt()              { r.halted = true }
+func (r *refSched) push(ev *refEvent, at time.Duration) {
+	ev.at, ev.seq = at, r.seq
+	r.seq++
+	r.pending = append(r.pending, ev)
+	sort.Slice(r.pending, func(i, j int) bool {
+		a, b := r.pending[i], r.pending[j]
+		return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	})
+}
+func (r *refSched) add(at, period time.Duration, fn func()) func() {
+	ev := &refEvent{period: period, fn: fn}
+	r.push(ev, at)
+	return func() {
+		ev.dead = true
+		for i, p := range r.pending {
+			if p == ev {
+				r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			}
+		}
+	}
+}
+func (r *refSched) At(at time.Duration, fn func()) func()       { return r.add(at, 0, fn) }
+func (r *refSched) After(d time.Duration, fn func()) func()     { return r.add(r.now+d, 0, fn) }
+func (r *refSched) AtPacket(at time.Duration, fn func()) func() { return r.add(at, 0, fn) }
+func (r *refSched) Every(p time.Duration, fn func()) func()     { return r.add(r.now+p, p, fn) }
+func (r *refSched) Step() bool {
+	if len(r.pending) == 0 || r.halted {
+		return false
+	}
+	ev := r.pending[0]
+	r.pending = r.pending[1:]
+	r.now = ev.at
+	ev.fn()
+	if ev.period > 0 && !ev.dead && !r.halted {
+		r.push(ev, r.now+ev.period)
+	}
+	return true
+}
+func (r *refSched) Run(until time.Duration) {
+	for len(r.pending) > 0 && r.pending[0].at <= until && r.Step() {
+	}
+	if !r.halted && r.now < until {
+		r.now = until
+	}
+}
+
+// Script opcodes. A script is (opcode, argument) byte pairs. The driver
+// executes pairs in order; every callback that fires consumes the next pair
+// as its own action (so the pairs after an opRun belong to the callbacks
+// that Run fires, in firing order, and the driver resumes after them).
+// Firing order thus decides who does what, and any divergence between two
+// schedulers snowballs into the log.
+const (
+	opAt       = iota // At(now + arg%8); arg%8 == 0 fires in the current instant
+	opAfter           // After(arg%8)
+	opEvery           // Every(1 + arg%4)
+	opStop            // Stop timer number arg%len: pending, fired, or reused slot
+	opStep            // driver: Step — callback: stop own timer, then opAt into the freed slot
+	opRun             // driver: Run(now + arg%16) — callback: stop own timer
+	opAtPacket        // the typed entry point
+	opHalt            // Halt when arg < 32, else nothing
+	numOps
+
+	nop = 255 // with opHalt: a callback that does nothing
+)
+
+type rec struct {
+	what    string
+	id      int
+	now     time.Duration
+	pending int
+}
+
+type interp struct {
+	s     sched
+	prog  []byte
+	stops []func()
+	log   []rec
+}
+
+func (in *interp) note(what string, id int) {
+	in.log = append(in.log, rec{what, id, in.s.Now(), in.s.Pending()})
+}
+
+func (in *interp) next() (op, arg byte, ok bool) {
+	if len(in.prog) < 2 {
+		return 0, 0, false
+	}
+	op, arg, in.prog = in.prog[0]%numOps, in.prog[1], in.prog[2:]
+	return op, arg, true
+}
+
+// do executes one pair; self is the firing callback's timer, -1 at top level.
+func (in *interp) do(op, arg byte, self int) {
+	id := len(in.stops)
+	cb := func() {
+		in.note("fire", id)
+		if op, arg, ok := in.next(); ok {
+			in.do(op, arg, id)
+		}
+	}
+	switch op {
+	case opStep:
+		if self < 0 {
+			in.s.Step()
+			break
+		}
+		in.stops[self]()
+		fallthrough
+	case opAt:
+		in.stops = append(in.stops, in.s.At(in.s.Now()+time.Duration(arg%8), cb))
+	case opAfter:
+		in.stops = append(in.stops, in.s.After(time.Duration(arg%8), cb))
+	case opAtPacket:
+		in.stops = append(in.stops, in.s.AtPacket(in.s.Now()+time.Duration(arg%8), cb))
+	case opEvery:
+		in.stops = append(in.stops, in.s.Every(time.Duration(1+arg%4), cb))
+	case opStop:
+		if len(in.stops) > 0 {
+			in.stops[int(arg)%len(in.stops)]()
+		}
+	case opRun:
+		if self >= 0 {
+			in.stops[self]()
+		} else {
+			in.s.Run(in.s.Now() + time.Duration(arg%16))
+		}
+	case opHalt:
+		if arg < 32 {
+			in.s.Halt()
+		}
+	}
+}
+
+// runScript drives s through prog and then a final bounded Run, so armed
+// periodic timers keep ticking while the script's tail feeds callbacks.
+func runScript(s sched, prog []byte) []rec {
+	in := &interp{s: s, prog: prog}
+	for {
+		op, arg, ok := in.next()
+		if !ok {
+			break
+		}
+		in.do(op, arg, -1)
+		in.note("op", int(op))
+	}
+	s.Run(s.Now() + 64)
+	in.note("end", 0)
+	return in.log
+}
+
+func checkScript(t *testing.T, prog []byte) {
+	t.Helper()
+	got := runScript(realSched{NewEngine(1)}, prog)
+	want := runScript(&refSched{}, prog)
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("script %v: record %d: engine %+v, reference %+v", prog, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("script %v: engine logged %d records, reference %d", prog, len(got), len(want))
+	}
+}
+
+// orderSeeds are the scenarios the ISSUE names, one script each; they are
+// also the committed fuzz corpus. Timer numbers are creation order from 0.
+var orderSeeds = [][]byte{
+	// Stop before fire, then twice more, once after its time has passed.
+	{opAt, 3, opStop, 0, opStop, 0, opRun, 8, opStop, 0},
+	// Stop after fire, from the driver.
+	{opAfter, 1, opRun, 2, opHalt, nop, opStop, 0},
+	// Stop from inside the firing callback (one-shot: nothing to stop).
+	{opAt, 1, opRun, 4, opRun, 0},
+	// Stop on a timer whose slot has been reused: 0 fires, 1 takes its
+	// slot, stopping 0 must leave 1 pending and firing.
+	{opAt, 1, opRun, 1, opHalt, nop, opAt, 5, opStop, 0, opRun, 8},
+	// The first of two events at one instant stops the second.
+	{opAt, 2, opAt, 2, opRun, 4, opStop, 1},
+	// Every stopped from its own callback on the third tick.
+	{opEvery, 1, opRun, 15, opHalt, nop, opHalt, nop, opRun, 0},
+	// Every stopped from its own callback, which then schedules into the
+	// slot it just gave up: the series must not re-arm over the newcomer.
+	{opEvery, 0, opRun, 9, opStep, 2, opHalt, nop},
+	// Every stopped before its first tick; Every stopped from another
+	// timer's callback.
+	{opEvery, 2, opEvery, 0, opStop, 1, opAt, 2, opRun, 6, opStop, 0},
+	// Zero-delay self-rescheduling: each firing schedules the next at now.
+	{opAt, 0, opRun, 0, opAfter, 0, opAtPacket, 0, opAt, 0, opHalt, nop},
+	// Halt mid-run from a callback with events left behind; scheduling,
+	// stepping and running afterwards fire nothing and leave the clock.
+	{opEvery, 0, opAt, 2, opAt, 2, opAt, 1, opRun, 12, opHalt, nop, opHalt, 0, opAt, 1, opStep, 0},
+	// Halt from inside an Every tick drops the series.
+	{opEvery, 0, opRun, 3, opHalt, 0},
+	// Run(until) boundaries: the event exactly at until runs and the one
+	// after does not; Run(now) runs what is queued for the current instant;
+	// an empty Run still moves the clock.
+	{opAt, 4, opAt, 5, opRun, 4, opHalt, nop, opAt, 0, opRun, 0, opHalt, nop, opRun, 3, opHalt, nop, opRun, 15},
+	// Ties at one instant fire in scheduling order across all three entry
+	// points, and removals from the middle of the heap keep the rest.
+	{opAt, 2, opAtPacket, 2, opEvery, 1, opAfter, 2, opAt, 1, opAt, 7, opAt, 6, opStop, 3, opStop, 5, opRun, 9},
+}
+
+func TestEngineOrderScenarios(t *testing.T) {
+	for _, prog := range orderSeeds {
+		checkScript(t, prog)
+	}
+}
+
+// TestEngineMatchesReference runs random scripts long enough to grow the
+// heap several levels deep and churn the free list.
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		prog := make([]byte, 2*(8+r.Intn(400)))
+		r.Read(prog)
+		checkScript(t, prog)
+	}
+}
+
+func FuzzEngineOrder(f *testing.F) {
+	for _, prog := range orderSeeds {
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 { // the reference sorts per push; keep executions fast
+			t.Skip()
+		}
+		checkScript(t, prog)
+	})
+}
+
+// TestWriteOrderFuzzCorpus pins the committed corpus under
+// testdata/fuzz/FuzzEngineOrder/ to orderSeeds, like core's and dissem's
+// corpus guards; WRITE_FUZZ_CORPUS=1 regenerates it.
+func TestWriteOrderFuzzCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzEngineOrder")
+	write := os.Getenv("WRITE_FUZZ_CORPUS") != ""
+	for i, prog := range orderSeeds {
+		name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
+		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(prog)) + ")\n"
+		if write {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("missing committed corpus file %s (regenerate with WRITE_FUZZ_CORPUS=1): %v", name, err)
+		}
+		if string(got) != content {
+			t.Errorf("%s is stale vs orderSeeds (regenerate with WRITE_FUZZ_CORPUS=1)", name)
+		}
+	}
+}
+
+// TestStaleTimerSparesSlotReuser pins the generation check directly: the
+// second timer provably occupies the first one's slot.
+func TestStaleTimerSparesSlotReuser(t *testing.T) {
+	e := NewEngine(1)
+	first := e.After(1, func() {})
+	e.RunAll()
+	fired := false
+	second := e.After(1, func() { fired = true })
+	if first.slot != second.slot || first.gen == second.gen {
+		t.Fatalf("slot not recycled under a new generation: %+v then %+v", first, second)
+	}
+	first.Stop()
+	e.RunAll()
+	if !fired {
+		t.Fatal("stopping a fired timer cancelled the event that reused its slot")
+	}
+	var zero Timer
+	zero.Stop()
+}
+
+// TestStopRemovesEagerly: a stop-and-re-arm loop (TCP's RTO pattern) keeps
+// one pending event and one slot, however often it runs.
+func TestStopRemovesEagerly(t *testing.T) {
+	e := NewEngine(1)
+	tm := e.After(200*time.Millisecond, func() {})
+	for i := 0; i < 1000; i++ {
+		tm.Stop()
+		tm = e.After(200*time.Millisecond, func() {})
+	}
+	if e.Pending() != 1 || len(e.heap) != 1 || len(e.slots) != 1 {
+		t.Fatalf("Pending=%d heap=%d slots=%d after 1000 re-arms, want 1 each", e.Pending(), len(e.heap), len(e.slots))
+	}
+}
+
+// TestReleaseDropsReferences: a fired or stopped event leaves neither its
+// callback nor its packet reachable from the slot table.
+func TestReleaseDropsReferences(t *testing.T) {
+	e := NewEngine(1)
+	e.AtPacket(1, func(*packet.Packet) {}, &packet.Packet{})
+	e.After(2, func() {}).Stop()
+	e.RunAll()
+	for i, s := range e.slots {
+		if s.fn != nil || s.pfn != nil || s.p != nil {
+			t.Fatalf("slot %d still holds %+v", i, s)
+		}
+	}
+}
+
+// The zero-alloc contract: at steady state (slot table and heap grown to
+// the working set) scheduling, firing and re-arming allocate nothing.
+func TestScheduleAndFireAllocateNothing(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	pfn := func(*packet.Packet) {}
+	p := &packet.Packet{}
+	for i := 0; i < 64; i++ { // a standing population to sift through
+		e.After(time.Hour+time.Duration(i), fn)
+	}
+	check := func(name string, f func()) {
+		if got := testing.AllocsPerRun(1000, f); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, got)
+		}
+	}
+	check("After+fire", func() { e.After(time.Microsecond, fn); e.Step() })
+	check("AtPacket+fire", func() { e.AtPacket(e.Now()+time.Microsecond, pfn, p); e.Step() })
+	rto := e.After(200*time.Millisecond, fn)
+	check("Stop+After re-arm", func() {
+		rto.Stop()
+		rto = e.After(200*time.Millisecond, fn)
+	})
+	rto.Stop()
+	e.Every(time.Microsecond, fn)
+	check("Every tick", func() { e.Step() })
+}

@@ -16,30 +16,53 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
+
+	"repro/internal/packet"
 )
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use:
 // all simulated work happens on the caller's goroutine inside Run/Step.
+//
+// Pending events live in two tables. heap is a 4-ary min-heap of
+// pointer-free entries ordered by (at, seq), so sifting moves plain words
+// and never trips a GC write barrier. slots holds what an entry fires —
+// the callback, its heap position (so Stop can remove it in O(log n)) and
+// a generation that invalidates Timers once the slot is recycled through
+// the free list. At steady state scheduling and firing allocate nothing.
 type Engine struct {
 	now    time.Duration
 	seq    uint64
-	queue  eventHeap
+	heap   []entry
+	slots  []slot
+	free   []int32 // recycled slot indices
 	rng    *rand.Rand
 	halted bool
 }
 
-// event is a scheduled callback. Events fire ordered by (at, seq) so that
-// ties are broken by scheduling order, keeping runs deterministic.
-type event struct {
-	at       time.Duration
-	seq      uint64
-	fn       func()
-	canceled *bool
-	index    int
+// entry is one pending event's key. Events fire ordered by (at, seq) so
+// that ties are broken by scheduling order, keeping runs deterministic.
+type entry struct {
+	at   time.Duration
+	seq  uint64
+	slot int32
+}
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// slot is the payload of one pending event: fn(), or pfn(p) for the typed
+// packet events the per-packet path schedules without building a closure.
+type slot struct {
+	fn     func()
+	pfn    func(*packet.Packet)
+	p      *packet.Packet
+	period time.Duration // > 0: an Every timer, re-armed after each tick
+	gen    uint64        // bumped on release; a Timer of an older gen is dead
+	pos    int32         // index in heap; -1 while an Every tick is running
 }
 
 // NewEngine returns an engine whose clock starts at zero, with the given
@@ -55,27 +78,41 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Timer identifies a scheduled event and allows cancellation.
-type Timer struct{ canceled *bool }
+type Timer struct {
+	eng  *Engine
+	slot int32
+	gen  uint64
+}
 
-// Stop cancels the timer; it is safe to call multiple times or on a timer
-// that already fired (the firing check consults the flag).
+// Stop cancels the timer, removing its event from the queue at once. It is
+// safe to call multiple times, on a timer that already fired, and on the
+// zero Timer: the slot's generation no longer matches and nothing happens.
 func (t Timer) Stop() {
-	if t.canceled != nil {
-		*t.canceled = true
+	e := t.eng
+	if e == nil || e.slots[t.slot].gen != t.gen {
+		return
 	}
+	if pos := e.slots[t.slot].pos; pos >= 0 {
+		e.remove(int(pos))
+	}
+	e.release(t.slot)
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: it would violate causality and indicates a bug in the caller.
+//
+//kollaps:hotpath
 func (e *Engine) At(at time.Duration, fn func()) Timer {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	c := new(bool)
-	ev := &event{at: at, seq: e.seq, fn: fn, canceled: c}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return Timer{canceled: c}
+	return e.schedule(at, slot{fn: fn})
+}
+
+// AtPacket schedules fn(p) at absolute virtual time at. It is At for the
+// per-packet path: the slot carries the pair, so the caller builds no
+// closure to bind p.
+//
+//kollaps:hotpath
+func (e *Engine) AtPacket(at time.Duration, fn func(*packet.Packet), p *packet.Packet) Timer {
+	return e.schedule(at, slot{pfn: fn, p: p})
 }
 
 // After schedules fn to run d from now.
@@ -92,58 +129,78 @@ func (e *Engine) Every(period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic("sim: Every with non-positive period")
 	}
-	c := new(bool)
-	var tick func()
-	tick = func() {
-		if *c || e.halted {
-			return
-		}
-		fn()
-		if *c || e.halted {
-			return
-		}
-		ev := &event{at: e.now + period, seq: e.seq, fn: tick, canceled: c}
-		e.seq++
-		heap.Push(&e.queue, ev)
+	return e.schedule(e.now+period, slot{fn: fn, period: period})
+}
+
+func (e *Engine) schedule(at time.Duration, s slot) Timer {
+	if at < e.now {
+		//kollaps:coldpath
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	ev := &event{at: e.now + period, seq: e.seq, fn: tick, canceled: c}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return Timer{canceled: c}
+	var id int32
+	if n := len(e.free); n > 0 {
+		id = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		id = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	s.gen = e.slots[id].gen
+	e.slots[id] = s
+	e.push(id, at)
+	return Timer{eng: e, slot: id, gen: s.gen}
+}
+
+// release recycles a slot: its pointers are dropped so the callback and
+// packet become collectable, and outstanding Timers for it go dead.
+func (e *Engine) release(id int32) {
+	e.slots[id] = slot{gen: e.slots[id].gen + 1}
+	e.free = append(e.free, id)
 }
 
 // Step runs the single next event. It reports false when the queue is empty
 // or the engine was halted.
+//
+//kollaps:hotpath
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 && !e.halted {
-		ev := heap.Pop(&e.queue).(*event)
-		if *ev.canceled {
-			continue
+	if len(e.heap) == 0 || e.halted {
+		return false
+	}
+	top := e.heap[0]
+	e.remove(0)
+	if top.at < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = top.at
+	s := e.slots[top.slot]
+	if s.period > 0 {
+		// The slot stays owned across the tick so the Timer can stop the
+		// series from inside fn; a changed generation afterwards means it did.
+		e.slots[top.slot].pos = -1
+		s.fn()
+		switch {
+		case e.slots[top.slot].gen != s.gen:
+		case e.halted:
+			e.release(top.slot)
+		default:
+			e.push(top.slot, e.now+s.period)
 		}
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		ev.fn()
 		return true
 	}
-	return false
+	e.release(top.slot)
+	if s.pfn != nil {
+		s.pfn(s.p)
+	} else {
+		s.fn()
+	}
+	return true
 }
 
 // Run executes events until the virtual clock would pass until, the queue
 // empties, or Halt is called. The clock is left at min(until, last event
 // time); events at exactly until do run.
 func (e *Engine) Run(until time.Duration) {
-	for len(e.queue) > 0 && !e.halted {
-		next := e.queue[0]
-		if *next.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > until {
-			break
-		}
-		e.Step()
+	for len(e.heap) > 0 && e.heap[0].at <= until && e.Step() {
 	}
 	if !e.halted && e.now < until {
 		e.now = until
@@ -164,41 +221,68 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) Halted() bool { return e.halted }
 
 // Pending returns the number of live events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !*ev.canceled {
-			n++
+func (e *Engine) Pending() int { return len(e.heap) }
+
+// push queues slot id at time at under the next sequence number.
+func (e *Engine) push(id int32, at time.Duration) {
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, slot: id})
+	e.seq++
+}
+
+// remove deletes heap[i], refilling the hole with the last entry.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(e.heap[(i-1)/4]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
+	}
+}
+
+// place writes x at heap[i] and records the position in its slot.
+func (e *Engine) place(i int, x entry) {
+	e.heap[i] = x
+	e.slots[x.slot].pos = int32(i)
+}
+
+// siftUp settles x into the hole at i, moving later parents down.
+func (e *Engine) siftUp(i int, x entry) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(e.heap[parent]) {
+			break
 		}
+		e.place(i, e.heap[parent])
+		i = parent
 	}
-	return n
+	e.place(i, x)
 }
 
-// eventHeap orders events by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// siftDown settles x into the hole at i, moving the earliest child up.
+func (e *Engine) siftDown(i int, x entry) {
+	n := len(e.heap)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if e.heap[c].before(e.heap[least]) {
+				least = c
+			}
+		}
+		if !e.heap[least].before(x) {
+			break
+		}
+		e.place(i, e.heap[least])
+		i = least
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	e.place(i, x)
 }

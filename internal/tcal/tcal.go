@@ -71,7 +71,7 @@ type chain struct {
 	lastRead    int64
 	lastReadReq int64
 	// waiters are TSQ-throttled senders to wake when the htb drains.
-	waiters []func()
+	waiters netem.FIFO[func()]
 }
 
 // New creates a TCAL whose shaped packets exit through egress (the host
@@ -100,10 +100,8 @@ func (t *TCAL) InstallPath(dst packet.IP, p PathProps) {
 	c.qdisc.HTB.OnDequeue = func() {
 		// One waiter per departure: connections sharing a destination
 		// chain take round-robin turns, like fq on a real host.
-		if len(c.waiters) > 0 && c.qdisc.HTB.Backlog()+packet.MSS <= TSQLimit {
-			w := c.waiters[0]
-			c.waiters = c.waiters[1:]
-			w()
+		if c.waiters.Len() > 0 && c.qdisc.HTB.Backlog()+packet.MSS <= TSQLimit {
+			c.waiters.Pop()()
 		}
 	}
 	if _, existed := t.chains[dst]; !existed {
@@ -133,7 +131,7 @@ func (t *TCAL) NotifyWritable(dst packet.IP, fn func()) {
 		fn()
 		return
 	}
-	c.waiters = append(c.waiters, fn)
+	c.waiters.Push(fn)
 }
 
 // RemovePath removes the chain toward dst; subsequent packets are dropped

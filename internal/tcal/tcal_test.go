@@ -204,3 +204,48 @@ func TestProps(t *testing.T) {
 		t.Fatalf("Props after SetNetem = %+v", got)
 	}
 }
+
+// TestTSQWaitersWakeInOrder: senders parked on a full htb are woken one per
+// drain pass, first come first served, and SetBandwidth(dst, 0) — unlimited —
+// releases the backlog they were waiting behind instead of stranding it.
+func TestTSQWaitersWakeInOrder(t *testing.T) {
+	eng := sim.NewEngine(1)
+	delivered := 0
+	tc := New(eng, func(*packet.Packet) { delivered++ })
+	dst := packet.MakeIP(0, 1, 1)
+	tc.InstallPath(dst, PathProps{Bandwidth: 8 * units.Mbps})
+	sent := 0
+	for ; tc.Writable(dst, packet.MSS); sent++ {
+		tc.Send(mk(dst, packet.MTU))
+	}
+	var woken []int
+	for i := 0; i < 3; i++ {
+		i := i
+		tc.NotifyWritable(dst, func() { woken = append(woken, i) })
+	}
+	for len(woken) == 0 && eng.Step() {
+	}
+	if len(woken) != 1 || woken[0] != 0 {
+		t.Fatalf("woken = %v after the first departure, want [0]", woken)
+	}
+	if err := tc.SetBandwidth(dst, 0); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(eng.Now()) // the zero-latency netem stage hands over within the instant
+	if tc.Backlog(dst) != 0 || delivered != sent {
+		t.Fatalf("after SetBandwidth(0): backlog %d B, %d of %d delivered", tc.Backlog(dst), delivered, sent)
+	}
+	if len(woken) != 2 || woken[1] != 1 {
+		t.Fatalf("woken = %v after the flush, want [0 1]", woken)
+	}
+	if err := tc.SetBandwidth(dst, 8*units.Mbps); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		tc.Send(mk(dst, packet.MTU))
+	}
+	eng.RunAll()
+	if len(woken) != 3 || woken[2] != 2 {
+		t.Fatalf("woken = %v, want [0 1 2]", woken)
+	}
+}

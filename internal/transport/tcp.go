@@ -135,6 +135,10 @@ type Conn struct {
 	rtoTimer sim.Timer
 	rtoSet   bool
 
+	// The timer and wake-up callbacks, bound once per connection so that
+	// re-arming per segment does not allocate a method value each time.
+	rtoFn, paceFn, tsqFn func()
+
 	// Receiver state. ooo holds received-but-not-in-order byte ranges,
 	// sorted by start and coalesced, so SACK blocks describe large
 	// contiguous chunks.
@@ -256,7 +260,7 @@ func (s *Stack) allocPort() uint16 {
 }
 
 func (s *Stack) newConn(id fourTuple, cc CongestionControl) *Conn {
-	return &Conn{
+	c := &Conn{
 		stack:    s,
 		id:       id,
 		cc:       cc,
@@ -264,6 +268,8 @@ func (s *Stack) newConn(id fourTuple, cc CongestionControl) *Conn {
 		ssthresh: math.MaxFloat64 / 4,
 		rto:      initialRTO,
 	}
+	c.rtoFn, c.paceFn, c.tsqFn = c.onRTO, c.onPace, c.onTSQWake
+	return c
 }
 
 // receive is the stack's packet handler.
@@ -482,12 +488,19 @@ func (c *Conn) writable(n int) bool {
 	}
 	if !c.tsqParked {
 		c.tsqParked = true
-		fc.NotifyWritable(c.id.local.ip, c.id.remote.ip, func() {
-			c.tsqParked = false
-			c.trySend()
-		})
+		fc.NotifyWritable(c.id.local.ip, c.id.remote.ip, c.tsqFn)
 	}
 	return false
+}
+
+func (c *Conn) onTSQWake() {
+	c.tsqParked = false
+	c.trySend()
+}
+
+func (c *Conn) onPace() {
+	c.paceSet = false
+	c.trySend()
 }
 
 func (c *Conn) trySend() {
@@ -516,10 +529,7 @@ func (c *Conn) trySend() {
 	// connection resumes from the drain callback instead.
 	if !c.inRecovery && !c.tsqParked && c.sndBuf > 0 && float64(c.sndNext-c.sndUna)+mss <= c.cwnd && !c.paceSet {
 		c.paceSet = true
-		c.stack.eng.After(c.paceDelay(), func() {
-			c.paceSet = false
-			c.trySend()
-		})
+		c.stack.eng.After(c.paceDelay(), c.paceFn)
 	}
 	if c.sndBuf == 0 && c.closingWanted && !c.finSent && c.sndNext == c.sndUna {
 		c.sendFIN()
@@ -587,7 +597,7 @@ func (c *Conn) armRTO() {
 		c.rtoTimer.Stop()
 	}
 	c.rtoSet = true
-	c.rtoTimer = c.stack.eng.After(c.rto, c.onRTO)
+	c.rtoTimer = c.stack.eng.After(c.rto, c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
