@@ -34,10 +34,18 @@
 // Minimum-of-count ns/op comparisons tolerate CI noise: a loaded runner
 // slows individual runs, but the minima converge.
 //
+// A third mode holds a noise-safe column of the whole-experiment ledger:
+// -ledger reads the output of `go run ./bench -workload W`, whose last
+// line is the run's JSON result, and fails when the run's own checks
+// failed (`correct` false) or allocs_per_virtual_s exceeds
+// -max-ledger-allocs. Allocation counts repeat almost exactly from run to
+// run and machine to machine, which wall-clock does not.
+//
 // Usage:
 //
 //	benchcheck -baseline BENCH_allocator.json -current BENCH_allocator.new.json
 //	benchcheck -iterate iterate.txt
+//	benchcheck -ledger flap.txt -max-ledger-allocs 60000
 package main
 
 import (
@@ -73,8 +81,17 @@ func main() {
 	incrementalRatio := flag.Float64("max-incremental-ratio", 0.3, "fail when the incremental solver's churn ns/op exceeds this fraction of the parallel full re-solve's at the largest size (0 disables)")
 	iterate := flag.String("iterate", "", "gate the iterate benchmarks from this `go test -bench` text output instead of comparing allocator baselines")
 	traceOverhead := flag.Float64("max-trace-overhead", 1.10, "iterate mode: fail when BenchmarkIterateTraced's best ns/op exceeds this multiple of BenchmarkIterate's")
+	ledger := flag.String("ledger", "", "gate one `go run ./bench -workload W` output (last line: the JSON result) instead of comparing allocator baselines")
+	ledgerAllocs := flag.Float64("max-ledger-allocs", 60000, "ledger mode: fail when allocs_per_virtual_s exceeds this")
 	flag.Parse()
 
+	if *ledger != "" {
+		if err := checkLedger(*ledger, *ledgerAllocs); err != nil {
+			fmt.Fprintln(os.Stderr, "benchcheck:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *iterate != "" {
 		if err := checkIterate(*iterate, *traceOverhead); err != nil {
 			fmt.Fprintln(os.Stderr, "benchcheck:", err)
@@ -328,5 +345,35 @@ func checkIterate(path string, maxOverhead float64) error {
 	}
 	fmt.Printf("ok   BenchmarkIterateTraced: %.2fx of untraced (best %.0f ns/op, %d allocs/op)\n",
 		overhead, traced.minNs, traced.maxAllocs)
+	return nil
+}
+
+// checkLedger enforces the ledger gate on one workload's bench output.
+func checkLedger(path string, maxAllocs float64) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var res struct {
+		Correct *bool `json:"correct"`
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil || res.Correct == nil {
+		return fmt.Errorf("%s: last line is not a bench result (run bench with -workload): %v", path, err)
+	}
+	if !*res.Correct {
+		return fmt.Errorf("%s: the run failed its own checks (correct=false)", path)
+	}
+	allocs, ok := res.Metrics["allocs_per_virtual_s"]
+	if !ok {
+		return fmt.Errorf("%s: result has no allocs_per_virtual_s", path)
+	}
+	if allocs.Value > maxAllocs {
+		return fmt.Errorf("allocs_per_virtual_s %.0f exceeds %.0f", allocs.Value, maxAllocs)
+	}
+	fmt.Printf("ok   ledger: correct, allocs_per_virtual_s %.0f (gate %.0f)\n", allocs.Value, maxAllocs)
 	return nil
 }

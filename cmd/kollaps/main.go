@@ -71,8 +71,13 @@ func main() {
 			fatal(err)
 		}
 		col := topology.Collapse(g)
-		for _, src := range g.Services() {
-			for dst, p := range col.PathsFrom(src) {
+		services := g.Services() // ascending NodeID: output order is stable
+		for _, src := range services {
+			for _, dst := range services {
+				p := col.Path(src, dst)
+				if p == nil {
+					continue
+				}
 				fmt.Printf("%s -> %s: latency %v, jitter %v, bw %v, loss %.4f\n",
 					g.Node(src).Name, g.Node(dst).Name, p.Latency, p.Jitter, p.Bandwidth, p.Loss)
 			}

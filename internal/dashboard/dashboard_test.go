@@ -166,6 +166,9 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 		"# TYPE kollaps_solver_runs_total counter",
 		`kollaps_dissem_bytes_sent{host="0",strategy="broadcast"}`,
 		"kollaps_virtual_time_seconds 2",
+		"kollaps_topology_trees_built_total ",
+		"kollaps_topology_trees_carried_total 0",
+		"kollaps_topology_paths_materialized_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)

@@ -6,7 +6,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,13 +65,39 @@ type Link struct {
 type Graph struct {
 	nodes  []Node
 	links  []Link
-	out    map[NodeID][]int // node -> outgoing link indices
+	out    [][]int // node id -> outgoing link ids
 	byName map[string]NodeID
+	// shared marks nodes, out and byName as shared with a Clone (or its
+	// origin): the first AddNode/AddLink on either side copies them.
+	shared bool
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{out: make(map[NodeID][]int), byName: make(map[string]NodeID)}
+	return &Graph{byName: make(map[string]NodeID)}
+}
+
+// unshare gives g its own nodes, adjacency and name index before a
+// structural mutation. The adjacency rows are carved from one block,
+// capacity-clipped so an append to one row cannot run into the next.
+func (g *Graph) unshare() {
+	if !g.shared {
+		return
+	}
+	g.shared = false
+	g.nodes = append([]Node(nil), g.nodes...)
+	byName := make(map[string]NodeID, len(g.byName))
+	for k, v := range g.byName {
+		byName[k] = v
+	}
+	g.byName = byName
+	flat := make([]int, 0, len(g.links))
+	out := make([][]int, len(g.out))
+	for i, row := range g.out {
+		flat = append(flat, row...)
+		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
+	}
+	g.out = out
 }
 
 // AddNode adds a named node and returns its id. Duplicate names are an
@@ -81,8 +106,10 @@ func (g *Graph) AddNode(name string, kind NodeKind) (NodeID, error) {
 	if _, dup := g.byName[name]; dup {
 		return 0, fmt.Errorf("graph: duplicate node name %q", name)
 	}
+	g.unshare()
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind})
+	g.out = append(g.out, nil)
 	g.byName[name] = id
 	return id, nil
 }
@@ -99,6 +126,7 @@ func (g *Graph) MustAddNode(name string, kind NodeKind) NodeID {
 
 // AddLink adds a unidirectional link and returns its id.
 func (g *Graph) AddLink(from, to NodeID, p LinkProps) int {
+	g.unshare()
 	id := len(g.links)
 	g.links = append(g.links, Link{ID: id, From: from, To: to, LinkProps: p})
 	g.out[from] = append(g.out[from], id)
@@ -164,22 +192,15 @@ func (g *Graph) Services() []NodeID {
 	return out
 }
 
-// Clone returns a deep copy; the dynamic topology engine pre-computes one
-// graph per event (§3).
+// Clone returns an independent copy; the dynamic topology engine makes one
+// per event group (§3). Only the link table — what events patch — is
+// copied eagerly; nodes, adjacency and the name index are shared until
+// either side adds a node or a link.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		nodes:  append([]Node(nil), g.nodes...),
-		links:  append([]Link(nil), g.links...),
-		out:    make(map[NodeID][]int, len(g.out)),
-		byName: make(map[string]NodeID, len(g.byName)),
-	}
-	for k, v := range g.out {
-		c.out[k] = append([]int(nil), v...)
-	}
-	for k, v := range g.byName {
-		c.byName[k] = v
-	}
-	return c
+	g.shared = true
+	c := *g
+	c.links = append([]Link(nil), g.links...)
+	return &c
 }
 
 // Path is a shortest path between two services: the ordered link ids it
@@ -201,140 +222,231 @@ func (p *Path) RTT() time.Duration { return 2 * p.Latency }
 
 // ComposeProps folds link properties along a path per the §3 formulas.
 func ComposeProps(links []Link) LinkProps {
-	var out LinkProps
-	if len(links) == 0 {
-		return out
+	var f propsFold
+	for i := range links {
+		f.add(&links[i].LinkProps)
 	}
-	out.Bandwidth = links[0].Bandwidth
-	keep := 1.0
-	jitterSq := 0.0
-	for _, l := range links {
-		out.Latency += l.Latency
-		jitterSq += float64(l.Jitter) * float64(l.Jitter)
-		keep *= 1 - float64(l.Loss)
-		if l.Bandwidth < out.Bandwidth {
-			out.Bandwidth = l.Bandwidth
-		}
-	}
-	out.Jitter = time.Duration(math.Sqrt(jitterSq))
-	out.Loss = units.Loss(1 - keep)
-	return out
+	return f.props()
 }
 
-// ShortestPaths runs Dijkstra from src (weight = link latency, ties broken
-// by hop count then link id for determinism) and returns a Path for every
-// reachable node. Tombstoned links are skipped.
-func (g *Graph) ShortestPaths(src NodeID) map[NodeID]*Path {
-	const inf = math.MaxInt64
-	type state struct {
-		dist time.Duration
-		hops int
-		prev NodeID
-		via  int // link id used to arrive
-		done bool
-		seen bool
+// propsFold is the §3 composition as a forward fold, so a path walked
+// off the link table composes in the same float order as ComposeProps.
+type propsFold struct {
+	out            LinkProps
+	keep, jitterSq float64
+	n              int
+}
+
+func (f *propsFold) add(l *LinkProps) {
+	if f.n == 0 {
+		f.out.Bandwidth, f.keep = l.Bandwidth, 1
 	}
-	st := make([]state, len(g.nodes))
+	f.n++
+	f.out.Latency += l.Latency
+	f.jitterSq += float64(l.Jitter) * float64(l.Jitter)
+	f.keep *= 1 - float64(l.Loss)
+	if l.Bandwidth < f.out.Bandwidth {
+		f.out.Bandwidth = l.Bandwidth
+	}
+}
+
+func (f *propsFold) props() LinkProps {
+	if f.n == 0 {
+		return LinkProps{}
+	}
+	f.out.Jitter = time.Duration(math.Sqrt(f.jitterSq))
+	f.out.Loss = units.Loss(1 - f.keep)
+	return f.out
+}
+
+// Tree is the shortest-path tree of one source: per node, the distance,
+// hop count and arriving link of its shortest path (weight = link latency,
+// ties broken by hop count, then by the arriving link's id). That triple is
+// a function of the graph alone — every candidate for a node is relaxed
+// from a node with a strictly smaller (dist, hops) key — so a Tree can be
+// compared, reused and carried to a later graph it still Holds for. It
+// keeps no reference to the graph; Path and Holds take the one to read.
+type Tree struct {
+	src NodeID
+	st  []treeNode
+}
+
+type treeNode struct {
+	dist time.Duration // unreached until relaxed
+	hops int32
+	via  int32 // arriving link id; -1 at the source and at unreached nodes
+}
+
+const unreached = time.Duration(math.MaxInt64)
+
+// Scratch is Dijkstra's reusable working memory; the zero value is ready.
+type Scratch struct{ heap []nodeDist }
+
+// Tree runs Dijkstra from src, skipping tombstoned links. sc may be nil.
+func (g *Graph) Tree(src NodeID, sc *Scratch) Tree {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	st := make([]treeNode, len(g.nodes))
 	for i := range st {
-		st[i].dist = time.Duration(inf)
-		st[i].via = -1
+		st[i] = treeNode{dist: unreached, via: -1}
 	}
 	st[src].dist = 0
-	st[src].seen = true
-
-	pq := &nodeQueue{}
-	heap.Push(pq, nodeDist{id: src, dist: 0, hops: 0})
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(nodeDist)
-		s := &st[cur.id]
-		if s.done {
-			continue
+	if cap(sc.heap) < len(st) {
+		sc.heap = make([]nodeDist, 0, len(st))
+	}
+	pq := append(sc.heap[:0], nodeDist{hopsID: uint64(src)})
+	for len(pq) > 0 {
+		cur, hops, id := pq[0], int32(pq[0].hopsID>>32), uint32(pq[0].hopsID)
+		pq = popMin(pq)
+		if s := &st[id]; cur.dist != s.dist || hops != s.hops {
+			continue // superseded by a better key queued later
 		}
-		s.done = true
-		for _, li := range g.out[cur.id] {
+		for _, li := range g.out[id] {
 			l := &g.links[li]
 			if l.Bandwidth < 0 { // tombstone
 				continue
 			}
-			nd := cur.dist + l.Latency
-			nh := cur.hops + 1
+			nd, nh := cur.dist+l.Latency, hops+1
 			ns := &st[l.To]
-			better := false
 			switch {
-			case !ns.seen || nd < ns.dist:
-				better = true
-			case nd == ns.dist && nh < ns.hops:
-				better = true
-			case nd == ns.dist && nh == ns.hops && ns.via >= 0 && li < ns.via:
-				better = true
-			}
-			if better && !ns.done {
-				ns.dist, ns.hops, ns.prev, ns.via, ns.seen = nd, nh, cur.id, li, true
-				heap.Push(pq, nodeDist{id: l.To, dist: nd, hops: nh})
+			case nd < ns.dist || nd == ns.dist && nh < ns.hops:
+				ns.dist, ns.hops, ns.via = nd, nh, int32(li)
+				// A leaf whose one link leads straight back has nothing
+				// to relax: settled here, never queued. Services usually
+				// are such leaves, and they are most of a topology.
+				if back := g.out[l.To]; len(back) == 1 && g.links[back[0]].To == NodeID(id) {
+					continue
+				}
+				pq = push(pq, nodeDist{dist: nd, hopsID: uint64(nh)<<32 | uint64(l.To)})
+			case nd == ns.dist && nh == ns.hops && int32(li) < ns.via:
+				ns.via = int32(li) // same key already queued
 			}
 		}
 	}
+	sc.heap = pq
+	return Tree{src: src, st: st}
+}
 
-	out := make(map[NodeID]*Path)
-	for id := range g.nodes {
-		nid := NodeID(id)
-		if nid == src || !st[id].seen {
+// Path materialises the tree's path to dst on g — the graph the tree was
+// built on, or a later one it Holds for — as the ordered link ids plus
+// their composed properties. Nil when dst is the source, unreached or not
+// a node.
+func (t Tree) Path(g *Graph, dst NodeID) *Path {
+	if dst < 0 || int(dst) >= len(t.st) || t.st[dst].via < 0 {
+		return nil
+	}
+	links := make([]int, t.st[dst].hops)
+	for at, i := dst, len(links)-1; i >= 0; i-- {
+		links[i] = int(t.st[at].via)
+		at = g.links[links[i]].From
+	}
+	var f propsFold
+	for _, li := range links {
+		f.add(&g.links[li].LinkProps)
+	}
+	return &Path{From: t.src, To: dst, Links: links, LinkProps: f.props()}
+}
+
+// Holds reports whether t, built on an earlier version of g with the same
+// nodes, is still g's tree from its source, where changed lists every link
+// whose properties differ between the two versions (links new in g
+// included). It holds when no changed link is a tree edge and none, as it
+// now stands, reaches its head with a key that beats or ties the tree's:
+// then the tree's paths exist unchanged, every unchanged link still fails
+// to improve on them, and so do the changed ones. A tie is refused because
+// it could move the link-id tie-break. Paths materialised from t compose
+// the same properties on either graph, since no tree edge changed.
+func (t Tree) Holds(g *Graph, changed []int) bool {
+	if len(t.st) != len(g.nodes) {
+		return false
+	}
+	for _, li := range changed {
+		l := &g.links[li]
+		from, to := &t.st[l.From], &t.st[l.To]
+		if to.via == int32(li) {
+			return false
+		}
+		if l.Bandwidth < 0 || from.dist == unreached {
 			continue
 		}
-		// Rebuild the link chain backwards.
-		var rev []int
-		for at := nid; at != src; at = st[at].prev {
-			rev = append(rev, st[at].via)
+		nd, nh := from.dist+l.Latency, from.hops+1
+		if nd < to.dist || nd == to.dist && nh <= to.hops {
+			return false
 		}
-		links := make([]int, len(rev))
-		lobjs := make([]Link, len(rev))
-		for i := range rev {
-			links[i] = rev[len(rev)-1-i]
-			lobjs[i] = g.links[links[i]]
+	}
+	return true
+}
+
+// ShortestPaths returns the Path from src to every reachable node: the
+// whole of src's Tree, materialised.
+func (g *Graph) ShortestPaths(src NodeID) map[NodeID]*Path {
+	t := g.Tree(src, nil)
+	out := make(map[NodeID]*Path)
+	for id := range g.nodes {
+		if p := t.Path(g, NodeID(id)); p != nil {
+			out[NodeID(id)] = p
 		}
-		out[nid] = &Path{From: src, To: nid, Links: links, LinkProps: ComposeProps(lobjs)}
 	}
 	return out
 }
 
-// AllPairsServicePaths computes shortest paths between every ordered pair
-// of services — the "network collapsing" input (§3, Figure 1).
-func (g *Graph) AllPairsServicePaths() map[NodeID]map[NodeID]*Path {
-	out := make(map[NodeID]map[NodeID]*Path)
-	for _, src := range g.Services() {
-		all := g.ShortestPaths(src)
-		m := make(map[NodeID]*Path)
-		for dst, p := range all {
-			if g.nodes[dst].Kind == Service {
-				m[dst] = p
+// nodeDist is a priority-queue entry, ordered by (dist, hops, id); hops
+// and the node id share one word so the order is two compares.
+type nodeDist struct {
+	dist   time.Duration
+	hopsID uint64 // hops<<32 | id
+}
+
+func (a nodeDist) less(b nodeDist) bool {
+	return a.dist < b.dist || a.dist == b.dist && a.hopsID < b.hopsID
+}
+
+// push and popMin maintain a 4-ary min-heap in a plain slice, moving a
+// hole instead of swapping.
+func push(h []nodeDist, x nodeDist) []nodeDist {
+	h = append(h, x)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.less(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = x
+	return h
+}
+
+func popMin(h []nodeDist) []nodeDist {
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	if n == 0 {
+		return h
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].less(h[best]) {
+				best = c
 			}
 		}
-		out[src] = m
+		if !h[best].less(x) {
+			break
+		}
+		h[i] = h[best]
+		i = best
 	}
-	return out
+	h[i] = x
+	return h
 }
-
-type nodeDist struct {
-	id   NodeID
-	dist time.Duration
-	hops int
-}
-
-type nodeQueue []nodeDist
-
-func (q nodeQueue) Len() int { return len(q) }
-func (q nodeQueue) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	if q[i].hops != q[j].hops {
-		return q[i].hops < q[j].hops
-	}
-	return q[i].id < q[j].id
-}
-func (q nodeQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x any)   { *q = append(*q, x.(nodeDist)) }
-func (q *nodeQueue) Pop() (x any) { old := *q; n := len(old); x = old[n-1]; *q = old[:n-1]; return }
 
 // ScaleFreeOptions configures the Barabási–Albert generator used by the
 // Table 4 experiment.

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -180,22 +183,6 @@ func TestDisconnected(t *testing.T) {
 	}
 }
 
-func TestAllPairsServicePaths(t *testing.T) {
-	g, c1, sv1, sv2 := paperTopology(t)
-	ap := g.AllPairsServicePaths()
-	if len(ap) != 3 {
-		t.Fatalf("sources = %d, want 3", len(ap))
-	}
-	for _, src := range []NodeID{c1, sv1, sv2} {
-		if len(ap[src]) != 2 {
-			t.Fatalf("paths from %v = %d, want 2 (bridges excluded)", src, len(ap[src]))
-		}
-	}
-	if ap[sv2][sv1].Latency != 10*time.Millisecond {
-		t.Fatalf("sv2->sv1 latency = %v", ap[sv2][sv1].Latency)
-	}
-}
-
 func TestClone(t *testing.T) {
 	g, c1, sv1, _ := paperTopology(t)
 	c := g.Clone()
@@ -346,5 +333,341 @@ func TestDumbbell(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("dumbbell paths do not share the bottleneck link")
+	}
+}
+
+func TestCloneSharesUntilStructuralChange(t *testing.T) {
+	g, c1, sv1, _ := paperTopology(t)
+	c := g.Clone()
+	// A node and a link added to the clone must not leak into the
+	// original's name index, node list or adjacency — nor the reverse.
+	x := c.MustAddNode("x", Service)
+	c.AddBiLink(x, c1, props(time.Millisecond, units.Gbps))
+	if _, ok := g.Lookup("x"); ok || g.NumNodes() != 5 || g.NumLinks() != 8 {
+		t.Fatalf("clone's growth leaked into the original: %d nodes, %d links", g.NumNodes(), g.NumLinks())
+	}
+	y := g.MustAddNode("y", Service)
+	g.AddBiLink(y, sv1, props(time.Millisecond, units.Gbps))
+	if _, ok := c.Lookup("y"); ok || c.NumNodes() != 6 || c.NumLinks() != 10 {
+		t.Fatalf("original's growth leaked into the clone: %d nodes, %d links", c.NumNodes(), c.NumLinks())
+	}
+	if p := c.ShortestPaths(x)[sv1]; p == nil || p.Latency != 36*time.Millisecond {
+		t.Fatalf("clone x->sv1 = %+v, want 36ms", p)
+	}
+	if p := g.ShortestPaths(y)[c1]; p == nil || p.Latency != 36*time.Millisecond {
+		t.Fatalf("original y->c1 = %+v, want 36ms", p)
+	}
+}
+
+// refShortestPaths is the seed's ShortestPaths, kept verbatim (type names
+// aside) as the oracle for Tree: container/heap Dijkstra with explicit
+// prev/done/seen state, every path materialised through refComposeProps.
+func refShortestPaths(g *Graph, src NodeID) map[NodeID]*Path {
+	const inf = math.MaxInt64
+	type state struct {
+		dist time.Duration
+		hops int
+		prev NodeID
+		via  int // link id used to arrive
+		done bool
+		seen bool
+	}
+	st := make([]state, len(g.nodes))
+	for i := range st {
+		st[i].dist = time.Duration(inf)
+		st[i].via = -1
+	}
+	st[src].dist = 0
+	st[src].seen = true
+
+	pq := &refNodeQueue{}
+	heap.Push(pq, refNodeDist{id: src, dist: 0, hops: 0})
+	for pq.Len() > 0 {
+		cur := heap.Pop(pq).(refNodeDist)
+		s := &st[cur.id]
+		if s.done {
+			continue
+		}
+		s.done = true
+		for _, li := range g.out[cur.id] {
+			l := &g.links[li]
+			if l.Bandwidth < 0 { // tombstone
+				continue
+			}
+			nd := cur.dist + l.Latency
+			nh := cur.hops + 1
+			ns := &st[l.To]
+			better := false
+			switch {
+			case !ns.seen || nd < ns.dist:
+				better = true
+			case nd == ns.dist && nh < ns.hops:
+				better = true
+			case nd == ns.dist && nh == ns.hops && ns.via >= 0 && li < ns.via:
+				better = true
+			}
+			if better && !ns.done {
+				ns.dist, ns.hops, ns.prev, ns.via, ns.seen = nd, nh, cur.id, li, true
+				heap.Push(pq, refNodeDist{id: l.To, dist: nd, hops: nh})
+			}
+		}
+	}
+
+	out := make(map[NodeID]*Path)
+	for id := range g.nodes {
+		nid := NodeID(id)
+		if nid == src || !st[id].seen {
+			continue
+		}
+		// Rebuild the link chain backwards.
+		var rev []int
+		for at := nid; at != src; at = st[at].prev {
+			rev = append(rev, st[at].via)
+		}
+		links := make([]int, len(rev))
+		lobjs := make([]Link, len(rev))
+		for i := range rev {
+			links[i] = rev[len(rev)-1-i]
+			lobjs[i] = g.links[links[i]]
+		}
+		out[nid] = &Path{From: src, To: nid, Links: links, LinkProps: refComposeProps(lobjs)}
+	}
+	return out
+}
+
+func refComposeProps(links []Link) LinkProps {
+	var out LinkProps
+	if len(links) == 0 {
+		return out
+	}
+	out.Bandwidth = links[0].Bandwidth
+	keep := 1.0
+	jitterSq := 0.0
+	for _, l := range links {
+		out.Latency += l.Latency
+		jitterSq += float64(l.Jitter) * float64(l.Jitter)
+		keep *= 1 - float64(l.Loss)
+		if l.Bandwidth < out.Bandwidth {
+			out.Bandwidth = l.Bandwidth
+		}
+	}
+	out.Jitter = time.Duration(math.Sqrt(jitterSq))
+	out.Loss = units.Loss(1 - keep)
+	return out
+}
+
+type refNodeDist struct {
+	id   NodeID
+	dist time.Duration
+	hops int
+}
+
+type refNodeQueue []refNodeDist
+
+func (q refNodeQueue) Len() int { return len(q) }
+func (q refNodeQueue) Less(i, j int) bool {
+	if q[i].dist != q[j].dist {
+		return q[i].dist < q[j].dist
+	}
+	if q[i].hops != q[j].hops {
+		return q[i].hops < q[j].hops
+	}
+	return q[i].id < q[j].id
+}
+func (q refNodeQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refNodeQueue) Push(x any)   { *q = append(*q, x.(refNodeDist)) }
+func (q *refNodeQueue) Pop() (x any) { old := *q; n := len(old); x = old[n-1]; *q = old[:n-1]; return }
+
+// checkAgainstReference compares ShortestPaths and Tree.Path with the seed
+// oracle from every source: same reachable set, same link order, same
+// composed floats.
+func checkAgainstReference(t testing.TB, g *Graph) {
+	t.Helper()
+	var sc Scratch
+	for src := range g.nodes {
+		src := NodeID(src)
+		want := refShortestPaths(g, src)
+		if got := g.ShortestPaths(src); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ShortestPaths(%d) differs from the reference:\n got %v\nwant %v", src, pathsString(g, got), pathsString(g, want))
+		}
+		tree := g.Tree(src, &sc)
+		for dst := range g.nodes {
+			if got := tree.Path(g, NodeID(dst)); !reflect.DeepEqual(got, want[NodeID(dst)]) {
+				t.Fatalf("Tree(%d).Path(%d) = %+v, reference %+v", src, dst, got, want[NodeID(dst)])
+			}
+		}
+	}
+}
+
+// pathsString renders a path map in NodeID order, for failure messages.
+func pathsString(g *Graph, m map[NodeID]*Path) string {
+	s := ""
+	for id := range g.nodes {
+		if p, ok := m[NodeID(id)]; ok {
+			s += fmt.Sprintf(" %d:%v/%v", id, p.Links, p.LinkProps)
+		}
+	}
+	return s
+}
+
+// tieProps draws link properties from a handful of values, zero latency
+// included, so equal-distance and equal-hop alternatives are the rule.
+func tieProps(rng *rand.Rand) LinkProps {
+	return LinkProps{
+		Latency:   time.Duration(rng.Intn(3)) * time.Millisecond,
+		Jitter:    time.Duration(rng.Intn(4)) * 100 * time.Microsecond,
+		Bandwidth: units.Bandwidth(1+rng.Intn(3)) * 10 * units.Mbps,
+		Loss:      units.Loss(rng.Intn(3)) * 0.01,
+	}
+}
+
+func TestTreeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	t.Run("equal-latency scale-free", func(t *testing.T) {
+		for _, m := range []int{1, 2, 3} {
+			checkAgainstReference(t, ScaleFree(ScaleFreeOptions{
+				Elements: 120, EdgesPerNode: m,
+				LinkProps: props(2*time.Millisecond, 100*units.Mbps),
+				Rand:      rand.New(rand.NewSource(int64(m))),
+			}))
+		}
+	})
+	t.Run("grid", func(t *testing.T) {
+		// Every interior pair has many equal-latency, equal-hop routes:
+		// only the link-id tie-break separates them.
+		const w = 7
+		g := New()
+		for i := 0; i < w*w; i++ {
+			g.MustAddNode(fmt.Sprintf("n%d", i), NodeKind(i%2))
+		}
+		for y := 0; y < w; y++ {
+			for x := 0; x < w; x++ {
+				if x+1 < w {
+					g.AddBiLink(NodeID(y*w+x), NodeID(y*w+x+1), props(time.Millisecond, units.Gbps))
+				}
+				if y+1 < w {
+					g.AddBiLink(NodeID(y*w+x), NodeID((y+1)*w+x), props(time.Millisecond, units.Gbps))
+				}
+			}
+		}
+		checkAgainstReference(t, g)
+	})
+	t.Run("multigraph with tombstones and islands", func(t *testing.T) {
+		for round := 0; round < 40; round++ {
+			g := New()
+			n := 3 + rng.Intn(12)
+			for i := 0; i < n; i++ {
+				g.MustAddNode(fmt.Sprintf("n%d", i), NodeKind(rng.Intn(2)))
+			}
+			// The last two nodes form an island unless n is tiny.
+			reach := n
+			if n > 5 {
+				reach = n - 2
+				g.AddBiLink(NodeID(n-2), NodeID(n-1), tieProps(rng))
+			}
+			for i := 0; i < 4*n; i++ {
+				a, b := NodeID(rng.Intn(reach)), NodeID(rng.Intn(reach))
+				if rng.Intn(3) == 0 {
+					g.AddLink(a, b, tieProps(rng)) // one-way, parallel and self links too
+				} else {
+					g.AddBiLink(a, b, tieProps(rng))
+				}
+			}
+			for i := 0; i < n; i++ {
+				g.RemoveLink(rng.Intn(g.NumLinks()))
+			}
+			checkAgainstReference(t, g)
+		}
+	})
+}
+
+// fuzzGraph decodes a small multigraph from fuzz bytes: the first byte
+// sizes it, then every 3 bytes are one link (from, to, latency in 0..3 ms
+// with the high bit tombstoning it).
+func fuzzGraph(data []byte) *Graph {
+	g := New()
+	if len(data) == 0 {
+		return g
+	}
+	n := 2 + int(data[0])%14
+	for i := 0; i < n; i++ {
+		g.MustAddNode(fmt.Sprintf("n%d", i), NodeKind(i%2))
+	}
+	for i := 1; i+2 < len(data) && g.NumLinks() < 256; i += 3 {
+		id := g.AddLink(NodeID(int(data[i])%n), NodeID(int(data[i+1])%n), LinkProps{
+			Latency:   time.Duration(data[i+2]&3) * time.Millisecond,
+			Jitter:    time.Duration(data[i+2]>>2&3) * time.Millisecond,
+			Bandwidth: units.Bandwidth(1+data[i+2]>>4&3) * units.Mbps,
+			Loss:      units.Loss(data[i+2]>>6&1) * 0.125,
+		})
+		if data[i+2]&0x80 != 0 {
+			g.RemoveLink(id)
+		}
+	}
+	return g
+}
+
+func FuzzTreeMatchesReference(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 0, 2, 2, 2, 3, 0x81})
+	f.Add([]byte{2, 0, 1, 0, 0, 1, 0, 1, 0, 0})
+	f.Add([]byte{9, 0, 1, 2, 0, 2, 2, 1, 3, 1, 2, 3, 1, 3, 4, 0, 4, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, fuzzGraph(data))
+	})
+}
+
+// TestTreeHoldsImpliesIdentical is the carry-over criterion's contract:
+// whenever an old tree Holds for a patched graph, a fresh Dijkstra on the
+// patched graph yields that very tree — and the criterion is not vacuous.
+func TestTreeHoldsImpliesIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	held, total := 0, 0
+	for round := 0; round < 300; round++ {
+		g := ScaleFree(ScaleFreeOptions{
+			Elements: 40 + rng.Intn(40), EdgesPerNode: 1 + rng.Intn(2),
+			LinkProps: props(2*time.Millisecond, 100*units.Mbps),
+			Rand:      rand.New(rand.NewSource(int64(round))),
+		})
+		for i := 0; i < g.NumLinks()/4; i++ { // untie a quarter of the links
+			li := rng.Intn(g.NumLinks())
+			g.SetLinkProps(li, tieProps(rng))
+		}
+		next := g.Clone()
+		var changed []int
+		for i := 0; i < 1+rng.Intn(3); i++ {
+			li := rng.Intn(next.NumLinks())
+			switch rng.Intn(4) {
+			case 0:
+				next.RemoveLink(li)
+			case 1:
+				a, b := NodeID(rng.Intn(next.NumNodes())), NodeID(rng.Intn(next.NumNodes()))
+				li = next.AddLink(a, b, tieProps(rng))
+			default:
+				next.SetLinkProps(li, tieProps(rng)) // may revive a tombstone
+			}
+			changed = append(changed, li)
+		}
+		for src := 0; src < g.NumNodes(); src += 7 {
+			old := g.Tree(NodeID(src), nil)
+			total++
+			if !old.Holds(next, changed) {
+				continue
+			}
+			held++
+			if fresh := next.Tree(NodeID(src), nil); !reflect.DeepEqual(old, fresh) {
+				t.Fatalf("round %d src %d: tree Holds across %v but a fresh one differs", round, src, changed)
+			}
+		}
+	}
+	if held < total/5 || held == total {
+		t.Fatalf("criterion held for %d of %d trees: the test does not exercise both outcomes", held, total)
+	}
+
+	// A node-count change refuses carry-over outright.
+	g, c1, _, _ := paperTopology(t)
+	grown := g.Clone()
+	grown.MustAddNode("late", Service)
+	if g.Tree(c1, nil).Holds(grown, nil) {
+		t.Fatal("tree holds for a graph with another node count")
 	}
 }

@@ -1,0 +1,322 @@
+package topology
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/units"
+)
+
+func TestEventPatchesAreValidated(t *testing.T) {
+	top, err := ParseYAML(liveTestYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := top.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := g.Lookup("a")
+	b, _ := g.Lookup("b")
+	live := NewLive(g)
+	before := live.State()
+
+	negLat, negBW, zeroBW := -10*time.Millisecond, -5*units.Mbps, units.Bandwidth(0)
+	bigLoss, nanLoss := units.Loss(1.5), units.Loss(math.NaN())
+	for name, p := range map[string]LinkPatch{
+		"negative latency": {Latency: &negLat},
+		"negative jitter":  {Jitter: &negLat},
+		"negative up":      {Up: &negBW},
+		"zero up":          {Up: &zeroBW},
+		"negative down":    {Down: &negBW},
+		"loss above one":   {Loss: &bigLoss},
+		"NaN loss":         {Loss: &nanLoss},
+	} {
+		for _, kind := range []EventKind{EvSetLink, EvLinkJoin} {
+			if err := live.Apply(time.Second, Event{Kind: kind, Orig: "a", Dest: "b", Props: p}); err == nil {
+				t.Errorf("%v with %s was accepted", kind, name)
+			}
+		}
+		if _, err := DryRun(g, []Event{{At: time.Second, Kind: EvSetLink, Orig: "a", Dest: "b", Props: p}}); err == nil {
+			t.Errorf("DryRun accepted a set-link with %s", name)
+		}
+	}
+	if live.State() != before || live.Gen() != 1 {
+		t.Fatal("a rejected patch advanced the state")
+	}
+	// The seed's failure: Up(-5) wrote the tombstone sentinel without a
+	// tombstone, so the link vanished and a later join added a fresh
+	// zero-bandwidth pair next to it.
+	if err := live.Apply(2*time.Second, Event{Kind: EvLinkLeave, Orig: "a", Dest: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Apply(3*time.Second, Event{Kind: EvLinkJoin, Orig: "a", Dest: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	st := live.State()
+	if p := st.Collapsed.Path(a, b); st.Graph.NumLinks() != 2 || p == nil || p.Bandwidth != 10*units.Mbps {
+		t.Fatalf("after leave/join: %d links, path %+v; want the original 2 links at 10Mbps", st.Graph.NumLinks(), p)
+	}
+}
+
+// choices turns a byte string into a stream of bounded decisions, so the
+// seeded test and the fuzzer drive one script interpreter. An exhausted
+// stream answers 0.
+type choices struct{ data []byte }
+
+func (c *choices) next(n int) int {
+	if len(c.data) == 0 {
+		return 0
+	}
+	v := int(c.data[0]) % n
+	c.data = c.data[1:]
+	return v
+}
+
+// carryWorld is a random topology plus what a random event may name: the
+// declared endpoint pairs of its links and its declared node names.
+type carryWorld struct {
+	g     *graph.Graph
+	pairs [][2]string
+	nodes []string
+}
+
+func newCarryWorld(t testing.TB, c *choices) carryWorld {
+	t.Helper()
+	base := graph.LinkProps{Latency: 2 * time.Millisecond, Bandwidth: 100 * units.Mbps}
+	var w carryWorld
+	switch c.next(3) {
+	case 0: // scale-free, every link the same latency: ties everywhere
+		w.g = graph.ScaleFree(graph.ScaleFreeOptions{
+			Elements: 12 + c.next(30), EdgesPerNode: 1 + c.next(3),
+			LinkProps: base, Rand: rand.New(rand.NewSource(int64(c.next(256)))),
+		})
+	case 1:
+		w.g, _, _ = graph.Dumbbell(2+c.next(4), 2+c.next(4), base, base)
+	default: // replicated services around a bridge triangle
+		top := &Topology{
+			Services: []ServiceDef{{Name: "cl", Replicas: 1 + c.next(3)}, {Name: "sv", Replicas: 2 + c.next(3)}, {Name: "db"}},
+			Bridges:  []BridgeDef{{Name: "s1"}, {Name: "s2"}, {Name: "s3"}},
+		}
+		for _, l := range [][2]string{{"cl", "s1"}, {"sv", "s2"}, {"db", "s3"}, {"s1", "s2"}, {"s2", "s3"}, {"s1", "s3"}} {
+			top.Links = append(top.Links, LinkDef{Orig: l[0], Dest: l[1], Latency: base.Latency, Up: base.Bandwidth, Down: base.Bandwidth})
+			w.pairs = append(w.pairs, l)
+		}
+		for _, s := range top.Services {
+			w.nodes = append(w.nodes, s.Name)
+		}
+		w.nodes = append(w.nodes, "s1", "s2", "s3")
+		g, _, err := top.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.g = g
+		return w
+	}
+	for i := 0; i < w.g.NumLinks(); i++ {
+		if l := w.g.Link(i); l.From < l.To {
+			w.pairs = append(w.pairs, [2]string{w.g.Node(l.From).Name, w.g.Node(l.To).Name})
+		}
+	}
+	for _, n := range w.g.Nodes() {
+		w.nodes = append(w.nodes, n.Name)
+	}
+	return w
+}
+
+// event draws one event of any of the five kinds. Patch values come from
+// a handful of latencies and bandwidths so that changed links tie with,
+// beat and lose to the standing trees.
+func (w carryWorld) event(c *choices) Event {
+	pair := w.pairs[c.next(len(w.pairs))]
+	if c.next(8) == 0 { // a pair with no link yet: a join adds fresh links
+		pair = [2]string{w.nodes[c.next(len(w.nodes))], w.nodes[c.next(len(w.nodes))]}
+	}
+	e := Event{Orig: pair[0], Dest: pair[1], Name: w.nodes[c.next(len(w.nodes))]}
+	switch c.next(8) {
+	case 0, 1, 2:
+		e.Kind = EvSetLink
+	case 3:
+		e.Kind = EvLinkLeave
+	case 4, 5:
+		e.Kind = EvLinkJoin
+	case 6:
+		e.Kind = EvNodeLeave
+	default:
+		e.Kind = EvNodeJoin
+	}
+	if lat := time.Duration(c.next(5)) * time.Millisecond; lat > 0 {
+		lat -= time.Millisecond // 0..3 ms
+		e.Props.Latency = &lat
+	}
+	if k := c.next(4); k > 0 {
+		up := units.Bandwidth(k) * 50 * units.Mbps
+		e.Props.Up = &up
+	}
+	if k := c.next(4); k == 1 {
+		jit, loss := 300*time.Microsecond, units.Loss(0.01)
+		e.Props.Jitter, e.Props.Loss = &jit, &loss
+	}
+	return e
+}
+
+// checkAgainstFresh compares st's collapse with one computed from scratch
+// on a clone of st's graph, for every ordered service pair ask admits:
+// same links in the same order, bit-equal composed properties.
+func checkAgainstFresh(t testing.TB, label string, st *State, ask func() bool) {
+	t.Helper()
+	fresh := Collapse(st.Graph.Clone())
+	services := st.Graph.Services()
+	if len(services) > 14 {
+		services = services[:14]
+	}
+	for _, s := range services {
+		for _, d := range services {
+			if !ask() {
+				continue
+			}
+			got, want := st.Collapsed.Path(s, d), fresh.Path(s, d)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: path %d->%d = %+v, a fresh collapse says %+v", label, s, d, got, want)
+			}
+		}
+	}
+}
+
+// runCarryScript plays a script of event groups through a Live. After
+// every group a random part of the service pairs is checked against a
+// fresh collapse — a part, so that some trees skip generations and some
+// are first asked of a state that is no longer current — and at the end
+// every state ever produced must still answer, in full, for its own
+// generation.
+func runCarryScript(t testing.TB, data []byte) CollapseStats {
+	t.Helper()
+	c := &choices{data: data}
+	w := newCarryWorld(t, c)
+	live := NewLive(w.g)
+	states := []*State{live.State()}
+	checkAgainstFresh(t, "initial", live.State(), func() bool { return c.next(2) == 0 })
+	for step := 1; len(c.data) > 0 && step <= 24; step++ {
+		group := make([]Event, 1+c.next(3)) // same-timestamp groups too
+		for i := range group {
+			group[i] = w.event(c)
+		}
+		if err := live.Apply(time.Duration(step)*time.Second, group...); err != nil {
+			if live.State() != states[len(states)-1] {
+				t.Fatalf("step %d: failed group (%v) advanced the state", step, err)
+			}
+			continue // e.g. a leave of a pair with no link: all-or-nothing, carry on
+		}
+		states = append(states, live.State())
+		checkAgainstFresh(t, fmt.Sprintf("step %d %v", step, group), live.State(), func() bool { return c.next(3) != 0 })
+	}
+	for i, st := range states {
+		checkAgainstFresh(t, fmt.Sprintf("state %d revisited", i), st, func() bool { return true })
+	}
+	return live.CollapseStats()
+}
+
+func TestCollapseCarryMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var total CollapseStats
+	for round := 0; round < 150; round++ {
+		data := make([]byte, 40+rng.Intn(400))
+		rng.Read(data)
+		st := runCarryScript(t, data)
+		total.TreesBuilt += st.TreesBuilt
+		total.TreesCarried += st.TreesCarried
+		total.PathsMaterialized += st.PathsMaterialized
+	}
+	t.Logf("%+v", total)
+	if total.TreesCarried*10 < total.TreesBuilt || total.TreesBuilt*10 < total.TreesCarried {
+		t.Fatalf("%+v: the scripts do not exercise both carry-over and rebuild", total)
+	}
+}
+
+func FuzzCollapseCarry(f *testing.F) {
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 4; i++ {
+		data := make([]byte, 120)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runCarryScript(t, data) })
+}
+
+// TestCollapseAllocationBudget pins what a lookup costs on the
+// 1000-element scale-free graph: nothing on a hit, a tree plus one path
+// on a first ask, and next to nothing when the previous generation's tree
+// is adopted.
+func TestCollapseAllocationBudget(t *testing.T) {
+	base := graph.LinkProps{Latency: 2 * time.Millisecond, Bandwidth: units.Gbps}
+	g := graph.ScaleFree(graph.ScaleFreeOptions{Elements: 1000, EdgesPerNode: 2, LinkProps: base, Rand: rand.New(rand.NewSource(1))})
+	svc := g.Services()
+	a, b := svc[0], svc[len(svc)-1]
+
+	const runs = 10 // AllocsPerRun calls f runs+1 times
+	fresh := make([]*Collapsed, 0, runs+1)
+	for len(fresh) <= runs {
+		fresh = append(fresh, Collapse(g))
+	}
+	i := 0
+	first := testing.AllocsPerRun(runs, func() { fresh[i].Path(a, b); i++ })
+	if first > 10 {
+		t.Errorf("first Path on a fresh collapse: %.1f objects, budget 10", first)
+	}
+	if hit := testing.AllocsPerRun(100, func() { fresh[0].Path(a, b) }); hit != 0 {
+		t.Errorf("Path hit: %.1f objects, want 0", hit)
+	}
+
+	// A bridge-bridge link that is in neither direction's tree from a, made
+	// slower: a's tree and its memoised path are adopted by the next
+	// generation.
+	var orig, dest string
+	for li := 0; li < g.NumLinks() && orig == ""; li++ {
+		l := g.Link(li)
+		if g.Node(l.From).Kind != graph.Bridge || g.Node(l.To).Kind != graph.Bridge {
+			continue
+		}
+		probe := NewLive(g)
+		probe.State().Collapsed.Path(a, b)
+		lat := 3 * time.Millisecond
+		if err := probe.Apply(time.Second, Event{Kind: EvSetLink, Orig: g.Node(l.From).Name, Dest: g.Node(l.To).Name, Props: LinkPatch{Latency: &lat}}); err != nil {
+			t.Fatal(err)
+		}
+		probe.State().Collapsed.Path(a, b)
+		if probe.CollapseStats().TreesCarried == 1 {
+			orig, dest = g.Node(l.From).Name, g.Node(l.To).Name
+		}
+	}
+	if orig == "" {
+		t.Fatal("no bridge link leaves the tree from the first service intact")
+	}
+	carried := make([]*Live, 0, runs+1)
+	paths := make([]*graph.Path, 0, runs+1)
+	for len(carried) <= runs {
+		live := NewLive(g)
+		paths = append(paths, live.State().Collapsed.Path(a, b))
+		lat := 3 * time.Millisecond
+		if err := live.Apply(time.Second, Event{Kind: EvSetLink, Orig: orig, Dest: dest, Props: LinkPatch{Latency: &lat}}); err != nil {
+			t.Fatal(err)
+		}
+		carried = append(carried, live)
+	}
+	i = 0
+	miss := testing.AllocsPerRun(runs, func() {
+		if carried[i].State().Collapsed.Path(a, b) != paths[i] {
+			t.Error("the adopted source lost its memoised path")
+		}
+		i++
+	})
+	if miss > 4 {
+		t.Errorf("Path adopting the previous generation's tree: %.1f objects, budget 4", miss)
+	}
+	if st := carried[0].CollapseStats(); st.TreesBuilt != 1 || st.TreesCarried != 1 || st.PathsMaterialized != 1 {
+		t.Errorf("stats after build + adopt = %+v, want 1/1/1", st)
+	}
+}

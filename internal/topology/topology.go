@@ -229,51 +229,104 @@ func (t *Topology) Build() (*graph.Graph, map[string][]string, error) {
 }
 
 // Collapsed is the end-to-end mesh of virtual links between every pair of
-// reachable containers — Figure 1 (right). Paths are computed lazily per
-// source and cached: each Emulation Manager only ever needs the part of
-// the topology that affects its local containers (§3), and an eager
-// all-pairs mesh would be quadratic in containers.
+// reachable containers — Figure 1 (right) — computed on demand: one
+// shortest-path tree per source that is asked about, one materialised Path
+// per (source, destination) that is asked for. Each Emulation Manager only
+// ever needs the part of the topology that affects its local containers
+// (§3), and an eager all-pairs mesh would be quadratic in containers.
 type Collapsed struct {
 	g     *graph.Graph
-	cache map[graph.NodeID]map[graph.NodeID]*graph.Path
+	cache map[graph.NodeID]*source
+	// prev is the generation this one was derived from, changed the links
+	// whose properties differ between the two graphs: a source prev holds
+	// whose tree no changed link can alter is adopted instead of rebuilt.
+	// Live cuts prev once this generation has a successor of its own, so
+	// held snapshots do not chain.
+	prev    *Collapsed
+	changed []int
+	w       *work
+}
+
+// source is one source's tree and the paths materialised from it so far.
+// Generations for which the tree Holds share it, paths included: they
+// cross tree edges only, and no tree edge changed between them.
+type source struct {
+	tree  graph.Tree
+	paths map[graph.NodeID]*graph.Path
+}
+
+// work is what every generation of one Live shares: Dijkstra's scratch
+// memory and the counters of collapse work actually done.
+type work struct {
+	scratch graph.Scratch
+	stats   CollapseStats
+}
+
+// CollapseStats counts lazy collapse work: shortest-path trees built by
+// Dijkstra, trees adopted unchanged from the previous generation, and
+// paths materialised. carried/(built+carried) is the reuse ratio.
+type CollapseStats struct {
+	TreesBuilt, TreesCarried, PathsMaterialized uint64
 }
 
 // Collapse prepares the (lazy) collapsed topology of a built graph. The
 // graph must not be mutated afterwards; dynamics clone per state.
 func Collapse(g *graph.Graph) *Collapsed {
-	return &Collapsed{g: g, cache: make(map[graph.NodeID]map[graph.NodeID]*graph.Path)}
+	return &Collapsed{g: g, cache: make(map[graph.NodeID]*source), w: new(work)}
 }
 
-// Path returns the collapsed path src->dst, or nil when unreachable.
-func (c *Collapsed) Path(src, dst graph.NodeID) *graph.Path {
-	return c.PathsFrom(src)[dst]
-}
-
-// PathsFrom returns the collapsed paths from src to every reachable
-// service, computing and caching them on first use. The cache-hit fast
-// path is allocation-free; the per-(src, state) compute runs once.
-func (c *Collapsed) PathsFrom(src graph.NodeID) map[graph.NodeID]*graph.Path {
-	if m, ok := c.cache[src]; ok {
-		return m
-	}
-	return c.computePathsFrom(src)
-}
-
-// computePathsFrom fills the cache for src: one Dijkstra sweep plus the
-// service filter. Cold by construction — it runs once per source per
-// topology state, never in the steady-state emulation loop.
-//
-//kollaps:coldpath
-func (c *Collapsed) computePathsFrom(src graph.NodeID) map[graph.NodeID]*graph.Path {
-	all := c.g.ShortestPaths(src)
-	m := make(map[graph.NodeID]*graph.Path)
-	for dst, p := range all {
-		if c.g.Node(dst).Kind == graph.Service {
-			m[dst] = p
+// after prepares the collapse of next, a patched clone of c's graph.
+func (c *Collapsed) after(next *graph.Graph) *Collapsed {
+	n := &Collapsed{g: next, cache: make(map[graph.NodeID]*source, len(c.cache)), prev: c, w: c.w}
+	for i := 0; i < next.NumLinks(); i++ {
+		if i >= c.g.NumLinks() || next.Link(i) != c.g.Link(i) {
+			n.changed = append(n.changed, i)
 		}
 	}
-	c.cache[src] = m
-	return m
+	return n
+}
+
+// Path returns the collapsed path src->dst, or nil when dst is not a
+// service reachable from src. A path asked for before is a lookup and
+// allocation-free; anything else goes through miss.
+func (c *Collapsed) Path(src, dst graph.NodeID) *graph.Path {
+	if s := c.cache[src]; s != nil {
+		if p := s.paths[dst]; p != nil {
+			return p
+		}
+	}
+	return c.miss(src, dst)
+}
+
+// miss is everything Path does beyond a lookup: adopt the previous
+// generation's tree for src when it still holds, or else run Dijkstra,
+// then materialise and memoise the one path asked for. Cold by
+// construction — once per (source, destination) per topology state at
+// most, never in the steady-state emulation loop.
+//
+//kollaps:coldpath
+func (c *Collapsed) miss(src, dst graph.NodeID) *graph.Path {
+	s := c.cache[src]
+	if s == nil {
+		if c.prev != nil {
+			s = c.prev.cache[src]
+		}
+		if s != nil && s.tree.Holds(c.g, c.changed) {
+			c.w.stats.TreesCarried++
+		} else {
+			s = &source{tree: c.g.Tree(src, &c.w.scratch), paths: make(map[graph.NodeID]*graph.Path)}
+			c.w.stats.TreesBuilt++
+		}
+		c.cache[src] = s
+	}
+	p := s.paths[dst] // an adopted source may hold it already
+	if p == nil && dst >= 0 && int(dst) < c.g.NumNodes() && c.g.Node(dst).Kind == graph.Service {
+		if p = s.tree.Path(c.g, dst); p != nil {
+			s.paths[dst] = p
+			c.w.stats.PathsMaterialized++
+		}
+	}
+	return p
 }
 
 // State is one element of the pre-computed dynamic sequence: the topology
@@ -289,8 +342,8 @@ type State struct {
 // Precompute bakes every state before an experiment starts, a Live can
 // apply Event patches at any time — the runtime-mutation path of the
 // public API. Each Apply clones the current graph, patches the clone and
-// swaps it in with a fresh collapse, so previously returned States stay
-// valid snapshots.
+// swaps it in with a collapse derived from the current one (see
+// Collapsed), so previously returned States stay valid snapshots.
 type Live struct {
 	st *State
 	// gen counts successful mutations. Consumers that cache state-derived
@@ -345,6 +398,10 @@ func NewLive(g *graph.Graph) *Live {
 // generation g is valid exactly while Gen() == g.
 func (l *Live) Gen() uint64 { return l.gen }
 
+// CollapseStats returns the collapse work done so far on behalf of every
+// state this Live has produced.
+func (l *Live) CollapseStats() CollapseStats { return l.st.Collapsed.w.stats }
+
 // State returns the current state. Apply installs a fresh State rather
 // than mutating the returned one, so callers may hold it as a snapshot.
 func (l *Live) State() *State { return l.st }
@@ -381,12 +438,13 @@ func (l *Live) ApplyIf(at time.Duration, check func(*State) error, evs ...Event)
 			return err
 		}
 	}
-	st := &State{At: at, Graph: next, Collapsed: Collapse(next)}
+	st := &State{At: at, Graph: next, Collapsed: l.st.Collapsed.after(next)}
 	if check != nil {
 		if err := check(st); err != nil {
 			return err
 		}
 	}
+	l.st.Collapsed.prev, l.st.Collapsed.changed = nil, nil
 	l.st = st
 	l.gen++
 	l.removed = removed
@@ -449,7 +507,32 @@ func (t *Topology) Precompute() ([]State, error) {
 	return states, nil
 }
 
+// check rejects patch values no link can carry. Bandwidth in particular
+// must stay positive — a negative one is the graph's tombstone sentinel,
+// and would take the link down with no tombstone to bring it back — and
+// shortest paths assume non-negative latencies.
+func (p LinkPatch) check() error {
+	switch {
+	case p.Latency != nil && *p.Latency < 0:
+		return fmt.Errorf("negative latency %v", *p.Latency)
+	case p.Jitter != nil && *p.Jitter < 0:
+		return fmt.Errorf("negative jitter %v", *p.Jitter)
+	case p.Up != nil && *p.Up <= 0:
+		return fmt.Errorf("non-positive upload bandwidth %v", *p.Up)
+	case p.Down != nil && *p.Down <= 0:
+		return fmt.Errorf("non-positive download bandwidth %v", *p.Down)
+	case p.Loss != nil && !(*p.Loss >= 0 && *p.Loss <= 1):
+		return fmt.Errorf("loss %v outside [0,1]", float64(*p.Loss))
+	}
+	return nil
+}
+
 func applyEvent(g *graph.Graph, e Event, removed map[int]removedLink, nodeDown map[string]int) error {
+	if e.Kind == EvSetLink || e.Kind == EvLinkJoin {
+		if err := e.Props.check(); err != nil {
+			return fmt.Errorf("topology: event %v %s->%s: %v", e.Kind, e.Orig, e.Dest, err)
+		}
+	}
 	switch e.Kind {
 	case EvSetLink:
 		// Patch live links in place; a link currently down keeps its

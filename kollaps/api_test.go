@@ -232,6 +232,59 @@ func TestImmediateMutation(t *testing.T) {
 	}
 }
 
+func TestSetLinkRejectsImpossibleValues(t *testing.T) {
+	build := func() *TopologyBuilder {
+		return NewTopology().
+			Service("a").Service("b").Bridge("s").
+			Link("a", "s", Latency(5*time.Millisecond), Up(10*units.Mbps)).
+			Link("b", "s", Latency(5*time.Millisecond), Up(10*units.Mbps))
+	}
+	exp, err := build().Experiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Deploy(2); err != nil {
+		t.Fatal(err)
+	}
+	// A negative bandwidth is the graph's tombstone sentinel: accepted, it
+	// took the link out of routing with nothing to bring it back, and the
+	// next LinkUp added a fresh zero-bandwidth pair beside it.
+	for name, opt := range map[string]LinkOption{
+		"Up(-5)":         Up(-5),
+		"Latency(-10ms)": Latency(-10 * time.Millisecond),
+		"Jitter(-1ms)":   Jitter(-time.Millisecond),
+		"Loss(2)":        Loss(2),
+	} {
+		if err := exp.SetLink("a", "s", opt); err == nil {
+			t.Errorf("SetLink with %s was accepted", name)
+		}
+	}
+	if gen := exp.Runtime.TopologyGen(); gen != 1 {
+		t.Fatalf("rejected SetLinks moved the topology to generation %d", gen)
+	}
+	if err := exp.FailLink("a", "s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.RestoreLink("a", "s"); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := exp.Container("a")
+	b, _ := exp.Container("b")
+	st := exp.Runtime.State()
+	if p := st.Collapsed.Path(a.Node, b.Node); st.Graph.NumLinks() != 4 || p == nil ||
+		p.Bandwidth != 10*units.Mbps || p.Latency != 10*time.Millisecond {
+		t.Fatalf("after fail/restore: %d links, path %+v; want 4 links, 10Mbps, 10ms", st.Graph.NumLinks(), p)
+	}
+	// The same check guards pre-registered events, at Deploy at the latest.
+	exp, err = build().At(time.Second, Set("a", "s", Up(-5))).Experiment()
+	if err == nil {
+		err = exp.Deploy(2)
+	}
+	if err == nil {
+		t.Fatal("a pre-registered Set with a negative bandwidth survived Deploy")
+	}
+}
+
 func TestNodeLeaveJoin(t *testing.T) {
 	exp, err := NewTopology().
 		Service("a").Service("b").Bridge("s1").
