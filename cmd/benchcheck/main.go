@@ -10,20 +10,6 @@
 // shared CI runners is too noisy to gate without flakes, while allocs/op
 // is deterministic.
 //
-// The parallel gate is intra-report and so safe against runner noise:
-// at the largest measured size, AllocateParallel must run in at most
-// -max-parallel-ratio of AllocateSharded's ns/op on the same fresh
-// measurement, at 0 allocs/op. This pins the component-sharded solver's
-// reason to exist — if partitioning stops paying for itself, the gate
-// says so rather than letting the parallel path rot into a slower,
-// more complex twin of the monolithic one.
-//
-// The incremental gate works the same way: at the largest measured size
-// of the 1% churn workload, AllocateChurnIncremental must run in at most
-// -max-incremental-ratio of AllocateChurnParallel's ns/op, at 0
-// allocs/op — the dirty-component re-solve must decisively beat a full
-// re-solve in the steady-state regime it exists for.
-//
 // A second mode gates the observability plane's hot-path cost: -iterate
 // parses the text output of `go test -bench Iterate -benchmem -count=N`
 // and enforces two invariants of the Emulation Manager loop — the
@@ -77,8 +63,6 @@ func main() {
 	ratio := flag.Float64("max-allocs-ratio", 2.0, "fail when allocs/op exceeds this multiple of the baseline")
 	grace := flag.Int64("allocs-grace", 2, "absolute allocs/op headroom before the ratio gate applies")
 	nsWarn := flag.Float64("ns-warn-ratio", 3.0, "warn (not fail) when ns/op exceeds this multiple of the baseline")
-	parallelRatio := flag.Float64("max-parallel-ratio", 0.6, "fail when the parallel solver's ns/op exceeds this fraction of the monolithic sharded solver's at the largest size (0 disables)")
-	incrementalRatio := flag.Float64("max-incremental-ratio", 0.3, "fail when the incremental solver's churn ns/op exceeds this fraction of the parallel full re-solve's at the largest size (0 disables)")
 	iterate := flag.String("iterate", "", "gate the iterate benchmarks from this `go test -bench` text output instead of comparing allocator baselines")
 	traceOverhead := flag.Float64("max-trace-overhead", 1.10, "iterate mode: fail when BenchmarkIterateTraced's best ns/op exceeds this multiple of BenchmarkIterate's")
 	ledger := flag.String("ledger", "", "gate one `go run ./bench -workload W` output (last line: the JSON result) instead of comparing allocator baselines")
@@ -151,28 +135,6 @@ func main() {
 				cur.Name, cur.NsPerOp, b.NsPerOp, *nsWarn)
 		}
 	}
-	// The parallel gate is intra-report: the component-sharded solver
-	// must beat the monolithic one on the same fresh measurement (CI
-	// wall-clock noise hits both sides equally, so a ratio is safe to
-	// gate where an absolute ns/op is not), and must hold the
-	// allocation-free steady state. Gated at the largest size only —
-	// small-N parallel runs legitimately pay pool overhead.
-	if *parallelRatio > 0 {
-		if err := checkParallel(current, *parallelRatio); err != nil {
-			fmt.Printf("FAIL %v\n", err)
-			failed = true
-		}
-	}
-	// The incremental gate is intra-report for the same reason: under 1%
-	// churn per period the dirty-component re-solve must decisively beat
-	// re-solving everything, or the diff/snapshot machinery has stopped
-	// paying for itself.
-	if *incrementalRatio > 0 {
-		if err := checkIncremental(current, *incrementalRatio); err != nil {
-			fmt.Printf("FAIL %v\n", err)
-			failed = true
-		}
-	}
 	// A gate that compared nothing is a disabled gate, not a passing one:
 	// renamed entries or changed sizes must update the baseline, not
 	// silently skip every comparison.
@@ -183,85 +145,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// checkParallel enforces the parallel-solver gates on the current
-// report: at the largest measured size the component-sharded parallel
-// Allocate must run in at most ratio × the monolithic sharded solver's
-// ns/op and must stay at 0 allocs/op. Missing entries fail — a gate
-// that cannot see its benchmarks is disabled, not passing.
-func checkParallel(r *experiments.AllocBenchReport, ratio float64) error {
-	byName := make(map[string]experiments.AllocBenchEntry, len(r.Entries))
-	maxFlows := 0
-	for _, e := range r.Entries {
-		byName[e.Name] = e
-		if strings.HasPrefix(e.Name, "AllocateParallel/") && e.Flows > maxFlows {
-			maxFlows = e.Flows
-		}
-	}
-	if maxFlows == 0 {
-		return fmt.Errorf("no AllocateParallel entries in current report — regenerate with kollaps-bench -exp alloc")
-	}
-	par, okP := byName[fmt.Sprintf("AllocateParallel/N=%d", maxFlows)]
-	seq, okS := byName[fmt.Sprintf("AllocateSharded/N=%d", maxFlows)]
-	if !okP || !okS {
-		return fmt.Errorf("incomplete sharded/parallel pair at N=%d in current report", maxFlows)
-	}
-	if par.AllocsPerOp != 0 {
-		return fmt.Errorf("AllocateParallel/N=%d: %d allocs/op, want 0 — the parallel solver must hold the allocation-free steady state",
-			maxFlows, par.AllocsPerOp)
-	}
-	if seq.NsPerOp <= 0 {
-		return fmt.Errorf("AllocateSharded/N=%d: %.0f ns/op — unusable measurement", maxFlows, seq.NsPerOp)
-	}
-	got := par.NsPerOp / seq.NsPerOp
-	if got > ratio {
-		return fmt.Errorf("AllocateParallel/N=%d: %.0f ns/op is %.2fx of sharded %.0f ns/op, gate is %.2fx",
-			maxFlows, par.NsPerOp, got, seq.NsPerOp, ratio)
-	}
-	fmt.Printf("ok   AllocateParallel/N=%d: %.0f ns/op, %.2fx of sharded %.0f ns/op (gate %.2fx), 0 allocs/op\n",
-		maxFlows, par.NsPerOp, got, seq.NsPerOp, ratio)
-	return nil
-}
-
-// checkIncremental enforces the incremental-solver gates on the current
-// report: at the largest measured size the dirty-component churn
-// re-solve must run in at most ratio × the parallel full re-solve's
-// ns/op on the same workload and must stay at 0 allocs/op. Missing
-// entries fail — a gate that cannot see its benchmarks is disabled, not
-// passing.
-func checkIncremental(r *experiments.AllocBenchReport, ratio float64) error {
-	byName := make(map[string]experiments.AllocBenchEntry, len(r.Entries))
-	maxFlows := 0
-	for _, e := range r.Entries {
-		byName[e.Name] = e
-		if strings.HasPrefix(e.Name, "AllocateChurnIncremental/") && e.Flows > maxFlows {
-			maxFlows = e.Flows
-		}
-	}
-	if maxFlows == 0 {
-		return fmt.Errorf("no AllocateChurnIncremental entries in current report — regenerate with kollaps-bench -exp alloc")
-	}
-	inc, okI := byName[fmt.Sprintf("AllocateChurnIncremental/N=%d", maxFlows)]
-	par, okP := byName[fmt.Sprintf("AllocateChurnParallel/N=%d", maxFlows)]
-	if !okI || !okP {
-		return fmt.Errorf("incomplete churn parallel/incremental pair at N=%d in current report", maxFlows)
-	}
-	if inc.AllocsPerOp != 0 {
-		return fmt.Errorf("AllocateChurnIncremental/N=%d: %d allocs/op, want 0 — the incremental solver must hold the allocation-free steady state",
-			maxFlows, inc.AllocsPerOp)
-	}
-	if par.NsPerOp <= 0 {
-		return fmt.Errorf("AllocateChurnParallel/N=%d: %.0f ns/op — unusable measurement", maxFlows, par.NsPerOp)
-	}
-	got := inc.NsPerOp / par.NsPerOp
-	if got > ratio {
-		return fmt.Errorf("AllocateChurnIncremental/N=%d: %.0f ns/op is %.2fx of parallel %.0f ns/op, gate is %.2fx",
-			maxFlows, inc.NsPerOp, got, par.NsPerOp, ratio)
-	}
-	fmt.Printf("ok   AllocateChurnIncremental/N=%d: %.0f ns/op, %.2fx of parallel %.0f ns/op (gate %.2fx), 0 allocs/op\n",
-		maxFlows, inc.NsPerOp, got, par.NsPerOp, ratio)
-	return nil
 }
 
 // iterateResult folds a benchmark's -count repeats: the minimum ns/op

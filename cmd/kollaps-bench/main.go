@@ -114,14 +114,12 @@ func main() {
 			experiments.RunDissemScale(d(5*time.Second, 2*time.Second), ns, nil).Fprint(os.Stdout)
 		},
 		"alloc": func() {
-			tables, _, err := experiments.RunAllocBench(*benchOut)
+			table, _, err := experiments.RunAllocBench(*benchOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			for _, t := range tables {
-				t.Fprint(os.Stdout)
-			}
+			table.Fprint(os.Stdout)
 			if *benchOut != "" {
 				fmt.Printf("\nwrote %s\n", *benchOut)
 			}

@@ -62,9 +62,8 @@ var annotationFloors = map[string]map[string]int{
 		"guardedby": 5, // Tracer ring (ev, head) + Registry maps (counts, gauges, hists)
 	},
 	"repro/internal/core": {
-		"guardedby":  3,  // runtime obsSnapshot (metrics, dissem, published)
-		"arena":      47, // AllocState + ParallelAllocState + IncrementalAllocState + Manager scratch
-		"workerpool": 1,  // ParallelAllocState.startPool
+		"guardedby": 3,  // runtime obsSnapshot (metrics, dissem, published)
+		"arena":     24, // AllocState (14) + Manager scratch (10)
 	},
 	"repro/internal/dissem": {
 		"arena": 4, // per-node view scratch (broadcast, gossip, delta×2)
@@ -124,9 +123,9 @@ func main() {
 			}
 		}
 	}
-	// Meta-check: annotation floors — deleting a guardedby/arena/
-	// workerpool annotation from a contract surface fails the run even
-	// though the analyzers, having nothing to check, would go quiet.
+	// Meta-check: annotation floors — deleting a guardedby/arena/hotpath
+	// annotation from a contract surface fails the run even though the
+	// analyzers, having nothing to check, would go quiet.
 	for path, floors := range annotationFloors {
 		pkg, ok := prog.Packages[path]
 		if !ok {

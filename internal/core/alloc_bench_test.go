@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/metadata"
@@ -99,111 +98,5 @@ func benchIterate(b *testing.B, opts Options) {
 		flows := m.collectLocal(period)
 		all := m.globalFlows(flows)
 		m.enforce(flows, all)
-	}
-}
-
-// BenchmarkAllocateSharded / BenchmarkAllocateParallel measure the
-// component-sharded workload (SyntheticShardedAllocation, 8 shards):
-// the monolithic indexed solver against the partitioned parallel one
-// (ParallelAllocState, GOMAXPROCS workers). The sequential/parallel
-// pair at N=1024 is what the CI bench job's parallel gate compares; the
-// parallel solver must also hold the 0 allocs/op steady state.
-func BenchmarkAllocateSharded(b *testing.B) {
-	for _, n := range allocBenchSizes {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			capsMap, flows := SyntheticShardedAllocation(n, n/2+8, 8, 42)
-			var s AllocState
-			caps := DenseCaps(capsMap, nil)
-			var out []Allocation
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = s.Allocate(caps, flows, out)
-			}
-			_ = out
-		})
-	}
-}
-
-func BenchmarkAllocateParallel(b *testing.B) {
-	for _, n := range allocBenchSizes {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			capsMap, flows := SyntheticShardedAllocation(n, n/2+8, 8, 42)
-			var p ParallelAllocState
-			defer p.Close()
-			caps := DenseCaps(capsMap, nil)
-			var out []Allocation
-			out = p.Allocate(caps, flows, out) // warm the pool and arenas
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = p.Allocate(caps, flows, out)
-			}
-			_ = out
-		})
-	}
-}
-
-// churnShards sizes the churn workload's component count: components of
-// ~16 flows each, floored at 8, so 1% demand churn per period leaves the
-// large majority of components untouched — the steady-state regime the
-// incremental solver targets.
-func churnShards(n int) int {
-	s := n / 16
-	if s < 8 {
-		s = 8
-	}
-	return s
-}
-
-// BenchmarkAllocateChurnParallel / BenchmarkAllocateChurnIncremental
-// measure a period loop under 1% demand churn (ChurnDemands): every
-// iteration mutates ~1% of the flows' demands, then re-solves. The
-// parallel solver pays the full partition-and-solve cost each period;
-// the incremental one re-solves only the dirtied components. The pair at
-// the largest N is what the CI bench job's incremental gate compares
-// (cmd/benchcheck -max-incremental-ratio); the incremental solver must
-// also hold the 0 allocs/op steady state.
-func BenchmarkAllocateChurnParallel(b *testing.B) {
-	for _, n := range allocBenchSizes {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			capsMap, flows := SyntheticShardedAllocation(n, n/2+8, churnShards(n), 42)
-			var p ParallelAllocState
-			defer p.Close()
-			caps := DenseCaps(capsMap, nil)
-			rng := rand.New(rand.NewSource(42))
-			var out []Allocation
-			out = p.Allocate(caps, flows, out) // warm the pool and arenas
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ChurnDemands(flows, 0.01, rng.Uint64)
-				out = p.Allocate(caps, flows, out)
-			}
-			_ = out
-		})
-	}
-}
-
-func BenchmarkAllocateChurnIncremental(b *testing.B) {
-	for _, n := range allocBenchSizes {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			capsMap, flows := SyntheticShardedAllocation(n, n/2+8, churnShards(n), 42)
-			var s IncrementalAllocState
-			defer s.Close()
-			caps := DenseCaps(capsMap, nil)
-			rng := rand.New(rand.NewSource(42))
-			var out []Allocation
-			out = s.Allocate(caps, flows, out) // warm: full solve, snapshot
-			ChurnDemands(flows, 0.01, rng.Uint64)
-			out = s.Allocate(caps, flows, out) // warm: arenas at working set
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ChurnDemands(flows, 0.01, rng.Uint64)
-				out = s.Allocate(caps, flows, out)
-			}
-			_ = out
-		})
 	}
 }

@@ -68,19 +68,8 @@ type Manager struct {
 
 	// ---- per-period scratch, reused across iterations ----
 
-	// alloc is the indexed min-max solver's arena; palloc, when
-	// Options.ParallelSolve is set, is the component-sharded parallel
-	// form the loop solves with instead (bit-identical results).
-	alloc  AllocState
-	palloc *ParallelAllocState
-	// incWD/incEnt, when Options.IncrementalSolve is set, are the two
-	// incremental caches the loop solves with — one per enforce() pass
-	// (demand-aware and greedy entitlement), because each pass feeds a
-	// different demand vector and a shared cache would see every flow
-	// flip between them and never reuse anything. Invalidated wholesale
-	// on topology-generation moves and manager restarts.
-	incWD  *IncrementalAllocState
-	incEnt *IncrementalAllocState
+	// alloc is the indexed min-max solver's arena.
+	alloc AllocState
 	// caps is the dense per-link capacity table handed to the allocator,
 	// rebuilt only when the live topology's generation moves.
 	//
@@ -175,15 +164,6 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		host:  host,
 		emIPs: emIPs,
 		ring:  metadata.NewRing(64),
-	}
-	switch {
-	case rt.opts.IncrementalSolve:
-		// Incremental subsumes ParallelSolve: dirty components solve on
-		// the embedded worker pool anyway.
-		m.incWD = &IncrementalAllocState{}
-		m.incEnt = &IncrementalAllocState{}
-	case rt.opts.ParallelSolve:
-		m.palloc = &ParallelAllocState{}
 	}
 	if reg := rt.opts.Registry; reg != nil {
 		label := fmt.Sprintf(`{host="%d"}`, host)
@@ -475,54 +455,7 @@ func (m *Manager) linkCaps() []float64 {
 		m.caps[l] = float64(g.Link(l).Bandwidth)
 	}
 	m.capsGen = gen
-	// A generation move may have shifted capacities, latencies and link
-	// liveness all at once: the incremental caches fall back to a full
-	// solve rather than trusting the positional diff across the event.
-	m.invalidateIncremental()
 	return m.caps
-}
-
-// invalidateIncremental drops both incremental caches (no-op unless the
-// deployment runs with Options.IncrementalSolve). Called on topology
-// generation moves and from RestartManager.
-func (m *Manager) invalidateIncremental() {
-	if m.incWD != nil {
-		m.incWD.InvalidateAll()
-		m.incEnt.InvalidateAll()
-	}
-}
-
-// IncrementalStats sums both incremental caches' counters (zero unless
-// the deployment runs with Options.IncrementalSolve).
-func (m *Manager) IncrementalStats() IncrementalStats {
-	var total IncrementalStats
-	if m.incWD != nil {
-		for _, st := range []IncrementalStats{m.incWD.Stats(), m.incEnt.Stats()} {
-			total.FullSolves += st.FullSolves
-			total.IncrementalSolves += st.IncrementalSolves
-			total.DirtyComponents += st.DirtyComponents
-			total.CleanComponents += st.CleanComponents
-			total.SolvedFlows += st.SolvedFlows
-			total.ReusedFlows += st.ReusedFlows
-		}
-	}
-	return total
-}
-
-// solve runs one sharing-model pass through whichever allocator the
-// deployment selected — the monolithic arena, the component-sharded
-// parallel one (Options.ParallelSolve), or the given incremental cache
-// (Options.IncrementalSolve; nil otherwise). All are bit-identical.
-//
-//kollaps:hotpath
-func (m *Manager) solve(inc *IncrementalAllocState, caps []float64, flows []FlowDemand, out []Allocation) []Allocation {
-	if inc != nil {
-		return inc.Allocate(caps, flows, out)
-	}
-	if m.palloc != nil {
-		return m.palloc.Allocate(caps, flows, out)
-	}
-	return m.alloc.Allocate(caps, flows, out)
 }
 
 // enforce applies the allocation to local flows: htb rate per destination
@@ -545,14 +478,14 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	// A flow's own htb is set to the larger of the two, so an idle flow's
 	// ramp-up is never throttled below its fair share (the next period
 	// rebalances), while competitors enjoy the maximized allocation.
-	withDemand := m.solve(m.incWD, caps, all, m.wdBuf)
+	withDemand := m.alloc.Allocate(caps, all, m.wdBuf)
 	m.wdBuf = withDemand
 	greedy := append(m.greedyBuf[:0], all...)
 	for i := range greedy {
 		greedy[i].Demand = 0
 	}
 	m.greedyBuf = greedy
-	entitled := m.solve(m.incEnt, caps, greedy, m.entBuf)
+	entitled := m.alloc.Allocate(caps, greedy, m.entBuf)
 	m.entBuf = entitled
 	wall := time.Since(wallStart).Nanoseconds() //kollaps:wallclock
 	m.solveRuns.Inc()

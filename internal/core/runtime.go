@@ -70,25 +70,6 @@ type Options struct {
 	// the runtime re-solves the global demand set with AllocateReference
 	// and records the enforced-vs-oracle share deviation.
 	Probe *obs.Probe
-	// ParallelSolve solves each Manager's sharing model with the
-	// component-sharded parallel allocator (ParallelAllocState) instead
-	// of the monolithic arena. Results are bit-identical; the win is
-	// wall-clock solver time on topologies whose contention graph splits
-	// into independent components, multiplied across GOMAXPROCS when
-	// several components are large. Deployments that enable this should
-	// call Runtime.Close after the run to join the worker pools.
-	ParallelSolve bool
-	// IncrementalSolve solves each Manager's sharing model with the
-	// incremental allocator (IncrementalAllocState): between periods only
-	// the link-connected components whose flows, demands, weights or link
-	// capacities changed are re-solved; clean components reuse the
-	// previous period's per-flow results, bit for bit. Falls back to a
-	// full solve on topology generation changes, manager restarts and
-	// partition-shape changes. Subsumes ParallelSolve (dirty components
-	// solve on the same worker pool); results are bit-identical to both.
-	// Deployments that enable this should call Runtime.Close after the
-	// run to join the worker pools.
-	IncrementalSolve bool
 }
 
 func (o *Options) defaults() {
@@ -547,23 +528,6 @@ func (rt *Runtime) installPath(c *Container, dstIP packet.IP) bool {
 	return true
 }
 
-// Close releases resources whose lifetime outlives the simulation: the
-// parallel and incremental allocators' worker pools (ParallelSolve /
-// IncrementalSolve). The runtime stays queryable after Close — a later
-// emulation period would simply respawn the pools. Close on a deployment
-// without pools is a no-op, so callers may defer it unconditionally.
-func (rt *Runtime) Close() {
-	for _, m := range rt.managers {
-		if m.palloc != nil {
-			m.palloc.Close()
-		}
-		if m.incWD != nil {
-			m.incWD.Close()
-			m.incEnt.Close()
-		}
-	}
-}
-
 // KillManager kills host's Emulation Manager: its emulation loop stops,
 // its Publish is muted, and its control datagrams are dropped both ways.
 // The host's containers keep running — only the control plane died, so
@@ -616,9 +580,6 @@ func (rt *Runtime) RestartManager(host int) error {
 			_ = c.tcal.Requested(dst)
 		}
 	}
-	// A restarted process has no warm solver caches: the incremental
-	// allocators full-solve their first live pass.
-	m.invalidateIncremental()
 	m.dead = false
 	rt.opts.Tracer.Record(rt.Eng.Now(), obs.KindManagerRestart, int32(host), 0, 0)
 	return nil
@@ -813,27 +774,6 @@ func (rt *Runtime) registerMetrics() {
 			return 0
 		})
 		reg.Gauge("kollaps_manager_iterations"+hostLabel, func() float64 { return float64(m.Iterations) })
-		if m.incWD != nil {
-			// Incremental-solver verdicts, summed over both enforce()
-			// passes: how often the caches full-solved vs diffed, the
-			// dirty/clean component split, and the flow-level reuse ratio.
-			reg.Gauge("kollaps_incremental_full_solves_total"+hostLabel, func() float64 {
-				return float64(m.IncrementalStats().FullSolves)
-			})
-			reg.Gauge("kollaps_incremental_solves_total"+hostLabel, func() float64 {
-				return float64(m.IncrementalStats().IncrementalSolves)
-			})
-			reg.Gauge("kollaps_incremental_dirty_components_total"+hostLabel, func() float64 {
-				return float64(m.IncrementalStats().DirtyComponents)
-			})
-			reg.Gauge("kollaps_incremental_clean_components_total"+hostLabel, func() float64 {
-				return float64(m.IncrementalStats().CleanComponents)
-			})
-			reg.Gauge("kollaps_incremental_reuse_ratio"+hostLabel, func() float64 {
-				st := m.IncrementalStats()
-				return st.ReuseRatio()
-			})
-		}
 	}
 	reg.Gauge("kollaps_chaos_faults_total", func() float64 { return float64(rt.chaos.Stats().Total()) })
 	if p := rt.opts.Probe; p != nil {

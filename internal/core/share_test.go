@@ -238,6 +238,7 @@ func TestAllocateInvariants(t *testing.T) {
 		NFlows   uint8
 		RTTs     [8]uint16
 		Demands  [8]uint16
+		Weights  [8]uint8
 		CapMbps  [4]uint16
 		PathBits [8]uint8 // which of 4 links each flow crosses
 	}
@@ -267,17 +268,20 @@ func TestAllocateInvariants(t *testing.T) {
 				Links:  links,
 				RTT:    time.Duration(c.RTTs[i]%200+1) * time.Millisecond,
 				Demand: demand,
+				// Aggregated remote flows arrive as weighted entries.
+				Weight: int(c.Weights[i]%8) + 1,
 			}
 		}
 		got := Allocate(caps, flows)
-		// Invariant 1: no link oversubscribed (within rounding).
+		// Invariant 1: no link oversubscribed (within rounding). Rate is
+		// per unit flow, so a Weight-w entry loads its links w times.
 		use := make(map[int]float64)
 		for i, a := range got {
 			seen := map[int]bool{}
 			for _, l := range flows[i].Links {
 				if !seen[l] {
 					seen[l] = true
-					use[l] += float64(a.Rate)
+					use[l] += float64(flows[i].Weight) * float64(a.Rate)
 				}
 			}
 		}

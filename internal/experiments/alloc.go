@@ -15,9 +15,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -39,27 +37,18 @@ type AllocBenchEntry struct {
 
 // AllocBenchReport is the BENCH_allocator.json schema.
 type AllocBenchReport struct {
-	// Workload documents the input generators so baselines are only ever
-	// compared against the same distributions.
-	Workload string `json:"workload"`
-	// Cores records GOMAXPROCS at measurement time: the parallel solver's
-	// ns/op is meaningless without it (on one core its speedup over the
-	// monolithic solver is purely algorithmic — smaller per-component
-	// problems — not concurrency).
-	Cores   int               `json:"cores"`
-	Entries []AllocBenchEntry `json:"entries"`
+	// Workload documents the input generator so baselines are only ever
+	// compared against the same distribution.
+	Workload string            `json:"workload"`
+	Entries  []AllocBenchEntry `json:"entries"`
 }
 
-// RunAllocBench benchmarks every solver entry point at every size —
-// indexed vs seed reference on the dense workload, monolithic vs
-// component-sharded parallel on the sharded workload, parallel re-solve
-// vs incremental on the 1% churn workload — writes the JSON report to
-// path (skipped when path is empty) and returns one printable table per
-// comparison, each with its speedup column.
-func RunAllocBench(path string) ([]*Table, *AllocBenchReport, error) {
+// RunAllocBench benchmarks the indexed solver against the seed reference
+// at every size, writes the JSON report to path (skipped when path is
+// empty) and returns the printable table with its speedup column.
+func RunAllocBench(path string) (*Table, *AllocBenchReport, error) {
 	report := &AllocBenchReport{
-		Workload: "core.SyntheticAllocation(n, n/2+8, seed 42); sharded: core.SyntheticShardedAllocation(n, n/2+8, 8, seed 42); churn: core.SyntheticShardedAllocation(n, n/2+8, max(8,n/16), seed 42) + core.ChurnDemands(1%, seed 42) per op",
-		Cores:    runtime.GOMAXPROCS(0),
+		Workload: "core.SyntheticAllocation(n, n/2+8, seed 42)",
 	}
 	table := &Table{
 		Title:   "allocator: indexed solver vs seed reference (bit-identical outputs)",
@@ -110,136 +99,6 @@ func RunAllocBench(path string) ([]*Table, *AllocBenchReport, error) {
 			},
 		})
 	}
-	// The sharded pair: the same indexed solver run monolithically vs the
-	// component-partitioned parallel one (GOMAXPROCS workers) on a
-	// workload with real component structure. Outputs are pinned
-	// bit-identical by core's differential tests; cmd/benchcheck gates
-	// the N=1024 pair (parallel ≤ 0.6× sharded, 0 allocs/op).
-	parTable := &Table{
-		Title:   fmt.Sprintf("allocator: monolithic vs component-sharded parallel (8 shards, %d cores)", report.Cores),
-		Columns: []string{"sharded ns/op", "parallel ns/op", "speedup", "components", "parallel allocs/op"},
-	}
-	for _, n := range AllocBenchSizes {
-		capsMap, flows := core.SyntheticShardedAllocation(n, n/2+8, 8, 42)
-		caps := core.DenseCaps(capsMap, nil)
-
-		var s core.AllocState
-		var out []core.Allocation
-		sharded := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out = s.Allocate(caps, flows, out)
-			}
-		})
-		var p core.ParallelAllocState
-		out = p.Allocate(caps, flows, out) // warm the pool and arenas
-		parallel := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out = p.Allocate(caps, flows, out)
-			}
-		})
-		components := p.Components()
-		p.Close()
-
-		report.Entries = append(report.Entries,
-			AllocBenchEntry{
-				Name: fmt.Sprintf("AllocateSharded/N=%d", n), Flows: n,
-				NsPerOp:    float64(sharded.NsPerOp()),
-				BytesPerOp: sharded.AllocedBytesPerOp(), AllocsPerOp: sharded.AllocsPerOp(),
-			},
-			AllocBenchEntry{
-				Name: fmt.Sprintf("AllocateParallel/N=%d", n), Flows: n,
-				NsPerOp:    float64(parallel.NsPerOp()),
-				BytesPerOp: parallel.AllocedBytesPerOp(), AllocsPerOp: parallel.AllocsPerOp(),
-			})
-		speedup := "n/a"
-		if parallel.NsPerOp() > 0 {
-			speedup = fmt.Sprintf("%.1fx", float64(sharded.NsPerOp())/float64(parallel.NsPerOp()))
-		}
-		parTable.Rows = append(parTable.Rows, Row{
-			Label: fmt.Sprintf("N=%d flows", n),
-			Values: []string{
-				fmt.Sprintf("%d", sharded.NsPerOp()),
-				fmt.Sprintf("%d", parallel.NsPerOp()),
-				speedup,
-				fmt.Sprintf("%d", components),
-				fmt.Sprintf("%d", parallel.AllocsPerOp()),
-			},
-		})
-	}
-	// The churn pair: a period loop under 1% demand churn per op, parallel
-	// full re-solve vs incremental dirty-component re-solve, on a sharded
-	// workload with ~16-flow components (the steady-state regime the
-	// incremental solver targets). Outputs are pinned bit-identical by
-	// core's differential fuzz; cmd/benchcheck gates the largest-N pair
-	// (incremental ≤ 0.3× parallel, 0 allocs/op).
-	incTable := &Table{
-		Title:   fmt.Sprintf("allocator: 1%% churn/period, parallel re-solve vs incremental (%d cores)", report.Cores),
-		Columns: []string{"parallel ns/op", "incremental ns/op", "speedup", "reuse ratio", "incremental allocs/op"},
-	}
-	for _, n := range AllocBenchSizes {
-		shards := n / 16
-		if shards < 8 {
-			shards = 8
-		}
-		capsMap, flows := core.SyntheticShardedAllocation(n, n/2+8, shards, 42)
-		caps := core.DenseCaps(capsMap, nil)
-
-		var p core.ParallelAllocState
-		var out []core.Allocation
-		out = p.Allocate(caps, flows, out) // warm the pool and arenas
-		prng := rand.New(rand.NewSource(42))
-		parallel := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.ChurnDemands(flows, 0.01, prng.Uint64)
-				out = p.Allocate(caps, flows, out)
-			}
-		})
-		p.Close()
-
-		var inc core.IncrementalAllocState
-		irng := rand.New(rand.NewSource(42))
-		out = inc.Allocate(caps, flows, out) // warm: full solve, snapshot
-		core.ChurnDemands(flows, 0.01, irng.Uint64)
-		out = inc.Allocate(caps, flows, out) // warm: arenas at working set
-		incremental := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.ChurnDemands(flows, 0.01, irng.Uint64)
-				out = inc.Allocate(caps, flows, out)
-			}
-		})
-		stats := inc.Stats()
-		inc.Close()
-
-		report.Entries = append(report.Entries,
-			AllocBenchEntry{
-				Name: fmt.Sprintf("AllocateChurnParallel/N=%d", n), Flows: n,
-				NsPerOp:    float64(parallel.NsPerOp()),
-				BytesPerOp: parallel.AllocedBytesPerOp(), AllocsPerOp: parallel.AllocsPerOp(),
-			},
-			AllocBenchEntry{
-				Name: fmt.Sprintf("AllocateChurnIncremental/N=%d", n), Flows: n,
-				NsPerOp:    float64(incremental.NsPerOp()),
-				BytesPerOp: incremental.AllocedBytesPerOp(), AllocsPerOp: incremental.AllocsPerOp(),
-			})
-		speedup := "n/a"
-		if incremental.NsPerOp() > 0 {
-			speedup = fmt.Sprintf("%.1fx", float64(parallel.NsPerOp())/float64(incremental.NsPerOp()))
-		}
-		incTable.Rows = append(incTable.Rows, Row{
-			Label: fmt.Sprintf("N=%d flows", n),
-			Values: []string{
-				fmt.Sprintf("%d", parallel.NsPerOp()),
-				fmt.Sprintf("%d", incremental.NsPerOp()),
-				speedup,
-				fmt.Sprintf("%.2f", stats.ReuseRatio()),
-				fmt.Sprintf("%d", incremental.AllocsPerOp()),
-			},
-		})
-	}
 	if path != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -250,5 +109,5 @@ func RunAllocBench(path string) ([]*Table, *AllocBenchReport, error) {
 			return nil, nil, err
 		}
 	}
-	return []*Table{table, parTable, incTable}, report, nil
+	return table, report, nil
 }

@@ -28,8 +28,7 @@ import (
 // A site annotated //kollaps:arenaok is a sanctioned hand-off: the
 // consumer copies before the next reuse, or deliberately takes the
 // buffer over (the DenseCaps idiom). Stores into other arena fields are
-// always legal — that is ownership transfer within the pooled world,
-// the shape the parallel solver's publish/clear protocol is built on.
+// always legal — that is ownership transfer within the pooled world.
 //
 // The derivation tracking is flow-insensitive within a function and
 // does not follow calls: a callee that stashes its argument must take

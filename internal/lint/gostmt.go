@@ -1,249 +1,28 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
-// GoStmtAnalyzer enforces structured concurrency in the deterministic
-// core: a //kollaps:deterministic package gets bit-identical replay
-// from single-threaded simulation plus carefully fenced worker pools,
-// so a stray goroutine is a determinism hole by construction. Every go
-// statement in such a package must satisfy three conditions:
-//
-//   - it sits inside a function annotated //kollaps:workerpool — the
-//     declared, reviewable scope for spawning;
-//   - it is provably joined: some sync.WaitGroup has an Add lexically
-//     before the go statement in the spawning function, a Done inside
-//     the spawned body, and a Wait somewhere in the package (the
-//     Add/Done/Wait triple is matched on the same WaitGroup variable
-//     or field object, the ParallelAllocState.startPool shape);
-//   - its body captures no enclosing loop variable (per-loop variable
-//     semantics under go <= 1.21 make that a classic lost-iteration
-//     race) and draws no randomness from the global math/rand stream
-//     (seeded per-worker sources keep replay exact).
-//
-// Goroutines whose body is not a func literal or package-local function
-// are not provable and are flagged as unjoined.
+// GoStmtAnalyzer keeps goroutines out of the deterministic core: a
+// //kollaps:deterministic package gets bit-identical replay from
+// single-threaded simulation, so any goroutine is a determinism hole by
+// construction. Every go statement in such a package is a finding.
 var GoStmtAnalyzer = &Analyzer{
 	Name: "gostmt",
-	Doc: "in //kollaps:deterministic packages, allow go statements only inside " +
-		"//kollaps:workerpool scopes with a provable WaitGroup join, no loop-variable " +
-		"capture, and no global randomness",
-	Run: runGoStmt,
+	Doc:  "forbid go statements in //kollaps:deterministic packages",
+	Run:  runGoStmt,
 }
 
 func runGoStmt(pass *Pass) error {
 	if !pass.PkgDirective("deterministic") {
 		return nil
 	}
-	waits := collectWaitGroupWaits(pass)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkGoStmts(pass, fd, waits)
-		}
-	}
-	return nil
-}
-
-// waitGroupVar resolves the receiver of a WaitGroup method call
-// (wg.Add, p.stopped.Done, ...) to the WaitGroup's variable or field
-// object, or nil.
-func waitGroupVar(pass *Pass, call *ast.CallExpr, method string) *types.Var {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
-		return nil
-	}
-	v := resolveVar(pass, sel.X)
-	if v == nil {
-		return nil
-	}
-	t := v.Type()
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" || n.Obj().Name() != "WaitGroup" {
-		return nil
-	}
-	return v
-}
-
-// collectWaitGroupWaits gathers every WaitGroup object the package
-// calls Wait on, anywhere — the join point may live in a Close or a
-// test-visible Stop, not the spawning function.
-func collectWaitGroupWaits(pass *Pass) map[*types.Var]bool {
-	out := make(map[*types.Var]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if v := waitGroupVar(pass, call, "Wait"); v != nil {
-					out[v] = true
-				}
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(g.Pos(), "go statement in deterministic package %s", pass.Pkg.Name())
 			}
 			return true
 		})
-	}
-	return out
-}
-
-// loopFrame is one enclosing loop's set of iteration variables.
-type loopFrame struct {
-	vars map[*types.Var]bool
-}
-
-// checkGoStmts validates every go statement in one declared function,
-// maintaining the stack of enclosing loop variables as it walks.
-func checkGoStmts(pass *Pass, fd *ast.FuncDecl, waits map[*types.Var]bool) {
-	inPool := FuncDirective(pass.Fset, fd, pass.Files, "workerpool")
-	var loops []loopFrame
-
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		switch x := n.(type) {
-		case nil:
-			return
-		case *ast.RangeStmt:
-			frame := loopFrame{vars: map[*types.Var]bool{}}
-			for _, e := range []ast.Expr{x.Key, x.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-						frame.vars[v] = true
-					}
-				}
-			}
-			loops = append(loops, frame)
-			walk(x.Body)
-			loops = loops[:len(loops)-1]
-			return
-		case *ast.ForStmt:
-			frame := loopFrame{vars: map[*types.Var]bool{}}
-			if init, ok := x.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-				for _, lhs := range init.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-							frame.vars[v] = true
-						}
-					}
-				}
-			}
-			loops = append(loops, frame)
-			walk(x.Body)
-			loops = loops[:len(loops)-1]
-			return
-		case *ast.GoStmt:
-			checkOneGo(pass, fd, x, inPool, waits, loops)
-			// Still walk the spawned body: nested go statements inside the
-			// goroutine need their own checks.
-		}
-		ast.Inspect(n, func(child ast.Node) bool {
-			if child == n {
-				return true
-			}
-			switch child.(type) {
-			case *ast.RangeStmt, *ast.ForStmt, *ast.GoStmt:
-				walk(child)
-				return false
-			}
-			return true
-		})
-	}
-	walk(fd.Body)
-}
-
-// checkOneGo validates a single go statement against the three rules.
-func checkOneGo(pass *Pass, fd *ast.FuncDecl, g *ast.GoStmt, inPool bool, waits map[*types.Var]bool, loops []loopFrame) {
-	if !inPool {
-		pass.Reportf(g.Pos(), "go statement outside a //kollaps:workerpool scope in deterministic package %s",
-			pass.Pkg.Name())
-		return
-	}
-
-	// Rule 2: provable join. Candidate WaitGroups have Add lexically
-	// before the go statement in this function.
-	candidates := make(map[*types.Var]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() >= g.Pos() {
-			return true
-		}
-		if v := waitGroupVar(pass, call, "Add"); v != nil {
-			candidates[v] = true
-		}
-		return true
-	})
-	body := spawnedBody(pass, g)
-	joined := false
-	if body != nil {
-		ast.Inspect(body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if v := waitGroupVar(pass, call, "Done"); v != nil && candidates[v] && waits[v] {
-					joined = true
-				}
-			}
-			return true
-		})
-	}
-	if !joined {
-		pass.Reportf(g.Pos(), "goroutine is not provably joined: need wg.Add before the go statement, "+
-			"wg.Done in the goroutine body, and wg.Wait in this package, all on one sync.WaitGroup")
-	}
-
-	// Rules 3a/3b apply to func-literal bodies.
-	lit, ok := g.Call.Fun.(*ast.FuncLit)
-	if !ok {
-		return
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.Ident:
-			if v, ok := pass.TypesInfo.Uses[x].(*types.Var); ok {
-				for _, frame := range loops {
-					if frame.vars[v] {
-						pass.Reportf(x.Pos(), "goroutine captures loop variable %s by reference; "+
-							"pass it as an argument or rebind it inside the loop body", v.Name())
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok {
-				switch pkgOf(pass.TypesInfo, sel) {
-				case "math/rand", "math/rand/v2":
-					switch sel.Sel.Name {
-					case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-					default:
-						pass.Reportf(x.Pos(), "goroutine uses global math/rand.%s; workers need per-worker seeded sources",
-							sel.Sel.Name)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// spawnedBody returns the statically known body of a go statement's
-// callee: the func literal itself, or a package-local function's
-// declaration.
-func spawnedBody(pass *Pass, g *ast.GoStmt) *ast.BlockStmt {
-	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		return lit.Body
-	}
-	callee := calleeFunc(pass.TypesInfo, g.Call)
-	if callee == nil {
-		return nil
-	}
-	if src := pass.Prog.FuncDecl(callee); src != nil {
-		return src.Decl.Body
-	}
-	// Fixture packages are loaded outside Program.Load.
-	if src := findLocalDecl(pass, &FuncSource{Pkg: passPackage(pass), Decl: nil}, callee); src != nil {
-		return src.Decl.Body
 	}
 	return nil
 }

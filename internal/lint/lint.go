@@ -37,10 +37,8 @@
 //     must not outlive the arena — channel sends, stores into heap
 //     structures, closure captures and exported returns are flagged
 //     outside //kollaps:arenaok hand-off sites. See arenaescape.go.
-//   - gostmt: in //kollaps:deterministic packages every go statement
-//     must sit inside a //kollaps:workerpool scope with a provable
-//     WaitGroup join, no loop-variable capture and no global
-//     randomness. See gostmt.go.
+//   - gostmt: a go statement in a //kollaps:deterministic package is
+//     flagged. See gostmt.go.
 //
 // # Annotation vocabulary
 //
@@ -57,8 +55,8 @@
 //	//kollaps:orderok        site  map range whose order provably cannot
 //	                         reach an encoder (or is sorted downstream in
 //	                         a way the analyzer cannot see)
-//	//kollaps:deterministic  package  virtual-time only: walltime and
-//	                         maporder apply
+//	//kollaps:deterministic  package  virtual-time only: walltime,
+//	                         maporder and gostmt apply
 //	//kollaps:wirecodec      package  wiresafe applies
 //	//kollaps:wire           type  struct whose fields are wire-format
 //	                         values (narrowing into them is checked)
@@ -73,9 +71,6 @@
 //	                         interior slices must not escape the owner
 //	//kollaps:arenaok        site  sanctioned arena hand-off (the callee
 //	                         takes ownership or copies before the reuse)
-//	//kollaps:workerpool     func  sanctioned goroutine-spawning scope;
-//	                         every go statement inside must be
-//	                         WaitGroup-joined
 package lint
 
 import (

@@ -1,101 +1,16 @@
-// Package gostmt is the gostmt analyzer fixture: in a deterministic
-// package every go statement needs a //kollaps:workerpool scope, a
-// provable WaitGroup join, no loop-variable capture and no global
-// randomness.
+// Package gostmt is the gostmt analyzer fixture: a deterministic
+// package may not start goroutines.
 //
 //kollaps:deterministic
 package gostmt
 
-import (
-	"math/rand"
-	"sync"
-)
-
-// pool is the sanctioned worker-pool shape: Add before go, Done in the
-// body, Wait in Stop.
-type pool struct {
-	tasks   chan int
-	stopped sync.WaitGroup
+// Spawn starts a goroutine, joined or not: flagged.
+func Spawn(done chan struct{}) {
+	go func() { close(done) }() // want `go statement in deterministic package gostmt`
+	<-done
 }
 
-// Start spawns joined workers inside a declared scope: clean.
-//
-//kollaps:workerpool
-func (p *pool) Start(n int) {
-	p.tasks = make(chan int, n)
-	for i := 0; i < n; i++ {
-		p.stopped.Add(1)
-		go func() {
-			defer p.stopped.Done()
-			for range p.tasks {
-			}
-		}()
-	}
+// Inline does the same work on the caller's goroutine: clean.
+func Inline(done chan struct{}) {
+	close(done)
 }
-
-// Stop is the pool's join point.
-func (p *pool) Stop() {
-	close(p.tasks)
-	p.stopped.Wait()
-}
-
-// Orphan spawns outside any workerpool scope.
-func Orphan() {
-	go func() {}() // want `go statement outside a .*workerpool scope`
-}
-
-// Unjoined declares the scope but its goroutine never calls Done, so
-// nothing ever joins it.
-//
-//kollaps:workerpool
-func (p *pool) Unjoined() {
-	p.stopped.Add(1)
-	go func() {}() // want `not provably joined`
-}
-
-// CaptureLoop joins correctly but shares the loop variable with every
-// goroutine — the classic lost-iteration race under per-loop variable
-// semantics.
-//
-//kollaps:workerpool
-func CaptureLoop(vals []int) {
-	var wg sync.WaitGroup
-	for _, v := range vals {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			use(v) // want `captures loop variable v`
-		}()
-	}
-	wg.Wait()
-}
-
-// Shuffle joins correctly but draws from the global math/rand stream,
-// which is seeded from wall time and unordered across workers.
-//
-//kollaps:workerpool
-func Shuffle() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = rand.Int() // want `global math/rand\.Int`
-	}()
-	wg.Wait()
-}
-
-// Seeded shows the sanctioned randomness shape: a per-worker source.
-//
-//kollaps:workerpool
-func Seeded(seed int64) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(seed))
-		_ = rng.Int()
-	}()
-	wg.Wait()
-}
-
-func use(int) {}

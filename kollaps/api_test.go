@@ -1,6 +1,7 @@
 package kollaps
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -28,7 +29,13 @@ func TestDeployHostValidation(t *testing.T) {
 			t.Fatalf("Deploy(%d) must error", hosts)
 		}
 	}
-	if err := exp.Deploy(1); err != nil {
+	// A negative period is an error, not a silent 50ms default.
+	err = exp.Deploy(1, WithPeriod(-time.Second))
+	if err == nil || !strings.Contains(err.Error(), "-1s") {
+		t.Fatalf("Deploy(WithPeriod(-1s)) = %v, want an error naming the value", err)
+	}
+	// Zero still means "default".
+	if err := exp.Deploy(1, WithPeriod(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := exp.Deploy(1); err == nil {
@@ -53,13 +60,6 @@ func TestSeedZeroHonored(t *testing.T) {
 	}
 	if got := deploy(t).Seed(); got != 42 {
 		t.Fatalf("default seed = %d, want 42", got)
-	}
-	// The deprecated struct keeps its documented zero-means-default wart.
-	if got := deploy(t, Options{Seed: 0}).Seed(); got != 42 {
-		t.Fatalf("Options{Seed: 0} deployed seed %d, want legacy default 42", got)
-	}
-	if got := deploy(t, Options{Seed: 7}).Seed(); got != 7 {
-		t.Fatalf("Options{Seed: 7} deployed seed %d", got)
 	}
 	// Seed 0 runs deterministically like any other seed.
 	run := func() int64 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/units"
 )
@@ -251,95 +250,4 @@ func TestEquivalenceStrategiesExercised(t *testing.T) {
 		t.Fatalf("control-plane traffic did not distinguish strategies: %v", bytesSent)
 	}
 	t.Logf("control-plane bytes: %v", bytesSent)
-}
-
-// TestParallelSolveEquivalence pins the public-API form of the parallel
-// solver's bit-identity contract: the same dynamic scenario deployed
-// with and without ParallelSolve(true) must produce byte-equal per-flow
-// results AND byte-equal control-plane traffic — the component-sharded
-// solve may change wall-clock cost per period, never a single emitted
-// byte. (core's differential fuzz pins the solver pair per call; this
-// pins the full deployment path through kollaps options.)
-func TestParallelSolveEquivalence(t *testing.T) {
-	run := func(t *testing.T, parallel bool) ([2]int64, [2]int64) {
-		exp, err := Load(equivDynamicYAML)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := []Option{WithSeed(7), WithDissem("tree", DissemFanout(2)), WithPlacement(equivPlacement)}
-		if parallel {
-			opts = append(opts, ParallelSolve(true))
-		}
-		if err := exp.Deploy(4, opts...); err != nil {
-			t.Fatal(err)
-		}
-		defer exp.Close()
-		received := equivDrive(t, exp)
-		sent, recvd := exp.MetadataTraffic()
-		return received, [2]int64{sent, recvd}
-	}
-	seqFlows, seqMeta := run(t, false)
-	parFlows, parMeta := run(t, true)
-	if seqFlows != parFlows {
-		t.Errorf("per-flow bytes diverge: sequential %v, parallel %v", seqFlows, parFlows)
-	}
-	if seqMeta != parMeta {
-		t.Errorf("metadata traffic diverges: sequential %v, parallel %v", seqMeta, parMeta)
-	}
-	t.Logf("parallel solve: flows %v, metadata %v — identical to sequential", parFlows, parMeta)
-}
-
-// TestIncrementalSolveEquivalence pins the public-API form of the
-// incremental solver's bit-identity contract, once per dissemination
-// strategy: the same dynamic scenario deployed with and without
-// IncrementalSolve(true) must produce byte-equal per-flow results AND
-// byte-equal control-plane traffic. The scenario's topology events at
-// 2s/4s/6s force generation-change full solves mid-run, so the
-// fallback path is exercised, not just the steady state — the stats
-// assertions pin that both regimes actually ran.
-func TestIncrementalSolveEquivalence(t *testing.T) {
-	run := func(t *testing.T, strategy string, incremental bool) ([2]int64, [2]int64) {
-		exp, err := Load(equivDynamicYAML)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := []Option{WithSeed(7), WithDissem(strategy, DissemFanout(2)), WithPlacement(equivPlacement)}
-		if incremental {
-			opts = append(opts, IncrementalSolve(true))
-		}
-		if err := exp.Deploy(4, opts...); err != nil {
-			t.Fatal(err)
-		}
-		defer exp.Close()
-		received := equivDrive(t, exp)
-		if incremental {
-			var st core.IncrementalStats
-			for _, m := range exp.Runtime.Managers() {
-				s := m.IncrementalStats()
-				st.FullSolves += s.FullSolves
-				st.IncrementalSolves += s.IncrementalSolves
-			}
-			if st.IncrementalSolves == 0 {
-				t.Errorf("%s: incremental deployment never solved incrementally", strategy)
-			}
-			if st.FullSolves < 2 {
-				t.Errorf("%s: scenario's topology events produced %d full solves, want >= 2", strategy, st.FullSolves)
-			}
-		}
-		sent, recvd := exp.MetadataTraffic()
-		return received, [2]int64{sent, recvd}
-	}
-	for _, strategy := range []string{"broadcast", "delta", "tree", "gossip"} {
-		t.Run(strategy, func(t *testing.T) {
-			fullFlows, fullMeta := run(t, strategy, false)
-			incFlows, incMeta := run(t, strategy, true)
-			if fullFlows != incFlows {
-				t.Errorf("per-flow bytes diverge: full %v, incremental %v", fullFlows, incFlows)
-			}
-			if fullMeta != incMeta {
-				t.Errorf("metadata traffic diverges: full %v, incremental %v", fullMeta, incMeta)
-			}
-			t.Logf("%s: flows %v, metadata %v — identical to full solve", strategy, incFlows, incMeta)
-		})
-	}
 }

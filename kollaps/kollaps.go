@@ -100,6 +100,9 @@ func (e *Experiment) Deploy(hosts int, opts ...Option) error {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
+	if cfg.period < 0 {
+		return fmt.Errorf("kollaps: Deploy needs a non-negative emulation period, got WithPeriod(%v)", cfg.period)
+	}
 	kind, err := dissem.ParseKind(cfg.strategy)
 	if err != nil {
 		return err
@@ -121,14 +124,12 @@ func (e *Experiment) Deploy(hosts int, opts ...Option) error {
 		probe = obs.NewProbe(cfg.probeEvery)
 	}
 	rt, err := core.NewRuntimeFromTopology(e.Eng, e.Topology, hosts, cfg.placement, core.Options{
-		Period:           cfg.period,
-		InjectLoss:       cfg.injectLoss,
-		ParallelSolve:    cfg.parallel,
-		IncrementalSolve: cfg.incremental,
-		Dissem:           cfg.dissemConfig(kind),
-		Tracer:           tracer,
-		Registry:         reg,
-		Probe:            probe,
+		Period:     cfg.period,
+		InjectLoss: cfg.injectLoss,
+		Dissem:     cfg.dissemConfig(kind),
+		Tracer:     tracer,
+		Registry:   reg,
+		Probe:      probe,
 	})
 	if err != nil {
 		e.Eng = nil
@@ -180,18 +181,6 @@ func (e *Experiment) Run(until time.Duration) error {
 	}
 	e.Eng.Run(until)
 	return e.Runtime.EventError()
-}
-
-// Close releases resources whose lifetime outlives the virtual-time
-// simulation — today the parallel and incremental solvers' worker pools
-// (ParallelSolve, IncrementalSolve). The experiment stays queryable
-// after Close, and running it further simply respawns the pools. Close
-// before Deploy, or on a deployment without pools, is a no-op, so
-// callers may defer it unconditionally.
-func (e *Experiment) Close() {
-	if e.Runtime != nil {
-		e.Runtime.Close()
-	}
 }
 
 // MetadataTraffic reports total metadata bytes (sent, received) across

@@ -74,7 +74,7 @@ func TestDeployAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exp.Deploy(2, Options{}); err != nil {
+	if err := exp.Deploy(2); err != nil {
 		t.Fatal(err)
 	}
 	a, err := exp.Container("a")
@@ -108,7 +108,7 @@ func TestAppStackProvider(t *testing.T) {
 	if _, _, err := exp.AppStack("a"); err == nil {
 		t.Fatal("AppStack before Deploy should error")
 	}
-	if err := exp.Deploy(1, Options{}); err != nil {
+	if err := exp.Deploy(1); err != nil {
 		t.Fatal(err)
 	}
 	var _ apps.StackProvider = exp // compile-time interface check
@@ -151,7 +151,7 @@ func TestBaremetalGroundTruth(t *testing.T) {
 func TestDeterministicDeployments(t *testing.T) {
 	run := func() int64 {
 		exp, _ := Load(quickYAML)
-		_ = exp.Deploy(2, Options{Seed: 7})
+		_ = exp.Deploy(2, WithSeed(7))
 		a, _ := exp.Container("a")
 		b, _ := exp.Container("b")
 		var got int64

@@ -7,12 +7,10 @@ import (
 )
 
 // Option configures a deployment. Options are applied in order, so later
-// options override earlier ones. The legacy Options struct also satisfies
-// Option, letting existing call sites migrate incrementally:
+// options override earlier ones:
 //
 //	exp.Deploy(4)                                  // all defaults
 //	exp.Deploy(4, kollaps.WithSeed(0))             // explicit seed 0
-//	exp.Deploy(4, kollaps.Options{Seed: 7})        // deprecated shim
 type Option interface{ apply(*config) }
 
 type optionFunc func(*config)
@@ -29,8 +27,6 @@ type config struct {
 	dissem      dissemConfig
 	traceEvents int // 0 = tracing disabled, <0 = default capacity
 	probeEvery  int // 0 = probe disabled
-	parallel    bool
-	incremental bool
 }
 
 type dissemConfig struct {
@@ -47,13 +43,13 @@ func defaultConfig() config {
 }
 
 // WithSeed sets the seed of the deterministic simulation (default 42).
-// Unlike the deprecated Options.Seed field, an explicit 0 is honored as a
-// seed, not treated as "use the default".
+// An explicit 0 is honored as a seed, not treated as "use the default".
 func WithSeed(seed int64) Option {
 	return optionFunc(func(c *config) { c.seed = seed })
 }
 
-// WithPeriod sets the Emulation Manager loop interval (default 50ms).
+// WithPeriod sets the Emulation Manager loop interval. Zero selects the
+// default (50ms); Deploy rejects a negative period.
 func WithPeriod(period time.Duration) Option {
 	return optionFunc(func(c *config) { c.period = period })
 }
@@ -140,34 +136,6 @@ func WithTrace(events int) Option {
 	})
 }
 
-// ParallelSolve selects the component-sharded parallel sharing-model
-// solver (core.ParallelAllocState): each Emulation Manager partitions
-// its flow set by shared-constrained-link connectivity and solves the
-// components on a GOMAXPROCS worker pool. Results are bit-identical to
-// the sequential solver's — and therefore to the paper's reference —
-// regardless of scheduling, so this only changes wall-clock cost per
-// period, never emulation behavior. Worth enabling on multi-core hosts
-// or sharded topologies; see DESIGN.md "Parallel solve".
-func ParallelSolve(enabled bool) Option {
-	return optionFunc(func(c *config) { c.parallel = enabled })
-}
-
-// IncrementalSolve selects the incremental sharing-model solver
-// (core.IncrementalAllocState): between emulation periods each Manager
-// re-solves only the link-connected components whose flows, demands,
-// weights or link capacities changed, reusing the previous period's
-// per-flow results for clean components bit for bit. Full solves happen
-// on topology mutations, manager restarts and partition-shape changes.
-// Results are bit-identical to the sequential and parallel solvers' —
-// and therefore to the paper's reference — so this only changes
-// wall-clock cost per period, never emulation behavior. It subsumes
-// ParallelSolve (dirty components still solve on the worker pool).
-// Worth enabling on steady workloads with low per-period churn; see
-// DESIGN.md "Incremental solve".
-func IncrementalSolve(enabled bool) Option {
-	return optionFunc(func(c *config) { c.incremental = enabled })
-}
-
 // WithAccuracyProbe enables the emulation-accuracy probe: every
 // everyPeriods emulation periods the runtime re-solves the live demand
 // set with the reference allocator and records the enforced-vs-oracle
@@ -189,68 +157,6 @@ func WithAccuracyProbe(everyPeriods int) Option {
 // longer control-plane hiccups without re-forming.
 func DissemSuspectAfter(periods int) DissemOption {
 	return func(c *dissemConfig) { c.suspectAfter = periods }
-}
-
-// Options is the deprecated flat configuration struct. It satisfies
-// Option so existing exp.Deploy(hosts, Options{...}) call sites keep
-// working; new code should use the functional options (WithSeed,
-// WithPeriod, WithPlacement, WithInjectLoss, WithDissem).
-//
-// Deprecated: zero fields keep their defaults, which makes some values
-// unrepresentable — most notably Seed 0, which this struct maps to the
-// default 42. Use WithSeed(0) for an explicit zero seed.
-type Options struct {
-	// Seed drives the deterministic simulation (default 42; 0 means
-	// "default", use WithSeed to run with seed 0).
-	Seed int64
-	// Period is the Emulation Manager loop interval (default 50ms).
-	Period time.Duration
-	// Placement pins container names to host indices (default
-	// round-robin).
-	Placement map[string]int
-	// InjectLoss enables the §3 congestion-loss workaround (see
-	// core.Options.InjectLoss).
-	InjectLoss bool
-	// DissemStrategy selects how Emulation Managers exchange metadata:
-	// "broadcast" (default), "delta" or "tree".
-	DissemStrategy string
-	// DissemEpsilon is the delta strategy's relative-change suppression
-	// threshold (default 0.05; negative disables the gate).
-	DissemEpsilon float64
-	// DissemResync is the number of periods between delta full-state
-	// resyncs (default 20).
-	DissemResync int
-	// DissemFanout is the tree strategy's arity (default 4).
-	DissemFanout int
-}
-
-// apply maps the legacy struct onto the functional-option config,
-// preserving its documented semantics: zero-valued fields keep defaults.
-func (o Options) apply(c *config) {
-	if o.Seed != 0 {
-		c.seed = o.Seed
-	}
-	if o.Period != 0 {
-		c.period = o.Period
-	}
-	if o.Placement != nil {
-		c.placement = o.Placement
-	}
-	if o.InjectLoss {
-		c.injectLoss = true
-	}
-	if o.DissemStrategy != "" {
-		c.strategy = o.DissemStrategy
-	}
-	if o.DissemEpsilon != 0 {
-		c.dissem.epsilon = o.DissemEpsilon
-	}
-	if o.DissemResync != 0 {
-		c.dissem.resync = o.DissemResync
-	}
-	if o.DissemFanout != 0 {
-		c.dissem.fanout = o.DissemFanout
-	}
 }
 
 // dissemFromConfig assembles the core-level dissemination config. The
