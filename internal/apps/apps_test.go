@@ -77,6 +77,21 @@ func TestPinger(t *testing.T) {
 	}
 }
 
+// TestPingerClampsInterval: a zero or negative interval used to reach
+// Engine.Every and panic; it is clamped to a millisecond instead.
+func TestPingerClampsInterval(t *testing.T) {
+	lp := graph.LinkProps{Latency: time.Millisecond, Bandwidth: units.Gbps}
+	for _, interval := range []time.Duration{0, -time.Second} {
+		eng, cli, _, dst := twoHosts(t, lp, 6)
+		p := NewPinger(eng, cli, dst, interval)
+		eng.Run(100 * time.Millisecond)
+		p.Stop()
+		if p.Sent < 90 || p.Sent > 101 {
+			t.Fatalf("interval %v: sent %d pings in 100ms, want one per millisecond", interval, p.Sent)
+		}
+	}
+}
+
 func TestPingerCountsLosses(t *testing.T) {
 	lp := graph.LinkProps{Latency: time.Millisecond, Bandwidth: units.Gbps, Loss: 0.5}
 	eng, cli, _, dst := twoHosts(t, lp, 4)

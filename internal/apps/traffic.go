@@ -82,9 +82,13 @@ type Pinger struct {
 	stop sim.Timer
 }
 
-// NewPinger starts pinging dst every interval.
+// NewPinger starts pinging dst every interval; a non-positive interval,
+// which Engine.Every would panic on, pings every millisecond.
 func NewPinger(eng *sim.Engine, st *transport.Stack, dst packet.IP, interval time.Duration) *Pinger {
 	p := &Pinger{}
+	if interval <= 0 {
+		interval = time.Millisecond
+	}
 	p.stop = eng.Every(interval, func() {
 		p.Sent++
 		st.Ping(dst, 64, func(rtt time.Duration) {

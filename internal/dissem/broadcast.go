@@ -1,7 +1,6 @@
 package dissem
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/metadata"
@@ -18,28 +17,28 @@ import (
 // beyond the view itself, so a dead manager simply ages out after maxAge
 // and a restarted one reappears with its first report.
 type broadcastNode struct {
-	cfg   Config
-	host  int
-	tr    Transport
-	stats Stats
+	endpoint
 
-	remote map[uint16]broadcastEntry
+	remote []broadcastEntry // by peer host
+	// in is where Receive decodes; a report that passes every check is
+	// swapped with the peer's held one, whose storage decodes the next.
+	in broadcastEntry
 	//kollaps:arena
-	hosts []int // scratch for the per-view deterministic host ordering
+	raw []byte // Publish's encoded report, sealed once per peer
 }
 
 type broadcastEntry struct {
-	msg *metadata.Message
-	at  time.Duration // arrival (virtual) time
-	seq uint32        // envelope sequence the entry was stamped with
+	msg   metadata.Message
+	links []uint16 // arena behind msg's link lists
+	held  bool
+	at    time.Duration // arrival (virtual) time
+	seq   uint32        // envelope sequence the entry was stamped with
 }
 
 func newBroadcastNode(cfg Config, host int, tr Transport) *broadcastNode {
 	return &broadcastNode{
-		cfg:    cfg,
-		host:   host,
-		tr:     tr,
-		remote: make(map[uint16]broadcastEntry),
+		endpoint: endpoint{cfg: cfg, host: host, tr: tr},
+		remote:   make([]broadcastEntry, cfg.NumHosts),
 	}
 }
 
@@ -47,37 +46,42 @@ func (n *broadcastNode) Publish(now time.Duration, msg *metadata.Message) {
 	if msg == nil || n.cfg.NumHosts < 2 {
 		return
 	}
-	raw := metadata.Encode(msg, n.cfg.Wide)
+	n.raw = metadata.AppendEncode(n.raw[:0], msg, n.cfg.Wide)
 	for h := 0; h < n.cfg.NumHosts; h++ {
 		if h != n.host {
-			n.stats.send(n.tr, h, raw)
+			n.stats.send(n.tr, h, n.raw)
 		}
 	}
 }
 
+//kollaps:hotpath
 func (n *broadcastNode) Receive(now time.Duration, payload []byte) {
 	inner, seq, ok := n.stats.open(payload)
 	if !ok {
 		return
 	}
-	msg, err := metadata.Decode(inner, n.cfg.Wide)
+	links, err := metadata.DecodeInto(&n.in.msg, n.in.links[:0], inner, n.cfg.Wide)
+	n.in.links = links
 	if err != nil {
 		n.stats.BadDatagram.Inc()
 		return // corrupted reports are ignored, next period repairs
 	}
-	if int(msg.Host) >= n.cfg.NumHosts || int(msg.Host) == n.host {
+	from := int(n.in.msg.Host)
+	if from >= n.cfg.NumHosts || from == n.host {
 		n.stats.BadDatagram.Inc()
 		return // corrupted sender id: no phantom peers in the view
 	}
 	// Duplicate or reordered-stale copy of a report already held: the
 	// held entry wins, so a duplicated datagram cannot refresh `at` and a
 	// displaced old report cannot roll the view backwards. Expiry in
-	// AppendRemoteFlows deletes the entry, clearing the sequence state a
+	// AppendRemoteFlows drops the entry, clearing the sequence state a
 	// cold-restarted sender would otherwise have to outrun.
-	if e, held := n.remote[msg.Host]; held && !seqFresh(e.seq, seq) {
+	e := &n.remote[from]
+	if e.held && !seqFresh(e.seq, seq) {
 		return
 	}
-	n.remote[msg.Host] = broadcastEntry{msg: msg, at: now, seq: seq}
+	n.in, *e = *e, n.in
+	e.held, e.at, e.seq = true, now, seq
 }
 
 func (n *broadcastNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
@@ -86,20 +90,18 @@ func (n *broadcastNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 
 // AppendRemoteFlows is on the emulation loop's 0-alloc hot path
 // (BenchmarkIterate runs the Broadcast node): entries append into the
-// caller's buffer and the host scratch list is reused per call.
+// caller's buffer.
 //
 //kollaps:hotpath
 func (n *broadcastNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
-	n.hosts = n.hosts[:0]
 	for h := range n.remote {
-		n.hosts = append(n.hosts, int(h))
-	}
-	sort.Ints(n.hosts)
-	for _, h := range n.hosts {
-		e := n.remote[uint16(h)]
+		e := &n.remote[h]
+		if !e.held {
+			continue
+		}
 		age := now - e.at
 		if age > maxAge {
-			delete(n.remote, uint16(h))
+			e.held = false
 			continue
 		}
 		for _, f := range e.msg.Flows {
@@ -115,5 +117,3 @@ func (n *broadcastNode) AppendRemoteFlows(now, maxAge time.Duration, out []Remot
 	}
 	return out
 }
-
-func (n *broadcastNode) Stats() *Stats { return &n.stats }

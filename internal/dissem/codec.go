@@ -1,8 +1,9 @@
 package dissem
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/wire"
@@ -18,7 +19,7 @@ import (
 // share path prefixes — so the v1 format removes the redundancy instead
 // of shipping it:
 //
-//	v0 (legacy):  [type][host:2][n:2] n×(origin:2, bps:4, count:2,
+//	v0 (retired): [type][host:2][n:2] n×(origin:2, bps:4, count:2,
 //	              ageµs:4, nlinks:1, links: 1 or 2 bytes each)
 //	v1:           [type][0xC1][host:2][ngroups uvarint] groups, where
 //	  group  = origin+1 uvarint (0 ⇒ MergedOrigin)
@@ -37,17 +38,18 @@ import (
 // report share both — in (origin, age) order, path-sorted within the
 // group, so the encoding is canonical and deterministic. Link ids are
 // uvarints, which also makes v1 independent of the 1-vs-2-byte link-id
-// width negotiation (Config.Wide) that v0 inherits from the paper's
+// width negotiation (Config.Wide) that v0 inherited from the paper's
 // metadata format.
 //
-// Version negotiation: byte 1 of a v0 datagram is the high byte of the
+// Version negotiation: byte 1 of a v0 datagram was the high byte of the
 // sender's host id, which is < 0xC0 for any deployment under 49152
 // managers; a versioned datagram marks byte 1 with the 0xC0 mask plus
-// the version number. Decoders therefore accept old-format datagrams
-// from pre-v1 senders unchanged, and reject datagrams carrying a version
-// they do not know — counted in Stats.BadVersion, not silently dropped —
-// so a mixed-version deployment degrades observably instead of
-// corrupting views.
+// the version number. No v0 sender exists any more (every node of a
+// deployment runs this code), so there is one decoder: a datagram whose
+// byte 1 is not the v1 marker — an unmarked v0 body or a future version —
+// is rejected and counted in Stats.BadVersion, not silently dropped, so a
+// mixed-version deployment degrades observably instead of corrupting
+// views.
 
 // treeWireVersion is the tree codec version this package encodes.
 const treeWireVersion = 1
@@ -81,21 +83,7 @@ func readUvarint(b []byte, off int) (uint64, int, bool) {
 	return v, off + n, true
 }
 
-// treeSender extracts the sender host id from either wire version.
-func treeSender(payload []byte) (int, bool) {
-	if len(payload) < 3 {
-		return 0, false
-	}
-	if payload[1]&treeVerMask == treeVerMask {
-		if len(payload) < 4 {
-			return 0, false
-		}
-		return int(binary.BigEndian.Uint16(payload[2:])), true
-	}
-	return int(binary.BigEndian.Uint16(payload[1:])), true
-}
-
-// treeGroupOrder is the canonical group sort key: MergedOrigin first
+// treeOriginEnc is the canonical group sort key: MergedOrigin first
 // (encoded 0), then origins ascending.
 func treeOriginEnc(origin uint16) uint64 {
 	if origin == MergedOrigin {
@@ -104,29 +92,143 @@ func treeOriginEnc(origin uint16) uint64 {
 	return uint64(origin) + 1
 }
 
-// encodeTree serializes an up or down message in the v1 grouped format.
-// recs must be path-sorted (mergeRecs output). Aggregates larger than
-// the 16-bit record budget are clamped — the drop is deterministic
-// (path order) and counted in stats.
-func encodeTree(typ byte, host int, now time.Duration, recs []aggRec, stats *Stats) []byte {
+// aggRec is one aggregated flow record.
+//
+//kollaps:wire
+type aggRec struct {
+	origin uint16        // reporting host, MergedOrigin when aggregated
+	bps    uint64        // summed usage (clamped to uint32 on the wire)
+	count  uint16        // underlying flow count
+	ts     time.Duration // oldest origin generation time merged in
+	links  []uint16
+	prefix uint64 // pathPrefix(links), so most path comparisons never load links
+}
+
+// pathPrefix packs a path's first four link ids, zero-padded, so that
+// differing prefixes order as their paths do (a missing id sorts first,
+// as a proper prefix must); equal prefixes decide nothing.
+func pathPrefix(links []uint16) uint64 {
+	var p uint64
+	for i := 0; i < 4; i++ {
+		p <<= 16
+		if i < len(links) {
+			p |= uint64(links[i])
+		}
+	}
+	return p
+}
+
+// treeReport is one aggregate as a node holds it: records in path order,
+// their link lists pointing into one arena, both recycled.
+type treeReport struct {
+	recs  []aggRec
+	links []uint16
+	held  bool
+	at    time.Duration // arrival (virtual) time
+}
+
+// compareAggPaths orders records by path.
+func compareAggPaths(a, b aggRec) int {
+	if a.prefix != b.prefix {
+		return cmp.Compare(a.prefix, b.prefix)
+	}
+	return slices.Compare(a.links, b.links)
+}
+
+// treeCodec is the scratch one node's merges and encodes run in.
+type treeCodec struct {
+	//kollaps:arena
+	merged []aggRec
+	//kollaps:arena
+	parts [][]aggRec // the next merge's inputs, consumed by it
+	//kollaps:arena
+	order []treeGroupRef
+	//kollaps:arena
+	buf []byte
+}
+
+// treeGroupRef places one record in the wire's group order.
+type treeGroupRef struct {
+	originEnc uint64
+	ageQ      uint64
+	idx       int // position in the path-sorted input
+}
+
+func compareGroupRefs(a, b treeGroupRef) int {
+	if a.originEnc != b.originEnc {
+		return cmp.Compare(a.originEnc, b.originEnc)
+	}
+	if a.ageQ != b.ageQ {
+		return cmp.Compare(a.ageQ, b.ageQ)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// merge merges the path-sorted aggregates queued in c.parts into one
+// path-sorted aggregate, records sharing a path folded into one, and
+// empties the queue. The result (whose link lists still point into the
+// parts) is valid until the codec's next merge.
+//
+//kollaps:hotpath
+func (c *treeCodec) merge() []aggRec {
+	out := c.merged[:0]
+	for {
+		// The part whose next record sorts first; there are few (a node's
+		// children plus two), so a scan beats a heap.
+		best := -1
+		for i, p := range c.parts {
+			if len(p) > 0 && (best < 0 || compareAggPaths(p[0], c.parts[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		r := c.parts[best][0]
+		c.parts[best] = c.parts[best][1:]
+		if last := len(out) - 1; last >= 0 && compareAggPaths(out[last], r) == 0 {
+			a := &out[last]
+			a.bps += r.bps
+			// Saturate: at deployment scale the per-path flow count can
+			// exceed 16 bits, and silent wraparound would hand the min-max
+			// solver a tiny weight for the heaviest aggregate.
+			a.count = wire.U16(int(a.count)+int(r.count), nil)
+			if r.ts < a.ts {
+				a.ts = r.ts
+			}
+			if a.origin != r.origin {
+				a.origin = MergedOrigin
+			}
+			continue
+		}
+		out = append(out, r)
+	}
+	c.merged, c.parts = out, c.parts[:0]
+	return out
+}
+
+// encode serializes an up or down message in the v1 grouped format into
+// the codec's buffer (valid until its next encode). recs must be
+// path-sorted (merge output). Aggregates larger than the 16-bit record
+// budget are clamped — the drop is deterministic (path order) and counted
+// in stats.
+//
+// The body is varints, so its size is only known once written: it is
+// built here and copied into an exact-size frame by Stats.send, which is
+// cheaper than sizing a frame for the worst case.
+//
+//kollaps:hotpath
+func (c *treeCodec) encode(typ byte, host int, now time.Duration, recs []aggRec, stats *Stats) []byte {
 	if len(recs) > maxWireRecords {
 		stats.TruncatedRecords.Add(int64(len(recs) - maxWireRecords))
 		recs = recs[:maxWireRecords]
 	}
 
-	// Group record indices by (origin, quantized age), keeping the
+	// Order the records by (origin, quantized age) group, keeping the
 	// path-sorted input order within each group.
-	type group struct {
-		originEnc uint64
-		ageQ      uint64
-		idx       []int
-		counts    bool
-	}
-	groups := make([]*group, 0, 8)
-	byKey := make(map[[2]uint64]*group, 8)
+	c.order = c.order[:0]
 	for i := range recs {
-		r := &recs[i]
-		age := now - r.ts
+		age := now - recs[i].ts
 		if age < 0 {
 			age = 0
 		}
@@ -134,42 +236,38 @@ func encodeTree(typ byte, host int, now time.Duration, recs []aggRec, stats *Sta
 		if ageQ > uint64(^uint32(0)) {
 			ageQ = uint64(^uint32(0))
 		}
-		key := [2]uint64{treeOriginEnc(r.origin), ageQ}
-		g := byKey[key]
-		if g == nil {
-			g = &group{originEnc: key[0], ageQ: ageQ}
-			byKey[key] = g
-			groups = append(groups, g)
-		}
-		g.idx = append(g.idx, i)
-		if r.count != 1 {
-			g.counts = true
+		c.order = append(c.order, treeGroupRef{treeOriginEnc(recs[i].origin), ageQ, i})
+	}
+	slices.SortFunc(c.order, compareGroupRefs)
+	ngroups := 0
+	for i, o := range c.order {
+		if i == 0 || o.originEnc != c.order[i-1].originEnc || o.ageQ != c.order[i-1].ageQ {
+			ngroups++
 		}
 	}
-	sort.Slice(groups, func(a, b int) bool {
-		if groups[a].originEnc != groups[b].originEnc {
-			return groups[a].originEnc < groups[b].originEnc
-		}
-		return groups[a].ageQ < groups[b].ageQ
-	})
 
-	buf := make([]byte, 0, 6+len(recs)*12)
-	buf = append(buf, typ, treeVerMask|treeWireVersion)
+	buf := append(c.buf[:0], typ, treeVerMask|treeWireVersion)
 	buf = binary.BigEndian.AppendUint16(buf, wire.U16(host, &stats.Saturated))
-	buf = binary.AppendUvarint(buf, uint64(len(groups)))
-	for _, g := range groups {
-		buf = binary.AppendUvarint(buf, g.originEnc)
-		buf = binary.AppendUvarint(buf, g.ageQ)
-		flag := uint64(len(g.idx)) << 1
-		if g.counts {
+	buf = binary.AppendUvarint(buf, uint64(ngroups))
+	for g := c.order; len(g) > 0; {
+		// One group: the run of refs sharing g[0]'s key.
+		n, counts := 0, false
+		for n < len(g) && g[n].originEnc == g[0].originEnc && g[n].ageQ == g[0].ageQ {
+			counts = counts || recs[g[n].idx].count != 1
+			n++
+		}
+		buf = binary.AppendUvarint(buf, g[0].originEnc)
+		buf = binary.AppendUvarint(buf, g[0].ageQ)
+		flag := uint64(n) << 1
+		if counts {
 			flag |= 1
 		}
 		buf = binary.AppendUvarint(buf, flag)
 		var prev []uint16
-		for _, i := range g.idx {
-			r := &recs[i]
+		for _, ref := range g[:n] {
+			r := &recs[ref.idx]
 			buf = binary.AppendUvarint(buf, uint64(clampU32(r.bps)))
-			if g.counts {
+			if counts {
 				buf = binary.AppendUvarint(buf, uint64(r.count))
 			}
 			shared := 0
@@ -189,90 +287,87 @@ func encodeTree(typ byte, host int, now time.Duration, recs []aggRec, stats *Sta
 			}
 			prev = r.links
 		}
+		g = g[n:]
 	}
+	c.buf = buf
 	return buf
 }
 
-// decodeTree parses a tree datagram of either wire version,
+// decodeTree parses a tree datagram into dst (reusing its storage),
 // reconstructing record generation times from the encoded ages relative
 // to the arrival time (the in-sim clocks are synchronized; network delay
-// only ever makes records look marginally fresher than they are). A
-// datagram carrying an unknown future version is rejected and counted
-// in stats.BadVersion — a visible signal of a mixed-version deployment,
-// not a silent drop.
-func decodeTree(payload []byte, now time.Duration, wide bool, stats *Stats) ([]aggRec, bool) {
+// only ever makes records look marginally fresher than they are) and
+// leaving the records in path order, ready to merge. A datagram that
+// does not carry the v1 marker — a retired v0 body, an unknown future
+// version — is rejected and counted in stats.BadVersion, a visible signal
+// of a mixed-version deployment; a truncated or malformed body counts
+// stats.BadDatagram. On failure dst holds garbage, which is why nodes
+// decode into scratch.
+//
+//kollaps:hotpath
+func decodeTree(payload []byte, now time.Duration, dst *treeReport, stats *Stats) bool {
 	if len(payload) < 2 {
-		if stats != nil {
-			stats.BadDatagram.Inc()
-		}
-		return nil, false
+		stats.BadDatagram.Inc()
+		return false
 	}
-	if payload[1]&treeVerMask == treeVerMask {
-		if ver := payload[1] &^ treeVerMask; ver != treeWireVersion {
-			if stats != nil {
-				stats.BadVersion.Inc()
-			}
-			return nil, false
-		}
-		recs, ok := decodeTreeV1(payload, now)
-		if !ok && stats != nil {
-			stats.BadDatagram.Inc() // truncated or malformed v1 body
-		}
-		return recs, ok
+	if payload[1] != treeVerMask|treeWireVersion {
+		stats.BadVersion.Inc()
+		return false
 	}
-	recs, ok := decodeTreeV0(payload, now, wide)
-	if !ok && stats != nil {
-		stats.BadDatagram.Inc() // truncated or malformed legacy body
+	if !decodeTreeV1(payload, now, dst) {
+		stats.BadDatagram.Inc()
+		return false
 	}
-	return recs, ok
+	slices.SortFunc(dst.recs, compareAggPaths)
+	return true
 }
 
 // decodeTreeV1 parses the grouped varint body.
-func decodeTreeV1(payload []byte, now time.Duration) ([]aggRec, bool) {
+func decodeTreeV1(payload []byte, now time.Duration, dst *treeReport) bool {
 	if len(payload) < 5 {
-		return nil, false
+		return false
 	}
+	dst.recs, dst.links = dst.recs[:0], dst.links[:0]
 	off := 4
 	ngroups, off, ok := readUvarint(payload, off)
 	if !ok || ngroups > uint64(maxWireRecords) {
-		return nil, false
+		return false
 	}
-	var recs []aggRec
 	for g := uint64(0); g < ngroups; g++ {
 		var originEnc, ageQ, flag uint64
 		if originEnc, off, ok = readUvarint(payload, off); !ok || originEnc > 0x10000 {
-			return nil, false
+			return false
 		}
 		origin := MergedOrigin
 		if originEnc != 0 {
 			origin = uint16(originEnc - 1)
 		}
 		if ageQ, off, ok = readUvarint(payload, off); !ok || ageQ > uint64(^uint32(0)) {
-			return nil, false
+			return false
 		}
 		ts := now - time.Duration(ageQ)*treeAgeUnit
 		if flag, off, ok = readUvarint(payload, off); !ok {
-			return nil, false
+			return false
 		}
 		counts := flag&1 != 0
 		nrec := flag >> 1
-		if nrec > uint64(maxWireRecords) || len(recs)+int(nrec) > maxWireRecords {
-			return nil, false
+		if nrec > uint64(maxWireRecords) || len(dst.recs)+int(nrec) > maxWireRecords {
+			return false
 		}
 		var prev []uint16
 		for i := uint64(0); i < nrec; i++ {
 			var bps, count, nshared, nnew uint64
 			if bps, off, ok = readUvarint(payload, off); !ok || bps > uint64(^uint32(0)) {
-				return nil, false
+				return false
 			}
 			count = 1
 			if counts {
 				if count, off, ok = readUvarint(payload, off); !ok || count > uint64(^uint16(0)) {
-					return nil, false
+					return false
 				}
 			}
 			if off >= len(payload) {
-				return nil, false
+				return false
 			}
 			if nib := payload[off]; nib != 0xFF {
 				nshared, nnew = uint64(nib>>4), uint64(nib&0x0F)
@@ -280,95 +375,34 @@ func decodeTreeV1(payload []byte, now time.Duration) ([]aggRec, bool) {
 			} else {
 				off++
 				if nshared, off, ok = readUvarint(payload, off); !ok {
-					return nil, false
+					return false
 				}
 				if nnew, off, ok = readUvarint(payload, off); !ok {
-					return nil, false
+					return false
 				}
 			}
-			if int(nshared) > len(prev) || nshared+nnew > 255 {
-				return nil, false
+			if nshared > uint64(len(prev)) || nshared+nnew > 255 {
+				return false
 			}
-			links := make([]uint16, nshared+nnew)
-			copy(links, prev[:nshared])
+			start := len(dst.links)
+			dst.links = append(dst.links, prev[:nshared]...)
 			for j := uint64(0); j < nnew; j++ {
 				var l uint64
 				if l, off, ok = readUvarint(payload, off); !ok || l > uint64(^uint16(0)) {
-					return nil, false
+					return false
 				}
-				links[nshared+j] = uint16(l)
+				dst.links = append(dst.links, uint16(l))
 			}
-			prev = links
-			recs = append(recs, aggRec{
+			prev = dst.links[start:len(dst.links):len(dst.links)]
+			dst.recs = append(dst.recs, aggRec{
 				origin: origin,
 				bps:    bps,
 				count:  wire.U16(int(count), nil),
 				ts:     ts,
-				links:  links,
+				links:  prev,
+				prefix: pathPrefix(prev),
 			})
 		}
 	}
-	if off != len(payload) {
-		return nil, false
-	}
-	return recs, true
-}
-
-// encodeTreeV0 is the legacy fixed-width encoder, retained as the
-// reference for the version-negotiation contract: nodes no longer send
-// this format, but decodeTree must keep accepting it so pre-v1 senders
-// interoperate (pinned by the codec tests).
-func encodeTreeV0(typ byte, host int, now time.Duration, recs []aggRec, wide bool, stats *Stats) []byte {
-	if len(recs) > maxWireRecords {
-		stats.TruncatedRecords.Add(int64(len(recs) - maxWireRecords))
-		recs = recs[:maxWireRecords]
-	}
-	buf := make([]byte, 0, 5+len(recs)*16)
-	buf = append(buf, typ)
-	buf = binary.BigEndian.AppendUint16(buf, wire.U16(host, &stats.Saturated))
-	buf = binary.BigEndian.AppendUint16(buf, wire.U16(len(recs), &stats.Saturated))
-	for _, r := range recs {
-		age := (now - r.ts) / time.Microsecond
-		if age < 0 {
-			age = 0
-		}
-		buf = binary.BigEndian.AppendUint16(buf, r.origin)
-		buf = binary.BigEndian.AppendUint32(buf, clampU32(r.bps))
-		buf = binary.BigEndian.AppendUint16(buf, r.count)
-		buf = binary.BigEndian.AppendUint32(buf, clampU32(uint64(age)))
-		buf = appendLinks(buf, r.links, wide, &stats.Saturated)
-	}
-	return buf
-}
-
-// decodeTreeV0 parses the legacy fixed-width body.
-func decodeTreeV0(payload []byte, now time.Duration, wide bool) ([]aggRec, bool) {
-	if len(payload) < 5 {
-		return nil, false
-	}
-	nrec := int(binary.BigEndian.Uint16(payload[3:]))
-	recs := make([]aggRec, 0, nrec)
-	off := 5
-	for i := 0; i < nrec; i++ {
-		if off+12 > len(payload) {
-			return nil, false
-		}
-		r := aggRec{
-			origin: binary.BigEndian.Uint16(payload[off:]),
-			bps:    uint64(binary.BigEndian.Uint32(payload[off+2:])),
-			count:  binary.BigEndian.Uint16(payload[off+6:]),
-			ts:     now - time.Duration(binary.BigEndian.Uint32(payload[off+8:]))*time.Microsecond,
-		}
-		links, next, err := readLinks(payload, off+12, wide)
-		if err != nil {
-			return nil, false
-		}
-		off = next
-		r.links = links
-		recs = append(recs, r)
-	}
-	if off != len(payload) {
-		return nil, false
-	}
-	return recs, true
+	return off == len(payload)
 }

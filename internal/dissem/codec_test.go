@@ -1,7 +1,7 @@
 package dissem
 
 import (
-	"fmt"
+	"encoding/binary"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,22 +11,22 @@ import (
 )
 
 // Tests for the versioned tree wire codec: round-trip fidelity, the
-// version-negotiation contract (legacy in, future out — counted), and
-// the compression target the codec exists for: Tree at N=32 must pay at
-// most 1.2× Broadcast's bytes per period, down from the legacy format's
-// ~2.2×.
+// version contract (anything but v1 — the retired v0, a future version —
+// rejected and counted), and the compression target the codec exists
+// for: Tree at N=32 must pay at most 1.2× Broadcast's bytes per period,
+// down from the retired fixed-width format's ~2.2×.
 
 // codecRecs is a representative aggregate: several origins, one merged
 // record, shared path prefixes, counts above 1, mixed ages.
 func codecRecs(now time.Duration) []aggRec {
-	return mergeRecs([][]aggRec{{
+	return mergeRecs([]aggRec{
 		{origin: 0, bps: 2_900_000, count: 1, ts: now, links: []uint16{1, 0, 2}},
 		{origin: 0, bps: 1_400_000, count: 1, ts: now, links: []uint16{3, 0, 4}},
 		{origin: 7, bps: 2_100_000, count: 3, ts: now - 50*time.Millisecond, links: []uint16{300, 0, 301}},
 		{origin: 7, bps: 900, count: 1, ts: now - 50*time.Millisecond, links: []uint16{300, 0, 302}},
 		{origin: 3, bps: 5, count: 2, ts: now - 100*time.Millisecond, links: []uint16{9}},
 		{origin: MergedOrigin, bps: 4_000_000_000, count: 40_000, ts: now - time.Millisecond, links: []uint16{65535, 0}},
-	}})
+	})
 }
 
 // sortRecs puts decoded records in a canonical order for comparison
@@ -48,10 +48,10 @@ func TestTreeCodecRoundTrip(t *testing.T) {
 	if raw[1] != treeVerMask|treeWireVersion {
 		t.Fatalf("encoded version byte = %#x, want %#x", raw[1], treeVerMask|treeWireVersion)
 	}
-	if from, ok := treeSender(raw); !ok || from != 5 {
-		t.Fatalf("treeSender = %d, %v; want 5", from, ok)
+	if from := binary.BigEndian.Uint16(raw[2:]); from != 5 {
+		t.Fatalf("encoded sender = %d, want 5", from)
 	}
-	out, ok := decodeTree(raw, now, true, &stats)
+	out, ok := decodeTreeRecs(raw, now, &stats)
 	if !ok {
 		t.Fatal("v1 datagram did not decode")
 	}
@@ -77,39 +77,40 @@ func TestTreeCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTreeCodecLegacyAccepted: datagrams in the pre-v1 fixed-width
-// format must still decode — both through decodeTree and end to end
-// through a live node's Receive — so pre-v1 senders interoperate.
-func TestTreeCodecLegacyAccepted(t *testing.T) {
+// TestTreeCodecLegacyRejected: the pre-v1 fixed-width format has no
+// sender left, so its decoder is gone; a v0 body — byte 1 is the high
+// byte of a host id, not a version marker — must be rejected whole and
+// counted as a bad version, both by decodeTree and through a live node's
+// Receive.
+func TestTreeCodecLegacyRejected(t *testing.T) {
 	now := 3 * time.Second
-	in := codecRecs(now)
+	// [type][host:2][n:2] n×(origin:2, bps:4, count:2, ageµs:4, nlinks:1, links:2 each)
+	legacy := []byte{msgTreeUp, 0, 1, 0, 1}
+	legacy = binary.BigEndian.AppendUint16(legacy, 1)
+	legacy = binary.BigEndian.AppendUint32(legacy, 1000)
+	legacy = binary.BigEndian.AppendUint16(legacy, 1)
+	legacy = binary.BigEndian.AppendUint32(legacy, 0)
+	legacy = append(legacy, 2, 0, 4, 0, 5)
+
 	var stats Stats
-	legacy := encodeTreeV0(msgTreeUp, 5, now, in, true, &stats)
-	out, ok := decodeTree(legacy, now, true, &stats)
-	if !ok {
-		t.Fatal("legacy v0 datagram rejected")
+	if _, ok := decodeTreeRecs(legacy, now, &stats); ok {
+		t.Fatal("legacy v0 datagram decoded")
 	}
-	sortRecs(in)
-	sortRecs(out)
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("legacy decode differs:\n%+v\n%+v", out, in)
-	}
-	if stats.BadVersion.Value() != 0 {
-		t.Fatal("legacy datagram counted as a bad version")
+	if got := stats.BadVersion.Value(); got != 1 {
+		t.Fatalf("BadVersion = %d after one v0 datagram, want 1", got)
 	}
 
-	// End to end: a v0 up from child 1 must land in the root's view.
 	node, err := New(Config{Kind: Tree, NumHosts: 4, Fanout: 4, Wide: true}, 0, discardTr{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := encodeTreeV0(msgTreeUp, 1, now, []aggRec{
-		{origin: 1, bps: 1000, count: 1, ts: now, links: []uint16{4, 5}},
-	}, true, &stats)
-	node.Receive(now, up)
-	v := node.RemoteFlows(now, time.Second)
-	if len(v) != 1 || v[0].BPS != 1000 || v[0].Origin != 1 {
-		t.Fatalf("view after legacy up = %+v", v)
+	node.Receive(now, legacy)
+	if v := node.RemoteFlows(now, time.Second); len(v) != 0 {
+		t.Fatalf("view after legacy up = %+v, want it rejected", v)
+	}
+	if s := node.Stats(); s.BadVersion.Value() != 1 || s.BadDatagram.Value() != 0 {
+		t.Fatalf("node counted bad_version=%d bad_datagram=%d for a v0 datagram, want 1 and 0",
+			s.BadVersion.Value(), s.BadDatagram.Value())
 	}
 }
 
@@ -122,7 +123,7 @@ func TestTreeCodecFutureVersionRejected(t *testing.T) {
 	raw := encodeTree(msgTreeUp, 1, now, codecRecs(now), &stats)
 	future := append([]byte(nil), raw...)
 	future[1] = treeVerMask | (treeWireVersion + 1)
-	if _, ok := decodeTree(future, now, true, &stats); ok {
+	if _, ok := decodeTreeRecs(future, now, &stats); ok {
 		t.Fatal("future-version datagram decoded")
 	}
 	if got := stats.BadVersion.Value(); got != 1 {
@@ -164,7 +165,7 @@ func TestTreeCodecTruncationStillCounted(t *testing.T) {
 	if got := stats.TruncatedRecords.Value(); got != 7 {
 		t.Fatalf("TruncatedRecords = %d, want 7", got)
 	}
-	out, ok := decodeTree(raw, now, true, &stats)
+	out, ok := decodeTreeRecs(raw, now, &stats)
 	if !ok || len(out) != maxWireRecords {
 		t.Fatalf("clamped datagram decoded %d records, ok=%v; want %d", len(out), ok, maxWireRecords)
 	}
@@ -237,56 +238,3 @@ func TestTreeCodecDeterministic(t *testing.T) {
 		t.Fatalf("encoder not deterministic:\n%x\n%x", a, b)
 	}
 }
-
-// TestTreeViewEquivalentUnderCodec: a full tree exchange must produce
-// the same fused views (modulo age quantization) whether aggregates
-// travel in v0 or v1 — the codec changes bytes, not semantics. The v0
-// side is simulated by re-encoding every datagram through the legacy
-// encoder before delivery.
-func TestTreeViewEquivalentUnderCodec(t *testing.T) {
-	const n = 7
-	run := func(reencodeV0 bool) [][]RemoteFlow {
-		h := newHarness(t, Config{Kind: Tree, Fanout: 2, Wide: true}, n)
-		if reencodeV0 {
-			h.drop = func(from, to int, payload []byte) bool {
-				inner := unsealed(payload)
-				recs, ok := decodeTree(inner, h.now, true, &Stats{})
-				if !ok {
-					return true
-				}
-				var stats Stats
-				h.nodes[to].Receive(h.now, encodeTreeV0(inner[0], from, h.now, recs, true, &stats))
-				return true // delivered via the legacy format instead
-			}
-		}
-		msgs := make([]*metadata.Message, n)
-		for i := range msgs {
-			msgs[i] = hostMsg(i, metadata.FlowRecord{BPS: uint32(1000 * (i + 1)), Links: []uint16{uint16(i), 500}})
-		}
-		var views [][]RemoteFlow
-		for r := 0; r < 5; r++ {
-			h.round(foPeriod, msgs)
-		}
-		for _, node := range h.nodes {
-			views = append(views, node.RemoteFlows(h.now, 20*foPeriod))
-		}
-		return views
-	}
-	v1, v0 := run(false), run(true)
-	for i := range v1 {
-		if len(v1[i]) != len(v0[i]) {
-			t.Fatalf("node %d: %d records under v1, %d under v0", i, len(v1[i]), len(v0[i]))
-		}
-		for j := range v1[i] {
-			a, b := v1[i][j], v0[i][j]
-			if a.Origin != b.Origin || a.BPS != b.BPS || a.Count != b.Count || !reflect.DeepEqual(a.Links, b.Links) {
-				t.Fatalf("node %d record %d differs across codecs:\n%+v\n%+v", i, j, a, b)
-			}
-			if d := a.Age - b.Age; d < -treeAgeUnit || d > treeAgeUnit {
-				t.Fatalf("node %d record %d: age differs by %v across codecs", i, j, d)
-			}
-		}
-	}
-}
-
-var _ = fmt.Sprintf // keep fmt for debug spelunking in this file

@@ -2,7 +2,7 @@ package dissem
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/metadata"
@@ -35,16 +35,15 @@ import (
 // usage values, so applying a delta is idempotent and tolerant of
 // redundant retransmission.
 type deltaNode struct {
-	cfg   Config
-	host  int
-	tr    Transport
-	stats Stats
+	endpoint
 
 	// sender side
-	seq       uint32
-	snaps     map[uint32]deltaSnapshot // retained snapshots by seq
-	snapOrder []uint32
-	acked     map[int]uint32 // peer host -> highest acked seq
+	seq uint32
+	// snaps retains the newest snapshots, oldest first; sequence numbers
+	// are consecutive, so the window is [snaps[0].seq, seq]. The snapshot
+	// that falls out of retention lends its storage to the next one.
+	snaps     []deltaSnapshot
+	acked     []uint32 // by peer: highest acked seq, 0 = none
 	sinceFull int
 	// forcedGap/forcedWait implement the capped exponential backoff on
 	// baseline-miss forced fulls (see Publish); scheduled ResyncEvery
@@ -54,53 +53,51 @@ type deltaNode struct {
 	// live suspects peers silent for more than SuspectAfter periods;
 	// needFull marks re-admitted peers owed a targeted full report.
 	live     *liveness
-	needFull map[int]bool
+	needFull []bool // by peer
 	// lastSent holds, per path, the value most recently included in any
 	// report. Epsilon-comparing against it catches slow monotonic drift
 	// that stays sub-epsilon within the ack window but compounds across
 	// windows (each mention rebases the comparison point).
-	lastSent deltaSnapshot
+	lastSent recSet
 
 	// receiver side
-	peers map[uint16]*deltaPeer
+	peers []deltaPeer // by peer
 
-	// view scratch (AppendRemoteFlows determinism without per-call allocs)
+	// Scratch. upd is the diff being sent or the report being received,
+	// in wire order and then path order; next is where it is applied to a
+	// table (the result is swapped in, the old table becomes the new next).
+	upd, next recSet
 	//kollaps:arena
-	hostsBuf []int
+	changed []bool // diff: by current record, re-send it
 	//kollaps:arena
-	keysBuf []string
+	removed [][]uint16 // diff: paths to tombstone
+	//kollaps:arena
+	raw []byte // Publish's encoded report, sealed once per peer
+	//kollaps:arena
+	readmit []byte // Publish's targeted full for re-admitted peers
 }
 
-// deltaVal is one flow-path aggregate: summed usage and the number of
-// underlying flows.
-//
-//kollaps:wire
-type deltaVal struct {
-	bps   uint32
-	count uint16
+// deltaSnapshot is one published report: path aggregates in path order.
+type deltaSnapshot struct {
+	seq uint32
+	recSet
 }
-
-// deltaSnapshot maps pathKey -> aggregate.
-type deltaSnapshot map[string]deltaVal
 
 type deltaPeer struct {
-	flows     map[string]deltaVal
+	held      bool   // false: no state (fresh, expired, or dropped at re-admission)
+	flows     recSet // the peer's report as last reconstructed, path-sorted
 	lastSeq   uint32
-	gotAny    bool
 	refreshed time.Duration // arrival time of the newest report
 	originTS  time.Duration // sender-side generation time of that report
 }
 
 func newDeltaNode(cfg Config, host int, tr Transport) *deltaNode {
 	n := &deltaNode{
-		cfg:      cfg,
-		host:     host,
-		tr:       tr,
-		snaps:    make(map[uint32]deltaSnapshot),
-		acked:    make(map[int]uint32),
-		peers:    make(map[uint16]*deltaPeer),
-		live:     newLiveness(cfg.SuspectAfter),
-		needFull: make(map[int]bool),
+		endpoint: endpoint{cfg: cfg, host: host, tr: tr},
+		acked:    make([]uint32, cfg.NumHosts),
+		peers:    make([]deltaPeer, cfg.NumHosts),
+		live:     newLiveness(cfg.SuspectAfter, cfg.NumHosts),
+		needFull: make([]bool, cfg.NumHosts),
 	}
 	for h := 0; h < cfg.NumHosts; h++ {
 		if h != host {
@@ -120,31 +117,25 @@ func (n *deltaNode) Publish(now time.Duration, msg *metadata.Message) {
 	for _, h := range n.live.advance() {
 		n.stats.Suspicions.Inc()
 		n.cfg.Tracer.Record(now, obs.KindSuspect, int32(n.host), int64(h), 0)
-		delete(n.acked, h)
-		delete(n.needFull, h)
+		n.acked[h] = 0
+		n.needFull[h] = false
 	}
-	cur := make(deltaSnapshot, len(msg.Flows))
-	for _, f := range msg.Flows {
-		k := pathKey(f.Links)
-		v := cur[k]
-		v.bps = clampU32(uint64(v.bps) + uint64(f.BPS))
-		if v.count < ^uint16(0) {
-			v.count++
-		}
-		cur[k] = v
-	}
-	n.seq++
-	n.snaps[n.seq] = cur
-	n.snapOrder = append(n.snapOrder, n.seq)
 	// Retain snapshots across the resync window plus the ack cadence: a
 	// peer lagging further than that gets a full report anyway.
-	for len(n.snapOrder) > n.cfg.ResyncEvery+n.cfg.AckEvery+2 {
-		delete(n.snaps, n.snapOrder[0])
-		n.snapOrder = n.snapOrder[1:]
+	n.seq++
+	if len(n.snaps) < n.cfg.ResyncEvery+n.cfg.AckEvery+2 {
+		n.snaps = append(n.snaps, deltaSnapshot{})
+	} else {
+		oldest := n.snaps[0]
+		copy(n.snaps, n.snaps[1:])
+		n.snaps[len(n.snaps)-1] = oldest
 	}
+	cur := &n.snaps[len(n.snaps)-1]
+	cur.seq = n.seq
+	cur.fold(msg)
 
 	baseSeq := n.minAcked()
-	_, ok := n.snaps[baseSeq]
+	ok := baseSeq >= n.snaps[0].seq && baseSeq <= n.seq
 	n.sinceFull++
 	full := n.sinceFull >= n.cfg.ResyncEvery
 	if !ok && !full {
@@ -173,53 +164,41 @@ func (n *deltaNode) Publish(now time.Duration, msg *metadata.Message) {
 	} else if ok {
 		n.forcedGap, n.forcedWait = 0, 0
 	}
-	var raw []byte
+	// lastSent only records what actually made it onto the wire: a record
+	// clamped off a saturated datagram must stay eligible for the next
+	// diff, or its drift would be suppressed forever.
+	var sent int
 	if full {
 		n.sinceFull = 0
-		curKeys := sortedKeys(cur)
-		var sent int
-		raw, sent, _ = n.encodeReport(msgDeltaFull, now, cur, curKeys, nil)
-		n.lastSent = make(deltaSnapshot, sent)
-		for _, k := range curKeys[:sent] {
-			n.lastSent[k] = cur[k]
-		}
+		n.raw, sent = n.appendReport(n.raw[:0], msgDeltaFull, now, cur.recs)
+		applyRecs(&n.next, nil, cur.recs[:sent])
 		clear(n.needFull) // everyone gets this full anyway
 	} else {
-		changed, removed := n.diff(baseSeq, cur)
-		changedKeys := sortedKeys(changed)
-		var sentFlows, sentRemoved int
-		raw, sentFlows, sentRemoved = n.encodeReport(msgDeltaDiff, now, changed, changedKeys, removed)
-		if n.lastSent == nil {
-			n.lastSent = make(deltaSnapshot)
-		}
-		// lastSent only records what actually made it onto the wire: a
-		// record clamped off a saturated datagram must stay eligible for
-		// the next diff, or its drift would be suppressed forever.
-		for _, k := range changedKeys[:sentFlows] {
-			n.lastSent[k] = changed[k]
-		}
-		for _, k := range removed[:sentRemoved] {
-			delete(n.lastSent, k)
-		}
+		n.diff(baseSeq, cur.recs)
+		n.raw, sent = n.appendReport(n.raw[:0], msgDeltaDiff, now, n.upd.recs)
+		n.upd.recs = n.upd.recs[:sent]
+		sortByPath(&n.upd)
+		applyRecs(&n.next, n.lastSent.recs, n.upd.recs)
 	}
+	n.lastSent, n.next = n.next, n.lastSent
 	// Re-admitted peers get a targeted full instead of the diff: after a
 	// restart (or an expiry-induced state flush) they have no baseline to
 	// apply a diff against and would stay silent — and unacked — forever.
 	// lastSent is untouched: the full went to one peer, not all.
-	var readmit []byte
+	n.readmit = n.readmit[:0]
 	for h := 0; h < n.cfg.NumHosts; h++ {
 		if h == n.host {
 			continue
 		}
 		if !full && n.needFull[h] {
-			if readmit == nil {
-				readmit, _, _ = n.encodeReport(msgDeltaFull, now, cur, sortedKeys(cur), nil)
+			if len(n.readmit) == 0 {
+				n.readmit, _ = n.appendReport(n.readmit, msgDeltaFull, now, cur.recs)
 			}
-			n.stats.send(n.tr, h, readmit)
-			delete(n.needFull, h)
+			n.stats.send(n.tr, h, n.readmit)
+			n.needFull[h] = false
 			continue
 		}
-		n.stats.send(n.tr, h, raw)
+		n.stats.send(n.tr, h, n.raw)
 	}
 }
 
@@ -253,20 +232,24 @@ func (n *deltaNode) minAcked() uint32 {
 	if !found {
 		return n.seq
 	}
-	if min == ^uint32(0) {
-		return 0
-	}
 	return min
 }
 
-// sortedKeys returns a snapshot's path keys in deterministic order.
-func sortedKeys(s deltaSnapshot) []string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
+// exceeds reports whether the current aggregate v must be re-sent to a
+// peer that may hold old (had==false: that may not hold the path at all).
+func (n *deltaNode) exceeds(old, v pathRec, had bool, total uint64) bool {
+	if !had || old.count != v.count {
+		return true
 	}
-	sort.Strings(keys)
-	return keys
+	d := int64(v.bps) - int64(old.bps)
+	if d < 0 {
+		d = -d
+	}
+	eps := n.cfg.Epsilon
+	if n.cfg.Adaptive {
+		eps = adaptiveEpsilon(eps, v.bps, total)
+	}
+	return float64(d) > eps*float64(old.bps)
 }
 
 // diff lists path aggregates to re-send, gated two ways:
@@ -286,112 +269,139 @@ func sortedKeys(s deltaSnapshot) []string {
 // the next full resync — that bound is ResyncEvery, same as the
 // protocol's tolerance for any lost datagram. Tombstones symmetrically
 // cover paths present in any windowed snapshot but gone now.
-func (n *deltaNode) diff(baseSeq uint32, cur deltaSnapshot) (changed deltaSnapshot, removed []string) {
-	changed = make(deltaSnapshot)
+//
+// The result is n.upd in wire order: the changed records in path order,
+// then the tombstones (count 0) in path order. Their link lists point
+// into the snapshots; encoding and applyRecs copy them out.
+//
+//kollaps:hotpath
+func (n *deltaNode) diff(baseSeq uint32, cur []pathRec) {
+	n.changed = slices.Grow(n.changed[:0], len(cur))[:len(cur)]
+	clear(n.changed)
+	n.removed = n.removed[:0]
 	var total uint64
 	if n.cfg.Adaptive {
 		for _, v := range cur {
 			total += uint64(v.bps)
 		}
 	}
-	exceeds := func(old, v deltaVal, had bool) bool {
-		if !had || old.count != v.count {
-			return true
-		}
-		d := int64(v.bps) - int64(old.bps)
-		if d < 0 {
-			d = -d
-		}
-		eps := n.cfg.Epsilon
-		if n.cfg.Adaptive {
-			eps = adaptiveEpsilon(eps, v.bps, total)
-		}
-		return float64(d) > eps*float64(old.bps)
-	}
-	removedSet := make(map[string]bool)
-	for _, s := range n.snapOrder {
-		if s < baseSeq || s >= n.seq {
-			continue // before the acked baseline, or the current state itself
-		}
-		snap := n.snaps[s]
-		for k, v := range cur {
-			if _, done := changed[k]; done {
-				continue
-			}
-			if old, had := snap[k]; exceeds(old, v, had) {
-				changed[k] = v
-			}
-		}
-		for k := range snap {
-			if _, still := cur[k]; !still {
-				removedSet[k] = true
-			}
+	for i := range n.snaps {
+		// Skip what predates the acked baseline, and the current state itself.
+		if s := &n.snaps[i]; s.seq >= baseSeq && s.seq < n.seq {
+			n.against(cur, s.recs, total, true)
 		}
 	}
-	for k, v := range cur {
-		if _, done := changed[k]; done {
-			continue
-		}
-		if old, had := n.lastSent[k]; exceeds(old, v, had) {
-			changed[k] = v
+	n.against(cur, n.lastSent.recs, total, false)
+
+	n.upd.reset()
+	for i, v := range cur {
+		if n.changed[i] {
+			n.upd.recs = append(n.upd.recs, v)
 		}
 	}
-	for k := range removedSet {
-		removed = append(removed, k)
+	slices.SortFunc(n.removed, slices.Compare[[]uint16])
+	n.removed = slices.CompactFunc(n.removed, slices.Equal[[]uint16])
+	for _, links := range n.removed {
+		n.upd.recs = append(n.upd.recs, pathRec{links: links})
 	}
-	sort.Strings(removed)
-	return changed, removed
 }
 
-// maxWireRecords is the most records one control datagram can carry:
-// the wire's record count is 16 bits, so a larger report would wrap the
-// count and make the receiver's trailing-bytes check reject the whole
-// datagram. Encoders clamp to it and count the overflow in
-// Stats.TruncatedRecords.
-const maxWireRecords = int(^uint16(0))
+// against walks an older table alongside cur, both in path order, marking
+// the current records a holder of old would need re-sent and, when
+// tombstones is set, collecting old's paths that are gone now.
+func (n *deltaNode) against(cur, old []pathRec, total uint64, tombstones bool) {
+	for i, v := range cur {
+		for len(old) > 0 && slices.Compare(old[0].links, v.links) < 0 {
+			if tombstones {
+				n.removed = append(n.removed, old[0].links)
+			}
+			old = old[1:]
+		}
+		var was pathRec
+		had := len(old) > 0 && slices.Equal(old[0].links, v.links)
+		if had {
+			was, old = old[0], old[1:]
+		}
+		if !n.changed[i] && n.exceeds(was, v, had, total) {
+			n.changed[i] = true
+		}
+	}
+	if tombstones {
+		for _, r := range old {
+			n.removed = append(n.removed, r.links)
+		}
+	}
+}
 
-// encodeReport serializes a full or diff report:
+// sortByPath puts a report's records in path order, one per path. A
+// well-formed report is already sorted (a full) or two sorted runs (a
+// diff's changes, then its tombstones); whatever arrives, a path named
+// twice keeps its last record, as when records were applied one by one.
+func sortByPath(s *recSet) {
+	sorted := true
+	for i := 1; i < len(s.recs) && sorted; i++ {
+		sorted = comparePaths(s.recs[i-1], s.recs[i]) < 0
+	}
+	if sorted {
+		return
+	}
+	slices.SortStableFunc(s.recs, comparePaths)
+	w := 0
+	for i := 1; i < len(s.recs); i++ {
+		if !slices.Equal(s.recs[i].links, s.recs[w].links) {
+			w++
+		}
+		s.recs[w] = s.recs[i]
+	}
+	s.recs = s.recs[:w+1]
+}
+
+// applyRecs writes into dst the table base updated by upd — both in path
+// order, one record per path: an update replaces or inserts its path, a
+// tombstone (count 0) removes it. Links are copied into dst's arena.
+//
+//kollaps:hotpath
+func applyRecs(dst *recSet, base, upd []pathRec) {
+	dst.reset()
+	for _, u := range upd {
+		for len(base) > 0 && slices.Compare(base[0].links, u.links) < 0 {
+			dst.add(base[0].bps, base[0].count, base[0].links)
+			base = base[1:]
+		}
+		if len(base) > 0 && slices.Equal(base[0].links, u.links) {
+			base = base[1:]
+		}
+		if u.count != 0 {
+			dst.add(u.bps, u.count, u.links)
+		}
+	}
+	for _, b := range base {
+		dst.add(b.bps, b.count, b.links)
+	}
+}
+
+// appendReport serializes a full or diff report:
 //
 //	[type][host:2][seq:4][ts:8][n:2] n×(bps:4, count:2, nlinks:1, links)
 //
-// keys must be flows' path keys in deterministic (sorted) order; removed
-// paths are appended as bps==0, count==0 tombstones. Reports that would
+// recs are in wire order — live records in path order, then the
+// tombstones (bps==0, count==0) in path order. Reports that would
 // overflow the 16-bit record count are clamped — live records take
 // priority over tombstones — and the drop is counted; the clamped tail
 // heals through later diffs (lastSent is only advanced for records
-// actually sent) and resyncs. It returns the encoded datagram and how
-// many flow records and tombstones were included.
-func (n *deltaNode) encodeReport(typ byte, now time.Duration, flows deltaSnapshot, keys, removed []string) (raw []byte, sentFlows, sentRemoved int) {
-	sentFlows = len(keys)
-	if sentFlows > maxWireRecords {
-		sentFlows = maxWireRecords
-	}
-	sentRemoved = len(removed)
-	if sentFlows+sentRemoved > maxWireRecords {
-		sentRemoved = maxWireRecords - sentFlows
-	}
-	if dropped := len(keys) + len(removed) - sentFlows - sentRemoved; dropped > 0 {
+// actually sent) and resyncs. It returns how many records were encoded.
+func (n *deltaNode) appendReport(buf []byte, typ byte, now time.Duration, recs []pathRec) ([]byte, int) {
+	if dropped := len(recs) - maxWireRecords; dropped > 0 {
 		n.stats.TruncatedRecords.Add(int64(dropped))
+		recs = recs[:maxWireRecords]
 	}
-
-	buf := make([]byte, 0, 17+(sentFlows+sentRemoved)*10)
+	buf = slices.Grow(buf, 17+recsWireSize(recs, n.cfg.Wide))
 	buf = append(buf, typ)
 	buf = binary.BigEndian.AppendUint16(buf, wire.U16(n.host, &n.stats.Saturated))
 	buf = binary.BigEndian.AppendUint32(buf, n.seq)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(now))
-	buf = binary.BigEndian.AppendUint16(buf, wire.U16(sentFlows+sentRemoved, &n.stats.Saturated))
-	for _, k := range keys[:sentFlows] {
-		v := flows[k]
-		buf = binary.BigEndian.AppendUint32(buf, v.bps)
-		buf = binary.BigEndian.AppendUint16(buf, v.count)
-		buf = appendLinks(buf, keyLinks(k), n.cfg.Wide, &n.stats.Saturated)
-	}
-	for _, k := range removed[:sentRemoved] {
-		buf = binary.BigEndian.AppendUint32(buf, 0)
-		buf = binary.BigEndian.AppendUint16(buf, 0)
-		buf = appendLinks(buf, keyLinks(k), n.cfg.Wide, &n.stats.Saturated)
-	}
-	return buf, sentFlows, sentRemoved
+	buf = binary.BigEndian.AppendUint16(buf, wire.U16(len(recs), &n.stats.Saturated))
+	return appendRecs(buf, recs, n.cfg.Wide, &n.stats.Saturated), len(recs)
 }
 
 func (n *deltaNode) Receive(now time.Duration, payload []byte) {
@@ -404,10 +414,10 @@ func (n *deltaNode) Receive(now time.Duration, payload []byte) {
 		return
 	}
 	typ := payload[0]
-	from := binary.BigEndian.Uint16(payload[1:])
+	from := int(binary.BigEndian.Uint16(payload[1:]))
 	// A corrupted or spoofed sender id must not drive acks (the
 	// transport indexes peers by host) or pollute peer state.
-	if int(from) >= n.cfg.NumHosts || int(from) == n.host {
+	if from >= n.cfg.NumHosts || from == n.host {
 		n.stats.BadDatagram.Inc()
 		return
 	}
@@ -417,12 +427,12 @@ func (n *deltaNode) Receive(now time.Duration, payload []byte) {
 	// Our own state for it is dropped symmetrically — a restarted peer's
 	// sequence numbers regress, so its reports would otherwise be
 	// mistaken for duplicates of the pre-failure stream.
-	if n.live.heard(int(from)) {
+	if n.live.heard(from) {
 		n.stats.Recoveries.Inc()
 		n.cfg.Tracer.Record(now, obs.KindRecover, int32(n.host), int64(from), 0)
-		n.live.watch(int(from))
-		n.needFull[int(from)] = true
-		delete(n.peers, from)
+		n.live.watch(from)
+		n.needFull[from] = true
+		n.peers[from].held = false
 	}
 	switch typ {
 	case msgDeltaAck:
@@ -431,15 +441,15 @@ func (n *deltaNode) Receive(now time.Duration, payload []byte) {
 			return
 		}
 		seq := binary.BigEndian.Uint32(payload[3:])
-		if seq > n.acked[int(from)] {
-			n.acked[int(from)] = seq
+		if seq > n.acked[from] {
+			n.acked[from] = seq
 		}
 	case msgDeltaFull, msgDeltaDiff:
 		n.receiveReport(now, typ, from, payload)
 	}
 }
 
-func (n *deltaNode) receiveReport(now time.Duration, typ byte, from uint16, payload []byte) {
+func (n *deltaNode) receiveReport(now time.Duration, typ byte, from int, payload []byte) {
 	if len(payload) < 17 {
 		n.stats.BadDatagram.Inc()
 		return
@@ -447,18 +457,14 @@ func (n *deltaNode) receiveReport(now time.Duration, typ byte, from uint16, payl
 	seq := binary.BigEndian.Uint32(payload[3:])
 	ts := time.Duration(binary.BigEndian.Uint64(payload[7:]))
 	nrec := int(binary.BigEndian.Uint16(payload[15:]))
-	p := n.peers[from]
-	if p == nil {
+	p := &n.peers[from]
+	if !p.held && typ == msgDeltaDiff {
 		// No state for this peer (fresh, or expired after a silence): a
 		// diff has nothing to apply against, and acking it would let the
 		// sender keep diffing forever against a baseline we no longer
 		// hold. Stay silent — the sender's snapshot for our last ack
 		// falls out of retention and it falls back to a full report.
-		if typ == msgDeltaDiff {
-			return
-		}
-		p = &deltaPeer{flows: make(map[string]deltaVal)}
-		n.peers[from] = p
+		return
 	}
 	// Reordered or duplicate datagrams: re-ack (the sender tracks the
 	// max) but do not regress the state. One exception: a *full* whose
@@ -472,48 +478,28 @@ func (n *deltaNode) receiveReport(now time.Duration, typ byte, from uint16, payl
 	// restarted sender generates at a later virtual time than anything it
 	// published before dying, while a displaced old full's ts predates
 	// the report the view already holds.
-	if p.gotAny && seq <= p.lastSeq && !(typ == msgDeltaFull && seq < p.lastSeq && ts > p.originTS) {
-		n.maybeAck(typ, int(from), seq)
+	if p.held && seq <= p.lastSeq && !(typ == msgDeltaFull && seq < p.lastSeq && ts > p.originTS) {
+		n.maybeAck(typ, from, seq)
 		return
 	}
-	recs := make(map[string]deltaVal, nrec)
-	off := 17
-	for i := 0; i < nrec; i++ {
-		if off+6 > len(payload) {
-			n.stats.BadDatagram.Inc()
-			return // truncated: drop without acking, a resync repairs
-		}
-		v := deltaVal{
-			bps:   binary.BigEndian.Uint32(payload[off:]),
-			count: binary.BigEndian.Uint16(payload[off+4:]),
-		}
-		links, next, err := readLinks(payload, off+6, n.cfg.Wide)
-		if err != nil {
-			n.stats.BadDatagram.Inc()
-			return
-		}
-		off = next
-		recs[pathKey(links)] = v
-	}
-	if off != len(payload) {
+	if end, ok := skipRecs(payload, 17, nrec, n.cfg.Wide); !ok || end != len(payload) {
 		n.stats.BadDatagram.Inc()
-		return // trailing garbage
+		return // truncated or trailing garbage: drop without acking, a resync repairs
 	}
+	n.upd.reset()
+	n.upd.readRecs(payload, 17, nrec, n.cfg.Wide)
+	sortByPath(&n.upd)
+	base := p.flows.recs
 	if typ == msgDeltaFull {
-		p.flows = make(map[string]deltaVal, len(recs))
+		base = nil
 	}
-	for k, v := range recs {
-		if v.count == 0 {
-			delete(p.flows, k)
-		} else {
-			p.flows[k] = v
-		}
-	}
+	applyRecs(&n.next, base, n.upd.recs)
+	p.flows, n.next = n.next, p.flows
+	p.held = true
 	p.lastSeq = seq
-	p.gotAny = true
 	p.refreshed = now
 	p.originTS = ts
-	n.maybeAck(typ, int(from), seq)
+	n.maybeAck(typ, from, seq)
 }
 
 // maybeAck rate-limits acknowledgements: fulls are always acked (they
@@ -522,47 +508,34 @@ func (n *deltaNode) maybeAck(typ byte, to int, seq uint32) {
 	if typ == msgDeltaDiff && seq%uint32(n.cfg.AckEvery) != 0 {
 		return
 	}
-	n.ack(to, seq)
-}
-
-func (n *deltaNode) ack(to int, seq uint32) {
-	buf := make([]byte, 0, 7)
-	buf = append(buf, msgDeltaAck)
-	buf = binary.BigEndian.AppendUint16(buf, wire.U16(n.host, &n.stats.Saturated))
-	buf = binary.BigEndian.AppendUint32(buf, seq)
-	n.stats.send(n.tr, to, buf)
+	frame := append(newFrame(7), msgDeltaAck)
+	frame = binary.BigEndian.AppendUint16(frame, wire.U16(n.host, &n.stats.Saturated))
+	frame = binary.BigEndian.AppendUint32(frame, seq)
+	n.stats.sendFrame(n.tr, to, frame)
 }
 
 func (n *deltaNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 	return n.AppendRemoteFlows(now, maxAge, nil)
 }
 
+//kollaps:hotpath
 func (n *deltaNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
-	n.hostsBuf = n.hostsBuf[:0]
 	for h := range n.peers {
-		n.hostsBuf = append(n.hostsBuf, int(h))
-	}
-	sort.Ints(n.hostsBuf)
-	for _, h := range n.hostsBuf {
-		p := n.peers[uint16(h)]
+		p := &n.peers[h]
+		if !p.held {
+			continue
+		}
 		if now-p.refreshed > maxAge {
-			delete(n.peers, uint16(h))
+			p.held = false
 			continue
 		}
 		age := now - p.originTS
-		keys := n.keysBuf[:0]
-		for k := range p.flows {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		n.keysBuf = keys
-		for _, k := range keys {
-			v := p.flows[k]
+		for _, r := range p.flows.recs {
 			out = append(out, RemoteFlow{
 				Origin: wire.U16(h, nil),
-				BPS:    v.bps,
-				Count:  v.count,
-				Links:  keyLinks(k),
+				BPS:    r.bps,
+				Count:  r.count,
+				Links:  r.links,
 				Age:    age,
 			})
 			n.stats.staleness(age)
@@ -570,8 +543,6 @@ func (n *deltaNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlo
 	}
 	return out
 }
-
-func (n *deltaNode) Stats() *Stats { return &n.stats }
 
 // adaptiveEpsilon scales the base suppression threshold with the flow's
 // share of the total traffic this node currently reports (Config.Adaptive):

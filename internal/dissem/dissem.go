@@ -48,7 +48,7 @@ package dissem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/metadata"
@@ -164,44 +164,57 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// withDefaults returns a normalized copy.
+// withDefaults returns a validated configuration's normalized copy.
 func (c Config) withDefaults() Config {
 	if c.Epsilon == 0 {
 		c.Epsilon = 0.05
 	} else if c.Epsilon < 0 {
 		c.Epsilon = 0
 	}
-	if c.ResyncEvery <= 0 {
+	if c.ResyncEvery == 0 {
 		c.ResyncEvery = 20
 	}
-	if c.AckEvery <= 0 {
+	if c.AckEvery == 0 {
 		c.AckEvery = 4
 	}
-	if c.Fanout <= 0 {
+	if c.Fanout == 0 {
 		c.Fanout = 4
 	}
-	if c.SuspectAfter <= 0 {
+	if c.SuspectAfter == 0 {
 		c.SuspectAfter = 3
 	}
 	return c
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. It judges the
+// configuration as the caller wrote it: zero knobs mean "default", but a
+// negative count is a mistake to report, not to paper over with one.
 func (c Config) Validate() error {
 	switch c.Kind {
 	case Broadcast, Delta, Tree, Gossip:
 	default:
 		return fmt.Errorf("dissem: unknown strategy kind %d", int(c.Kind))
 	}
+	for _, knob := range []struct {
+		name string
+		v    int
+	}{
+		{"ResyncEvery", c.ResyncEvery}, {"AckEvery", c.AckEvery}, {"Fanout", c.Fanout},
+		{"GossipRounds", c.GossipRounds}, {"SuspectAfter", c.SuspectAfter},
+	} {
+		if knob.v < 0 {
+			return fmt.Errorf("dissem: %s must not be negative, got %d (0 selects the default)", knob.name, knob.v)
+		}
+	}
 	if c.Kind == Tree && c.Fanout == 1 {
 		return fmt.Errorf("dissem: tree fanout must be >= 2, got %d", c.Fanout)
 	}
 	if c.NumHosts >= int(treeVerMask)<<8 {
 		// Byte 0 of an unenveloped frame can be the high byte of a host
-		// id (Broadcast's raw paper format, legacy v0 tree datagrams); at
-		// 49152+ managers it would collide with the 0xC0 envelope and
-		// wire-version marker space — and host ids also ride 16-bit wire
-		// fields, so the cap subsumes the old 65535 limit.
+		// id (Broadcast's raw paper format); at 49152+ managers it would
+		// collide with the 0xC0 envelope and wire-version marker space —
+		// and host ids also ride 16-bit wire fields, so the cap subsumes
+		// the old 65535 limit.
 		return fmt.Errorf("dissem: at most %d managers (0xC0 wire-version marker space), got %d", int(treeVerMask)<<8-1, c.NumHosts)
 	}
 	return nil
@@ -328,13 +341,21 @@ func (s *Stats) AdoptFrom(old *Stats) {
 	s.envSeq = old.envSeq
 }
 
-// send seals the inner frame in the integrity envelope (envelope.go)
-// and hands it to the transport. Counters see the on-wire size.
-func (s *Stats) send(tr Transport, host int, b []byte) {
-	sealed := s.seal(b)
-	tr.SendTo(host, sealed)
+// send copies one inner frame into a fresh integrity envelope
+// (envelope.go) and hands it to the transport — the form for a payload
+// encoded once and sent to several peers. Counters see the on-wire size.
+func (s *Stats) send(tr Transport, host int, inner []byte) {
+	s.sendFrame(tr, host, append(newFrame(len(inner)), inner...))
+}
+
+// sendFrame stamps the envelope header of a frame built in place
+// (newFrame, then the inner payload appended) and hands it to the
+// transport, which owns it from here on.
+func (s *Stats) sendFrame(tr Transport, host int, frame []byte) {
+	s.stamp(frame)
+	tr.SendTo(host, frame)
 	s.DatagramsSent.Inc()
-	s.BytesSent.Add(int64(len(sealed)))
+	s.BytesSent.Add(int64(len(frame)))
 }
 
 func (s *Stats) staleness(age time.Duration) {
@@ -395,31 +416,45 @@ type Node interface {
 	// the caller, which reuses them next period: implementations must
 	// copy (or immediately serialize) anything they retain past the call.
 	Publish(now time.Duration, msg *metadata.Message)
-	// Receive processes one control datagram addressed to this node.
+	// Receive processes one control datagram addressed to this node. The
+	// payload stays owned by the caller (the fabric may deliver the same
+	// buffer again): implementations only read it, and copy what they keep.
 	Receive(now time.Duration, payload []byte)
 	// RemoteFlows returns the node's current view of every other
 	// manager's flows, dropping entries not refreshed within maxAge.
-	// The result is deterministic: ordered by origin, then path.
+	// The result is deterministic: ordered by origin, then path. Links
+	// are lent exactly as by AppendRemoteFlows.
 	RemoteFlows(now, maxAge time.Duration) []RemoteFlow
 	// AppendRemoteFlows is RemoteFlows appending into buf's storage, so a
 	// per-period caller reuses one buffer instead of allocating a view
 	// every tick. The returned entries' Links slices stay owned by the
-	// node (valid until its next state change); callers copy what they
-	// keep.
+	// node and are valid until its next Publish or Receive, which may
+	// recycle the storage behind them; callers copy what they keep.
 	AppendRemoteFlows(now, maxAge time.Duration, buf []RemoteFlow) []RemoteFlow
 	// Stats exposes the node's control-plane counters.
 	Stats() *Stats
 }
+
+// endpoint is what every strategy's node starts from.
+type endpoint struct {
+	cfg   Config
+	host  int
+	tr    Transport
+	stats Stats
+}
+
+// Stats exposes the node's control-plane counters.
+func (e *endpoint) Stats() *Stats { return &e.stats }
 
 // New builds a node for manager host under the given configuration.
 // Config.NumHosts must be set: without it Tree would compute a bogus
 // parent for any nonzero host and every strategy would misjudge its
 // peer set, so any host index outside [0, NumHosts) is rejected.
 func New(cfg Config, host int, tr Transport) (Node, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	if host < 0 || host >= cfg.NumHosts {
 		return nil, fmt.Errorf("dissem: host %d out of range [0,%d) (Config.NumHosts must cover every manager)", host, cfg.NumHosts)
 	}
@@ -462,22 +497,19 @@ const (
 	msgGossipPull byte = 7
 )
 
-// pathKey packs a link list into a map key.
-func pathKey(links []uint16) string {
-	b := make([]byte, 2*len(links))
-	for i, l := range links {
-		binary.BigEndian.PutUint16(b[2*i:], l)
-	}
-	return string(b)
-}
+// maxWireRecords is the most records one control datagram can carry:
+// the wire's record count is 16 bits, so a larger report would wrap the
+// count and make the receiver's trailing-bytes check reject the whole
+// datagram. Encoders clamp to it and count the overflow in
+// Stats.TruncatedRecords.
+const maxWireRecords = int(^uint16(0))
 
-// keyLinks reverses pathKey.
-func keyLinks(k string) []uint16 {
-	links := make([]uint16, len(k)/2)
-	for i := range links {
-		links[i] = binary.BigEndian.Uint16([]byte(k[2*i : 2*i+2]))
+// idWidth is the on-wire size of one link id.
+func idWidth(wide bool) int {
+	if wide {
+		return 2
 	}
-	return links
+	return 1
 }
 
 // appendLinks encodes a link list with a 1-byte count. Paths longer
@@ -501,37 +533,146 @@ func appendLinks(buf []byte, links []uint16, wide bool, sat *metrics.Counter) []
 	return buf
 }
 
-func readLinks(b []byte, off int, wide bool) ([]uint16, int, error) {
-	if off >= len(b) {
-		return nil, 0, fmt.Errorf("dissem: truncated link count")
-	}
-	n := int(b[off])
-	off++
-	idw := 1
-	if wide {
-		idw = 2
-	}
-	if off+n*idw > len(b) {
-		return nil, 0, fmt.Errorf("dissem: truncated link list")
-	}
-	links := make([]uint16, n)
-	for i := 0; i < n; i++ {
-		if wide {
-			links[i] = binary.BigEndian.Uint16(b[off:])
-			off += 2
-		} else {
-			links[i] = uint16(b[off])
-			off++
-		}
-	}
-	return links, off, nil
-}
-
 // clampU32 saturates a 64-bit usage sum into a 32-bit wire field,
 // counting clamps in the process-wide wire.Saturations.
 //
 //kollaps:saturates
 func clampU32(v uint64) uint32 { return wire.U32(v, nil) }
+
+// take borrows a node's scratch slice for a call that keeps using it
+// across a SendTo, and the caller assigns it back when done. Real
+// transports deliver later, but the tests' loopback delivers
+// synchronously, so a send can re-enter Receive on this very node; the
+// re-entered call finds the field nil and grows a buffer of its own
+// instead of overwriting the one in use. Scratch that is dead by the time
+// the node sends, or that only Publish (never re-entered) touches, needs
+// none of this.
+func take[T any](scratch *[]T) []T {
+	s := (*scratch)[:0]
+	*scratch = nil
+	return s
+}
+
+// ---- path-sorted records ----
+//
+// A flow is identified by its link path (the paper's flow identity), and
+// Delta and Gossip both store a report as one record per distinct path.
+// The records of one report live in a recSet: a slice ordered by path —
+// lexicographically over the link ids, a proper prefix first — whose link
+// lists all point into one arena, so a set is two recycled allocations,
+// not one per record. Path order lets two sets be compared, diffed and
+// merged by walking them side by side, and is the canonical order of
+// records in views and on the wire.
+
+// pathRec is one path aggregate: summed usage and the number of
+// underlying flows. On Delta's wire count==0 marks a tombstone.
+//
+//kollaps:wire
+type pathRec struct {
+	bps   uint32
+	count uint16
+	links []uint16
+}
+
+// recSet is a reusable record list plus the arena behind its link lists.
+type recSet struct {
+	recs  []pathRec
+	links []uint16
+}
+
+func (s *recSet) reset() {
+	s.recs, s.links = s.recs[:0], s.links[:0]
+}
+
+// add appends a record, copying its links into the arena.
+func (s *recSet) add(bps uint32, count uint16, links []uint16) {
+	start := len(s.links)
+	s.links = append(s.links, links...)
+	s.recs = append(s.recs, pathRec{bps, count, s.links[start:len(s.links):len(s.links)]})
+}
+
+// comparePaths orders records by path.
+func comparePaths(a, b pathRec) int { return slices.Compare(a.links, b.links) }
+
+// fold loads a local report, merging flows that share a path: usage is
+// summed (saturating) and count keeps how many flows went in.
+func (s *recSet) fold(msg *metadata.Message) {
+	s.reset()
+	for _, f := range msg.Flows {
+		s.add(f.BPS, 1, f.Links)
+	}
+	slices.SortFunc(s.recs, comparePaths)
+	w := 0
+	for i := 1; i < len(s.recs); i++ {
+		if r := s.recs[i]; slices.Equal(r.links, s.recs[w].links) {
+			s.recs[w].bps = clampU32(uint64(s.recs[w].bps) + uint64(r.bps))
+			if s.recs[w].count < ^uint16(0) {
+				s.recs[w].count++
+			}
+		} else {
+			w++
+			s.recs[w] = r
+		}
+	}
+	if len(s.recs) > 0 {
+		s.recs = s.recs[:w+1]
+	}
+}
+
+// readRecs appends the n wire records (bps:4, count:2, nlinks:1, links)
+// at b[off:], a span the caller has validated with skipRecs.
+func (s *recSet) readRecs(b []byte, off, n int, wide bool) {
+	for i := 0; i < n; i++ {
+		bps, count, nl := binary.BigEndian.Uint32(b[off:]), binary.BigEndian.Uint16(b[off+4:]), int(b[off+6])
+		off += 7
+		start := len(s.links)
+		for j := 0; j < nl; j++ {
+			if wide {
+				s.links = append(s.links, binary.BigEndian.Uint16(b[off:]))
+				off += 2
+			} else {
+				s.links = append(s.links, uint16(b[off]))
+				off++
+			}
+		}
+		s.recs = append(s.recs, pathRec{bps, count, s.links[start:len(s.links):len(s.links)]})
+	}
+}
+
+// skipRecs bounds-checks n wire records at b[off:] and returns the
+// offset past them; ok==false means the datagram is truncated.
+func skipRecs(b []byte, off, n int, wide bool) (int, bool) {
+	idw := idWidth(wide)
+	for i := 0; i < n; i++ {
+		if off+7 > len(b) {
+			return 0, false
+		}
+		off += 7 + idw*int(b[off+6])
+		if off > len(b) {
+			return 0, false
+		}
+	}
+	return off, true
+}
+
+// appendRecs encodes records in the wire form readRecs parses.
+func appendRecs(buf []byte, recs []pathRec, wide bool, sat *metrics.Counter) []byte {
+	for _, r := range recs {
+		buf = binary.BigEndian.AppendUint32(buf, r.bps)
+		buf = binary.BigEndian.AppendUint16(buf, r.count)
+		buf = appendLinks(buf, r.links, wide, sat)
+	}
+	return buf
+}
+
+// recsWireSize is the exact number of bytes appendRecs produces.
+func recsWireSize(recs []pathRec, wide bool) int {
+	size, idw := 7*len(recs), idWidth(wide)
+	for _, r := range recs {
+		size += idw * min(len(r.links), 0xFF)
+	}
+	return size
+}
 
 // ---- liveness ----
 
@@ -548,22 +689,27 @@ func clampU32(v uint64) uint32 { return wire.U32(v, nil) }
 type liveness struct {
 	suspectAfter int
 	tick         int
-	lastHeard    map[int]int  // watched peer -> last tick traffic arrived
-	suspects     map[int]bool // peers currently suspected dead
+	lastHeard    []int  // by peer: last tick traffic arrived; unwatched when negative
+	suspects     []bool // by peer: currently suspected dead
+	newly        []int  // advance's result, reused
 }
 
-func newLiveness(suspectAfter int) *liveness {
-	return &liveness{
+func newLiveness(suspectAfter, numHosts int) *liveness {
+	l := &liveness{
 		suspectAfter: suspectAfter,
-		lastHeard:    make(map[int]int),
-		suspects:     make(map[int]bool),
+		lastHeard:    make([]int, numHosts),
+		suspects:     make([]bool, numHosts),
 	}
+	for h := range l.lastHeard {
+		l.lastHeard[h] = -1
+	}
+	return l
 }
 
 // watch starts monitoring a peer, granting it a full suspectAfter grace
 // window from now. Watching an already-watched peer keeps its deadline.
 func (l *liveness) watch(host int) {
-	if _, ok := l.lastHeard[host]; !ok && !l.suspects[host] {
+	if l.lastHeard[host] < 0 && !l.suspects[host] {
 		l.lastHeard[host] = l.tick
 	}
 }
@@ -571,7 +717,7 @@ func (l *liveness) watch(host int) {
 // unwatch stops monitoring a peer (it left the node's overlay
 // neighborhood); an existing suspicion is kept until the peer is heard.
 func (l *liveness) unwatch(host int) {
-	delete(l.lastHeard, host)
+	l.lastHeard[host] = -1
 }
 
 // heard records traffic from a peer. It reports true when the peer was
@@ -579,10 +725,10 @@ func (l *liveness) unwatch(host int) {
 // overlay, schedule a full report, ...).
 func (l *liveness) heard(host int) bool {
 	if l.suspects[host] {
-		delete(l.suspects, host)
+		l.suspects[host] = false
 		return true
 	}
-	if _, ok := l.lastHeard[host]; ok {
+	if l.lastHeard[host] >= 0 {
 		l.lastHeard[host] = l.tick
 	}
 	return false
@@ -590,37 +736,29 @@ func (l *liveness) heard(host int) bool {
 
 // advance moves the publish clock one period and returns the watched
 // peers newly suspected dead, in ascending host order (deterministic).
+// The result is valid until the next advance.
 func (l *liveness) advance() []int {
 	l.tick++
-	var newly []int
+	l.newly = l.newly[:0]
 	for h, last := range l.lastHeard {
-		if l.tick-last > l.suspectAfter {
-			newly = append(newly, h)
+		if last >= 0 && l.tick-last > l.suspectAfter {
+			l.lastHeard[h] = -1
+			l.suspects[h] = true
+			l.newly = append(l.newly, h)
 		}
 	}
-	if len(newly) == 0 {
-		return nil
-	}
-	sort.Ints(newly)
-	for _, h := range newly {
-		delete(l.lastHeard, h)
-		l.suspects[h] = true
-	}
-	return newly
+	return l.newly
 }
 
 // suspected reports whether a peer is currently suspected dead.
 func (l *liveness) suspected(host int) bool { return l.suspects[host] }
 
-// suspectList returns the current suspects in ascending host order.
-func (l *liveness) suspectList() []int {
-	if len(l.suspects) == 0 {
-		return nil
+// appendSuspects appends the current suspects in ascending host order.
+func (l *liveness) appendSuspects(buf []int) []int {
+	for h, s := range l.suspects {
+		if s {
+			buf = append(buf, h)
+		}
 	}
-	out := make([]int, 0, len(l.suspects))
-	for h := range l.suspects {
-		out = append(out, h)
-	}
-	sort.Ints(out)
-	return out
+	return buf
 }

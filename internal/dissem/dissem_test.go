@@ -2,8 +2,11 @@ package dissem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +93,55 @@ func hostMsg(host int, flows ...metadata.FlowRecord) *metadata.Message {
 	return &metadata.Message{Host: uint16(host), Flows: flows}
 }
 
+// pathKey packs a link list into a map key, for tests that index views by
+// path; keyLinks reverses it. The keys are fixed-width big-endian, so
+// sorting them orders paths exactly as the package's record tables do.
+func pathKey(links []uint16) string {
+	b := make([]byte, 2*len(links))
+	for i, l := range links {
+		binary.BigEndian.PutUint16(b[2*i:], l)
+	}
+	return string(b)
+}
+
+func keyLinks(k string) []uint16 {
+	links := make([]uint16, len(k)/2)
+	for i := range links {
+		links[i] = binary.BigEndian.Uint16([]byte(k[2*i : 2*i+2]))
+	}
+	return links
+}
+
+// mergeRecs runs parts — path-sorted first, as a node holds them — through
+// a fresh codec's merge.
+func mergeRecs(parts ...[]aggRec) []aggRec {
+	var c treeCodec
+	for _, p := range parts {
+		p = slices.Clone(p)
+		for i := range p {
+			p[i].prefix = pathPrefix(p[i].links)
+		}
+		slices.SortFunc(p, compareAggPaths)
+		c.parts = append(c.parts, p)
+	}
+	return c.merge()
+}
+
+// encodeTree is a fresh codec's encode, copied out of its buffer.
+func encodeTree(typ byte, host int, now time.Duration, recs []aggRec, stats *Stats) []byte {
+	var c treeCodec
+	return slices.Clone(c.encode(typ, host, now, recs, stats))
+}
+
+// decodeTreeRecs is decodeTree into fresh storage.
+func decodeTreeRecs(payload []byte, now time.Duration, stats *Stats) ([]aggRec, bool) {
+	var r treeReport
+	if !decodeTree(payload, now, &r, stats) {
+		return nil, false
+	}
+	return r.recs, true
+}
+
 // viewTotals sums BPS by path key over a view, also summing counts.
 func viewTotals(view []RemoteFlow) map[string][2]uint64 {
 	m := make(map[string][2]uint64)
@@ -113,6 +165,14 @@ func unsealed(payload []byte) []byte {
 		return nil
 	}
 	return inner
+}
+
+// seal wraps a copy of one inner payload in a stamped envelope, for tests
+// that hand-craft datagrams.
+func (s *Stats) seal(inner []byte) []byte {
+	frame := append(newFrame(len(inner)), inner...)
+	s.stamp(frame)
+	return frame
 }
 
 func TestParseKind(t *testing.T) {
@@ -146,6 +206,20 @@ func TestParseKind(t *testing.T) {
 	if _, err := New(Config{NumHosts: 3}, -1, harnessTr{}); err == nil {
 		t.Error("New with negative host should fail")
 	}
+	// Zero knobs select the defaults; negative ones used to as well,
+	// silently. They are errors naming the field and the value.
+	for field, cfg := range map[string]Config{
+		"ResyncEvery":  {Kind: Delta, ResyncEvery: -7},
+		"AckEvery":     {Kind: Delta, AckEvery: -7},
+		"Fanout":       {Kind: Tree, Fanout: -7},
+		"GossipRounds": {Kind: Gossip, GossipRounds: -7},
+		"SuspectAfter": {Kind: Gossip, SuspectAfter: -7},
+	} {
+		cfg.NumHosts = 4
+		if _, err := New(cfg, 0, harnessTr{}); err == nil || !strings.Contains(err.Error(), field) || !strings.Contains(err.Error(), "-7") {
+			t.Errorf("New with %s = -7: got %v, want an error naming both", field, err)
+		}
+	}
 }
 
 // TestMergeRecsCountSaturates: merging aggregates whose summed flow count
@@ -157,7 +231,7 @@ func TestMergeRecsCountSaturates(t *testing.T) {
 		{{origin: 1, bps: 1000, count: 40_000, ts: 1, links: links}},
 		{{origin: 2, bps: 2000, count: 40_000, ts: 2, links: links}},
 	}
-	out := mergeRecs(parts)
+	out := mergeRecs(parts...)
 	if len(out) != 1 {
 		t.Fatalf("mergeRecs returned %d records, want 1", len(out))
 	}
@@ -169,7 +243,7 @@ func TestMergeRecsCountSaturates(t *testing.T) {
 	}
 	// Below the limit, counts still add exactly.
 	parts[1][0].count = 3
-	if out := mergeRecs(parts); out[0].count != 40_003 {
+	if out := mergeRecs(parts...); out[0].count != 40_003 {
 		t.Fatalf("merged count = %d, want 40003", out[0].count)
 	}
 }
@@ -706,14 +780,26 @@ func TestBogusSenderIDIgnored(t *testing.T) {
 	}
 }
 
+// TestPathKeyRoundTrip pins the test helper the view assertions index by
+// — and the order argument the package's path-sorted tables rest on:
+// comparing the fixed-width big-endian keys as strings is comparing the
+// link lists lexicographically.
 func TestPathKeyRoundTrip(t *testing.T) {
-	for _, links := range [][]uint16{nil, {0}, {255}, {256}, {1, 2, 3}, {65535, 0, 77}} {
+	paths := [][]uint16{nil, {0}, {255}, {256}, {1, 2, 3}, {65535, 0, 77}, {1, 2}, {1, 256}, {0, 65535}}
+	for _, links := range paths {
 		got := keyLinks(pathKey(links))
 		if len(links) == 0 && len(got) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(got, links) {
 			t.Errorf("pathKey round trip: %v -> %v", links, got)
+		}
+	}
+	for _, a := range paths {
+		for _, b := range paths {
+			if byKey, byPath := strings.Compare(pathKey(a), pathKey(b)), slices.Compare(a, b); byKey != byPath {
+				t.Errorf("paths %v, %v: string keys compare %d, link lists %d", a, b, byKey, byPath)
+			}
 		}
 	}
 }

@@ -46,24 +46,29 @@ const (
 	envRestartGap = 64
 )
 
-// castagnoli is the CRC-32C table shared by seal and open.
+// castagnoli is the CRC-32C table shared by stamp and open.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// seal wraps one inner payload in a freshly allocated envelope. A fresh
-// buffer per send is deliberate: the chaos plane may defer or duplicate
-// delivery, so a sent datagram must never alias a buffer the sender
-// reuses.
-func (s *Stats) seal(inner []byte) []byte {
+// newFrame starts a datagram: the envelope header's 13 bytes, reserved
+// for stamp, with room for innerCap bytes of inner payload appended
+// behind them. Every datagram gets a frame of its own — the one
+// allocation a send costs: the transport (and the chaos plane, which may
+// defer or duplicate delivery) owns a frame from SendTo on, so a sent
+// datagram must never alias a buffer the sender reuses.
+func newFrame(innerCap int) []byte {
+	return make([]byte, envHeaderLen, envHeaderLen+innerCap)
+}
+
+// stamp fills in the header of a frame whose inner payload is complete:
+// the sender's next sequence number, the inner length and the checksum.
+func (s *Stats) stamp(frame []byte) {
 	s.envSeq++
-	b := make([]byte, envHeaderLen+len(inner))
-	b[0] = envVersion
-	binary.BigEndian.PutUint32(b[1:], s.envSeq)
-	binary.BigEndian.PutUint32(b[5:], wire.U32(uint64(len(inner)), nil))
-	copy(b[envHeaderLen:], inner)
-	crc := crc32.Update(0, castagnoli, b[:9])
-	crc = crc32.Update(crc, castagnoli, b[envHeaderLen:])
-	binary.BigEndian.PutUint32(b[9:], crc)
-	return b
+	frame[0] = envVersion
+	binary.BigEndian.PutUint32(frame[1:], s.envSeq)
+	binary.BigEndian.PutUint32(frame[5:], wire.U32(uint64(len(frame)-envHeaderLen), nil))
+	crc := crc32.Update(0, castagnoli, frame[:9])
+	crc = crc32.Update(crc, castagnoli, frame[envHeaderLen:])
+	binary.BigEndian.PutUint32(frame[9:], crc)
 }
 
 // open validates and unwraps one received datagram, doing the node's

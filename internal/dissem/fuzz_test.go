@@ -95,7 +95,7 @@ func FuzzDecodeTree(f *testing.F) {
 		f.Add(s, false, int64(50*time.Millisecond))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, wide bool, now int64) {
-		recs, ok := decodeTree(data, time.Duration(now), wide, &Stats{})
+		recs, ok := decodeTreeRecs(data, time.Duration(now), &Stats{})
 		if !ok && recs != nil {
 			t.Fatal("decodeTree returned records alongside failure")
 		}
@@ -137,12 +137,12 @@ func FuzzTreeCodecRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, wide bool, now int64) {
 		var stats Stats
-		recs, ok := decodeTree(data, time.Duration(now), wide, &stats)
+		recs, ok := decodeTreeRecs(data, time.Duration(now), &stats)
 		if !ok {
 			return
 		}
 		raw := encodeTree(msgTreeUp, 1, time.Duration(now), recs, &stats)
-		again, ok := decodeTree(raw, time.Duration(now), wide, &stats)
+		again, ok := decodeTreeRecs(raw, time.Duration(now), &stats)
 		if !ok {
 			t.Fatalf("re-encoded datagram did not decode (input %x)", data)
 		}

@@ -3,7 +3,7 @@ package dissem
 import (
 	"encoding/binary"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/metadata"
@@ -58,59 +58,65 @@ import (
 // through one received datagram: its vv shows it behind on every origin,
 // it pulls them all, and its own fresh entry out-versions its past life.
 type gossipNode struct {
-	cfg    Config
-	host   int
-	tr     Transport
-	stats  Stats
+	endpoint
 	rounds int
-	rng    *rand.Rand
+	rng    *rand.Rand // forward sampling: the node's own stream
+	// offsetRng draws each period's ring offsets; re-seeded from
+	// (Seed, tick) every Publish, so every node draws the same ones.
+	offsetRng *rand.Rand
 
 	live *liveness
 
-	// entries is the node's world view, keyed by origin. Expired entries
-	// are kept (filtered at view time): dropping one would also drop its
+	// entries is the node's world view, by origin. Expired entries are
+	// kept (filtered at view time): dropping one would also drop its
 	// cver, and a stale peer's version vector could then resurrect a dead
 	// origin through a pull.
-	entries map[uint16]*gossipEntry
+	entries []gossipEntry
 	// peerVV holds, per overlay link (peer this node heard from), the
-	// peer's last version vector — cver per origin. Convergence detection:
-	// a hot entry is not pushed to a peer whose vv already covers it, so
-	// rumors die per-link exactly when the link has nothing to learn.
-	peerVV map[int][]uint64
+	// peer's last version vector — cver per origin; nil until the peer is
+	// first heard. Convergence detection: a hot entry is not pushed to a
+	// peer whose vv already covers it, so rumors die per-link exactly when
+	// the link has nothing to learn.
+	peerVV [][]uint64
 	// lastPull rate-limits anti-entropy: at most one pull per origin per
 	// period, so a slow origin cannot be pulled from every peer at once.
 	// pullGap stretches that to a capped exponential backoff while a
 	// pull goes unanswered (partitioned or flapping origin): 1, 2, 4, 8
-	// periods between retries, reset to 1 the moment the origin's
-	// content is adopted — so a healed partition recovers within one
-	// backoff step instead of compounding a pull storm while down.
-	lastPull map[uint16]int
-	pullGap  map[uint16]int
+	// periods between retries, reset to 1 (stored as 0) the moment the
+	// origin's content is adopted — so a healed partition recovers within
+	// one backoff step instead of compounding a pull storm while down.
+	lastPull []int
+	pullGap  []int
 
+	// Scratch. folded is where Publish folds the local report; when the
+	// content changed it is swapped with the own entry's records.
+	folded recSet
 	//kollaps:arena
-	hostsBuf []int // view scratch (deterministic origin ordering)
+	offsets []int // Publish: the period's ring offsets
+	//kollaps:arena
+	suspects []int // Publish: the suspects being probed
+	//kollaps:arena
+	probe []byte // Publish: the vv-only probe sealed once per suspect
+	//kollaps:arena
+	origins []uint16 // the origins one datagram carries or asks for
+	//kollaps:arena
+	fresh []uint16 // receivePush: origins adopted with hops left
+	//kollaps:arena
+	pool []int // forward: candidate targets
 }
 
 // gossipEntry is one origin's report.
 type gossipEntry struct {
+	held bool // false: nothing known about the origin yet
 	cver uint64
 	ts   time.Duration
 	ttl  int // remaining infect-and-die hops (0 = cold)
-	recs []gossipRec
-}
-
-// gossipRec is one path aggregate of a report.
-//
-//kollaps:wire
-type gossipRec struct {
-	bps   uint32
-	count uint16
-	links []uint16
+	recSet
 }
 
 func newGossipNode(cfg Config, host int, tr Transport) *gossipNode {
 	rounds := cfg.GossipRounds
-	if rounds <= 0 {
+	if rounds == 0 {
 		// ⌈log_f(N)⌉ + 1: the push wave covers the deployment with one
 		// spare hop; pulls repair the tail.
 		rounds = 2
@@ -122,16 +128,15 @@ func newGossipNode(cfg Config, host int, tr Transport) *gossipNode {
 		rounds = 255 // the wire carries ttl in one byte
 	}
 	n := &gossipNode{
-		cfg:      cfg,
-		host:     host,
-		tr:       tr,
-		rounds:   rounds,
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(host)*0x5E3779B97F4A7C15)),
-		live:     newLiveness(cfg.SuspectAfter * gossipCycle(cfg)),
-		entries:  make(map[uint16]*gossipEntry),
-		peerVV:   make(map[int][]uint64),
-		lastPull: make(map[uint16]int),
-		pullGap:  make(map[uint16]int),
+		endpoint:  endpoint{cfg: cfg, host: host, tr: tr},
+		rounds:    rounds,
+		rng:       rand.New(rand.NewSource(cfg.Seed ^ int64(host)*0x5E3779B97F4A7C15)),
+		offsetRng: rand.New(rand.NewSource(0)),
+		live:      newLiveness(cfg.SuspectAfter*gossipCycle(cfg), cfg.NumHosts),
+		entries:   make([]gossipEntry, cfg.NumHosts),
+		peerVV:    make([][]uint64, cfg.NumHosts),
+		lastPull:  make([]int, cfg.NumHosts),
+		pullGap:   make([]int, cfg.NumHosts),
 	}
 	for h := 0; h < cfg.NumHosts; h++ {
 		if h != host {
@@ -154,17 +159,22 @@ func gossipCycle(cfg Config) int {
 	return c
 }
 
-// gossipOffsets derives the period's shared ring offsets from
-// (seed, tick). Every node computes the same set, so node i pushing to
+// ringOffsets derives the period's shared ring offsets from (seed, tick)
+// into n.offsets. Every node computes the same set, so node i pushing to
 // i+offset (mod N) tiles the ring: each node receives exactly Fanout
 // pushes per period while targets still vary pseudo-randomly over time.
-func gossipOffsets(seed int64, tick, numHosts, fanout int) []int {
-	rng := rand.New(rand.NewSource(seed ^ int64(tick)*0x6A09E667F3BCC909))
-	k := fanout
-	if k > numHosts-1 {
-		k = numHosts - 1
+// The draw is rand.Perm(N−1)[:Fanout] without the allocation.
+func (n *gossipNode) ringOffsets() []int {
+	n.offsetRng.Seed(n.cfg.Seed ^ int64(n.live.tick)*0x6A09E667F3BCC909)
+	perm := n.offsets[:0]
+	for i := 0; i < n.cfg.NumHosts-1; i++ {
+		j := n.offsetRng.Intn(i + 1)
+		perm = append(perm, 0)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
-	perm := rng.Perm(numHosts - 1)[:k]
+	n.offsets = perm
+	perm = perm[:min(n.cfg.Fanout, len(perm))]
 	for i := range perm {
 		perm[i]++ // offsets in [1, N-1]
 	}
@@ -185,37 +195,34 @@ func (n *gossipNode) Publish(now time.Duration, msg *metadata.Message) {
 	// Fold the local report into the own entry: merge same-path flows
 	// (sum usage, keep the flow count), bump cver only when the content
 	// actually changed — ts alone is the heartbeat.
-	recs := gossipFold(msg)
-	self := n.entries[uint16(n.host)]
-	if self == nil {
-		self = &gossipEntry{
+	n.folded.fold(msg)
+	self := &n.entries[n.host]
+	if !self.held || !slices.EqualFunc(self.recs, n.folded.recs, sameRec) {
+		if self.held {
+			self.cver++
+		} else {
 			// Creation-time µs seed makes cver monotonic across restarts.
-			cver: uint64(now/time.Microsecond) + 1,
-			ttl:  n.rounds,
+			self.held, self.cver = true, uint64(now/time.Microsecond)+1
 		}
-		n.entries[uint16(n.host)] = self
-		self.recs = recs
-	} else if !gossipRecsEqual(self.recs, recs) {
-		self.cver++
 		self.ttl = n.rounds
-		self.recs = recs
+		self.recSet, n.folded = n.folded, self.recSet
 	}
 	self.ts = now
 
 	// Push hot entries to this period's ring targets, filtering per
 	// target by its last-heard version vector (no point re-telling a
 	// rumor the peer provably knows).
-	for _, off := range gossipOffsets(n.cfg.Seed, n.live.tick, n.cfg.NumHosts, n.cfg.Fanout) {
+	for _, off := range n.ringOffsets() {
 		t := (n.host + off) % n.cfg.NumHosts
 		if t == n.host || n.live.suspected(t) {
 			continue
 		}
-		n.stats.send(n.tr, t, n.encodePush(now, t, nil))
+		n.sendPush(now, t, n.hotOrigins(t))
 	}
 	// Decrement the hop budget once per period: a rumor is told for
 	// GossipRounds periods from each node that adopted it, then dies.
-	for _, e := range n.entries {
-		if e.ttl > 0 {
+	for o := range n.entries {
+		if e := &n.entries[o]; e.ttl > 0 {
 			e.ttl--
 		}
 	}
@@ -224,75 +231,52 @@ func (n *gossipNode) Publish(now time.Duration, msg *metadata.Message) {
 	// the probe is the only datagram that can heal either side; probes to
 	// genuinely dead hosts just drop.
 	if n.live.tick%n.cfg.SuspectAfter == 0 {
-		if suspects := n.live.suspectList(); len(suspects) > 0 {
-			probe := n.encodeVVOnly(now)
-			for _, h := range suspects {
-				n.stats.send(n.tr, h, probe)
+		if n.suspects = n.live.appendSuspects(n.suspects[:0]); len(n.suspects) > 0 {
+			n.probe = n.appendPush(n.probe[:0], now, nil)
+			for _, h := range n.suspects {
+				n.stats.send(n.tr, h, n.probe)
 			}
 		}
 	}
 }
 
-// gossipFold merges a report's same-path flows into path-sorted records.
-func gossipFold(msg *metadata.Message) []gossipRec {
-	m := make(map[string]*gossipRec, len(msg.Flows))
-	keys := make([]string, 0, len(msg.Flows))
-	for _, f := range msg.Flows {
-		k := pathKey(f.Links)
-		r := m[k]
-		if r == nil {
-			links := make([]uint16, len(f.Links))
-			copy(links, f.Links)
-			m[k] = &gossipRec{bps: f.BPS, count: 1, links: links}
-			keys = append(keys, k)
+func sameRec(a, b pathRec) bool {
+	return a.bps == b.bps && a.count == b.count && slices.Equal(a.links, b.links)
+}
+
+// hotOrigins lists, ascending, the origins with a live hop budget that
+// target's last version vector does not already cover (all of them when
+// none was heard). The result is valid until the next call.
+func (n *gossipNode) hotOrigins(target int) []uint16 {
+	vv := n.peerVV[target]
+	n.origins = n.origins[:0]
+	for o := range n.entries {
+		e := &n.entries[o]
+		if !e.held || e.ttl <= 0 {
 			continue
 		}
-		r.bps = clampU32(uint64(r.bps) + uint64(f.BPS))
-		if r.count < ^uint16(0) {
-			r.count++
+		if vv != nil && vv[o] >= e.cver {
+			continue // per-link convergence: the peer already has it
 		}
+		n.origins = append(n.origins, wire.U16(o, nil))
 	}
-	sort.Strings(keys)
-	out := make([]gossipRec, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *m[k])
-	}
-	return out
+	return n.origins
 }
 
-func gossipRecsEqual(a, b []gossipRec) bool {
-	if len(a) != len(b) {
-		return false
+// sendPush sends one target a push carrying the given origins' entries
+// (hot entries, novelty forwards, pull replies), built straight into its
+// frame.
+func (n *gossipNode) sendPush(now time.Duration, target int, origins []uint16) {
+	size := 5 + 2 + 12*n.cfg.NumHosts
+	for _, o := range origins {
+		recs := n.entries[o].recs
+		size += 17 + recsWireSize(recs[:min(len(recs), maxWireRecords)], n.cfg.Wide)
 	}
-	for i := range a {
-		if a[i].bps != b[i].bps || a[i].count != b[i].count || len(a[i].links) != len(b[i].links) {
-			return false
-		}
-		for j := range a[i].links {
-			if a[i].links[j] != b[i].links[j] {
-				return false
-			}
-		}
-	}
-	return true
+	n.stats.sendFrame(n.tr, target, n.appendPush(newFrame(size), now, origins))
 }
 
-// hotOrigins returns the origins with a live hop budget, ascending.
-func (n *gossipNode) hotOrigins() []uint16 {
-	var hot []uint16
-	for o, e := range n.entries {
-		if e.ttl > 0 {
-			hot = append(hot, o)
-		}
-	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i] < hot[j] })
-	return hot
-}
-
-// encodePush serializes a gossip push for one target: the hot entries
-// the target's last version vector does not already cover (all hot
-// entries when none was heard), or exactly `only` when non-nil (novelty
-// forwards and pull replies), followed by the full version vector:
+// appendPush serializes a gossip push — the given origins' entries (none
+// for the probe/heartbeat form), then the full version vector:
 //
 //	[type][host:2][n:2] n×(origin:2, cver:8, ageµs:4, ttl:1, nrec:2,
 //	                       nrec×(bps:4, count:2, nlinks:1, links))
@@ -300,30 +284,15 @@ func (n *gossipNode) hotOrigins() []uint16 {
 //
 // Ages are relative to the send time (saturating µs), reconstructed at
 // arrival like the tree codec's.
-func (n *gossipNode) encodePush(now time.Duration, target int, only []uint16) []byte {
-	origins := only
-	if origins == nil {
-		vv := n.peerVV[target]
-		for _, o := range n.hotOrigins() {
-			if vv != nil && int(o) < len(vv) && vv[o] >= n.entries[o].cver {
-				continue // per-link convergence: the peer already has it
-			}
-			origins = append(origins, o)
-		}
-	}
-	buf := make([]byte, 0, 5+len(origins)*28+2+12*n.cfg.NumHosts)
+func (n *gossipNode) appendPush(buf []byte, now time.Duration, origins []uint16) []byte {
 	buf = append(buf, msgGossip)
 	buf = binary.BigEndian.AppendUint16(buf, wire.U16(n.host, &n.stats.Saturated))
 	buf = binary.BigEndian.AppendUint16(buf, wire.U16(len(origins), &n.stats.Saturated))
 	for _, o := range origins {
-		e := n.entries[o]
-		age := (now - e.ts) / time.Microsecond
-		if age < 0 {
-			age = 0
-		}
+		e := &n.entries[o]
 		buf = binary.BigEndian.AppendUint16(buf, o)
 		buf = binary.BigEndian.AppendUint64(buf, e.cver)
-		buf = binary.BigEndian.AppendUint32(buf, clampU32(uint64(age)))
+		buf = binary.BigEndian.AppendUint32(buf, wireAge(now, e.ts))
 		ttl := e.ttl
 		if ttl < 1 {
 			ttl = 1 // pull replies are point-to-point: deliver, don't re-spread
@@ -335,121 +304,74 @@ func (n *gossipNode) encodePush(now time.Duration, target int, only []uint16) []
 			nrec = maxWireRecords
 		}
 		buf = binary.BigEndian.AppendUint16(buf, wire.U16(nrec, &n.stats.Saturated))
-		for _, r := range e.recs[:nrec] {
-			buf = binary.BigEndian.AppendUint32(buf, r.bps)
-			buf = binary.BigEndian.AppendUint16(buf, r.count)
-			buf = appendLinks(buf, r.links, n.cfg.Wide, &n.stats.Saturated)
-		}
+		buf = appendRecs(buf, e.recs[:nrec], n.cfg.Wide, &n.stats.Saturated)
 	}
-	return n.appendVV(buf, now)
-}
-
-// encodeVVOnly is a push with no entries — the probe/heartbeat form.
-func (n *gossipNode) encodeVVOnly(now time.Duration) []byte {
-	buf := make([]byte, 0, 5+2+12*n.cfg.NumHosts)
-	buf = append(buf, msgGossip)
-	buf = binary.BigEndian.AppendUint16(buf, wire.U16(n.host, &n.stats.Saturated))
-	buf = binary.BigEndian.AppendUint16(buf, 0)
-	return n.appendVV(buf, now)
-}
-
-func (n *gossipNode) appendVV(buf []byte, now time.Duration) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, wire.U16(n.cfg.NumHosts, &n.stats.Saturated))
-	for h := 0; h < n.cfg.NumHosts; h++ {
-		e := n.entries[uint16(h)]
-		if e == nil {
+	for h := range n.entries {
+		e := &n.entries[h]
+		if !e.held {
 			buf = binary.BigEndian.AppendUint64(buf, 0)
 			buf = binary.BigEndian.AppendUint32(buf, ^uint32(0))
 			continue
 		}
-		age := (now - e.ts) / time.Microsecond
-		if age < 0 {
-			age = 0
-		}
 		buf = binary.BigEndian.AppendUint64(buf, e.cver)
-		buf = binary.BigEndian.AppendUint32(buf, clampU32(uint64(age)))
+		buf = binary.BigEndian.AppendUint32(buf, wireAge(now, e.ts))
 	}
 	return buf
 }
 
-// gossipWireEntry is one decoded push entry.
-type gossipWireEntry struct {
-	origin uint16
-	cver   uint64
-	ts     time.Duration
-	ttl    int
-	recs   []gossipRec
+// wireAge is a timestamp's age at send time in saturating microseconds.
+func wireAge(now, ts time.Duration) uint32 {
+	age := (now - ts) / time.Microsecond
+	if age < 0 {
+		age = 0
+	}
+	return clampU32(uint64(age))
 }
 
-// decodeGossip parses a push: entries, then the version vector (cver and
-// reconstructed ts per origin; ok==false for unknown). Strict: trailing
-// bytes reject the datagram.
-func decodeGossip(payload []byte, now time.Duration, wide bool) (entries []gossipWireEntry, vvCver []uint64, vvTs []time.Duration, ok bool) {
-	if len(payload) < 5 {
-		return nil, nil, nil, false
+// gossipEntryHeader is the fixed part of one push entry on the wire.
+const gossipEntryHeader = 17
+
+// vvEntry reads origin h's pair of a push's version vector (vv starts at
+// its first pair): the sender's cver and its heartbeat time reconstructed
+// at arrival, -1 when the sender knows nothing of h.
+func vvEntry(vv []byte, h int, now time.Duration) (cver uint64, ts time.Duration) {
+	cver, age := binary.BigEndian.Uint64(vv[12*h:]), binary.BigEndian.Uint32(vv[12*h+8:])
+	if age == ^uint32(0) {
+		return cver, -1
 	}
-	nent := int(binary.BigEndian.Uint16(payload[3:]))
+	return cver, now - time.Duration(age)*time.Microsecond
+}
+
+// checkGossip bounds-checks a push end to end — every entry, every
+// record, the version vector's length against the payload's — without
+// decoding anything, and returns the entry count and the offset of the
+// version vector's first (cver, age) pair. Strict: trailing bytes reject
+// the datagram.
+func checkGossip(payload []byte, numHosts int, wide bool) (nent, vvOff int, ok bool) {
+	if len(payload) < 5 {
+		return 0, 0, false
+	}
+	nent = int(binary.BigEndian.Uint16(payload[3:]))
 	off := 5
 	for i := 0; i < nent; i++ {
-		if off+17 > len(payload) {
-			return nil, nil, nil, false
-		}
-		e := gossipWireEntry{
-			origin: binary.BigEndian.Uint16(payload[off:]),
-			cver:   binary.BigEndian.Uint64(payload[off+2:]),
-			ts:     now - time.Duration(binary.BigEndian.Uint32(payload[off+10:]))*time.Microsecond,
-			ttl:    int(payload[off+14]),
+		if off+gossipEntryHeader > len(payload) {
+			return 0, 0, false
 		}
 		nrec := int(binary.BigEndian.Uint16(payload[off+15:]))
-		off += 17
-		// Preallocate only what the remaining payload could actually
-		// hold (a record is at least 7 bytes) — the claimed count is
-		// attacker-controlled and would otherwise buy a ~2 MB allocation
-		// with a 20-byte datagram.
-		capHint := nrec
-		if max := (len(payload) - off) / 7; capHint > max {
-			capHint = max
+		if off, ok = skipRecs(payload, off+gossipEntryHeader, nrec, wide); !ok {
+			return 0, 0, false
 		}
-		e.recs = make([]gossipRec, 0, capHint)
-		for j := 0; j < nrec; j++ {
-			if off+6 > len(payload) {
-				return nil, nil, nil, false
-			}
-			r := gossipRec{
-				bps:   binary.BigEndian.Uint32(payload[off:]),
-				count: binary.BigEndian.Uint16(payload[off+4:]),
-			}
-			links, next, err := readLinks(payload, off+6, wide)
-			if err != nil {
-				return nil, nil, nil, false
-			}
-			off = next
-			r.links = links
-			e.recs = append(e.recs, r)
-		}
-		entries = append(entries, e)
 	}
 	if off+2 > len(payload) {
-		return nil, nil, nil, false
+		return 0, 0, false
 	}
 	nvv := int(binary.BigEndian.Uint16(payload[off:]))
 	off += 2
-	if off+12*nvv != len(payload) {
-		return nil, nil, nil, false
+	if nvv != numHosts || off+12*nvv != len(payload) {
+		return 0, 0, false
 	}
-	vvCver = make([]uint64, nvv)
-	vvTs = make([]time.Duration, nvv)
-	for h := 0; h < nvv; h++ {
-		vvCver[h] = binary.BigEndian.Uint64(payload[off:])
-		age := binary.BigEndian.Uint32(payload[off+8:])
-		if age == ^uint32(0) {
-			vvTs[h] = -1
-		} else {
-			vvTs[h] = now - time.Duration(age)*time.Microsecond
-		}
-		off += 12
-	}
-	return entries, vvCver, vvTs, true
+	return nent, off, true
 }
 
 func (n *gossipNode) Receive(now time.Duration, payload []byte) {
@@ -463,7 +385,7 @@ func (n *gossipNode) Receive(now time.Duration, payload []byte) {
 	}
 	typ := payload[0]
 	from := int(binary.BigEndian.Uint16(payload[1:]))
-	if from >= n.cfg.NumHosts || from < 0 || from == n.host {
+	if from >= n.cfg.NumHosts || from == n.host {
 		n.stats.BadDatagram.Inc()
 		return // corrupted or spoofed sender id
 	}
@@ -475,110 +397,99 @@ func (n *gossipNode) Receive(now time.Duration, payload []byte) {
 	}
 }
 
-func (n *gossipNode) receivePush(now time.Duration, from int, payload []byte) {
-	entries, vvCver, vvTs, ok := decodeGossip(payload, now, n.cfg.Wide)
-	if !ok || len(vvCver) != n.cfg.NumHosts {
-		n.stats.BadDatagram.Inc()
-		return // corrupted: the epidemic repairs
-	}
+// heardFrom re-admits a suspect on first contact.
+func (n *gossipNode) heardFrom(now time.Duration, from int) {
 	if n.live.heard(from) {
 		n.stats.Recoveries.Inc()
 		n.cfg.Tracer.Record(now, obs.KindRecover, int32(n.host), int64(from), 0)
 		n.live.watch(from)
 	}
-	// Remember the peer's version vector (the per-link state convergence
-	// detection and pull targeting run on).
+}
+
+func (n *gossipNode) receivePush(now time.Duration, from int, payload []byte) {
+	nent, vvOff, ok := checkGossip(payload, n.cfg.NumHosts, n.cfg.Wide)
+	if !ok {
+		n.stats.BadDatagram.Inc()
+		return // corrupted: the epidemic repairs
+	}
+	n.heardFrom(now, from)
+	senderVV := payload[vvOff:]
+	// Adopt novel content. cver is monotonic per origin across restarts,
+	// so "higher cver with a fresher heartbeat" is always the newer
+	// report; equal cver means identical content and at most refreshes ts.
+	// Only an adopted entry's records are decoded, straight into the
+	// origin's own storage.
+	fresh := take(&n.fresh)
+	for off := 5; nent > 0; nent-- {
+		origin := int(binary.BigEndian.Uint16(payload[off:]))
+		cver := binary.BigEndian.Uint64(payload[off+2:])
+		ts := now - time.Duration(binary.BigEndian.Uint32(payload[off+10:]))*time.Microsecond
+		ttl := min(int(payload[off+14])-1, n.rounds)
+		nrec := int(binary.BigEndian.Uint16(payload[off+15:]))
+		recsOff := off + gossipEntryHeader
+		off, _ = skipRecs(payload, recsOff, nrec, n.cfg.Wide)
+		if origin >= n.cfg.NumHosts || origin == n.host {
+			continue
+		}
+		local := &n.entries[origin]
+		switch {
+		case !local.held, cver > local.cver && ts > local.ts:
+			local.held, local.cver, local.ts, local.ttl = true, cver, ts, ttl
+			local.reset()
+			local.readRecs(payload, recsOff, nrec, n.cfg.Wide)
+			n.pullGap[origin] = 0 // content arrived: reset the pull backoff
+			if ttl > 0 {
+				fresh = append(fresh, wire.U16(origin, nil))
+			}
+		case cver == local.cver && ts > local.ts:
+			local.ts = ts // heartbeat: same content, fresher liveness
+		}
+	}
+
+	// Version-vector bookkeeping: remember the peer's vector (the per-link
+	// state convergence detection and pull targeting run on), refresh the
+	// heartbeat of origins whose content we already hold, and pull the
+	// origins the sender provably out-knows us on.
 	vv := n.peerVV[from]
 	if vv == nil {
 		vv = make([]uint64, n.cfg.NumHosts)
 		n.peerVV[from] = vv
 	}
-	copy(vv, vvCver)
-
-	// Adopt novel content. cver is monotonic per origin across restarts,
-	// so "higher cver with a fresher heartbeat" is always the newer
-	// report; equal cver means identical content and at most refreshes ts.
-	var fresh []uint16
-	for i := range entries {
-		e := &entries[i]
-		if int(e.origin) >= n.cfg.NumHosts || int(e.origin) == n.host {
+	want := n.origins[:0]
+	for h := range n.entries {
+		cver, ts := vvEntry(senderVV, h, now)
+		vv[h] = cver
+		if h == n.host || cver == 0 {
 			continue
 		}
-		local := n.entries[e.origin]
-		switch {
-		case local == nil:
-			ttl := e.ttl - 1
-			if ttl > n.rounds {
-				ttl = n.rounds
-			}
-			n.entries[e.origin] = &gossipEntry{cver: e.cver, ts: e.ts, ttl: ttl, recs: e.recs}
-			delete(n.pullGap, e.origin) // content arrived: reset the pull backoff
-			if ttl > 0 {
-				fresh = append(fresh, e.origin)
-			}
-		case e.cver > local.cver && e.ts > local.ts:
-			local.cver = e.cver
-			local.ts = e.ts
-			local.recs = e.recs
-			local.ttl = e.ttl - 1
-			if local.ttl > n.rounds {
-				local.ttl = n.rounds
-			}
-			delete(n.pullGap, e.origin) // content arrived: reset the pull backoff
-			if local.ttl > 0 {
-				fresh = append(fresh, e.origin)
-			}
-		case e.cver == local.cver && e.ts > local.ts:
-			local.ts = e.ts // heartbeat: same content, fresher liveness
+		local := &n.entries[h]
+		if local.held && cver == local.cver {
+			local.ts = max(local.ts, ts)
+			continue
+		}
+		// At most one pull per origin per pullGap periods: every
+		// datagram of a wave carries the same vv, and pulling from
+		// each sender would multiply the repair traffic for nothing.
+		// The gap doubles (capped at 8) for every unanswered pull —
+		// capped exponential backoff, so a partitioned origin costs
+		// a bounded trickle instead of a per-period pull storm —
+		// and resets when the origin's content is finally adopted.
+		if (!local.held || cver > local.cver) && n.lastPull[h] <= n.live.tick {
+			gap := max(n.pullGap[h], 1)
+			n.lastPull[h] = n.live.tick + gap
+			n.pullGap[h] = min(2*gap, 8)
+			want = append(want, wire.U16(h, nil))
 		}
 	}
-
-	// Version-vector bookkeeping: heartbeat refreshes for origins whose
-	// content we already hold, anti-entropy pulls for origins the sender
-	// provably out-knows us on.
-	var want []uint16
-	for h := 0; h < n.cfg.NumHosts; h++ {
-		if h == n.host || vvCver[h] == 0 {
-			continue
-		}
-		local := n.entries[uint16(h)]
-		if local != nil && vvCver[h] == local.cver {
-			if vvTs[h] > local.ts {
-				local.ts = vvTs[h]
-			}
-			continue
-		}
-		if local == nil || vvCver[h] > local.cver {
-			// At most one pull per origin per pullGap periods: every
-			// datagram of a wave carries the same vv, and pulling from
-			// each sender would multiply the repair traffic for nothing.
-			// The gap doubles (capped at 8) for every unanswered pull —
-			// capped exponential backoff, so a partitioned origin costs
-			// a bounded trickle instead of a per-period pull storm —
-			// and resets when the origin's content is finally adopted.
-			if n.lastPull[uint16(h)] <= n.live.tick {
-				gap := n.pullGap[uint16(h)]
-				if gap < 1 {
-					gap = 1
-				}
-				n.lastPull[uint16(h)] = n.live.tick + gap
-				if gap < 8 {
-					gap *= 2
-				}
-				n.pullGap[uint16(h)] = gap
-				want = append(want, uint16(h))
-			}
-		}
-	}
+	n.origins = want
 	if len(want) > 0 {
-		buf := make([]byte, 0, 5+2*len(want))
-		buf = append(buf, msgGossipPull)
-		buf = binary.BigEndian.AppendUint16(buf, wire.U16(n.host, &n.stats.Saturated))
-		buf = binary.BigEndian.AppendUint16(buf, wire.U16(len(want), &n.stats.Saturated))
+		frame := append(newFrame(5+2*len(want)), msgGossipPull)
+		frame = binary.BigEndian.AppendUint16(frame, wire.U16(n.host, &n.stats.Saturated))
+		frame = binary.BigEndian.AppendUint16(frame, wire.U16(len(want), &n.stats.Saturated))
 		for _, o := range want {
-			buf = binary.BigEndian.AppendUint16(buf, o)
+			frame = binary.BigEndian.AppendUint16(frame, o)
 		}
-		n.stats.send(n.tr, from, buf)
+		n.stats.sendFrame(n.tr, from, frame)
 	}
 
 	// Forward novelty immediately (the infect step): the rumor crosses
@@ -588,28 +499,23 @@ func (n *gossipNode) receivePush(now time.Duration, from int, payload []byte) {
 	if len(fresh) > 0 {
 		n.forward(now, from, fresh)
 	}
+	n.fresh = fresh
 }
 
 // forward pushes just-adopted entries to Fanout sampled peers.
 func (n *gossipNode) forward(now time.Duration, except int, origins []uint16) {
-	var pool []int
+	pool := take(&n.pool)
 	for h := 0; h < n.cfg.NumHosts; h++ {
 		if h == n.host || h == except || n.live.suspected(h) {
 			continue
 		}
 		pool = append(pool, h)
 	}
-	if len(pool) == 0 {
-		return
-	}
 	n.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	k := n.cfg.Fanout
-	if k > len(pool) {
-		k = len(pool)
+	for _, t := range pool[:min(n.cfg.Fanout, len(pool))] {
+		n.sendPush(now, t, origins)
 	}
-	for _, t := range pool[:k] {
-		n.stats.send(n.tr, t, n.encodePush(now, t, origins))
-	}
+	n.pool = pool
 }
 
 func (n *gossipNode) receivePull(now time.Duration, from int, payload []byte) {
@@ -622,24 +528,21 @@ func (n *gossipNode) receivePull(now time.Duration, from int, payload []byte) {
 		n.stats.BadDatagram.Inc()
 		return
 	}
-	if n.live.heard(from) {
-		n.stats.Recoveries.Inc()
-		n.cfg.Tracer.Record(now, obs.KindRecover, int32(n.host), int64(from), 0)
-		n.live.watch(from)
-	}
-	var have []uint16
+	n.heardFrom(now, from)
+	have := n.origins[:0]
 	for i := 0; i < nreq; i++ {
 		o := binary.BigEndian.Uint16(payload[5+2*i:])
 		if int(o) >= n.cfg.NumHosts {
 			n.stats.BadDatagram.Inc()
 			return // corrupted request
 		}
-		if n.entries[o] != nil {
+		if n.entries[o].held {
 			have = append(have, o)
 		}
 	}
+	n.origins = have
 	if len(have) > 0 {
-		n.stats.send(n.tr, from, n.encodePush(now, from, have))
+		n.sendPush(now, from, have)
 	}
 }
 
@@ -647,14 +550,8 @@ func (n *gossipNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 	return n.AppendRemoteFlows(now, maxAge, nil)
 }
 
+//kollaps:hotpath
 func (n *gossipNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
-	n.hostsBuf = n.hostsBuf[:0]
-	for o := range n.entries {
-		if int(o) != n.host {
-			n.hostsBuf = append(n.hostsBuf, int(o))
-		}
-	}
-	sort.Ints(n.hostsBuf)
 	// Heartbeats diffuse epidemically, so a live origin's ts at a distant
 	// node legitimately lags a couple of periods behind the origin's own
 	// clock. Expiry therefore tolerates maxAge plus a 2/3 diffusion
@@ -664,18 +561,18 @@ func (n *gossipNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFl
 	// viewer. Reported Age stays the honest now−ts, so the consumer's
 	// staleness handling (old ⇒ greedy) is unaffected.
 	expire := maxAge + maxAge*2/3
-	for _, h := range n.hostsBuf {
-		e := n.entries[uint16(h)]
+	for h := range n.entries {
+		e := &n.entries[h]
 		age := now - e.ts
-		if age > expire {
-			continue // origin dead or unreachable: expired, but kept (cver)
+		if !e.held || h == n.host || age > expire {
+			continue // unknown, or dead or unreachable: expired, but kept (cver)
 		}
-		for i := range e.recs {
+		for _, r := range e.recs {
 			out = append(out, RemoteFlow{
 				Origin: wire.U16(h, nil),
-				BPS:    e.recs[i].bps,
-				Count:  e.recs[i].count,
-				Links:  e.recs[i].links,
+				BPS:    r.bps,
+				Count:  r.count,
+				Links:  r.links,
 				Age:    age,
 			})
 			n.stats.staleness(age)
@@ -683,5 +580,3 @@ func (n *gossipNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFl
 	}
 	return out
 }
-
-func (n *gossipNode) Stats() *Stats { return &n.stats }

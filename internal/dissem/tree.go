@@ -1,7 +1,8 @@
 package dissem
 
 import (
-	"sort"
+	"encoding/binary"
+	"slices"
 	"time"
 
 	"repro/internal/metadata"
@@ -75,59 +76,56 @@ import (
 // cycle); path coverage is never affected and the surplus resolves with
 // the fault.
 type treeNode struct {
-	cfg   Config
-	host  int
-	tr    Transport
-	stats Stats
+	endpoint
 
 	live     *liveness
 	parent   int // -1 for the root
 	children []int
-	// foster maps adopted orphans — static descendants whose ups arrive
-	// here because an asymmetric fault hides their parent from them but
-	// not from us — to the liveness tick of their latest up. Expired in
-	// Publish after SuspectAfter silent ticks.
-	foster map[int]int
+	// foster holds, by host, the liveness tick of the latest up from an
+	// adopted orphan — a static descendant whose ups arrive here because
+	// an asymmetric fault hides its parent from it but not from us —
+	// and -1 for everyone else. Expired in Publish after SuspectAfter
+	// silent ticks.
+	foster []int
 
-	local      []aggRec            // own flows as aggregate records
-	localLinks []uint16            // arena backing local's link slices
-	childUp    map[int]*treeReport // child host -> latest subtree aggregate
-	extern     *treeReport         // latest extern from the parent
+	local      []aggRec     // own flows as aggregate records, path-sorted
+	localLinks []uint16     // arena backing local's link slices
+	childUp    []treeReport // by child host: latest subtree aggregate
+	extern     treeReport   // latest extern from the parent
 
 	// lastSeq tracks each neighbor's newest envelope sequence — the
 	// tree's epoch check. Ups and downs trigger immediate relays, so an
 	// unguarded duplicate would not just waste a merge: it would re-fire
 	// sendUp/sendDowns and amplify one duplicated datagram into a
-	// cascade. Cleared when a suspect is re-admitted (its counter may
+	// cascade. Zeroed when a suspect is re-admitted (its counter may
 	// have regressed past what seqFresh's restart gap can absorb).
-	lastSeq map[int]uint32
-}
+	lastSeq []uint32
 
-// aggRec is one aggregated flow record.
-//
-//kollaps:wire
-type aggRec struct {
-	origin uint16        // reporting host, MergedOrigin when aggregated
-	bps    uint64        // summed usage (clamped to uint32 on the wire)
-	count  uint16        // underlying flow count
-	ts     time.Duration // oldest origin generation time merged in
-	links  []uint16
-}
-
-type treeReport struct {
-	recs []aggRec
-	at   time.Duration // arrival (virtual) time
+	// Scratch. in is where Receive decodes; an aggregate that passes every
+	// check is swapped with the one it replaces.
+	in    treeReport
+	codec treeCodec
+	//kollaps:arena
+	watched []bool // reform: by host, a current neighbor
+	//kollaps:arena
+	targets []int // sendDowns: the children and fosters being served
+	//kollaps:arena
+	suspects []int // Publish: the suspects being probed
+	//kollaps:arena
+	probe []byte // Publish: the probe sealed once per suspect
 }
 
 func newTreeNode(cfg Config, host int, tr Transport) *treeNode {
 	n := &treeNode{
-		cfg:     cfg,
-		host:    host,
-		tr:      tr,
-		live:    newLiveness(cfg.SuspectAfter),
-		childUp: make(map[int]*treeReport),
-		lastSeq: make(map[int]uint32),
-		foster:  make(map[int]int),
+		endpoint: endpoint{cfg: cfg, host: host, tr: tr},
+		live:     newLiveness(cfg.SuspectAfter, cfg.NumHosts),
+		childUp:  make([]treeReport, cfg.NumHosts),
+		lastSeq:  make([]uint32, cfg.NumHosts),
+		foster:   make([]int, cfg.NumHosts),
+		watched:  make([]bool, cfg.NumHosts),
+	}
+	for h := range n.foster {
+		n.foster[h] = -1
 	}
 	n.reform()
 	return n
@@ -188,29 +186,27 @@ func (n *treeNode) reform() {
 	}
 	// Watch exactly the new neighbors; newly adopted ones get a fresh
 	// grace window. Suspects stay remembered inside live until heard.
-	watched := make(map[int]bool, len(n.children)+1)
+	clear(n.watched)
 	if n.parent >= 0 {
-		watched[n.parent] = true
+		n.watched[n.parent] = true
 		n.live.watch(n.parent)
 	}
 	for _, c := range n.children {
-		watched[c] = true
+		n.watched[c] = true
 		n.live.watch(c)
 		// A foster that became a real child is just a child now.
-		delete(n.foster, c)
+		n.foster[c] = -1
 	}
-	for h := 0; h < n.cfg.NumHosts; h++ {
-		if !watched[h] {
+	for h, neighbor := range n.watched {
+		if !neighbor {
 			n.live.unwatch(h)
-		}
-	}
-	for h := range n.childUp {
-		if _, fostered := n.foster[h]; !watched[h] && !fostered {
-			delete(n.childUp, h)
+			if n.foster[h] < 0 {
+				n.childUp[h].held = false
+			}
 		}
 	}
 	if n.parent != oldParent {
-		n.extern = nil
+		n.extern.held = false
 	}
 }
 
@@ -230,10 +226,10 @@ func (n *treeNode) Publish(now time.Duration, msg *metadata.Message) {
 	// Expire fosters whose ups stopped coming: the asymmetric fault
 	// healed and their ups returned to the static parent. Un-adoption,
 	// not death — no suspicion, no probes.
-	for _, f := range n.fosterHosts() {
-		if n.live.tick-n.foster[f] > n.cfg.SuspectAfter {
-			delete(n.foster, f)
-			delete(n.childUp, f)
+	for f, tick := range n.foster {
+		if tick >= 0 && n.live.tick-tick > n.cfg.SuspectAfter {
+			n.foster[f] = -1
+			n.childUp[f].held = false
 		}
 	}
 	// n.local outlives this call (ups are re-sent when a child's report
@@ -250,8 +246,10 @@ func (n *treeNode) Publish(now time.Duration, msg *metadata.Message) {
 			count:  1,
 			ts:     now,
 			links:  n.localLinks[start:len(n.localLinks):len(n.localLinks)],
+			prefix: pathPrefix(f.Links),
 		})
 	}
+	slices.SortFunc(n.local, compareAggPaths)
 	n.sendUp(now)
 	// Only the root seeds the down cascade: every interior node relays a
 	// recomputed extern(c) the moment its own extern arrives, so each
@@ -270,26 +268,14 @@ func (n *treeNode) Publish(now time.Duration, msg *metadata.Message) {
 	// genuinely dead hosts just drop; the cost is one datagram per
 	// suspect per SuspectAfter periods.
 	if n.live.tick%n.cfg.SuspectAfter == 0 {
-		if suspects := n.live.suspectList(); len(suspects) > 0 {
-			probe := encodeTree(msgTreeUp, n.host, now, mergeRecs([][]aggRec{n.local}), &n.stats)
-			for _, h := range suspects {
-				n.stats.send(n.tr, h, probe)
+		if n.suspects = n.live.appendSuspects(n.suspects[:0]); len(n.suspects) > 0 {
+			n.codec.parts = append(n.codec.parts, n.local)
+			n.probe = append(n.probe[:0], n.codec.encode(msgTreeUp, n.host, now, n.codec.merge(), &n.stats)...)
+			for _, h := range n.suspects {
+				n.stats.send(n.tr, h, n.probe)
 			}
 		}
 	}
-}
-
-// fosterHosts returns the adopted orphans in deterministic order.
-func (n *treeNode) fosterHosts() []int {
-	if len(n.foster) == 0 {
-		return nil
-	}
-	hosts := make([]int, 0, len(n.foster))
-	for f := range n.foster {
-		hosts = append(hosts, f)
-	}
-	sort.Ints(hosts)
-	return hosts
 }
 
 // staticAncestorOf reports whether this node is a strict ancestor of
@@ -307,100 +293,84 @@ func (n *treeNode) staticAncestorOf(h int) bool {
 	return false
 }
 
+// queueUp queues host h's subtree aggregate for the next merge, if one
+// is held and no older than maxAge.
+func (n *treeNode) queueUp(h int, now, maxAge time.Duration) {
+	if r := &n.childUp[h]; r.held && now-r.at <= maxAge {
+		n.codec.parts = append(n.codec.parts, r.recs)
+	}
+}
+
+// queueUps queues the subtree aggregates of the children, then the
+// fosters, each in ascending host order.
+func (n *treeNode) queueUps(now, maxAge time.Duration) {
+	for _, c := range n.children {
+		n.queueUp(c, now, maxAge)
+	}
+	for f, tick := range n.foster {
+		if tick >= 0 {
+			n.queueUp(f, now, maxAge)
+		}
+	}
+}
+
 // sendUp pushes the subtree aggregate — children and fosters — to the
 // parent.
 func (n *treeNode) sendUp(now time.Duration) {
 	if n.parent < 0 {
 		return
 	}
-	parts := [][]aggRec{n.local}
-	for _, c := range n.children {
-		if r := n.childUp[c]; r != nil {
-			parts = append(parts, r.recs)
-		}
-	}
-	for _, f := range n.fosterHosts() {
-		if r := n.childUp[f]; r != nil {
-			parts = append(parts, r.recs)
-		}
-	}
-	n.stats.send(n.tr, n.parent, encodeTree(msgTreeUp, n.host, now, mergeRecs(parts), &n.stats))
+	n.codec.parts = append(n.codec.parts, n.local)
+	n.queueUps(now, forever)
+	n.stats.send(n.tr, n.parent, n.codec.encode(msgTreeUp, n.host, now, n.codec.merge(), &n.stats))
 }
 
 // sendDowns pushes extern(c) to every child and foster c.
 func (n *treeNode) sendDowns(now time.Duration) {
-	targets := append(append(make([]int, 0, len(n.children)+len(n.foster)), n.children...), n.fosterHosts()...)
+	targets := append(take(&n.targets), n.children...)
+	for f, tick := range n.foster {
+		if tick >= 0 {
+			targets = append(targets, f)
+		}
+	}
 	for _, c := range targets {
-		parts := [][]aggRec{n.local}
-		if n.extern != nil {
-			parts = append(parts, n.extern.recs)
+		n.codec.parts = append(n.codec.parts, n.local)
+		if n.extern.held {
+			n.codec.parts = append(n.codec.parts, n.extern.recs)
 		}
 		for _, c2 := range targets {
-			if c2 == c {
-				continue
-			}
-			if r := n.childUp[c2]; r != nil {
-				parts = append(parts, r.recs)
+			if c2 != c {
+				n.queueUp(c2, now, forever)
 			}
 		}
-		n.stats.send(n.tr, c, encodeTree(msgTreeDown, n.host, now, mergeRecs(parts), &n.stats))
+		n.stats.send(n.tr, c, n.codec.encode(msgTreeDown, n.host, now, n.codec.merge(), &n.stats))
 	}
+	n.targets = targets
 }
 
-// mergeRecs merges records sharing an identical link path, returning a
-// deterministic path-sorted slice.
-func mergeRecs(parts [][]aggRec) []aggRec {
-	m := make(map[string]*aggRec)
-	keys := make([]string, 0)
-	for _, recs := range parts {
-		for i := range recs {
-			r := &recs[i]
-			k := pathKey(r.links)
-			a := m[k]
-			if a == nil {
-				cp := *r
-				m[k] = &cp
-				keys = append(keys, k)
-				continue
-			}
-			a.bps += r.bps
-			// Saturate: at deployment scale the per-path flow count can
-			// exceed 16 bits, and silent wraparound would hand the min-max
-			// solver a tiny weight for the heaviest aggregate.
-			a.count = wire.U16(int(a.count)+int(r.count), nil)
-			if r.ts < a.ts {
-				a.ts = r.ts
-			}
-			if a.origin != r.origin {
-				a.origin = MergedOrigin
-			}
-		}
-	}
-	sort.Strings(keys)
-	out := make([]aggRec, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *m[k])
-	}
-	return out
-}
+// forever is the maxAge of merges that take held aggregates at any age.
+const forever = time.Duration(1<<63 - 1)
 
 func (n *treeNode) Receive(now time.Duration, payload []byte) {
 	payload, seq, ok := n.stats.open(payload)
 	if !ok {
 		return
 	}
-	if len(payload) < 3 {
+	if len(payload) < 4 {
 		n.stats.BadDatagram.Inc()
 		return
 	}
-	typ := payload[0]
-	from, ok := treeSender(payload)
-	if !ok || from >= n.cfg.NumHosts || from < 0 || from == n.host {
-		n.stats.BadDatagram.Inc()
-		return // truncated header, corrupted or spoofed sender id
+	if payload[1]&treeVerMask != treeVerMask {
+		n.stats.BadVersion.Inc()
+		return // a retired v0 body: byte 1 was the high byte of a host id
 	}
-	recs, ok := decodeTree(payload, now, n.cfg.Wide, &n.stats)
-	if !ok {
+	typ := payload[0]
+	from := int(binary.BigEndian.Uint16(payload[2:]))
+	if from >= n.cfg.NumHosts || from == n.host {
+		n.stats.BadDatagram.Inc()
+		return // corrupted or spoofed sender id
+	}
+	if !decodeTree(payload, now, &n.in, &n.stats) {
 		return // corrupted or future-version: the next report repairs
 	}
 	// Traffic from a suspect clears the suspicion before the message is
@@ -410,7 +380,7 @@ func (n *treeNode) Receive(now time.Duration, payload []byte) {
 		n.stats.Recoveries.Inc()
 		n.cfg.Tracer.Record(now, obs.KindRecover, int32(n.host), int64(from), 0)
 		n.reform()
-		delete(n.lastSeq, from) // new epoch: forget the dead life's counter
+		n.lastSeq[from] = 0 // new epoch: forget the dead life's counter
 	}
 	// Epoch check against the sender's envelope sequence: duplicates and
 	// displaced stale copies are shed here, before they can overwrite a
@@ -424,54 +394,47 @@ func (n *treeNode) Receive(now time.Duration, payload []byte) {
 	switch typ {
 	case msgTreeUp:
 		// Accept subtree aggregates from actual children, relaying the
-		// refreshed aggregate toward the root immediately.
-		for _, c := range n.children {
-			if c == from {
-				delete(n.foster, from)
-				n.childUp[from] = &treeReport{recs: recs, at: now}
-				n.sendUp(now)
-				return
-			}
-		}
-		// An up from a static descendant that is not a child means an
-		// asymmetric fault: the sender suspects an ancestor between us
-		// that we still hear, so it rerouted its ups here and we never
-		// grafted it in. Adopt it (see the failure model above).
-		if n.staticAncestorOf(from) {
+		// refreshed aggregate toward the root immediately. An up from a
+		// static descendant that is not a child means an asymmetric
+		// fault: the sender suspects an ancestor between us that we still
+		// hear, so it rerouted its ups here and we never grafted it in.
+		// Adopt it (see the failure model above).
+		if slices.Contains(n.children, from) {
+			n.foster[from] = -1
+		} else if n.staticAncestorOf(from) {
 			n.foster[from] = n.live.tick
-			n.childUp[from] = &treeReport{recs: recs, at: now}
-			n.sendUp(now)
+		} else {
+			return
 		}
+		n.adopt(&n.childUp[from], now)
+		n.sendUp(now)
 	case msgTreeDown:
 		// A fresh extern cascades to the leaves immediately.
 		if from == n.parent {
-			n.extern = &treeReport{recs: recs, at: now}
+			n.adopt(&n.extern, now)
 			n.sendDowns(now)
 		}
 	}
+}
+
+// adopt installs the aggregate just decoded as slot's; the storage of the
+// one it replaces decodes the next datagram.
+func (n *treeNode) adopt(slot *treeReport, now time.Duration) {
+	n.in, *slot = *slot, n.in
+	slot.held, slot.at = true, now
 }
 
 func (n *treeNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 	return n.AppendRemoteFlows(now, maxAge, nil)
 }
 
+//kollaps:hotpath
 func (n *treeNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
-	parts := make([][]aggRec, 0, len(n.children)+1)
-	if n.extern != nil && now-n.extern.at <= maxAge {
-		parts = append(parts, n.extern.recs)
+	if n.extern.held && now-n.extern.at <= maxAge {
+		n.codec.parts = append(n.codec.parts, n.extern.recs)
 	}
-	for _, c := range n.children {
-		if r := n.childUp[c]; r != nil && now-r.at <= maxAge {
-			parts = append(parts, r.recs)
-		}
-	}
-	for _, f := range n.fosterHosts() {
-		if r := n.childUp[f]; r != nil && now-r.at <= maxAge {
-			parts = append(parts, r.recs)
-		}
-	}
-	merged := mergeRecs(parts)
-	for _, r := range merged {
+	n.queueUps(now, maxAge)
+	for _, r := range n.codec.merge() {
 		age := now - r.ts
 		out = append(out, RemoteFlow{
 			Origin: r.origin,
@@ -484,5 +447,3 @@ func (n *treeNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow
 	}
 	return out
 }
-
-func (n *treeNode) Stats() *Stats { return &n.stats }

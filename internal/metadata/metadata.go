@@ -57,20 +57,15 @@ func Wide(numLinks int) bool { return numLinks > 256 }
 // flows encodes only the first 65535 (and more than 255 links per flow
 // only the first 255), bumping wire.Saturations — the pre-fix behavior
 // wrapped the count field and desynchronized every decoder downstream.
-func Encode(m *Message, wide bool) []byte {
+func Encode(m *Message, wide bool) []byte { return AppendEncode(nil, m, wide) }
+
+// AppendEncode is Encode appending to buf, so a per-period sender reuses
+// one buffer.
+func AppendEncode(buf []byte, m *Message, wide bool) []byte {
 	flows := m.Flows
 	if n := int(wire.U16(len(flows), nil)); n < len(flows) {
 		flows = flows[:n]
 	}
-	size := 2 + 2 // host + flow count
-	idw := 1
-	if wide {
-		idw = 2
-	}
-	for _, f := range flows {
-		size += 4 + 1 + idw*len(f.Links)
-	}
-	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint16(buf, m.Host)
 	buf = binary.BigEndian.AppendUint16(buf, wire.U16(len(flows), nil))
 	for _, f := range flows {
@@ -95,45 +90,60 @@ func Encode(m *Message, wide bool) []byte {
 
 // Decode parses a message encoded with the same width.
 func Decode(b []byte, wide bool) (*Message, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("metadata: short message (%d bytes)", len(b))
+	m := new(Message)
+	if _, err := DecodeInto(m, nil, b, wide); err != nil {
+		return nil, err
 	}
-	m := &Message{Host: binary.BigEndian.Uint16(b)}
+	return m, nil
+}
+
+// DecodeInto is Decode into storage the caller owns: m.Flows is reused
+// (its capacity kept) and every flow's Links is a sub-slice of the links
+// arena, which is appended to and returned — a per-datagram receiver
+// passes last time's arena[:0] and allocates nothing once warm. On error
+// m holds a partial message the caller must discard.
+func DecodeInto(m *Message, links []uint16, b []byte, wide bool) ([]uint16, error) {
+	if len(b) < 4 {
+		//kollaps:coldpath
+		return links, fmt.Errorf("metadata: short message (%d bytes)", len(b))
+	}
+	m.Host = binary.BigEndian.Uint16(b)
+	m.Flows = m.Flows[:0]
 	n := int(binary.BigEndian.Uint16(b[2:]))
 	off := 4
 	idw := 1
 	if wide {
 		idw = 2
 	}
-	if n > 0 {
-		m.Flows = make([]FlowRecord, 0, n)
-	}
 	for i := 0; i < n; i++ {
 		if off+5 > len(b) {
-			return nil, fmt.Errorf("metadata: truncated flow %d", i)
+			//kollaps:coldpath
+			return links, fmt.Errorf("metadata: truncated flow %d", i)
 		}
-		f := FlowRecord{BPS: binary.BigEndian.Uint32(b[off:])}
+		bps := binary.BigEndian.Uint32(b[off:])
 		nl := int(b[off+4])
 		off += 5
 		if off+nl*idw > len(b) {
-			return nil, fmt.Errorf("metadata: truncated links of flow %d", i)
+			//kollaps:coldpath
+			return links, fmt.Errorf("metadata: truncated links of flow %d", i)
 		}
-		f.Links = make([]uint16, nl)
+		start := len(links)
 		for j := 0; j < nl; j++ {
 			if wide {
-				f.Links[j] = binary.BigEndian.Uint16(b[off:])
+				links = append(links, binary.BigEndian.Uint16(b[off:]))
 				off += 2
 			} else {
-				f.Links[j] = uint16(b[off])
+				links = append(links, uint16(b[off]))
 				off++
 			}
 		}
-		m.Flows = append(m.Flows, f)
+		m.Flows = append(m.Flows, FlowRecord{BPS: bps, Links: links[start:len(links):len(links)]})
 	}
 	if off != len(b) {
-		return nil, fmt.Errorf("metadata: %d trailing bytes", len(b)-off)
+		//kollaps:coldpath
+		return links, fmt.Errorf("metadata: %d trailing bytes", len(b)-off)
 	}
-	return m, nil
+	return links, nil
 }
 
 // Ring is the bounded shared-memory ring Emulation Cores use to hand their

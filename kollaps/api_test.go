@@ -34,8 +34,25 @@ func TestDeployHostValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-1s") {
 		t.Fatalf("Deploy(WithPeriod(-1s)) = %v, want an error naming the value", err)
 	}
+	// So is a negative dissemination knob — it used to run at the default
+	// without a word — and the error names the field and the value.
+	for _, tc := range []struct {
+		opt   DissemOption
+		field string
+		value string
+	}{
+		{DissemFanout(-3), "Fanout", "-3"},
+		{DissemResync(-1), "ResyncEvery", "-1"},
+		{DissemSuspectAfter(-2), "SuspectAfter", "-2"},
+		{DissemGossipRounds(-4), "GossipRounds", "-4"},
+	} {
+		err := exp.Deploy(1, WithDissem("gossip", tc.opt))
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.value) {
+			t.Fatalf("Deploy with %s = %s: got %v, want an error naming both", tc.field, tc.value, err)
+		}
+	}
 	// Zero still means "default".
-	if err := exp.Deploy(1, WithPeriod(0)); err != nil {
+	if err := exp.Deploy(1, WithPeriod(0), WithDissem("gossip", DissemFanout(0), DissemResync(0), DissemSuspectAfter(0), DissemGossipRounds(0))); err != nil {
 		t.Fatal(err)
 	}
 	if err := exp.Deploy(1); err == nil {
