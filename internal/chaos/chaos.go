@@ -289,11 +289,9 @@ func (inj *Injector) heal(now time.Duration) {
 }
 
 // setGray marks a host gray-failed: every datagram it sends or
-// receives gains a uniform latency in [min, max].
+// receives gains a uniform latency in [min, max]; Gray has checked
+// 0 <= min <= max.
 func (inj *Injector) setGray(now time.Duration, host int, min, max time.Duration) {
-	if max < min {
-		max = min
-	}
 	inj.gray[host] = [2]time.Duration{min, max}
 	inj.tracer.Record(now, obs.KindChaosGray, -1, int64(host), int64(max))
 }

@@ -13,14 +13,20 @@ import (
 type Action struct {
 	apply func(now time.Duration, inj *Injector)
 	desc  string
+	err   error
 }
 
-// Apply runs the action against an injector at virtual time now.
+// Apply runs the action against an injector at virtual time now. An
+// invalid action (Err non-nil) does nothing.
 func (a Action) Apply(now time.Duration, inj *Injector) {
 	if a.apply != nil && inj != nil {
 		a.apply(now, inj)
 	}
 }
+
+// Err reports why the action's arguments are invalid, or nil. Schedulers
+// reject an invalid action instead of applying it.
+func (a Action) Err() error { return a.err }
 
 // String describes the action for logs and traces.
 func (a Action) String() string {
@@ -84,8 +90,12 @@ func Heal() Action {
 
 // Gray marks a host gray-failed: every datagram it sends or receives
 // gains a uniform extra latency in [min, max] — the slow-but-alive
-// failure mode that defeats binary failure detectors.
+// failure mode that defeats binary failure detectors. A band with
+// min < 0 or max < min is invalid (see Action.Err).
 func Gray(host int, min, max time.Duration) Action {
+	if min < 0 || max < min {
+		return Action{err: fmt.Errorf("chaos: gray host %d delay band [%v,%v] needs 0 <= min <= max", host, min, max)}
+	}
 	return Action{
 		apply: func(now time.Duration, inj *Injector) { inj.setGray(now, host, min, max) },
 		desc:  fmt.Sprintf("chaos: gray host %d [%v,%v]", host, min, max),

@@ -49,9 +49,10 @@ func BenchmarkAllocateReference(b *testing.B) {
 }
 
 // BenchmarkIterate measures one Emulation Manager loop pass — collect
-// local state, merge the remote view, run both allocator passes — in the
-// Table-4 regime: few local containers, a remote view carrying hundreds
-// of flows. Dissemination itself (pure transport) is excluded so the
+// local state, merge the remote view, enforce — in the Table-4 regime:
+// few local containers, a remote view carrying hundreds of flows. The
+// view is static, so the entitlement pass comes from the memo and the
+// demand-aware pass (its demands bind) is solved every time. Dissemination itself (pure transport) is excluded so the
 // engine's event queue stays empty across b.N. Steady state must not
 // allocate.
 //

@@ -1,0 +1,237 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/metadata"
+	"repro/internal/topology"
+	"repro/internal/units"
+)
+
+// enforceRig drives one Manager the way benchIterate does — collectLocal,
+// globalFlows, enforce — with the runtime's own loop never started, so
+// the test decides what each pass sees: the peer report, the local
+// offered load and the topology.
+type enforceRig struct {
+	t      *testing.T
+	rt     *Runtime
+	m      *Manager
+	report metadata.Message
+	// paths the remote records take: real collapsed paths, so remote
+	// flows contend with the local ones on their links
+	paths [][]uint16
+	// localFlows counts the local flows enforced over all passes.
+	localFlows int
+}
+
+func newEnforceRig(t *testing.T) *enforceRig {
+	rt := buildRuntime(t, fig8YAML, 2, Options{})
+	m := rt.managers[0]
+	for _, c := range m.locals {
+		for _, d := range rt.containers {
+			if d != c {
+				rt.installPath(c, d.IP)
+			}
+		}
+	}
+	r := &enforceRig{t: t, rt: rt, m: m}
+	for _, pair := range [][2]string{{"c2", "s2"}, {"c3", "s3"}, {"c1", "s1"}, {"s5", "c5"}} {
+		src, _ := rt.Container(pair[0])
+		dst, _ := rt.Container(pair[1])
+		var links []uint16
+		for _, l := range rt.cachedPath(src, dst.IP).Links {
+			links = append(links, uint16(l))
+		}
+		r.paths = append(r.paths, links)
+	}
+	return r
+}
+
+// setReport makes the peer report one record per bps entry, on the
+// rig's paths in turn.
+func (r *enforceRig) setReport(bps ...uint32) {
+	r.report = metadata.Message{Host: 1}
+	for i, b := range bps {
+		r.report.Flows = append(r.report.Flows, metadata.FlowRecord{BPS: b, Links: r.paths[i%len(r.paths)]})
+	}
+}
+
+// pass runs one emulation period: local container j offers k·(j+1)
+// 1200-byte datagrams (k = 300 saturates every local flow, making it
+// greedy in the model; small k leaves it demand-capped), the engine
+// advances a period, the peer report arrives, and the
+// manager collects, merges and enforces. Then every result is checked
+// against two fresh solves.
+func (r *enforceRig) pass(k int) {
+	t, rt, m := r.t, r.rt, r.m
+	t.Helper()
+	for j, c := range m.locals {
+		dst := rt.containers[(j*5+7)%len(rt.containers)]
+		if dst == c {
+			continue
+		}
+		for p := 0; p < k*(j+1); p++ {
+			c.Stack.SendUDP(dst.IP, 9, 9, 1200, nil)
+		}
+	}
+	period := rt.opts.Period
+	rt.Eng.Run(rt.Eng.Now() + period)
+	if m.dead {
+		return
+	}
+	m.node.Receive(rt.Eng.Now(), metadata.Encode(&r.report, false))
+	derived := m.demDerived.Value()
+	flows := m.collectLocal(period)
+	all := m.globalFlows(flows)
+	m.enforce(flows, all)
+	r.localFlows += len(flows)
+	if len(all) == 0 {
+		return
+	}
+
+	caps := m.linkCaps()
+	var a, b AllocState
+	wantWD := a.Allocate(caps, all, nil)
+	greedy := append([]FlowDemand(nil), all...)
+	for i := range greedy {
+		greedy[i].Demand = 0
+	}
+	wantEnt := b.Allocate(caps, greedy, nil)
+	sameAllocations(t, "entitlement pass", m.entBuf, wantEnt)
+	if m.demDerived.Value() != derived {
+		sameAllocations(t, "derived demand-aware pass", wantWD, wantEnt)
+	} else {
+		sameAllocations(t, "demand-aware pass", m.wdBuf, wantWD)
+	}
+	for i := range flows {
+		f := &flows[i]
+		want := max(wantWD[i].Rate, wantEnt[i].Rate)
+		if want <= 0 {
+			want = units.Kbps
+		}
+		props, _ := f.src.tcal.Props(f.dstIP)
+		if got := f.src.lastAlloc[f.dstIP]; got != want || props.Bandwidth != want {
+			t.Fatalf("local flow %d enforced %d (TCAL %d), fresh solves give %d", i, got, props.Bandwidth, want)
+		}
+	}
+}
+
+func (r *enforceRig) setLink(orig, dest string, p topology.LinkPatch) {
+	r.t.Helper()
+	if err := r.rt.applyGroup([]topology.Event{{At: r.rt.Eng.Now(), Kind: topology.EvSetLink, Orig: orig, Dest: dest, Props: p}}); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// TestEnforceMatchesFreshSolves is the Manager-level differential for
+// the memoised entitlement pass and the derived demand-aware pass: across
+// steady periods, demand jitter, flows joining and leaving, reordered
+// records, link changes and a manager kill/restart, both result vectors
+// and every enforced rate equal two fresh solves exactly — and each of
+// hit, miss, derived and solved actually occurs.
+func TestEnforceMatchesFreshSolves(t *testing.T) {
+	r := newEnforceRig(t)
+	m := r.m
+	// Large reports are greedy in the model (demand = 2× usage); small
+	// ones bind below their share.
+	const hi, lo = 40_000_000, 300_000
+	const greedy = 300
+	r.setReport(hi, hi, hi, hi)
+	for i := 0; i < 5; i++ { // steady, no demand binding
+		r.pass(greedy)
+	}
+	for i := 0; i < 4; i++ { // remote demand jitter above the share
+		r.setReport(hi+uint32(i)*1000, hi-uint32(i)*977, hi, hi)
+		r.pass(greedy)
+	}
+	for i := 0; i < 6; i++ { // remote and local demand jitter, both sides of the share
+		r.setReport(hi+uint32(i)*1000, lo+uint32(i)*977, hi, lo)
+		r.pass(3 + i)
+	}
+	r.setReport(hi, lo, hi, lo, hi) // a remote flow joins...
+	r.pass(2)
+	r.pass(2)
+	r.setReport(hi, lo, hi, lo) // ...and leaves
+	r.pass(2)
+	// Two records swap order: equal RTTs, so only the links tell them apart.
+	r.paths[0], r.paths[1] = r.paths[1], r.paths[0]
+	r.setReport(hi, lo, hi, lo)
+	r.pass(2)
+	r.pass(2)
+	lat, bw := 30*time.Millisecond, 20*units.Mbps
+	r.setLink("b1", "b2", topology.LinkPatch{Latency: &lat})
+	r.pass(2)
+	r.pass(2)
+	r.setLink("b1", "b2", topology.LinkPatch{Up: &bw})
+	r.pass(4)
+	r.pass(4)
+	if err := r.rt.KillManager(0); err != nil {
+		t.Fatal(err)
+	}
+	r.pass(3)
+	r.pass(3)
+	if err := r.rt.RestartManager(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		r.pass(1 + i)
+	}
+	r.setReport(hi, hi, hi, hi)
+	r.pass(greedy)
+	r.pass(greedy)
+
+	runs, reused, derived := m.solveRuns.Value(), m.entReused.Value(), m.demDerived.Value()
+	t.Logf("%d enforce calls over %d local flows: %d entitlement reused, %d demand-aware derived",
+		runs, r.localFlows, reused, derived)
+	if reused == 0 || reused == runs || derived == 0 || derived == runs || r.localFlows == 0 {
+		t.Fatalf("paths not all exercised: %d runs, %d reused, %d derived, %d local flows",
+			runs, reused, derived, r.localFlows)
+	}
+}
+
+// TestEnforceAllocationContract holds the memo to the loop's 0-alloc
+// contract on both sides: a period whose entitlement input repeats (hit)
+// and one where a remote record's link changes every period (miss).
+func TestEnforceAllocationContract(t *testing.T) {
+	r := newEnforceRig(t)
+	m, rt := r.m, r.rt
+	period := rt.opts.Period
+	iterate := func() {
+		flows := m.collectLocal(period)
+		m.enforce(flows, m.globalFlows(flows))
+	}
+	r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
+	frameA := metadata.Encode(&r.report, false)
+	r.report.Flows[1].Links = r.paths[2]
+	frameB := metadata.Encode(&r.report, false)
+	for _, f := range [][]byte{frameA, frameB, frameA} { // warm both decode buffers
+		m.node.Receive(rt.Eng.Now(), f)
+		iterate()
+	}
+
+	before := m.entReused.Value()
+	if n := testing.AllocsPerRun(50, iterate); n != 0 {
+		t.Fatalf("hit path: %v allocs per period, want 0", n)
+	}
+	if got := m.entReused.Value() - before; got != 51 {
+		t.Fatalf("hit path reused the entitlement pass %d of 51 times", got)
+	}
+
+	before = m.entReused.Value()
+	flip := false
+	if n := testing.AllocsPerRun(50, func() {
+		flip = !flip
+		if flip {
+			m.node.Receive(rt.Eng.Now(), frameB)
+		} else {
+			m.node.Receive(rt.Eng.Now(), frameA)
+		}
+		iterate()
+	}); n != 0 {
+		t.Fatalf("miss path: %v allocs per period, want 0", n)
+	}
+	if got := m.entReused.Value() - before; got != 0 {
+		t.Fatalf("miss path reused the entitlement pass %d times, want 0", got)
+	}
+}

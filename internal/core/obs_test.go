@@ -107,8 +107,24 @@ func TestManagerSolverCounters(t *testing.T) {
 	rt.Eng.Run(2 * time.Second)
 
 	snap := reg.Snapshot()
-	if snap[`kollaps_solver_runs_total{host="0"}`] == 0 {
+	runs := snap[`kollaps_solver_runs_total{host="0"}`]
+	if runs == 0 {
 		t.Fatalf("host 0 solver never ran: %v", snap)
+	}
+	// Raw counts, at most one per enforce call. Two settled flows repeat
+	// the entitlement input most periods; TCP demand keeps binding, so no
+	// demand-aware pass is derived here (TestEnforceMatchesFreshSolves
+	// covers that path).
+	for _, name := range []string{
+		`kollaps_solver_entitlement_reused_total{host="0"}`,
+		`kollaps_solver_demand_derived_total{host="0"}`,
+	} {
+		if v, ok := snap[name]; !ok || v > runs {
+			t.Fatalf("%s = %v (present %v), want at most %v", name, v, ok, runs)
+		}
+	}
+	if snap[`kollaps_solver_entitlement_reused_total{host="0"}`] == 0 {
+		t.Fatalf("host 0 never reused its entitlement pass: %v", snap)
 	}
 	if snap[`kollaps_tcal_shaping_ops_total{host="0"}`] == 0 {
 		t.Fatalf("host 0 enforced no shaping changes: %v", snap)
@@ -117,7 +133,13 @@ func TestManagerSolverCounters(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `kollaps_solver_runs_total{host="0"}`) {
-		t.Fatalf("prometheus export missing solver counters:\n%s", buf.String())
+	for _, name := range []string{
+		`kollaps_solver_runs_total{host="0"}`,
+		`kollaps_solver_entitlement_reused_total{host="0"}`,
+		`kollaps_solver_demand_derived_total{host="0"}`,
+	} {
+		if !strings.Contains(buf.String(), name) {
+			t.Fatalf("prometheus export missing %s:\n%s", name, buf.String())
+		}
 	}
 }

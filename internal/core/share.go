@@ -132,6 +132,9 @@ type AllocState struct {
 	demTheta []float64 // demand/weight, +Inf for greedy flows
 	//kollaps:arena
 	frozen []bool
+	//kollaps:arena
+	level []float64 // highest fill level up to the flow's freeze (see demandSlack)
+	hi    float64   // highest fill level so far in this call
 
 	// per-link scratch, dense over the capacity table's id space
 
@@ -213,6 +216,10 @@ func (s *AllocState) nextStamp() uint32 {
 // sets in, so every theta, every tie-break and every rounded rate is
 // reproduced bit for bit — the differential tests hold to exact equality.
 //
+// Each freeze also stores the highest fill level reached so far in
+// s.level (+Inf for flows no constraint applied to): the certificate
+// demandSlack checks a demand vector against.
+//
 // Allocate is on the 0 allocs/op hot path (//kollaps:hotpath): arenas
 // grow to the working set once and are reused every period thereafter.
 //
@@ -229,6 +236,7 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 	s.wmult = grow(s.wmult, n)
 	s.demTheta = grow(s.demTheta, n)
 	s.frozen = grow(s.frozen, n)
+	s.level = grow(s.level, n)
 	s.capLeft = grow(s.capLeft, L)
 	s.sumW = grow(s.sumW, L)
 	s.dirty = grow(s.dirty, L)
@@ -244,11 +252,7 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 	inf := math.Inf(1)
 	for i := range flows {
 		f := &flows[i]
-		rtt := f.RTT
-		if rtt < minRTT {
-			rtt = minRTT
-		}
-		w := 1 / rtt.Seconds()
+		w := flowWeight(f.RTT)
 		s.weight[i] = w
 		m := f.Weight
 		if m < 1 {
@@ -325,6 +329,7 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 	}
 
 	s.remaining = n
+	s.hi = 0
 	for s.remaining > 0 {
 		// Find the tightest constraint: the link (or flow demand) whose
 		// fill level theta = capacity / Σ weights is smallest. Links are
@@ -387,11 +392,15 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 				if !s.frozen[i] {
 					s.frozen[i] = true
 					s.remaining--
+					s.level[i] = inf
 					out[i].Rate = units.Bandwidth(math.MaxInt64 / 2)
 					out[i].Bottleneck = -1
 				}
 			}
 			break
+		}
+		if bestTheta > s.hi {
+			s.hi = bestTheta
 		}
 
 		if bestFlow >= 0 {
@@ -422,6 +431,7 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 // duplicate's subtraction) bit for bit.
 func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation, fi int, unitRate float64, bottleneck int) {
 	s.frozen[fi] = true
+	s.level[fi] = s.hi
 	s.remaining--
 	if unitRate < 0 {
 		unitRate = 0
@@ -445,6 +455,37 @@ func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation
 		s.unfro[l]--
 		s.dirty[l] = true
 	}
+}
+
+// flowWeight is the sharing weight of one underlying flow: 1/RTT, with
+// the RTT floored at minRTT. Allocate and demandSlack both call it, so
+// they see the same float for the same flow.
+func flowWeight(rtt time.Duration) float64 {
+	if rtt < minRTT {
+		rtt = minRTT
+	}
+	return 1 / rtt.Seconds()
+}
+
+// demandSlack reports whether Allocate over flows would return exactly
+// what it returned over the same flows with every Demand zeroed, given
+// level — that greedy call's per-flow fill levels (AllocState.level: the
+// highest theta reached up to and including the round that froze the
+// flow, +Inf when no constraint applied). Greedy and demand-aware solves
+// differ only in demTheta. If no demand-capped flow has demTheta < level,
+// then in every round each still-unfrozen flow's demand is at least that
+// round's link theta, the strict < of the demand scan never displaces the
+// link, and both solves freeze the same flows at the same rates in the
+// same order: the same state, so the same bits. demTheta is recomputed
+// with Allocate's own operations.
+func demandSlack(flows []FlowDemand, level []float64) bool {
+	for i := range flows {
+		f := &flows[i]
+		if f.Demand > 0 && float64(f.Demand)/flowWeight(f.RTT) < level[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // growStamps resizes a stamp array preserving existing stamps and

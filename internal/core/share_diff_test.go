@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -169,4 +170,145 @@ func TestAllocateOutBufferReuse(t *testing.T) {
 	if cap(second) != cap(buf) {
 		t.Fatalf("out buffer not reused: cap %d, want %d", cap(second), cap(buf))
 	}
+}
+
+// greedyLevels solves flows with every Demand zeroed on a fresh arena and
+// returns the output with the per-flow fill levels it recorded.
+func greedyLevels(caps []float64, flows []FlowDemand) ([]Allocation, []float64) {
+	greedy := append([]FlowDemand(nil), flows...)
+	for i := range greedy {
+		greedy[i].Demand = 0
+	}
+	var s AllocState
+	ent := s.Allocate(caps, greedy, nil)
+	return ent, append([]float64(nil), s.level...)
+}
+
+// checkDemandSlack asks demandSlack whether flows' demand-aware solve can
+// be derived from their greedy solve and, when it says so, demands that
+// a fresh demand-aware solve return the greedy output bit for bit. It
+// returns the verdict.
+func checkDemandSlack(t *testing.T, label string, caps []float64, flows []FlowDemand) bool {
+	t.Helper()
+	ent, level := greedyLevels(caps, flows)
+	if !demandSlack(flows, level) {
+		return false
+	}
+	var s AllocState
+	sameAllocations(t, label+": derived demand-aware pass", s.Allocate(caps, flows, nil), ent)
+	return true
+}
+
+// onLevel moves every demand onto its flow's greedy fill level, rounded
+// by round — the boundary where demandSlack's strict < decides. Flows no
+// constraint applied to become greedy.
+func onLevel(caps []float64, flows []FlowDemand, round func(float64) float64) []FlowDemand {
+	_, level := greedyLevels(caps, flows)
+	out := append([]FlowDemand(nil), flows...)
+	for i := range out {
+		if math.IsInf(level[i], 1) {
+			out[i].Demand = 0
+			continue
+		}
+		out[i].Demand = units.Bandwidth(round(level[i] * flowWeight(out[i].RTT)))
+	}
+	return out
+}
+
+// demandVariants derives from one drawn instance the demand vectors the
+// derivation tests check: as drawn, every demand 4× larger, and demands
+// placed on their fill levels rounded up and down.
+func demandVariants(caps []float64, flows []FlowDemand) [][]FlowDemand {
+	scaled := append([]FlowDemand(nil), flows...)
+	for i := range scaled {
+		scaled[i].Demand *= 4
+	}
+	return [][]FlowDemand{flows, scaled, onLevel(caps, flows, math.Ceil), onLevel(caps, flows, math.Floor)}
+}
+
+// TestDemandSlackDerivation is the property behind Manager.enforce's
+// derived demand-aware pass: whenever demandSlack holds, the demand-aware
+// solve equals the greedy solve exactly. Inputs come from both of the
+// solver's generators, with demands moved onto and around the fill
+// levels so both verdicts occur often.
+func TestDemandSlackDerivation(t *testing.T) {
+	derived, solved := 0, 0
+	count := func(ok bool) {
+		if ok {
+			derived++
+		} else {
+			solved++
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for iter := 0; iter < 25; iter++ {
+			capsMap, flows := diffCase(rng)
+			caps := DenseCaps(capsMap, nil)
+			for _, v := range demandVariants(caps, flows) {
+				count(checkDemandSlack(t, "diffCase", caps, v))
+			}
+		}
+	}
+	for _, n := range []int{16, 64, 256} {
+		capsMap, flows := SyntheticAllocation(n, n/2+8, int64(n))
+		caps := DenseCaps(capsMap, nil)
+		for _, v := range demandVariants(caps, flows) {
+			count(checkDemandSlack(t, "synthetic", caps, v))
+		}
+	}
+	t.Logf("%d instances derivable, %d not", derived, solved)
+	if derived < 100 || solved < 100 {
+		t.Fatalf("verdicts: %d derivable, %d not; want ≥ 100 of each for the property to bite", derived, solved)
+	}
+}
+
+// TestDemandSlackBoundary pins the predicate's edges. A demand exactly
+// at its level ties with the link, and the link's strict < win makes the
+// passes identical; one ulp below, the demand binds first; and a flow no
+// constraint applies to (+Inf level) is capped by any finite demand. The
+// last two must not be derived — and the solves really do differ.
+func TestDemandSlackBoundary(t *testing.T) {
+	const big = units.Bandwidth(1<<53 + 2) // float64 spacing is 2 here
+	for _, tc := range []struct {
+		name      string
+		caps      map[int]units.Bandwidth
+		flow      FlowDemand
+		derivable bool
+	}{
+		{"demand at its level", map[int]units.Bandwidth{0: 10 * units.Mbps},
+			FlowDemand{Links: []int{0}, RTT: 20 * time.Millisecond, Demand: 10 * units.Mbps}, true},
+		{"demand one ulp below its level", map[int]units.Bandwidth{0: big},
+			FlowDemand{Links: []int{0}, RTT: time.Second, Demand: big - 2}, false},
+		{"unconstrained flow with a finite demand", map[int]units.Bandwidth{0: 10 * units.Mbps},
+			FlowDemand{Links: []int{5}, RTT: 20 * time.Millisecond, Demand: 5 * units.Mbps}, false},
+	} {
+		caps := DenseCaps(tc.caps, nil)
+		flows := []FlowDemand{tc.flow}
+		if got := checkDemandSlack(t, tc.name, caps, flows); got != tc.derivable {
+			t.Fatalf("%s: demandSlack = %v, want %v", tc.name, got, tc.derivable)
+		}
+		if tc.derivable {
+			continue
+		}
+		ent, _ := greedyLevels(caps, flows)
+		var s AllocState
+		if wd := s.Allocate(caps, flows, nil); wd[0] == ent[0] {
+			t.Fatalf("%s: demand-aware %+v equals greedy; the case does not test the boundary", tc.name, wd[0])
+		}
+	}
+}
+
+// FuzzDemandSlack explores the derivation property beyond the seeded
+// test: mode picks the demand variant of the drawn instance.
+func FuzzDemandSlack(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mode uint8) {
+		capsMap, flows := diffCase(rand.New(rand.NewSource(seed)))
+		caps := DenseCaps(capsMap, nil)
+		variants := demandVariants(caps, flows)
+		checkDemandSlack(t, "fuzz", caps, variants[int(mode)%len(variants)])
+	})
 }

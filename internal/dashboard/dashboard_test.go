@@ -164,6 +164,8 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	body := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE kollaps_solver_runs_total counter",
+		"# TYPE kollaps_solver_entitlement_reused_total counter",
+		"# TYPE kollaps_solver_demand_derived_total counter",
 		`kollaps_dissem_bytes_sent{host="0",strategy="broadcast"}`,
 		"kollaps_virtual_time_seconds 2",
 		"kollaps_topology_trees_built_total ",

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/transport"
 	"repro/internal/units"
 )
@@ -410,6 +411,57 @@ func TestChurnValidation(t *testing.T) {
 	if _, err := exp.Churn(1, ChurnTargets("ghost")); err == nil {
 		t.Fatal("unknown churn target must error")
 	}
+	// A negative downtime used to rejoin at once (the engine clamps a
+	// negative gap); now both churn drivers name the value. Zero stays a
+	// valid (instant) downtime.
+	for name, churn := range map[string]func(...ChurnOption) (func(), error){
+		"Churn":        func(o ...ChurnOption) (func(), error) { return exp.Churn(1, o...) },
+		"ManagerChurn": func(o ...ChurnOption) (func(), error) { return exp.ManagerChurn(1, o...) },
+	} {
+		if _, err := churn(ChurnDowntime(-time.Second)); err == nil || !strings.Contains(err.Error(), "-1s") {
+			t.Fatalf("%s(ChurnDowntime(-1s)) = %v, want an error naming the value", name, err)
+		}
+		stop, err := churn(ChurnDowntime(0))
+		if err != nil {
+			t.Fatalf("%s(ChurnDowntime(0)): %v", name, err)
+		}
+		stop()
+	}
+}
+
+// GrayHost with a negative or inverted delay band used to be clamped
+// silently by the injector; At and ChaosPlan now reject it, before and
+// after Deploy, and name the band.
+func TestGrayHostValidation(t *testing.T) {
+	exp, err := Load(quickYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(deployed bool) {
+		for _, tc := range []struct {
+			min, max time.Duration
+			want     string
+		}{
+			{-time.Millisecond, time.Millisecond, "-1ms"},
+			{5 * time.Millisecond, time.Millisecond, "[5ms,1ms]"},
+		} {
+			if err := exp.At(time.Second, GrayHost(0, tc.min, tc.max)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("deployed=%v: At(GrayHost(0, %v, %v)) = %v, want an error naming %s", deployed, tc.min, tc.max, err, tc.want)
+			}
+			plan := new(chaos.Plan).At(time.Second, chaos.Off()).At(2*time.Second, chaos.Gray(0, tc.min, tc.max))
+			if err := exp.ChaosPlan(plan); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("deployed=%v: ChaosPlan with Gray(0, %v, %v) = %v, want an error naming %s", deployed, tc.min, tc.max, err, tc.want)
+			}
+		}
+		if err := exp.At(time.Second, GrayHost(0, 0, 0)); err != nil {
+			t.Fatalf("deployed=%v: a zero band is valid: %v", deployed, err)
+		}
+	}
+	check(false)
+	if err := exp.Deploy(1); err != nil {
+		t.Fatal(err)
+	}
+	check(true)
 }
 
 func TestAtPreDeployPreRegisters(t *testing.T) {

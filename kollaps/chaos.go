@@ -107,7 +107,8 @@ func HealPartitions() Event {
 // GrayHost puts one host into gray failure: every metadata datagram it
 // sends or receives is delayed uniformly within [min, max] — alive,
 // reachable, and consistently late, the failure shape that defeats
-// binary alive/dead detectors.
+// binary alive/dead detectors. At rejects a band with min < 0 or
+// max < min.
 func GrayHost(host int, min, max time.Duration) Event {
 	a := chaos.Gray(host, min, max)
 	return Event{chaos: &a}
@@ -132,8 +133,16 @@ func (e *Experiment) Chaos(p chaos.Profile) error {
 
 // ChaosPlan schedules every step of a chaos plan. Before Deploy the
 // steps are pre-registered and armed at Deploy; after Deploy a step in
-// the virtual past is an error.
+// the virtual past is an error. A plan with an invalid action (see
+// chaos.Action.Err) is rejected before any step is scheduled.
 func (e *Experiment) ChaosPlan(p *chaos.Plan) error {
+	for _, s := range p.Steps {
+		for _, a := range s.Acts {
+			if err := a.Err(); err != nil {
+				return fmt.Errorf("kollaps: chaos step at %v: %w", s.At, err)
+			}
+		}
+	}
 	for _, s := range p.Steps {
 		if s.At < 0 {
 			return fmt.Errorf("kollaps: chaos step at %v is before the experiment start", s.At)

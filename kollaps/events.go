@@ -81,6 +81,9 @@ func (e *Experiment) At(at time.Duration, evs ...Event) error {
 	var acts []chaos.Action
 	for _, ev := range evs {
 		if ev.chaos != nil {
+			if err := ev.chaos.Err(); err != nil {
+				return fmt.Errorf("kollaps: At(%v): %w", at, err)
+			}
 			acts = append(acts, *ev.chaos)
 		} else {
 			topo = append(topo, ev)
@@ -194,9 +197,22 @@ func ChurnHosts(hosts ...int) ChurnOption {
 }
 
 // ChurnDowntime sets the mean downtime of a churned node (default 2s;
-// actual downtimes are exponentially distributed around it).
+// actual downtimes are exponentially distributed around it). A negative
+// mean is an error from Churn and ManagerChurn.
 func ChurnDowntime(mean time.Duration) ChurnOption {
 	return func(c *churnConfig) { c.downtime = mean }
+}
+
+// churnOptions applies opts over the defaults and validates the result.
+func churnOptions(opts []ChurnOption) (churnConfig, error) {
+	cfg := churnConfig{downtime: 2 * time.Second}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.downtime < 0 {
+		return cfg, fmt.Errorf("kollaps: ChurnDowntime(%v) is negative", cfg.downtime)
+	}
+	return cfg, nil
 }
 
 // ChurnUntil stops generating new churn events after the given virtual
@@ -219,9 +235,9 @@ func (e *Experiment) Churn(rate float64, opts ...ChurnOption) (stop func(), err 
 	if rate <= 0 {
 		return nil, fmt.Errorf("kollaps: churn rate must be positive, got %g", rate)
 	}
-	cfg := churnConfig{downtime: 2 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := churnOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.hosts != nil {
 		return nil, fmt.Errorf("kollaps: ChurnHosts tunes ManagerChurn; use ChurnTargets for node churn")
@@ -294,9 +310,9 @@ func (e *Experiment) ManagerChurn(rate float64, opts ...ChurnOption) (stop func(
 	if rate <= 0 {
 		return nil, fmt.Errorf("kollaps: manager churn rate must be positive, got %g", rate)
 	}
-	cfg := churnConfig{downtime: 2 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := churnOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.targets != nil {
 		return nil, fmt.Errorf("kollaps: ChurnTargets tunes node Churn; use ChurnHosts for manager churn")
