@@ -5,11 +5,16 @@
 // Usage:
 //
 //	kollaps-bench -exp table2          # one experiment
-//	kollaps-bench -exp all             # everything (slow)
+//	kollaps-bench -exp all             # everything (slow); writes no JSON report
 //	kollaps-bench -exp fig8 -quick     # reduced durations
-//	kollaps-bench -exp alloc           # allocator microbench -> BENCH_allocator.json
 //	kollaps-bench -exp sweep           # period-vs-accuracy sweep -> BENCH_sweep.json
+//	kollaps-bench -exp alloc -out new.json   # allocator microbench -> new.json
 //	kollaps-bench -exp fig8 -cpuprofile cpu.prof -memprofile mem.prof   # + pprof profiles
+//
+// The JSON experiments (alloc, failover, sweep, chaos) write their
+// committed BENCH_*.json when named explicitly in -exp; -exp all writes
+// none of them. -out overrides the path when exactly one JSON experiment
+// is selected and is an error otherwise.
 package main
 
 import (
@@ -26,13 +31,39 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id: table2 table3 table4 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 dissem alloc failover sweep chaos or all")
 	quick := flag.Bool("quick", false, "reduced durations (coarser numbers, much faster)")
-	benchOut := flag.String("bench-out", "BENCH_allocator.json", "output path for the alloc experiment's JSON report (empty = don't write)")
-	failoverOut := flag.String("failover-out", "BENCH_failover.json", "output path for the failover experiment's JSON report (empty = don't write)")
-	sweepOut := flag.String("sweep-out", "BENCH_sweep.json", "output path for the sweep experiment's JSON report (empty = don't write)")
-	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the chaos experiment's JSON report (empty = don't write)")
+	out := flag.String("out", "", "write the one selected JSON experiment's report here instead of its committed BENCH_*.json")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write the allocation profile to this path when the experiments finish")
 	flag.Parse()
+
+	order := []string{"table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table4", "fig9", "fig10", "fig11", "dissem", "alloc", "failover", "sweep", "chaos"}
+	ids := strings.Split(*exp, ",")
+	if *exp == "all" {
+		ids = order
+	}
+	// Each JSON experiment writes its committed report when named in
+	// -exp; -exp all writes none, so a developer run never rewrites a
+	// baseline by accident.
+	reports := map[string]string{
+		"alloc": "BENCH_allocator.json", "failover": "BENCH_failover.json",
+		"sweep": "BENCH_sweep.json", "chaos": "BENCH_chaos.json",
+	}
+	var selected []string
+	for _, id := range ids {
+		if _, ok := reports[id]; ok {
+			selected = append(selected, id)
+		}
+	}
+	if *out != "" {
+		if len(selected) != 1 {
+			fmt.Fprintf(os.Stderr, "-out needs exactly one JSON experiment in -exp, got %d\n", len(selected))
+			os.Exit(2)
+		}
+		reports[selected[0]] = *out
+	}
+	if *exp == "all" {
+		reports = nil
+	}
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -46,29 +77,34 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-	// `-exp all` must not silently rewrite the committed CI baselines on a
-	// developer box; each JSON is only written when its experiment (or an
-	// explicit output path) is requested.
-	outSet := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { outSet[f.Name] = true })
-	if *exp == "all" && !outSet["bench-out"] {
-		*benchOut = ""
-	}
-	if *exp == "all" && !outSet["failover-out"] {
-		*failoverOut = ""
-	}
-	if *exp == "all" && !outSet["sweep-out"] {
-		*sweepOut = ""
-	}
-	if *exp == "all" && !outSet["chaos-out"] {
-		*chaosOut = ""
-	}
 
 	d := func(full, fast time.Duration) time.Duration {
 		if *quick {
 			return fast
 		}
 		return full
+	}
+	// fast is a JSON experiment's -quick size; 0 selects its committed one.
+	fast := func(n int) int {
+		if *quick {
+			return n
+		}
+		return 0
+	}
+
+	// report runs a JSON experiment against its resolved report path.
+	report := func(id string, run func(path string) (*experiments.Table, error)) func() {
+		return func() {
+			t, err := run(reports[id])
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			t.Fprint(os.Stdout)
+			if reports[id] != "" {
+				fmt.Printf("\nwrote %s\n", reports[id])
+			}
+		}
 	}
 
 	runs := map[string]func(){
@@ -113,84 +149,31 @@ func main() {
 			}
 			experiments.RunDissemScale(d(5*time.Second, 2*time.Second), ns, nil).Fprint(os.Stdout)
 		},
-		"alloc": func() {
-			table, _, err := experiments.RunAllocBench(*benchOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			table.Fprint(os.Stdout)
-			if *benchOut != "" {
-				fmt.Printf("\nwrote %s\n", *benchOut)
-			}
-		},
-		"failover": func() {
-			// The acceptance scenario: one of N=32 managers dead for 50
-			// emulation periods, then restarted.
-			n, deadPeriods := 32, 50
-			if *quick {
-				n, deadPeriods = 8, 30
-			}
-			t, _, err := experiments.RunFailover(*failoverOut, n, deadPeriods)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			t.Fprint(os.Stdout)
-			if *failoverOut != "" {
-				fmt.Printf("\nwrote %s\n", *failoverOut)
-			}
-		},
-		"sweep": func() {
-			// Period × strategy: how much accuracy each emulation period
-			// buys, and what the control plane pays for it.
-			n, warmup, measure := 16, 40, 200
-			if *quick {
-				n, warmup, measure = 8, 15, 60
-			}
-			t, _, err := experiments.RunSweep(*sweepOut, n, nil, nil, warmup, measure)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			t.Fprint(os.Stdout)
-			if *sweepOut != "" {
-				fmt.Printf("\nwrote %s\n", *sweepOut)
-			}
-		},
-		"chaos": func() {
-			// The acceptance scenario: every strategy soaked twice (the
-			// rerun checks determinism) in the seeded 60-period fault
-			// schedule with a 10-period one-way partition mid-window.
-			n, faultPeriods := 8, 60
-			if *quick {
-				faultPeriods = 50
-			}
-			t, _, err := experiments.RunChaos(*chaosOut, n, faultPeriods)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			t.Fprint(os.Stdout)
-			if *chaosOut != "" {
-				fmt.Printf("\nwrote %s\n", *chaosOut)
-			}
-		},
+		"alloc": report("alloc", func(path string) (*experiments.Table, error) {
+			t, _, err := experiments.RunAllocBench(path)
+			return t, err
+		}),
+		"failover": report("failover", func(path string) (*experiments.Table, error) {
+			t, _, err := experiments.RunFailover(path, fast(8), fast(30))
+			return t, err
+		}),
+		"sweep": report("sweep", func(path string) (*experiments.Table, error) {
+			t, _, err := experiments.RunSweep(path, fast(8), nil, nil, fast(15), fast(60))
+			return t, err
+		}),
+		"chaos": report("chaos", func(path string) (*experiments.Table, error) {
+			t, _, err := experiments.RunChaos(path, fast(8), fast(50))
+			return t, err
+		}),
 	}
-	order := []string{"table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table4", "fig9", "fig10", "fig11", "dissem", "alloc", "failover", "sweep", "chaos"}
-
-	if *exp == "all" {
-		for _, id := range order {
-			fmt.Printf("\n[%s]\n", id)
-			runs[id]()
-		}
-		return
-	}
-	for _, id := range strings.Split(*exp, ",") {
+	for _, id := range ids {
 		run, ok := runs[id]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(order, " "))
 			os.Exit(2)
+		}
+		if *exp == "all" {
+			fmt.Printf("\n[%s]\n", id)
 		}
 		run()
 	}

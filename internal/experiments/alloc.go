@@ -13,9 +13,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -99,15 +97,5 @@ func RunAllocBench(path string) (*Table, *AllocBenchReport, error) {
 			},
 		})
 	}
-	if path != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return nil, nil, err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			return nil, nil, err
-		}
-	}
-	return table, report, nil
+	return table, report, writeReport(path, report)
 }

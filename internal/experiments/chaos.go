@@ -22,14 +22,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"hash/fnv"
 	"sort"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/packet"
 	"repro/kollaps"
 )
 
@@ -121,21 +119,15 @@ type chaosRun struct {
 	fingerprint uint64 // FNV-1a over every viewer's final sorted view
 }
 
-// runChaos deploys the dissemination dumbbell on n managers, drives the
-// seeded fault schedule, and measures. originPaths maps each manager to
-// its flows' path keys; nil (the Broadcast oracle run) harvests it from
-// the converged pre-fault views.
+// runChaos deploys the dumbbell on n managers, drives the seeded fault
+// schedule, and measures. originPaths maps each manager to its flows'
+// path keys; nil (the Broadcast oracle run) harvests it from the
+// converged pre-fault views.
 func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[string]bool) chaosRun {
 	const period = 50 * time.Millisecond
-	exp, err := kollaps.Load(dissemScaleYAML(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: bad chaos topology: %v", err))
-	}
-
 	faultStart := chaosWarmupPeriods * period
 	healAt := faultStart + (chaosPartitionAt+chaosPartitionPeriods)*period
 	faultEnd := faultStart + time.Duration(faultPeriods)*period
-	maxAge := 3 * period
 
 	// The whole fault schedule is declared up front, before Deploy, as a
 	// seeded plan — the run's faults are a pure function of the seed.
@@ -144,142 +136,38 @@ func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[stri
 		At(faultStart+chaosPartitionAt*period, chaos.PartitionOneWay(chaosCutFrom, chaosCutTo)).
 		At(healAt, chaos.Heal()).
 		At(faultEnd, chaos.Off())
-	if err := exp.ChaosPlan(plan); err != nil {
-		panic(fmt.Sprintf("experiments: chaos plan: %v", err))
-	}
-	err = exp.Deploy(n, kollaps.WithDissem(strategy,
+	d := newDumbbell("chaos", n, period, plan, nil, kollaps.WithDissem(strategy,
 		kollaps.DissemEpsilon(dissemEpsilon),
 		kollaps.DissemSuspectAfter(failoverSuspectAfter)))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: chaos deploy failed: %v", err))
-	}
+	run := chaosRun{originPaths: d.originPaths(originPaths, faultStart-period/2)}
+	cutBlind := func(v, o int) bool { return v == chaosCutTo && o == chaosCutFrom }
 
-	pairs := dissemFlowsPerHost * n
-	interval := time.Duration(float64(cbrPayload*8) / 8e6 * float64(time.Second))
-	for i := 0; i < pairs; i++ {
-		cli, err := exp.Container(fmt.Sprintf("c%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: chaos topology: %v", err))
-		}
-		srv, err := exp.Container(fmt.Sprintf("sv%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: chaos topology: %v", err))
-		}
-		srv.Stack.HandleUDP(9000, func(packet.IP, uint16, int, any) {})
-		dst := srv.IP
-		st := cli.Stack
-		exp.Eng.Every(interval, func() {
-			st.SendUDP(dst, 9000, 9000, cbrPayload, nil)
-		})
-	}
-
-	run := chaosRun{originPaths: originPaths}
-
-	// Under Broadcast, the converged pre-fault views attribute every path
-	// to its owner; harvest once and share with the other strategies
-	// (Tree merges records, losing origin attribution).
-	if run.originPaths == nil {
-		run.originPaths = make(map[int]map[string]bool)
-		exp.Eng.At(faultStart-period/2, func() {
-			for viewer := 0; viewer < 2; viewer++ {
-				node := exp.Runtime.Managers()[viewer].Node()
-				for _, rf := range node.RemoteFlows(exp.Eng.Now(), maxAge) {
-					o := int(rf.Origin)
-					if run.originPaths[o] == nil {
-						run.originPaths[o] = make(map[string]bool)
-					}
-					run.originPaths[o][pathID(rf.Links)] = true
-				}
-			}
-		})
-	}
-
-	// completenessAt returns the worst viewer's coverage of live remote
-	// flows at the current virtual instant; cutBlind excludes the pair
-	// the one-way partition directly blinds.
-	completenessAt := func(cutBlind bool) float64 {
-		worst := 1.0
-		for v := 0; v < n; v++ {
-			visible := make(map[string]bool)
-			for _, rf := range exp.Runtime.Managers()[v].Node().RemoteFlows(exp.Eng.Now(), maxAge) {
-				visible[pathID(rf.Links)] = true
-			}
-			expect, got := 0, 0
-			for o, paths := range run.originPaths {
-				if o == v || (cutBlind && v == chaosCutTo && o == chaosCutFrom) {
-					continue
-				}
-				for p := range paths {
-					expect++
-					if visible[p] {
-						got++
-					}
-				}
-			}
-			if expect > 0 {
-				if c := float64(got) / float64(expect); c < worst {
-					worst = c
-				}
-			}
-		}
-		return worst
-	}
-
-	// Surviving completeness: sampled mid-period through the back half of
-	// the partition (the front half is the detection-and-reroute budget
-	// for the overlay strategies, the same allowance failover grants
-	// after a kill).
+	// Surviving completeness through the back half of the partition (the
+	// front half is the detection-and-reroute budget for the overlay
+	// strategies, the same allowance failover grants after a kill), with
+	// the pair the one-way cut directly blinds excluded.
 	run.res.SurvivingCompleteness = 1.0
-	for k := chaosPartitionAt + chaosPartitionPeriods/2; k < chaosPartitionAt+chaosPartitionPeriods; k++ {
-		exp.Eng.At(faultStart+time.Duration(k)*period+period/2, func() {
-			if c := completenessAt(true); c < run.res.SurvivingCompleteness {
-				run.res.SurvivingCompleteness = c
-			}
-		})
-	}
+	d.midPeriods(faultStart, chaosPartitionAt+chaosPartitionPeriods/2, chaosPartitionAt+chaosPartitionPeriods, func(int) {
+		run.res.SurvivingCompleteness = min(run.res.SurvivingCompleteness, d.completeness(cutBlind))
+	})
 
-	// Heal recovery: poll mid-period after the partition heals (the
-	// stochastic faults still running) until every view — cut pair
-	// included — covers all live flows.
-	run.res.HealRecoveryPeriods = -1
-	for k := 0; k < chaosMaxRecovery; k++ {
-		k := k
-		exp.Eng.At(healAt+time.Duration(k)*period+period/2, func() {
-			if run.res.HealRecoveryPeriods < 0 && completenessAt(false) >= 1 {
-				run.res.HealRecoveryPeriods = k
-			}
-		})
-	}
+	// Heal recovery: periods after the partition heals (the stochastic
+	// faults still running) until every view — cut pair included —
+	// covers all live flows.
+	complete := func() bool { return d.completeness(nil) >= 1 }
+	d.firstPeriod(&run.res.HealRecoveryPeriods, healAt, chaosMaxRecovery, complete)
 
 	// Final completeness: the worst all-pair coverage over the last third
 	// of the fault window, after the heal-recovery allowance.
 	run.res.FinalCompleteness = 1.0
-	finalFrom := faultPeriods - faultPeriods/3
-	if min := chaosPartitionAt + chaosPartitionPeriods + 10; finalFrom < min {
-		finalFrom = min
-	}
-	for k := finalFrom; k < faultPeriods; k++ {
-		exp.Eng.At(faultStart+time.Duration(k)*period+period/2, func() {
-			if c := completenessAt(false); c < run.res.FinalCompleteness {
-				run.res.FinalCompleteness = c
-			}
-		})
-	}
+	finalFrom := max(faultPeriods-faultPeriods/3, chaosPartitionAt+chaosPartitionPeriods+10)
+	d.midPeriods(faultStart, finalFrom, faultPeriods, func(int) {
+		run.res.FinalCompleteness = min(run.res.FinalCompleteness, d.completeness(nil))
+	})
 
 	// Convergence after the whole fault window clears.
-	run.res.ConvergencePeriods = -1
-	for k := 0; k < chaosMaxRecovery; k++ {
-		k := k
-		exp.Eng.At(faultEnd+time.Duration(k)*period+period/2, func() {
-			if run.res.ConvergencePeriods < 0 && completenessAt(false) >= 1 {
-				run.res.ConvergencePeriods = k
-			}
-		})
-	}
-
-	if err := exp.Run(faultEnd + chaosMaxRecovery*period); err != nil {
-		panic(fmt.Sprintf("experiments: chaos run: %v", err))
-	}
+	d.firstPeriod(&run.res.ConvergencePeriods, faultEnd, chaosMaxRecovery, complete)
+	d.run(faultEnd + chaosMaxRecovery*period)
 
 	// Final views: phantom check and the determinism fingerprint.
 	oracle := make(map[string]bool)
@@ -288,10 +176,10 @@ func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[stri
 			oracle[p] = true
 		}
 	}
-	run.fingerprint = 14695981039346656037 // FNV-1a offset basis
+	fingerprint := fnv.New64a()
 	for v := 0; v < n; v++ {
 		var view []string
-		for _, rf := range exp.Runtime.Managers()[v].Node().RemoteFlows(exp.Eng.Now(), maxAge) {
+		for _, rf := range d.exp.Runtime.Managers()[v].Node().RemoteFlows(d.exp.Eng.Now(), d.maxAge) {
 			p := pathID(rf.Links)
 			view = append(view, fmt.Sprintf("%d:%d:%s", v, rf.Origin, p))
 			if !oracle[p] {
@@ -300,16 +188,14 @@ func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[stri
 		}
 		sort.Strings(view)
 		for _, s := range view {
-			for i := 0; i < len(s); i++ {
-				run.fingerprint ^= uint64(s[i])
-				run.fingerprint *= 1099511628211
-			}
+			fingerprint.Write([]byte(s))
 		}
 	}
+	run.fingerprint = fingerprint.Sum64()
 
-	st := exp.ChaosStats()
+	st := d.exp.ChaosStats()
 	run.res.Strategy = strategy
-	run.res.ScheduleHash = fmt.Sprintf("%016x", exp.ChaosScheduleHash())
+	run.res.ScheduleHash = fmt.Sprintf("%016x", d.exp.ChaosScheduleHash())
 	run.res.FaultsInjected = st.Total()
 	run.res.Dropped = st.Dropped
 	run.res.Duplicated = st.Duplicated
@@ -317,7 +203,7 @@ func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[stri
 	run.res.Corrupted = st.Corrupted
 	run.res.Delayed = st.Delayed
 	run.res.Blocked = st.Blocked
-	for _, ds := range exp.Runtime.DissemStats() {
+	for _, ds := range d.exp.Runtime.DissemStats() {
 		if ds == nil {
 			continue
 		}
@@ -328,14 +214,15 @@ func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[stri
 
 // RunChaos soaks every strategy in the seeded fault schedule (twice
 // each, verifying determinism), writes the JSON report to path (skipped
-// when empty) and returns a printable table.
+// when empty) and returns a printable table. Zero n and faultPeriods
+// select the committed BENCH_chaos.json configuration: 8 managers, 60
+// fault periods.
 func RunChaos(path string, n, faultPeriods int) (*Table, *ChaosReport, error) {
-	if n < 8 {
-		n = 8 // the cut hosts must both exist and 1 must be a Tree interior node
+	n = max(n, 8) // the cut hosts must both exist and 1 must be a Tree interior node
+	if faultPeriods <= 0 {
+		faultPeriods = 60
 	}
-	if faultPeriods < chaosPartitionAt+chaosPartitionPeriods+15 {
-		faultPeriods = chaosPartitionAt + chaosPartitionPeriods + 15
-	}
+	faultPeriods = max(faultPeriods, chaosPartitionAt+chaosPartitionPeriods+15)
 	report := &ChaosReport{
 		N:                n,
 		FlowsPerHost:     dissemFlowsPerHost,
@@ -384,14 +271,5 @@ func RunChaos(path string, n, faultPeriods int) (*Table, *ChaosReport, error) {
 			},
 		})
 	}
-	if path != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return table, report, err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return table, report, err
-		}
-	}
-	return table, report, nil
+	return table, report, writeReport(path, report)
 }

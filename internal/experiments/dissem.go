@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dissem"
-	"repro/internal/packet"
 	"repro/kollaps"
 )
 
@@ -84,49 +83,23 @@ const dissemEpsilon = 0.15
 // period per tree level).
 const dissemWarmup = time.Second
 
-// dissemScaleRun deploys the sweep topology on n managers under one
-// strategy and drives one greedy CBR flow per client: 8 Mb/s offered
-// against fair shares of 1.4–2.9 Mb/s, so every flow is
-// allocation-limited throughout. Goodputs are measured after a warmup.
+// dissemScaleRun deploys the dumbbell on n managers under one strategy:
+// 8 Mb/s offered per flow against fair shares of 1.4–2.9 Mb/s, so every
+// flow is allocation-limited throughout. Goodputs are measured after a
+// warmup.
 func dissemScaleRun(strategy string, n int, duration time.Duration) dissemScaleResult {
-	exp, err := kollaps.Load(dissemScaleYAML(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: bad dissem topology: %v", err))
-	}
-	if err := exp.Deploy(n, kollaps.WithDissem(strategy, kollaps.DissemEpsilon(dissemEpsilon))); err != nil {
-		panic(fmt.Sprintf("experiments: dissem deploy failed: %v", err))
-	}
-	pairs := dissemFlowsPerHost * n
-	received := make([]int64, pairs)
-	interval := time.Duration(float64(cbrPayload*8) / 8e6 * float64(time.Second))
-	for i := 0; i < pairs; i++ {
-		i := i
-		cli, err := exp.Container(fmt.Sprintf("c%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: dissem topology: %v", err))
-		}
-		srv, err := exp.Container(fmt.Sprintf("sv%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: dissem topology: %v", err))
-		}
-		srv.Stack.HandleUDP(9000, func(_ packet.IP, _ uint16, size int, _ any) {
-			received[i] += int64(size)
-		})
-		dst := srv.IP
-		exp.Eng.Every(interval, func() {
-			cli.Stack.SendUDP(dst, 9000, 9000, cbrPayload, nil)
-		})
-	}
-	atWarmup := make([]int64, pairs)
+	d := newDumbbell("dissem", n, 50*time.Millisecond, nil, nil,
+		kollaps.WithDissem(strategy, kollaps.DissemEpsilon(dissemEpsilon)))
+	atWarmup := make([]int64, len(d.received))
 	var sumWarmup dissem.Summary
-	exp.Eng.At(dissemWarmup, func() {
-		copy(atWarmup, received)
-		sumWarmup = exp.DissemSummary()
+	d.exp.Eng.At(dissemWarmup, func() {
+		copy(atWarmup, d.received)
+		sumWarmup = d.exp.DissemSummary()
 	})
-	exp.Run(dissemWarmup + duration)
+	d.run(dissemWarmup + duration)
 	res := dissemScaleResult{
-		sum:      exp.DissemSummary(),
-		goodputs: make([]float64, pairs),
+		sum:      d.exp.DissemSummary(),
+		goodputs: make([]float64, len(d.received)),
 	}
 	// Rates must cover the same window as the goodputs: subtract the
 	// control traffic spent during warmup. The staleness percentiles
@@ -136,8 +109,8 @@ func dissemScaleRun(strategy string, n int, duration time.Duration) dissemScaleR
 	res.sum.BytesSent -= sumWarmup.BytesSent
 	res.sum.DatagramsRecv -= sumWarmup.DatagramsRecv
 	res.sum.BytesRecv -= sumWarmup.BytesRecv
-	for i := range received {
-		res.goodputs[i] = float64(received[i]-atWarmup[i]) * 8 / duration.Seconds()
+	for i, r := range d.received {
+		res.goodputs[i] = float64(r-atWarmup[i]) * 8 / duration.Seconds()
 	}
 	return res
 }

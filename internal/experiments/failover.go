@@ -19,12 +19,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/packet"
 	"repro/kollaps"
 )
 
@@ -73,180 +70,77 @@ type failoverRun struct {
 	originPaths map[int]map[string]bool
 }
 
-// pathID keys a remote flow by its link path (origin attribution is
-// unavailable under Tree, which merges records).
-func pathID(links []uint16) string { return fmt.Sprint(links) }
-
-// runFailover deploys the dissemination-sweep dumbbell on n managers,
-// kills host 1 for deadPeriods periods, restarts it, and measures.
-// originPaths maps each manager to its flows' path keys; nil (the
-// Broadcast run) harvests it from the converged per-origin views.
+// runFailover deploys the dumbbell on n managers, kills host 1 for
+// deadPeriods periods, restarts it, and measures. originPaths maps each
+// manager to its flows' path keys; nil (the Broadcast run) harvests it
+// from the converged per-origin views.
 func runFailover(strategy string, n, deadPeriods int, originPaths map[int]map[string]bool) failoverRun {
-	const period = 50 * time.Millisecond
-	exp, err := kollaps.Load(dissemScaleYAML(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: bad failover topology: %v", err))
-	}
-	err = exp.Deploy(n, kollaps.WithDissem(strategy,
-		kollaps.DissemEpsilon(dissemEpsilon),
-		kollaps.DissemSuspectAfter(failoverSuspectAfter)))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: failover deploy failed: %v", err))
-	}
-	pairs := dissemFlowsPerHost * n
-	received := make([]int64, pairs)
-	interval := time.Duration(float64(cbrPayload*8) / 8e6 * float64(time.Second))
-	for i := 0; i < pairs; i++ {
-		i := i
-		cli, err := exp.Container(fmt.Sprintf("c%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: failover topology: %v", err))
-		}
-		srv, err := exp.Container(fmt.Sprintf("sv%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: failover topology: %v", err))
-		}
-		srv.Stack.HandleUDP(9000, func(_ packet.IP, _ uint16, size int, _ any) {
-			received[i] += int64(size)
-		})
-		dst := srv.IP
-		exp.Eng.Every(interval, func() {
-			cli.Stack.SendUDP(dst, 9000, 9000, cbrPayload, nil)
-		})
-	}
-
 	const (
+		period        = 50 * time.Millisecond
 		warmupPeriods = 20
 		steadyPeriods = 40
 	)
+	d := newDumbbell("failover", n, period, nil, nil, kollaps.WithDissem(strategy,
+		kollaps.DissemEpsilon(dissemEpsilon),
+		kollaps.DissemSuspectAfter(failoverSuspectAfter)))
 	warmup := warmupPeriods * period
 	killAt := warmup + steadyPeriods*period
 	restartAt := killAt + time.Duration(deadPeriods)*period
-	maxAge := 3 * period
-
-	run := failoverRun{originPaths: originPaths}
+	var run failoverRun
 
 	// Steady-state control bytes/period over a window spanning resyncs.
 	var bytesAtWarmup, bytesAtKill, bytesAtRestart int64
-	exp.Eng.At(warmup, func() { bytesAtWarmup = exp.DissemSummary().BytesSent })
-	exp.Eng.At(killAt, func() {
-		bytesAtKill = exp.DissemSummary().BytesSent
-		if err := exp.KillManager(1); err != nil {
+	d.exp.Eng.At(warmup, func() { bytesAtWarmup = d.exp.DissemSummary().BytesSent })
+	d.exp.Eng.At(killAt, func() {
+		bytesAtKill = d.exp.DissemSummary().BytesSent
+		if err := d.exp.KillManager(1); err != nil {
 			panic(fmt.Sprintf("experiments: failover kill: %v", err))
 		}
 	})
+	run.originPaths = d.originPaths(originPaths, killAt-period/2)
 
-	// Under Broadcast, the per-origin views attribute every path to its
-	// owner; harvest them once converged and share with later strategies.
-	if run.originPaths == nil {
-		run.originPaths = make(map[int]map[string]bool)
-		exp.Eng.At(killAt-period/2, func() {
-			for viewer := 0; viewer < 2; viewer++ {
-				node := exp.Runtime.Managers()[viewer].Node()
-				for _, rf := range node.RemoteFlows(exp.Eng.Now(), maxAge) {
-					o := int(rf.Origin)
-					if run.originPaths[o] == nil {
-						run.originPaths[o] = make(map[string]bool)
-					}
-					run.originPaths[o][pathID(rf.Links)] = true
-				}
-			}
-		})
-	}
-
-	// View completeness over the last 10 dead periods, sampled
-	// mid-period so every publish of the period has landed: the worst
+	// View completeness over the last 10 dead periods: the worst
 	// surviving manager's coverage of live flows, plus any dead-manager
 	// flows still visible.
-	completeness := 1.0
-	checkFrom := deadPeriods - 10
-	if checkFrom < failoverSuspectAfter+4 {
-		checkFrom = failoverSuspectAfter + 4
-	}
-	for k := checkFrom; k < deadPeriods; k++ {
-		exp.Eng.At(killAt+time.Duration(k)*period+period/2, func() {
-			for v := 0; v < n; v++ {
-				if v == 1 {
-					continue
-				}
-				visible := make(map[string]bool)
-				for _, rf := range exp.Runtime.Managers()[v].Node().RemoteFlows(exp.Eng.Now(), maxAge) {
-					visible[pathID(rf.Links)] = true
-				}
-				expect, got := 0, 0
-				for o, paths := range run.originPaths {
-					for p := range paths {
-						switch o {
-						case v:
-						case 1:
-							if visible[p] {
-								run.res.DeadPathsVisible++
-							}
-						default:
-							expect++
-							if visible[p] {
-								got++
-							}
-						}
-					}
-				}
-				if expect > 0 {
-					if c := float64(got) / float64(expect); c < completeness {
-						completeness = c
-					}
+	run.res.ViewCompleteness = 1.0
+	d.midPeriods(killAt, max(deadPeriods-10, failoverSuspectAfter+4), deadPeriods, func(int) {
+		surviving := d.completeness(func(v, o int) bool { return v == 1 || o == 1 })
+		run.res.ViewCompleteness = min(run.res.ViewCompleteness, surviving)
+		for v := 0; v < n; v++ {
+			if v == 1 {
+				continue
+			}
+			visible := d.view(v)
+			for p := range run.originPaths[1] {
+				if visible[p] {
+					run.res.DeadPathsVisible++
 				}
 			}
-		})
-	}
+		}
+	})
 
 	// Goodputs of surviving flows over the settled part of the dead
 	// phase (suspicion plus expiry excluded) — the share-deviation input.
 	// Both window edges are snapshotted: the counters keep accumulating
 	// through the recovery phase, which must not dilute the metric.
 	devFrom := killAt + time.Duration(failoverSuspectAfter+4)*period
-	atDevFrom := make([]int64, pairs)
-	atRestart := make([]int64, pairs)
-	exp.Eng.At(devFrom, func() { copy(atDevFrom, received) })
+	atDevFrom := make([]int64, len(d.received))
+	atRestart := make([]int64, len(d.received))
+	d.exp.Eng.At(devFrom, func() { copy(atDevFrom, d.received) })
 
-	// Restart, then poll mid-period for full reconvergence.
-	recovery := -1
-	exp.Eng.At(restartAt, func() {
-		copy(atRestart, received)
-		bytesAtRestart = exp.DissemSummary().BytesSent
-		if err := exp.RestartManager(1); err != nil {
+	// Restart, then poll for full reconvergence.
+	d.exp.Eng.At(restartAt, func() {
+		copy(atRestart, d.received)
+		bytesAtRestart = d.exp.DissemSummary().BytesSent
+		if err := d.exp.RestartManager(1); err != nil {
 			panic(fmt.Sprintf("experiments: failover restart: %v", err))
 		}
 	})
 	const maxRecoveryPeriods = 40
-	for k := 0; k < maxRecoveryPeriods; k++ {
-		k := k
-		exp.Eng.At(restartAt+time.Duration(k)*period+period/2, func() {
-			if recovery >= 0 {
-				return
-			}
-			for v := 0; v < n; v++ {
-				visible := make(map[string]bool)
-				for _, rf := range exp.Runtime.Managers()[v].Node().RemoteFlows(exp.Eng.Now(), maxAge) {
-					visible[pathID(rf.Links)] = true
-				}
-				for o, paths := range run.originPaths {
-					if o == v {
-						continue
-					}
-					for p := range paths {
-						if !visible[p] {
-							return
-						}
-					}
-				}
-			}
-			recovery = k
-		})
-	}
-
-	if err := exp.Run(restartAt + maxRecoveryPeriods*period); err != nil {
-		panic(fmt.Sprintf("experiments: failover run: %v", err))
-	}
+	d.firstPeriod(&run.res.RecoveryPeriods, restartAt, maxRecoveryPeriods, func() bool {
+		return d.completeness(nil) >= 1
+	})
+	d.run(restartAt + maxRecoveryPeriods*period)
 
 	run.res.Strategy = strategy
 	run.res.SteadyBytesPerPeriod = float64(bytesAtKill-bytesAtWarmup) / steadyPeriods
@@ -254,10 +148,8 @@ func runFailover(strategy string, n, deadPeriods int, originPaths map[int]map[st
 	if run.res.SteadyBytesPerPeriod > 0 {
 		run.res.ByteRatio = run.res.DeadBytesPerPeriod / run.res.SteadyBytesPerPeriod
 	}
-	run.res.ViewCompleteness = completeness
-	run.res.RecoveryPeriods = recovery
 	devWindow := (restartAt - devFrom).Seconds()
-	for i := 0; i < pairs; i++ {
+	for i := range d.received {
 		if i%n == 1 {
 			continue // the dead manager's own flows are not compared
 		}
@@ -268,14 +160,18 @@ func runFailover(strategy string, n, deadPeriods int, originPaths map[int]map[st
 
 // RunFailover measures every strategy under one dead manager (host 1,
 // dead for deadPeriods periods, then restarted), writes the JSON report
-// to path (skipped when empty) and returns a printable table.
+// to path (skipped when empty) and returns a printable table. Zero n and
+// deadPeriods select the committed BENCH_failover.json configuration:
+// one of 32 managers dead for 50 periods.
 func RunFailover(path string, n, deadPeriods int) (*Table, *FailoverReport, error) {
-	if n < 8 {
-		n = 8 // host 1 must be an interior Tree node with a subtree
+	if n <= 0 {
+		n = 32
 	}
-	if deadPeriods < failoverSuspectAfter+15 {
-		deadPeriods = failoverSuspectAfter + 15
+	n = max(n, 8) // host 1 must be an interior Tree node with a subtree
+	if deadPeriods <= 0 {
+		deadPeriods = 50
 	}
+	deadPeriods = max(deadPeriods, failoverSuspectAfter+15)
 	report := &FailoverReport{
 		N:            n,
 		FlowsPerHost: dissemFlowsPerHost,
@@ -319,14 +215,5 @@ func RunFailover(path string, n, deadPeriods int) (*Table, *FailoverReport, erro
 			},
 		})
 	}
-	if path != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return table, report, err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return table, report, err
-		}
-	}
-	return table, report, nil
+	return table, report, writeReport(path, report)
 }

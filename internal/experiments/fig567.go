@@ -70,7 +70,7 @@ func fig5Systems(yaml string, duration time.Duration) []system {
 			return bm, bm.Eng
 		}),
 		mk("kollaps", func() (apps.StackProvider, *sim.Engine) {
-			exp := mustKollaps(yaml, 3)
+			exp := mustKollaps(yaml, 3, nil)
 			return exp, exp.Eng
 		}),
 		mk("mininet", func() (apps.StackProvider, *sim.Engine) {

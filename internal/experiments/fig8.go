@@ -104,7 +104,7 @@ func RunFig8(phase time.Duration) *Table {
 	if phase <= 0 {
 		phase = 15 * time.Second
 	}
-	exp := mustKollaps(fig8YAML, 4)
+	exp := mustKollaps(fig8YAML, 4, nil)
 	eng := exp.Eng
 
 	received := make([]int64, 6)

@@ -15,13 +15,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/dissem"
-	"repro/internal/packet"
 	"repro/kollaps"
 )
 
@@ -78,55 +75,20 @@ const sweepPulse = 400 * time.Millisecond
 // oracle by the dissemination delay under test. Measurement starts after
 // warmup periods.
 func sweepCell(strategy string, period time.Duration, n, warmup, measure int) SweepCell {
-	exp, err := kollaps.Load(dissemScaleYAML(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: bad sweep topology: %v", err))
+	pulse := func(flow int, now time.Duration) bool {
+		return flow%2 == 0 || (int(now/(sweepPulse/2))+flow)%2 == 0
 	}
-	err = exp.Deploy(n,
-		kollaps.WithPeriod(period),
+	d := newDumbbell("sweep", n, period, nil, pulse,
 		kollaps.WithDissem(strategy, kollaps.DissemEpsilon(dissemEpsilon)),
-		kollaps.WithAccuracyProbe(1),
-	)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: sweep deploy failed: %v", err))
-	}
-	pairs := dissemFlowsPerHost * n
-	interval := time.Duration(float64(cbrPayload*8) / 8e6 * float64(time.Second))
-	for i := 0; i < pairs; i++ {
-		cli, err := exp.Container(fmt.Sprintf("c%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: sweep topology: %v", err))
-		}
-		srv, err := exp.Container(fmt.Sprintf("sv%d", i))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: sweep topology: %v", err))
-		}
-		srv.Stack.HandleUDP(9000, func(_ packet.IP, _ uint16, _ int, _ any) {})
-		dst := srv.IP
-		i := i
-		exp.Eng.Every(interval, func() {
-			if i%2 == 1 {
-				// Pulsing flow: on for one half-cycle, off for the next,
-				// staggered by index so flips spread over virtual time.
-				phase := int(exp.Eng.Now()/(sweepPulse/2)) + i
-				if phase%2 == 1 {
-					return
-				}
-			}
-			cli.Stack.SendUDP(dst, 9000, 9000, cbrPayload, nil)
-		})
-	}
-
+		kollaps.WithAccuracyProbe(1))
 	warmupEnd := time.Duration(warmup) * period
 	end := warmupEnd + time.Duration(measure)*period
 	var sumWarmup dissem.Summary
-	exp.Eng.At(warmupEnd, func() { sumWarmup = exp.DissemSummary() })
-	if err := exp.Run(end); err != nil {
-		panic(fmt.Sprintf("experiments: sweep run failed: %v", err))
-	}
+	d.exp.Eng.At(warmupEnd, func() { sumWarmup = d.exp.DissemSummary() })
+	d.run(end)
 
-	sum := exp.DissemSummary()
-	probe := exp.AccuracyProbe()
+	sum := d.exp.DissemSummary()
+	probe := d.exp.AccuracyProbe()
 	samples := 0
 	for _, pt := range probe.Mean.Points {
 		if pt.At >= warmupEnd {
@@ -149,8 +111,9 @@ func sweepCell(strategy string, period time.Duration, n, warmup, measure int) Sw
 // RunSweep measures every (period, strategy) cell, writes the JSON report
 // to path (skipped when path is empty) and returns a printable table. nil
 // periods/strategies select the defaults (SweepPeriods /
-// DissemStrategies); non-positive warmup/measure select 40 and 200
-// periods.
+// DissemStrategies); non-positive n, warmup and measure select the
+// committed BENCH_sweep.json configuration: 16 managers, 40 warmup and
+// 200 measured periods.
 func RunSweep(path string, n int, periods []time.Duration, strategies []string, warmup, measure int) (*Table, *SweepReport, error) {
 	if n <= 0 {
 		n = 16
@@ -194,15 +157,5 @@ func RunSweep(path string, n int, periods []time.Duration, strategies []string, 
 			})
 		}
 	}
-	if path != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return nil, nil, err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			return nil, nil, err
-		}
-	}
-	return table, report, nil
+	return table, report, writeReport(path, report)
 }

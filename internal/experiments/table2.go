@@ -73,7 +73,7 @@ experiment:
 }
 
 func table2Kollaps(rate units.Bandwidth, d time.Duration) float64 {
-	exp := mustKollaps(table2Topology(rate), 2)
+	exp := mustKollaps(table2Topology(rate), 2, nil)
 	cli, _ := exp.Container("c1")
 	srv, _ := exp.Container("sv")
 	server := apps.NewIperfServer(exp.Eng, srv.Stack, 5201, false)

@@ -62,7 +62,7 @@ experiment:
     jitter: %v
     up: %s
 `, link.Latency, link.Jitter, 10*units.Gbps)
-	exp := mustKollaps(yaml, 2)
+	exp := mustKollaps(yaml, 2, nil)
 	src, _ := exp.Container("src")
 	dst, _ := exp.Container("dst")
 	p := apps.NewPinger(exp.Eng, src.Stack, dst.IP, 20*time.Millisecond)
