@@ -90,7 +90,7 @@ func benchIterate(b *testing.B, opts Options) {
 			},
 		})
 	}
-	m.node.Receive(rt.Eng.Now(), metadata.Encode(msg, false))
+	m.node.Receive(rt.Eng.Now(), newPeer(b, m).seal(msg))
 
 	period := rt.opts.Period
 	b.ReportAllocs()

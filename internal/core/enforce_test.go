@@ -4,10 +4,44 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dissem"
 	"repro/internal/metadata"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
+
+// peer stands in for host 1 of a Manager's deployment: it seals reports
+// exactly as a live peer's Publish does, each datagram carrying the next
+// envelope sequence number — a Manager's node accepts nothing else.
+type peer struct {
+	node dissem.Node
+	to   int
+	last []byte
+}
+
+func newPeer(tb testing.TB, m *Manager) *peer {
+	cfg := m.rt.opts.Dissem
+	cfg.NumHosts, cfg.Wide = len(m.emIPs), m.rt.wide
+	p := &peer{to: m.host}
+	node, err := dissem.New(cfg, 1, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.node = node
+	return p
+}
+
+func (p *peer) SendTo(host int, payload []byte) {
+	if host == p.to {
+		p.last = payload
+	}
+}
+
+// seal returns msg as the peer's next datagram to the Manager.
+func (p *peer) seal(msg *metadata.Message) []byte {
+	p.node.Publish(0, msg)
+	return p.last
+}
 
 // enforceRig drives one Manager the way benchIterate does — collectLocal,
 // globalFlows, enforce — with the runtime's own loop never started, so
@@ -17,6 +51,7 @@ type enforceRig struct {
 	t      *testing.T
 	rt     *Runtime
 	m      *Manager
+	peer   *peer
 	report metadata.Message
 	// paths the remote records take: real collapsed paths, so remote
 	// flows contend with the local ones on their links
@@ -35,7 +70,7 @@ func newEnforceRig(t *testing.T) *enforceRig {
 			}
 		}
 	}
-	r := &enforceRig{t: t, rt: rt, m: m}
+	r := &enforceRig{t: t, rt: rt, m: m, peer: newPeer(t, m)}
 	for _, pair := range [][2]string{{"c2", "s2"}, {"c3", "s3"}, {"c1", "s1"}, {"s5", "c5"}} {
 		src, _ := rt.Container(pair[0])
 		dst, _ := rt.Container(pair[1])
@@ -80,7 +115,7 @@ func (r *enforceRig) pass(k int) {
 	if m.dead {
 		return
 	}
-	m.node.Receive(rt.Eng.Now(), metadata.Encode(&r.report, false))
+	m.node.Receive(rt.Eng.Now(), r.peer.seal(&r.report))
 	derived := m.demDerived.Value()
 	flows := m.collectLocal(period)
 	all := m.globalFlows(flows)
@@ -201,14 +236,28 @@ func TestEnforceAllocationContract(t *testing.T) {
 		flows := m.collectLocal(period)
 		m.enforce(flows, m.globalFlows(flows))
 	}
+	// Reports A and B differ in one remote record's path. Every datagram
+	// needs a fresh envelope sequence number, so the alternation is
+	// sealed up front: warm-up A, B, A, then the miss path's 51 periods
+	// starting with B.
 	r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
-	frameA := metadata.Encode(&r.report, false)
+	reportA := r.report
+	r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
 	r.report.Flows[1].Links = r.paths[2]
-	frameB := metadata.Encode(&r.report, false)
-	for _, f := range [][]byte{frameA, frameB, frameA} { // warm both decode buffers
+	reportB := r.report
+	var frames [][]byte
+	for i := 0; i < 3+51; i++ {
+		report := &reportA
+		if i%2 == 1 {
+			report = &reportB
+		}
+		frames = append(frames, r.peer.seal(report))
+	}
+	for _, f := range frames[:3] { // warm both decode buffers
 		m.node.Receive(rt.Eng.Now(), f)
 		iterate()
 	}
+	frames = frames[3:]
 
 	before := m.entReused.Value()
 	if n := testing.AllocsPerRun(50, iterate); n != 0 {
@@ -219,14 +268,9 @@ func TestEnforceAllocationContract(t *testing.T) {
 	}
 
 	before = m.entReused.Value()
-	flip := false
 	if n := testing.AllocsPerRun(50, func() {
-		flip = !flip
-		if flip {
-			m.node.Receive(rt.Eng.Now(), frameB)
-		} else {
-			m.node.Receive(rt.Eng.Now(), frameA)
-		}
+		m.node.Receive(rt.Eng.Now(), frames[0])
+		frames = frames[1:]
 		iterate()
 	}); n != 0 {
 		t.Fatalf("miss path: %v allocs per period, want 0", n)

@@ -42,9 +42,8 @@ import (
 // metadata format.
 //
 // Version negotiation: byte 1 of a v0 datagram was the high byte of the
-// sender's host id, which is < 0xC0 for any deployment under 49152
-// managers; a versioned datagram marks byte 1 with the 0xC0 mask plus
-// the version number. No v0 sender exists any more (every node of a
+// sender's host id; a versioned datagram marks byte 1 with the 0xC0 mask
+// plus the version number. No v0 sender exists any more (every node of a
 // deployment runs this code), so there is one decoder: a datagram whose
 // byte 1 is not the v1 marker — an unmarked v0 body or a future version —
 // is rejected and counted in Stats.BadVersion, not silently dropped, so a
@@ -55,8 +54,7 @@ import (
 const treeWireVersion = 1
 
 // treeVerMask marks byte 1 of a tree datagram as a version byte rather
-// than the high byte of a v0 host id. Host ids below 0xC000 can never
-// collide with it; dissem.New rejects larger deployments outright.
+// than the high byte of a v0 host id.
 const treeVerMask byte = 0xC0
 
 // treeAgeUnit is the v1 age quantum. Ages only feed the staleness

@@ -104,7 +104,7 @@ func TestTreeCodecLegacyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node.Receive(now, legacy)
+	node.Receive(now, stats.seal(legacy))
 	if v := node.RemoteFlows(now, time.Second); len(v) != 0 {
 		t.Fatalf("view after legacy up = %+v, want it rejected", v)
 	}
@@ -138,11 +138,14 @@ func TestTreeCodecFutureVersionRejected(t *testing.T) {
 	up := encodeTree(msgTreeUp, 1, now, []aggRec{
 		{origin: 1, bps: 1000, count: 1, ts: now, links: []uint16{4, 5}},
 	}, &stats)
-	node.Receive(now, up)
+	node.Receive(now, stats.seal(up))
 	before := node.RemoteFlows(now, time.Second)
+	if len(before) == 0 {
+		t.Fatal("sealed v1 datagram not adopted")
+	}
 	futureUp := append([]byte(nil), up...)
 	futureUp[1] = treeVerMask | 0x3F
-	node.Receive(now, futureUp)
+	node.Receive(now, stats.seal(futureUp))
 	if got := node.Stats().BadVersion.Value(); got != 1 {
 		t.Fatalf("node BadVersion = %d, want 1", got)
 	}

@@ -209,13 +209,8 @@ func (c Config) Validate() error {
 	if c.Kind == Tree && c.Fanout == 1 {
 		return fmt.Errorf("dissem: tree fanout must be >= 2, got %d", c.Fanout)
 	}
-	if c.NumHosts >= int(treeVerMask)<<8 {
-		// Byte 0 of an unenveloped frame can be the high byte of a host
-		// id (Broadcast's raw paper format); at 49152+ managers it would
-		// collide with the 0xC0 envelope and wire-version marker space —
-		// and host ids also ride 16-bit wire fields, so the cap subsumes
-		// the old 65535 limit.
-		return fmt.Errorf("dissem: at most %d managers (0xC0 wire-version marker space), got %d", int(treeVerMask)<<8-1, c.NumHosts)
+	if c.NumHosts > maxHosts {
+		return fmt.Errorf("dissem: at most %d managers (16-bit host ids), got %d", maxHosts, c.NumHosts)
 	}
 	return nil
 }
@@ -230,6 +225,10 @@ type Transport interface {
 // MergedOrigin marks a RemoteFlow produced by merging records from more
 // than one reporting manager (Tree interior aggregation).
 const MergedOrigin uint16 = 0xFFFF
+
+// maxHosts caps a deployment's managers: host ids ride 16-bit wire
+// fields, and MergedOrigin reserves the largest.
+const maxHosts = int(MergedOrigin)
 
 // RemoteFlow is one entry of a node's current view of every other
 // manager's flows — the input the bandwidth-sharing model consumes.

@@ -157,8 +157,8 @@ func viewTotals(view []RemoteFlow) map[string][2]uint64 {
 
 // unsealed strips the integrity envelope from a captured datagram so
 // tests can keep asserting on the strategies' inner wire formats (the
-// first inner byte is the message type). Legacy unenveloped frames pass
-// through unchanged; an undecodable envelope returns nil.
+// first inner byte is the message type). A frame open rejects returns
+// nil.
 func unsealed(payload []byte) []byte {
 	inner, _, ok := (&Stats{}).open(payload)
 	if !ok {
@@ -219,6 +219,14 @@ func TestParseKind(t *testing.T) {
 		if _, err := New(cfg, 0, harnessTr{}); err == nil || !strings.Contains(err.Error(), field) || !strings.Contains(err.Error(), "-7") {
 			t.Errorf("New with %s = -7: got %v, want an error naming both", field, err)
 		}
+	}
+	// Host ids ride 16-bit wire fields and MergedOrigin reserves 0xFFFF:
+	// 65535 managers is the cap, not the envelope's marker space.
+	if err := (Config{NumHosts: 65535}).Validate(); err != nil {
+		t.Errorf("Validate(NumHosts=65535) = %v, want nil", err)
+	}
+	if err := (Config{NumHosts: 65536}).Validate(); err == nil {
+		t.Error("Validate(NumHosts=65536) = nil, want an error")
 	}
 }
 

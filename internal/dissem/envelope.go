@@ -16,15 +16,14 @@ import (
 //
 //	[0xC0|ver][seq:4][len:4][crc:4] inner payload
 //
-// Byte 0 reuses the tree codec's version-marker convention: an
-// unenveloped frame starts with a message-type byte (1..7) or, for
-// Broadcast's raw paper format, the high byte of a host id — both
-// below 0xC0 for any deployment Validate accepts — so decoders accept
-// legacy frames from pre-envelope senders unchanged and reject unknown
-// envelope versions into Stats.BadVersion. seq is the sender's
-// datagram counter (per-node, monotonic, starting at 1): receivers use
-// it to shed duplicates and stale reordered copies without any
-// per-strategy protocol change. len is the inner payload's byte length
+// Byte 0 reuses the tree codec's version-marker convention (the 0xC0
+// mask plus a version number). Every node of a deployment seals every
+// datagram, so a datagram is either verified or rejected and counted:
+// any byte 0 but envVersion — an unsealed frame, an unknown envelope
+// version — lands in Stats.BadVersion. seq is the sender's datagram
+// counter (per-node, monotonic, starting at 1): receivers use it to
+// shed duplicates and stale reordered copies without any per-strategy
+// protocol change. len is the inner payload's byte length
 // — a cheap truncation check that fails before the checksum is even
 // computed. crc is CRC-32C (Castagnoli) over the first 9 header bytes
 // and the inner payload, so a bit flip anywhere in the datagram lands
@@ -73,17 +72,15 @@ func (s *Stats) stamp(frame []byte) {
 
 // open validates and unwraps one received datagram, doing the node's
 // receive accounting (every Receive path funnels through it). It
-// returns the inner payload and the sender's datagram sequence number
-// (0 for a legacy unenveloped frame). ok==false means the datagram was
-// rejected — truncated or length-inconsistent (BadDatagram), checksum
-// mismatch (BadChecksum), or an unknown envelope version (BadVersion).
+// returns the inner payload and the sender's datagram sequence number.
+// ok==false means the datagram was rejected and counted — not sealed
+// by this envelope version (BadVersion), truncated or
+// length-inconsistent (BadDatagram), or a checksum mismatch
+// (BadChecksum).
 func (s *Stats) open(payload []byte) (inner []byte, seq uint32, ok bool) {
 	s.DatagramsRecv.Inc()
 	s.BytesRecv.Add(int64(len(payload)))
-	if len(payload) == 0 || payload[0]&0xC0 != 0xC0 {
-		return payload, 0, true // legacy pre-envelope frame
-	}
-	if payload[0] != envVersion {
+	if len(payload) > 0 && payload[0] != envVersion {
 		s.BadVersion.Inc()
 		return nil, 0, false
 	}
@@ -102,11 +99,11 @@ func (s *Stats) open(payload []byte) (inner []byte, seq uint32, ok bool) {
 }
 
 // seqFresh reports whether an envelope sequence number should update
-// state previously stamped with last. Accepted: legacy frames (seq 0),
-// first contact (last 0), in-order progress, and regressions larger
-// than envRestartGap (a restarted sender whose counter was not carried
-// over). Rejected: duplicates and small regressions — the displacement
-// a reordering fabric produces.
+// state previously stamped with last. Accepted: first contact (last 0),
+// in-order progress, and regressions larger than envRestartGap (a
+// restarted sender whose counter was not carried over). Rejected:
+// duplicates and small regressions — the displacement a reordering
+// fabric produces.
 func seqFresh(last, seq uint32) bool {
-	return seq == 0 || last == 0 || seq > last || last-seq > envRestartGap
+	return last == 0 || seq > last || last-seq > envRestartGap
 }

@@ -64,7 +64,8 @@ func fuzzSeeds(t interface{ Helper() }) [][]byte {
 	// Adversarial shapes lead (the corpus writer caps the committed seed
 	// count, and these must survive the cut): then every captured datagram
 	// both sealed (exercising the envelope open path) and as its inner
-	// frame (the legacy passthrough straight into the strategy decoders).
+	// frame (what the decoder-level targets parse, and what the
+	// Receive-level targets must reject as a bad version).
 	seeds := corruptSeeds(raw)
 	for _, p := range raw {
 		seeds = append(seeds, p, unsealed(p))

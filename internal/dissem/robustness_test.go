@@ -1,6 +1,7 @@
 package dissem
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -225,6 +226,45 @@ func TestSealedGarbageIsBadDatagram(t *testing.T) {
 			}
 			if v := node.RemoteFlows(foPeriod, foMaxAge); len(v) != 0 {
 				t.Fatalf("garbage datagram materialized view records: %+v", v)
+			}
+		})
+	}
+}
+
+// TestUnsealedFrameIsBadVersion: open has two outcomes, verified or
+// rejected and counted. Flipping exactly the top two bits of a sealed
+// frame's byte 0 turns the envelope marker into a message-type byte —
+// what an unsealed frame starts with — so the datagram must be rejected
+// as a bad version, reach no decoder, and leave the view unchanged.
+func TestUnsealedFrameIsBadVersion(t *testing.T) {
+	const n = 4
+	for _, kind := range []Kind{Broadcast, Delta, Tree, Gossip} {
+		t.Run(kind.String(), func(t *testing.T) {
+			h := newHarness(t, Config{Kind: kind, Fanout: 2}, n)
+			msgs := foMsgs(n, 1)
+			for r := 0; r < 5; r++ {
+				h.sent = h.sent[:0]
+				h.round(foPeriod, msgs)
+			}
+			if len(h.sent) == 0 {
+				t.Fatal("no datagram sent in the last round")
+			}
+			last := h.sent[len(h.sent)-1]
+			frame := append([]byte(nil), last.payload...)
+			frame[0] ^= 0xC0
+			node := h.nodes[last.to]
+			before := node.RemoteFlows(h.now, foMaxAge)
+			s := node.Stats()
+			versions, dgrams, crcs := s.BadVersion.Value(), s.BadDatagram.Value(), s.BadChecksum.Value()
+			node.Receive(h.now, frame)
+			if got := s.BadVersion.Value() - versions; got != 1 {
+				t.Fatalf("BadVersion moved by %d for one unsealed frame, want 1", got)
+			}
+			if s.BadDatagram.Value() != dgrams || s.BadChecksum.Value() != crcs {
+				t.Fatal("unsealed frame reached the length/checksum checks or a decoder")
+			}
+			if after := node.RemoteFlows(h.now, foMaxAge); !reflect.DeepEqual(before, after) {
+				t.Fatalf("unsealed frame changed the view:\n%+v\n%+v", before, after)
 			}
 		})
 	}

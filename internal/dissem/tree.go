@@ -388,9 +388,7 @@ func (n *treeNode) Receive(now time.Duration, payload []byte) {
 	if !seqFresh(n.lastSeq[from], seq) {
 		return
 	}
-	if seq != 0 {
-		n.lastSeq[from] = seq
-	}
+	n.lastSeq[from] = seq
 	switch typ {
 	case msgTreeUp:
 		// Accept subtree aggregates from actual children, relaying the

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/kollaps"
 )
@@ -15,10 +15,11 @@ import (
 // managers with one 8 Mb/s CBR flow per client, which offers well above
 // any fair share so every flow stays allocation-limited.
 //
-// Same-instant events fire in insertion order, so the order in which an
-// experiment registers its At callbacks is part of its output: the CBR
-// loops are registered first, by newDumbbell, and everything else in
-// the order the experiment calls the helpers below.
+// Same-instant events fire in insertion order, and a periodic event is
+// re-inserted each time it fires, so a callback registered before Run
+// observes the state just before that instant's manager and CBR ticks;
+// one registered during the run, after them. Keep measurement callbacks
+// registered up front, in the order the experiment calls the helpers.
 type dumbbell struct {
 	name   string
 	exp    *kollaps.Experiment
@@ -44,27 +45,22 @@ func newDumbbell(name string, n int, period time.Duration, plan *chaos.Plan,
 	interval := time.Duration(float64(cbrPayload*8) / 8e6 * float64(time.Second))
 	for i := range d.received {
 		i := i
-		cli, srv := d.container(fmt.Sprintf("c%d", i)), d.container(fmt.Sprintf("sv%d", i))
+		cli, errC := d.exp.Container(fmt.Sprintf("c%d", i))
+		srv, errS := d.exp.Container(fmt.Sprintf("sv%d", i))
+		if err := errors.Join(errC, errS); err != nil {
+			panic(fmt.Sprintf("experiments: %s topology: %v", name, err))
+		}
 		srv.Stack.HandleUDP(9000, func(_ packet.IP, _ uint16, size int, _ any) {
 			d.received[i] += int64(size)
 		})
-		dst := srv.IP
 		d.exp.Eng.Every(interval, func() {
 			if gate != nil && !gate(i, d.exp.Eng.Now()) {
 				return
 			}
-			cli.Stack.SendUDP(dst, 9000, 9000, cbrPayload, nil)
+			cli.Stack.SendUDP(srv.IP, 9000, 9000, cbrPayload, nil)
 		})
 	}
 	return d
-}
-
-func (d *dumbbell) container(name string) *core.Container {
-	c, err := d.exp.Container(name)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s topology: %v", d.name, err))
-	}
-	return c
 }
 
 // run advances the emulation to until.
