@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -87,12 +88,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		// Both are maps: print in key order so the output is stable.
 		fmt.Println("# placement")
-		for c, h := range plan.Assignment {
-			fmt.Printf("#   %s -> host%d\n", c, h)
+		for _, c := range sortedKeys(plan.Assignment) {
+			fmt.Printf("#   %s -> host%d\n", c, plan.Assignment[c])
 		}
-		for name, content := range plan.Artifacts {
-			fmt.Printf("\n--- %s ---\n%s", name, content)
+		for _, name := range sortedKeys(plan.Artifacts) {
+			fmt.Printf("\n--- %s ---\n%s", name, plan.Artifacts[name])
 		}
 	case "run":
 		dissemOpts := []kollaps.DissemOption{
@@ -148,6 +150,16 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func usage() {

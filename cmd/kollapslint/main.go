@@ -59,11 +59,10 @@ var contractPackages = map[string][]string{
 // surfaces; adding annotations never fails.
 var annotationFloors = map[string]map[string]int{
 	"repro/internal/obs": {
-		"guardedby": 5, // Tracer ring (ev, head) + Registry maps (counts, gauges, hists)
+		"guardedby": 4, // Tracer ring (ev, head) + Registry maps (counts, gauges)
 	},
 	"repro/internal/core": {
-		"guardedby": 3,  // runtime obsSnapshot (metrics, dissem, published)
-		"arena":     24, // AllocState (14) + Manager scratch (10)
+		"arena": 24, // AllocState (14) + Manager scratch (10)
 	},
 	"repro/internal/dissem": {
 		"arena": 4, // per-node view scratch (broadcast, gossip, delta×2)

@@ -41,9 +41,6 @@ type Manager struct {
 	// owns the wire exchange with peers and the fused remote-flow view.
 	node dissem.Node
 
-	// ring receives local Emulation Core reports through shared memory.
-	ring *metadata.Ring
-
 	// dead marks a killed Emulation Manager: its loop is muted and its
 	// datagrams are dropped both ways, while the host's containers keep
 	// running against their last enforced allocations (only the control
@@ -96,10 +93,10 @@ type Manager struct {
 	//kollaps:arena
 	rlinks []int // arena backing remote FlowDemand.Links
 
-	// msg and its records/link arena back the shared-memory report; the
-	// ring hands the pointer to disseminate() within the same iteration,
-	// and every dissemination strategy copies or serializes what it keeps,
-	// so reusing the storage next period is safe — the interior-slice
+	// msg and its records/link arena back the local report; disseminate()
+	// hands it to the dissemination node within the same iteration, and
+	// every dissemination strategy copies or serializes what it keeps, so
+	// reusing the storage next period is safe — the interior-slice
 	// hand-offs below carry //kollaps:arenaok for exactly that reason.
 	msg metadata.Message
 	//kollaps:arena
@@ -167,7 +164,6 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		rt:    rt,
 		host:  host,
 		emIPs: emIPs,
-		ring:  metadata.NewRing(64),
 	}
 	if reg := rt.opts.Registry; reg != nil {
 		label := fmt.Sprintf(`{host="%d"}`, host)
@@ -221,7 +217,7 @@ func (m *Manager) MetadataSent() int64 { return m.node.Stats().BytesSent.Value()
 // DissemStats exposes the manager's control-plane counters.
 func (m *Manager) DissemStats() *dissem.Stats { return m.node.Stats() }
 
-// Node exposes the manager's dissemination endpoint (tests, dashboard).
+// Node exposes the manager's dissemination endpoint (tests, experiments).
 func (m *Manager) Node() dissem.Node { return m.node }
 
 func (m *Manager) start() {
@@ -254,8 +250,9 @@ func (m *Manager) iterate() {
 	period := m.rt.opts.Period
 
 	// (1)+(2): poll every local container's TCAL for usage since the
-	// last pass; Emulation Cores hand their reports to the Manager via
-	// the shared-memory ring.
+	// last pass and build the host's report. On a real host the Emulation
+	// Cores hand their reports over through shared memory; in-process the
+	// Manager reads the TCAL counters directly.
 	flows := m.collectLocal(period)
 
 	// (3): disseminate the local aggregate. Only active flows are
@@ -312,12 +309,10 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 		}
 	}
 	m.flowsBuf = flows
-	// The Emulation Cores publish their reports to the Manager through
-	// shared memory; in-process this is the ring hand-off. Records and
-	// their link arrays come from per-Manager arenas: disseminate() drains
-	// the ring within this same iteration and the dissemination node
-	// copies/serializes what it keeps, so the storage is free again next
-	// period.
+	// The report's records and their link arrays come from per-Manager
+	// arenas: disseminate() publishes the report within this same
+	// iteration and the dissemination node copies/serializes what it
+	// keeps, so the storage is free again next period.
 	recs := m.recBuf[:0]
 	arena := m.recLinks[:0]
 	for i := range flows {
@@ -327,27 +322,22 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 		}
 		recs = append(recs, metadata.FlowRecord{
 			BPS: clampU32(int64(flows[i].rate)),
-			//kollaps:arenaok — drained by disseminate() this same iteration
+			//kollaps:arenaok — published by disseminate() this same iteration
 			Links: arena[start:len(arena):len(arena)],
 		})
 	}
 	m.recBuf, m.recLinks = recs, arena
-	//kollaps:arenaok — the ring hand-off; strategies copy what they keep
+	//kollaps:arenaok — the report hand-off; strategies copy what they keep
 	m.msg = metadata.Message{Host: uint16(m.host), Flows: recs}
-	m.ring.Publish(&m.msg)
 	return flows
 }
 
-// disseminate hands this period's shared-memory report to the
-// dissemination node, which decides what actually crosses the network.
+// disseminate hands this period's local report to the dissemination
+// node, which decides what actually crosses the network.
 func (m *Manager) disseminate() {
-	msg := m.ring.Poll()
-	if msg == nil {
-		return
-	}
 	now := m.rt.Eng.Now()
-	m.rt.opts.Tracer.Record(now, obs.KindPublish, int32(m.host), int64(len(msg.Flows)), 0)
-	m.node.Publish(now, msg)
+	m.rt.opts.Tracer.Record(now, obs.KindPublish, int32(m.host), int64(len(m.msg.Flows)), 0)
+	m.node.Publish(now, &m.msg)
 }
 
 // globalFlows merges local flows with the dissemination node's remote

@@ -129,17 +129,35 @@ func TestManagerSolverCounters(t *testing.T) {
 	if snap[`kollaps_tcal_shaping_ops_total{host="0"}`] == 0 {
 		t.Fatalf("host 0 enforced no shaping changes: %v", snap)
 	}
+	// Every manager's control-plane traffic is exported per host under the
+	// deployed strategy's label.
+	for _, name := range []string{
+		`kollaps_dissem_bytes_sent{host="0",strategy="broadcast"}`,
+		`kollaps_dissem_bytes_sent{host="1",strategy="broadcast"}`,
+	} {
+		if snap[name] == 0 {
+			t.Fatalf("%s = 0, want the manager's control-plane bytes: %v", name, snap)
+		}
+	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
+		"# TYPE kollaps_solver_runs_total counter",
+		"# TYPE kollaps_solver_entitlement_reused_total counter",
+		"# TYPE kollaps_solver_demand_derived_total counter",
 		`kollaps_solver_runs_total{host="0"}`,
 		`kollaps_solver_entitlement_reused_total{host="0"}`,
 		`kollaps_solver_demand_derived_total{host="0"}`,
+		`kollaps_dissem_bytes_sent{host="0",strategy="broadcast"}`,
+		"kollaps_virtual_time_seconds 2\n",
+		"kollaps_topology_trees_built_total ",
+		"kollaps_topology_trees_carried_total 0\n",
+		"kollaps_topology_paths_materialized_total ",
 	} {
 		if !strings.Contains(buf.String(), name) {
-			t.Fatalf("prometheus export missing %s:\n%s", name, buf.String())
+			t.Fatalf("prometheus export missing %q:\n%s", name, buf.String())
 		}
 	}
 }

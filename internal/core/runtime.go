@@ -7,9 +7,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -115,7 +113,7 @@ type Container struct {
 	overSub map[packet.IP]int
 }
 
-// TCAL exposes the container's shaping layer (tests, dashboard).
+// TCAL exposes the container's shaping layer (tests, experiments).
 func (c *Container) TCAL() *tcal.TCAL { return c.tcal }
 
 // Runtime is one Kollaps deployment: the emulated topology as a live
@@ -150,45 +148,6 @@ type Runtime struct {
 	// transparent (and randomness-free) until an experiment arms it, so
 	// pre-chaos deployments replay unchanged.
 	chaos *chaos.Injector
-
-	// obsSnap is the runtime-owned observability snapshot the dashboard
-	// serves from while the simulation runs (see EnableObsSnapshots).
-	obsSnap obsSnapshot
-}
-
-// DissemSnapshot is one Emulation Manager's control-plane counters as
-// captured by the runtime's observability snapshot: plain values with no
-// reference back into live manager state, so the dashboard goroutine can
-// serve them while the simulation thread keeps mutating.
-type DissemSnapshot struct {
-	Host           int
-	Down           bool
-	DatagramsSent  int64
-	BytesSent      int64
-	DatagramsRecv  int64
-	BytesRecv      int64
-	Suspicions     int64
-	Recoveries     int64
-	StaleLinks     int64
-	StalenessP50Ms float64
-	StalenessP99Ms float64
-}
-
-// obsSnapshot is the published-copy handoff between the simulation
-// thread (writer, once per emulation period) and the dashboard's HTTP
-// goroutines (readers). The published slices and byte buffer are never
-// mutated after publication — each refresh swaps in fresh ones — so
-// readers may hold them after releasing the lock.
-type obsSnapshot struct {
-	mu sync.Mutex
-	//kollaps:guardedby mu
-	metrics []byte
-	//kollaps:guardedby mu
-	dissem []DissemSnapshot
-	//kollaps:guardedby mu
-	published bool
-	// enabled is simulation-thread state, not shared.
-	enabled bool
 }
 
 // containerNet adapts a container's egress to its TCAL and its ingress to
@@ -353,9 +312,6 @@ func (rt *Runtime) Start() {
 	rt.started = true
 	for _, m := range rt.managers {
 		m.start()
-	}
-	if rt.obsSnap.enabled {
-		rt.armObsSnapshots()
 	}
 	rt.startProbe()
 	pending := rt.pending
@@ -646,85 +602,6 @@ func (rt *Runtime) Metrics() *obs.Registry { return rt.opts.Registry }
 // AccuracyProbe returns the deployment's accuracy probe (nil when none
 // was configured).
 func (rt *Runtime) AccuracyProbe() *obs.Probe { return rt.opts.Probe }
-
-// EnableObsSnapshots arms the runtime's owned observability snapshot:
-// once per emulation period (on the simulation thread, after every
-// Manager's loop) the runtime renders the metrics registry to Prometheus
-// text and captures every manager's control-plane counters into plain
-// values, publishing both under a lock. The dashboard's /metrics and
-// /dissem endpoints serve the published copies, so HTTP goroutines never
-// read live gauge closures or staleness histograms concurrently with the
-// emulation loop. The refresh allocates (it renders text), which is why
-// it is opt-in rather than always-on; call it from the simulation thread
-// any time before or after Start. Idempotent.
-func (rt *Runtime) EnableObsSnapshots() {
-	if rt.obsSnap.enabled {
-		return
-	}
-	rt.obsSnap.enabled = true
-	if rt.started {
-		rt.armObsSnapshots()
-	}
-}
-
-// armObsSnapshots publishes the first snapshot and schedules a refresh
-// every emulation period.
-func (rt *Runtime) armObsSnapshots() {
-	rt.snapshotObs()
-	rt.Eng.Every(rt.opts.Period, rt.snapshotObs)
-}
-
-// snapshotObs refreshes the published observability snapshot. It runs on
-// the simulation thread, so reading gauge closures and staleness
-// histograms here is the same single-threaded access the emulation loop
-// itself performs.
-func (rt *Runtime) snapshotObs() {
-	var buf bytes.Buffer
-	if reg := rt.opts.Registry; reg != nil {
-		_ = reg.WritePrometheus(&buf)
-	}
-	dis := make([]DissemSnapshot, 0, len(rt.managers))
-	for _, m := range rt.managers {
-		s := m.node.Stats()
-		dis = append(dis, DissemSnapshot{
-			Host:           m.host,
-			Down:           m.dead,
-			DatagramsSent:  s.DatagramsSent.Value(),
-			BytesSent:      s.BytesSent.Value(),
-			DatagramsRecv:  s.DatagramsRecv.Value(),
-			BytesRecv:      s.BytesRecv.Value(),
-			Suspicions:     s.Suspicions.Value(),
-			Recoveries:     s.Recoveries.Value(),
-			StaleLinks:     s.StaleLinks.Value(),
-			StalenessP50Ms: s.Staleness.Percentile(50),
-			StalenessP99Ms: s.Staleness.Percentile(99),
-		})
-	}
-	rt.obsSnap.mu.Lock()
-	rt.obsSnap.metrics = buf.Bytes()
-	rt.obsSnap.dissem = dis
-	rt.obsSnap.published = true
-	rt.obsSnap.mu.Unlock()
-}
-
-// ObsMetricsText returns the last published Prometheus rendering of the
-// metrics registry, and whether a snapshot has been published at all
-// (false until EnableObsSnapshots arms the path and the runtime starts).
-// The returned bytes are immutable; callers may serve them directly.
-func (rt *Runtime) ObsMetricsText() ([]byte, bool) {
-	rt.obsSnap.mu.Lock()
-	defer rt.obsSnap.mu.Unlock()
-	return rt.obsSnap.metrics, rt.obsSnap.published
-}
-
-// ObsDissem returns the last published per-manager control-plane
-// snapshot, and whether one has been published. The returned slice is
-// immutable; callers may read it after the call.
-func (rt *Runtime) ObsDissem() ([]DissemSnapshot, bool) {
-	rt.obsSnap.mu.Lock()
-	defer rt.obsSnap.mu.Unlock()
-	return rt.obsSnap.dissem, rt.obsSnap.published
-}
 
 // registerMetrics publishes the deployment's observable state in the
 // metrics registry: per-manager dissemination and liveness gauges (the

@@ -46,7 +46,7 @@ const minRTT = 100 * time.Microsecond
 
 // FlowID identifies one entry of the sharing computation. It is a packed
 // integer — the §4.1 hot loop never builds strings — and is resolved to a
-// human-readable name only at the metrics/dashboard boundary via String.
+// human-readable name only at the metrics boundary via String.
 type FlowID int64
 
 // remoteIDFlag marks ids of flows learned from peer Managers.
@@ -61,7 +61,7 @@ func LocalFlowID(host, i int) FlowID {
 // RemoteFlowID packs a remote-view index into a FlowID.
 func RemoteFlowID(i int) FlowID { return remoteIDFlag | FlowID(uint32(i)) }
 
-// String renders the id for logs and dashboards: "h3f7" for the 8th local
+// String renders the id for logs and metrics: "h3f7" for the 8th local
 // flow of host 3, "r5" for the 6th remote-view aggregate.
 func (id FlowID) String() string {
 	if id&remoteIDFlag != 0 {

@@ -48,6 +48,7 @@ package dissem
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -110,7 +111,7 @@ type Config struct {
 	// Epsilon is the relative usage change below which Delta suppresses
 	// a flow record: a flow is re-sent when |new−old| > Epsilon·old
 	// (default 0.05). Zero keeps the default; negative disables the gate
-	// (every change is sent).
+	// (every change is sent); NaN and ±Inf are rejected.
 	Epsilon float64
 	// Adaptive scales Delta's suppression threshold with each flow's
 	// share of the node's total reported traffic: a flow carrying share s
@@ -205,6 +206,11 @@ func (c Config) Validate() error {
 		if knob.v < 0 {
 			return fmt.Errorf("dissem: %s must not be negative, got %d (0 selects the default)", knob.name, knob.v)
 		}
+	}
+	// A NaN gate compares false against every change, so Delta would
+	// never re-send a flow between resyncs; an infinite one does the same.
+	if math.IsNaN(c.Epsilon) || math.IsInf(c.Epsilon, 0) {
+		return fmt.Errorf("dissem: Epsilon must be finite, got %v (0 selects the default, negative disables the gate)", c.Epsilon)
 	}
 	if c.Kind == Tree && c.Fanout == 1 {
 		return fmt.Errorf("dissem: tree fanout must be >= 2, got %d", c.Fanout)

@@ -9,7 +9,8 @@ import (
 )
 
 // GuardedByAnalyzer enforces the lock annotations that license sharing
-// state between the simulation thread and the dashboard goroutines: a
+// state between the simulation thread and callers on other goroutines
+// (the public API hands out the tracer and the metrics registry): a
 // struct field (or package var) annotated //kollaps:guardedby <mutex>
 // may only be read or written where the named mutex is statically held.
 //

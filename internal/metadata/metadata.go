@@ -1,9 +1,8 @@
-// Package metadata implements Kollaps' decentralized metadata
-// dissemination (§4.2): the wire encoding that packs per-flow bandwidth
-// usage and path link identifiers into single UDP datagrams, the
-// shared-memory ring used between Emulation Cores on one host, and the
-// media driver (the Aeron substitute) that broadcasts each Emulation
-// Manager's aggregate to its peers over the cluster network.
+// Package metadata is the wire encoding of Kollaps' decentralized
+// metadata dissemination (§4.2): it packs per-flow bandwidth usage and
+// path link identifiers into single UDP datagrams. The dissemination
+// strategies that carry these messages between Emulation Managers live in
+// internal/dissem.
 //
 // The wire format follows the paper byte for byte: (i) number of flows,
 // 2 bytes; (ii) used bandwidth per flow, 4 bytes; (iii) number of links
@@ -145,52 +144,3 @@ func DecodeInto(m *Message, links []uint16, b []byte, wide bool) ([]uint16, erro
 	}
 	return links, nil
 }
-
-// Ring is the bounded shared-memory ring Emulation Cores use to hand their
-// local measurements to the host's Emulation Manager without touching the
-// network (§4.2: "For containers on the same machine, the metadata is
-// exchanged through shared memory").
-type Ring struct {
-	slots []*Message
-	head  int // next write
-	tail  int // next read
-	count int
-	// Dropped counts messages discarded because the ring was full (the
-	// EM fell behind); the writer overwrites the oldest entry.
-	Dropped int64
-}
-
-// NewRing creates a ring with the given capacity (minimum 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{slots: make([]*Message, capacity)}
-}
-
-// Publish appends a message, overwriting the oldest when full.
-func (r *Ring) Publish(m *Message) {
-	if r.count == len(r.slots) {
-		r.tail = (r.tail + 1) % len(r.slots)
-		r.count--
-		r.Dropped++
-	}
-	r.slots[r.head] = m
-	r.head = (r.head + 1) % len(r.slots)
-	r.count++
-}
-
-// Poll removes and returns the oldest message, or nil when empty.
-func (r *Ring) Poll() *Message {
-	if r.count == 0 {
-		return nil
-	}
-	m := r.slots[r.tail]
-	r.slots[r.tail] = nil
-	r.tail = (r.tail + 1) % len(r.slots)
-	r.count--
-	return m
-}
-
-// Len returns the number of queued messages.
-func (r *Ring) Len() int { return r.count }

@@ -168,50 +168,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	r := NewRing(3)
-	if r.Poll() != nil || r.Len() != 0 {
-		t.Fatal("empty ring should poll nil")
-	}
-	a, b, c, d := &Message{Host: 1}, &Message{Host: 2}, &Message{Host: 3}, &Message{Host: 4}
-	r.Publish(a)
-	r.Publish(b)
-	r.Publish(c)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	// Overflow drops the oldest.
-	r.Publish(d)
-	if r.Dropped != 1 {
-		t.Fatalf("Dropped = %d", r.Dropped)
-	}
-	if got := r.Poll(); got != b {
-		t.Fatalf("Poll = %+v, want host 2", got)
-	}
-	if got := r.Poll(); got != c {
-		t.Fatalf("Poll = %+v, want host 3", got)
-	}
-	if got := r.Poll(); got != d {
-		t.Fatalf("Poll = %+v, want host 4", got)
-	}
-	if r.Poll() != nil {
-		t.Fatal("drained ring should poll nil")
-	}
-	// Reuse after wraparound.
-	r.Publish(a)
-	if got := r.Poll(); got != a {
-		t.Fatal("ring broken after wraparound")
-	}
-}
-
-func TestRingCapacityFloor(t *testing.T) {
-	r := NewRing(0)
-	r.Publish(&Message{Host: 1})
-	if r.Len() != 1 {
-		t.Fatal("zero-capacity ring should be clamped to 1")
-	}
-}
-
 func TestWide(t *testing.T) {
 	if Wide(256) || !Wide(257) {
 		t.Fatal("Wide threshold wrong")

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives the evaluation
-// harness uses: duration/value histograms with percentiles, mean-squared
-// error, rate meters, and simple time series.
+// harness uses: duration/value histograms with percentiles, atomic
+// counters, mean-squared error, and simple time series.
 package metrics
 
 import (
@@ -13,9 +13,8 @@ import (
 
 // Histogram collects float64 samples and answers order statistics.
 // The zero value is ready to use. A Histogram is not safe for concurrent
-// use: it belongs to the deterministic simulation thread, and anything
-// that must cross a goroutine boundary (the dashboard) goes through the
-// runtime's owned snapshot path instead of reading a live Histogram.
+// use: it belongs to the deterministic simulation thread, so read it from
+// the goroutine that drives the simulation.
 type Histogram struct {
 	samples []float64
 	sorted  bool
@@ -143,9 +142,10 @@ func (h *Histogram) Merge(other *Histogram) {
 
 // Counter is a monotonically increasing event or byte count. The zero
 // value is ready to use. Counters are safe for concurrent use: writers
-// live on the simulation thread but readers (the dashboard goroutine,
-// registry exports) may sample them at any time, so the value is an
-// atomic. Counters must not be copied after first use.
+// live on the simulation thread, but the public API hands counters (and
+// the registry that exports them) to callers, who may sample them from
+// any goroutine, so the value is an atomic. Counters must not be copied
+// after first use.
 type Counter struct {
 	v atomic.Int64
 }
@@ -175,76 +175,6 @@ func MSE(observed, expected []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(len(observed))
-}
-
-// RelativeError returns |observed-expected|/expected, or NaN for a zero
-// expectation.
-func RelativeError(observed, expected float64) float64 {
-	if expected == 0 {
-		return math.NaN()
-	}
-	return math.Abs(observed-expected) / math.Abs(expected)
-}
-
-// RateMeter accumulates byte (or event) counts at virtual-time instants
-// and converts them to a rate.
-//
-// The window contract: Rate's window parameter is the measurement window
-// the caller observed over — typically the experiment's elapsed virtual
-// time. The effective denominator is max(window, observed span), where
-// the observed span runs from the earliest to the latest Observe instant
-// (out-of-order observations extend it backwards). The span alone is the
-// wrong denominator for bursty traffic — a single burst has span ~0 and
-// would report an absurd rate — which is why the caller's window floors
-// it. The degenerate case follows from the same rule: when every
-// observation lands at a single instant and no positive window is given
-// there is no denominator, so Rate returns 0; pass the window to get
-// total-over-window consistently.
-type RateMeter struct {
-	total int64
-	start time.Duration
-	end   time.Duration
-	began bool
-}
-
-// Observe adds n units at virtual time now. Observations may arrive out
-// of chronological order; the meter tracks the earliest and latest
-// instants seen.
-func (r *RateMeter) Observe(now time.Duration, n int64) {
-	if !r.began {
-		r.start = now
-		r.end = now
-		r.began = true
-	}
-	if now < r.start {
-		r.start = now
-	}
-	if now > r.end {
-		r.end = now
-	}
-	r.total += n
-}
-
-// Total returns the accumulated count.
-func (r *RateMeter) Total() int64 { return r.total }
-
-// Span returns the observed span between the earliest and latest
-// observation instants (0 before any observation, and for a single
-// instant).
-func (r *RateMeter) Span() time.Duration { return r.end - r.start }
-
-// Rate returns units per second over max(window, Span) — see the type
-// comment for the window contract. It returns 0 only when both the
-// window and the observed span are non-positive.
-func (r *RateMeter) Rate(window time.Duration) float64 {
-	span := r.Span()
-	if window > span {
-		span = window
-	}
-	if span <= 0 {
-		return 0
-	}
-	return float64(r.total) / span.Seconds()
 }
 
 // TimeSeries is a sequence of (virtual time, value) points.

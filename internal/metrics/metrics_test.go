@@ -108,76 +108,6 @@ func TestMSE(t *testing.T) {
 	}
 }
 
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(95, 100); math.Abs(got-0.05) > 1e-12 {
-		t.Fatalf("RelativeError = %v", got)
-	}
-	if !math.IsNaN(RelativeError(1, 0)) {
-		t.Fatal("RelativeError with zero expectation should be NaN")
-	}
-}
-
-func TestRateMeter(t *testing.T) {
-	var r RateMeter
-	r.Observe(time.Second, 1000)
-	r.Observe(2*time.Second, 1000)
-	r.Observe(3*time.Second, 1000)
-	if r.Total() != 3000 {
-		t.Fatalf("Total = %d", r.Total())
-	}
-	// 3000 units over 2 seconds of observation.
-	if got := r.Rate(0); math.Abs(got-1500) > 1e-9 {
-		t.Fatalf("Rate = %v, want 1500", got)
-	}
-	// Longer window wins.
-	if got := r.Rate(6 * time.Second); math.Abs(got-500) > 1e-9 {
-		t.Fatalf("Rate(6s) = %v, want 500", got)
-	}
-}
-
-func TestRateMeterEmpty(t *testing.T) {
-	var r RateMeter
-	if r.Rate(0) != 0 || r.Rate(time.Second) != 0 {
-		t.Fatal("empty meter should have zero rate")
-	}
-}
-
-// The documented degenerate case: everything observed at one instant has
-// no span, so the rate is 0 without a window and total/window with one.
-func TestRateMeterSingleInstant(t *testing.T) {
-	var r RateMeter
-	r.Observe(5*time.Second, 4000)
-	if got := r.Span(); got != 0 {
-		t.Fatalf("single-instant Span = %v, want 0", got)
-	}
-	if got := r.Rate(0); got != 0 {
-		t.Fatalf("single-instant Rate(0) = %v, want 0", got)
-	}
-	if got := r.Rate(2 * time.Second); math.Abs(got-2000) > 1e-9 {
-		t.Fatalf("single-instant Rate(2s) = %v, want 2000 (total/window)", got)
-	}
-	// A burst at the same instant stays windowed.
-	r.Observe(5*time.Second, 4000)
-	if got := r.Rate(4 * time.Second); math.Abs(got-2000) > 1e-9 {
-		t.Fatalf("burst Rate(4s) = %v, want 2000", got)
-	}
-}
-
-// Out-of-order observations extend the span backwards; the earliest and
-// latest instants bound it regardless of arrival order.
-func TestRateMeterOutOfOrder(t *testing.T) {
-	var r RateMeter
-	r.Observe(3*time.Second, 1000)
-	r.Observe(1*time.Second, 1000)
-	r.Observe(2*time.Second, 1000)
-	if got := r.Span(); got != 2*time.Second {
-		t.Fatalf("Span = %v, want 2s", got)
-	}
-	if got := r.Rate(0); math.Abs(got-1500) > 1e-9 {
-		t.Fatalf("Rate = %v, want 1500", got)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := TimeSeries{Name: "tp"}
 	ts.Add(time.Second, 10)

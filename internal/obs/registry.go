@@ -11,34 +11,32 @@ import (
 	"repro/internal/metrics"
 )
 
-// Registry unifies the deployment's counters, gauges and histograms
-// behind names, so one exporter (WritePrometheus) and one reader
-// (Snapshot/Delta) see the solver, the dissemination strategies and the
-// TCAL enforcement uniformly.
+// Registry unifies the deployment's counters and gauges behind names, so
+// one exporter (WritePrometheus) and one reader (Snapshot) see the
+// solver, the dissemination strategies and the TCAL enforcement
+// uniformly.
 //
 // Names follow Prometheus conventions and may carry labels inline:
 // `kollaps_dissem_bytes_sent_total{host="3",strategy="tree"}`. The
-// registry is a registration-time structure: Counter and Histogram hand
-// out pointers once (at deployment), and the hot path increments through
+// registry is a registration-time structure: Counter hands out pointers
+// once (at deployment), and the hot path increments through
 // the pointer without ever touching the registry's maps. Gauges are
 // read-at-export closures, so values that already live elsewhere (a
 // dissem.Stats counter, the live topology generation) are exported
 // without a parallel write path.
 //
-// Registration and export are mutex-guarded. The handed-out counters are
-// atomics and safe to sample from any goroutine; histograms and gauge
-// closures are only as safe as the state they read, which is why a live
-// deployment exports through the runtime's owned snapshot path (refreshed
-// on the simulation thread) rather than calling WritePrometheus from an
-// HTTP goroutine.
+// Registration and export are mutex-guarded, because the registry is
+// part of the public API and a caller may register or export from any
+// goroutine. The handed-out counters are atomics and safe to sample from
+// any goroutine; gauge closures are only as safe as the state they read,
+// so export a deployment's registry from the goroutine that drives its
+// simulation (typically after Run returns).
 type Registry struct {
 	mu sync.Mutex
 	//kollaps:guardedby mu
 	counts map[string]*metrics.Counter
 	//kollaps:guardedby mu
 	gauges map[string]func() float64
-	//kollaps:guardedby mu
-	hists map[string]*metrics.Histogram
 }
 
 // NewRegistry builds an empty metrics registry.
@@ -46,7 +44,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counts: make(map[string]*metrics.Counter),
 		gauges: make(map[string]func() float64),
-		hists:  make(map[string]*metrics.Histogram),
 	}
 }
 
@@ -64,18 +61,6 @@ func (r *Registry) Counter(name string) *metrics.Counter {
 	return c
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *metrics.Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &metrics.Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Gauge registers a read-at-export value. Re-registering a name replaces
 // the closure — a manager restart re-points the gauge at its fresh node.
 func (r *Registry) Gauge(name string, fn func() float64) {
@@ -84,35 +69,17 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	r.gauges[name] = fn
 }
 
-// Snapshot reads every registered metric into a flat name→value map.
-// Histograms expand into <name>_count, <name>_sum, <name>_p50 and
-// <name>_p99 entries. Counters and gauges appear under their own names.
+// Snapshot reads every registered counter and gauge into a flat
+// name→value map.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counts)+len(r.gauges)+4*len(r.hists))
+	out := make(map[string]float64, len(r.counts)+len(r.gauges))
 	for name, c := range r.counts {
 		out[name] = float64(c.Value())
 	}
 	for name, fn := range r.gauges {
 		out[name] = fn()
-	}
-	for name, h := range r.hists {
-		out[name+"_count"] = float64(h.Count())
-		out[name+"_sum"] = float64(h.Count()) * h.Mean()
-		out[name+"_p50"] = h.Percentile(50)
-		out[name+"_p99"] = h.Percentile(99)
-	}
-	return out
-}
-
-// Delta subtracts an earlier Snapshot from a later one, key by key.
-// Keys missing from prev count from zero; keys only in prev are dropped
-// (the metric disappeared, usually because a gauge was replaced).
-func Delta(cur, prev map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(cur))
-	for k, v := range cur {
-		out[k] = v - prev[k]
 	}
 	return out
 }
@@ -125,19 +92,9 @@ func baseName(name string) string {
 	return name
 }
 
-// withLabel merges an extra label into a possibly-labeled name:
-// withLabel(`foo{a="1"}`, `q="0.5"`) → `foo{a="1",q="0.5"}`.
-func withLabel(name, label string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:len(name)-1] + "," + label + "}"
-	}
-	return name + "{" + label + "}"
-}
-
 // WritePrometheus exports every registered metric in the Prometheus text
 // exposition format, sorted by name: counters as `counter`, gauges as
-// `gauge`, histograms as `summary` (0.5/0.9/0.99 quantiles plus _sum and
-// _count). A `# TYPE` line is emitted once per metric family.
+// `gauge`. A `# TYPE` line is emitted once per metric family.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -171,32 +128,5 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		typeLine(name, "gauge")
 		fmt.Fprintf(bw, "%s %g\n", name, r.gauges[name]())
 	}
-
-	names = names[:0]
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := r.hists[name]
-		typeLine(name, "summary")
-		for _, q := range []struct {
-			label string
-			pct   float64
-		}{{"0.5", 50}, {"0.9", 90}, {"0.99", 99}} {
-			fmt.Fprintf(bw, "%s %g\n", withLabel(name, `quantile="`+q.label+`"`), h.Percentile(q.pct))
-		}
-		fmt.Fprintf(bw, "%s %g\n", familySuffix(name, "_sum"), float64(h.Count())*h.Mean())
-		fmt.Fprintf(bw, "%s %d\n", familySuffix(name, "_count"), h.Count())
-	}
 	return bw.Flush()
-}
-
-// familySuffix appends a suffix to the family name, keeping any inline
-// label set in place: (`foo{a="1"}`, `_sum`) → `foo_sum{a="1"}`.
-func familySuffix(name, suffix string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i] + suffix + name[i:]
-	}
-	return name + suffix
 }

@@ -87,7 +87,7 @@ const (
 	KindChaosProfile
 )
 
-// String returns the snake_case name used in the JSONL export.
+// String returns the snake_case name used in the Chrome trace export.
 func (k Kind) String() string {
 	switch k {
 	case KindSolveStart:
@@ -160,10 +160,11 @@ type Event struct {
 //
 // A nil *Tracer is the disabled recorder: Record on it is a no-op whose
 // cost is one inlined nil check, so call sites need no guards. The ring
-// is guarded by an internal mutex so the dashboard's /trace endpoint can
-// export concurrently with the simulation thread recording; an
-// uncontended Lock/Unlock pair is a few nanoseconds and allocates
-// nothing, so Record stays inside the hot loop's 0-alloc budget.
+// is guarded by an internal mutex because the public API hands the
+// tracer to callers, who may export it from another goroutine while the
+// simulation records; an uncontended Lock/Unlock pair is a few
+// nanoseconds and allocates nothing, so Record stays inside the hot
+// loop's 0-alloc budget.
 type Tracer struct {
 	mu sync.Mutex
 	//kollaps:guardedby mu
@@ -303,28 +304,6 @@ func PackIP(ip [4]byte) int64 {
 func UnpackIP(v int64) [4]byte {
 	u := uint32(v)
 	return [4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)}
-}
-
-// WriteJSONL exports the held events as JSON Lines, one raw event per
-// line, oldest first: at_us (virtual microseconds), kind, host, a, b,
-// plus decoded convenience fields for name- and IP-carrying kinds.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range t.Events(nil) {
-		fmt.Fprintf(bw, `{"at_us":%d,"kind":%q,"host":%d,"a":%d,"b":%d`,
-			e.At.Microseconds(), e.Kind.String(), e.Host, e.A, e.B)
-		switch e.Kind {
-		case KindLinkFail, KindLinkHeal, KindLinkSet:
-			fmt.Fprintf(bw, `,"orig":%q,"dest":%q`, UnpackName(e.A), UnpackName(e.B))
-		case KindNodeLeave, KindNodeJoin:
-			fmt.Fprintf(bw, `,"name":%q`, UnpackName(e.A))
-		case KindTCALApply:
-			ip := UnpackIP(e.B)
-			fmt.Fprintf(bw, `,"bps":%d,"dst":"%d.%d.%d.%d"`, e.A, ip[0], ip[1], ip[2], ip[3])
-		}
-		fmt.Fprintln(bw, "}")
-	}
-	return bw.Flush()
 }
 
 // runtimePID is the Chrome-trace process id used for deployment-level

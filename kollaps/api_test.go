@@ -1,6 +1,7 @@
 package kollaps
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +47,10 @@ func TestDeployHostValidation(t *testing.T) {
 		{DissemResync(-1), "ResyncEvery", "-1"},
 		{DissemSuspectAfter(-2), "SuspectAfter", "-2"},
 		{DissemGossipRounds(-4), "GossipRounds", "-4"},
+		// A non-finite epsilon would silently stop Delta from re-sending
+		// any change between resyncs.
+		{DissemEpsilon(math.NaN()), "Epsilon", "NaN"},
+		{DissemEpsilon(math.Inf(1)), "Epsilon", "+Inf"},
 	} {
 		err := exp.Deploy(1, WithDissem("gossip", tc.opt))
 		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.value) {
@@ -285,6 +290,10 @@ func TestSetLinkRejectsImpossibleValues(t *testing.T) {
 	}
 	if err := exp.RestoreLink("a", "s"); err != nil {
 		t.Fatal(err)
+	}
+	// Each applied change moves the generation by exactly one.
+	if gen := exp.Runtime.TopologyGen(); gen != 3 {
+		t.Fatalf("after fail/restore the topology is at generation %d, want 3", gen)
 	}
 	a, _ := exp.Container("a")
 	b, _ := exp.Container("b")

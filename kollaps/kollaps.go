@@ -202,8 +202,9 @@ func (e *Experiment) DissemSummary() dissem.Summary {
 }
 
 // Metrics returns the deployment's metrics registry (valid after Deploy;
-// every deployment has one). Snapshot it for programmatic reads or serve
-// it as Prometheus text via the dashboard's /metrics endpoint.
+// every deployment has one). Snapshot it for programmatic reads or
+// export it with WritePrometheus; read it from the goroutine that drives
+// Run, since gauges read live deployment state.
 func (e *Experiment) Metrics() *obs.Registry {
 	if e.Runtime == nil {
 		return nil

@@ -88,7 +88,8 @@ func WithDissem(strategy string, opts ...DissemOption) Option {
 type DissemOption func(*dissemConfig)
 
 // DissemEpsilon sets the delta strategy's relative-change suppression
-// threshold (default 0.05; negative disables the gate).
+// threshold (default 0.05; negative disables the gate; NaN and ±Inf make
+// Deploy fail).
 func DissemEpsilon(epsilon float64) DissemOption {
 	return func(c *dissemConfig) { c.epsilon = epsilon }
 }
