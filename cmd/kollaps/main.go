@@ -60,12 +60,18 @@ func main() {
 
 	switch cmd {
 	case "validate":
-		states, err := exp.Topology.Precompute()
+		// The initial state, then one per same-time group of dynamic events,
+		// each of which must apply.
+		g, _, err := exp.Topology.Build()
 		if err != nil {
 			fatal(err)
 		}
+		if _, err := topology.DryRun(g, exp.Topology.Events); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("ok: %d services, %d bridges, %d links, %d dynamic states\n",
-			len(exp.Topology.Services), len(exp.Topology.Bridges), len(exp.Topology.Links), len(states))
+			len(exp.Topology.Services), len(exp.Topology.Bridges), len(exp.Topology.Links),
+			len(topology.SortAndGroup(exp.Topology.Events))+1)
 	case "collapse":
 		g, _, err := exp.Topology.Build()
 		if err != nil {

@@ -1,9 +1,9 @@
-// Command kollapslint runs the project's contract analyzers — hotpath,
-// walltime, maporder, wiresafe, guardedby, arenaescape, gostmt — over
-// the module. It is the static half of the determinism, hot-path,
-// wire-safety and concurrency enforcement story; the dynamic half is
-// the four-strategy equivalence test, cmd/benchcheck, the dissem fuzz
-// targets, and go test -race.
+// Command kollapslint runs the project's contract analyzers — walltime,
+// maporder, wiresafe, gostmt — over the module. They hold the
+// determinism and wire-safety contracts on every path of a contract
+// package, which no test can; the allocation-free loop, buffer
+// ownership and lock discipline are held dynamically instead, by the
+// AllocsPerRun contracts, the dissem harness and go test -race.
 //
 // Usage:
 //
@@ -11,13 +11,13 @@
 //	go run ./cmd/kollapslint -json ./internal/dissem ./internal/core
 //
 // Exit status 1 when any analyzer reports a finding or a contract
-// package is missing its scope annotation or annotation floor;
+// package is missing its scope annotation;
 // findings print one per line in file:line:col order, like compiler
 // errors. With -json they print as one JSON array of
 // {file,line,col,analyzer,message} objects instead, for editor and CI
 // integration. See the package documentation of internal/lint for the
-// annotation vocabulary and DESIGN.md "Determinism & hot-path
-// contract" for the rationale.
+// annotation vocabulary and DESIGN.md "Determinism & wire-safety
+// contract" for the rationale and the catch log.
 package main
 
 import (
@@ -47,35 +47,6 @@ var contractPackages = map[string][]string{
 	"wirecodec": {
 		"repro/internal/dissem",
 		"repro/internal/metadata",
-	},
-}
-
-// annotationFloors pins how many of each field/func-scope annotation a
-// package must carry — the same evasion-stopper for the concurrency
-// and allocation contracts: unguarding the tracer ring, de-annotating the
-// solver arenas or un-rooting the per-packet path silently disables
-// guardedby/arenaescape/hotpath, so the floor makes the deletion itself a
-// finding. Floors sit at the current real counts for load-bearing
-// surfaces; adding annotations never fails.
-var annotationFloors = map[string]map[string]int{
-	"repro/internal/obs": {
-		"guardedby": 4, // Tracer ring (ev, head) + Registry maps (counts, gauges)
-	},
-	"repro/internal/core": {
-		"arena": 24, // AllocState (14) + Manager scratch (10)
-	},
-	"repro/internal/dissem": {
-		"arena": 4, // per-node view scratch (broadcast, gossip, delta×2)
-	},
-	// The per-event and per-packet path: 0 allocs at steady state.
-	"repro/internal/sim": {
-		"hotpath": 3, // Engine.At, AtPacket, Step
-	},
-	"repro/internal/netem": {
-		"hotpath": 3, // Netem.Enqueue, TokenBucket.Enqueue, TokenBucket.drain
-	},
-	"repro/internal/fabric": {
-		"hotpath": 1, // Network.forward
 	},
 }
 
@@ -118,23 +89,6 @@ func main() {
 			if !hasPkgDirective(prog, pkg, directive) {
 				fmt.Fprintf(os.Stderr, "%s: package must be annotated //kollaps:%s (contract package)\n",
 					path, directive)
-				exit = 1
-			}
-		}
-	}
-	// Meta-check: annotation floors — deleting a guardedby/arena/hotpath
-	// annotation from a contract surface fails the run even though the
-	// analyzers, having nothing to check, would go quiet.
-	for path, floors := range annotationFloors {
-		pkg, ok := prog.Packages[path]
-		if !ok {
-			continue
-		}
-		counts := countDirectives(pkg)
-		for name, floor := range floors {
-			if counts[name] < floor {
-				fmt.Fprintf(os.Stderr, "%s: %d //kollaps:%s annotations, floor is %d (contract surface de-annotated?)\n",
-					path, counts[name], name, floor)
 				exit = 1
 			}
 		}
@@ -192,30 +146,8 @@ func relPath(root, filename string) string {
 // hasPkgDirective reports whether any file of pkg declares the given
 // package-scope directive.
 func hasPkgDirective(prog *lint.Program, pkg *lint.Package, name string) bool {
-	pass := &lint.Pass{Fset: prog.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, Prog: prog}
+	pass := &lint.Pass{Fset: prog.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info}
 	return pass.PkgDirective(name)
-}
-
-// countDirectives tallies every //kollaps: directive in a package's
-// comments by name.
-func countDirectives(pkg *lint.Package) map[string]int {
-	out := make(map[string]int)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, "//kollaps:") {
-					continue
-				}
-				name := strings.TrimPrefix(text, "//kollaps:")
-				if i := strings.IndexAny(name, " \t"); i >= 0 {
-					name = name[:i]
-				}
-				out[name]++
-			}
-		}
-	}
-	return out
 }
 
 // findModule walks up from the working directory to the enclosing

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"repro/internal/dissem"
 	"repro/internal/metadata"
+	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -60,8 +63,8 @@ type enforceRig struct {
 	localFlows int
 }
 
-func newEnforceRig(t *testing.T) *enforceRig {
-	rt := buildRuntime(t, fig8YAML, 2, Options{})
+func newEnforceRig(t *testing.T, opts Options) *enforceRig {
+	rt := buildRuntime(t, fig8YAML, 2, opts)
 	m := rt.managers[0]
 	for _, c := range m.locals {
 		for _, d := range rt.containers {
@@ -92,15 +95,12 @@ func (r *enforceRig) setReport(bps ...uint32) {
 	}
 }
 
-// pass runs one emulation period: local container j offers k·(j+1)
-// 1200-byte datagrams (k = 300 saturates every local flow, making it
-// greedy in the model; small k leaves it demand-capped), the engine
-// advances a period, the peer report arrives, and the
-// manager collects, merges and enforces. Then every result is checked
-// against two fresh solves.
-func (r *enforceRig) pass(k int) {
-	t, rt, m := r.t, r.rt, r.m
-	t.Helper()
+// offer runs one emulation period of local traffic: local container j
+// offers k·(j+1) 1200-byte datagrams (k = 300 saturates every local flow,
+// making it greedy in the model; small k leaves it demand-capped) and the
+// engine advances a period.
+func (r *enforceRig) offer(k int) {
+	rt, m := r.rt, r.m
 	for j, c := range m.locals {
 		dst := rt.containers[(j*5+7)%len(rt.containers)]
 		if dst == c {
@@ -110,8 +110,17 @@ func (r *enforceRig) pass(k int) {
 			c.Stack.SendUDP(dst.IP, 9, 9, 1200, nil)
 		}
 	}
+	rt.Eng.Run(rt.Eng.Now() + rt.opts.Period)
+}
+
+// pass runs one emulation period: the local containers offer k (see
+// offer), the peer report arrives, and the manager collects, merges and
+// enforces. Then every result is checked against two fresh solves.
+func (r *enforceRig) pass(k int) {
+	t, rt, m := r.t, r.rt, r.m
+	t.Helper()
+	r.offer(k)
 	period := rt.opts.Period
-	rt.Eng.Run(rt.Eng.Now() + period)
 	if m.dead {
 		return
 	}
@@ -166,7 +175,7 @@ func (r *enforceRig) setLink(orig, dest string, p topology.LinkPatch) {
 // and every enforced rate equal two fresh solves exactly — and each of
 // hit, miss, derived and solved actually occurs.
 func TestEnforceMatchesFreshSolves(t *testing.T) {
-	r := newEnforceRig(t)
+	r := newEnforceRig(t, Options{})
 	m := r.m
 	// Large reports are greedy in the model (demand = 2× usage); small
 	// ones bind below their share.
@@ -225,57 +234,127 @@ func TestEnforceMatchesFreshSolves(t *testing.T) {
 	}
 }
 
-// TestEnforceAllocationContract holds the memo to the loop's 0-alloc
-// contract on both sides: a period whose entitlement input repeats (hit)
-// and one where a remote record's link changes every period (miss).
+// discard is a dissemination transport that counts datagrams and drops
+// them, so a metered pass pays for its frames and nothing downstream.
+type discard struct{ sends int }
+
+func (d *discard) SendTo(int, []byte) { d.sends++ }
+
+// TestEnforceAllocationContract holds iterate — the whole loop pass:
+// collect, disseminate, merge, enforce — to dissem's rule: one heap
+// object per datagram the pass sends (the frame, which the transport
+// owns) and nothing else. Local flows are active (between metered passes
+// the containers offer a period of real traffic and the peer's report
+// arrives); on the hit path the entitlement input repeats, on the miss
+// path a remote record's links change every period and move the local
+// flows' enforced rates. The rig runs bare, with the flight recorder and
+// registry, and with InjectLoss.
 func TestEnforceAllocationContract(t *testing.T) {
-	r := newEnforceRig(t)
-	m, rt := r.m, r.rt
-	period := rt.opts.Period
-	iterate := func() {
-		flows := m.collectLocal(period)
-		m.enforce(flows, m.globalFlows(flows))
+	// A collection starting mid-pass can allocate on the runtime's behalf.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"bare", Options{}},
+		{"traced", Options{Tracer: obs.NewTracer(1 << 10), Registry: obs.NewRegistry()}},
+		{"inject-loss", Options{InjectLoss: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newEnforceRig(t, tc.opts)
+			m, rt := r.m, r.rt
+			tr := &discard{}
+			cfg := rt.opts.Dissem
+			cfg.NumHosts, cfg.Wide, cfg.Tracer = len(m.emIPs), rt.wide, rt.opts.Tracer
+			node, err := dissem.New(cfg, m.host, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.node = node
+
+			// Reports A and B differ in one remote record's path.
+			r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
+			reportA := r.report
+			r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
+			r.report.Flows[1].Links = r.paths[2]
+			reportB := r.report
+
+			const k, warm, measured = 20, 8, 40
+			over, calls := 0, 0 // passes that allocated beyond their datagrams, of all metered
+			period := func(report *metadata.Message, metered bool) {
+				r.offer(k)
+				m.node.Receive(rt.Eng.Now(), r.peer.seal(report))
+				if !metered {
+					m.iterate()
+					return
+				}
+				// The staleness histogram keeps exact samples and grows
+				// (amortised, up to its cap) as the view is read; emptied,
+				// it refills the capacity warm-up gave it.
+				m.node.Stats().Staleness.Reset()
+				var before, after runtime.MemStats
+				sends := tr.sends
+				runtime.ReadMemStats(&before)
+				m.iterate()
+				runtime.ReadMemStats(&after)
+				if int(after.Mallocs-before.Mallocs) != tr.sends-sends {
+					over++
+				}
+				calls++
+			}
+			for i := 0; i < warm; i++ { // both decode buffers, every arena
+				period(&reportB, false)
+				period(&reportA, false)
+			}
+			sends, reused, sets := tr.sends, m.entReused.Value(), m.tcalSets.Value()
+			for i := 0; i < measured; i++ {
+				period(&reportA, true)
+			}
+			if got := m.entReused.Value() - reused; got != measured {
+				t.Fatalf("hit path reused the entitlement pass %d of %d times", got, measured)
+			}
+			reused, hitSets := m.entReused.Value(), m.tcalSets.Value()-sets
+			for i := 0; i < measured; i++ {
+				report := &reportA
+				if i%2 == 0 {
+					report = &reportB
+				}
+				period(report, true)
+			}
+			if got := m.entReused.Value() - reused; got != 0 {
+				t.Fatalf("miss path reused the entitlement pass %d times, want 0", got)
+			}
+			missSets := m.tcalSets.Value() - sets - hitSets
+			// MemStats counts the whole process: a pass during which the
+			// runtime starts an OS thread shows that thread's handful of
+			// objects. A pass that allocates on its own account does so
+			// every time it runs that path, so the contract fails when more
+			// than one pass in twenty allocated beyond its datagrams.
+			if over*20 > calls {
+				t.Fatalf("%d of %d passes allocated beyond one object per datagram sent", over, calls)
+			}
+			t.Logf("%d passes, %d datagrams, %d local flows, rate changes: %d hit / %d miss",
+				calls, tr.sends-sends, len(m.flowsBuf), hitSets, missSets)
+			if tr.sends-sends < calls || len(m.flowsBuf) == 0 || missSets < measured {
+				t.Fatalf("rig misconfigured: %d datagrams, %d local flows, %d miss-path rate changes over %d passes",
+					tr.sends-sends, len(m.flowsBuf), missSets, measured)
+			}
+			if rt.opts.InjectLoss && !oversubscribed(m) {
+				t.Fatal("no local flow oversubscribed: InjectLoss never computed a loss")
+			}
+		})
 	}
-	// Reports A and B differ in one remote record's path. Every datagram
-	// needs a fresh envelope sequence number, so the alternation is
-	// sealed up front: warm-up A, B, A, then the miss path's 51 periods
-	// starting with B.
-	r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
-	reportA := r.report
-	r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
-	r.report.Flows[1].Links = r.paths[2]
-	reportB := r.report
-	var frames [][]byte
-	for i := 0; i < 3+51; i++ {
-		report := &reportA
-		if i%2 == 1 {
-			report = &reportB
+}
+
+// oversubscribed reports whether some local flow of m has been
+// oversubscribed long enough for InjectLoss to inject loss.
+func oversubscribed(m *Manager) bool {
+	for _, c := range m.locals {
+		for _, n := range c.overSub {
+			if n >= 3 {
+				return true
+			}
 		}
-		frames = append(frames, r.peer.seal(report))
 	}
-	for _, f := range frames[:3] { // warm both decode buffers
-		m.node.Receive(rt.Eng.Now(), f)
-		iterate()
-	}
-	frames = frames[3:]
-
-	before := m.entReused.Value()
-	if n := testing.AllocsPerRun(50, iterate); n != 0 {
-		t.Fatalf("hit path: %v allocs per period, want 0", n)
-	}
-	if got := m.entReused.Value() - before; got != 51 {
-		t.Fatalf("hit path reused the entitlement pass %d of 51 times", got)
-	}
-
-	before = m.entReused.Value()
-	if n := testing.AllocsPerRun(50, func() {
-		m.node.Receive(rt.Eng.Now(), frames[0])
-		frames = frames[1:]
-		iterate()
-	}); n != 0 {
-		t.Fatalf("miss path: %v allocs per period, want 0", n)
-	}
-	if got := m.entReused.Value() - before; got != 0 {
-		t.Fatalf("miss path reused the entitlement pass %d times, want 0", got)
-	}
+	return false
 }

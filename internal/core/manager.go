@@ -72,36 +72,26 @@ type Manager struct {
 	alloc AllocState
 	// caps is the dense per-link capacity table handed to the allocator,
 	// rebuilt only when the live topology's generation moves.
-	//
-	//kollaps:arena
 	caps    []float64
 	capsGen uint64
 
-	//kollaps:arena
-	flowsBuf []localFlow
-	//kollaps:arena
-	allBuf []FlowDemand
-	//kollaps:arena
+	flowsBuf  []localFlow
+	allBuf    []FlowDemand
 	greedyBuf []FlowDemand
-	//kollaps:arena
-	wdBuf []Allocation
-	//kollaps:arena
-	entBuf  []Allocation // the entitlement pass's output, valid for entMemo's key
-	entMemo entitlementMemo
-	//kollaps:arena
-	rfBuf []dissem.RemoteFlow
-	//kollaps:arena
-	rlinks []int // arena backing remote FlowDemand.Links
+	wdBuf     []Allocation
+	entBuf    []Allocation // the entitlement pass's output, valid for entMemo's key
+	entMemo   entitlementMemo
+	rfBuf     []dissem.RemoteFlow
+	rlinks    []int // arena backing remote FlowDemand.Links
 
 	// msg and its records/link arena back the local report; disseminate()
 	// hands it to the dissemination node within the same iteration, and
 	// every dissemination strategy copies or serializes what it keeps, so
-	// reusing the storage next period is safe — the interior-slice
-	// hand-offs below carry //kollaps:arenaok for exactly that reason.
-	msg metadata.Message
-	//kollaps:arena
-	recBuf []metadata.FlowRecord
-	//kollaps:arena
+	// reusing the storage next period is safe. The dissem test harness
+	// publishes from storage it overwrites the moment Publish returns,
+	// which is what holds every strategy to that rule.
+	msg      metadata.Message
+	recBuf   []metadata.FlowRecord
 	recLinks []uint16
 }
 
@@ -131,8 +121,6 @@ func (m *Manager) sendWire(host int, payload []byte) {
 // sendChaos routes one datagram through the armed chaos injector, which
 // may drop, mutate, duplicate, or defer it. Deferred copies ride an
 // engine timer, so chaos latency composes with the fabric's own.
-//
-//kollaps:coldpath
 func (m *Manager) sendChaos(host int, payload []byte) {
 	m.rt.chaos.Send(m.rt.Eng.Now(), m.host, host, payload, func(d time.Duration, p []byte) {
 		if d <= 0 {
@@ -235,13 +223,14 @@ func (m *Manager) onMetadata(src packet.IP, srcPort uint16, size int, payload an
 }
 
 // iterate is one emulation loop pass. It is the root of the 0 allocs/op
-// contract (BenchmarkIterate + cmd/benchcheck dynamically, kollapslint
-// hotpath statically): everything it reaches through static calls must
-// stay allocation-free, with slow paths marked //kollaps:coldpath.
-// Dissemination is behind the Node interface and excluded, matching the
-// benchmark's boundary.
-//
-//kollaps:hotpath
+// contract: once warm, a pass allocates one object per datagram its
+// dissemination node sends (the frame the transport takes over) and
+// nothing else — with local flows whose enforced rate changes, with
+// tracing and metrics on, and with InjectLoss. TestEnforceAllocationContract
+// meters iterate itself on those inputs; BenchmarkIterate and
+// cmd/benchcheck gate the collect-merge-enforce part in CI. Slow paths
+// (arena growth, a topology generation's first path lookups) amortise to
+// nothing.
 func (m *Manager) iterate() {
 	if m.dead {
 		return // killed: no polling, no dissemination, no enforcement
@@ -321,13 +310,11 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 			arena = append(arena, uint16(l))
 		}
 		recs = append(recs, metadata.FlowRecord{
-			BPS: clampU32(int64(flows[i].rate)),
-			//kollaps:arenaok — published by disseminate() this same iteration
+			BPS:   clampU32(int64(flows[i].rate)),
 			Links: arena[start:len(arena):len(arena)],
 		})
 	}
 	m.recBuf, m.recLinks = recs, arena
-	//kollaps:arenaok — the report hand-off; strategies copy what they keep
 	m.msg = metadata.Message{Host: uint16(m.host), Flows: recs}
 	return flows
 }
@@ -400,8 +387,7 @@ func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 			demand = 0
 		}
 		all = append(all, FlowDemand{
-			ID: RemoteFlowID(i),
-			//kollaps:arenaok — consumed by the solver within this period
+			ID:     RemoteFlowID(i),
 			Links:  links,
 			RTT:    2 * lat,
 			Demand: demand,
@@ -554,12 +540,9 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 // the per-period arenas — plus that solve's per-flow fill levels, copied
 // out of AllocState so the next solve cannot overwrite them.
 type entitlementMemo struct {
-	gen uint64 // capacity-table generation; 0 (never live) until recorded
-	//kollaps:arena
+	gen   uint64 // capacity-table generation; 0 (never live) until recorded
 	flows []memoFlow
-	//kollaps:arena
 	links []int // every flow's links, concatenated in flow order
-	//kollaps:arena
 	level []float64
 }
 

@@ -129,8 +129,8 @@ type Runtime struct {
 	wide bool
 
 	// pending holds events registered before Start; Start sorts them,
-	// groups same-timestamp events into one atomic application (the
-	// grouping Precompute used) and arms one engine timer per group.
+	// groups same-timestamp events into one atomic application
+	// (topology.SortAndGroup) and arms one engine timer per group.
 	pending []topology.Event
 	evErr   error
 

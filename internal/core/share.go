@@ -124,43 +124,28 @@ type Allocation struct {
 type AllocState struct {
 	// per-flow scratch
 
-	//kollaps:arena
-	weight []float64 // 1/RTT of one underlying flow
-	//kollaps:arena
-	wmult []int // weight multiplier (aggregated flow count)
-	//kollaps:arena
+	weight   []float64 // 1/RTT of one underlying flow
+	wmult    []int     // weight multiplier (aggregated flow count)
 	demTheta []float64 // demand/weight, +Inf for greedy flows
-	//kollaps:arena
-	frozen []bool
-	//kollaps:arena
-	level []float64 // highest fill level up to the flow's freeze (see demandSlack)
-	hi    float64   // highest fill level so far in this call
+	frozen   []bool
+	level    []float64 // highest fill level up to the flow's freeze (see demandSlack)
+	hi       float64   // highest fill level so far in this call
 
 	// per-link scratch, dense over the capacity table's id space
 
-	//kollaps:arena
 	capLeft []float64
-	//kollaps:arena
-	sumW []float64 // Σ weights of unfrozen flows; refreshed when dirty
-	//kollaps:arena
-	dirty []bool // sumW invalidated by a freeze on this link
-	//kollaps:arena
-	unfro []int32 // unfrozen flow entries crossing the link
-	//kollaps:arena
-	start []int32 // CSR bucket start per link
-	//kollaps:arena
-	end []int32 // CSR bucket end per link (fill cursor during build)
-	//kollaps:arena
-	touched []uint32 // per-call first-touch stamps
-	//kollaps:arena
-	stamp  []uint32 // per-flow link-dedup stamps
-	calls  uint32
-	stamps uint32
+	sumW    []float64 // Σ weights of unfrozen flows; refreshed when dirty
+	dirty   []bool    // sumW invalidated by a freeze on this link
+	unfro   []int32   // unfrozen flow entries crossing the link
+	start   []int32   // CSR bucket start per link
+	end     []int32   // CSR bucket end per link (fill cursor during build)
+	touched []uint32  // per-call first-touch stamps
+	stamp   []uint32  // per-flow link-dedup stamps
+	calls   uint32
+	stamps  uint32
 
-	//kollaps:arena
 	active []int32 // constrained link ids with ≥1 flow, ascending
-	//kollaps:arena
-	csr []int32 // link→flow index storage
+	csr    []int32 // link→flow index storage
 
 	remaining int
 }
@@ -172,7 +157,6 @@ type AllocState struct {
 // gate measures.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		//kollaps:coldpath
 		return make([]T, n)
 	}
 	return s[:n]
@@ -220,10 +204,8 @@ func (s *AllocState) nextStamp() uint32 {
 // s.level (+Inf for flows no constraint applied to): the certificate
 // demandSlack checks a demand vector against.
 //
-// Allocate is on the 0 allocs/op hot path (//kollaps:hotpath): arenas
-// grow to the working set once and are reused every period thereafter.
-//
-//kollaps:hotpath
+// Allocate is on the 0 allocs/op hot path: arenas grow to the working
+// set once and are reused every period thereafter.
 func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocation) []Allocation {
 	n := len(flows)
 	out = grow(out, n)
@@ -492,7 +474,6 @@ func demandSlack(flows []FlowDemand, level []float64) bool {
 // zero-filling fresh elements (zero never equals a live generation).
 func growStamps(s []uint32, n int) []uint32 {
 	if cap(s) < n {
-		//kollaps:coldpath
 		ns := make([]uint32, n)
 		copy(ns, s)
 		return ns

@@ -22,8 +22,7 @@ type broadcastNode struct {
 	remote []broadcastEntry // by peer host
 	// in is where Receive decodes; a report that passes every check is
 	// swapped with the peer's held one, whose storage decodes the next.
-	in broadcastEntry
-	//kollaps:arena
+	in  broadcastEntry
 	raw []byte // Publish's encoded report, sealed once per peer
 }
 
@@ -54,7 +53,6 @@ func (n *broadcastNode) Publish(now time.Duration, msg *metadata.Message) {
 	}
 }
 
-//kollaps:hotpath
 func (n *broadcastNode) Receive(now time.Duration, payload []byte) {
 	inner, seq, ok := n.stats.open(payload)
 	if !ok {
@@ -91,8 +89,6 @@ func (n *broadcastNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 // AppendRemoteFlows is on the emulation loop's 0-alloc hot path
 // (BenchmarkIterate runs the Broadcast node): entries append into the
 // caller's buffer.
-//
-//kollaps:hotpath
 func (n *broadcastNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
 	for h := range n.remote {
 		e := &n.remote[h]

@@ -135,14 +135,10 @@ func compareAggPaths(a, b aggRec) int {
 
 // treeCodec is the scratch one node's merges and encodes run in.
 type treeCodec struct {
-	//kollaps:arena
 	merged []aggRec
-	//kollaps:arena
-	parts [][]aggRec // the next merge's inputs, consumed by it
-	//kollaps:arena
-	order []treeGroupRef
-	//kollaps:arena
-	buf []byte
+	parts  [][]aggRec // the next merge's inputs, consumed by it
+	order  []treeGroupRef
+	buf    []byte
 }
 
 // treeGroupRef places one record in the wire's group order.
@@ -166,8 +162,6 @@ func compareGroupRefs(a, b treeGroupRef) int {
 // path-sorted aggregate, records sharing a path folded into one, and
 // empties the queue. The result (whose link lists still point into the
 // parts) is valid until the codec's next merge.
-//
-//kollaps:hotpath
 func (c *treeCodec) merge() []aggRec {
 	out := c.merged[:0]
 	for {
@@ -214,8 +208,6 @@ func (c *treeCodec) merge() []aggRec {
 // The body is varints, so its size is only known once written: it is
 // built here and copied into an exact-size frame by Stats.send, which is
 // cheaper than sizing a frame for the worst case.
-//
-//kollaps:hotpath
 func (c *treeCodec) encode(typ byte, host int, now time.Duration, recs []aggRec, stats *Stats) []byte {
 	if len(recs) > maxWireRecords {
 		stats.TruncatedRecords.Add(int64(len(recs) - maxWireRecords))
@@ -301,8 +293,6 @@ func (c *treeCodec) encode(typ byte, host int, now time.Duration, recs []aggRec,
 // of a mixed-version deployment; a truncated or malformed body counts
 // stats.BadDatagram. On failure dst holds garbage, which is why nodes
 // decode into scratch.
-//
-//kollaps:hotpath
 func decodeTree(payload []byte, now time.Duration, dst *treeReport, stats *Stats) bool {
 	if len(payload) < 2 {
 		stats.BadDatagram.Inc()

@@ -67,14 +67,10 @@ type deltaNode struct {
 	// in wire order and then path order; next is where it is applied to a
 	// table (the result is swapped in, the old table becomes the new next).
 	upd, next recSet
-	//kollaps:arena
-	changed []bool // diff: by current record, re-send it
-	//kollaps:arena
-	removed [][]uint16 // diff: paths to tombstone
-	//kollaps:arena
-	raw []byte // Publish's encoded report, sealed once per peer
-	//kollaps:arena
-	readmit []byte // Publish's targeted full for re-admitted peers
+	changed   []bool     // diff: by current record, re-send it
+	removed   [][]uint16 // diff: paths to tombstone
+	raw       []byte     // Publish's encoded report, sealed once per peer
+	readmit   []byte     // Publish's targeted full for re-admitted peers
 }
 
 // deltaSnapshot is one published report: path aggregates in path order.
@@ -273,8 +269,6 @@ func (n *deltaNode) exceeds(old, v pathRec, had bool, total uint64) bool {
 // The result is n.upd in wire order: the changed records in path order,
 // then the tombstones (count 0) in path order. Their link lists point
 // into the snapshots; encoding and applyRecs copy them out.
-//
-//kollaps:hotpath
 func (n *deltaNode) diff(baseSeq uint32, cur []pathRec) {
 	n.changed = slices.Grow(n.changed[:0], len(cur))[:len(cur)]
 	clear(n.changed)
@@ -359,8 +353,6 @@ func sortByPath(s *recSet) {
 // applyRecs writes into dst the table base updated by upd — both in path
 // order, one record per path: an update replaces or inserts its path, a
 // tombstone (count 0) removes it. Links are copied into dst's arena.
-//
-//kollaps:hotpath
 func applyRecs(dst *recSet, base, upd []pathRec) {
 	dst.reset()
 	for _, u := range upd {
@@ -518,7 +510,6 @@ func (n *deltaNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 	return n.AppendRemoteFlows(now, maxAge, nil)
 }
 
-//kollaps:hotpath
 func (n *deltaNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
 	for h := range n.peers {
 		p := &n.peers[h]

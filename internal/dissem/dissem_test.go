@@ -24,6 +24,10 @@ type harness struct {
 	drop  func(from, to int, payload []byte) bool
 	dead  map[int]bool
 	sent  []sentRec
+	// pub and pubLinks are the storage round publishes every report from,
+	// reused and overwritten like a Manager's report arenas.
+	pub      metadata.Message
+	pubLinks []uint16
 }
 
 type sentRec struct {
@@ -36,6 +40,9 @@ type harnessTr struct {
 	from int
 }
 
+// SendTo delivers a copy of the datagram and overwrites the copy once
+// Receive returns: a frame is dead when Receive returns, so a node that
+// keeps a slice of one reads garbage from then on.
 func (t harnessTr) SendTo(host int, payload []byte) {
 	t.h.sent = append(t.h.sent, sentRec{t.from, host, payload})
 	if t.h.dead[t.from] || t.h.dead[host] {
@@ -44,7 +51,11 @@ func (t harnessTr) SendTo(host int, payload []byte) {
 	if t.h.drop != nil && t.h.drop(t.from, host, payload) {
 		return
 	}
-	t.h.nodes[host].Receive(t.h.now, payload)
+	in := bytes.Clone(payload)
+	t.h.nodes[host].Receive(t.h.now, in)
+	for i := range in {
+		in[i] = 0xA5
+	}
 }
 
 func newHarness(t *testing.T, cfg Config, n int) *harness {
@@ -78,13 +89,42 @@ func (h *harness) restart(t *testing.T, host int) {
 }
 
 // round advances time by period and publishes each live host's report in
-// host order, as the emulation loop does.
+// host order, as the emulation loop does — from storage the harness
+// reuses, as Manager.collectLocal does, and overwrites as soon as Publish
+// returns: a strategy must copy what it keeps of a published report.
 func (h *harness) round(period time.Duration, msgs []*metadata.Message) {
 	h.now += period
 	for i, n := range h.nodes {
 		if !h.dead[i] {
-			n.Publish(h.now, msgs[i])
+			n.Publish(h.now, h.stage(msgs[i]))
+			h.scribble()
 		}
+	}
+}
+
+// stage copies msg into the harness's publish storage (nil stays nil).
+func (h *harness) stage(msg *metadata.Message) *metadata.Message {
+	if msg == nil {
+		return nil
+	}
+	h.pub.Host, h.pub.Flows, h.pubLinks = msg.Host, h.pub.Flows[:0], h.pubLinks[:0]
+	for _, f := range msg.Flows {
+		start := len(h.pubLinks)
+		h.pubLinks = append(h.pubLinks, f.Links...)
+		h.pub.Flows = append(h.pub.Flows, metadata.FlowRecord{BPS: f.BPS, Links: h.pubLinks[start:len(h.pubLinks):len(h.pubLinks)]})
+	}
+	return &h.pub
+}
+
+// scribble overwrites the publish storage.
+func (h *harness) scribble() {
+	h.pub.Host = 0xFFFF
+	for i := range h.pub.Flows {
+		h.pub.Flows[i].BPS = 0xDEADBEEF
+	}
+	links := h.pubLinks[:cap(h.pubLinks)]
+	for i := range links {
+		links[i] = 0xBEEF
 	}
 }
 

@@ -90,19 +90,13 @@ type gossipNode struct {
 
 	// Scratch. folded is where Publish folds the local report; when the
 	// content changed it is swapped with the own entry's records.
-	folded recSet
-	//kollaps:arena
-	offsets []int // Publish: the period's ring offsets
-	//kollaps:arena
-	suspects []int // Publish: the suspects being probed
-	//kollaps:arena
-	probe []byte // Publish: the vv-only probe sealed once per suspect
-	//kollaps:arena
-	origins []uint16 // the origins one datagram carries or asks for
-	//kollaps:arena
-	fresh []uint16 // receivePush: origins adopted with hops left
-	//kollaps:arena
-	pool []int // forward: candidate targets
+	folded   recSet
+	offsets  []int    // Publish: the period's ring offsets
+	suspects []int    // Publish: the suspects being probed
+	probe    []byte   // Publish: the vv-only probe sealed once per suspect
+	origins  []uint16 // the origins one datagram carries or asks for
+	fresh    []uint16 // receivePush: origins adopted with hops left
+	pool     []int    // forward: candidate targets
 }
 
 // gossipEntry is one origin's report.
@@ -550,7 +544,6 @@ func (n *gossipNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 	return n.AppendRemoteFlows(now, maxAge, nil)
 }
 
-//kollaps:hotpath
 func (n *gossipNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
 	// Heartbeats diffuse epidemically, so a live origin's ts at a distant
 	// node legitimately lags a couple of periods behind the origin's own

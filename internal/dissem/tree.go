@@ -103,16 +103,12 @@ type treeNode struct {
 
 	// Scratch. in is where Receive decodes; an aggregate that passes every
 	// check is swapped with the one it replaces.
-	in    treeReport
-	codec treeCodec
-	//kollaps:arena
-	watched []bool // reform: by host, a current neighbor
-	//kollaps:arena
-	targets []int // sendDowns: the children and fosters being served
-	//kollaps:arena
-	suspects []int // Publish: the suspects being probed
-	//kollaps:arena
-	probe []byte // Publish: the probe sealed once per suspect
+	in       treeReport
+	codec    treeCodec
+	watched  []bool // reform: by host, a current neighbor
+	targets  []int  // sendDowns: the children and fosters being served
+	suspects []int  // Publish: the suspects being probed
+	probe    []byte // Publish: the probe sealed once per suspect
 }
 
 func newTreeNode(cfg Config, host int, tr Transport) *treeNode {
@@ -426,7 +422,6 @@ func (n *treeNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
 	return n.AppendRemoteFlows(now, maxAge, nil)
 }
 
-//kollaps:hotpath
 func (n *treeNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
 	if n.extern.held && now-n.extern.at <= maxAge {
 		n.codec.parts = append(n.codec.parts, n.extern.recs)

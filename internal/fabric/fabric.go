@@ -230,8 +230,6 @@ func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
 // forward moves p one step from node: to its handler at the destination,
 // else into the next link's queue. Delays are typed packet events, so the
 // default path allocates nothing per hop.
-//
-//kollaps:hotpath
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 	dstNode, ok := n.ipToNode[p.Dst]
 	if !ok {
@@ -281,8 +279,6 @@ func (n *Network) nextHop(node, dst graph.NodeID) (int, bool) {
 
 // computeRoutes is nextHop's cache miss: one Dijkstra per source node, plus
 // seeding of every intermediate node along computed paths.
-//
-//kollaps:coldpath
 func (n *Network) computeRoutes(node, dst graph.NodeID) (int, bool) {
 	paths := n.g.ShortestPaths(node)
 	m := n.routes[node]

@@ -1,11 +1,13 @@
 // Package lint is kollapslint: project-specific static analysis that
-// turns the reproduction's three load-bearing contracts — bit-identical
-// per-flow results across dissemination strategies, a 0 allocs/op
-// emulation loop, and saturating wire encodes — into line-level,
-// compile-time checks. The dynamic gates (the four-strategy equivalence
-// test, cmd/benchcheck, the fuzz smoke) catch violations after they
-// ship, at whole-run granularity; these analyzers catch them at the
-// offending line during review.
+// turns two of the reproduction's load-bearing contracts — bit-identical
+// per-flow results across dissemination strategies and runs, and
+// saturating wire encodes — into line-level, compile-time checks. They
+// are the contracts no test can check on every path: a test sees the
+// inputs it drives, these analyzers see every line of a contract
+// package. The allocation-free loop, buffer ownership and lock
+// discipline are held by tests instead (AllocsPerRun contracts, the
+// dissem harness's reused and overwritten buffers, go test -race); see
+// DESIGN.md "Determinism & wire-safety contract" for the catch log.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library
@@ -13,11 +15,8 @@
 // vendors no external modules. An analyzer written here ports to a real
 // multichecker by swapping the Pass type.
 //
-// Seven analyzers enforce the contracts:
+// Four analyzers enforce the contracts:
 //
-//   - hotpath: functions annotated //kollaps:hotpath and every
-//     project-local function statically reachable from them must contain
-//     no allocating constructs. See hotpath.go.
 //   - walltime: packages annotated //kollaps:deterministic may not read
 //     the wall clock or the global math/rand stream outside sites
 //     annotated //kollaps:wallclock. See walltime.go.
@@ -28,15 +27,6 @@
 //     narrowing into wire serialization calls or //kollaps:wire struct
 //     fields must go through the saturating helpers of internal/wire.
 //     See wiresafe.go.
-//   - guardedby: fields annotated //kollaps:guardedby <mutex> may only
-//     be touched with the named mutex held (a lexically dominating
-//     Lock, or a //kollaps:locked precondition on the enclosing
-//     function); annotated mutex pairs acquired in both orders and
-//     copies of annotated structs are also flagged. See guardedby.go.
-//   - arenaescape: slices interior to a //kollaps:arena pooled buffer
-//     must not outlive the arena — channel sends, stores into heap
-//     structures, closure captures and exported returns are flagged
-//     outside //kollaps:arenaok hand-off sites. See arenaescape.go.
 //   - gostmt: a go statement in a //kollaps:deterministic package is
 //     flagged. See gostmt.go.
 //
@@ -48,9 +38,6 @@
 // directly above it; package-scope annotations go next to the package
 // clause of any file in the package.
 //
-//	//kollaps:hotpath        func  root of the allocation-free call tree
-//	//kollaps:coldpath       func/site  excluded from hotpath traversal
-//	                         (slow path: arena growth, error exits)
 //	//kollaps:wallclock      site  sanctioned wall-clock read
 //	//kollaps:orderok        site  map range whose order provably cannot
 //	                         reach an encoder (or is sorted downstream in
@@ -62,15 +49,6 @@
 //	                         values (narrowing into them is checked)
 //	//kollaps:saturates      func  performs a checked narrowing; its body
 //	                         is exempt from wiresafe
-//	//kollaps:guardedby M    field/var  accessible only with mutex M held
-//	                         (M is a sibling field, or a package-level
-//	                         mutex for package vars)
-//	//kollaps:locked M       func  precondition: the caller holds M; the
-//	                         body's accesses to M-guarded state are legal
-//	//kollaps:arena          field  pooled slice reused across calls;
-//	                         interior slices must not escape the owner
-//	//kollaps:arenaok        site  sanctioned arena hand-off (the callee
-//	                         takes ownership or copies before the reuse)
 package lint
 
 import (
@@ -99,8 +77,8 @@ type Diagnostic struct {
 	Message string
 }
 
-// A Pass carries one package's syntax, types and the program-wide index
-// to an analyzer's Run function.
+// A Pass carries one package's syntax and types to an analyzer's Run
+// function.
 type Pass struct {
 	// Analyzer is the analyzer being run.
 	Analyzer *Analyzer
@@ -112,9 +90,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds type and object resolution for Files.
 	TypesInfo *types.Info
-	// Prog is the whole loaded program, for cross-package traversal
-	// (the hotpath analyzer follows project-local callees).
-	Prog *Program
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
 
@@ -142,19 +117,15 @@ type directiveIndex struct {
 	pkg map[string]bool
 }
 
-// parseDirectives scans a comment group list for kollaps annotations.
+// buildDirectiveIndex scans a package's comments for kollaps annotations.
 func buildDirectiveIndex(fset *token.FileSet, files []*ast.File) *directiveIndex {
 	idx := &directiveIndex{byLine: make(map[string][]string), pkg: make(map[string]bool)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, directivePrefix) {
+				name := directiveName(c.Text)
+				if name == "" {
 					continue
-				}
-				name := strings.TrimPrefix(text, directivePrefix)
-				if i := strings.IndexAny(name, " \t"); i >= 0 {
-					name = name[:i]
 				}
 				pos := fset.Position(c.Pos())
 				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
@@ -214,7 +185,7 @@ func FuncDirective(fset *token.FileSet, decl *ast.FuncDecl, files []*ast.File, n
 			}
 		}
 	}
-	// Same-line trailing comment: func f() { //kollaps:hotpath
+	// Same-line trailing comment: func f() { //kollaps:saturates
 	declLine := fset.Position(decl.Pos()).Line
 	declFile := fset.Position(decl.Pos()).Filename
 	for _, f := range files {
@@ -247,55 +218,27 @@ func TypeDirective(gen *ast.GenDecl, spec *ast.TypeSpec, name string) bool {
 }
 
 // directiveName extracts the kollaps directive name from a comment's
-// raw text, or "".
+// raw text ("//kollaps:saturates" → "saturates"), or "".
 func directiveName(text string) string {
-	name, _ := directiveNameArg(text)
+	name, ok := strings.CutPrefix(text, directivePrefix)
+	if !ok {
+		return ""
+	}
+	if i := strings.IndexAny(name, " \t"); i >= 0 {
+		name = name[:i]
+	}
 	return name
 }
 
-// directiveNameArg splits a kollaps directive comment into its name and
-// argument: "//kollaps:guardedby mu" → ("guardedby", "mu"). Directives
-// without an argument return arg "".
-func directiveNameArg(text string) (name, arg string) {
-	if !strings.HasPrefix(text, directivePrefix) {
-		return "", ""
-	}
-	rest := strings.TrimPrefix(text, directivePrefix)
-	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		return rest[:i], strings.TrimSpace(rest[i:])
-	}
-	return rest, ""
-}
-
-// commentGroupArg scans a comment group for the named directive and
-// returns its argument.
-func commentGroupArg(doc *ast.CommentGroup, name string) (string, bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		if n, arg := directiveNameArg(c.Text); n == name {
-			return arg, true
+// unparen strips any enclosing parentheses from an expression.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
 		}
+		e = p.X
 	}
-	return "", false
-}
-
-// FuncDirectiveArg returns the argument of the named directive on a
-// function declaration ("//kollaps:locked mu" → "mu", true), looking in
-// the doc comment like FuncDirective does.
-func FuncDirectiveArg(decl *ast.FuncDecl, name string) (string, bool) {
-	return commentGroupArg(decl.Doc, name)
-}
-
-// fieldDirectiveArg returns the argument of the named directive on a
-// struct field or var spec, looking in the field's doc comment (the
-// line above) and its trailing comment.
-func fieldDirectiveArg(doc, comment *ast.CommentGroup, name string) (string, bool) {
-	if arg, ok := commentGroupArg(doc, name); ok {
-		return arg, true
-	}
-	return commentGroupArg(comment, name)
 }
 
 // ---- running ----
@@ -313,10 +256,9 @@ func (f Finding) String() string {
 }
 
 // RunAnalyzers applies every analyzer to every package of the program
-// and returns the merged findings sorted by position. Diagnostics that
-// different passes report at the same position with the same message
-// (the hotpath analyzer can reach one callee from several packages) are
-// deduplicated.
+// and returns the merged findings sorted by position. A diagnostic
+// reported twice at the same position with the same message is kept
+// once.
 func RunAnalyzers(prog *Program, analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 	seen := make(map[string]bool)
 	var out []Finding
@@ -328,7 +270,6 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer, pkgs []*Package) ([]Find
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Prog:      prog,
 			}
 			pass.Report = func(d Diagnostic) {
 				f := Finding{
@@ -363,10 +304,7 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer, pkgs []*Package) ([]Find
 	return out, nil
 }
 
-// Analyzers returns the seven kollapslint analyzers in reporting order.
+// Analyzers returns the four kollapslint analyzers in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		HotPathAnalyzer, WallTimeAnalyzer, MapOrderAnalyzer, WireSafeAnalyzer,
-		GuardedByAnalyzer, ArenaEscapeAnalyzer, GoStmtAnalyzer,
-	}
+	return []*Analyzer{WallTimeAnalyzer, MapOrderAnalyzer, WireSafeAnalyzer, GoStmtAnalyzer}
 }

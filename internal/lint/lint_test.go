@@ -114,10 +114,6 @@ func runFixture(t *testing.T, analyzers []*lint.Analyzer, name string) {
 	}
 }
 
-func TestHotPathFixture(t *testing.T) {
-	runFixture(t, []*lint.Analyzer{lint.HotPathAnalyzer}, "hotpath")
-}
-
 func TestWallTimeFixture(t *testing.T) {
 	runFixture(t, []*lint.Analyzer{lint.WallTimeAnalyzer}, "walltime")
 }
@@ -128,14 +124,6 @@ func TestMapOrderFixture(t *testing.T) {
 
 func TestWireSafeFixture(t *testing.T) {
 	runFixture(t, []*lint.Analyzer{lint.WireSafeAnalyzer}, "wiresafe")
-}
-
-func TestGuardedByFixture(t *testing.T) {
-	runFixture(t, []*lint.Analyzer{lint.GuardedByAnalyzer}, "guardedby")
-}
-
-func TestArenaEscapeFixture(t *testing.T) {
-	runFixture(t, []*lint.Analyzer{lint.ArenaEscapeAnalyzer}, "arenaescape")
 }
 
 func TestGoStmtFixture(t *testing.T) {
@@ -153,7 +141,7 @@ func TestUnannotatedPackageIsClean(t *testing.T) {
 // TestRealTreeIsClean pins the acceptance criterion: the analyzers run
 // clean over the real contract packages. A regression — a new time.Now,
 // an unsorted range feeding an encoder, a raw uint16 cast in a codec,
-// an allocation on the annotated hot path — fails this test (and CI's
+// a go statement in the simulation core — fails this test (and CI's
 // kollapslint gate) at the offending line.
 func TestRealTreeIsClean(t *testing.T) {
 	if testing.Short() {

@@ -28,40 +28,12 @@ type Package struct {
 }
 
 // A Program is a set of packages loaded from one module, sharing a
-// FileSet, plus the cross-package function index the hotpath analyzer
-// traverses.
+// FileSet.
 type Program struct {
 	// Fset maps positions for all loaded files.
 	Fset *token.FileSet
-	// ModulePath is the module's import path prefix ("repro").
-	ModulePath string
 	// Packages maps import path to loaded package, in load order.
 	Packages map[string]*Package
-
-	// funcDecls indexes every project-local function by its *types.Func
-	// object, so analyzers can jump from a call site to the callee's
-	// body in another package.
-	funcDecls map[*types.Func]*FuncSource
-}
-
-// FuncSource locates one function declaration: its package and syntax.
-type FuncSource struct {
-	Pkg  *Package
-	Decl *ast.FuncDecl
-}
-
-// FuncDecl returns the declaration of a project-local function, or nil
-// for stdlib functions, interface methods, and func values.
-func (p *Program) FuncDecl(fn *types.Func) *FuncSource {
-	return p.funcDecls[fn]
-}
-
-// Local reports whether pkg belongs to the loaded module.
-func (p *Program) Local(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	return pkg.Path() == p.ModulePath || strings.HasPrefix(pkg.Path(), p.ModulePath+"/")
 }
 
 // loader type-checks module-local packages on demand, delegating
@@ -170,10 +142,8 @@ func Load(root, modulePath string, patterns []string) (*Program, error) {
 	sort.Strings(paths)
 	seen := make(map[string]bool)
 	prog := &Program{
-		Fset:       l.fset,
-		ModulePath: modulePath,
-		Packages:   make(map[string]*Package),
-		funcDecls:  make(map[*types.Func]*FuncSource),
+		Fset:     l.fset,
+		Packages: make(map[string]*Package),
 	}
 	for _, path := range paths {
 		if seen[path] {
@@ -184,22 +154,9 @@ func Load(root, modulePath string, patterns []string) (*Program, error) {
 			return nil, err
 		}
 	}
-	// Index every loaded package, including dependencies pulled in by
-	// imports: hotpath traversal must see callee bodies wherever they
-	// live.
+	// Dependencies pulled in by imports are part of the program too.
 	for path, pkg := range l.pkgs {
 		prog.Packages[path] = pkg
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Name == nil {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					prog.funcDecls[obj] = &FuncSource{Pkg: pkg, Decl: fd}
-				}
-			}
-		}
 	}
 	return prog, nil
 }

@@ -103,7 +103,6 @@ func Decode(b []byte, wide bool) (*Message, error) {
 // m holds a partial message the caller must discard.
 func DecodeInto(m *Message, links []uint16, b []byte, wide bool) ([]uint16, error) {
 	if len(b) < 4 {
-		//kollaps:coldpath
 		return links, fmt.Errorf("metadata: short message (%d bytes)", len(b))
 	}
 	m.Host = binary.BigEndian.Uint16(b)
@@ -116,14 +115,12 @@ func DecodeInto(m *Message, links []uint16, b []byte, wide bool) ([]uint16, erro
 	}
 	for i := 0; i < n; i++ {
 		if off+5 > len(b) {
-			//kollaps:coldpath
 			return links, fmt.Errorf("metadata: truncated flow %d", i)
 		}
 		bps := binary.BigEndian.Uint32(b[off:])
 		nl := int(b[off+4])
 		off += 5
 		if off+nl*idw > len(b) {
-			//kollaps:coldpath
 			return links, fmt.Errorf("metadata: truncated links of flow %d", i)
 		}
 		start := len(links)
@@ -139,7 +136,6 @@ func DecodeInto(m *Message, links []uint16, b []byte, wide bool) ([]uint16, erro
 		m.Flows = append(m.Flows, FlowRecord{BPS: bps, Links: links[start:len(links):len(links)]})
 	}
 	if off != len(b) {
-		//kollaps:coldpath
 		return links, fmt.Errorf("metadata: %d trailing bytes", len(b)-off)
 	}
 	return links, nil

@@ -137,8 +137,6 @@ func (tb *TokenBucket) refill() {
 }
 
 // Enqueue shapes one packet.
-//
-//kollaps:hotpath
 func (tb *TokenBucket) Enqueue(p *packet.Packet) {
 	if tb.rate <= 0 { // unlimited
 		tb.SentBytes += int64(p.Size)
@@ -160,8 +158,6 @@ func (tb *TokenBucket) Enqueue(p *packet.Packet) {
 
 // drain releases queued packets while tokens last (all of them when the
 // rate is unlimited) and schedules its own wake-up for the rest.
-//
-//kollaps:hotpath
 func (tb *TokenBucket) drain() {
 	tb.inDrain = true
 	tb.refill()
@@ -238,8 +234,6 @@ func (n *Netem) Jitter() time.Duration { return n.jitter }
 func (n *Netem) Loss() units.Loss { return n.loss }
 
 // Enqueue applies loss, then schedules delivery after delay + jitter.
-//
-//kollaps:hotpath
 func (n *Netem) Enqueue(p *packet.Packet) {
 	if n.loss > 0 && n.eng.Rand().Float64() < float64(n.loss) {
 		n.LostPackets++

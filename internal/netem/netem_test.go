@@ -430,27 +430,41 @@ func TestDrainedQueuesRetainNothing(t *testing.T) {
 
 // The zero-alloc contract of the shaping path: one packet through
 // htb → netem → sink costs nothing beyond the caller's packet, queued or
-// not, at steady state.
+// not, at steady state — also when netem draws jitter and loss from the
+// engine's stream.
 func TestChainAllocatesNothingPerPacket(t *testing.T) {
-	eng := sim.NewEngine(1)
-	delivered := 0
-	ch := NewChain(eng, ChainProps{Delay: 10 * time.Millisecond, Rate: 100 * units.Mbps},
-		func(*packet.Packet) { delivered++ })
-	p := mkPacket(packet.MTU)
-	gap := (100 * units.Mbps).TimeToSend(packet.MTU)
-	send := func() {
-		ch.Enqueue(p) // passes on tokens
-		ch.Enqueue(p) // queues behind it, waits for the wake-up
-		eng.Run(eng.Now() + 2*gap)
-	}
-	for i := 0; i < 200; i++ { // fill the 10 ms pipe: slot table and heap at working size
-		send()
-	}
-	if got := testing.AllocsPerRun(500, send); got != 0 {
-		t.Fatalf("%v allocs per two packets through the chain, want 0", got)
-	}
-	eng.RunAll()
-	if delivered == 0 || int64(delivered) != ch.HTB.SentPackets {
-		t.Fatalf("delivered %d of %d", delivered, ch.HTB.SentPackets)
+	for _, tc := range []struct {
+		name  string
+		props ChainProps
+	}{
+		{"delay", ChainProps{Delay: 10 * time.Millisecond, Rate: 100 * units.Mbps}},
+		{"jitter+loss", ChainProps{Delay: 10 * time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.1, Rate: 100 * units.Mbps}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			delivered := 0
+			ch := NewChain(eng, tc.props, func(*packet.Packet) { delivered++ })
+			p := mkPacket(packet.MTU)
+			gap := tc.props.Rate.TimeToSend(packet.MTU)
+			send := func() {
+				ch.Enqueue(p) // passes on tokens
+				ch.Enqueue(p) // queues behind it, waits for the wake-up
+				eng.Run(eng.Now() + 2*gap)
+			}
+			for i := 0; i < 200; i++ { // fill the 10 ms pipe: slot table and heap at working size
+				send()
+			}
+			if got := testing.AllocsPerRun(500, send); got != 0 {
+				t.Fatalf("%v allocs per two packets through the chain, want 0", got)
+			}
+			eng.RunAll()
+			if delivered == 0 || int64(delivered) != ch.Netem.SentPackets ||
+				ch.Netem.SentPackets+ch.Netem.LostPackets != ch.HTB.SentPackets {
+				t.Fatalf("delivered %d of %d, %d lost", delivered, ch.HTB.SentPackets, ch.Netem.LostPackets)
+			}
+			if (tc.props.Loss > 0) != (ch.Netem.LostPackets > 0) {
+				t.Fatalf("loss %v dropped %d packets", tc.props.Loss, ch.Netem.LostPackets)
+			}
+		})
 	}
 }

@@ -3,9 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -47,6 +51,70 @@ func TestTracerNilNoop(t *testing.T) {
 	}
 	if got, want := buf.String(), `{"displayTimeUnit":"ms","traceEvents":[]}`; got != want {
 		t.Fatalf("nil WriteChrome = %s, want %s", got, want)
+	}
+}
+
+// TestConcurrentRecordAndExport is CI's race workload. The public API
+// hands the tracer and the registry to callers, so one goroutine may
+// record and register while others read and export: under go test
+// -race, dropping the lock from any of these methods is a reported race.
+// Each reader calls one method, so no other locked call of its own can
+// order that method's accesses after the recorder's.
+func TestConcurrentRecordAndExport(t *testing.T) {
+	const n = 2000
+	tr, reg := NewTracer(64), NewRegistry()
+	recorded := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(recorded)
+		for i := 0; i < n; i++ {
+			tr.Record(time.Duration(i), KindPublish, 0, int64(i), 0)
+			// A new name every 16 records: registration keeps writing the
+			// maps while the readers range over them.
+			host := strconv.Itoa(i / 16)
+			reg.Counter(`records_total{host="` + host + `"}`).Inc()
+			reg.Gauge(`up{host="`+host+`"}`, func() float64 { return 1 })
+			runtime.Gosched()
+		}
+	}()
+	var buf []Event
+	for _, read := range []func() error{
+		func() error { tr.Len(); return nil },
+		func() error { tr.Dropped(); return nil },
+		func() error { buf = tr.Events(buf[:0]); return nil },
+		func() error { return tr.WriteChrome(io.Discard) },
+		func() error { reg.Snapshot(); return nil },
+		func() error { return reg.WritePrometheus(io.Discard) },
+	} {
+		wg.Add(1)
+		go func(read func() error) { // until the recorder is done, so the two interleave
+			defer wg.Done()
+			for done := false; !done; runtime.Gosched() {
+				select {
+				case <-recorded:
+					done = true
+				default:
+				}
+				if err := read(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(read)
+	}
+	wg.Wait()
+	if tr.Len() != 64 || tr.Dropped() != n-64 {
+		t.Fatalf("Len %d, Dropped %d after %d records into 64 slots", tr.Len(), tr.Dropped(), n)
+	}
+	var sum float64
+	for name, v := range reg.Snapshot() {
+		if strings.HasPrefix(name, "records_total") {
+			sum += v
+		}
+	}
+	if sum != n {
+		t.Fatalf("counters sum to %v, want %d", sum, n)
 	}
 }
 

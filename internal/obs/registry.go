@@ -32,10 +32,8 @@ import (
 // so export a deployment's registry from the goroutine that drives its
 // simulation (typically after Run returns).
 type Registry struct {
-	mu sync.Mutex
-	//kollaps:guardedby mu
+	mu     sync.Mutex
 	counts map[string]*metrics.Counter
-	//kollaps:guardedby mu
 	gauges map[string]func() float64
 }
 

@@ -166,10 +166,8 @@ type Event struct {
 // nanoseconds and allocates nothing, so Record stays inside the hot
 // loop's 0-alloc budget.
 type Tracer struct {
-	mu sync.Mutex
-	//kollaps:guardedby mu
-	ev []Event
-	//kollaps:guardedby mu
+	mu   sync.Mutex
+	ev   []Event
 	head uint64 // total events ever recorded
 	mask uint64 // immutable after NewTracer
 }
@@ -190,11 +188,8 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ev: make([]Event, c), mask: uint64(c - 1)}
 }
 
-// Record appends one event. It never allocates (//kollaps:hotpath —
-// it runs inside the emulation loop's 0-alloc budget), and on a nil
-// tracer it is a no-op.
-//
-//kollaps:hotpath
+// Record appends one event. It never allocates — it runs inside the
+// emulation loop's 0-alloc budget — and on a nil tracer it is a no-op.
 func (t *Tracer) Record(at time.Duration, kind Kind, host int32, a, b int64) {
 	if t == nil {
 		return
@@ -219,8 +214,6 @@ func (t *Tracer) Len() int {
 }
 
 // lenLocked is Len's body; the caller holds t.mu.
-//
-//kollaps:locked mu
 func (t *Tracer) lenLocked() int {
 	if t.head < uint64(len(t.ev)) {
 		return int(t.head)

@@ -100,8 +100,6 @@ func (t Timer) Stop() {
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: it would violate causality and indicates a bug in the caller.
-//
-//kollaps:hotpath
 func (e *Engine) At(at time.Duration, fn func()) Timer {
 	return e.schedule(at, slot{fn: fn})
 }
@@ -109,8 +107,6 @@ func (e *Engine) At(at time.Duration, fn func()) Timer {
 // AtPacket schedules fn(p) at absolute virtual time at. It is At for the
 // per-packet path: the slot carries the pair, so the caller builds no
 // closure to bind p.
-//
-//kollaps:hotpath
 func (e *Engine) AtPacket(at time.Duration, fn func(*packet.Packet), p *packet.Packet) Timer {
 	return e.schedule(at, slot{pfn: fn, p: p})
 }
@@ -134,7 +130,6 @@ func (e *Engine) Every(period time.Duration, fn func()) Timer {
 
 func (e *Engine) schedule(at time.Duration, s slot) Timer {
 	if at < e.now {
-		//kollaps:coldpath
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	var id int32
@@ -160,8 +155,6 @@ func (e *Engine) release(id int32) {
 
 // Step runs the single next event. It reports false when the queue is empty
 // or the engine was halted.
-//
-//kollaps:hotpath
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 || e.halted {
 		return false

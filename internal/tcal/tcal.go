@@ -158,7 +158,6 @@ func (t *TCAL) HasPath(dst packet.IP) bool {
 func (t *TCAL) Destinations() []packet.IP {
 	// Rebuild only after a path mutation; steady-state periods take the
 	// allocation-free cached return below.
-	//kollaps:coldpath
 	if t.dstsDirty {
 		t.dsts = t.dsts[:0]
 		for ip := range t.chains {
@@ -181,7 +180,6 @@ func (t *TCAL) Send(p *packet.Packet) { t.filter.Classify(p) }
 func (t *TCAL) SetBandwidth(dst packet.IP, rate units.Bandwidth) error {
 	c, ok := t.chains[dst]
 	if !ok {
-		//kollaps:coldpath
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
 	c.props.Bandwidth = rate
@@ -208,7 +206,6 @@ func (t *TCAL) SetNetem(dst packet.IP, delay, jitter time.Duration, loss units.L
 func (t *TCAL) InjectCongestionLoss(dst packet.IP, extra units.Loss) error {
 	c, ok := t.chains[dst]
 	if !ok {
-		//kollaps:coldpath
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
 	c.qdisc.Netem.Set(c.props.Latency, c.props.Jitter, c.baseLoss.Compose(extra))

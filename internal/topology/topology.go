@@ -303,8 +303,6 @@ func (c *Collapsed) Path(src, dst graph.NodeID) *graph.Path {
 // then materialise and memoise the one path asked for. Cold by
 // construction — once per (source, destination) per topology state at
 // most, never in the steady-state emulation loop.
-//
-//kollaps:coldpath
 func (c *Collapsed) miss(src, dst graph.NodeID) *graph.Path {
 	s := c.cache[src]
 	if s == nil {
@@ -329,8 +327,8 @@ func (c *Collapsed) miss(src, dst graph.NodeID) *graph.Path {
 	return p
 }
 
-// State is one element of the pre-computed dynamic sequence: the topology
-// graph and its collapse, valid from At until the next state.
+// State is one topology state: the graph and its collapse, valid from At
+// until the next event group applies.
 type State struct {
 	At        time.Duration
 	Graph     *graph.Graph
@@ -338,10 +336,9 @@ type State struct {
 }
 
 // Live is the incremental topology state machine: a current graph plus
-// the tombstone memory that lets join events restore removed links. Where
-// Precompute bakes every state before an experiment starts, a Live can
-// apply Event patches at any time — the runtime-mutation path of the
-// public API. Each Apply clones the current graph, patches the clone and
+// the tombstone memory that lets join events restore removed links. It
+// applies Event patches at any time — pre-registered dynamic events and
+// the runtime-mutation path of the public API alike. Each Apply clones the current graph, patches the clone and
 // swaps it in with a collapse derived from the current one (see
 // Collapsed), so previously returned States stay valid snapshots.
 type Live struct {
@@ -409,8 +406,8 @@ func (l *Live) State() *State { return l.st }
 // Apply atomically applies a group of simultaneous events at time at:
 // either every event applies and the current state advances, or the
 // error is returned and the state is untouched. Events grouped into one
-// Apply produce a single state, matching Precompute's grouping of events
-// at identical timestamps.
+// Apply produce a single state; SortAndGroup groups events at identical
+// timestamps that way.
 func (l *Live) Apply(at time.Duration, evs ...Event) error {
 	return l.ApplyIf(at, nil, evs...)
 }
@@ -484,27 +481,6 @@ func DryRun(g *graph.Graph, evs []Event) (*State, error) {
 		}
 	}
 	return live.State(), nil
-}
-
-// Precompute builds the ordered sequence of graphs for the experiment's
-// dynamic events (§3 "Dynamic Topologies": all modifications are computed
-// offline before the experiment starts). The first state is at time 0.
-// It is a replay of the events through the Live state machine — the same
-// code path the runtime uses for events scheduled while running.
-func (t *Topology) Precompute() ([]State, error) {
-	g, _, err := t.Build()
-	if err != nil {
-		return nil, err
-	}
-	live := NewLive(g)
-	states := []State{*live.State()}
-	for _, group := range SortAndGroup(t.Events) {
-		if err := live.Apply(group[0].At, group...); err != nil {
-			return nil, err
-		}
-		states = append(states, *live.State())
-	}
-	return states, nil
 }
 
 // check rejects patch values no link can carry. Bandwidth in particular

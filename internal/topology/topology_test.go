@@ -210,15 +210,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// replay is the state sequence an experiment's dynamic events produce —
+// the paper's pre-computed states (§3) — as the runtime builds it: the
+// initial state, then one Live.Apply per same-time group.
+func replay(t *testing.T, top *Topology) []State {
+	t.Helper()
+	g, _, err := top.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewLive(g)
+	states := []State{*live.State()}
+	for _, group := range SortAndGroup(top.Events) {
+		if err := live.Apply(group[0].At, group...); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, *live.State())
+	}
+	return states
+}
+
 func TestPrecomputeStates(t *testing.T) {
 	top, err := ParseYAML(listing2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := top.Precompute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	states := replay(t, top)
 	// initial + 120 + 200 + 205 + 210 + 240
 	if len(states) != 6 {
 		t.Fatalf("states = %d, want 6", len(states))
@@ -285,10 +302,7 @@ dynamic:
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := top.Precompute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	states := replay(t, top)
 	if len(states) != 5 {
 		t.Fatalf("states = %d, want 5", len(states))
 	}
@@ -324,10 +338,7 @@ dynamic:
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := top.Precompute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	states := replay(t, top)
 	if len(states) != 2 {
 		t.Fatalf("states = %d, want 2 (events grouped)", len(states))
 	}
@@ -565,61 +576,6 @@ func TestDryRunValidates(t *testing.T) {
 	bad := []Event{{At: time.Second, Kind: EvLinkLeave, Orig: "b", Dest: "b"}}
 	if _, err := DryRun(g, bad); err == nil {
 		t.Fatal("expected DryRun error for leave of nonexistent link")
-	}
-}
-
-func TestPrecomputeMatchesLiveReplay(t *testing.T) {
-	// Precompute is defined as a Live replay; pin the equivalence so the
-	// two paths cannot drift apart.
-	src := liveTestYAML + `
-dynamic:
-  orig: a
-  dest: b
-  latency: 30
-  time: 2
-  action: leave
-  orig: a
-  dest: b
-  time: 4
-  action: join
-  orig: a
-  dest: b
-  time: 6
-`
-	top, err := ParseYAML(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := top.Precompute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _, err := top.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewLive(g)
-	a, _ := g.Lookup("a")
-	b, _ := g.Lookup("b")
-	if len(states) != 4 {
-		t.Fatalf("states = %d, want 4", len(states))
-	}
-	for i, group := range SortAndGroup(top.Events) {
-		if err := live.Apply(group[0].At, group...); err != nil {
-			t.Fatal(err)
-		}
-		st := states[i+1]
-		if st.At != live.State().At {
-			t.Fatalf("state %d At mismatch: %v vs %v", i+1, st.At, live.State().At)
-		}
-		pp := st.Collapsed.Path(a, b)
-		lp := live.State().Collapsed.Path(a, b)
-		if (pp == nil) != (lp == nil) {
-			t.Fatalf("state %d reachability mismatch", i+1)
-		}
-		if pp != nil && (pp.Latency != lp.Latency || pp.Bandwidth != lp.Bandwidth) {
-			t.Fatalf("state %d path mismatch: %+v vs %+v", i+1, pp, lp)
-		}
 	}
 }
 

@@ -20,8 +20,6 @@ var Saturations metrics.Counter
 
 // count records one saturation on the global and optional per-site
 // counter.
-//
-//kollaps:coldpath
 func count(sat *metrics.Counter) {
 	Saturations.Inc()
 	if sat != nil {

@@ -473,6 +473,40 @@ func TestGrayHostValidation(t *testing.T) {
 	check(true)
 }
 
+// A plan with one invalid step time arms none of its steps: ChaosPlan
+// checks every step's time — ≥ 0 before Deploy, not in the virtual past
+// after it — before it schedules any.
+func TestChaosPlanRejectedLeavesNothingArmed(t *testing.T) {
+	exp, err := Load(quickYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := new(chaos.Plan).At(100*time.Millisecond, chaos.PartitionHosts(0)).At(-time.Second, chaos.Heal())
+	if err := exp.ChaosPlan(plan); err == nil || !strings.Contains(err.Error(), "-1s") {
+		t.Fatalf("ChaosPlan with a step at -1s = %v, want an error naming it", err)
+	}
+	if err := exp.Deploy(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if s := exp.ChaosStats(); s.Total() != 0 {
+		t.Fatalf("a plan rejected before Deploy injected faults: %+v", s)
+	}
+	now := time.Second
+	plan = new(chaos.Plan).At(now+100*time.Millisecond, chaos.PartitionHosts(0)).At(now-time.Millisecond, chaos.Heal())
+	if err := exp.ChaosPlan(plan); err == nil || !strings.Contains(err.Error(), "virtual past") {
+		t.Fatalf("ChaosPlan with a step in the past = %v, want a virtual-past error", err)
+	}
+	if err := exp.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if s := exp.ChaosStats(); s.Total() != 0 {
+		t.Fatalf("a plan rejected after Deploy injected faults: %+v", s)
+	}
+}
+
 func TestAtPreDeployPreRegisters(t *testing.T) {
 	exp, err := Load(quickYAML)
 	if err != nil {

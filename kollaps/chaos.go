@@ -133,10 +133,17 @@ func (e *Experiment) Chaos(p chaos.Profile) error {
 
 // ChaosPlan schedules every step of a chaos plan. Before Deploy the
 // steps are pre-registered and armed at Deploy; after Deploy a step in
-// the virtual past is an error. A plan with an invalid action (see
-// chaos.Action.Err) is rejected before any step is scheduled.
+// the virtual past is an error. A plan with an invalid step — a negative
+// time, a time in the virtual past, or an invalid action (see
+// chaos.Action.Err) — is rejected before any step is scheduled.
 func (e *Experiment) ChaosPlan(p *chaos.Plan) error {
 	for _, s := range p.Steps {
+		if s.At < 0 {
+			return fmt.Errorf("kollaps: chaos step at %v is before the experiment start", s.At)
+		}
+		if e.Runtime != nil && s.At < e.Eng.Now() {
+			return fmt.Errorf("kollaps: chaos step at %v is in the virtual past (now %v)", s.At, e.Eng.Now())
+		}
 		for _, a := range s.Acts {
 			if err := a.Err(); err != nil {
 				return fmt.Errorf("kollaps: chaos step at %v: %w", s.At, err)
@@ -144,9 +151,6 @@ func (e *Experiment) ChaosPlan(p *chaos.Plan) error {
 		}
 	}
 	for _, s := range p.Steps {
-		if s.At < 0 {
-			return fmt.Errorf("kollaps: chaos step at %v is before the experiment start", s.At)
-		}
 		if err := e.scheduleChaos(s.At, s.Acts); err != nil {
 			return err
 		}
