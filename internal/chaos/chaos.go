@@ -103,8 +103,9 @@ type Injector struct {
 	blocked map[[2]int]bool          // {from,to} pairs a partition discards
 	gray    map[int][2]time.Duration // host -> [min,max] added latency
 
-	stats Stats
-	hash  uint64 // FNV-1a fold of every fault decision
+	stats   Stats
+	hash    uint64 // FNV-1a fold of every fault decision
+	corrupt []byte // the corrupted copy Send delivers, reused
 }
 
 // fnvOffset / fnvPrime are the FNV-1a 64-bit parameters.
@@ -158,9 +159,9 @@ func (inj *Injector) fold(code byte, from, to int, arg int64) {
 // datagram is dropped or partition-blocked, once normally, and once per
 // extra copy under duplication. d is the extra latency chaos adds on
 // top of the fabric's own (0 for an undisturbed datagram); p is the
-// payload to deliver, a fresh copy whenever chaos mutated it, so
-// deferred delivery never aliases the caller's buffer into a corrupted
-// one.
+// payload to deliver — the caller's, or a copy in the injector's own
+// buffer when chaos corrupted it. p is valid only during the call:
+// deliver copies what it sends, and the caller's buffer is never written.
 func (inj *Injector) Send(now time.Duration, from, to int, payload []byte, deliver func(d time.Duration, p []byte)) {
 	if !inj.Active() {
 		deliver(0, payload)
@@ -212,8 +213,8 @@ func (inj *Injector) Send(now time.Duration, from, to int, payload []byte, deliv
 		inj.tracer.Record(now, obs.KindChaosReorder, int32(from), int64(to), int64(hold))
 	}
 	if p.Corrupt > 0 && inj.rng.Float64() < p.Corrupt && len(payload) > 0 {
-		corrupted := make([]byte, len(payload))
-		copy(corrupted, payload)
+		corrupted := append(inj.corrupt[:0], payload...)
+		inj.corrupt = corrupted
 		bits := 1 + inj.rng.Intn(p.CorruptBits)
 		for i := 0; i < bits; i++ {
 			bit := inj.rng.Intn(len(corrupted) * 8)

@@ -234,17 +234,12 @@ func TestEnforceMatchesFreshSolves(t *testing.T) {
 	}
 }
 
-// discard is a dissemination transport that counts datagrams and drops
-// them, so a metered pass pays for its frames and nothing downstream.
-type discard struct{ sends int }
-
-func (d *discard) SendTo(int, []byte) { d.sends++ }
-
 // TestEnforceAllocationContract holds iterate — the whole loop pass:
-// collect, disseminate, merge, enforce — to dissem's rule: one heap
-// object per datagram the pass sends (the frame, which the transport
-// owns) and nothing else. Local flows are active (between metered passes
-// the containers offer a period of real traffic and the peer's report
+// collect, disseminate, merge, enforce — to 0 heap objects once warm,
+// the datagrams it sends included: their frames and packets come from the
+// engine's pool, and the peer manager's delivery handed the previous
+// period's back. Local flows are active (between metered passes the
+// containers offer a period of real traffic and the peer's report
 // arrives); on the hit path the entitlement input repeats, on the miss
 // path a remote record's links change every period and move the local
 // flows' enforced rates. The rig runs bare, with the flight recorder and
@@ -263,14 +258,7 @@ func TestEnforceAllocationContract(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newEnforceRig(t, tc.opts)
 			m, rt := r.m, r.rt
-			tr := &discard{}
-			cfg := rt.opts.Dissem
-			cfg.NumHosts, cfg.Wide, cfg.Tracer = len(m.emIPs), rt.wide, rt.opts.Tracer
-			node, err := dissem.New(cfg, m.host, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.node = node
+			sent := m.node.Stats().DatagramsSent.Value
 
 			// Reports A and B differ in one remote record's path.
 			r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
@@ -280,7 +268,7 @@ func TestEnforceAllocationContract(t *testing.T) {
 			reportB := r.report
 
 			const k, warm, measured = 20, 8, 40
-			over, calls := 0, 0 // passes that allocated beyond their datagrams, of all metered
+			over, calls := 0, 0 // passes that allocated, of all metered
 			period := func(report *metadata.Message, metered bool) {
 				r.offer(k)
 				m.node.Receive(rt.Eng.Now(), r.peer.seal(report))
@@ -293,11 +281,10 @@ func TestEnforceAllocationContract(t *testing.T) {
 				// it refills the capacity warm-up gave it.
 				m.node.Stats().Staleness.Reset()
 				var before, after runtime.MemStats
-				sends := tr.sends
 				runtime.ReadMemStats(&before)
 				m.iterate()
 				runtime.ReadMemStats(&after)
-				if int(after.Mallocs-before.Mallocs) != tr.sends-sends {
+				if after.Mallocs != before.Mallocs {
 					over++
 				}
 				calls++
@@ -306,7 +293,7 @@ func TestEnforceAllocationContract(t *testing.T) {
 				period(&reportB, false)
 				period(&reportA, false)
 			}
-			sends, reused, sets := tr.sends, m.entReused.Value(), m.tcalSets.Value()
+			sends, reused, sets := sent(), m.entReused.Value(), m.tcalSets.Value()
 			for i := 0; i < measured; i++ {
 				period(&reportA, true)
 			}
@@ -329,15 +316,15 @@ func TestEnforceAllocationContract(t *testing.T) {
 			// runtime starts an OS thread shows that thread's handful of
 			// objects. A pass that allocates on its own account does so
 			// every time it runs that path, so the contract fails when more
-			// than one pass in twenty allocated beyond its datagrams.
+			// than one pass in twenty allocated.
 			if over*20 > calls {
-				t.Fatalf("%d of %d passes allocated beyond one object per datagram sent", over, calls)
+				t.Fatalf("%d of %d passes allocated", over, calls)
 			}
 			t.Logf("%d passes, %d datagrams, %d local flows, rate changes: %d hit / %d miss",
-				calls, tr.sends-sends, len(m.flowsBuf), hitSets, missSets)
-			if tr.sends-sends < calls || len(m.flowsBuf) == 0 || missSets < measured {
+				calls, sent()-sends, len(m.flowsBuf), hitSets, missSets)
+			if sent()-sends < int64(calls) || len(m.flowsBuf) == 0 || missSets < measured {
 				t.Fatalf("rig misconfigured: %d datagrams, %d local flows, %d miss-path rate changes over %d passes",
-					tr.sends-sends, len(m.flowsBuf), missSets, measured)
+					sent()-sends, len(m.flowsBuf), missSets, measured)
 			}
 			if rt.opts.InjectLoss && !oversubscribed(m) {
 				t.Fatal("no local flow oversubscribed: InjectLoss never computed a loss")

@@ -54,6 +54,13 @@ type Manager struct {
 	// Iterations counts completed emulation loops.
 	Iterations int64
 
+	// chaosTo is the peer sendChaos is passing a datagram to, read by
+	// deliverChaos; chaosDeliver and sendLater are deliverChaos and
+	// sendDeferred bound once, so a send under chaos builds no closure.
+	chaosTo      int
+	chaosDeliver func(time.Duration, []byte)
+	sendLater    func(*packet.Packet)
+
 	// Hot-path observability counters, resolved once at construction:
 	// from the deployment's metrics registry when one is configured,
 	// else private. They are always non-nil, so the emulation loop
@@ -97,43 +104,65 @@ type Manager struct {
 
 // managerTransport adapts the cluster fabric's UDP stack to
 // dissem.Transport. Byte accounting lives in the node's Stats — the
-// node counts exactly what it hands this transport.
+// node counts exactly what it hands this transport. Frames come from the
+// engine's pool, and SendTo takes each one back: the fabric releases it
+// with its packet, or it returns to the pool at once.
 type managerTransport struct{ m *Manager }
 
-func (t managerTransport) SendTo(host int, payload []byte) {
+// Frame serves the dissemination node a frame from the engine's pool.
+func (t managerTransport) Frame(n int) []byte { return t.m.rt.Eng.Packets().Frame(n) }
+
+func (t managerTransport) SendTo(host int, frame []byte) {
 	m := t.m
-	if m.dead {
-		return // a killed manager's datagrams never reach the wire
+	switch {
+	case m.dead:
+		// A killed manager's datagrams never reach the wire.
+		m.rt.Eng.Packets().ReleaseFrame(frame)
+	case m.rt.chaos.Active():
+		m.sendChaos(host, frame)
+	default:
+		m.sendWire(host, frame)
 	}
-	if m.rt.chaos.Active() {
-		m.sendChaos(host, payload)
-		return
-	}
-	m.sendWire(host, payload)
 }
 
 // sendWire puts one metadata datagram on the cluster fabric.
-func (m *Manager) sendWire(host int, payload []byte) {
+func (m *Manager) sendWire(host int, frame []byte) {
 	port := m.rt.opts.MetadataPort
-	m.stack.SendUDP(m.emIPs[host], port, port, len(payload), payload)
+	m.stack.SendFrame(m.emIPs[host], port, port, frame)
 }
 
 // sendChaos routes one datagram through the armed chaos injector, which
-// may drop, mutate, duplicate, or defer it. Deferred copies ride an
-// engine timer, so chaos latency composes with the fabric's own.
-func (m *Manager) sendChaos(host int, payload []byte) {
-	m.rt.chaos.Send(m.rt.Eng.Now(), m.host, host, payload, func(d time.Duration, p []byte) {
-		if d <= 0 {
-			m.sendWire(host, p)
-			return
-		}
-		m.rt.Eng.After(d, func() {
-			if m.dead {
-				return // the sender died while the datagram was in flight
-			}
-			m.sendWire(host, p)
-		})
-	})
+// may drop, mutate, duplicate, or defer it. Every delivery is a copy in a
+// frame of its own, so no two packets share a frame and the original goes
+// back to the pool once the injector returns.
+func (m *Manager) sendChaos(host int, frame []byte) {
+	m.chaosTo = host
+	m.rt.chaos.Send(m.rt.Eng.Now(), m.host, host, frame, m.chaosDeliver)
+	m.rt.Eng.Packets().ReleaseFrame(frame)
+}
+
+// deliverChaos sends one delivery the injector decided on for sendChaos's
+// datagram. A deferred copy rides a typed engine event, so chaos latency
+// composes with the fabric's own.
+func (m *Manager) deliverChaos(d time.Duration, p []byte) {
+	frame := append(m.rt.Eng.Packets().Frame(len(p)), p...)
+	if d <= 0 {
+		m.sendWire(m.chaosTo, frame)
+		return
+	}
+	port := m.rt.opts.MetadataPort
+	pkt := m.stack.FrameDatagram(m.emIPs[m.chaosTo], port, port, frame)
+	m.rt.Eng.AtPacket(m.rt.Eng.Now()+d, m.sendLater, pkt)
+}
+
+// sendDeferred puts a delayed chaos delivery on the wire, unless the
+// sender died while it was held.
+func (m *Manager) sendDeferred(p *packet.Packet) {
+	if m.dead {
+		p.Release()
+		return
+	}
+	m.rt.Cluster.Send(p)
 }
 
 // localFlow is one (source container, destination container) aggregate.
@@ -153,6 +182,7 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		host:  host,
 		emIPs: emIPs,
 	}
+	m.chaosDeliver, m.sendLater = m.deliverChaos, m.sendDeferred
 	if reg := rt.opts.Registry; reg != nil {
 		label := fmt.Sprintf(`{host="%d"}`, host)
 		m.solveRuns = reg.Counter("kollaps_solver_runs_total" + label)
@@ -173,7 +203,7 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		return nil, err
 	}
 	m.stack = transport.NewStack(rt.Eng, rt.Cluster, emIPs[host])
-	m.stack.HandleUDP(rt.opts.MetadataPort, m.onMetadata)
+	m.stack.HandleFrame(rt.opts.MetadataPort, m.onMetadata)
 	return m, nil
 }
 
@@ -212,25 +242,26 @@ func (m *Manager) start() {
 	m.rt.Eng.Every(m.rt.opts.Period, m.iterate)
 }
 
-func (m *Manager) onMetadata(src packet.IP, srcPort uint16, size int, payload any) {
-	raw, ok := payload.([]byte)
-	if !ok || m.dead {
+// onMetadata feeds one inbound control datagram to the node, which
+// decodes into its own storage: the frame is dead when Receive returns.
+func (m *Manager) onMetadata(_ packet.IP, frame []byte) {
+	if m.dead {
 		return // inbound datagrams to a killed manager are dropped
 	}
 	now := m.rt.Eng.Now()
-	m.rt.opts.Tracer.Record(now, obs.KindReceive, int32(m.host), int64(len(raw)), 0)
-	m.node.Receive(now, raw)
+	m.rt.opts.Tracer.Record(now, obs.KindReceive, int32(m.host), int64(len(frame)), 0)
+	m.node.Receive(now, frame)
 }
 
 // iterate is one emulation loop pass. It is the root of the 0 allocs/op
-// contract: once warm, a pass allocates one object per datagram its
-// dissemination node sends (the frame the transport takes over) and
-// nothing else — with local flows whose enforced rate changes, with
-// tracing and metrics on, and with InjectLoss. TestEnforceAllocationContract
-// meters iterate itself on those inputs; BenchmarkIterate and
-// cmd/benchcheck gate the collect-merge-enforce part in CI. Slow paths
-// (arena growth, a topology generation's first path lookups) amortise to
-// nothing.
+// contract: once warm, a pass allocates nothing — with local flows whose
+// enforced rate changes, with tracing and metrics on, and with
+// InjectLoss. The datagrams it sends are no exception: their frames and
+// packets come from the engine's pool, which the fabric refills as it
+// delivers. TestEnforceAllocationContract meters iterate itself on those
+// inputs; BenchmarkIterate and cmd/benchcheck gate the
+// collect-merge-enforce part in CI. Slow paths (arena growth, a topology
+// generation's first path lookups) amortise to nothing.
 func (m *Manager) iterate() {
 	if m.dead {
 		return // killed: no polling, no dissemination, no enforcement

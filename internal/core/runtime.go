@@ -158,12 +158,13 @@ type containerNet struct {
 }
 
 func (n containerNet) Send(p *packet.Packet) {
-	p.SentAt = n.rt.Eng.Now()
+	p.AssertLive("core: container Send")
 	if !n.c.tcal.HasPath(p.Dst) {
 		// Lazy path installation: Emulation Cores only materialize the
 		// part of the collapsed mesh their container talks to (§3).
 		if !n.rt.installPath(n.c, p.Dst) {
-			return // unreachable in the current topology state
+			p.Release() // unreachable in the current topology state
+			return
 		}
 	}
 	n.c.tcal.Send(p)

@@ -208,6 +208,28 @@ experiment:
 	}
 }
 
+// TestNegativeUDPSizeCountsAsEmpty: a negative SendUDP size is an empty
+// datagram. It used to travel as a negative wire size, delivering
+// negative payload bytes and driving the TCAL's byte counter — the
+// Manager's usage reading — below zero.
+func TestNegativeUDPSizeCountsAsEmpty(t *testing.T) {
+	rt := buildRuntime(t, fig8YAML, 2, Options{})
+	rt.Start()
+	c1, _ := rt.Container("c1")
+	s1, _ := rt.Container("s1")
+	datagrams, bytes := 0, 0
+	s1.Stack.HandleUDP(9, func(_ packet.IP, _ uint16, size int, _ any) { datagrams, bytes = datagrams+1, bytes+size })
+	for i := 0; i < 10; i++ {
+		c1.Stack.SendUDP(s1.IP, 9, 9, -1000, nil)
+	}
+	rt.Eng.Run(time.Second)
+	const wire = packet.IPHeader + packet.UDPHeader + 14
+	if sent := c1.TCAL().TotalSent(s1.IP); datagrams != 10 || bytes != 0 || sent != 10*wire {
+		t.Fatalf("delivered %d datagrams carrying %d payload bytes, shaped %d B; want 10, 0, %d B",
+			datagrams, bytes, sent, 10*wire)
+	}
+}
+
 // TestFigure8EndToEnd drives the full §5.4 experiment through the
 // deployed runtime: six greedy TCP flows starting at 20s intervals, with
 // allocations measured from the servers' receive rates. Expected values

@@ -500,7 +500,7 @@ func (n *deltaNode) maybeAck(typ byte, to int, seq uint32) {
 	if typ == msgDeltaDiff && seq%uint32(n.cfg.AckEvery) != 0 {
 		return
 	}
-	frame := append(newFrame(7), msgDeltaAck)
+	frame := append(newFrame(n.tr, 7), msgDeltaAck)
 	frame = binary.BigEndian.AppendUint16(frame, wire.U16(n.host, &n.stats.Saturated))
 	frame = binary.BigEndian.AppendUint32(frame, seq)
 	n.stats.sendFrame(n.tr, to, frame)

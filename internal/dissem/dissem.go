@@ -223,9 +223,17 @@ func (c Config) Validate() error {
 
 // Transport carries one datagram to a peer Emulation Manager. The core
 // runtime backs it with the cluster fabric's UDP stack; tests use an
-// in-memory loopback.
+// in-memory loopback. The transport owns the payload from SendTo on.
 type Transport interface {
 	SendTo(host int, payload []byte)
+}
+
+// FrameSource is implemented by a Transport that recycles frames: Frame
+// returns an empty buffer with capacity at least n, which the node fills
+// and hands back through SendTo. The core runtime serves frames from the
+// simulation's packet pool.
+type FrameSource interface {
+	Frame(n int) []byte
 }
 
 // MergedOrigin marks a RemoteFlow produced by merging records from more
@@ -350,7 +358,7 @@ func (s *Stats) AdoptFrom(old *Stats) {
 // (envelope.go) and hands it to the transport — the form for a payload
 // encoded once and sent to several peers. Counters see the on-wire size.
 func (s *Stats) send(tr Transport, host int, inner []byte) {
-	s.sendFrame(tr, host, append(newFrame(len(inner)), inner...))
+	s.sendFrame(tr, host, append(newFrame(tr, len(inner)), inner...))
 }
 
 // sendFrame stamps the envelope header of a frame built in place
@@ -422,8 +430,8 @@ type Node interface {
 	// copy (or immediately serialize) anything they retain past the call.
 	Publish(now time.Duration, msg *metadata.Message)
 	// Receive processes one control datagram addressed to this node. The
-	// payload stays owned by the caller (the fabric may deliver the same
-	// buffer again): implementations only read it, and copy what they keep.
+	// payload stays owned by the caller, which recycles it once Receive
+	// returns: implementations only read it, and copy what they keep.
 	Receive(now time.Duration, payload []byte)
 	// RemoteFlows returns the node's current view of every other
 	// manager's flows, dropping entries not refreshed within maxAge.

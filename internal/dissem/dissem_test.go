@@ -210,7 +210,7 @@ func unsealed(payload []byte) []byte {
 // seal wraps a copy of one inner payload in a stamped envelope, for tests
 // that hand-craft datagrams.
 func (s *Stats) seal(inner []byte) []byte {
-	frame := append(newFrame(len(inner)), inner...)
+	frame := append(newFrame(nil, len(inner)), inner...)
 	s.stamp(frame)
 	return frame
 }

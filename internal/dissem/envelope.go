@@ -48,13 +48,17 @@ const (
 // castagnoli is the CRC-32C table shared by stamp and open.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// newFrame starts a datagram: the envelope header's 13 bytes, reserved
-// for stamp, with room for innerCap bytes of inner payload appended
-// behind them. Every datagram gets a frame of its own — the one
-// allocation a send costs: the transport (and the chaos plane, which may
-// defer or duplicate delivery) owns a frame from SendTo on, so a sent
-// datagram must never alias a buffer the sender reuses.
-func newFrame(innerCap int) []byte {
+// newFrame starts a datagram for tr: the envelope header's 13 bytes,
+// reserved for stamp, with room for innerCap bytes of inner payload
+// appended behind them. Every datagram gets a frame of its own, because
+// the transport owns a frame from SendTo on — it may hold it, copy it or
+// deliver it late — so a sent datagram must never alias a buffer the
+// sender reuses. A transport that recycles frames (FrameSource) serves
+// them, and a warm send allocates nothing; otherwise the frame is new.
+func newFrame(tr Transport, innerCap int) []byte {
+	if fs, ok := tr.(FrameSource); ok {
+		return fs.Frame(envHeaderLen + innerCap)[:envHeaderLen]
+	}
 	return make([]byte, envHeaderLen, envHeaderLen+innerCap)
 }
 

@@ -266,7 +266,7 @@ func (n *gossipNode) sendPush(now time.Duration, target int, origins []uint16) {
 		recs := n.entries[o].recs
 		size += 17 + recsWireSize(recs[:min(len(recs), maxWireRecords)], n.cfg.Wide)
 	}
-	n.stats.sendFrame(n.tr, target, n.appendPush(newFrame(size), now, origins))
+	n.stats.sendFrame(n.tr, target, n.appendPush(newFrame(n.tr, size), now, origins))
 }
 
 // appendPush serializes a gossip push — the given origins' entries (none
@@ -477,7 +477,7 @@ func (n *gossipNode) receivePush(now time.Duration, from int, payload []byte) {
 	}
 	n.origins = want
 	if len(want) > 0 {
-		frame := append(newFrame(5+2*len(want)), msgGossipPull)
+		frame := append(newFrame(n.tr, 5+2*len(want)), msgGossipPull)
 		frame = binary.BigEndian.AppendUint16(frame, wire.U16(n.host, &n.stats.Saturated))
 		frame = binary.BigEndian.AppendUint16(frame, wire.U16(len(want), &n.stats.Saturated))
 		for _, o := range want {

@@ -27,7 +27,7 @@ import (
 // HopHook lets a wrapper inject per-hop behaviour (e.g. the Mininet CPU
 // model or the Maxinet controller) at every node traversal. It must call
 // forward exactly once to continue delivery, or drop the packet by not
-// calling it.
+// calling it (and Release it, so the pool can reuse it).
 type HopHook func(node graph.NodeID, p *packet.Packet, forward func())
 
 // Options configure a Network.
@@ -56,6 +56,7 @@ type Network struct {
 	ipToNode map[packet.IP]graph.NodeID
 	routes   map[graph.NodeID]map[graph.NodeID]int // node -> dst node -> out link id
 	ingress  func(*packet.Packet)                  // Send's delayed entry, bound once
+	deliver  func(*packet.Packet)                  // forward's delayed exit, bound once
 
 	// Delivered counts packets handed to endpoint handlers.
 	Delivered int64
@@ -95,6 +96,12 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 		routes:   make(map[graph.NodeID]map[graph.NodeID]int),
 	}
 	n.ingress = func(p *packet.Packet) { n.forward(n.ipToNode[p.Src], p) }
+	n.deliver = func(p *packet.Packet) {
+		if h := n.handlers[p.Dst]; h != nil {
+			h(p)
+		}
+		p.Release()
+	}
 	for id := 0; id < g.NumLinks(); id++ {
 		if g.LinkRemoved(id) {
 			continue
@@ -202,19 +209,26 @@ func (n *Network) NodeOf(ip packet.IP) (graph.NodeID, bool) {
 }
 
 // Send injects a packet at its source endpoint and forwards it hop by hop
-// toward the destination. Implements packet.Network.
+// toward the destination. Implements packet.Network: the fabric owns p
+// from here on and releases it once delivered or dropped.
 func (n *Network) Send(p *packet.Packet) {
+	p.AssertLive("fabric: Send")
 	src, ok := n.ipToNode[p.Src]
 	if !ok {
-		n.DroppedNoRoute++
+		n.drop(p)
 		return
 	}
-	p.SentAt = n.eng.Now()
 	if n.opt.EndpointDelay > 0 {
 		n.eng.AtPacket(n.eng.Now()+n.opt.EndpointDelay, n.ingress, p)
 		return
 	}
 	n.forward(src, p)
+}
+
+// drop counts an unroutable packet and releases it.
+func (n *Network) drop(p *packet.Packet) {
+	n.DroppedNoRoute++
+	p.Release()
 }
 
 // arrive handles a packet reaching a node: local delivery or next hop,
@@ -229,34 +243,37 @@ func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
 
 // forward moves p one step from node: to its handler at the destination,
 // else into the next link's queue. Delays are typed packet events, so the
-// default path allocates nothing per hop.
+// default path allocates nothing per hop. A delivered packet is released
+// when its handler returns.
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 	dstNode, ok := n.ipToNode[p.Dst]
 	if !ok {
-		n.DroppedNoRoute++
+		n.drop(p)
 		return
 	}
 	if dstNode == node {
 		h := n.handlers[p.Dst]
 		if h == nil {
+			p.Release()
 			return
 		}
 		n.Delivered++
 		if n.opt.EndpointDelay > 0 {
-			n.eng.AtPacket(n.eng.Now()+n.opt.EndpointDelay, h, p)
+			n.eng.AtPacket(n.eng.Now()+n.opt.EndpointDelay, n.deliver, p)
 			return
 		}
 		h(p)
+		p.Release()
 		return
 	}
 	link, ok := n.nextHop(node, dstNode)
 	if !ok {
-		n.DroppedNoRoute++
+		n.drop(p)
 		return
 	}
 	pipe := n.pipes[link]
 	if pipe == nil {
-		n.DroppedNoRoute++
+		n.drop(p)
 		return
 	}
 	if n.opt.PerHopDelay > 0 && n.g.Node(node).Kind == graph.Bridge {

@@ -136,8 +136,9 @@ func (tb *TokenBucket) refill() {
 	tb.last = now
 }
 
-// Enqueue shapes one packet.
+// Enqueue shapes one packet. A tail-dropped packet is released.
 func (tb *TokenBucket) Enqueue(p *packet.Packet) {
+	p.AssertLive("netem: Enqueue")
 	if tb.rate <= 0 { // unlimited
 		tb.SentBytes += int64(p.Size)
 		tb.SentPackets++
@@ -147,6 +148,7 @@ func (tb *TokenBucket) Enqueue(p *packet.Packet) {
 	if tb.queued+p.Size > tb.limit && tb.queue.Len() > 0 {
 		tb.Dropped++
 		tb.DroppedBytes += int64(p.Size)
+		p.Release()
 		return
 	}
 	tb.queue.Push(p)
@@ -233,10 +235,13 @@ func (n *Netem) Jitter() time.Duration { return n.jitter }
 // Loss returns the configured loss probability.
 func (n *Netem) Loss() units.Loss { return n.loss }
 
-// Enqueue applies loss, then schedules delivery after delay + jitter.
+// Enqueue applies loss, then schedules delivery after delay + jitter. A
+// lost packet is released.
 func (n *Netem) Enqueue(p *packet.Packet) {
+	p.AssertLive("netem: Enqueue")
 	if n.loss > 0 && n.eng.Rand().Float64() < float64(n.loss) {
 		n.LostPackets++
+		p.Release()
 		return
 	}
 	d := n.delay
@@ -298,7 +303,7 @@ type U32Filter struct {
 }
 
 // NewU32Filter creates an empty filter; unmatched packets go to fall
-// (which may be nil to drop them).
+// (which may be nil to drop and release them).
 func NewU32Filter(fall Stage) *U32Filter { return &U32Filter{fallthr: fall} }
 
 // Add installs the stage for a destination address.
@@ -335,7 +340,9 @@ func (f *U32Filter) Classify(p *packet.Packet) {
 	}
 	if f.fallthr != nil {
 		f.fallthr.Enqueue(p)
+		return
 	}
+	p.Release()
 }
 
 // LossForOversubscription computes the loss probability the Emulation

@@ -5,6 +5,7 @@ package packet
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -53,23 +54,165 @@ const (
 	MSS              = 1448 // MTU - IP - TCP headers - 14B L2 header
 )
 
-// Packet is one simulated datagram/segment. Payload carries
-// protocol-specific state (sequence numbers, app messages) by pointer; the
-// Size field is authoritative for all byte accounting.
+// Packet is one simulated datagram/segment. Size is authoritative for all
+// byte accounting; the typed fields carry what each protocol needs, so a
+// packet is one object whatever it transports.
+//
+// Ownership: the network owns a Packet, and its Frame bytes, from Send
+// until the delivery handler returns or a drop site releases it. A sender
+// does not touch a packet after Send; a handler reads it and copies what it
+// keeps. Packets drawn from a Pool go back with Release; a hand-built
+// packet is never pooled, so releasing it is a no-op.
 type Packet struct {
 	Src, Dst         IP
 	SrcPort, DstPort uint16
 	Proto            Proto
 	// Size is the on-wire size in bytes including headers.
 	Size int
-	// Payload is protocol-specific (e.g. *transport.Segment).
+	// TCP is the segment a TCP packet carries.
+	TCP Segment
+	// Echo is the body of an ICMP echo request or reply.
+	Echo Echo
+	// Frame is a control datagram's payload (UDP). Release returns it to
+	// the pool's frame classes with the packet.
+	Frame []byte
+	// Payload is an application UDP datagram's opaque payload.
 	Payload any
-	// SentAt is stamped by the sender for latency metrics.
-	SentAt time.Duration
-	// ECE marks explicit congestion signals (used by loss injection
-	// accounting in tests).
-	ECE bool
+
+	pool     *Pool
+	released bool
 }
+
+// Segment is the TCP header state a TCP packet carries. Payload content is
+// abstract: Len counts the bytes.
+type Segment struct {
+	Flags   uint8
+	HasEcho bool
+	Seq     int64 // first payload byte (or the SYN/FIN sequence slot)
+	Len     int   // payload bytes
+	Ack     int64 // cumulative acknowledgement
+	TS      time.Duration
+	TSEcho  time.Duration
+	// SACK carries received-but-not-acked ranges; Marks the message
+	// boundaries inside this segment's payload. Both keep their capacity
+	// across a pooled packet's reuse.
+	SACK  [][2]int64
+	Marks []Mark
+}
+
+// Mark ties application message metadata to the stream offset at which
+// the message ends; the receiver fires it once the bytes up to End have
+// been delivered in order.
+type Mark struct {
+	End  int64
+	Meta any
+}
+
+// Echo is an ICMP echo body: the request id and the requester's clock,
+// both returned in the reply.
+type Echo struct {
+	ID     uint16
+	Reply  bool
+	SentAt time.Duration
+}
+
+// AssertLive panics when p has been released: from then on the pool owns
+// it, and any use is a use after release. site names the caller.
+func (p *Packet) AssertLive(site string) {
+	if p != nil && p.released {
+		panic("packet: " + site + " of a released packet")
+	}
+}
+
+// Release hands p, and its frame, back to the pool it came from. It is a
+// no-op for a packet no pool handed out, and panics for one already
+// released.
+func (p *Packet) Release() {
+	pl := p.pool
+	if pl == nil {
+		return
+	}
+	if p.released {
+		panic("packet: Release of a released packet")
+	}
+	if p.Frame != nil {
+		pl.ReleaseFrame(p.Frame)
+	}
+	clear(p.TCP.Marks) // drop the metadata references
+	seg := Segment{SACK: p.TCP.SACK[:0], Marks: p.TCP.Marks[:0]}
+	*p = Packet{TCP: seg, pool: pl, released: true}
+	pl.free = append(pl.free, p)
+	pl.out--
+}
+
+// Frame size classes: powers of two from 64 B to 64 KiB.
+const (
+	minFrameShift = 6
+	frameClasses  = 11
+)
+
+// Pool is a free list of packets, and of frames by size class. Reuse is
+// LIFO, so under a deterministic caller it is deterministic too. The zero
+// value is ready to use; it is not safe for concurrent use.
+type Pool struct {
+	free      []*Packet
+	frames    [frameClasses][][]byte
+	out       int // packets handed out and not released
+	framesOut int // frames handed out and not released
+}
+
+// Get returns a zeroed packet; its TCP.SACK and TCP.Marks are empty with
+// whatever capacity earlier use gave them.
+func (pl *Pool) Get() *Packet {
+	pl.out++
+	n := len(pl.free)
+	if n == 0 {
+		return &Packet{pool: pl}
+	}
+	p := pl.free[n-1]
+	pl.free = pl.free[:n-1]
+	p.released = false
+	return p
+}
+
+// Frame returns an empty buffer with capacity at least n. The caller
+// gives it back with ReleaseFrame, or by sending it as a pooled packet's
+// Frame.
+func (pl *Pool) Frame(n int) []byte {
+	pl.framesOut++
+	c := 0
+	if n > 1<<minFrameShift {
+		c = bits.Len(uint(n-1)) - minFrameShift
+	}
+	if c >= frameClasses {
+		return make([]byte, 0, n)
+	}
+	if k := len(pl.frames[c]); k > 0 {
+		f := pl.frames[c][k-1]
+		pl.frames[c] = pl.frames[c][:k-1]
+		return f
+	}
+	return make([]byte, 0, 1<<(c+minFrameShift))
+}
+
+// ReleaseFrame takes back a frame Frame handed out; the caller must not
+// use it afterwards.
+func (pl *Pool) ReleaseFrame(f []byte) {
+	pl.framesOut--
+	c := bits.Len(uint(cap(f))) - 1 - minFrameShift
+	if c < 0 {
+		return
+	}
+	if c >= frameClasses {
+		c = frameClasses - 1
+	}
+	pl.frames[c] = append(pl.frames[c], f[:0])
+}
+
+// Outstanding reports the packets and the frames handed out that have not
+// come back. With nothing queued, in flight or scheduled, both are 0
+// unless an owner dropped one without releasing it.
+func (pl *Pool) Outstanding() (packets, frames int) { return pl.out, pl.framesOut }
 
 // FlowKey identifies a (src container, dst container) aggregate — the
 // granularity at which Kollaps enforces bandwidth (§3: per destination,

@@ -32,14 +32,19 @@ import (
 // the callback, its heap position (so Stop can remove it in O(log n)) and
 // a generation that invalidates Timers once the slot is recycled through
 // the free list. At steady state scheduling and firing allocate nothing.
+//
+// The engine also owns the simulation's packet pool (Packets): every
+// packet and control frame the substrates carry is drawn from it and
+// released back, so reuse follows the deterministic event order.
 type Engine struct {
-	now    time.Duration
-	seq    uint64
-	heap   []entry
-	slots  []slot
-	free   []int32 // recycled slot indices
-	rng    *rand.Rand
-	halted bool
+	now     time.Duration
+	seq     uint64
+	heap    []entry
+	slots   []slot
+	free    []int32 // recycled slot indices
+	rng     *rand.Rand
+	halted  bool
+	packets packet.Pool
 }
 
 // entry is one pending event's key. Events fire ordered by (at, seq) so
@@ -77,6 +82,9 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
+// Packets returns the engine's packet and frame pool.
+func (e *Engine) Packets() *packet.Pool { return &e.packets }
+
 // Timer identifies a scheduled event and allows cancellation.
 type Timer struct {
 	eng  *Engine
@@ -106,7 +114,7 @@ func (e *Engine) At(at time.Duration, fn func()) Timer {
 
 // AtPacket schedules fn(p) at absolute virtual time at. It is At for the
 // per-packet path: the slot carries the pair, so the caller builds no
-// closure to bind p.
+// closure to bind p. Firing on a packet released in the meantime panics.
 func (e *Engine) AtPacket(at time.Duration, fn func(*packet.Packet), p *packet.Packet) Timer {
 	return e.schedule(at, slot{pfn: fn, p: p})
 }
@@ -182,6 +190,7 @@ func (e *Engine) Step() bool {
 	}
 	e.release(top.slot)
 	if s.pfn != nil {
+		s.p.AssertLive("sim: AtPacket firing")
 		s.pfn(s.p)
 	} else {
 		s.fn()

@@ -88,7 +88,10 @@ func New(eng *sim.Engine, egress func(*packet.Packet)) *TCAL {
 
 type dropStage struct{ t *TCAL }
 
-func (d dropStage) Enqueue(*packet.Packet) { d.t.UnmatchedDropped++ }
+func (d dropStage) Enqueue(p *packet.Packet) {
+	d.t.UnmatchedDropped++
+	p.Release()
+}
 
 // InstallPath creates (or replaces) the qdisc chain toward dst.
 func (t *TCAL) InstallPath(dst packet.IP, p PathProps) {

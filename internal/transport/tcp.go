@@ -47,32 +47,6 @@ const (
 	maxSynAttempts = 6
 )
 
-// segment is the TCP payload carried inside a packet.
-type segment struct {
-	flags   uint8
-	seq     int64 // first payload byte (or the SYN/FIN sequence slot)
-	length  int   // payload bytes
-	ack     int64 // cumulative acknowledgement
-	ts      time.Duration
-	tsEcho  time.Duration
-	hasEcho bool
-	// sack carries up to four received-but-not-acked ranges, enabling
-	// SACK-style recovery of burst losses.
-	sack [][2]int64
-	// marks are message boundaries within this segment's payload
-	// (stream offset of the message's last byte plus its metadata).
-	marks []msgMark
-}
-
-// msgMark ties application message metadata to the stream offset at which
-// the message ends; the receiver fires OnMsg once the bytes up to End have
-// been delivered in order. Payload content itself is abstract (bytes are
-// counted, not stored); the mark carries the message's meaning.
-type msgMark struct {
-	End  int64
-	Meta any
-}
-
 // noEcho marks the absence of a timestamp echo (0 is a valid sim time).
 const noEcho = time.Duration(-1)
 
@@ -111,7 +85,8 @@ type Conn struct {
 	sndNext  int64
 	cwnd     float64
 	ssthresh float64
-	inFlight []flight // unacked segments in seq order
+	inFlight []flight // unacked segments in seq order, a window of flights
+	flights  []flight // inFlight's whole array, from its start
 
 	// RTT estimation (RFC 6298).
 	srtt   time.Duration
@@ -154,7 +129,7 @@ type Conn struct {
 	OnClose func()
 
 	// Message framing state.
-	sndMarks  []msgMark      // unacked outgoing marks, ascending End
+	sndMarks  []packet.Mark  // unacked outgoing marks, ascending End
 	totalSent int64          // stream bytes ever queued via Write/WriteMsg
 	rcvMarks  map[int64]any  // collected marks awaiting in-order delivery
 	rcvFired  map[int64]bool // marks already delivered (dedupe)
@@ -185,6 +160,7 @@ type Stack struct {
 	conns     map[fourTuple]*Conn
 	listeners map[uint16]*Listener
 	udp       map[uint16]UDPHandler
+	frames    map[uint16]FrameHandler
 	pings     map[uint16]func(time.Duration)
 	nextPort  uint16
 	pingSeq   uint16
@@ -202,6 +178,11 @@ type Listener struct {
 // bytes (excluding headers), and the opaque payload.
 type UDPHandler func(src packet.IP, srcPort uint16, size int, payload any)
 
+// FrameHandler receives control datagrams whose payload is a byte frame.
+// The frame belongs to the network: it is valid until the handler
+// returns, and a handler copies what it keeps.
+type FrameHandler func(src packet.IP, frame []byte)
+
 // NewStack creates a transport stack for ip and registers its packet
 // handler with the network.
 func NewStack(eng *sim.Engine, net packet.Network, ip packet.IP) *Stack {
@@ -210,6 +191,7 @@ func NewStack(eng *sim.Engine, net packet.Network, ip packet.IP) *Stack {
 		conns:     make(map[fourTuple]*Conn),
 		listeners: make(map[uint16]*Listener),
 		udp:       make(map[uint16]UDPHandler),
+		frames:    make(map[uint16]FrameHandler),
 		pings:     make(map[uint16]func(time.Duration)),
 		nextPort:  10000,
 	}
@@ -272,37 +254,33 @@ func (s *Stack) newConn(id fourTuple, cc CongestionControl) *Conn {
 	return c
 }
 
-// receive is the stack's packet handler.
+// receive is the stack's packet handler. The network releases p when it
+// returns, so nothing here keeps the packet or its segment.
 func (s *Stack) receive(p *packet.Packet) {
 	switch p.Proto {
 	case packet.TCP:
 		s.receiveTCP(p)
 	case packet.UDP:
-		if h := s.udp[p.DstPort]; h != nil {
-			h(p.Src, p.SrcPort, p.Size-packet.IPHeader-packet.UDPHeader-14, p.Payload)
-		}
+		s.receiveUDP(p)
 	case packet.ICMP:
 		s.receiveICMP(p)
 	}
 }
 
 func (s *Stack) receiveTCP(p *packet.Packet) {
-	seg, ok := p.Payload.(*segment)
-	if !ok {
-		return
-	}
+	seg := &p.TCP
 	id := fourTuple{
 		local:  addr{ip: s.ip, port: p.DstPort},
 		remote: addr{ip: p.Src, port: p.SrcPort},
 	}
 	c := s.conns[id]
 	if c == nil {
-		if seg.flags&flagSYN != 0 && seg.flags&flagACK == 0 {
+		if seg.Flags&flagSYN != 0 && seg.Flags&flagACK == 0 {
 			if l := s.listeners[p.DstPort]; l != nil {
 				c = s.newConn(id, l.CC)
 				c.established = true
 				s.conns[id] = c
-				c.sendFlags(flagSYN|flagACK, 0, seg.ts)
+				c.sendFlags(flagSYN|flagACK, 0, seg.TS)
 				if l.OnAccept != nil {
 					l.OnAccept(c)
 				}
@@ -337,7 +315,7 @@ func (c *Conn) WriteMsg(n int, meta any) {
 	}
 	c.sndBuf += int64(n)
 	c.totalSent += int64(n)
-	c.sndMarks = append(c.sndMarks, msgMark{End: c.totalSent, Meta: meta})
+	c.sndMarks = append(c.sndMarks, packet.Mark{End: c.totalSent, Meta: meta})
 	if c.established {
 		c.trySend()
 	}
@@ -391,33 +369,25 @@ func (c *Conn) sendSYN() {
 }
 
 func (c *Conn) sendFlags(flags uint8, ack int64, echo time.Duration) {
-	seg := &segment{flags: flags, ack: ack, ts: c.stack.eng.Now()}
+	p := c.segment(flags, headerBytes)
+	p.TCP.Ack = ack
 	if echo != noEcho {
-		seg.tsEcho = echo
-		seg.hasEcho = true
+		p.TCP.TSEcho = echo
+		p.TCP.HasEcho = true
 	}
 	if flags&flagACK != 0 {
-		seg.sack = c.sackRanges()
+		p.TCP.SACK = c.appendSACK(p.TCP.SACK)
 	}
-	c.emit(seg, headerBytes)
+	c.stack.net.Send(p)
 }
 
-// sackRanges reports the receiver's coalesced out-of-order ranges, lowest
+// appendSACK appends the receiver's coalesced out-of-order ranges, lowest
 // first, capped at 32 blocks. A real TCP receiver is limited to 3-4 SACK
 // blocks per ACK but re-advertises different blocks on every duplicate
 // ACK; a generous cap conveys the same information without simulating the
 // rotation, while bounding per-ACK work when loss fragments the window.
-func (c *Conn) sackRanges() [][2]int64 {
-	if len(c.ooo) == 0 {
-		return nil
-	}
-	n := len(c.ooo)
-	if n > 32 {
-		n = 32
-	}
-	out := make([][2]int64, n)
-	copy(out, c.ooo[:n])
-	return out
+func (c *Conn) appendSACK(dst [][2]int64) [][2]int64 {
+	return append(dst, c.ooo[:min(len(c.ooo), 32)]...)
 }
 
 // oooInsert adds [s,e) to the out-of-order set, keeping it sorted and
@@ -447,12 +417,18 @@ func (c *Conn) oooInsert(s, e int64) {
 	}
 }
 
-func (c *Conn) emit(seg *segment, size int) {
-	c.stack.net.Send(&packet.Packet{
-		Src: c.id.local.ip, Dst: c.id.remote.ip,
-		SrcPort: c.id.local.port, DstPort: c.id.remote.port,
-		Proto: packet.TCP, Size: size, Payload: seg,
-	})
+// segment draws a packet of size wire bytes from the engine's pool,
+// addressed along the connection and carrying a segment with flags,
+// timestamped now. The caller fills in the rest and sends it.
+func (c *Conn) segment(flags uint8, size int) *packet.Packet {
+	p := c.stack.eng.Packets().Get()
+	p.Src, p.Dst = c.id.local.ip, c.id.remote.ip
+	p.SrcPort, p.DstPort = c.id.local.port, c.id.remote.port
+	p.Proto = packet.TCP
+	p.Size = size
+	p.TCP.Flags = flags
+	p.TCP.TS = c.stack.eng.Now()
+	return p
 }
 
 // pipeEstimate returns the bytes believed to be in the network per the
@@ -554,7 +530,8 @@ func (c *Conn) paceDelay() time.Duration {
 
 func (c *Conn) sendData(seq int64, length int, rexmit bool) {
 	now := c.stack.eng.Now()
-	seg := &segment{seq: seq, length: length, ack: c.rcvNxt, flags: flagACK, ts: now}
+	p := c.segment(flagACK, length+headerBytes)
+	p.TCP.Seq, p.TCP.Len, p.TCP.Ack = seq, length, c.rcvNxt
 	// Attach the message marks whose end offset falls inside this
 	// segment (retransmissions re-attach; the receiver dedupes).
 	end := seq + int64(length)
@@ -563,10 +540,10 @@ func (c *Conn) sendData(seq int64, length int, rexmit bool) {
 			break
 		}
 		if mk.End > seq {
-			seg.marks = append(seg.marks, mk)
+			p.TCP.Marks = append(p.TCP.Marks, mk)
 		}
 	}
-	c.emit(seg, length+headerBytes)
+	c.stack.net.Send(p)
 	if rexmit {
 		c.Retransmits++
 		// Replace the flight entry's timestamp so RTT sampling via
@@ -578,18 +555,41 @@ func (c *Conn) sendData(seq int64, length int, rexmit bool) {
 			}
 		}
 	} else {
-		c.inFlight = append(c.inFlight, flight{seq: seq, length: length, sentAt: now})
+		c.pushFlight(flight{seq: seq, length: length, sentAt: now})
 	}
 	c.armRTO()
 }
 
+// pushFlight appends f to inFlight. Acked flights are sliced off the
+// front, so once the array runs out the live flights slide back to its
+// start, unless they fill more than half of it: then it grows. A
+// steady window reuses one array however long the transfer runs.
+func (c *Conn) pushFlight(f flight) {
+	if len(c.inFlight) == cap(c.inFlight) {
+		if 2*len(c.inFlight) >= cap(c.flights) {
+			c.inFlight = append(c.inFlight, f)
+			c.flights = c.inFlight[:0]
+			return
+		}
+		c.inFlight = append(c.flights[:0], c.inFlight...)
+	}
+	c.inFlight = append(c.inFlight, f)
+}
+
 func (c *Conn) sendFIN() {
 	c.finSent = true
-	seg := &segment{flags: flagFIN | flagACK, seq: c.sndNext, ack: c.rcvNxt, ts: c.stack.eng.Now()}
+	seq := c.sndNext
 	c.sndNext++ // FIN occupies one sequence slot
-	c.inFlight = append(c.inFlight, flight{seq: seg.seq, length: 0, sentAt: seg.ts})
-	c.emit(seg, headerBytes)
+	c.pushFlight(flight{seq: seq, length: 0, sentAt: c.stack.eng.Now()})
+	c.emitFIN(seq)
 	c.armRTO()
+}
+
+// emitFIN sends a FIN in sequence slot seq.
+func (c *Conn) emitFIN(seq int64) {
+	p := c.segment(flagFIN|flagACK, headerBytes)
+	p.TCP.Seq, p.TCP.Ack = seq, c.rcvNxt
+	c.stack.net.Send(p)
 }
 
 func (c *Conn) armRTO() {
@@ -641,19 +641,19 @@ func (c *Conn) onRTO() {
 
 // receive processes one inbound segment on an established (or half-open)
 // connection.
-func (c *Conn) receive(seg *segment) {
+func (c *Conn) receive(seg *packet.Segment) {
 	if c.closed {
 		return
 	}
 	eng := c.stack.eng
 
 	// Handshake completion (client side).
-	if seg.flags&flagSYN != 0 && seg.flags&flagACK != 0 && !c.established {
+	if seg.Flags&flagSYN != 0 && seg.Flags&flagACK != 0 && !c.established {
 		c.established = true
-		if seg.hasEcho {
-			c.rttSample(eng.Now() - seg.tsEcho)
+		if seg.HasEcho {
+			c.rttSample(eng.Now() - seg.TSEcho)
 		}
-		c.sendFlags(flagACK, c.rcvNxt, seg.ts)
+		c.sendFlags(flagACK, c.rcvNxt, seg.TS)
 		if c.OnConnected != nil {
 			c.OnConnected()
 		}
@@ -662,19 +662,19 @@ func (c *Conn) receive(seg *segment) {
 	}
 
 	// ACK processing.
-	if seg.flags&flagACK != 0 {
+	if seg.Flags&flagACK != 0 {
 		c.processAck(seg)
 	}
 
 	// Data.
-	if seg.length > 0 {
+	if seg.Len > 0 {
 		c.processData(seg)
 	}
 
 	// FIN.
-	if seg.flags&flagFIN != 0 {
+	if seg.Flags&flagFIN != 0 {
 		c.peerFin = true
-		c.sendFlags(flagACK, seg.seq+1, seg.ts)
+		c.sendFlags(flagACK, seg.Seq+1, seg.TS)
 		if c.OnClose != nil {
 			c.OnClose()
 		}
@@ -684,12 +684,12 @@ func (c *Conn) receive(seg *segment) {
 	}
 }
 
-func (c *Conn) processAck(seg *segment) {
-	ack := seg.ack
+func (c *Conn) processAck(seg *packet.Segment) {
+	ack := seg.Ack
 	// Apply SACK information to the scoreboard first: sacked flights are
 	// never retransmitted during recovery.
-	if len(seg.sack) > 0 {
-		for _, r := range seg.sack {
+	if len(seg.SACK) > 0 {
+		for _, r := range seg.SACK {
 			if r[1] > c.highSacked {
 				c.highSacked = r[1]
 			}
@@ -702,13 +702,13 @@ func (c *Conn) processAck(seg *segment) {
 		for i := range c.inFlight {
 			f := &c.inFlight[i]
 			end := f.seq + int64(f.length)
-			for ri < len(seg.sack) && seg.sack[ri][1] < end {
+			for ri < len(seg.SACK) && seg.SACK[ri][1] < end {
 				ri++
 			}
-			if ri == len(seg.sack) {
+			if ri == len(seg.SACK) {
 				break
 			}
-			if !f.sacked && f.seq >= seg.sack[ri][0] && end <= seg.sack[ri][1] {
+			if !f.sacked && f.seq >= seg.SACK[ri][0] && end <= seg.SACK[ri][1] {
 				f.sacked = true
 			}
 		}
@@ -730,8 +730,8 @@ func (c *Conn) processAck(seg *segment) {
 			i++
 		}
 		c.inFlight = c.inFlight[i:]
-		if seg.hasEcho {
-			c.rttSample(c.stack.eng.Now() - seg.tsEcho)
+		if seg.HasEcho {
+			c.rttSample(c.stack.eng.Now() - seg.TSEcho)
 		}
 		if c.inRecovery {
 			if ack >= c.recover {
@@ -763,7 +763,7 @@ func (c *Conn) processAck(seg *segment) {
 	// SYN/FIN counts (data-bearing segments from the peer repeat the
 	// cumulative ACK legitimately on bidirectional connections).
 	if ack == c.sndUna && c.sndNext > c.sndUna &&
-		seg.length == 0 && seg.flags&(flagSYN|flagFIN) == 0 {
+		seg.Len == 0 && seg.Flags&(flagSYN|flagFIN) == 0 {
 		c.dupAcks++
 		if c.inRecovery {
 			c.recoveryTransmit()
@@ -858,8 +858,7 @@ func (c *Conn) retransmitNextHole() bool {
 		}
 		if f.length == 0 { // FIN
 			f.rexmitted = true
-			seg := &segment{flags: flagFIN | flagACK, seq: f.seq, ack: c.rcvNxt, ts: c.stack.eng.Now()}
-			c.emit(seg, headerBytes)
+			c.emitFIN(f.seq)
 			c.Retransmits++
 			c.armRTO()
 			return true
@@ -953,23 +952,23 @@ func (c *Conn) boundedRTO() time.Duration {
 	return r
 }
 
-func (c *Conn) processData(seg *segment) {
+func (c *Conn) processData(seg *packet.Segment) {
 	// Collect message marks; they fire once the stream is in-order past
 	// their end offset (duplicates from retransmissions are deduped).
-	if len(seg.marks) > 0 {
+	if len(seg.Marks) > 0 {
 		if c.rcvMarks == nil {
 			c.rcvMarks = make(map[int64]any)
 			c.rcvFired = make(map[int64]bool)
 		}
-		for _, mk := range seg.marks {
+		for _, mk := range seg.Marks {
 			if !c.rcvFired[mk.End] {
 				c.rcvMarks[mk.End] = mk.Meta
 			}
 		}
 	}
-	end := seg.seq + int64(seg.length)
+	end := seg.Seq + int64(seg.Len)
 	advanced := int64(0)
-	if seg.seq <= c.rcvNxt {
+	if seg.Seq <= c.rcvNxt {
 		if end > c.rcvNxt {
 			advanced = end - c.rcvNxt
 			c.rcvNxt = end
@@ -985,10 +984,10 @@ func (c *Conn) processData(seg *segment) {
 		}
 	} else {
 		// Out of order: stash and dup-ack.
-		c.oooInsert(seg.seq, end)
+		c.oooInsert(seg.Seq, end)
 	}
 	// Acknowledge (every segment; no delayed ACKs).
-	c.sendFlags(flagACK, c.rcvNxt, seg.ts)
+	c.sendFlags(flagACK, c.rcvNxt, seg.TS)
 	if advanced > 0 {
 		c.BytesReceived += advanced
 		if c.OnData != nil {

@@ -21,6 +21,32 @@ func TestRunBeforeDeployErrors(t *testing.T) {
 	}
 }
 
+// TestRunIntoThePastErrors: Run(until) with until before Now used to
+// return nil having done nothing; now the error names both times.
+// Running to Now stays a valid no-op.
+func TestRunIntoThePastErrors(t *testing.T) {
+	exp, err := Load(quickYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Deploy(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	err = exp.Run(time.Second)
+	if err == nil || !strings.Contains(err.Error(), "1s") || !strings.Contains(err.Error(), "2s") {
+		t.Fatalf("Run(1s) at 2s = %v, want an error naming both times", err)
+	}
+	if err := exp.Run(2 * time.Second); err != nil {
+		t.Fatalf("Run(Now()) = %v, want nil", err)
+	}
+	if now := exp.Eng.Now(); now != 2*time.Second {
+		t.Fatalf("clock at %v after the rejected Run, want 2s", now)
+	}
+}
+
 func TestDeployHostValidation(t *testing.T) {
 	exp, err := Load(quickYAML)
 	if err != nil {

@@ -173,11 +173,15 @@ func (e *Experiment) AppStack(name string) (*transport.Stack, packet.IP, error) 
 }
 
 // Run advances the experiment to the given absolute virtual time. It
-// errors when called before Deploy, and surfaces the first error any
-// scheduled topology event produced while running.
+// errors when called before Deploy or with a time before the current one
+// (running to the current time is a no-op), and surfaces the first error
+// any scheduled topology event produced while running.
 func (e *Experiment) Run(until time.Duration) error {
 	if e.Runtime == nil {
 		return fmt.Errorf("kollaps: Run before Deploy")
+	}
+	if now := e.Eng.Now(); until < now {
+		return fmt.Errorf("kollaps: Run(%v) is before the current virtual time %v", until, now)
 	}
 	e.Eng.Run(until)
 	return e.Runtime.EventError()
