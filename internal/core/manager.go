@@ -143,7 +143,8 @@ func (m *Manager) sendChaos(host int, frame []byte) {
 
 // deliverChaos sends one delivery the injector decided on for sendChaos's
 // datagram. A deferred copy rides a typed engine event, so chaos latency
-// composes with the fabric's own.
+// composes with the fabric's own. Chaos delays are not monotone, so this
+// is AtPacket and not a sim.Line.
 func (m *Manager) deliverChaos(d time.Duration, p []byte) {
 	frame := append(m.rt.Eng.Packets().Frame(len(p)), p...)
 	if d <= 0 {

@@ -184,6 +184,14 @@ func (n containerNet) NotifyWritable(src, dst packet.IP, fn func()) {
 	n.c.tcal.NotifyWritable(dst, fn)
 }
 
+// The address plan: container i placed on host h is 10.(h+1).(i/250).(i%250)
+// and host h's Emulation Manager is 10.255.0.h. Past these limits an octet
+// would wrap or a container would land in the managers' subnet.
+const (
+	MaxHosts      = 254
+	MaxContainers = 64000
+)
+
 // NewRuntime deploys a built topology graph over a cluster of nHosts
 // physical machines (40 GbE star, as in the paper's testbed). Containers
 // are placed round-robin unless placement maps a container name to a host
@@ -196,6 +204,12 @@ func NewRuntime(eng *sim.Engine, g *graph.Graph, nHosts int, placement map[strin
 	}
 	if nHosts < 1 {
 		return nil, fmt.Errorf("core: need at least one host")
+	}
+	if nHosts > MaxHosts {
+		return nil, fmt.Errorf("core: %d hosts exceed the address plan's limit of %d", nHosts, MaxHosts)
+	}
+	if n := len(g.Services()); n > MaxContainers {
+		return nil, fmt.Errorf("core: %d service containers exceed the address plan's limit of %d", n, MaxContainers)
 	}
 	opts.defaults()
 	cluster, hostNodes := fabric.Star(eng, nHosts, 40*units.Gbps, 15*time.Microsecond)

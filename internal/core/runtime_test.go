@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -457,6 +459,20 @@ func TestRuntimePlacementValidation(t *testing.T) {
 	}
 	if _, err := NewRuntimeFromTopology(eng, top, 0, nil, Options{}); err == nil {
 		t.Fatal("expected no-hosts error")
+	}
+}
+
+// TestRuntimeRejectsAddressPlanOverflow: container i's third octet is
+// i/250, so a 64 001st service container would wrap it onto container 0's
+// range; the error names the limit instead.
+func TestRuntimeRejectsAddressPlanOverflow(t *testing.T) {
+	g := graph.New()
+	for i := 0; i <= MaxContainers; i++ {
+		g.MustAddNode(fmt.Sprintf("c%d", i), graph.Service)
+	}
+	_, err := NewRuntime(sim.NewEngine(1), g, 4, nil, Options{})
+	if err == nil || !strings.Contains(err.Error(), "64000") {
+		t.Fatalf("NewRuntime with %d containers = %v, want an error naming 64000", MaxContainers+1, err)
 	}
 }
 

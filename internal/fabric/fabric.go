@@ -35,9 +35,6 @@ type Options struct {
 	// PerHopDelay models fixed switching/forwarding latency per network
 	// element traversed (default 20µs — a hardware switch).
 	PerHopDelay time.Duration
-	// EndpointDelay models the NIC/veth/container-networking cost paid
-	// once at ingress and once at egress (default 0).
-	EndpointDelay time.Duration
 	// QueueBytes overrides the per-link queue size; 0 derives it from the
 	// link's bandwidth-delay product (min 32 KiB, ~1.5 BDP).
 	QueueBytes int
@@ -55,8 +52,6 @@ type Network struct {
 	handlers map[packet.IP]packet.Handler
 	ipToNode map[packet.IP]graph.NodeID
 	routes   map[graph.NodeID]map[graph.NodeID]int // node -> dst node -> out link id
-	ingress  func(*packet.Packet)                  // Send's delayed entry, bound once
-	deliver  func(*packet.Packet)                  // forward's delayed exit, bound once
 
 	// Delivered counts packets handed to endpoint handlers.
 	Delivered int64
@@ -71,7 +66,7 @@ type pipe struct {
 	tb      *netem.TokenBucket
 	ne      *netem.Netem
 	to      graph.NodeID
-	enqueue func(*packet.Packet) // tb.Enqueue, bound once for delayed emits
+	hop     sim.Line // bridge-hop delay ahead of tb, constant and so FIFO
 	waiters netem.FIFO[func()]
 }
 
@@ -95,13 +90,6 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 		ipToNode: make(map[packet.IP]graph.NodeID),
 		routes:   make(map[graph.NodeID]map[graph.NodeID]int),
 	}
-	n.ingress = func(p *packet.Packet) { n.forward(n.ipToNode[p.Src], p) }
-	n.deliver = func(p *packet.Packet) {
-		if h := n.handlers[p.Dst]; h != nil {
-			h(p)
-		}
-		p.Release()
-	}
 	for id := 0; id < g.NumLinks(); id++ {
 		if g.LinkRemoved(id) {
 			continue
@@ -118,7 +106,7 @@ func (n *Network) buildPipe(id int) {
 	arrive := func(pk *packet.Packet) { n.arrive(p.to, pk) }
 	p.ne = netem.NewNetem(n.eng, l.Latency, l.Jitter, l.Loss, arrive)
 	p.tb = netem.NewTokenBucket(n.eng, l.Bandwidth, p.ne.Enqueue)
-	p.enqueue = p.tb.Enqueue
+	p.hop.Init(n.eng, p.tb.Enqueue)
 	p.tb.OnDequeue = func() {
 		// Wake one waiter per departure (FIFO): waking them all would
 		// let the first refill the queue and starve the rest, whereas
@@ -218,10 +206,6 @@ func (n *Network) Send(p *packet.Packet) {
 		n.drop(p)
 		return
 	}
-	if n.opt.EndpointDelay > 0 {
-		n.eng.AtPacket(n.eng.Now()+n.opt.EndpointDelay, n.ingress, p)
-		return
-	}
 	n.forward(src, p)
 }
 
@@ -242,7 +226,8 @@ func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
 }
 
 // forward moves p one step from node: to its handler at the destination,
-// else into the next link's queue. Delays are typed packet events, so the
+// else into the next link's queue, after the per-hop delay when node is a
+// bridge. That delay is constant, so each pipe's hop is a sim.Line and the
 // default path allocates nothing per hop. A delivered packet is released
 // when its handler returns.
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
@@ -258,10 +243,6 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 			return
 		}
 		n.Delivered++
-		if n.opt.EndpointDelay > 0 {
-			n.eng.AtPacket(n.eng.Now()+n.opt.EndpointDelay, n.deliver, p)
-			return
-		}
 		h(p)
 		p.Release()
 		return
@@ -277,7 +258,7 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 		return
 	}
 	if n.opt.PerHopDelay > 0 && n.g.Node(node).Kind == graph.Bridge {
-		n.eng.AtPacket(n.eng.Now()+n.opt.PerHopDelay, pipe.enqueue, p)
+		pipe.hop.At(n.eng.Now()+n.opt.PerHopDelay, p)
 		return
 	}
 	pipe.tb.Enqueue(p)

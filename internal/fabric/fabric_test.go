@@ -65,22 +65,6 @@ func TestPerHopDelayAppliesAtBridges(t *testing.T) {
 	}
 }
 
-func TestEndpointDelay(t *testing.T) {
-	eng := sim.NewEngine(1)
-	g, a, b := lineTopology(props(0, 0))
-	nw := New(eng, g, Options{PerHopDelay: time.Nanosecond, EndpointDelay: 100 * time.Microsecond})
-	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
-	var gotAt time.Duration
-	nw.AttachEndpoint(a, ipA, nil)
-	nw.AttachEndpoint(b, ipB, func(p *packet.Packet) { gotAt = eng.Now() })
-	nw.Send(&packet.Packet{Src: ipA, Dst: ipB, Size: 100})
-	eng.RunAll()
-	// ~100us ingress + ~100us egress (+1ns hop).
-	if gotAt < 200*time.Microsecond || gotAt > 201*time.Microsecond {
-		t.Fatalf("delivered at %v, want ~200us", gotAt)
-	}
-}
-
 func TestLocalDelivery(t *testing.T) {
 	eng := sim.NewEngine(1)
 	g := graph.New()
@@ -292,8 +276,8 @@ func BenchmarkFabricForwarding(b *testing.B) {
 }
 
 // The zero-alloc contract of the forwarding path: one packet over a
-// three-hop line with default Options (per-hop delay on, no endpoint delay,
-// no hook) costs nothing beyond the caller's packet at steady state.
+// three-hop line with default Options (per-hop delay on, no hook) costs
+// nothing beyond the caller's packet at steady state.
 func TestForwardAllocatesNothingPerPacket(t *testing.T) {
 	eng := sim.NewEngine(1)
 	g := graph.New()
@@ -324,6 +308,49 @@ func TestForwardAllocatesNothingPerPacket(t *testing.T) {
 	eng.RunAll()
 	if delivered != 1001 {
 		t.Fatalf("delivered %d of 1001", delivered)
+	}
+}
+
+// TestBurstKeepsHeapAtPipes: a burst of packets in flight across a
+// two-bridge path is one pending event each, yet the heap holds no more
+// than a few entries per pipe, because each netem stage and bridge hop is
+// a sim.Line with only its head in the heap.
+func TestBurstKeepsHeapAtPipes(t *testing.T) {
+	const burst = 1000
+	eng := sim.NewEngine(1)
+	g := graph.New()
+	lp := props(10*time.Millisecond, 10*units.Gbps)
+	a := g.MustAddNode("a", graph.Service)
+	s1 := g.MustAddNode("s1", graph.Bridge)
+	s2 := g.MustAddNode("s2", graph.Bridge)
+	b := g.MustAddNode("b", graph.Service)
+	g.AddBiLink(a, s1, lp)
+	g.AddBiLink(s1, s2, lp)
+	g.AddBiLink(s2, b, lp)
+	nw := New(eng, g, Options{})
+	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+	delivered := 0
+	nw.AttachEndpoint(a, ipA, nil)
+	nw.AttachEndpoint(b, ipB, func(*packet.Packet) { delivered++ })
+	for i := 0; i < burst; i++ {
+		p := eng.Packets().Get()
+		*p = packet.Packet{Src: ipA, Dst: ipB, Proto: packet.UDP, Size: packet.MTU}
+		nw.Send(p)
+	}
+	peak := 0
+	for eng.Step() {
+		peak = max(peak, eng.Pending())
+	}
+	if delivered != burst {
+		t.Fatalf("delivered %d of %d", delivered, burst)
+	}
+	heap := eng.Stats().HeapPeak
+	t.Logf("pending peak %d, heap peak %d, %d pipes", peak, heap, len(nw.pipes))
+	if peak < burst-10 {
+		t.Errorf("Pending peaked at %d, want about %d: the burst was never in flight at once", peak, burst)
+	}
+	if limit := len(nw.pipes) + 4; heap > limit {
+		t.Errorf("heap peaked at %d entries, want at most %d (pipes + 4)", heap, limit)
 	}
 }
 

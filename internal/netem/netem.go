@@ -198,12 +198,14 @@ func (tb *TokenBucket) drain() {
 // and Bernoulli packet loss. Delivery order is preserved within this
 // stage (reordering disabled, as Kollaps configures the real qdisc), so a
 // packet's exit time is clamped to be no earlier than that of its
-// predecessor. That guarantee is about link physics and holds only here:
-// experiments that want reordered, duplicated, or corrupted control
-// datagrams get them from the chaos plane (internal/chaos), one layer up.
+// predecessor. The packets in flight are therefore a sim.Line, which
+// relies on exactly this: exits never decrease. That guarantee is about
+// link physics and holds only here: experiments that want reordered,
+// duplicated, or corrupted control datagrams get them from the chaos
+// plane (internal/chaos), one layer up.
 type Netem struct {
 	eng  *sim.Engine
-	next func(*packet.Packet)
+	line sim.Line // in flight, delivering to next
 
 	delay  time.Duration
 	jitter time.Duration
@@ -218,7 +220,9 @@ type Netem struct {
 
 // NewNetem creates a delay/jitter/loss stage.
 func NewNetem(eng *sim.Engine, delay, jitter time.Duration, loss units.Loss, next func(*packet.Packet)) *Netem {
-	return &Netem{eng: eng, next: next, delay: delay, jitter: jitter, loss: loss.Clamp()}
+	n := &Netem{eng: eng, delay: delay, jitter: jitter, loss: loss.Clamp()}
+	n.line.Init(eng, next)
+	return n
 }
 
 // Set updates all three properties at runtime.
@@ -259,7 +263,7 @@ func (n *Netem) Enqueue(p *packet.Packet) {
 	}
 	n.lastExit = exit
 	n.SentPackets++
-	n.eng.AtPacket(exit, n.next, p)
+	n.line.At(exit, p)
 }
 
 // Chain is the per-destination qdisc pair the TCAL installs: an htb stage

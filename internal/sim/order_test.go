@@ -21,20 +21,61 @@ type sched interface {
 	After(d time.Duration, fn func()) (stop func())
 	AtPacket(at time.Duration, fn func()) (stop func())
 	Every(period time.Duration, fn func()) (stop func())
+	// Line schedules fn on delay line k at a time the caller keeps
+	// non-decreasing per line; released hands the event a packet that is
+	// already back in its pool.
+	Line(k int, at time.Duration, released bool, fn func())
 	Step() bool
 	Run(until time.Duration)
 	Halt()
 	Pending() int
 }
 
-type realSched struct{ *Engine }
+// numLines is how many delay lines a script can address.
+const numLines = 2
 
-func (r realSched) At(at time.Duration, fn func()) func()   { return r.Engine.At(at, fn).Stop }
-func (r realSched) After(d time.Duration, fn func()) func() { return r.Engine.After(d, fn).Stop }
-func (r realSched) Every(p time.Duration, fn func()) func() {
+type realSched struct {
+	*Engine
+	lines  [numLines]Line
+	queued [numLines][]lineEvent // each line's events, in scheduling order
+}
+
+type lineEvent struct {
+	p  *packet.Packet
+	fn func()
+}
+
+func newRealSched(e *Engine) *realSched {
+	r := &realSched{Engine: e}
+	for k := range r.lines {
+		k := k
+		r.lines[k].Init(e, func(got *packet.Packet) {
+			ev := r.queued[k][0]
+			r.queued[k] = r.queued[k][1:]
+			if got != ev.p {
+				panic("sim: Line fired out of order")
+			}
+			ev.fn()
+		})
+	}
+	return r
+}
+
+func (r *realSched) At(at time.Duration, fn func()) func()   { return r.Engine.At(at, fn).Stop }
+func (r *realSched) After(d time.Duration, fn func()) func() { return r.Engine.After(d, fn).Stop }
+func (r *realSched) Every(p time.Duration, fn func()) func() {
 	return r.Engine.Every(p, fn).Stop
 }
-func (r realSched) AtPacket(at time.Duration, fn func()) func() {
+func (r *realSched) Line(k int, at time.Duration, released bool, fn func()) {
+	p := &packet.Packet{}
+	if released { // a pool of its own, so no later Get revives it
+		p = new(packet.Pool).Get()
+		p.Release()
+	}
+	r.queued[k] = append(r.queued[k], lineEvent{p, fn})
+	r.lines[k].At(at, p)
+}
+func (r *realSched) AtPacket(at time.Duration, fn func()) func() {
 	want := &packet.Packet{}
 	return r.Engine.AtPacket(at, func(got *packet.Packet) {
 		if got != want {
@@ -88,6 +129,19 @@ func (r *refSched) At(at time.Duration, fn func()) func()       { return r.add(a
 func (r *refSched) After(d time.Duration, fn func()) func()     { return r.add(r.now+d, 0, fn) }
 func (r *refSched) AtPacket(at time.Duration, fn func()) func() { return r.add(at, 0, fn) }
 func (r *refSched) Every(p time.Duration, fn func()) func()     { return r.add(r.now+p, p, fn) }
+
+// Line is AtPacket: a line changes where events wait, never their order.
+func (r *refSched) Line(_ int, at time.Duration, released bool, fn func()) {
+	if released {
+		fn = func() { panic(releasedLinePanic) }
+	}
+	r.add(at, 0, fn)
+}
+
+// releasedLinePanic is what firing a line event on a released packet
+// panics with.
+const releasedLinePanic = "packet: sim: Line firing of a released packet"
+
 func (r *refSched) Step() bool {
 	if len(r.pending) == 0 || r.halted {
 		return false
@@ -124,6 +178,7 @@ const (
 	opRun             // driver: Run(now + arg%16) — callback: stop own timer
 	opAtPacket        // the typed entry point
 	opHalt            // Halt when arg < 32, else nothing
+	opLine            // line arg/8%2 at max(now + arg%8, its last); arg >= 240: on a released packet
 	numOps
 
 	nop = 255 // with opHalt: a callback that does nothing
@@ -137,10 +192,11 @@ type rec struct {
 }
 
 type interp struct {
-	s     sched
-	prog  []byte
-	stops []func()
-	log   []rec
+	s        sched
+	prog     []byte
+	stops    []func()
+	lineLast [numLines]time.Duration
+	log      []rec
 }
 
 func (in *interp) note(what string, id int) {
@@ -194,13 +250,26 @@ func (in *interp) do(op, arg byte, self int) {
 		if arg < 32 {
 			in.s.Halt()
 		}
+	case opLine:
+		k := int(arg/8) % numLines
+		at := max(in.s.Now()+time.Duration(arg%8), in.lineLast[k])
+		in.lineLast[k] = at
+		in.s.Line(k, at, arg >= 240, cb)
+		in.stops = append(in.stops, func() {}) // line events cannot be stopped
 	}
 }
 
 // runScript drives s through prog and then a final bounded Run, so armed
-// periodic timers keep ticking while the script's tail feeds callbacks.
-func runScript(s sched, prog []byte) []rec {
+// periodic timers keep ticking while the script's tail feeds callbacks. A
+// panic ends the log with its message.
+func runScript(s sched, prog []byte) (log []rec) {
 	in := &interp{s: s, prog: prog}
+	defer func() {
+		if r := recover(); r != nil {
+			in.note(fmt.Sprint("panic: ", r), 0)
+			log = in.log
+		}
+	}()
 	for {
 		op, arg, ok := in.next()
 		if !ok {
@@ -216,8 +285,14 @@ func runScript(s sched, prog []byte) []rec {
 
 func checkScript(t *testing.T, prog []byte) {
 	t.Helper()
-	got := runScript(realSched{NewEngine(1)}, prog)
+	eng := NewEngine(1)
+	got := runScript(newRealSched(eng), prog)
 	want := runScript(&refSched{}, prog)
+	// Every event scheduled or re-armed has fired, been stopped, or waits.
+	st := eng.Stats()
+	if st.Scheduled+st.Rearmed != st.Fired+st.Stopped+int64(eng.Pending()) {
+		t.Fatalf("script %v: stats %+v do not account for %d pending", prog, st, eng.Pending())
+	}
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
 			t.Fatalf("script %v: record %d: engine %+v, reference %+v", prog, i, got[i], want[i])
@@ -264,6 +339,19 @@ var orderSeeds = [][]byte{
 	// Ties at one instant fire in scheduling order across all three entry
 	// points, and removals from the middle of the heap keep the rest.
 	{opAt, 2, opAtPacket, 2, opEvery, 1, opAfter, 2, opAt, 1, opAt, 7, opAt, 6, opStop, 3, opStop, 5, opRun, 9},
+	// Ties at one instant between line heads, queued line events and At
+	// events; callbacks add more at the same instant, behind a line head
+	// and on the other line.
+	{opLine, 2, opAt, 2, opLine, 2, opAtPacket, 2, opLine, 10, opAt, 2, opRun, 4, opLine, 0, opAt, 0, opLine, 8, opHalt, nop},
+	// A line drains and gives its slot up; the At timer firing next frees
+	// another; the refilled line takes that one, and the At's stale timer
+	// must not touch the new head.
+	{opLine, 1, opAt, 1, opRun, 1, opHalt, nop, opHalt, nop, opLine, 2, opLine, 3, opStop, 1, opRun, 8},
+	// Halt from a line head's callback with events queued behind it and on
+	// the other line; scheduling on the line afterwards still counts.
+	{opLine, 1, opLine, 1, opLine, 3, opLine, 9, opRun, 8, opHalt, 0, opLine, 1, opStep, 0},
+	// A queued line event whose packet was released panics when it fires.
+	{opLine, 1, opLine, 241, opLine, 2, opRun, 4, opHalt, nop},
 }
 
 func TestEngineOrderScenarios(t *testing.T) {
@@ -396,4 +484,14 @@ func TestScheduleAndFireAllocateNothing(t *testing.T) {
 	rto.Stop()
 	e.Every(time.Microsecond, fn)
 	check("Every tick", func() { e.Step() })
+	var l Line
+	l.Init(e, pfn)
+	check("line burst at steady state", func() {
+		for i := 0; i < 64; i++ {
+			l.At(e.Now()+time.Microsecond, p)
+		}
+		for i := 0; i < 64; i++ {
+			e.Step()
+		}
+	})
 }

@@ -26,25 +26,41 @@ import (
 // Engine is a discrete-event simulator. It is not safe for concurrent use:
 // all simulated work happens on the caller's goroutine inside Run/Step.
 //
-// Pending events live in two tables. heap is a 4-ary min-heap of
+// Pending events live in three tables. heap is a 4-ary min-heap of
 // pointer-free entries ordered by (at, seq), so sifting moves plain words
 // and never trips a GC write barrier. slots holds what an entry fires —
 // the callback, its heap position (so Stop can remove it in O(log n)) and
 // a generation that invalidates Timers once the slot is recycled through
-// the free list. At steady state scheduling and firing allocate nothing.
+// the free list. nodes holds the events waiting behind a Line's head,
+// chained per line and recycled through a free list of their own: only a
+// line's head is in the heap. At steady state scheduling and firing
+// allocate nothing.
 //
 // The engine also owns the simulation's packet pool (Packets): every
 // packet and control frame the substrates carry is drawn from it and
 // released back, so reuse follows the deterministic event order.
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	heap    []entry
-	slots   []slot
-	free    []int32 // recycled slot indices
-	rng     *rand.Rand
-	halted  bool
-	packets packet.Pool
+	now       time.Duration
+	seq       uint64
+	heap      []entry
+	slots     []slot
+	free      []int32 // recycled slot indices
+	nodes     []lineNode
+	freeNodes []int32 // recycled node indices
+	stats     Stats
+	rng       *rand.Rand
+	halted    bool
+	packets   packet.Pool
+}
+
+// Stats counts the engine's operations since it was created.
+type Stats struct {
+	Scheduled int64 // events scheduled: At, AtPacket, After, Every and Line.At
+	Fired     int64 // events whose callback ran, each Every tick included
+	Stopped   int64 // pending events Timer.Stop removed
+	Rearmed   int64 // Every re-arms after a tick
+	Queued    int64 // Line events that waited behind their line's head
+	HeapPeak  int   // the heap's high-water length
 }
 
 // entry is one pending event's key. Events fire ordered by (at, seq) so
@@ -60,11 +76,13 @@ func (a entry) before(b entry) bool {
 }
 
 // slot is the payload of one pending event: fn(), or pfn(p) for the typed
-// packet events the per-packet path schedules without building a closure.
+// packet events the per-packet path schedules without building a closure,
+// or line.fn(p) for a Line's head.
 type slot struct {
 	fn     func()
 	pfn    func(*packet.Packet)
 	p      *packet.Packet
+	line   *Line
 	period time.Duration // > 0: an Every timer, re-armed after each tick
 	gen    uint64        // bumped on release; a Timer of an older gen is dead
 	pos    int32         // index in heap; -1 while an Every tick is running
@@ -85,6 +103,9 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Packets returns the engine's packet and frame pool.
 func (e *Engine) Packets() *packet.Pool { return &e.packets }
 
+// Stats returns the operation counters.
+func (e *Engine) Stats() Stats { return e.stats }
+
 // Timer identifies a scheduled event and allows cancellation.
 type Timer struct {
 	eng  *Engine
@@ -102,6 +123,7 @@ func (t Timer) Stop() {
 	}
 	if pos := e.slots[t.slot].pos; pos >= 0 {
 		e.remove(int(pos))
+		e.stats.Stopped++
 	}
 	e.release(t.slot)
 }
@@ -140,6 +162,7 @@ func (e *Engine) schedule(at time.Duration, s slot) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
+	e.stats.Scheduled++
 	var id int32
 	if n := len(e.free); n > 0 {
 		id = e.free[n-1]
@@ -168,12 +191,20 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	top := e.heap[0]
-	e.remove(0)
 	if top.at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = top.at
+	e.stats.Fired++
+	if l := e.slots[top.slot].line; l != nil {
+		p := e.slots[top.slot].p
+		e.advance(l, top.slot)
+		p.AssertLive("sim: Line firing")
+		l.fn(p)
+		return true
+	}
 	s := e.slots[top.slot]
+	e.remove(0)
 	if s.period > 0 {
 		// The slot stays owned across the tick so the Timer can stop the
 		// series from inside fn; a changed generation afterwards means it did.
@@ -185,6 +216,7 @@ func (e *Engine) Step() bool {
 			e.release(top.slot)
 		default:
 			e.push(top.slot, e.now+s.period)
+			e.stats.Rearmed++
 		}
 		return true
 	}
@@ -222,14 +254,18 @@ func (e *Engine) Halt() { e.halted = true }
 // Halted reports whether Halt has been called.
 func (e *Engine) Halted() bool { return e.halted }
 
-// Pending returns the number of live events in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of live events in the queue, those waiting
+// behind a Line's head included.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.nodes) - len(e.freeNodes) }
 
 // push queues slot id at time at under the next sequence number.
 func (e *Engine) push(id int32, at time.Duration) {
 	e.heap = append(e.heap, entry{})
 	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, slot: id})
 	e.seq++
+	if len(e.heap) > e.stats.HeapPeak {
+		e.stats.HeapPeak = len(e.heap)
+	}
 }
 
 // remove deletes heap[i], refilling the hole with the last entry.

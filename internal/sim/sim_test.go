@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/packet"
 )
 
 func TestOrdering(t *testing.T) {
@@ -207,4 +209,54 @@ func TestClockMonotonicProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestStatsCountsOperations scripts every kind of operation and checks
+// each counter exactly.
+func TestStatsCountsOperations(t *testing.T) {
+	e := NewEngine(1)
+	p := &packet.Packet{}
+	var l Line
+	l.Init(e, func(*packet.Packet) {})
+	stopped := e.After(5, func() {})
+	e.AtPacket(1, func(*packet.Packet) {}, p)
+	l.At(2, p) // the line's head: into the heap
+	l.At(2, p) // queued behind it
+	l.At(3, p) // queued
+	ticks := 0
+	var tick Timer
+	tick = e.Every(1, func() { // ticks at 1, 2, 3; stops itself in the last
+		if ticks++; ticks == 3 {
+			tick.Stop()
+		}
+	})
+	e.After(10, func() {}).Stop() // the heap's peak: 5 entries
+	stopped.Stop()
+	if got := e.Pending(); got != 5 {
+		t.Fatalf("Pending = %d, want 5 (3 in the heap, 2 behind the line head)", got)
+	}
+	e.RunAll()
+	want := Stats{Scheduled: 7, Fired: 7, Stopped: 2, Rearmed: 2, Queued: 2, HeapPeak: 5}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+func TestLineRejectsEarlierEvents(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine(1)
+	var l Line
+	l.Init(e, func(*packet.Packet) {})
+	l.At(5, &packet.Packet{})
+	mustPanic("before the line's previous event", func() { l.At(4, &packet.Packet{}) })
+	e.Run(7)
+	mustPanic("before now", func() { l.At(6, &packet.Packet{}) })
 }

@@ -57,6 +57,15 @@ func TestDeployHostValidation(t *testing.T) {
 			t.Fatalf("Deploy(%d) must error", hosts)
 		}
 	}
+	// Manager h is 10.255.0.h and host h's containers are 10.(h+1).x.y:
+	// a 255th host would put its containers in the managers' subnet (and
+	// a 257th manager on manager 0's address). The error names the limit.
+	if err := exp.Deploy(255); err == nil || !strings.Contains(err.Error(), "254") {
+		t.Fatalf("Deploy(255) = %v, want an error naming the limit of 254 hosts", err)
+	}
+	if exp.Runtime != nil || exp.Eng != nil {
+		t.Fatal("a rejected Deploy left a runtime behind")
+	}
 	// A negative period is an error, not a silent 50ms default.
 	err = exp.Deploy(1, WithPeriod(-time.Second))
 	if err == nil || !strings.Contains(err.Error(), "-1s") {

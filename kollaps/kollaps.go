@@ -271,6 +271,9 @@ func NewBaremetal(top *topology.Topology, seed int64) (*Baremetal, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n := len(g.Services()); n > core.MaxContainers {
+		return nil, fmt.Errorf("kollaps: %d service containers exceed the address plan's limit of %d", n, core.MaxContainers)
+	}
 	eng := sim.NewEngine(seed)
 	nw := fabric.New(eng, g, fabric.Options{PerHopDelay: 20 * time.Microsecond})
 	b := &Baremetal{
