@@ -1,35 +1,25 @@
-// Command benchcheck gates allocator performance in CI: it compares a
-// fresh BENCH_allocator.json (kollaps-bench -exp alloc) against the
-// committed baseline and fails when the indexed solver regresses.
+// Command benchcheck holds the noise-safe perf gates CI runs on top of
+// the test suite.
 //
-// The hard gate is allocs/op — the property the allocation-free hot path
-// exists for: an entry fails when it exceeds max(ratio × baseline,
-// baseline + grace). The grace term keeps a 0→1 allocs/op jitter from
-// failing the build while still catching a real regression (0→3 fails
-// with the defaults). ns/op is compared too but only warns: wall-clock on
-// shared CI runners is too noisy to gate without flakes, while allocs/op
-// is deterministic.
-//
-// A second mode gates the observability plane's hot-path cost: -iterate
-// parses the text output of `go test -bench Iterate -benchmem -count=N`
-// and enforces two invariants of the Emulation Manager loop — the
-// untraced BenchmarkIterate stays at 0 allocs/op (the flight recorder
-// must not have re-introduced allocation when disabled), and the best
-// BenchmarkIterateTraced run stays within -max-trace-overhead of the
-// best untraced run (recording must be cheap enough to leave on).
+// -iterate gates the observability plane's hot-path cost: it parses the
+// text output of `go test -bench Iterate -benchmem -count=N` and enforces
+// two invariants of the Emulation Manager loop — the untraced
+// BenchmarkIterate stays at 0 allocs/op (the flight recorder must not
+// have re-introduced allocation when disabled), and the best
+// BenchmarkIterateTraced run stays within -max-trace-overhead of the best
+// untraced run (recording must be cheap enough to leave on).
 // Minimum-of-count ns/op comparisons tolerate CI noise: a loaded runner
 // slows individual runs, but the minima converge.
 //
-// A third mode holds a noise-safe column of the whole-experiment ledger:
-// -ledger reads the output of `go run ./bench -workload W`, whose last
-// line is the run's JSON result, and fails when the run's own checks
-// failed (`correct` false) or allocs_per_virtual_s exceeds
-// -max-ledger-allocs. Allocation counts repeat almost exactly from run to
-// run and machine to machine, which wall-clock does not.
+// -ledger holds a noise-safe column of the whole-experiment ledger: it
+// reads the output of `go run ./bench -workload W`, whose last line is
+// the run's JSON result, and fails when the run's own checks failed
+// (`correct` false) or allocs_per_virtual_s exceeds -max-ledger-allocs.
+// Allocation counts repeat almost exactly from run to run and machine to
+// machine, which wall-clock does not.
 //
 // Usage:
 //
-//	benchcheck -baseline BENCH_allocator.json -current BENCH_allocator.new.json
 //	benchcheck -iterate iterate.txt
 //	benchcheck -ledger flap.txt -max-ledger-allocs 60000
 package main
@@ -41,108 +31,27 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"repro/internal/experiments"
 )
 
-func load(path string) (*experiments.AllocBenchReport, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r experiments.AllocBenchReport
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_allocator.json", "committed baseline report")
-	currentPath := flag.String("current", "BENCH_allocator.new.json", "freshly measured report")
-	ratio := flag.Float64("max-allocs-ratio", 2.0, "fail when allocs/op exceeds this multiple of the baseline")
-	grace := flag.Int64("allocs-grace", 2, "absolute allocs/op headroom before the ratio gate applies")
-	nsWarn := flag.Float64("ns-warn-ratio", 3.0, "warn (not fail) when ns/op exceeds this multiple of the baseline")
-	iterate := flag.String("iterate", "", "gate the iterate benchmarks from this `go test -bench` text output instead of comparing allocator baselines")
+	iterate := flag.String("iterate", "", "gate the iterate benchmarks from this `go test -bench` text output")
 	traceOverhead := flag.Float64("max-trace-overhead", 1.10, "iterate mode: fail when BenchmarkIterateTraced's best ns/op exceeds this multiple of BenchmarkIterate's")
-	ledger := flag.String("ledger", "", "gate one `go run ./bench -workload W` output (last line: the JSON result) instead of comparing allocator baselines")
+	ledger := flag.String("ledger", "", "gate one `go run ./bench -workload W` output (last line: the JSON result)")
 	ledgerAllocs := flag.Float64("max-ledger-allocs", 60000, "ledger mode: fail when allocs_per_virtual_s exceeds this")
 	flag.Parse()
 
-	if *ledger != "" {
-		if err := checkLedger(*ledger, *ledgerAllocs); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *ledger != "":
+		err = checkLedger(*ledger, *ledgerAllocs)
+	case *iterate != "":
+		err = checkIterate(*iterate, *traceOverhead)
+	default:
+		fmt.Fprintln(os.Stderr, "benchcheck: name a gate: -iterate FILE or -ledger FILE")
+		os.Exit(2)
 	}
-	if *iterate != "" {
-		if err := checkIterate(*iterate, *traceOverhead); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	baseline, err := load(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
-	}
-	current, err := load(*currentPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
-	}
-	if baseline.Workload != current.Workload {
-		fmt.Fprintf(os.Stderr, "benchcheck: workload mismatch: baseline %q vs current %q\n",
-			baseline.Workload, current.Workload)
-		os.Exit(2)
-	}
-	base := make(map[string]experiments.AllocBenchEntry, len(baseline.Entries))
-	for _, e := range baseline.Entries {
-		base[e.Name] = e
-	}
-
-	failed := false
-	compared := 0
-	for _, cur := range current.Entries {
-		// Only the indexed solver is gated; the reference entries exist
-		// to document the before/after trajectory, not to be protected.
-		if strings.HasPrefix(cur.Name, "AllocateReference/") {
-			continue
-		}
-		b, ok := base[cur.Name]
-		if !ok {
-			fmt.Printf("benchcheck: %s: no baseline entry (new size?), skipping\n", cur.Name)
-			continue
-		}
-		limit := int64(*ratio * float64(b.AllocsPerOp))
-		if withGrace := b.AllocsPerOp + *grace; withGrace > limit {
-			limit = withGrace
-		}
-		compared++
-		if cur.AllocsPerOp > limit {
-			fmt.Printf("FAIL %s: %d allocs/op exceeds limit %d (baseline %d)\n",
-				cur.Name, cur.AllocsPerOp, limit, b.AllocsPerOp)
-			failed = true
-		} else {
-			fmt.Printf("ok   %s: %d allocs/op (baseline %d, limit %d)\n",
-				cur.Name, cur.AllocsPerOp, b.AllocsPerOp, limit)
-		}
-		if b.NsPerOp > 0 && cur.NsPerOp > *nsWarn*b.NsPerOp {
-			fmt.Printf("warn %s: %.0f ns/op vs baseline %.0f (>%.1fx; not gated)\n",
-				cur.Name, cur.NsPerOp, b.NsPerOp, *nsWarn)
-		}
-	}
-	// A gate that compared nothing is a disabled gate, not a passing one:
-	// renamed entries or changed sizes must update the baseline, not
-	// silently skip every comparison.
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: no gated entry matched the baseline — regenerate the baseline with kollaps-bench -exp alloc")
-		os.Exit(1)
-	}
-	if failed {
 		os.Exit(1)
 	}
 }

@@ -1,6 +1,7 @@
 // Command kollaps-bench regenerates the tables and figures of the paper's
 // evaluation (§5). Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records paper-vs-measured values.
+// reports. README.md shows how to run them; DESIGN.md explains where the
+// measured values depart from the paper's.
 //
 // Usage:
 //
@@ -8,10 +9,10 @@
 //	kollaps-bench -exp all             # everything (slow); writes no JSON report
 //	kollaps-bench -exp fig8 -quick     # reduced durations
 //	kollaps-bench -exp sweep           # period-vs-accuracy sweep -> BENCH_sweep.json
-//	kollaps-bench -exp alloc -out new.json   # allocator microbench -> new.json
+//	kollaps-bench -exp chaos -out new.json   # chaos report -> new.json
 //	kollaps-bench -exp fig8 -cpuprofile cpu.prof -memprofile mem.prof   # + pprof profiles
 //
-// The JSON experiments (alloc, failover, sweep, chaos) write their
+// The JSON experiments (failover, sweep, chaos) write their
 // committed BENCH_*.json when named explicitly in -exp; -exp all writes
 // none of them. -out overrides the path when exactly one JSON experiment
 // is selected and is an error otherwise.
@@ -29,14 +30,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: table2 table3 table4 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 dissem alloc failover sweep chaos or all")
+	exp := flag.String("exp", "all", "experiment id: table2 table3 table4 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 dissem failover sweep chaos or all")
 	quick := flag.Bool("quick", false, "reduced durations (coarser numbers, much faster)")
 	out := flag.String("out", "", "write the one selected JSON experiment's report here instead of its committed BENCH_*.json")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write the allocation profile to this path when the experiments finish")
 	flag.Parse()
 
-	order := []string{"table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table4", "fig9", "fig10", "fig11", "dissem", "alloc", "failover", "sweep", "chaos"}
+	order := []string{"table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table4", "fig9", "fig10", "fig11", "dissem", "failover", "sweep", "chaos"}
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = order
@@ -45,8 +46,7 @@ func main() {
 	// -exp; -exp all writes none, so a developer run never rewrites a
 	// baseline by accident.
 	reports := map[string]string{
-		"alloc": "BENCH_allocator.json", "failover": "BENCH_failover.json",
-		"sweep": "BENCH_sweep.json", "chaos": "BENCH_chaos.json",
+		"failover": "BENCH_failover.json", "sweep": "BENCH_sweep.json", "chaos": "BENCH_chaos.json",
 	}
 	var selected []string
 	for _, id := range ids {
@@ -149,10 +149,6 @@ func main() {
 			}
 			experiments.RunDissemScale(d(5*time.Second, 2*time.Second), ns, nil).Fprint(os.Stdout)
 		},
-		"alloc": report("alloc", func(path string) (*experiments.Table, error) {
-			t, _, err := experiments.RunAllocBench(path)
-			return t, err
-		}),
 		"failover": report("failover", func(path string) (*experiments.Table, error) {
 			t, _, err := experiments.RunFailover(path, fast(8), fast(30))
 			return t, err

@@ -35,7 +35,6 @@ func main() {
 	seed := fs.Int64("seed", 42, "simulation seed (0 is a valid seed)")
 	dissemFlag := fs.String("dissem", "broadcast", "metadata dissemination strategy: broadcast, delta, tree or gossip")
 	epsilon := fs.Float64("epsilon", 0.05, "delta: relative usage change below which a flow is not re-sent (negative sends every change; 0 means default)")
-	adaptive := fs.Bool("adaptive-eps", false, "delta: scale the suppression threshold with each flow's traffic share")
 	resync := fs.Int("resync", 20, "delta: periods between full-state resyncs")
 	fanout := fs.Int("fanout", 4, "tree: aggregation overlay arity; gossip: pushes per period")
 	gossipRounds := fs.Int("gossip-rounds", 0, "gossip: infect-and-die hop budget (0 = log_fanout(hosts)+1)")
@@ -109,9 +108,6 @@ func main() {
 			kollaps.DissemFanout(*fanout),
 			kollaps.DissemGossipRounds(*gossipRounds),
 		}
-		if *adaptive {
-			dissemOpts = append(dissemOpts, kollaps.DissemAdaptive())
-		}
 		deployOpts := []kollaps.Option{
 			kollaps.WithSeed(*seed),
 			kollaps.WithDissem(*dissemFlag, dissemOpts...),
@@ -169,7 +165,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: kollaps {validate|collapse|plan|run} [-hosts N] [-for D] [-seed S] [-dissem broadcast|delta|tree|gossip] [-epsilon E] [-adaptive-eps] [-resync N] [-fanout K] [-gossip-rounds R] [-trace out.json] [-probe N] [-cpuprofile F] [-memprofile F] topology.{yaml,xml}")
+	fmt.Fprintln(os.Stderr, "usage: kollaps {validate|collapse|plan|run} [-hosts N] [-for D] [-seed S] [-dissem broadcast|delta|tree|gossip] [-epsilon E] [-resync N] [-fanout K] [-gossip-rounds R] [-trace out.json] [-probe N] [-cpuprofile F] [-memprofile F] topology.{yaml,xml}")
 	os.Exit(2)
 }
 

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -18,17 +19,32 @@ import (
 	"repro/internal/units"
 )
 
-func main() {
-	kind := flag.String("kind", "scalefree", "scalefree or dumbbell")
-	elements := flag.Int("elements", 1000, "scalefree: total elements")
-	seed := flag.Int64("seed", 1, "generator seed")
-	clients := flag.Int("clients", 10, "dumbbell: client count")
-	servers := flag.Int("servers", 10, "dumbbell: server count")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run generates the topology the flags in args describe and writes it to
+// stdout. It returns the process exit code: 2 for bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	kind := fs.String("kind", "scalefree", "scalefree or dumbbell")
+	elements := fs.Int("elements", 1000, "scalefree: total elements (at least 4)")
+	seed := fs.Int64("seed", 1, "generator seed")
+	clients := fs.Int("clients", 10, "dumbbell: client count (at least 1)")
+	servers := fs.Int("servers", 10, "dumbbell: server count (at least 1)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	bad := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "topogen: "+format+"\n", a...)
+		return 2
+	}
 
 	var g *graph.Graph
 	switch *kind {
 	case "scalefree":
+		if *elements < 4 {
+			return bad("-elements %d: a scale-free topology needs at least 4", *elements)
+		}
 		g = graph.ScaleFree(graph.ScaleFreeOptions{
 			Elements:     *elements,
 			EdgesPerNode: 2,
@@ -36,28 +52,33 @@ func main() {
 			Rand:         rand.New(rand.NewSource(*seed)),
 		})
 	case "dumbbell":
+		if *clients < 1 {
+			return bad("-clients %d: a dumbbell needs at least 1", *clients)
+		}
+		if *servers < 1 {
+			return bad("-servers %d: a dumbbell needs at least 1", *servers)
+		}
 		g, _, _ = graph.Dumbbell(*clients, *servers,
 			graph.LinkProps{Latency: 1e6, Bandwidth: 100 * units.Mbps},
 			graph.LinkProps{Latency: 5e6, Bandwidth: 50 * units.Mbps})
 	default:
-		fmt.Fprintln(os.Stderr, "topogen: unknown -kind")
-		os.Exit(2)
+		return bad("unknown -kind %q (want scalefree or dumbbell)", *kind)
 	}
 
-	fmt.Println("experiment:")
-	fmt.Println("  services:")
+	fmt.Fprintln(stdout, "experiment:")
+	fmt.Fprintln(stdout, "  services:")
 	for _, n := range g.Nodes() {
 		if n.Kind == graph.Service {
-			fmt.Printf("    name: %s\n", n.Name)
+			fmt.Fprintf(stdout, "    name: %s\n", n.Name)
 		}
 	}
-	fmt.Println("  bridges:")
+	fmt.Fprintln(stdout, "  bridges:")
 	for _, n := range g.Nodes() {
 		if n.Kind == graph.Bridge {
-			fmt.Printf("    name: %s\n", n.Name)
+			fmt.Fprintf(stdout, "    name: %s\n", n.Name)
 		}
 	}
-	fmt.Println("  links:")
+	fmt.Fprintln(stdout, "  links:")
 	seen := map[[2]graph.NodeID]bool{}
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(i)
@@ -67,8 +88,9 @@ func main() {
 			continue
 		}
 		seen[key] = true
-		fmt.Printf("    orig: %s\n    dest: %s\n    latency: %.3f\n    up: %s\n",
+		fmt.Fprintf(stdout, "    orig: %s\n    dest: %s\n    latency: %.3f\n    up: %s\n",
 			g.Node(l.From).Name, g.Node(l.To).Name,
 			l.Latency.Seconds()*1000, l.Bandwidth)
 	}
+	return 0
 }

@@ -11,12 +11,44 @@ import (
 // Microbenchmarks of the §4.1 control-plane hot path. BenchmarkAllocate /
 // BenchmarkAllocateReference measure the indexed solver against the
 // seed's map-based one over identical inputs (SyntheticAllocation, also
-// pinned equal by TestAllocateSyntheticMatchesReference); kollaps-bench
-// -exp alloc runs the same pair via testing.Benchmark and records the
-// before/after trajectory in BENCH_allocator.json, which the CI bench job
-// gates with cmd/benchcheck.
+// pinned equal by TestAllocateSyntheticMatchesReference). They are
+// evidence for the solver layer only; TestAllocateAllocatesNothing holds
+// the property the indexed form exists for on every `go test`.
 
 var allocBenchSizes = []int{16, 64, 256, 1024}
+
+// TestAllocateAllocatesNothing holds the indexed solver to 0 allocs/op
+// once its arena has grown to the working set: on the benchmark inputs at
+// every size, and on weighted aggregate entries (Weight 1–8), whose
+// per-underlying-flow loops are a separate path.
+func TestAllocateAllocatesNothing(t *testing.T) {
+	type input struct {
+		name  string
+		caps  []float64
+		flows []FlowDemand
+	}
+	var inputs []input
+	for _, n := range allocBenchSizes {
+		capsMap, flows := SyntheticAllocation(n, n/2+8, 42)
+		inputs = append(inputs, input{fmt.Sprintf("N=%d", n), DenseCaps(capsMap, nil), flows})
+	}
+	capsMap, flows := SyntheticAllocation(256, 136, 42)
+	for i := range flows {
+		flows[i].Weight = 1 + i%8
+	}
+	inputs = append(inputs, input{"weighted N=256", DenseCaps(capsMap, nil), flows})
+
+	for _, in := range inputs {
+		var s AllocState
+		out := s.Allocate(in.caps, in.flows, nil)
+		allocs := testing.AllocsPerRun(100, func() {
+			out = s.Allocate(in.caps, in.flows, out)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Allocate made %v allocs/op on a warm arena, want 0", in.name, allocs)
+		}
+	}
+}
 
 func BenchmarkAllocate(b *testing.B) {
 	for _, n := range allocBenchSizes {

@@ -260,7 +260,7 @@ func (m *Manager) onMetadata(_ packet.IP, frame []byte) {
 // InjectLoss. The datagrams it sends are no exception: their frames and
 // packets come from the engine's pool, which the fabric refills as it
 // delivers. TestEnforceAllocationContract meters iterate itself on those
-// inputs; BenchmarkIterate and cmd/benchcheck gate the
+// inputs; BenchmarkIterate and `cmd/benchcheck -iterate` gate the
 // collect-merge-enforce part in CI. Slow paths (arena growth, a topology
 // generation's first path lookups) amortise to nothing.
 func (m *Manager) iterate() {

@@ -37,11 +37,12 @@ func (rt *Runtime) startProbe() {
 }
 
 // shareDeviation compares the allocations the Managers actually enforced
-// this period against a perfect-information oracle: AllocateReference run
-// over every live flow in the deployment, with no dissemination delay,
-// staleness or aggregation. It mirrors the Managers' §4.1 enforcement
-// rule — max of the demand-aware pass and the greedy entitlement pass,
-// floored at 1 Kb/s — so a deployment whose control plane distributes
+// this period against a perfect-information oracle: the production
+// solver (AllocState.Allocate) run over every live flow in the
+// deployment, with no dissemination delay, staleness or aggregation. It
+// mirrors the Managers' §4.1 enforcement rule — max of the demand-aware
+// pass and the greedy entitlement pass, floored at 1 Kb/s — so a
+// deployment whose control plane distributes
 // perfect information shows ~0 deviation, and what the probe measures is
 // exactly the accuracy cost of the dissemination strategy (plus one
 // period of demand movement between enforcement and probe).
@@ -57,9 +58,9 @@ func (rt *Runtime) startProbe() {
 func (rt *Runtime) shareDeviation() (mean, max float64, ok bool) {
 	g := rt.State().Graph
 	nLinks := g.NumLinks()
-	caps := make(map[int]units.Bandwidth, nLinks)
-	for l := 0; l < nLinks; l++ {
-		caps[l] = g.Link(l).Bandwidth
+	caps := make([]float64, nLinks)
+	for l := range caps {
+		caps[l] = float64(g.Link(l).Bandwidth)
 	}
 
 	var flows []FlowDemand
@@ -93,13 +94,14 @@ func (rt *Runtime) shareDeviation() (mean, max float64, ok bool) {
 		return 0, 0, false
 	}
 
-	withDemand := AllocateReference(caps, flows)
+	var s AllocState
+	withDemand := s.Allocate(caps, flows, nil)
 	greedy := make([]FlowDemand, len(flows))
 	copy(greedy, flows)
 	for i := range greedy {
 		greedy[i].Demand = 0
 	}
-	entitled := AllocateReference(caps, greedy)
+	entitled := s.Allocate(caps, greedy, nil)
 
 	n := 0
 	for i := range flows {

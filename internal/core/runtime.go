@@ -65,7 +65,7 @@ type Options struct {
 	Registry *obs.Registry
 	// Probe, when non-nil, samples emulation accuracy: every Probe.Every
 	// periods (offset to mid-period, after every Manager's loop has run)
-	// the runtime re-solves the global demand set with AllocateReference
+	// the runtime re-solves the global demand set with a fresh AllocState
 	// and records the enforced-vs-oracle share deviation.
 	Probe *obs.Probe
 }

@@ -19,10 +19,11 @@
 // The solver here is the indexed, allocation-free form: all intermediate
 // state lives in a reusable AllocState arena (dense per-link arrays plus a
 // link→flow CSR index), so that at Table-4 scale the §4.1 emulation loop
-// does no steady-state allocation and no per-round sorting. The seed's
-// map-based progressive filling is retained verbatim in share_reference.go
-// as AllocateReference — the differential-testing oracle and the benchmark
-// baseline.
+// does no steady-state allocation and no per-round sorting. AllocState.
+// Allocate is the package's one solver entry point. The seed's map-based
+// progressive filling is retained verbatim as AllocateReference in
+// share_reference_test.go — test-only, the differential-testing oracle and
+// the benchmark baseline.
 //
 // The package is deterministic: no wall-clock reads and no global
 // math/rand outside //kollaps:wallclock sites (kollapslint walltime),
@@ -33,7 +34,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -479,92 +479,4 @@ func growStamps(s []uint32, n int) []uint32 {
 		return ns
 	}
 	return s[:n]
-}
-
-// DenseCaps converts a link-id-keyed capacity map into the dense table
-// AllocState.Allocate consumes, appending into buf's storage. Absent ids
-// become NaN (unconstrained).
-func DenseCaps(capacities map[int]units.Bandwidth, buf []float64) []float64 {
-	maxID := -1
-	for id := range capacities {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	buf = grow(buf, maxID+1)
-	nan := math.NaN()
-	for i := range buf {
-		buf[i] = nan
-	}
-	for id, c := range capacities {
-		if id >= 0 {
-			buf[id] = float64(c)
-		}
-	}
-	return buf
-}
-
-// Allocate computes the RTT-aware min-max allocation for the given flows
-// over links with the given capacities. Links not present in capacities
-// are treated as unconstrained. The returned slice is ordered like flows.
-//
-// This is the map-keyed convenience entry point (tests, one-shot callers);
-// the emulation loop holds a persistent AllocState and calls its Allocate
-// with a dense capacity table to stay allocation-free.
-func Allocate(capacities map[int]units.Bandwidth, flows []FlowDemand) []Allocation {
-	var s AllocState
-	return s.Allocate(DenseCaps(capacities, nil), flows, nil)
-}
-
-// ShareOnLink computes the paper's closed-form single-link share for flow f
-// among flows on one link: Share(f) = (RTT(f) · Σ 1/RTT(fi))⁻¹, as a
-// fraction of the link capacity. Exposed for documentation/tests; Allocate
-// generalizes it across whole paths.
-func ShareOnLink(f time.Duration, all []time.Duration) float64 {
-	if f < minRTT {
-		f = minRTT
-	}
-	var sum float64
-	for _, r := range all {
-		if r < minRTT {
-			r = minRTT
-		}
-		sum += 1 / r.Seconds()
-	}
-	if sum == 0 {
-		return 0
-	}
-	return 1 / (f.Seconds() * sum)
-}
-
-// SyntheticAllocation builds a deterministic allocator workload: nLinks
-// capacitated links and nFlows flows crossing 2–5 of them with varied RTTs,
-// about a third demand-capped. Shared by the microbenchmarks, the
-// differential fuzz and `kollaps-bench -exp alloc` so all three measure
-// the same input distribution.
-func SyntheticAllocation(nFlows, nLinks int, seed int64) (map[int]units.Bandwidth, []FlowDemand) {
-	rng := rand.New(rand.NewSource(seed))
-	caps := make(map[int]units.Bandwidth, nLinks)
-	for l := 0; l < nLinks; l++ {
-		caps[l] = units.Bandwidth(10+rng.Intn(990)) * units.Mbps
-	}
-	flows := make([]FlowDemand, nFlows)
-	for i := range flows {
-		k := 2 + rng.Intn(4)
-		links := make([]int, k)
-		for j := range links {
-			links[j] = rng.Intn(nLinks)
-		}
-		var demand units.Bandwidth
-		if rng.Intn(3) == 0 {
-			demand = units.Bandwidth(1+rng.Intn(200)) * units.Mbps
-		}
-		flows[i] = FlowDemand{
-			ID:     FlowID(i),
-			Links:  links,
-			RTT:    time.Duration(1+rng.Intn(200)) * time.Millisecond,
-			Demand: demand,
-		}
-	}
-	return caps, flows
 }

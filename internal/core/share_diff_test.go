@@ -10,7 +10,7 @@ import (
 )
 
 // Differential tests: the indexed solver (share.go) against the seed's
-// map-based reference (share_reference.go). The two must agree *exactly* —
+// map-based reference (share_reference_test.go). The two must agree *exactly* —
 // same rounded Rate, same Bottleneck — over randomized topologies, RTTs,
 // demands and degenerate inputs (duplicate links in a path, ids outside
 // the capacity table, zero RTTs, uncapacitated links). Weighted aggregate

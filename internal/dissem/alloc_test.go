@@ -73,12 +73,10 @@ func TestAllocationContract(t *testing.T) {
 	// A collection starting mid-call can allocate on the runtime's behalf.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, row := range []struct {
-		name     string
-		kind     Kind
-		adaptive bool
+		name string
+		kind Kind
 	}{
-		{"broadcast", Broadcast, false}, {"delta", Delta, false}, {"delta+adaptive", Delta, true},
-		{"tree", Tree, false}, {"gossip", Gossip, false},
+		{"broadcast", Broadcast}, {"delta", Delta}, {"tree", Tree}, {"gossip", Gossip},
 	} {
 		kind := row.kind
 		for _, demand := range []string{"jittering", "stable"} {
@@ -92,8 +90,8 @@ func TestAllocationContract(t *testing.T) {
 				for h := range nodes {
 					// No false suspicion (Gossip's sampling can starve a link for
 					// a while): the first probe would grow its buffers mid-window.
-					node, err := New(Config{Kind: kind, NumHosts: n, Wide: true, Seed: 5, ResyncEvery: 8, SuspectAfter: 50,
-						Adaptive: row.adaptive}, h, meterTr{m})
+					node, err := New(Config{Kind: kind, NumHosts: n, Wide: true, Seed: 5, ResyncEvery: 8, SuspectAfter: 50},
+						h, meterTr{m})
 					if err != nil {
 						t.Fatal(err)
 					}

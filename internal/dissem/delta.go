@@ -233,7 +233,7 @@ func (n *deltaNode) minAcked() uint32 {
 
 // exceeds reports whether the current aggregate v must be re-sent to a
 // peer that may hold old (had==false: that may not hold the path at all).
-func (n *deltaNode) exceeds(old, v pathRec, had bool, total uint64) bool {
+func (n *deltaNode) exceeds(old, v pathRec, had bool) bool {
 	if !had || old.count != v.count {
 		return true
 	}
@@ -241,11 +241,7 @@ func (n *deltaNode) exceeds(old, v pathRec, had bool, total uint64) bool {
 	if d < 0 {
 		d = -d
 	}
-	eps := n.cfg.Epsilon
-	if n.cfg.Adaptive {
-		eps = adaptiveEpsilon(eps, v.bps, total)
-	}
-	return float64(d) > eps*float64(old.bps)
+	return float64(d) > n.cfg.Epsilon*float64(old.bps)
 }
 
 // diff lists path aggregates to re-send, gated two ways:
@@ -273,19 +269,13 @@ func (n *deltaNode) diff(baseSeq uint32, cur []pathRec) {
 	n.changed = slices.Grow(n.changed[:0], len(cur))[:len(cur)]
 	clear(n.changed)
 	n.removed = n.removed[:0]
-	var total uint64
-	if n.cfg.Adaptive {
-		for _, v := range cur {
-			total += uint64(v.bps)
-		}
-	}
 	for i := range n.snaps {
 		// Skip what predates the acked baseline, and the current state itself.
 		if s := &n.snaps[i]; s.seq >= baseSeq && s.seq < n.seq {
-			n.against(cur, s.recs, total, true)
+			n.against(cur, s.recs, true)
 		}
 	}
-	n.against(cur, n.lastSent.recs, total, false)
+	n.against(cur, n.lastSent.recs, false)
 
 	n.upd.reset()
 	for i, v := range cur {
@@ -303,7 +293,7 @@ func (n *deltaNode) diff(baseSeq uint32, cur []pathRec) {
 // against walks an older table alongside cur, both in path order, marking
 // the current records a holder of old would need re-sent and, when
 // tombstones is set, collecting old's paths that are gone now.
-func (n *deltaNode) against(cur, old []pathRec, total uint64, tombstones bool) {
+func (n *deltaNode) against(cur, old []pathRec, tombstones bool) {
 	for i, v := range cur {
 		for len(old) > 0 && slices.Compare(old[0].links, v.links) < 0 {
 			if tombstones {
@@ -316,7 +306,7 @@ func (n *deltaNode) against(cur, old []pathRec, total uint64, tombstones bool) {
 		if had {
 			was, old = old[0], old[1:]
 		}
-		if !n.changed[i] && n.exceeds(was, v, had, total) {
+		if !n.changed[i] && n.exceeds(was, v, had) {
 			n.changed[i] = true
 		}
 	}
@@ -533,16 +523,4 @@ func (n *deltaNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlo
 		}
 	}
 	return out
-}
-
-// adaptiveEpsilon scales the base suppression threshold with the flow's
-// share of the total traffic this node currently reports (Config.Adaptive):
-// eps·(1+share), so a flow carrying the whole deployment is gated at 2·eps
-// while a negligible flow keeps the base threshold. With zero total (all
-// tombstones) the base threshold applies.
-func adaptiveEpsilon(base float64, bps uint32, total uint64) float64 {
-	if total == 0 {
-		return base
-	}
-	return base * (1 + float64(bps)/float64(total))
 }

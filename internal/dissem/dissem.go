@@ -113,15 +113,6 @@ type Config struct {
 	// (default 0.05). Zero keeps the default; negative disables the gate
 	// (every change is sent); NaN and ±Inf are rejected.
 	Epsilon float64
-	// Adaptive scales Delta's suppression threshold with each flow's
-	// share of the node's total reported traffic: a flow carrying share s
-	// is gated at Epsilon·(1+s) instead of Epsilon. Heavy flows dominate
-	// their links' allocations, so a wiggle that is proportionally tiny
-	// for the deployment — even when large in absolute bytes — barely
-	// moves the min-max fixed point and need not be re-sent; light flows
-	// (s→0) keep the base threshold so their relative moves, which can
-	// flip them between idle and active, still propagate promptly.
-	Adaptive bool
 	// ResyncEvery is the number of periods between Delta full-state
 	// resyncs (default 20). Resyncs bound the error a lost delta or a
 	// suppressed sub-epsilon drift can accumulate.

@@ -3,8 +3,9 @@
 // deploys it on the relevant systems (Kollaps, bare metal, and the
 // Mininet/Maxinet/Trickle baselines), drives the paper's workload, and
 // returns the same rows or series the paper reports. The cmd/kollaps-bench
-// binary prints them; bench_test.go wraps them as testing.B benchmarks;
-// EXPERIMENTS.md records paper-vs-measured values.
+// binary prints them; bench_test.go wraps them as testing.B benchmarks.
+// README.md shows how to run them; DESIGN.md explains where the measured
+// values depart from the paper's (for Figure 7, "Sharing model").
 //
 // The package is deterministic: no wall-clock reads and no global
 // math/rand outside //kollaps:wallclock sites (kollapslint walltime),

@@ -7,8 +7,8 @@ import (
 )
 
 // Probe accumulates emulation-accuracy samples: on sampled periods the
-// runtime re-solves the current demand set with the retained reference
-// allocator (core.AllocateReference) and compares the rates the managers
+// runtime re-solves the current demand set with the production solver
+// (core.AllocState) and compares the rates the managers
 // actually enforced against that oracle. Each sample folds the per-flow
 // relative deviations |observed-oracle|/oracle into a mean and a max,
 // appended here as virtual-time series.

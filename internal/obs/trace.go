@@ -10,9 +10,9 @@
 // Record call is nil-receiver safe, so a deployment without tracing pays
 // one inlined nil check per hook. The Registry hands out counter pointers
 // once at deployment; the hot path increments through the pointer and
-// never touches a map. The Probe runs the retained reference solver
-// (core.AllocateReference) only on sampled periods, so its allocations
-// stay off the steady-state path by construction.
+// never touches a map. The Probe re-solves the deployment with a fresh
+// core.AllocState only on sampled periods, so its allocations stay off
+// the steady-state path by construction.
 package obs
 
 import (

@@ -31,7 +31,6 @@ type config struct {
 
 type dissemConfig struct {
 	epsilon      float64
-	adaptive     bool
 	resync       int
 	fanout       int
 	gossipRounds int
@@ -73,7 +72,7 @@ func WithInjectLoss() Option {
 // (epidemic push with version-vector anti-entropy — the churn-friendly
 // choice), optionally tuned by DissemOptions:
 //
-//	kollaps.WithDissem("delta", kollaps.DissemEpsilon(0.02), kollaps.DissemAdaptive())
+//	kollaps.WithDissem("delta", kollaps.DissemEpsilon(0.02), kollaps.DissemResync(10))
 //	kollaps.WithDissem("gossip", kollaps.DissemFanout(3), kollaps.DissemGossipRounds(4))
 func WithDissem(strategy string, opts ...DissemOption) Option {
 	return optionFunc(func(c *config) {
@@ -92,14 +91,6 @@ type DissemOption func(*dissemConfig)
 // Deploy fail).
 func DissemEpsilon(epsilon float64) DissemOption {
 	return func(c *dissemConfig) { c.epsilon = epsilon }
-}
-
-// DissemAdaptive scales the delta strategy's suppression threshold with
-// each flow's share of the reported traffic, so heavy flows are not
-// re-sent on wiggles that are tiny relative to the deployment's total
-// (see dissem.Config.Adaptive).
-func DissemAdaptive() DissemOption {
-	return func(c *dissemConfig) { c.adaptive = true }
 }
 
 // DissemResync sets the number of periods between delta full-state
@@ -139,7 +130,8 @@ func WithTrace(events int) Option {
 
 // WithAccuracyProbe enables the emulation-accuracy probe: every
 // everyPeriods emulation periods the runtime re-solves the live demand
-// set with the reference allocator and records the enforced-vs-oracle
+// set with perfect information — the same solver the Emulation Managers
+// run, over every flow at once — and records the enforced-vs-oracle
 // share deviation as a virtual-time series (Experiment.AccuracyProbe).
 // Values below 1 sample every period.
 func WithAccuracyProbe(everyPeriods int) Option {
@@ -167,7 +159,6 @@ func (c config) dissemConfig(kind dissem.Kind) dissem.Config {
 	return dissem.Config{
 		Kind:         kind,
 		Epsilon:      c.dissem.epsilon,
-		Adaptive:     c.dissem.adaptive,
 		ResyncEvery:  c.dissem.resync,
 		Fanout:       c.dissem.fanout,
 		GossipRounds: c.dissem.gossipRounds,
