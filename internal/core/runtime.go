@@ -159,13 +159,14 @@ type containerNet struct {
 
 func (n containerNet) Send(p *packet.Packet) {
 	p.AssertLive("core: container Send")
-	if !n.c.tcal.HasPath(p.Dst) {
-		// Lazy path installation: Emulation Cores only materialize the
-		// part of the collapsed mesh their container talks to (§3).
-		if !n.rt.installPath(n.c, p.Dst) {
-			p.Release() // unreachable in the current topology state
-			return
-		}
+	if n.c.tcal.Shape(p) {
+		return
+	}
+	// Lazy path installation: Emulation Cores only materialize the part
+	// of the collapsed mesh their container talks to (§3).
+	if !n.rt.installPath(n.c, p.Dst) {
+		p.Release() // unreachable in the current topology state
+		return
 	}
 	n.c.tcal.Send(p)
 }
@@ -492,9 +493,14 @@ func (rt *Runtime) installPath(c *Container, dstIP packet.IP) bool {
 	if p == nil {
 		return false
 	}
-	c.tcal.InstallPath(dstIP, tcal.PathProps{
+	err := c.tcal.InstallPath(dstIP, tcal.PathProps{
 		Latency: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Bandwidth: p.Bandwidth,
 	})
+	if err != nil {
+		// The address plan gives every container distinct last two
+		// octets, so only a bug reaches here.
+		panic(fmt.Sprintf("core: %v", err))
+	}
 	c.lastAlloc[dstIP] = p.Bandwidth
 	return true
 }

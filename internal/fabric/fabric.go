@@ -48,15 +48,34 @@ type Network struct {
 	g   *graph.Graph
 	opt Options
 
-	pipes    map[int]*pipe // by graph link id
-	handlers map[packet.IP]packet.Handler
-	ipToNode map[packet.IP]graph.NodeID
-	routes   map[graph.NodeID]map[graph.NodeID]int // node -> dst node -> out link id
+	// Every per-packet lookup is an index, never a hash: link ids, node
+	// ids and endpoint slots are dense.
+	pipes  []*pipe   // by graph link id; nil for a removed link
+	bridge []bool    // by node id: the node pays PerHopDelay
+	routes [][]int32 // node -> dst node -> out link id or a route sentinel; rows filled lazily
+	// addrs reaches an endpoint from 10.b.c.d through the octets b, c, d
+	// (1 KiB leaf pages); a leaf entry is an index into endpoints plus one,
+	// 0 meaning unattached.
+	addrs     [256]*[256]*[256]int32
+	endpoints []endpoint
 
 	// Delivered counts packets handed to endpoint handlers.
 	Delivered int64
 	// DroppedNoRoute counts packets with no path to the destination.
 	DroppedNoRoute int64
+}
+
+// Route-table sentinels. Any other entry is an out link id.
+const (
+	routeUnknown     int32 = -1 // not computed yet
+	routeUnreachable int32 = -2 // computed: no path
+)
+
+// endpoint is one attached address: the node it sits at and its delivery
+// handler (nil until Register).
+type endpoint struct {
+	node    graph.NodeID
+	handler packet.Handler
 }
 
 // pipe is one unidirectional link: serialization at line rate with a
@@ -82,19 +101,20 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 		opt.PerHopDelay = 20 * time.Microsecond
 	}
 	n := &Network{
-		eng:      eng,
-		g:        g,
-		opt:      opt,
-		pipes:    make(map[int]*pipe),
-		handlers: make(map[packet.IP]packet.Handler),
-		ipToNode: make(map[packet.IP]graph.NodeID),
-		routes:   make(map[graph.NodeID]map[graph.NodeID]int),
+		eng:    eng,
+		g:      g,
+		opt:    opt,
+		pipes:  make([]*pipe, g.NumLinks()),
+		bridge: make([]bool, g.NumNodes()),
+		routes: make([][]int32, g.NumNodes()),
 	}
-	for id := 0; id < g.NumLinks(); id++ {
-		if g.LinkRemoved(id) {
-			continue
+	for id := range n.pipes {
+		if !g.LinkRemoved(id) {
+			n.buildPipe(id)
 		}
-		n.buildPipe(id)
+	}
+	for id, node := range g.Nodes() {
+		n.bridge[id] = node.Kind == graph.Bridge
 	}
 	return n
 }
@@ -121,12 +141,11 @@ func (n *Network) buildPipe(id int) {
 
 // firstHop resolves the sender's egress pipe from src toward dst.
 func (n *Network) firstHop(src, dst packet.IP) *pipe {
-	srcNode, ok1 := n.ipToNode[src]
-	dstNode, ok2 := n.ipToNode[dst]
-	if !ok1 || !ok2 || srcNode == dstNode {
+	s, d := n.endpoint(src), n.endpoint(dst)
+	if s == nil || d == nil || s.node == d.node {
 		return nil
 	}
-	link, ok := n.nextHop(srcNode, dstNode)
+	link, ok := n.nextHop(s.node, d.node)
 	if !ok {
 		return nil
 	}
@@ -176,24 +195,62 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 
 // AttachEndpoint binds an IP address to a graph node and registers its
 // delivery handler. Several IPs may share one node (containers on a host).
+// The address must be in 10/8, the plan every deployment uses
+// (packet.MakeIP); anything else panics.
 func (n *Network) AttachEndpoint(node graph.NodeID, ip packet.IP, h packet.Handler) {
-	n.ipToNode[ip] = node
-	n.handlers[ip] = h
+	if ip[0] != 10 {
+		panic(fmt.Sprintf("fabric: AttachEndpoint of %v outside 10/8", ip))
+	}
+	mid := n.addrs[ip[1]]
+	if mid == nil {
+		mid = new([256]*[256]int32)
+		n.addrs[ip[1]] = mid
+	}
+	leaf := mid[ip[2]]
+	if leaf == nil {
+		leaf = new([256]int32)
+		mid[ip[2]] = leaf
+	}
+	if i := leaf[ip[3]]; i != 0 {
+		n.endpoints[i-1] = endpoint{node, h}
+		return
+	}
+	n.endpoints = append(n.endpoints, endpoint{node, h})
+	leaf[ip[3]] = int32(len(n.endpoints))
+}
+
+// endpoint returns the endpoint attached at ip, or nil.
+func (n *Network) endpoint(ip packet.IP) *endpoint {
+	if ip[0] != 10 {
+		return nil
+	}
+	mid := n.addrs[ip[1]]
+	if mid == nil {
+		return nil
+	}
+	leaf := mid[ip[2]]
+	if leaf == nil || leaf[ip[3]] == 0 {
+		return nil
+	}
+	return &n.endpoints[leaf[ip[3]]-1]
 }
 
 // Register implements packet.Network for endpoints attached beforehand via
 // AttachEndpoint with a nil handler.
 func (n *Network) Register(ip packet.IP, h packet.Handler) {
-	if _, ok := n.ipToNode[ip]; !ok {
+	e := n.endpoint(ip)
+	if e == nil {
 		panic(fmt.Sprintf("fabric: Register of unattached IP %v", ip))
 	}
-	n.handlers[ip] = h
+	e.handler = h
 }
 
 // NodeOf returns the node an IP is attached to.
 func (n *Network) NodeOf(ip packet.IP) (graph.NodeID, bool) {
-	id, ok := n.ipToNode[ip]
-	return id, ok
+	if e := n.endpoint(ip); e != nil {
+		return e.node, true
+	}
+	return 0, false
 }
 
 // Send injects a packet at its source endpoint and forwards it hop by hop
@@ -201,12 +258,12 @@ func (n *Network) NodeOf(ip packet.IP) (graph.NodeID, bool) {
 // from here on and releases it once delivered or dropped.
 func (n *Network) Send(p *packet.Packet) {
 	p.AssertLive("fabric: Send")
-	src, ok := n.ipToNode[p.Src]
-	if !ok {
+	src := n.endpoint(p.Src)
+	if src == nil {
 		n.drop(p)
 		return
 	}
-	n.forward(src, p)
+	n.forward(src.node, p)
 }
 
 // drop counts an unroutable packet and releases it.
@@ -231,13 +288,13 @@ func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
 // default path allocates nothing per hop. A delivered packet is released
 // when its handler returns.
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
-	dstNode, ok := n.ipToNode[p.Dst]
-	if !ok {
+	dst := n.endpoint(p.Dst)
+	if dst == nil {
 		n.drop(p)
 		return
 	}
-	if dstNode == node {
-		h := n.handlers[p.Dst]
+	if dst.node == node {
+		h := dst.handler
 		if h == nil {
 			p.Release()
 			return
@@ -247,7 +304,7 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	link, ok := n.nextHop(node, dstNode)
+	link, ok := n.nextHop(node, dst.node)
 	if !ok {
 		n.drop(p)
 		return
@@ -257,7 +314,7 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 		n.drop(p)
 		return
 	}
-	if n.opt.PerHopDelay > 0 && n.g.Node(node).Kind == graph.Bridge {
+	if n.opt.PerHopDelay > 0 && n.bridge[node] {
 		pipe.hop.At(n.eng.Now()+n.opt.PerHopDelay, p)
 		return
 	}
@@ -265,58 +322,63 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 }
 
 // nextHop returns the outgoing link id from node toward dst from the route
-// cache, filled lazily by computeRoutes.
+// table, filled lazily by computeRoutes.
 func (n *Network) nextHop(node, dst graph.NodeID) (int, bool) {
-	if m := n.routes[node]; m != nil {
-		if l, ok := m[dst]; ok {
-			return l, l >= 0
+	if row := n.routes[node]; row != nil {
+		switch l := row[dst]; l {
+		case routeUnknown:
+		case routeUnreachable:
+			return -1, false
+		default:
+			return int(l), true
 		}
 	}
 	return n.computeRoutes(node, dst)
 }
 
-// computeRoutes is nextHop's cache miss: one Dijkstra per source node, plus
-// seeding of every intermediate node along computed paths.
+// routeRow returns node's route row, allocating it all unknown.
+func (n *Network) routeRow(node graph.NodeID) []int32 {
+	row := n.routes[node]
+	if row == nil {
+		row = make([]int32, len(n.routes))
+		for i := range row {
+			row[i] = routeUnknown
+		}
+		n.routes[node] = row
+	}
+	return row
+}
+
+// computeRoutes is nextHop's miss: one Dijkstra per source node. It
+// overwrites the source's row with every first hop, and seeds each
+// intermediate node along the computed paths only where that node's entry
+// is still unknown.
 func (n *Network) computeRoutes(node, dst graph.NodeID) (int, bool) {
 	paths := n.g.ShortestPaths(node)
-	m := n.routes[node]
-	if m == nil {
-		m = make(map[graph.NodeID]int)
-		n.routes[node] = m
-	}
+	row := n.routeRow(node)
 	for d, path := range paths {
 		if len(path.Links) > 0 {
-			m[d] = path.Links[0]
-			// Seed intermediate nodes along this path toward d.
+			row[d] = int32(path.Links[0])
 			for i := 1; i < len(path.Links); i++ {
-				at := n.g.Link(path.Links[i-1]).To
-				mm := n.routes[at]
-				if mm == nil {
-					mm = make(map[graph.NodeID]int)
-					n.routes[at] = mm
-				}
-				if _, ok := mm[d]; !ok {
-					mm[d] = path.Links[i]
+				at := n.routeRow(n.g.Link(path.Links[i-1]).To)
+				if at[d] == routeUnknown {
+					at[d] = int32(path.Links[i])
 				}
 			}
 		}
 	}
-	if l, ok := m[dst]; ok {
-		return l, true
+	if l := row[dst]; l >= 0 {
+		return int(l), true
 	}
-	m[dst] = -1 // negative cache: unreachable
+	row[dst] = routeUnreachable
 	return -1, false
-}
-
-// InvalidateRoutes clears the routing cache (topology changed).
-func (n *Network) InvalidateRoutes() {
-	n.routes = make(map[graph.NodeID]map[graph.NodeID]int)
 }
 
 // SetLinkProps updates a live link's pipe at runtime (used by dynamic
 // scenarios that shape the physical network directly).
+// An unknown or removed link id is ignored.
 func (n *Network) SetLinkProps(id int, lp graph.LinkProps) {
-	p := n.pipes[id]
+	p := n.pipe(id)
 	if p == nil {
 		return
 	}
@@ -325,13 +387,22 @@ func (n *Network) SetLinkProps(id int, lp graph.LinkProps) {
 	p.ne.Set(lp.Latency, lp.Jitter, lp.Loss)
 }
 
-// LinkStats reports the counters of one link's pipe.
+// LinkStats reports the counters of one link's pipe, zeros for an unknown
+// or removed link id.
 func (n *Network) LinkStats(id int) (sentBytes, sentPackets, dropped int64) {
-	p := n.pipes[id]
+	p := n.pipe(id)
 	if p == nil {
 		return 0, 0, 0
 	}
 	return p.tb.SentBytes, p.tb.SentPackets, p.tb.Dropped
+}
+
+// pipe returns link id's pipe, or nil when id is out of range or removed.
+func (n *Network) pipe(id int) *pipe {
+	if id < 0 || id >= len(n.pipes) {
+		return nil
+	}
+	return n.pipes[id]
 }
 
 // Star builds the physical-cluster fabric: nHosts hosts connected to one

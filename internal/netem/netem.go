@@ -1,7 +1,8 @@
 // Package netem reimplements, in the simulator, the Linux Traffic Control
 // queueing disciplines Kollaps drives through its TCAL (§3): the htb
-// token-bucket shaper, the netem delay/jitter/loss stage, and the u32
-// two-level hash filter that classifies packets by destination address.
+// token-bucket shaper and the netem delay/jitter/loss stage. The u32
+// filter that classifies packets by destination address is the TCAL's own
+// table (package tcal).
 //
 // Kollaps chains them per destination: filter → netem (latency, jitter,
 // loss) → htb (bandwidth). The same primitives also build the "bare-metal"
@@ -26,13 +27,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/units"
 )
-
-// Stage is one packet-processing element; stages are chained with
-// callbacks, each delivering to the next at the simulated time the real
-// qdisc would.
-type Stage interface {
-	Enqueue(p *packet.Packet)
-}
 
 // TokenBucket models the htb qdisc: a rate limiter with a burst allowance
 // and a finite FIFO backlog. When the backlog is full further packets are
@@ -295,59 +289,6 @@ type ChainProps struct {
 
 // Enqueue feeds the chain.
 func (c *Chain) Enqueue(p *packet.Packet) { c.HTB.Enqueue(p) }
-
-// U32Filter is the two-level hash filter of §3: the third octet of the
-// destination address indexes the first level, the fourth octet the
-// second, giving constant-time classification without real hashing —
-// mirroring the u32 limitation the paper works around.
-type U32Filter struct {
-	level1  [256]*[256]Stage
-	fallthr Stage
-	entries int
-}
-
-// NewU32Filter creates an empty filter; unmatched packets go to fall
-// (which may be nil to drop and release them).
-func NewU32Filter(fall Stage) *U32Filter { return &U32Filter{fallthr: fall} }
-
-// Add installs the stage for a destination address.
-func (f *U32Filter) Add(dst packet.IP, s Stage) {
-	l2 := f.level1[dst[2]]
-	if l2 == nil {
-		l2 = new([256]Stage)
-		f.level1[dst[2]] = l2
-	}
-	if l2[dst[3]] == nil {
-		f.entries++
-	}
-	l2[dst[3]] = s
-}
-
-// Remove uninstalls the stage for an address.
-func (f *U32Filter) Remove(dst packet.IP) {
-	if l2 := f.level1[dst[2]]; l2 != nil && l2[dst[3]] != nil {
-		l2[dst[3]] = nil
-		f.entries--
-	}
-}
-
-// Len returns the number of installed destinations.
-func (f *U32Filter) Len() int { return f.entries }
-
-// Classify routes a packet to its destination's chain, or the fallthrough.
-func (f *U32Filter) Classify(p *packet.Packet) {
-	if l2 := f.level1[p.Dst[2]]; l2 != nil {
-		if s := l2[p.Dst[3]]; s != nil {
-			s.Enqueue(p)
-			return
-		}
-	}
-	if f.fallthr != nil {
-		f.fallthr.Enqueue(p)
-		return
-	}
-	p.Release()
-}
 
 // LossForOversubscription computes the loss probability the Emulation
 // Core injects when demand exceeds the allocation (§3 "Congestion"):

@@ -232,47 +232,6 @@ func TestChain(t *testing.T) {
 	}
 }
 
-type countStage struct{ n int }
-
-func (c *countStage) Enqueue(*packet.Packet) { c.n++ }
-
-func TestU32Filter(t *testing.T) {
-	fall := &countStage{}
-	f := NewU32Filter(fall)
-	a := &countStage{}
-	b := &countStage{}
-	ipA := packet.MakeIP(0, 3, 7)
-	ipB := packet.MakeIP(0, 3, 8) // same level-1 bucket, different level-2
-	f.Add(ipA, a)
-	f.Add(ipB, b)
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-	f.Classify(&packet.Packet{Dst: ipA})
-	f.Classify(&packet.Packet{Dst: ipB})
-	f.Classify(&packet.Packet{Dst: ipB})
-	f.Classify(&packet.Packet{Dst: packet.MakeIP(0, 9, 9)})
-	if a.n != 1 || b.n != 2 || fall.n != 1 {
-		t.Fatalf("classification counts a=%d b=%d fall=%d", a.n, b.n, fall.n)
-	}
-	f.Remove(ipB)
-	f.Classify(&packet.Packet{Dst: ipB})
-	if fall.n != 2 || f.Len() != 1 {
-		t.Fatalf("Remove failed: fall=%d len=%d", fall.n, f.Len())
-	}
-	// Removing twice and removing unknown addresses is harmless.
-	f.Remove(ipB)
-	f.Remove(packet.MakeIP(0, 200, 200))
-	if f.Len() != 1 {
-		t.Fatalf("Len after redundant removes = %d", f.Len())
-	}
-}
-
-func TestU32FilterNilFallthrough(t *testing.T) {
-	f := NewU32Filter(nil)
-	f.Classify(&packet.Packet{Dst: packet.MakeIP(0, 1, 1)}) // must not panic
-}
-
 func TestLossForOversubscription(t *testing.T) {
 	if got := LossForOversubscription(50*units.Mbps, 100*units.Mbps); got != 0 {
 		t.Errorf("under capacity: loss = %v", got)
@@ -303,19 +262,6 @@ func BenchmarkTokenBucket(b *testing.B) {
 		if i%1024 == 0 {
 			eng.Run(eng.Now() + time.Millisecond)
 		}
-	}
-}
-
-func BenchmarkU32Classify(b *testing.B) {
-	f := NewU32Filter(nil)
-	st := &countStage{}
-	for i := 0; i < 200; i++ {
-		f.Add(packet.MakeIP(0, byte(i/250), byte(i%250)), st)
-	}
-	p := &packet.Packet{Dst: packet.MakeIP(0, 0, 100)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Classify(p)
 	}
 }
 

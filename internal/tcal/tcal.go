@@ -6,7 +6,7 @@
 //
 // For each destination container the TCAL installs a netem qdisc (latency,
 // jitter, loss) chained into an htb qdisc (bandwidth), reached through a
-// u32-style two-level hash filter keyed on the destination address. The
+// u32-style two-level filter keyed on the destination address. The
 // Emulation Core queries cumulative byte counters ("retrieve bandwidth
 // usage") and adjusts rates and loss on every loop iteration — netlink-
 // style direct calls, no process spawning.
@@ -46,8 +46,12 @@ const TSQLimit = 64 * 1024
 type TCAL struct {
 	eng    *sim.Engine
 	egress func(*packet.Packet)
-	filter *netem.U32Filter
-	chains map[packet.IP]*chain
+	// chains is the u32 filter of §3: the destination's third octet
+	// indexes the first level and its fourth the second, so classifying
+	// a packet is two array loads and no hashing. Two destinations that
+	// share octets 3–4 cannot both be installed (InstallPath refuses),
+	// and a chain answers only for its own full address.
+	chains [256]*[256]*chain
 
 	// dsts caches the installed destinations in ascending IP order so the
 	// Emulation Manager's per-period scan does not re-sort (or even
@@ -62,6 +66,7 @@ type TCAL struct {
 }
 
 type chain struct {
+	dst   packet.IP
 	qdisc *netem.Chain
 	props PathProps
 	// baseLoss is the topology path loss; injected congestion loss is
@@ -77,25 +82,34 @@ type chain struct {
 // New creates a TCAL whose shaped packets exit through egress (the host
 // NIC / physical cluster network).
 func New(eng *sim.Engine, egress func(*packet.Packet)) *TCAL {
-	t := &TCAL{
-		eng:    eng,
-		egress: egress,
-		chains: make(map[packet.IP]*chain),
+	return &TCAL{eng: eng, egress: egress}
+}
+
+// chain returns the chain installed toward dst, or nil.
+func (t *TCAL) chain(dst packet.IP) *chain {
+	if page := t.chains[dst[2]]; page != nil {
+		if c := page[dst[3]]; c != nil && c.dst == dst {
+			return c
+		}
 	}
-	t.filter = netem.NewU32Filter(dropStage{t})
-	return t
+	return nil
 }
 
-type dropStage struct{ t *TCAL }
-
-func (d dropStage) Enqueue(p *packet.Packet) {
-	d.t.UnmatchedDropped++
-	p.Release()
-}
-
-// InstallPath creates (or replaces) the qdisc chain toward dst.
-func (t *TCAL) InstallPath(dst packet.IP, p PathProps) {
+// InstallPath creates (or replaces) the qdisc chain toward dst. It fails,
+// installing nothing, when another destination sharing dst's last two
+// octets is installed: the filter could not tell the two apart.
+func (t *TCAL) InstallPath(dst packet.IP, p PathProps) error {
+	page := t.chains[dst[2]]
+	if page == nil {
+		page = new([256]*chain)
+		t.chains[dst[2]] = page
+	}
+	old := page[dst[3]]
+	if old != nil && old.dst != dst {
+		return fmt.Errorf("tcal: path to %v collides with installed %v on octets 3-4", dst, old.dst)
+	}
 	c := &chain{
+		dst:      dst,
 		qdisc:    netem.NewChain(t.eng, netem.ChainProps{Delay: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Rate: p.Bandwidth}, t.egress),
 		props:    p,
 		baseLoss: p.Loss,
@@ -107,11 +121,11 @@ func (t *TCAL) InstallPath(dst packet.IP, p PathProps) {
 			c.waiters.Pop()()
 		}
 	}
-	if _, existed := t.chains[dst]; !existed {
+	if old == nil {
 		t.dstsDirty = true
 	}
-	t.chains[dst] = c
-	t.filter.Add(dst, c.qdisc)
+	page[dst[3]] = c
+	return nil
 }
 
 // Writable implements TSQ backpressure: data toward dst may be emitted
@@ -119,8 +133,8 @@ func (t *TCAL) InstallPath(dst packet.IP, p PathProps) {
 // installed chain are writable (the path is installed lazily on first
 // send).
 func (t *TCAL) Writable(dst packet.IP, n int) bool {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return true
 	}
 	return c.qdisc.HTB.Backlog()+n <= TSQLimit
@@ -129,8 +143,8 @@ func (t *TCAL) Writable(dst packet.IP, n int) bool {
 // NotifyWritable parks fn until the htb toward dst drains below the TSQ
 // threshold. Unknown destinations fire immediately.
 func (t *TCAL) NotifyWritable(dst packet.IP, fn func()) {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		fn()
 		return
 	}
@@ -140,18 +154,14 @@ func (t *TCAL) NotifyWritable(dst packet.IP, fn func()) {
 // RemovePath removes the chain toward dst; subsequent packets are dropped
 // (destination unreachable).
 func (t *TCAL) RemovePath(dst packet.IP) {
-	if _, existed := t.chains[dst]; existed {
+	if t.chain(dst) != nil {
+		t.chains[dst[2]][dst[3]] = nil
 		t.dstsDirty = true
 	}
-	delete(t.chains, dst)
-	t.filter.Remove(dst)
 }
 
 // HasPath reports whether dst has an installed chain.
-func (t *TCAL) HasPath(dst packet.IP) bool {
-	_, ok := t.chains[dst]
-	return ok
-}
+func (t *TCAL) HasPath(dst packet.IP) bool { return t.chain(dst) != nil }
 
 // Destinations returns the installed destinations in ascending IP order.
 // The returned slice is owned by the TCAL and reused: it stays valid (and
@@ -163,8 +173,15 @@ func (t *TCAL) Destinations() []packet.IP {
 	// allocation-free cached return below.
 	if t.dstsDirty {
 		t.dsts = t.dsts[:0]
-		for ip := range t.chains {
-			t.dsts = append(t.dsts, ip)
+		for _, page := range t.chains {
+			if page == nil {
+				continue
+			}
+			for _, c := range page {
+				if c != nil {
+					t.dsts = append(t.dsts, c.dst)
+				}
+			}
 		}
 		sort.Slice(t.dsts, func(i, j int) bool {
 			return bytes.Compare(t.dsts[i][:], t.dsts[j][:]) < 0
@@ -175,14 +192,31 @@ func (t *TCAL) Destinations() []packet.IP {
 }
 
 // Send classifies a packet into its destination chain — the container's
-// egress hook.
-func (t *TCAL) Send(p *packet.Packet) { t.filter.Classify(p) }
+// egress hook. A packet toward a destination without a chain is dropped
+// and counted in UnmatchedDropped.
+func (t *TCAL) Send(p *packet.Packet) {
+	if !t.Shape(p) {
+		t.UnmatchedDropped++
+		p.Release()
+	}
+}
+
+// Shape classifies p into its destination chain and reports true, or
+// reports false and leaves p with the caller when no chain is installed.
+func (t *TCAL) Shape(p *packet.Packet) bool {
+	c := t.chain(p.Dst)
+	if c == nil {
+		return false
+	}
+	c.qdisc.Enqueue(p)
+	return true
+}
 
 // SetBandwidth updates the htb rate toward dst — the enforcement step of
 // the emulation loop.
 func (t *TCAL) SetBandwidth(dst packet.IP, rate units.Bandwidth) error {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
 	c.props.Bandwidth = rate
@@ -193,8 +227,8 @@ func (t *TCAL) SetBandwidth(dst packet.IP, rate units.Bandwidth) error {
 // SetNetem updates delay, jitter and base loss toward dst (topology state
 // change).
 func (t *TCAL) SetNetem(dst packet.IP, delay, jitter time.Duration, loss units.Loss) error {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
 	c.props.Latency, c.props.Jitter = delay, jitter
@@ -207,8 +241,8 @@ func (t *TCAL) SetNetem(dst packet.IP, delay, jitter time.Duration, loss units.L
 // base loss — the §3 workaround that exposes oversubscription to
 // loss-based congestion control.
 func (t *TCAL) InjectCongestionLoss(dst packet.IP, extra units.Loss) error {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
 	c.qdisc.Netem.Set(c.props.Latency, c.props.Jitter, c.baseLoss.Compose(extra))
@@ -217,8 +251,8 @@ func (t *TCAL) InjectCongestionLoss(dst packet.IP, extra units.Loss) error {
 
 // Props returns the currently installed properties toward dst.
 func (t *TCAL) Props(dst packet.IP) (PathProps, bool) {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return PathProps{}, false
 	}
 	return c.props, true
@@ -227,8 +261,8 @@ func (t *TCAL) Props(dst packet.IP) (PathProps, bool) {
 // Usage returns the bytes sent toward dst since the previous Usage call —
 // the emulation loop's "obtain the bandwidth usage" step.
 func (t *TCAL) Usage(dst packet.IP) int64 {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return 0
 	}
 	total := c.qdisc.HTB.SentBytes
@@ -242,8 +276,8 @@ func (t *TCAL) Usage(dst packet.IP) int64 {
 // by the full htb queue. The Emulation Core compares this demand with the
 // allocation to decide congestion-loss injection (§3 "Congestion").
 func (t *TCAL) Requested(dst packet.IP) int64 {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return 0
 	}
 	total := c.qdisc.HTB.SentBytes + c.qdisc.HTB.DroppedBytes + int64(c.qdisc.HTB.Backlog())
@@ -257,8 +291,8 @@ func (t *TCAL) Requested(dst packet.IP) int64 {
 
 // TotalSent returns the cumulative bytes shaped toward dst.
 func (t *TCAL) TotalSent(dst packet.IP) int64 {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return 0
 	}
 	return c.qdisc.HTB.SentBytes
@@ -266,8 +300,8 @@ func (t *TCAL) TotalSent(dst packet.IP) int64 {
 
 // Backlog returns bytes queued in the htb toward dst.
 func (t *TCAL) Backlog(dst packet.IP) int {
-	c, ok := t.chains[dst]
-	if !ok {
+	c := t.chain(dst)
+	if c == nil {
 		return 0
 	}
 	return c.qdisc.HTB.Backlog()

@@ -181,6 +181,61 @@ func TestRemovePath(t *testing.T) {
 	if got := tc.Usage(dst); got != 0 {
 		t.Fatalf("Usage of removed path = %d", got)
 	}
+	// Removing twice and removing unknown addresses is harmless.
+	other := packet.MakeIP(0, 1, 2)
+	tc.InstallPath(other, PathProps{Bandwidth: units.Gbps})
+	tc.RemovePath(dst)
+	tc.RemovePath(packet.MakeIP(0, 200, 200))
+	if !tc.HasPath(other) || len(tc.Destinations()) != 1 {
+		t.Fatalf("redundant removes disturbed %v: %v", other, tc.Destinations())
+	}
+}
+
+// TestInstallPathRefusesOctetCollision: the filter keys on the last two
+// octets, so a second destination sharing them is refused instead of
+// taking over the first one's chain and its traffic.
+func TestInstallPathRefusesOctetCollision(t *testing.T) {
+	eng := sim.NewEngine(1)
+	var at time.Duration
+	tc := New(eng, func(*packet.Packet) { at = eng.Now() })
+	near, far := packet.MakeIP(1, 0, 5), packet.MakeIP(2, 0, 5)
+	if err := tc.InstallPath(near, PathProps{Latency: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.InstallPath(far, PathProps{Latency: 50 * time.Millisecond}); err == nil {
+		t.Fatalf("InstallPath(%v) over installed %v succeeded", far, near)
+	}
+	tc.Send(mk(near, 100))
+	eng.RunAll()
+	if at != time.Millisecond || tc.TotalSent(near) != 100 || tc.TotalSent(far) != 0 {
+		t.Fatalf("packet to %v left at %v; TotalSent near=%d far=%d, want 1ms, 100, 0",
+			near, at, tc.TotalSent(near), tc.TotalSent(far))
+	}
+	tc.Send(mk(far, 100))
+	tc.RemovePath(far)
+	if tc.UnmatchedDropped != 1 || !tc.HasPath(near) || tc.HasPath(far) {
+		t.Fatalf("%v must stay unmatched and leave %v alone: dropped=%d", far, near, tc.UnmatchedDropped)
+	}
+	if err := tc.InstallPath(near, PathProps{Latency: 2 * time.Millisecond}); err != nil {
+		t.Fatalf("replacing %v's own path: %v", near, err)
+	}
+}
+
+// TestDestinationsInAddressOrder: the filter is indexed by the last two
+// octets, but Destinations lists full addresses in ascending order, the
+// order the Emulation Manager scans them in.
+func TestDestinationsInAddressOrder(t *testing.T) {
+	tc := New(sim.NewEngine(1), func(*packet.Packet) {})
+	want := []packet.IP{packet.MakeIP(1, 0, 2), packet.MakeIP(1, 1, 0), packet.MakeIP(2, 0, 1)}
+	for _, i := range []int{2, 0, 1} {
+		if err := tc.InstallPath(want[i], PathProps{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := tc.Destinations()
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("Destinations = %v, want %v", got, want)
+	}
 }
 
 func TestProps(t *testing.T) {
