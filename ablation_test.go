@@ -1,6 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// Emulation Manager period (which bounds the shortest shapeable flows, §6)
-// and the demand-headroom factor of the usage-driven maximization step.
+// Ablation benchmark for a design choice DESIGN.md calls out: the
+// Emulation Manager period, which bounds the shortest shapeable flows (§6).
 package main
 
 import (
@@ -45,16 +44,15 @@ experiment:
 `
 
 // ablationRun measures how quickly two competing flows converge to within
-// 10% of their model shares after the second starts, for a given EM period
-// and demand headroom.
-func ablationRun(b *testing.B, period time.Duration, headroom float64) time.Duration {
+// 10% of their model shares after the second starts, for a given EM period.
+func ablationRun(b *testing.B, period time.Duration) time.Duration {
 	b.Helper()
 	top, err := topology.ParseYAML(ablationYAML)
 	if err != nil {
 		b.Fatal(err)
 	}
 	eng := sim.NewEngine(42)
-	rt, err := core.NewRuntimeFromTopology(eng, top, 2, nil, core.Options{Period: period, DemandHeadroom: headroom})
+	rt, err := core.NewRuntimeFromTopology(eng, top, 2, nil, core.Options{Period: period})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,20 +105,7 @@ func BenchmarkAblationEMPeriod(b *testing.B) {
 		b.Run(fmt.Sprintf("period=%v", period), func(b *testing.B) {
 			var total time.Duration
 			for i := 0; i < b.N; i++ {
-				total += ablationRun(b, period, 2.0)
-			}
-			b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "ms/convergence")
-		})
-	}
-}
-
-func BenchmarkAblationDemandHeadroom(b *testing.B) {
-	for _, headroom := range []float64{1.2, 2.0, 4.0} {
-		headroom := headroom
-		b.Run(fmt.Sprintf("headroom=%.1f", headroom), func(b *testing.B) {
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				total += ablationRun(b, 50*time.Millisecond, headroom)
+				total += ablationRun(b, period)
 			}
 			b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "ms/convergence")
 		})

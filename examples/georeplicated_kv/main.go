@@ -33,7 +33,7 @@ func run(latencyScale float64) (readP50, updateP50, opsPerSec float64) {
 	if err := exp.Deploy(3); err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := apps.DeployCassandra(exp.Eng, exp, 2, 100, apps.CassandraOptions{})
+	cluster, err := apps.DeployCassandra(exp.Eng, exp, 2, 100)
 	if err != nil {
 		log.Fatal(err)
 	}

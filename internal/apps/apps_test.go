@@ -150,8 +150,8 @@ func TestCurlConnectionPerRequest(t *testing.T) {
 func TestKVServerAndMemtier(t *testing.T) {
 	lp := graph.LinkProps{Latency: time.Millisecond, Bandwidth: units.Gbps}
 	eng, cli, srv, dst := twoHosts(t, lp, 7)
-	server := NewKVServer(eng, srv, 11211, KVOptions{})
-	m := NewMemtierClient(eng, cli, dst, 11211, 4, KVOptions{})
+	server := NewKVServer(eng, srv, 11211)
+	m := NewMemtierClient(eng, cli, dst, 11211, 4)
 	eng.Run(10 * time.Second)
 	m.Stop()
 	if m.Completed < 1000 {
@@ -171,16 +171,17 @@ func TestKVServerAndMemtier(t *testing.T) {
 }
 
 func TestKVServiceTimeSaturation(t *testing.T) {
-	// With a 1ms service time, one server saturates at ~1000 ops/s
-	// regardless of connection count.
+	// One server saturates at 1/kvServiceTime ops/s regardless of
+	// connection count: 32 connections at a 0.4ms RTT offer more.
 	lp := graph.LinkProps{Latency: 100 * time.Microsecond, Bandwidth: units.Gbps}
 	eng, cli, srv, dst := twoHosts(t, lp, 8)
-	NewKVServer(eng, srv, 11211, KVOptions{ServiceTime: time.Millisecond})
-	m := NewMemtierClient(eng, cli, dst, 11211, 32, KVOptions{})
+	NewKVServer(eng, srv, 11211)
+	m := NewMemtierClient(eng, cli, dst, 11211, 32)
 	eng.Run(10 * time.Second)
 	opsPerSec := float64(m.Completed) / 10
-	if opsPerSec < 800 || opsPerSec > 1100 {
-		t.Fatalf("saturated ops/s = %.0f, want ~1000 (M/D/1 cap)", opsPerSec)
+	limit := float64(time.Second / kvServiceTime)
+	if opsPerSec < 0.8*limit || opsPerSec > 1.1*limit {
+		t.Fatalf("saturated ops/s = %.0f, want ~%.0f (M/D/1 cap)", opsPerSec, limit)
 	}
 }
 
@@ -243,7 +244,7 @@ func TestCassandraQuorumLatency(t *testing.T) {
 	// WAN RTT; ONE-consistency reads must not.
 	const wanRTT = 100 * time.Millisecond
 	p := buildCassFabric(t, 2, wanRTT, 9)
-	cl, err := DeployCassandra(p.eng, p, 2, 50, CassandraOptions{})
+	cl, err := DeployCassandra(p.eng, p, 2, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestCassandraWhatIfHalvedLatency(t *testing.T) {
 	// latency.
 	run := func(rtt time.Duration) float64 {
 		p := buildCassFabric(t, 2, rtt, 10)
-		cl, err := DeployCassandra(p.eng, p, 2, 50, CassandraOptions{})
+		cl, err := DeployCassandra(p.eng, p, 2, 50)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,8 @@ type CassandraNode struct {
 	Name  string
 	Stack *transport.Stack
 
-	eng         *sim.Engine
-	serviceTime time.Duration
-	busyUntil   time.Duration
+	eng       *sim.Engine
+	busyUntil time.Duration
 
 	// peer is the replication target (the paired replica in the other
 	// region under RF=2).
@@ -54,26 +53,15 @@ type CassandraNode struct {
 	Ops int64
 }
 
-// CassandraOptions tune the cluster.
-type CassandraOptions struct {
-	// ServiceTime is the local per-operation processing cost
-	// (default 250µs — an in-memory write/read path).
-	ServiceTime time.Duration
-}
-
-func (o *CassandraOptions) defaults() {
-	if o.ServiceTime <= 0 {
-		o.ServiceTime = 250 * time.Microsecond
-	}
-}
+// cassServiceTime is a node's local per-operation processing cost: an
+// in-memory write/read path.
+const cassServiceTime = 250 * time.Microsecond
 
 // NewCassandraNode starts a replica listening for client operations and
 // peer replication.
-func NewCassandraNode(eng *sim.Engine, st *transport.Stack, name string, opt CassandraOptions) *CassandraNode {
-	opt.defaults()
+func NewCassandraNode(eng *sim.Engine, st *transport.Stack, name string) *CassandraNode {
 	n := &CassandraNode{
 		Name: name, Stack: st, eng: eng,
-		serviceTime: opt.ServiceTime,
 		pendingRepl: make(map[int64]func()),
 	}
 	st.Listen(cassPort, &transport.Listener{OnAccept: func(c *transport.Conn) {
@@ -94,7 +82,7 @@ func (n *CassandraNode) exec(fn func()) {
 	if n.busyUntil > start {
 		start = n.busyUntil
 	}
-	finish := start + n.serviceTime
+	finish := start + cassServiceTime
 	n.busyUntil = finish
 	n.eng.At(finish, fn)
 }
@@ -220,7 +208,7 @@ type StackProvider interface {
 
 // DeployCassandra builds nPairs replica pairs named local-i/remote-i and
 // one YCSB client per pair (named ycsb-i) at the given per-client rate.
-func DeployCassandra(eng *sim.Engine, p StackProvider, nPairs int, rate float64, opt CassandraOptions) (*CassandraCluster, error) {
+func DeployCassandra(eng *sim.Engine, p StackProvider, nPairs int, rate float64) (*CassandraCluster, error) {
 	cl := &CassandraCluster{}
 	type pair struct {
 		l, r   *CassandraNode
@@ -239,8 +227,8 @@ func DeployCassandra(eng *sim.Engine, p StackProvider, nPairs int, rate float64,
 			return nil, err
 		}
 		pairs[i] = pair{
-			l:   NewCassandraNode(eng, ls, fmt.Sprintf("local-%d", i), opt),
-			r:   NewCassandraNode(eng, rs, fmt.Sprintf("remote-%d", i), opt),
+			l:   NewCassandraNode(eng, ls, fmt.Sprintf("local-%d", i)),
+			r:   NewCassandraNode(eng, rs, fmt.Sprintf("remote-%d", i)),
 			lIP: lip, rIP: rip,
 		}
 	}

@@ -17,44 +17,29 @@ type KVServer struct {
 	// Ops counts completed operations.
 	Ops int64
 
-	eng         *sim.Engine
-	reqSize     int
-	respSize    int
-	serviceTime time.Duration
-	busyUntil   time.Duration
+	eng       *sim.Engine
+	busyUntil time.Duration
 }
 
-// KVOptions size the protocol.
-type KVOptions struct {
-	// ReqSize/RespSize are the wire payload sizes (defaults 64/1100 —
-	// a small key and a ~1 KiB value).
-	ReqSize, RespSize int
-	// ServiceTime is the per-op processing cost (default 20µs).
-	ServiceTime time.Duration
-}
-
-func (o *KVOptions) defaults() {
-	if o.ReqSize <= 0 {
-		o.ReqSize = 64
-	}
-	if o.RespSize <= 0 {
-		o.RespSize = 1100
-	}
-	if o.ServiceTime <= 0 {
-		o.ServiceTime = 20 * time.Microsecond
-	}
-}
+// The KV protocol.
+const (
+	// kvReqSize and kvRespSize are the wire payload sizes: a small key
+	// and a ~1 KiB value.
+	kvReqSize  = 64
+	kvRespSize = 1100
+	// kvServiceTime is the per-op processing cost.
+	kvServiceTime = 20 * time.Microsecond
+)
 
 // NewKVServer starts the server on the stack's port.
-func NewKVServer(eng *sim.Engine, st *transport.Stack, port uint16, opt KVOptions) *KVServer {
-	opt.defaults()
-	s := &KVServer{eng: eng, reqSize: opt.ReqSize, respSize: opt.RespSize, serviceTime: opt.ServiceTime}
+func NewKVServer(eng *sim.Engine, st *transport.Stack, port uint16) *KVServer {
+	s := &KVServer{eng: eng}
 	st.Listen(port, &transport.Listener{OnAccept: func(c *transport.Conn) {
 		pending := 0
 		c.OnData = func(n int) {
 			pending += n
-			for pending >= s.reqSize {
-				pending -= s.reqSize
+			for pending >= kvReqSize {
+				pending -= kvReqSize
 				s.serve(c)
 			}
 		}
@@ -69,11 +54,11 @@ func (s *KVServer) serve(c *transport.Conn) {
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
-	finish := start + s.serviceTime
+	finish := start + kvServiceTime
 	s.busyUntil = finish
 	s.eng.At(finish, func() {
 		s.Ops++
-		c.Write(s.respSize)
+		c.Write(kvRespSize)
 	})
 }
 
@@ -87,15 +72,13 @@ type MemtierClient struct {
 	Latencies metrics.Histogram
 
 	eng     *sim.Engine
-	opt     KVOptions
 	stopped bool
 }
 
 // NewMemtierClient opens conns connections and starts the loops.
 func NewMemtierClient(eng *sim.Engine, st *transport.Stack, dst packet.IP, port uint16,
-	conns int, opt KVOptions) *MemtierClient {
-	opt.defaults()
-	m := &MemtierClient{eng: eng, opt: opt}
+	conns int) *MemtierClient {
+	m := &MemtierClient{eng: eng}
 	for i := 0; i < conns; i++ {
 		conn := st.Dial(dst, port, transport.Cubic)
 		m.loop(conn)
@@ -111,7 +94,7 @@ func (m *MemtierClient) loop(conn *transport.Conn) {
 			return
 		}
 		issuedAt = m.eng.Now()
-		conn.Write(m.opt.ReqSize)
+		conn.Write(kvReqSize)
 	}
 	conn.OnConnected = issue
 	conn.OnData = func(n int) {
@@ -119,8 +102,8 @@ func (m *MemtierClient) loop(conn *transport.Conn) {
 			return
 		}
 		received += n
-		for received >= m.opt.RespSize {
-			received -= m.opt.RespSize
+		for received >= kvRespSize {
+			received -= kvRespSize
 			m.Completed++
 			m.Latencies.AddDuration(m.eng.Now() - issuedAt)
 			issue()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -24,7 +25,7 @@ func lineGraph(lp graph.LinkProps) (*graph.Graph, graph.NodeID, graph.NodeID) {
 
 func TestMininetRefusesAboveGigabit(t *testing.T) {
 	g, _, _ := lineGraph(graph.LinkProps{Latency: time.Millisecond, Bandwidth: 2 * units.Gbps})
-	if _, err := NewMininet(sim.NewEngine(1), g, MininetOptions{}); err == nil {
+	if _, err := NewMininet(sim.NewEngine(1), g); err == nil {
 		t.Fatal("expected >1Gb/s refusal (Table 2 N/A)")
 	}
 }
@@ -32,7 +33,7 @@ func TestMininetRefusesAboveGigabit(t *testing.T) {
 func TestMininetRefusesHugeTopologies(t *testing.T) {
 	g := graph.ScaleFree(graph.ScaleFreeOptions{Elements: 2000, EdgesPerNode: 1,
 		LinkProps: graph.LinkProps{Latency: time.Millisecond, Bandwidth: units.Gbps}})
-	if _, err := NewMininet(sim.NewEngine(1), g, MininetOptions{}); err == nil {
+	if _, err := NewMininet(sim.NewEngine(1), g); err == nil {
 		t.Fatal("expected single-host scale refusal (Table 4 NA)")
 	}
 }
@@ -40,7 +41,7 @@ func TestMininetRefusesHugeTopologies(t *testing.T) {
 func TestMininetForwardsAndChargesCPU(t *testing.T) {
 	eng := sim.NewEngine(1)
 	g, a, b := lineGraph(graph.LinkProps{Latency: time.Millisecond, Bandwidth: 100 * units.Mbps})
-	mn, err := NewMininet(eng, g, MininetOptions{})
+	mn, err := NewMininet(eng, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +67,12 @@ func TestMininetForwardsAndChargesCPU(t *testing.T) {
 
 func TestMininetShortConnectionDegradation(t *testing.T) {
 	// The Figure 6 mechanism: under a storm of new connections the
-	// shared CPU serializes flow setups, degrading throughput; a single
-	// long connection is barely affected.
+	// shared CPU serializes flow setups (mininetConnSetupCost each),
+	// degrading throughput; a single long connection is barely affected.
 	run := func(clients int) float64 {
 		eng := sim.NewEngine(2)
 		g, a, b := lineGraph(graph.LinkProps{Latency: time.Millisecond, Bandwidth: 100 * units.Mbps})
-		mn, err := NewMininet(eng, g, MininetOptions{ConnSetupCost: 20 * time.Millisecond})
+		mn, err := NewMininet(eng, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestMaxinetControllerLatency(t *testing.T) {
 	// packets (within the idle timeout) do not.
 	eng := sim.NewEngine(3)
 	g, a, b := lineGraph(graph.LinkProps{Latency: time.Millisecond, Bandwidth: units.Gbps})
-	mx := NewMaxinet(eng, g, MaxinetOptions{ControllerRTT: 10 * time.Millisecond})
+	mx := NewMaxinet(eng, g)
 	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
 	mx.AttachEndpoint(a, ipA, nil)
 	mx.AttachEndpoint(b, ipB, nil)
@@ -122,10 +123,11 @@ func TestMaxinetControllerLatency(t *testing.T) {
 	if len(rtts) != 5 {
 		t.Fatalf("replies = %d", len(rtts))
 	}
-	// First ping pays ~10ms extra per direction's switch; later pings
+	// The path is four 1ms link traversals. The first ping pays one
+	// controller round trip at the switch per direction; later pings
 	// ride installed entries.
-	if rtts[0] < 10*time.Millisecond {
-		t.Fatalf("first RTT %v did not include controller setup", rtts[0])
+	if want := 4*time.Millisecond + 2*maxinetControllerRTT; rtts[0] < want {
+		t.Fatalf("first RTT %v < %v: did not include controller setup", rtts[0], want)
 	}
 	if rtts[2] >= rtts[0] {
 		t.Fatalf("later RTT %v not faster than first %v", rtts[2], rtts[0])
@@ -138,24 +140,78 @@ func TestMaxinetControllerLatency(t *testing.T) {
 func TestMaxinetExpiredEntriesPayAgain(t *testing.T) {
 	eng := sim.NewEngine(4)
 	g, a, b := lineGraph(graph.LinkProps{Latency: time.Millisecond, Bandwidth: units.Gbps})
-	mx := NewMaxinet(eng, g, MaxinetOptions{ControllerRTT: 10 * time.Millisecond, FlowIdleTimeout: 100 * time.Millisecond})
+	mx := NewMaxinet(eng, g)
 	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
 	mx.AttachEndpoint(a, ipA, nil)
 	mx.AttachEndpoint(b, ipB, nil)
 	cli := transport.NewStack(eng, mx.Network, ipA)
 	transport.NewStack(eng, mx.Network, ipB)
-	// Pings every 500ms with a 100ms idle timeout: every ping re-installs.
+	// Pings at twice the idle timeout: every ping re-installs.
 	done := 0
-	eng.Every(500*time.Millisecond, func() {
+	eng.Every(2*maxinetFlowIdleTimeout, func() {
 		cli.Ping(ipB, 64, func(time.Duration) { done++ })
 	})
-	eng.Run(3 * time.Second)
+	eng.Run(6 * 2 * maxinetFlowIdleTimeout) // six intervals
 	if done < 5 {
 		t.Fatalf("replies = %d", done)
 	}
 	// Each ping triggers setups at the switch for both directions.
 	if mx.FlowSetups < int64(done) {
 		t.Fatalf("setups = %d for %d expired-entry pings", mx.FlowSetups, done)
+	}
+}
+
+// TestHookOwnsPerHopCost: a ping across a–s1–s2–b (1ms links) on the
+// Mininet and Maxinet models pays the six link traversals plus the CPU
+// model's cost at the four switch traversals, and not the fabric's own
+// per-hop delay on top.
+func TestHookOwnsPerHopCost(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nw   func(*sim.Engine, *graph.Graph) *fabric.Network
+		hop  time.Duration // the model's cost per switch traversal, entries installed
+	}{
+		{"mininet", func(eng *sim.Engine, g *graph.Graph) *fabric.Network {
+			mn, err := NewMininet(eng, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mn.Network
+		}, mininetPacketCost},
+		{"maxinet", func(eng *sim.Engine, g *graph.Graph) *fabric.Network {
+			return NewMaxinet(eng, g).Network
+		}, maxinetPacketCost + maxinetTunnelOverhead*(maxinetWorkers-1)/maxinetWorkers},
+	} {
+		eng := sim.NewEngine(1)
+		g := graph.New()
+		a := g.MustAddNode("a", graph.Service)
+		s1 := g.MustAddNode("s1", graph.Bridge)
+		s2 := g.MustAddNode("s2", graph.Bridge)
+		b := g.MustAddNode("b", graph.Service)
+		lp := graph.LinkProps{Latency: time.Millisecond, Bandwidth: units.Gbps}
+		g.AddBiLink(a, s1, lp)
+		g.AddBiLink(s1, s2, lp)
+		g.AddBiLink(s2, b, lp)
+		nw := tc.nw(eng, g)
+		ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+		nw.AttachEndpoint(a, ipA, nil)
+		nw.AttachEndpoint(b, ipB, nil)
+		cli := transport.NewStack(eng, nw, ipA)
+		transport.NewStack(eng, nw, ipB)
+		// The second ping rides the flow entries the first installed.
+		var rtts []time.Duration
+		for i := 0; i < 2; i++ {
+			eng.At(time.Duration(i)*100*time.Millisecond, func() {
+				cli.Ping(ipB, 64, func(rtt time.Duration) { rtts = append(rtts, rtt) })
+			})
+		}
+		eng.Run(time.Second)
+		if len(rtts) != 2 {
+			t.Fatalf("%s: replies = %d", tc.name, len(rtts))
+		}
+		if want := 6*time.Millisecond + 4*tc.hop; rtts[1] != want {
+			t.Errorf("%s: RTT %v, want %v (links plus the model's per-switch cost)", tc.name, rtts[1], want)
+		}
 	}
 }
 

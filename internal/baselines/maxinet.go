@@ -9,53 +9,31 @@ import (
 	"repro/internal/sim"
 )
 
-// MaxinetOptions tune the distributed-emulation model.
-type MaxinetOptions struct {
-	// Workers is the number of physical machines switches are sharded
-	// over (the paper uses 4).
-	Workers int
-	// ControllerRTT is the network round trip from a switch to its
-	// external SDN controller (default 2ms).
-	ControllerRTT time.Duration
-	// ControllerServiceRate is flow-setup requests the controller
-	// handles per second before queueing (default 4000/s per
-	// controller; the paper runs 4 POX instances).
-	ControllerServiceRate float64
-	// Controllers is the number of controller instances (default 4).
-	Controllers int
-	// TunnelOverhead is the extra per-packet latency when a link
-	// crosses workers (GRE tunnelling; default 60µs).
-	TunnelOverhead time.Duration
-	// FlowIdleTimeout evicts switch flow entries; expired entries force
-	// a fresh controller round trip (default 5s, OpenFlow default-ish).
-	FlowIdleTimeout time.Duration
-	// PacketCost is per-packet forwarding work per switch (default 2µs).
-	PacketCost time.Duration
-}
-
-func (o *MaxinetOptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.ControllerRTT <= 0 {
-		o.ControllerRTT = 2 * time.Millisecond
-	}
-	if o.ControllerServiceRate <= 0 {
-		o.ControllerServiceRate = 4000
-	}
-	if o.Controllers <= 0 {
-		o.Controllers = 4
-	}
-	if o.TunnelOverhead <= 0 {
-		o.TunnelOverhead = 60 * time.Microsecond
-	}
-	if o.FlowIdleTimeout <= 0 {
-		o.FlowIdleTimeout = 5 * time.Second
-	}
-	if o.PacketCost <= 0 {
-		o.PacketCost = 2 * time.Microsecond
-	}
-}
+// The distributed-emulation model.
+const (
+	// maxinetWorkers is the number of physical machines switches are
+	// sharded over (the paper uses 4).
+	maxinetWorkers = 4
+	// maxinetControllerRTT is the network round trip from a switch to
+	// its external SDN controller.
+	maxinetControllerRTT = 2 * time.Millisecond
+	// maxinetControllerServiceRate is the flow-setup requests per second
+	// one controller handles before queueing.
+	maxinetControllerServiceRate = 4000
+	// maxinetControllers is the number of controller instances (the
+	// paper runs 4 POX instances).
+	maxinetControllers = 4
+	// maxinetTunnelOverhead is the extra per-packet latency when a link
+	// crosses workers (GRE tunnelling).
+	maxinetTunnelOverhead = 60 * time.Microsecond
+	// maxinetFlowIdleTimeout evicts switch flow entries: reactive
+	// forwarding with short idle timeouts, so every ping after an expiry
+	// pays the controller round trip at each switch — the overhead the
+	// paper measures in Table 4.
+	maxinetFlowIdleTimeout = 500 * time.Millisecond
+	// maxinetPacketCost is per-packet forwarding work per switch.
+	maxinetPacketCost = 2 * time.Microsecond
+)
 
 // Maxinet extends the Mininet model across worker machines: switches are
 // sharded over workers (links crossing shards pay tunnel overhead), and
@@ -64,45 +42,27 @@ func (o *MaxinetOptions) defaults() {
 // Maxinet errors.
 type Maxinet struct {
 	*fabric.Network
-	eng *sim.Engine
-	opt MaxinetOptions
-
-	workerOf map[graph.NodeID]int
-	flows    map[mnFlowKey]time.Duration
+	eng   *sim.Engine
+	flows map[mnFlowKey]time.Duration
 	// per-controller queue horizon.
 	ctrlBusy []time.Duration
 
 	// FlowSetups counts controller round trips.
 	FlowSetups int64
-	// TunnelCrossings counts inter-worker hops.
-	TunnelCrossings int64
 }
 
-// NewMaxinet builds the distributed emulator; switches are assigned to
-// workers round-robin (the co-location constraint the paper mentions is a
-// deployment restriction, not a performance feature, so round-robin is the
-// adversarial-but-fair sharding).
-func NewMaxinet(eng *sim.Engine, g *graph.Graph, opt MaxinetOptions) *Maxinet {
-	opt.defaults()
+// NewMaxinet builds the distributed emulator. Switches are sharded over
+// maxinetWorkers machines; the co-location constraint the paper mentions
+// is a deployment restriction, not a performance feature, so the model
+// charges every switch traversal the tunnel overhead of a round-robin
+// (adversarial-but-fair) sharding.
+func NewMaxinet(eng *sim.Engine, g *graph.Graph) *Maxinet {
 	m := &Maxinet{
 		eng:      eng,
-		opt:      opt,
-		workerOf: make(map[graph.NodeID]int),
 		flows:    make(map[mnFlowKey]time.Duration),
-		ctrlBusy: make([]time.Duration, opt.Controllers),
+		ctrlBusy: make([]time.Duration, maxinetControllers),
 	}
-	i := 0
-	for _, n := range g.Nodes() {
-		if n.Kind == graph.Bridge {
-			m.workerOf[n.ID] = i % opt.Workers
-			i++
-		} else {
-			// Hosts live with the first switch they attach to; derived
-			// lazily from their first hop below.
-			m.workerOf[n.ID] = -1
-		}
-	}
-	m.Network = fabric.New(eng, g, fabric.Options{PerHopDelay: 0, Hook: m.hop})
+	m.Network = fabric.New(eng, g, fabric.Options{Hook: m.hop})
 	return m
 }
 
@@ -112,34 +72,30 @@ func (m *Maxinet) hop(node graph.NodeID, p *packet.Packet, forward func()) {
 		return
 	}
 	now := m.eng.Now()
-	delay := m.opt.PacketCost
+	delay := maxinetPacketCost
 
 	// Tunnel overhead: we charge it per switch traversal whose previous
 	// element lived on a different worker. Without per-packet ingress
 	// tracking we approximate: each switch traversal has probability
 	// (workers-1)/workers of crossing — deterministically charged as an
 	// amortized cost.
-	if m.opt.Workers > 1 {
-		m.TunnelCrossings++
-		amortized := time.Duration(float64(m.opt.TunnelOverhead) * float64(m.opt.Workers-1) / float64(m.opt.Workers))
-		delay += amortized
-	}
+	delay += maxinetTunnelOverhead * (maxinetWorkers - 1) / maxinetWorkers
 
 	if p.Proto == packet.TCP || p.Proto == packet.UDP || p.Proto == packet.ICMP {
 		key := mnFlowKey{sw: node, src: p.Src, dst: p.Dst, srcPort: p.SrcPort, dstPort: p.DstPort}
 		last, known := m.flows[key]
-		if !known || now-last > m.opt.FlowIdleTimeout {
+		if !known || now-last > maxinetFlowIdleTimeout {
 			// Table miss: punt to the controller (RTT + queueing).
 			m.FlowSetups++
-			ctrl := int(node) % m.opt.Controllers
-			service := time.Duration(float64(time.Second) / m.opt.ControllerServiceRate)
-			start := now + m.opt.ControllerRTT/2
+			ctrl := int(node) % maxinetControllers
+			service := time.Second / maxinetControllerServiceRate
+			start := now + maxinetControllerRTT/2
 			if m.ctrlBusy[ctrl] > start {
 				start = m.ctrlBusy[ctrl]
 			}
 			finish := start + service
 			m.ctrlBusy[ctrl] = finish
-			delay += (finish - now) + m.opt.ControllerRTT/2
+			delay += (finish - now) + maxinetControllerRTT/2
 		}
 		m.flows[key] = now
 	}

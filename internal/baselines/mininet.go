@@ -17,33 +17,19 @@ import (
 	"repro/internal/units"
 )
 
-// MininetOptions tune the single-host CPU model.
-type MininetOptions struct {
-	// PacketCost is the forwarding work per packet per switch
-	// (default 1.5µs — software switching on one core share).
-	PacketCost time.Duration
-	// ConnSetupCost is the extra work when a switch sees a new
-	// transport connection (flow-table/L2 state churn; default 150µs).
-	// This is what melts down under the Figure 6 curl workload.
-	ConnSetupCost time.Duration
-	// FlowIdleTimeout evicts per-connection switch state (default 5s).
-	FlowIdleTimeout time.Duration
-}
-
-func (o *MininetOptions) defaults() {
-	if o.PacketCost <= 0 {
-		o.PacketCost = 1500 * time.Nanosecond
-	}
-	if o.ConnSetupCost <= 0 {
-		// Software-switch state churn per new connection (kernel OVS
-		// flow setup + userspace handling on an already-loaded host);
-		// this is what degrades Mininet under the Figure 6 curl storm.
-		o.ConnSetupCost = 2 * time.Millisecond
-	}
-	if o.FlowIdleTimeout <= 0 {
-		o.FlowIdleTimeout = 5 * time.Second
-	}
-}
+// The single-host CPU model.
+const (
+	// mininetPacketCost is the forwarding work per packet per switch:
+	// software switching on one core share.
+	mininetPacketCost = 1500 * time.Nanosecond
+	// mininetConnSetupCost is the extra work when a switch sees a new
+	// transport connection: kernel OVS flow setup plus userspace
+	// handling on an already-loaded host. This is what melts down under
+	// the Figure 6 curl storm.
+	mininetConnSetupCost = 2 * time.Millisecond
+	// mininetFlowIdleTimeout evicts per-connection switch state.
+	mininetFlowIdleTimeout = 5 * time.Second
+)
 
 // MininetMaxRate is the highest link bandwidth Mininet can shape: the
 // paper notes it "does not allow imposing bandwidth limits greater than
@@ -63,7 +49,6 @@ const MininetMaxElements = 1500
 type Mininet struct {
 	*fabric.Network
 	eng *sim.Engine
-	opt MininetOptions
 
 	// shared CPU: a busy-until horizon; work queues behind it.
 	busyUntil time.Duration
@@ -88,8 +73,7 @@ type mnFlowKey struct {
 
 // NewMininet builds the emulator for a topology. It fails if any link
 // exceeds MininetMaxRate, mirroring the real tool's limitation.
-func NewMininet(eng *sim.Engine, g *graph.Graph, opt MininetOptions) (*Mininet, error) {
-	opt.defaults()
+func NewMininet(eng *sim.Engine, g *graph.Graph) (*Mininet, error) {
 	if g.NumNodes() > MininetMaxElements {
 		return nil, fmt.Errorf("baselines: mininet cannot emulate %d elements on one host (limit %d)",
 			g.NumNodes(), MininetMaxElements)
@@ -102,11 +86,8 @@ func NewMininet(eng *sim.Engine, g *graph.Graph, opt MininetOptions) (*Mininet, 
 			return nil, fmt.Errorf("baselines: mininet cannot shape %v (limit %v)", bw, MininetMaxRate)
 		}
 	}
-	m := &Mininet{eng: eng, opt: opt, flows: make(map[mnFlowKey]time.Duration)}
-	m.Network = fabric.New(eng, g, fabric.Options{
-		PerHopDelay: 0, // the CPU model supplies per-hop cost
-		Hook:        m.hop,
-	})
+	m := &Mininet{eng: eng, flows: make(map[mnFlowKey]time.Duration)}
+	m.Network = fabric.New(eng, g, fabric.Options{Hook: m.hop})
 	return m, nil
 }
 
@@ -117,12 +98,12 @@ func (m *Mininet) hop(node graph.NodeID, p *packet.Packet, forward func()) {
 		return
 	}
 	now := m.eng.Now()
-	cost := m.opt.PacketCost
+	cost := mininetPacketCost
 	if p.Proto == packet.TCP || p.Proto == packet.UDP {
 		key := mnFlowKey{sw: node, src: p.Src, dst: p.Dst, srcPort: p.SrcPort, dstPort: p.DstPort}
 		last, known := m.flows[key]
-		if !known || now-last > m.opt.FlowIdleTimeout {
-			cost += m.opt.ConnSetupCost
+		if !known || now-last > mininetFlowIdleTimeout {
+			cost += mininetConnSetupCost
 			m.FlowsInstalled++
 		}
 		m.flows[key] = now

@@ -127,8 +127,7 @@ func (t managerTransport) SendTo(host int, frame []byte) {
 
 // sendWire puts one metadata datagram on the cluster fabric.
 func (m *Manager) sendWire(host int, frame []byte) {
-	port := m.rt.opts.MetadataPort
-	m.stack.SendFrame(m.emIPs[host], port, port, frame)
+	m.stack.SendFrame(m.emIPs[host], metadataPort, metadataPort, frame)
 }
 
 // sendChaos routes one datagram through the armed chaos injector, which
@@ -151,8 +150,7 @@ func (m *Manager) deliverChaos(d time.Duration, p []byte) {
 		m.sendWire(m.chaosTo, frame)
 		return
 	}
-	port := m.rt.opts.MetadataPort
-	pkt := m.stack.FrameDatagram(m.emIPs[m.chaosTo], port, port, frame)
+	pkt := m.stack.FrameDatagram(m.emIPs[m.chaosTo], metadataPort, metadataPort, frame)
 	m.rt.Eng.AtPacket(m.rt.Eng.Now()+d, m.sendLater, pkt)
 }
 
@@ -204,7 +202,7 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		return nil, err
 	}
 	m.stack = transport.NewStack(rt.Eng, rt.Cluster, emIPs[host])
-	m.stack.HandleFrame(rt.opts.MetadataPort, m.onMetadata)
+	m.stack.HandleFrame(metadataPort, m.onMetadata)
 	return m, nil
 }
 
@@ -309,7 +307,7 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 			if p == nil {
 				continue // unknown destination or unreachable path
 			}
-			if demand < m.rt.opts.ActiveThreshold {
+			if demand < activeThreshold {
 				// Idle: release the allocation back to the path max so
 				// a future flow starts unthrottled.
 				if c.lastAlloc[dstIP] != p.Bandwidth {
@@ -442,7 +440,7 @@ func (m *Manager) demandLocal(f *localFlow) units.Bandwidth {
 	if f.alloc <= 0 || f.demand*2 >= f.alloc {
 		return 0 // greedy
 	}
-	return units.Bandwidth(float64(f.demand) * m.rt.opts.DemandHeadroom)
+	return units.Bandwidth(float64(f.demand) * demandHeadroom)
 }
 
 // demandOf applies the same rule to remote flows, where only usage is
@@ -451,7 +449,7 @@ func (m *Manager) demandLocal(f *localFlow) units.Bandwidth {
 // flow's own Manager anyway; this estimate only shapes how much of the
 // shared links we reserve for them.
 func (m *Manager) demandOf(usage units.Bandwidth) units.Bandwidth {
-	return units.Bandwidth(float64(usage) * m.rt.opts.DemandHeadroom)
+	return units.Bandwidth(float64(usage) * demandHeadroom)
 }
 
 // linkCaps returns the dense per-link capacity table for the current
@@ -472,6 +470,17 @@ func (m *Manager) linkCaps() []float64 {
 	}
 	m.capsGen = gen
 	return m.caps
+}
+
+// enforcedRate is the rate a flow's htb is set to from its two solver
+// passes: the larger of the demand-aware share and the entitlement, and
+// never below 1 Kb/s. The accuracy probe's oracle applies the same rule.
+func enforcedRate(withDemand, entitled units.Bandwidth) units.Bandwidth {
+	rate := max(withDemand, entitled)
+	if rate <= 0 {
+		rate = units.Kbps
+	}
+	return rate
 }
 
 // enforce applies the allocation to local flows: htb rate per destination
@@ -529,13 +538,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	for i := range local {
 		f := &local[i]
 		// Local flows occupy the first len(local) slots.
-		rate := withDemand[i].Rate
-		if entitled[i].Rate > rate {
-			rate = entitled[i].Rate
-		}
-		if rate <= 0 {
-			rate = units.Kbps
-		}
+		rate := enforcedRate(withDemand[i].Rate, entitled[i].Rate)
 		if f.src.lastAlloc[f.dstIP] != rate {
 			_ = f.src.tcal.SetBandwidth(f.dstIP, rate)
 			f.src.lastAlloc[f.dstIP] = rate

@@ -105,13 +105,7 @@ func (rt *Runtime) shareDeviation() (mean, max float64, ok bool) {
 
 	n := 0
 	for i := range flows {
-		oracle := withDemand[i].Rate
-		if entitled[i].Rate > oracle {
-			oracle = entitled[i].Rate
-		}
-		if oracle <= 0 {
-			oracle = units.Kbps // the enforcement floor
-		}
+		oracle := enforcedRate(withDemand[i].Rate, entitled[i].Rate)
 		dev := float64(obsRates[i]-oracle) / float64(oracle)
 		if dev < 0 {
 			dev = -dev

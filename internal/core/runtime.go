@@ -30,13 +30,6 @@ type Options struct {
 	// released artifact's value; it bounds the shortest flows Kollaps
 	// can shape, §6).
 	Period time.Duration
-	// ActiveThreshold is the usage rate below which a flow is considered
-	// idle (default 10 Kb/s).
-	ActiveThreshold units.Bandwidth
-	// DemandHeadroom multiplies observed usage to form the demand
-	// estimate handed to the sharing model, letting growing flows claim
-	// more every period (default 2.0).
-	DemandHeadroom float64
 	// InjectLoss enables the §3 congestion-loss workaround: netem loss
 	// proportional to sustained oversubscription. On a Linux kernel this
 	// is the *only* loss signal because htb backpressures (TSQ) instead
@@ -44,8 +37,6 @@ type Options struct {
 	// signal already exists and the workaround defaults off. Enable it
 	// to study the paper's mechanism in isolation.
 	InjectLoss bool
-	// MetadataPort is the UDP port Managers exchange metadata on.
-	MetadataPort uint16
 	// Dissem selects and tunes the metadata-dissemination strategy
 	// (default: the paper's full-mesh broadcast). NumHosts and Wide are
 	// filled in at deployment.
@@ -74,16 +65,19 @@ func (o *Options) defaults() {
 	if o.Period <= 0 {
 		o.Period = 50 * time.Millisecond
 	}
-	if o.ActiveThreshold <= 0 {
-		o.ActiveThreshold = 10 * units.Kbps
-	}
-	if o.DemandHeadroom <= 0 {
-		o.DemandHeadroom = 2.0
-	}
-	if o.MetadataPort == 0 {
-		o.MetadataPort = 7946
-	}
 }
+
+const (
+	// activeThreshold is the usage rate below which a flow is considered
+	// idle.
+	activeThreshold = 10 * units.Kbps
+	// demandHeadroom multiplies observed usage to form the demand
+	// estimate handed to the sharing model, letting growing flows claim
+	// more every period.
+	demandHeadroom = 2.0
+	// metadataPort is the UDP port Managers exchange metadata on.
+	metadataPort = 7946
+)
 
 // Container is one deployed application container: an IP on the physical
 // cluster, a transport stack for its application, and a TCAL shaping its

@@ -137,7 +137,8 @@ type Config struct {
 	// SuspectAfter is the failure-detection threshold, in emulation
 	// periods: a peer this node expects traffic from (every peer for
 	// Delta, overlay neighbors for Tree) that stays silent for more than
-	// SuspectAfter consecutive publishes is suspected dead (default 3).
+	// SuspectAfter consecutive publishes is suspected dead (default
+	// DefaultSuspectAfter).
 	// Suspected peers stop pinning Delta's ack baseline and are routed
 	// around in the Tree overlay; the first datagram heard from one
 	// re-admits it. Broadcast needs no suspicion — its per-peer view
@@ -156,6 +157,10 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// DefaultSuspectAfter is Config.SuspectAfter's default, in emulation
+// periods, and the threshold every deployment runs with.
+const DefaultSuspectAfter = 3
+
 // withDefaults returns a validated configuration's normalized copy.
 func (c Config) withDefaults() Config {
 	if c.Epsilon == 0 {
@@ -173,7 +178,7 @@ func (c Config) withDefaults() Config {
 		c.Fanout = 4
 	}
 	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 3
+		c.SuspectAfter = DefaultSuspectAfter
 	}
 	return c
 }
@@ -476,7 +481,7 @@ func New(cfg Config, host int, tr Transport) (Node, error) {
 
 // ---- shared wire helpers ----
 //
-// Broadcast reuses metadata.Encode verbatim (no extra framing — the bytes
+// Broadcast reuses metadata.AppendEncode verbatim (no extra framing — the bytes
 // on the wire are exactly the paper's format). The other strategies
 // prepend a one-byte message type followed by the sender id:
 //

@@ -357,11 +357,11 @@ func TestBroadcastWireMatchesPaperFormat(t *testing.T) {
 		t.Fatal("no datagrams sent")
 	}
 	// The paper's §4.2 report format rides verbatim inside the integrity
-	// envelope: envelope header, then byte-identical metadata.Encode.
+	// envelope: envelope header, then byte-identical metadata.AppendEncode.
 	if got := h.sent[0].payload; len(got) < envHeaderLen || got[0] != envVersion {
 		t.Fatalf("broadcast datagram not enveloped: % x", got)
 	}
-	if want := metadata.Encode(msg, false); !bytes.Equal(unsealed(h.sent[0].payload), want) {
+	if want := metadata.AppendEncode(nil, msg, false); !bytes.Equal(unsealed(h.sent[0].payload), want) {
 		t.Fatalf("broadcast wire bytes differ from the paper's metadata format:\n%x\n%x", unsealed(h.sent[0].payload), want)
 	}
 }
@@ -809,7 +809,7 @@ func TestBogusSenderIDIgnored(t *testing.T) {
 		// cleanly under every strategy's length checks.
 		bogusDelta := append([]byte{msgDeltaFull, 0xFF, 0xFF}, make([]byte, 14)...)
 		// Broadcast frame claiming host 0xFFFF.
-		bogusBcast := metadata.Encode(&metadata.Message{Host: 0xFFFF}, false)
+		bogusBcast := metadata.AppendEncode(nil, &metadata.Message{Host: 0xFFFF}, false)
 		// Tree up claiming an out-of-range child.
 		bogusTree := []byte{msgTreeUp, 0xFF, 0xFF, 0, 0}
 		// Gossip pull claiming an out-of-range requester (replying would

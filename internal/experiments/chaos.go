@@ -137,8 +137,7 @@ func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[stri
 		At(healAt, chaos.Heal()).
 		At(faultEnd, chaos.Off())
 	d := newDumbbell("chaos", n, period, plan, nil, kollaps.WithDissem(strategy,
-		kollaps.DissemEpsilon(dissemEpsilon),
-		kollaps.DissemSuspectAfter(failoverSuspectAfter)))
+		kollaps.DissemEpsilon(dissemEpsilon)))
 	run := chaosRun{originPaths: d.originPaths(originPaths, faultStart-period/2)}
 	cutBlind := func(v, o int) bool { return v == chaosCutTo && o == chaosCutFrom }
 

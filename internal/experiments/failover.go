@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dissem"
 	"repro/kollaps"
 )
 
@@ -60,9 +61,6 @@ type FailoverReport struct {
 	Strategies   []FailoverStrategyResult `json:"strategies"`
 }
 
-// failoverSuspectAfter is the suspicion threshold under test (periods).
-const failoverSuspectAfter = 3
-
 // failoverRun is one strategy's raw outcome.
 type failoverRun struct {
 	res         FailoverStrategyResult
@@ -81,8 +79,7 @@ func runFailover(strategy string, n, deadPeriods int, originPaths map[int]map[st
 		steadyPeriods = 40
 	)
 	d := newDumbbell("failover", n, period, nil, nil, kollaps.WithDissem(strategy,
-		kollaps.DissemEpsilon(dissemEpsilon),
-		kollaps.DissemSuspectAfter(failoverSuspectAfter)))
+		kollaps.DissemEpsilon(dissemEpsilon)))
 	warmup := warmupPeriods * period
 	killAt := warmup + steadyPeriods*period
 	restartAt := killAt + time.Duration(deadPeriods)*period
@@ -103,7 +100,7 @@ func runFailover(strategy string, n, deadPeriods int, originPaths map[int]map[st
 	// surviving manager's coverage of live flows, plus any dead-manager
 	// flows still visible.
 	run.res.ViewCompleteness = 1.0
-	d.midPeriods(killAt, max(deadPeriods-10, failoverSuspectAfter+4), deadPeriods, func(int) {
+	d.midPeriods(killAt, max(deadPeriods-10, dissem.DefaultSuspectAfter+4), deadPeriods, func(int) {
 		surviving := d.completeness(func(v, o int) bool { return v == 1 || o == 1 })
 		run.res.ViewCompleteness = min(run.res.ViewCompleteness, surviving)
 		for v := 0; v < n; v++ {
@@ -123,7 +120,7 @@ func runFailover(strategy string, n, deadPeriods int, originPaths map[int]map[st
 	// phase (suspicion plus expiry excluded) — the share-deviation input.
 	// Both window edges are snapshotted: the counters keep accumulating
 	// through the recovery phase, which must not dilute the metric.
-	devFrom := killAt + time.Duration(failoverSuspectAfter+4)*period
+	devFrom := killAt + time.Duration(dissem.DefaultSuspectAfter+4)*period
 	atDevFrom := make([]int64, len(d.received))
 	atRestart := make([]int64, len(d.received))
 	d.exp.Eng.At(devFrom, func() { copy(atDevFrom, d.received) })
@@ -171,13 +168,13 @@ func RunFailover(path string, n, deadPeriods int) (*Table, *FailoverReport, erro
 	if deadPeriods <= 0 {
 		deadPeriods = 50
 	}
-	deadPeriods = max(deadPeriods, failoverSuspectAfter+15)
+	deadPeriods = max(deadPeriods, dissem.DefaultSuspectAfter+15)
 	report := &FailoverReport{
 		N:            n,
 		FlowsPerHost: dissemFlowsPerHost,
 		KilledHost:   1,
 		DeadPeriods:  deadPeriods,
-		SuspectAfter: failoverSuspectAfter,
+		SuspectAfter: dissem.DefaultSuspectAfter,
 		PeriodMs:     50,
 	}
 	table := &Table{

@@ -37,7 +37,7 @@ func fig10Topology(latencyScale float64) *kollaps.Experiment {
 // fig10Point runs the YCSB workload at one aggregate target rate and
 // returns (achieved ops/s, mean read ms, mean update ms, overall ms).
 func fig10Point(provider apps.StackProvider, eng *sim.Engine, totalRate float64, duration time.Duration) (float64, float64, float64, float64) {
-	cl, err := apps.DeployCassandra(eng, provider, 4, totalRate/4, apps.CassandraOptions{})
+	cl, err := apps.DeployCassandra(eng, provider, 4, totalRate/4)
 	if err != nil {
 		panic(err)
 	}

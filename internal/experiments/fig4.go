@@ -50,14 +50,14 @@ func RunFig4(duration time.Duration, hostCounts []int, connsPerClient int) *Tabl
 		var clients []*apps.MemtierClient
 		for i := range regions {
 			srv, _ := exp.Container(fmt.Sprintf("mc%d", i))
-			apps.NewKVServer(exp.Eng, srv.Stack, 11211, apps.KVOptions{})
+			apps.NewKVServer(exp.Eng, srv.Stack, 11211)
 			// Two local clients and one remote (from the next region).
 			for j := 0; j < 2; j++ {
 				cl, _ := exp.Container(fmt.Sprintf("cl%d-%d", i, j))
-				clients = append(clients, apps.NewMemtierClient(exp.Eng, cl.Stack, srv.IP, 11211, connsPerClient, apps.KVOptions{}))
+				clients = append(clients, apps.NewMemtierClient(exp.Eng, cl.Stack, srv.IP, 11211, connsPerClient))
 			}
 			remote, _ := exp.Container(fmt.Sprintf("cl%d-2", (i+1)%len(regions)))
-			clients = append(clients, apps.NewMemtierClient(exp.Eng, remote.Stack, srv.IP, 11211, connsPerClient, apps.KVOptions{}))
+			clients = append(clients, apps.NewMemtierClient(exp.Eng, remote.Stack, srv.IP, 11211, connsPerClient))
 		}
 		exp.Run(duration)
 		var total int64

@@ -104,7 +104,7 @@ func newMininetProvider(yaml string) (*mininetProvider, *sim.Engine) {
 		panic(err)
 	}
 	eng := sim.NewEngine(42)
-	mn, err := baselines.NewMininet(eng, g, baselines.MininetOptions{})
+	mn, err := baselines.NewMininet(eng, g)
 	if err != nil {
 		panic(err)
 	}

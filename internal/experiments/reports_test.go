@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/dissem"
 )
 
 // TestCommittedReportsRegenerate re-runs the failover, chaos and sweep
@@ -44,7 +46,7 @@ func TestCommittedReportsRegenerate(t *testing.T) {
 		})
 		// Reconvergence within the suspicion threshold plus the Tree
 		// overlay's depth, ceil(log_4 N).
-		bound := failoverSuspectAfter
+		bound := dissem.DefaultSuspectAfter
 		for reach := 1; reach < report.N; reach *= 4 {
 			bound++
 		}
@@ -75,7 +77,7 @@ func TestCommittedReportsRegenerate(t *testing.T) {
 		})
 		// Suspicion + overlay reroute + one resync cycle, widened for the
 		// fault noise still running while the heal is measured.
-		const healBound = failoverSuspectAfter + 7
+		const healBound = dissem.DefaultSuspectAfter + 7
 		for _, s := range report.Strategies {
 			if s.FaultsInjected == 0 || s.Dropped == 0 || s.Duplicated == 0 ||
 				s.Reordered == 0 || s.Corrupted == 0 || s.Blocked == 0 {

@@ -88,7 +88,7 @@ func table2Mininet(rate units.Bandwidth, d time.Duration) (float64, bool) {
 	a := g.MustAddNode("c1", graph.Service)
 	b := g.MustAddNode("sv", graph.Service)
 	g.AddBiLink(a, b, graph.LinkProps{Latency: time.Millisecond, Bandwidth: rate})
-	mn, err := baselines.NewMininet(eng, g, baselines.MininetOptions{})
+	mn, err := baselines.NewMininet(eng, g)
 	if err != nil {
 		return 0, false // >1Gb/s: the real tool refuses too
 	}

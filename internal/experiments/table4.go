@@ -180,7 +180,7 @@ func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, pairs in
 
 func table4Mininet(g *graph.Graph, pairs int, duration time.Duration) (float64, bool) {
 	eng := sim.NewEngine(42)
-	mn, err := baselines.NewMininet(eng, g, baselines.MininetOptions{})
+	mn, err := baselines.NewMininet(eng, g)
 	if err != nil {
 		return 0, false
 	}
@@ -189,11 +189,6 @@ func table4Mininet(g *graph.Graph, pairs int, duration time.Duration) (float64, 
 
 func table4Maxinet(g *graph.Graph, pairs int, duration time.Duration) float64 {
 	eng := sim.NewEngine(42)
-	// Reactive forwarding with short idle timeouts: every ping after an
-	// expiry pays the controller round trip at each switch — the
-	// overhead the paper measures.
-	mx := baselines.NewMaxinet(eng, g, baselines.MaxinetOptions{
-		FlowIdleTimeout: 500 * time.Millisecond,
-	})
+	mx := baselines.NewMaxinet(eng, g)
 	return fabricPingMSE(eng, mx.Network, g, pairs, duration)
 }

@@ -35,10 +35,8 @@ type Options struct {
 	// PerHopDelay models fixed switching/forwarding latency per network
 	// element traversed (default 20µs — a hardware switch).
 	PerHopDelay time.Duration
-	// QueueBytes overrides the per-link queue size; 0 derives it from the
-	// link's bandwidth-delay product (min 32 KiB, ~1.5 BDP).
-	QueueBytes int
-	// Hook, when set, runs at every node a packet traverses.
+	// Hook, when set, runs at every node a packet traverses and owns the
+	// per-hop cost: PerHopDelay is then not charged.
 	Hook HopHook
 }
 
@@ -51,7 +49,7 @@ type Network struct {
 	// Every per-packet lookup is an index, never a hash: link ids, node
 	// ids and endpoint slots are dense.
 	pipes  []*pipe   // by graph link id; nil for a removed link
-	bridge []bool    // by node id: the node pays PerHopDelay
+	bridge []bool    // by node id: the node pays PerHopDelay (never with a Hook)
 	routes [][]int32 // node -> dst node -> out link id or a route sentinel; rows filled lazily
 	// addrs reaches an endpoint from 10.b.c.d through the octets b, c, d
 	// (1 KiB leaf pages); a leaf entry is an index into endpoints plus one,
@@ -114,7 +112,7 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 		}
 	}
 	for id, node := range g.Nodes() {
-		n.bridge[id] = node.Kind == graph.Bridge
+		n.bridge[id] = node.Kind == graph.Bridge && opt.PerHopDelay > 0 && opt.Hook == nil
 	}
 	return n
 }
@@ -135,7 +133,7 @@ func (n *Network) buildPipe(id int) {
 			p.waiters.Pop()()
 		}
 	}
-	n.setQueue(p.tb, l.LinkProps)
+	p.tb.SetQueueLimit(queueBytes(l.LinkProps))
 	n.pipes[id] = p
 }
 
@@ -173,18 +171,11 @@ func (n *Network) NotifyWritable(src, dst packet.IP, fn func()) {
 	p.waiters.Push(fn)
 }
 
-func (n *Network) setQueue(tb *netem.TokenBucket, lp graph.LinkProps) {
-	q := n.opt.QueueBytes
-	if q == 0 {
-		// 1.5 × bandwidth-delay product, floor 32 KiB: the classic router
-		// buffer sizing rule [82, 84].
-		bdp := lp.Bandwidth.BytesIn(2*lp.Latency + 20*time.Millisecond)
-		q = int(1.5 * bdp)
-		if q < 32*1024 {
-			q = 32 * 1024
-		}
-	}
-	tb.SetQueueLimit(q)
+// queueBytes sizes a link's queue at 1.5 × its bandwidth-delay product,
+// floor 32 KiB: the classic router buffer sizing rule [82, 84].
+func queueBytes(lp graph.LinkProps) int {
+	bdp := lp.Bandwidth.BytesIn(2*lp.Latency + 20*time.Millisecond)
+	return max(int(1.5*bdp), 32*1024)
 }
 
 // Engine returns the simulation engine the fabric runs on.
@@ -314,7 +305,7 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 		n.drop(p)
 		return
 	}
-	if n.opt.PerHopDelay > 0 && n.bridge[node] {
+	if n.bridge[node] {
 		pipe.hop.At(n.eng.Now()+n.opt.PerHopDelay, p)
 		return
 	}
@@ -383,7 +374,7 @@ func (n *Network) SetLinkProps(id int, lp graph.LinkProps) {
 		return
 	}
 	p.tb.SetRate(lp.Bandwidth)
-	n.setQueue(p.tb, lp)
+	p.tb.SetQueueLimit(queueBytes(lp))
 	p.ne.Set(lp.Latency, lp.Jitter, lp.Loss)
 }
 

@@ -362,8 +362,13 @@ func TestZeroBandwidthReleasesBacklog(t *testing.T) {
 	g := graph.New()
 	a := g.MustAddNode("a", graph.Service)
 	b := g.MustAddNode("b", graph.Service)
-	fwd := g.AddLink(a, b, props(time.Millisecond, units.Mbps))
-	nw := New(eng, g, Options{QueueBytes: 1 << 20})
+	// At 20 Mb/s the BDP rule queues the whole 75 kB burst.
+	lp := props(time.Millisecond, 20*units.Mbps)
+	if q := queueBytes(lp); q < 50*packet.MTU {
+		t.Fatalf("setup: queue %d B cannot hold the 50-packet burst", q)
+	}
+	fwd := g.AddLink(a, b, lp)
+	nw := New(eng, g, Options{})
 	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
 	delivered := 0
 	nw.AttachEndpoint(a, ipA, nil)
@@ -372,7 +377,7 @@ func TestZeroBandwidthReleasesBacklog(t *testing.T) {
 		nw.Send(&packet.Packet{Src: ipA, Dst: ipB, Size: packet.MTU})
 	}
 	if nw.Writable(ipA, ipB, packet.MSS) {
-		t.Fatal("setup: first hop still writable with 75 kB queued at 1 Mb/s")
+		t.Fatal("setup: first hop still writable with 75 kB queued at 20 Mb/s")
 	}
 	var woken []int
 	for i := 0; i < 3; i++ {

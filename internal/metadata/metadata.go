@@ -50,16 +50,13 @@ type Message struct {
 // (more than 256 distinct links).
 func Wide(numLinks int) bool { return numLinks > 256 }
 
-// Encode serializes the message. wide selects 2-byte link ids.
+// AppendEncode serializes the message, appending to buf so a per-period
+// sender reuses one buffer. wide selects 2-byte link ids.
 //
 // Counts saturate instead of wrapping: a message with more than 65535
 // flows encodes only the first 65535 (and more than 255 links per flow
 // only the first 255), bumping wire.Saturations — the pre-fix behavior
 // wrapped the count field and desynchronized every decoder downstream.
-func Encode(m *Message, wide bool) []byte { return AppendEncode(nil, m, wide) }
-
-// AppendEncode is Encode appending to buf, so a per-period sender reuses
-// one buffer.
 func AppendEncode(buf []byte, m *Message, wide bool) []byte {
 	flows := m.Flows
 	if n := int(wire.U16(len(flows), nil)); n < len(flows) {
@@ -87,16 +84,8 @@ func AppendEncode(buf []byte, m *Message, wide bool) []byte {
 	return buf
 }
 
-// Decode parses a message encoded with the same width.
-func Decode(b []byte, wide bool) (*Message, error) {
-	m := new(Message)
-	if _, err := DecodeInto(m, nil, b, wide); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeInto is Decode into storage the caller owns: m.Flows is reused
+// DecodeInto parses a message encoded with the same width into storage
+// the caller owns: m.Flows is reused
 // (its capacity kept) and every flow's Links is a sub-slice of the links
 // arena, which is appended to and returned — a per-datagram receiver
 // passes last time's arena[:0] and allocates nothing once warm. On error

@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// decode is DecodeInto into a fresh message.
+func decode(b []byte, wide bool) (*Message, error) {
+	m := new(Message)
+	_, err := DecodeInto(m, nil, b, wide)
+	return m, err
+}
+
 func sample() *Message {
 	return &Message{
 		Host: 3,
@@ -20,8 +27,8 @@ func sample() *Message {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, wide := range []bool{false, true} {
 		m := sample()
-		b := Encode(m, wide)
-		got, err := Decode(b, wide)
+		b := AppendEncode(nil, m, wide)
+		got, err := decode(b, wide)
 		if err != nil {
 			t.Fatalf("wide=%v: %v", wide, err)
 		}
@@ -36,12 +43,12 @@ func TestEncodedSizeMatchesPaperFormat(t *testing.T) {
 	// per flow: 4 bytes bandwidth + 1 byte link count + 1 byte per link
 	// (narrow) per §4.2.
 	m := sample()
-	b := Encode(m, false)
+	b := AppendEncode(nil, m, false)
 	want := 2 + 2 + (4 + 1 + 4) + (4 + 1 + 4) + (4 + 1 + 1)
 	if len(b) != want {
 		t.Fatalf("narrow size = %d, want %d", len(b), want)
 	}
-	bw := Encode(m, true)
+	bw := AppendEncode(nil, m, true)
 	wantWide := 2 + 2 + (4 + 1 + 8) + (4 + 1 + 8) + (4 + 1 + 2)
 	if len(bw) != wantWide {
 		t.Fatalf("wide size = %d, want %d", len(bw), wantWide)
@@ -55,14 +62,14 @@ func TestFitsSingleDatagram(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		m.Flows = append(m.Flows, FlowRecord{BPS: 50_000_000, Links: []uint16{1, 2, 3, 4}})
 	}
-	if n := len(Encode(m, false)); n > 1472 {
+	if n := len(AppendEncode(nil, m, false)); n > 1472 {
 		t.Fatalf("40-flow message is %d bytes, exceeds one datagram", n)
 	}
 }
 
 func TestEmptyMessage(t *testing.T) {
 	m := &Message{Host: 9}
-	got, err := Decode(Encode(m, false), false)
+	got, err := decode(AppendEncode(nil, m, false), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,25 +82,25 @@ func TestDecodeErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1},
-		{0, 1, 0, 1},                          // one flow promised, no data
-		{0, 1, 0, 1, 0, 0, 0, 1},              // truncated mid-flow
-		append(Encode(sample(), false), 0xFF), // trailing garbage
+		{0, 1, 0, 1},             // one flow promised, no data
+		{0, 1, 0, 1, 0, 0, 0, 1}, // truncated mid-flow
+		append(AppendEncode(nil, sample(), false), 0xFF), // trailing garbage
 	}
 	for i, b := range cases {
-		if _, err := Decode(b, false); err == nil {
+		if _, err := decode(b, false); err == nil {
 			t.Errorf("case %d: expected decode error", i)
 		}
 	}
 	// Width mismatch on a multi-link message must error or mis-parse,
 	// never panic.
-	b := Encode(sample(), true)
+	b := AppendEncode(nil, sample(), true)
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Errorf("width mismatch panicked: %v", r)
 			}
 		}()
-		_, _ = Decode(b, false)
+		_, _ = decode(b, false)
 	}()
 }
 
@@ -109,7 +116,7 @@ func TestWideBoundaryRoundTrip(t *testing.T) {
 			{BPS: 3_000, Links: []uint16{65535}},
 		},
 	}
-	got, err := Decode(Encode(m, true), true)
+	got, err := decode(AppendEncode(nil, m, true), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +126,8 @@ func TestWideBoundaryRoundTrip(t *testing.T) {
 	// A narrow encoding cannot represent ids above 255: the byte cast
 	// must wrap (the runtime never narrow-encodes such topologies, by
 	// the Wide rule), never panic.
-	narrow := Encode(m, false)
-	if dec, err := Decode(narrow, false); err == nil {
+	narrow := AppendEncode(nil, m, false)
+	if dec, err := decode(narrow, false); err == nil {
 		if reflect.DeepEqual(dec, m) {
 			t.Fatal("narrow encoding cannot faithfully carry links > 255")
 		}
@@ -130,7 +137,7 @@ func TestWideBoundaryRoundTrip(t *testing.T) {
 // TestDecodeErrorsTruncatedWide covers malformed datagrams specific to
 // the 2-byte link encoding and lying length fields.
 func TestDecodeErrorsTruncatedWide(t *testing.T) {
-	full := Encode(sample(), true)
+	full := AppendEncode(nil, sample(), true)
 	cases := [][]byte{
 		full[:len(full)-1],                // cut mid link id
 		full[:5],                          // cut inside the first flow header
@@ -138,7 +145,7 @@ func TestDecodeErrorsTruncatedWide(t *testing.T) {
 		{0, 1, 0, 1, 0, 0, 0, 1, 9, 0, 5}, // 9 links promised, 1 present
 	}
 	for i, b := range cases {
-		if _, err := Decode(b, true); err == nil {
+		if _, err := decode(b, true); err == nil {
 			t.Errorf("case %d: expected decode error", i)
 		}
 	}
@@ -157,7 +164,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			m.Flows = append(m.Flows, FlowRecord{BPS: b, Links: []uint16{r[0], r[1], r[2]}})
 		}
-		got, err := Decode(Encode(m, true), true)
+		got, err := decode(AppendEncode(nil, m, true), true)
 		if err != nil {
 			return false
 		}
@@ -178,15 +185,15 @@ func BenchmarkEncode(b *testing.B) {
 	m := sample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Encode(m, false)
+		AppendEncode(nil, m, false)
 	}
 }
 
 func BenchmarkDecode(b *testing.B) {
-	buf := Encode(sample(), false)
+	buf := AppendEncode(nil, sample(), false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf, false); err != nil {
+		if _, err := decode(buf, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,49 +1,16 @@
 // Package orchestrator models the container-orchestration layer Kollaps
 // integrates with (§4): the Deployment Generator that turns a topology
 // description into Docker Swarm Compose or Kubernetes Manifest artifacts,
-// the placement of containers onto physical hosts, and the privileged
-// Bootstrapper that starts an Emulation Manager per machine and attaches
-// an Emulation Core to every application container it observes.
+// and the placement of containers onto physical hosts. The privileged
+// bootstrapper that starts an Emulation Manager per machine appears only
+// as a service of the generated Swarm artifact.
 package orchestrator
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/topology"
-)
-
-// Host is one physical machine in the cluster.
-type Host struct {
-	Name string
-	// Capacity caps the containers placed on this host; 0 = unlimited.
-	Capacity int
-}
-
-// Cluster is the set of physical machines an experiment deploys onto.
-type Cluster struct {
-	Hosts []Host
-}
-
-// NewCluster builds a cluster of n uniform hosts.
-func NewCluster(n int) Cluster {
-	c := Cluster{}
-	for i := 0; i < n; i++ {
-		c.Hosts = append(c.Hosts, Host{Name: fmt.Sprintf("host%d", i)})
-	}
-	return c
-}
-
-// Strategy selects a placement policy.
-type Strategy int
-
-// Placement strategies. RoundRobin spreads containers evenly (the paper's
-// evaluation distributes containers evenly among physical nodes); Packed
-// fills hosts in order, respecting capacities.
-const (
-	RoundRobin Strategy = iota
-	Packed
 )
 
 // Plan is a computed deployment: container-to-host assignments plus the
@@ -56,50 +23,22 @@ type Plan struct {
 	Artifacts map[string]string
 }
 
-// Place computes container placement for the topology's containers.
-func Place(top *topology.Topology, cluster Cluster, s Strategy) (*Plan, error) {
-	if len(cluster.Hosts) == 0 {
-		return nil, fmt.Errorf("orchestrator: empty cluster")
+// Place spreads the topology's containers round-robin over hosts
+// machines, in declaration order: the paper's evaluation distributes
+// containers evenly among physical nodes, and core.NewRuntime places
+// them the same way.
+func Place(top *topology.Topology, hosts int) (*Plan, error) {
+	if hosts < 1 {
+		return nil, fmt.Errorf("orchestrator: need at least one host, got %d", hosts)
 	}
 	if err := top.Validate(); err != nil {
 		return nil, err
 	}
-	var containers []string
-	for _, svc := range top.Services {
-		containers = append(containers, svc.ContainerNames()...)
-	}
 	plan := &Plan{Assignment: make(map[string]int), Artifacts: make(map[string]string)}
-	load := make([]int, len(cluster.Hosts))
-	hostFull := func(h int) bool {
-		cap := cluster.Hosts[h].Capacity
-		return cap > 0 && load[h] >= cap
-	}
-	next := 0
-	for _, name := range containers {
-		h := -1
-		switch s {
-		case Packed:
-			for i := range cluster.Hosts {
-				if !hostFull(i) {
-					h = i
-					break
-				}
-			}
-		default: // RoundRobin
-			for tries := 0; tries < len(cluster.Hosts); tries++ {
-				cand := (next + tries) % len(cluster.Hosts)
-				if !hostFull(cand) {
-					h = cand
-					next = cand + 1
-					break
-				}
-			}
+	for _, svc := range top.Services {
+		for _, name := range svc.ContainerNames() {
+			plan.Assignment[name] = len(plan.Assignment) % hosts
 		}
-		if h < 0 {
-			return nil, fmt.Errorf("orchestrator: cluster capacity exhausted placing %q", name)
-		}
-		plan.Assignment[name] = h
-		load[h]++
 	}
 	return plan, nil
 }
@@ -169,77 +108,12 @@ func GenerateKubernetes(top *topology.Topology, plan *Plan) string {
 }
 
 // Generate runs placement and emits both artifact flavors.
-func Generate(top *topology.Topology, cluster Cluster, s Strategy) (*Plan, error) {
-	plan, err := Place(top, cluster, s)
+func Generate(top *topology.Topology, hosts int) (*Plan, error) {
+	plan, err := Place(top, hosts)
 	if err != nil {
 		return nil, err
 	}
 	plan.Artifacts["docker-compose.yml"] = GenerateSwarm(top, plan)
 	plan.Artifacts["kollaps-k8s.yaml"] = GenerateKubernetes(top, plan)
 	return plan, nil
-}
-
-// Event records a bootstrapper lifecycle step (for observability and
-// tests).
-type Event struct {
-	Host   string
-	Kind   string // "em-started", "ec-attached", "ec-detached"
-	Target string // container name for ec-* events
-}
-
-// Bootstrapper models the privileged per-host component of §4: it starts
-// the host's Emulation Manager and attaches an Emulation Core to every
-// tagged container the Docker daemon reports.
-type Bootstrapper struct {
-	host    string
-	started bool
-	cores   map[string]bool
-	// Log records lifecycle events in order.
-	Log []Event
-}
-
-// NewBootstrapper creates the bootstrapper for one host.
-func NewBootstrapper(host string) *Bootstrapper {
-	return &Bootstrapper{host: host, cores: make(map[string]bool)}
-}
-
-// Start launches the host's Emulation Manager (idempotent).
-func (b *Bootstrapper) Start() {
-	if b.started {
-		return
-	}
-	b.started = true
-	b.Log = append(b.Log, Event{Host: b.host, Kind: "em-started"})
-}
-
-// OnContainerCreated reacts to a container appearing on the host: tagged
-// (emulated) containers get an Emulation Core; others are ignored.
-func (b *Bootstrapper) OnContainerCreated(name string, emulated bool) error {
-	if !b.started {
-		return fmt.Errorf("orchestrator: bootstrapper on %s not started", b.host)
-	}
-	if !emulated || b.cores[name] {
-		return nil
-	}
-	b.cores[name] = true
-	b.Log = append(b.Log, Event{Host: b.host, Kind: "ec-attached", Target: name})
-	return nil
-}
-
-// OnContainerStopped detaches the container's Emulation Core.
-func (b *Bootstrapper) OnContainerStopped(name string) {
-	if b.cores[name] {
-		delete(b.cores, name)
-		b.Log = append(b.Log, Event{Host: b.host, Kind: "ec-detached", Target: name})
-	}
-}
-
-// Cores returns the containers with attached Emulation Cores, sorted.
-func (b *Bootstrapper) Cores() []string {
-	out := make([]string, 0, len(b.cores))
-	for c := range b.cores {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -36,7 +36,7 @@ experiment:
 }
 
 func TestPlaceRoundRobin(t *testing.T) {
-	plan, err := Place(sampleTopology(t), NewCluster(2), RoundRobin)
+	plan, err := Place(sampleTopology(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,57 +53,20 @@ func TestPlaceRoundRobin(t *testing.T) {
 	}
 }
 
-func TestPlacePacked(t *testing.T) {
-	cluster := Cluster{Hosts: []Host{{Name: "a", Capacity: 3}, {Name: "b"}}}
-	plan, err := Place(sampleTopology(t), cluster, Packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := map[int]int{}
-	for _, h := range plan.Assignment {
-		count[h]++
-	}
-	if count[0] != 3 || count[1] != 1 {
-		t.Fatalf("packed placement = %v, want 3+1", count)
-	}
-}
-
-func TestPlaceCapacityExhausted(t *testing.T) {
-	cluster := Cluster{Hosts: []Host{{Name: "a", Capacity: 1}, {Name: "b", Capacity: 1}}}
-	if _, err := Place(sampleTopology(t), cluster, Packed); err == nil {
-		t.Fatal("expected capacity error for 4 containers on 2 slots")
-	}
-}
-
-func TestPlaceRoundRobinRespectsCapacity(t *testing.T) {
-	cluster := Cluster{Hosts: []Host{{Name: "a", Capacity: 1}, {Name: "b"}}}
-	plan, err := Place(sampleTopology(t), cluster, RoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := map[int]int{}
-	for _, h := range plan.Assignment {
-		count[h]++
-	}
-	if count[0] != 1 || count[1] != 3 {
-		t.Fatalf("capacity ignored: %v", count)
-	}
-}
-
 func TestPlaceEmptyCluster(t *testing.T) {
-	if _, err := Place(sampleTopology(t), Cluster{}, RoundRobin); err == nil {
+	if _, err := Place(sampleTopology(t), 0); err == nil {
 		t.Fatal("expected empty-cluster error")
 	}
 }
 
 func TestPlaceInvalidTopology(t *testing.T) {
-	if _, err := Place(&topology.Topology{}, NewCluster(1), RoundRobin); err == nil {
+	if _, err := Place(&topology.Topology{}, 1); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
 
 func TestGenerateArtifacts(t *testing.T) {
-	plan, err := Generate(sampleTopology(t), NewCluster(2), RoundRobin)
+	plan, err := Generate(sampleTopology(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,39 +98,5 @@ func TestGenerateArtifacts(t *testing.T) {
 	// The K8s flavor must not include a bootstrapper (not needed, §4).
 	if strings.Contains(k8s, "bootstrapper") {
 		t.Error("k8s manifest should not contain a bootstrapper")
-	}
-}
-
-func TestBootstrapperLifecycle(t *testing.T) {
-	b := NewBootstrapper("host0")
-	// Attaching before the EM runs is an error.
-	if err := b.OnContainerCreated("c1", true); err == nil {
-		t.Fatal("expected error before Start")
-	}
-	b.Start()
-	b.Start() // idempotent
-	if err := b.OnContainerCreated("c1", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.OnContainerCreated("c1", true); err != nil {
-		t.Fatal(err) // duplicate attach is a no-op
-	}
-	if err := b.OnContainerCreated("sidecar", false); err != nil {
-		t.Fatal(err) // untagged containers are ignored
-	}
-	if err := b.OnContainerCreated("c2", true); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Cores(); len(got) != 2 || got[0] != "c1" || got[1] != "c2" {
-		t.Fatalf("cores = %v", got)
-	}
-	b.OnContainerStopped("c1")
-	b.OnContainerStopped("ghost") // unknown: no-op
-	if got := b.Cores(); len(got) != 1 || got[0] != "c2" {
-		t.Fatalf("cores after stop = %v", got)
-	}
-	// Log ordering: em-started first, then attachments.
-	if b.Log[0].Kind != "em-started" || b.Log[1].Target != "c1" {
-		t.Fatalf("log = %+v", b.Log)
 	}
 }

@@ -79,9 +79,6 @@ func TestDeployHostValidation(t *testing.T) {
 		value string
 	}{
 		{DissemFanout(-3), "Fanout", "-3"},
-		{DissemResync(-1), "ResyncEvery", "-1"},
-		{DissemSuspectAfter(-2), "SuspectAfter", "-2"},
-		{DissemGossipRounds(-4), "GossipRounds", "-4"},
 		// A non-finite epsilon would silently stop Delta from re-sending
 		// any change between resyncs.
 		{DissemEpsilon(math.NaN()), "Epsilon", "NaN"},
@@ -93,7 +90,7 @@ func TestDeployHostValidation(t *testing.T) {
 		}
 	}
 	// Zero still means "default".
-	if err := exp.Deploy(1, WithPeriod(0), WithDissem("gossip", DissemFanout(0), DissemResync(0), DissemSuspectAfter(0), DissemGossipRounds(0))); err != nil {
+	if err := exp.Deploy(1, WithPeriod(0), WithDissem("gossip", DissemFanout(0))); err != nil {
 		t.Fatal(err)
 	}
 	if err := exp.Deploy(1); err == nil {

@@ -113,11 +113,8 @@ func (e *Experiment) Deploy(hosts int, opts ...Option) error {
 	// so an unqueried registry costs nothing. Tracer and probe are opt-in.
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
-	switch {
-	case cfg.traceEvents < 0:
+	if cfg.trace {
 		tracer = obs.NewTracer(obs.DefaultTraceEvents)
-	case cfg.traceEvents > 0:
-		tracer = obs.NewTracer(cfg.traceEvents)
 	}
 	var probe *obs.Probe
 	if cfg.probeEvery > 0 {

@@ -18,7 +18,7 @@ func TestTraceWithManagerChurn(t *testing.T) {
 	exp, _ := deployFailover(t, 4,
 		WithSeed(7),
 		WithDissem("gossip"),
-		WithTrace(1<<14),
+		WithTrace(),
 		WithAccuracyProbe(2),
 	)
 	stop, err := exp.ManagerChurn(4, ChurnDowntime(250*time.Millisecond))

@@ -19,22 +19,19 @@ func (f optionFunc) apply(c *config) { f(c) }
 
 // config is the resolved deployment configuration.
 type config struct {
-	seed        int64
-	period      time.Duration
-	placement   map[string]int
-	injectLoss  bool
-	strategy    string
-	dissem      dissemConfig
-	traceEvents int // 0 = tracing disabled, <0 = default capacity
-	probeEvery  int // 0 = probe disabled
+	seed       int64
+	period     time.Duration
+	placement  map[string]int
+	injectLoss bool
+	strategy   string
+	dissem     dissemConfig
+	trace      bool
+	probeEvery int // 0 = probe disabled
 }
 
 type dissemConfig struct {
-	epsilon      float64
-	resync       int
-	fanout       int
-	gossipRounds int
-	suspectAfter int
+	epsilon float64
+	fanout  int
 }
 
 func defaultConfig() config {
@@ -72,8 +69,13 @@ func WithInjectLoss() Option {
 // (epidemic push with version-vector anti-entropy — the churn-friendly
 // choice), optionally tuned by DissemOptions:
 //
-//	kollaps.WithDissem("delta", kollaps.DissemEpsilon(0.02), kollaps.DissemResync(10))
-//	kollaps.WithDissem("gossip", kollaps.DissemFanout(3), kollaps.DissemGossipRounds(4))
+//	kollaps.WithDissem("delta", kollaps.DissemEpsilon(0.02))
+//	kollaps.WithDissem("gossip", kollaps.DissemFanout(3))
+//
+// The remaining dissemination settings are dissem's defaults: a delta
+// full-state resync every 20 periods, a gossip hop budget of
+// ⌈log_fanout(hosts)⌉+1, and suspicion of a peer silent for
+// dissem.DefaultSuspectAfter periods.
 func WithDissem(strategy string, opts ...DissemOption) Option {
 	return optionFunc(func(c *config) {
 		c.strategy = strategy
@@ -93,39 +95,20 @@ func DissemEpsilon(epsilon float64) DissemOption {
 	return func(c *dissemConfig) { c.epsilon = epsilon }
 }
 
-// DissemResync sets the number of periods between delta full-state
-// resyncs (default 20).
-func DissemResync(periods int) DissemOption {
-	return func(c *dissemConfig) { c.resync = periods }
-}
-
 // DissemFanout sets the tree strategy's arity and the number of peers
 // the gossip strategy pushes to per period (default 4).
 func DissemFanout(fanout int) DissemOption {
 	return func(c *dissemConfig) { c.fanout = fanout }
 }
 
-// DissemGossipRounds sets the gossip strategy's infect-and-die hop
-// budget: how many hops a freshly learned record is forwarded before the
-// rumor dies (default ⌈log_fanout(hosts)⌉+1, which covers the deployment
-// with one spare hop; anti-entropy pulls repair the rest).
-func DissemGossipRounds(rounds int) DissemOption {
-	return func(c *dissemConfig) { c.gossipRounds = rounds }
-}
-
 // WithTrace enables the deployment's flight recorder: a ring buffer
-// holding the most recent events virtual-time trace events (solver
-// passes, dissemination publish/receive, TCAL enforcement, topology
-// mutations, manager kills, failure-detector transitions). events <= 0
-// selects the default capacity (obs.DefaultTraceEvents). Read it back
-// with Experiment.Tracer or export with Experiment.WriteTrace.
-func WithTrace(events int) Option {
-	return optionFunc(func(c *config) {
-		if events <= 0 {
-			events = -1
-		}
-		c.traceEvents = events
-	})
+// holding the most recent obs.DefaultTraceEvents virtual-time trace
+// events (solver passes, dissemination publish/receive, TCAL
+// enforcement, topology mutations, manager kills, failure-detector
+// transitions). Read it back with Experiment.Tracer or export with
+// Experiment.WriteTrace.
+func WithTrace() Option {
+	return optionFunc(func(c *config) { c.trace = true })
 }
 
 // WithAccuracyProbe enables the emulation-accuracy probe: every
@@ -143,26 +126,14 @@ func WithAccuracyProbe(everyPeriods int) Option {
 	})
 }
 
-// DissemSuspectAfter sets the failure-detection threshold, in emulation
-// periods, after which a silent peer Emulation Manager is suspected dead
-// and routed around (default 3; see dissem.Config.SuspectAfter). Lower
-// values recover faster from manager kills; higher values tolerate
-// longer control-plane hiccups without re-forming.
-func DissemSuspectAfter(periods int) DissemOption {
-	return func(c *dissemConfig) { c.suspectAfter = periods }
-}
-
-// dissemFromConfig assembles the core-level dissemination config. The
+// dissemConfig assembles the core-level dissemination config. The
 // deployment seed rides along so gossip's peer sampling replays with the
 // experiment.
 func (c config) dissemConfig(kind dissem.Kind) dissem.Config {
 	return dissem.Config{
-		Kind:         kind,
-		Epsilon:      c.dissem.epsilon,
-		ResyncEvery:  c.dissem.resync,
-		Fanout:       c.dissem.fanout,
-		GossipRounds: c.dissem.gossipRounds,
-		SuspectAfter: c.dissem.suspectAfter,
-		Seed:         c.seed,
+		Kind:    kind,
+		Epsilon: c.dissem.epsilon,
+		Fanout:  c.dissem.fanout,
+		Seed:    c.seed,
 	}
 }
