@@ -1,13 +1,14 @@
 // Bandwidth sharing: the Figure 8 experiment as a runnable example. Six
-// clients with different RTTs and access links start 15s apart; the
-// decentralized Emulation Managers converge each phase onto the RTT-aware
-// min-max allocation — the break-point values published in the paper.
+// clients with different RTTs and access links start one phase apart
+// (kollaps-bench -exp fig8 -quick's size); the decentralized Emulation
+// Managers converge each phase onto the RTT-aware min-max allocation —
+// the break-point values published in the paper.
 package main
 
 import (
 	"fmt"
 	"log"
-	"time"
+	"os"
 
 	"repro/internal/experiments"
 )
@@ -17,6 +18,12 @@ func main() {
 	fmt.Println("Running the Figure 8 decentralized throttling experiment")
 	fmt.Println("(each cell is measured/model Mb/s; goodput runs ~4.5% below the")
 	fmt.Println("model because iperf counts payload while htb shapes wire bytes):")
-	t := experiments.RunFig8(15 * time.Second)
-	fmt.Print(t.String())
+	fig8, _ := experiments.Lookup("fig8")
+	tables, err := fig8.Run(true, "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, t := range tables {
+		t.Fprint(os.Stdout)
+	}
 }

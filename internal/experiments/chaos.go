@@ -211,64 +211,60 @@ func runChaos(strategy string, n, faultPeriods int, originPaths map[int]map[stri
 	return run
 }
 
-// RunChaos soaks every strategy in the seeded fault schedule (twice
-// each, verifying determinism), writes the JSON report to path (skipped
-// when empty) and returns a printable table. Zero n and faultPeriods
-// select the committed BENCH_chaos.json configuration: 8 managers, 60
-// fault periods.
-func RunChaos(path string, n, faultPeriods int) (*Table, *ChaosReport, error) {
-	n = max(n, 8) // the cut hosts must both exist and 1 must be a Tree interior node
-	if faultPeriods <= 0 {
-		faultPeriods = 60
-	}
-	faultPeriods = max(faultPeriods, chaosPartitionAt+chaosPartitionPeriods+15)
-	report := &ChaosReport{
-		N:                n,
-		FlowsPerHost:     dissemFlowsPerHost,
-		FaultPeriods:     faultPeriods,
-		PartitionFrom:    chaosCutFrom,
-		PartitionTo:      chaosCutTo,
-		PartitionPeriods: chaosPartitionPeriods,
-		PeriodMs:         50,
-		Profile:          SoakProfile,
-	}
-	table := &Table{
-		Title: fmt.Sprintf("Chaos soak: N=%d, %d fault periods (drop+dup+reorder+corrupt), %d-period one-way cut %d->%d",
-			n, faultPeriods, chaosPartitionPeriods, chaosCutFrom, chaosCutTo),
-		Columns: []string{
-			"faults", "blocked", "crpt caught", "surv compl", "final compl",
-			"heal rec", "phantom", "determ",
-		},
-	}
-	truth := runChaos("broadcast", n, faultPeriods, nil)
-	for _, strat := range DissemStrategies {
-		run := truth
-		if strat != "broadcast" {
-			run = runChaos(strat, n, faultPeriods, truth.originPaths)
+// chaosSoak soaks every strategy on n managers in the seeded fault
+// schedule of faultPeriods periods (twice each, verifying determinism),
+// writes the JSON report to path (skipped when empty) and returns a
+// printable table.
+func chaosSoak(n, faultPeriods int) runner {
+	return func(path string) (result, error) {
+		report := &ChaosReport{
+			N:                n,
+			FlowsPerHost:     dissemFlowsPerHost,
+			FaultPeriods:     faultPeriods,
+			PartitionFrom:    chaosCutFrom,
+			PartitionTo:      chaosCutTo,
+			PartitionPeriods: chaosPartitionPeriods,
+			PeriodMs:         50,
+			Profile:          SoakProfile,
 		}
-		// Replay under the identical seed: the fault schedule and the
-		// final views must reproduce bit for bit.
-		again := runChaos(strat, n, faultPeriods, truth.originPaths)
-		run.res.Deterministic = again.res.ScheduleHash == run.res.ScheduleHash &&
-			again.fingerprint == run.fingerprint
-		report.Strategies = append(report.Strategies, run.res)
-		rec := fmt.Sprintf("%dp", run.res.HealRecoveryPeriods)
-		if run.res.HealRecoveryPeriods < 0 {
-			rec = "never"
-		}
-		table.Rows = append(table.Rows, Row{
-			Label: strat,
-			Values: []string{
-				fmt.Sprintf("%d", run.res.FaultsInjected),
-				fmt.Sprintf("%d", run.res.Blocked),
-				fmt.Sprintf("%d", run.res.CorruptionCaught),
-				fmt.Sprintf("%.1f%%", run.res.SurvivingCompleteness*100),
-				fmt.Sprintf("%.1f%%", run.res.FinalCompleteness*100),
-				rec,
-				fmt.Sprintf("%d", run.res.PhantomPaths),
-				fmt.Sprintf("%v", run.res.Deterministic),
+		table := &Table{
+			Title: fmt.Sprintf("Chaos soak: N=%d, %d fault periods (drop+dup+reorder+corrupt), %d-period one-way cut %d->%d",
+				n, faultPeriods, chaosPartitionPeriods, chaosCutFrom, chaosCutTo),
+			Columns: []string{
+				"faults", "blocked", "crpt caught", "surv compl", "final compl",
+				"heal rec", "phantom", "determ",
 			},
-		})
+		}
+		truth := runChaos("broadcast", n, faultPeriods, nil)
+		for _, strat := range dissemStrategies {
+			run := truth
+			if strat != "broadcast" {
+				run = runChaos(strat, n, faultPeriods, truth.originPaths)
+			}
+			// Replay under the identical seed: the fault schedule and the
+			// final views must reproduce bit for bit.
+			again := runChaos(strat, n, faultPeriods, truth.originPaths)
+			run.res.Deterministic = again.res.ScheduleHash == run.res.ScheduleHash &&
+				again.fingerprint == run.fingerprint
+			report.Strategies = append(report.Strategies, run.res)
+			rec := fmt.Sprintf("%dp", run.res.HealRecoveryPeriods)
+			if run.res.HealRecoveryPeriods < 0 {
+				rec = "never"
+			}
+			table.Rows = append(table.Rows, Row{
+				Label: strat,
+				Values: []string{
+					fmt.Sprintf("%d", run.res.FaultsInjected),
+					fmt.Sprintf("%d", run.res.Blocked),
+					fmt.Sprintf("%d", run.res.CorruptionCaught),
+					fmt.Sprintf("%.1f%%", run.res.SurvivingCompleteness*100),
+					fmt.Sprintf("%.1f%%", run.res.FinalCompleteness*100),
+					rec,
+					fmt.Sprintf("%d", run.res.PhantomPaths),
+					fmt.Sprintf("%v", run.res.Deterministic),
+				},
+			})
+		}
+		return result{tables: []*Table{table}}, writeReport(path, report)
 	}
-	return table, report, writeReport(path, report)
 }

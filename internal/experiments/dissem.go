@@ -19,12 +19,9 @@ import (
 // per-flow goodputs — the product of the RTT-aware sharing model runs on
 // every manager — stay within tolerance.
 
-// DissemScaleNs is the manager-count sweep of the scalability experiment.
-var DissemScaleNs = []int{4, 8, 16, 32, 64}
-
-// DissemStrategies lists the strategies the experiment compares, ground
-// truth first.
-var DissemStrategies = []string{"broadcast", "delta", "tree", "gossip"}
+// dissemStrategies lists the strategies the control-plane experiments
+// compare, Broadcast (the accuracy ground truth) first.
+var dissemStrategies = []string{"broadcast", "delta", "tree", "gossip"}
 
 // dissemFlowsPerHost is the number of client containers (= active flows)
 // each Emulation Manager hosts.
@@ -142,48 +139,36 @@ func relErrs(observed, truth []float64) (maxErr, meanErr float64) {
 	return maxErr, sum / float64(compared)
 }
 
-// RunDissemScale sweeps manager count × strategy and reports control
-// datagrams/bytes per second, metadata staleness, and per-flow goodput
-// error versus Broadcast.
-func RunDissemScale(duration time.Duration, Ns []int, strategies []string) *Table {
-	if duration <= 0 {
-		duration = 5 * time.Second
-	}
-	if Ns == nil {
-		Ns = DissemScaleNs
-	}
-	if strategies == nil {
-		strategies = DissemStrategies
-	}
-	t := &Table{
-		Title:   "Dissemination scalability: control-plane cost vs emulation accuracy",
-		Columns: []string{"dgrams/s", "ctrl KB/s", "stale p50", "stale p99", "max Δshare", "mean Δshare"},
-	}
-	for _, n := range Ns {
-		// Broadcast is the accuracy ground truth: when the caller's list
-		// doesn't lead with it, run it separately so every row has one.
-		var truth []float64
-		if len(strategies) == 0 || strategies[0] != "broadcast" {
-			truth = dissemScaleRun("broadcast", n, duration).goodputs
+// dissemScale sweeps the given manager counts × strategy and reports
+// control datagrams/bytes per second, metadata staleness, and per-flow
+// goodput error versus Broadcast, each run measured for duration.
+func dissemScale(duration time.Duration, ns []int) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Dissemination scalability: control-plane cost vs emulation accuracy",
+			Columns: []string{"dgrams/s", "ctrl KB/s", "stale p50", "stale p99", "max Δshare", "mean Δshare"},
 		}
-		for _, strat := range strategies {
-			res := dissemScaleRun(strat, n, duration)
-			if strat == "broadcast" {
-				truth = res.goodputs
+		for _, n := range ns {
+			var truth []float64
+			for _, strat := range dissemStrategies {
+				res := dissemScaleRun(strat, n, duration)
+				if strat == "broadcast" {
+					truth = res.goodputs
+				}
+				maxErr, meanErr := relErrs(res.goodputs, truth)
+				t.Rows = append(t.Rows, Row{
+					Label: fmt.Sprintf("N=%d %s", n, strat),
+					Values: []string{
+						fmt.Sprintf("%.0f", float64(res.sum.DatagramsSent)/duration.Seconds()),
+						fmt.Sprintf("%.1f", float64(res.sum.BytesSent)/duration.Seconds()/1024),
+						fmt.Sprintf("%.0fms", res.sum.StalenessP50Ms),
+						fmt.Sprintf("%.0fms", res.sum.StalenessP99Ms),
+						fmt.Sprintf("%.1f%%", maxErr*100),
+						fmt.Sprintf("%.1f%%", meanErr*100),
+					},
+				})
 			}
-			maxErr, meanErr := relErrs(res.goodputs, truth)
-			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("N=%d %s", n, strat),
-				Values: []string{
-					fmt.Sprintf("%.0f", float64(res.sum.DatagramsSent)/duration.Seconds()),
-					fmt.Sprintf("%.1f", float64(res.sum.BytesSent)/duration.Seconds()/1024),
-					fmt.Sprintf("%.0fms", res.sum.StalenessP50Ms),
-					fmt.Sprintf("%.0fms", res.sum.StalenessP99Ms),
-					fmt.Sprintf("%.1f%%", maxErr*100),
-					fmt.Sprintf("%.1f%%", meanErr*100),
-				},
-			})
 		}
+		return result{tables: []*Table{t}}, nil
 	}
-	return t
 }

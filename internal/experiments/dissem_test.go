@@ -67,7 +67,7 @@ func TestDissemDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dissemination determinism check is not short")
 	}
-	for _, strat := range DissemStrategies {
+	for _, strat := range dissemStrategies {
 		a := dissemScaleRun(strat, 8, 2*time.Second)
 		b := dissemScaleRun(strat, 8, 2*time.Second)
 		if !reflect.DeepEqual(a.goodputs, b.goodputs) {
@@ -84,5 +84,12 @@ func TestDissemScaleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are not short")
 	}
-	RunDissemScale(time.Second, []int{4}, nil).Fprint(os.Stdout)
+	r, err := dissemScale(time.Second, []int{4})("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.tables) != 1 || len(r.tables[0].Rows) != len(dissemStrategies) {
+		t.Fatalf("dissem table at N=4: got %d tables, want 1 with a row per strategy", len(r.tables))
+	}
+	r.tables[0].Fprint(os.Stdout)
 }

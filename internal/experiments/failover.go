@@ -155,62 +155,54 @@ func runFailover(strategy string, n, deadPeriods int, originPaths map[int]map[st
 	return run
 }
 
-// RunFailover measures every strategy under one dead manager (host 1,
-// dead for deadPeriods periods, then restarted), writes the JSON report
-// to path (skipped when empty) and returns a printable table. Zero n and
-// deadPeriods select the committed BENCH_failover.json configuration:
-// one of 32 managers dead for 50 periods.
-func RunFailover(path string, n, deadPeriods int) (*Table, *FailoverReport, error) {
-	if n <= 0 {
-		n = 32
-	}
-	n = max(n, 8) // host 1 must be an interior Tree node with a subtree
-	if deadPeriods <= 0 {
-		deadPeriods = 50
-	}
-	deadPeriods = max(deadPeriods, dissem.DefaultSuspectAfter+15)
-	report := &FailoverReport{
-		N:            n,
-		FlowsPerHost: dissemFlowsPerHost,
-		KilledHost:   1,
-		DeadPeriods:  deadPeriods,
-		SuspectAfter: dissem.DefaultSuspectAfter,
-		PeriodMs:     50,
-	}
-	table := &Table{
-		Title: fmt.Sprintf("Manager failover: host 1 of N=%d dead for %d periods, then restarted", n, deadPeriods),
-		Columns: []string{
-			"steady B/p", "dead B/p", "ratio", "view compl", "dead paths",
-			"max Δshare", "mean Δshare", "recovery",
-		},
-	}
-	truth := runFailover("broadcast", n, deadPeriods, nil)
-	for _, strat := range DissemStrategies {
-		run := truth
-		if strat != "broadcast" {
-			run = runFailover(strat, n, deadPeriods, truth.originPaths)
+// failover measures every strategy under one dead manager (host 1 of
+// n, dead for deadPeriods periods, then restarted), writes the JSON
+// report to path (skipped when empty) and returns a printable table.
+func failover(n, deadPeriods int) runner {
+	return func(path string) (result, error) {
+		report := &FailoverReport{
+			N:            n,
+			FlowsPerHost: dissemFlowsPerHost,
+			KilledHost:   1,
+			DeadPeriods:  deadPeriods,
+			SuspectAfter: dissem.DefaultSuspectAfter,
+			PeriodMs:     50,
 		}
-		maxDev, meanDev := relErrs(run.goodputs, truth.goodputs)
-		run.res.MaxShareDev = maxDev
-		run.res.MeanShareDev = meanDev
-		report.Strategies = append(report.Strategies, run.res)
-		rec := fmt.Sprintf("%dp", run.res.RecoveryPeriods)
-		if run.res.RecoveryPeriods < 0 {
-			rec = "never"
-		}
-		table.Rows = append(table.Rows, Row{
-			Label: strat,
-			Values: []string{
-				fmt.Sprintf("%.0f", run.res.SteadyBytesPerPeriod),
-				fmt.Sprintf("%.0f", run.res.DeadBytesPerPeriod),
-				fmt.Sprintf("%.2f", run.res.ByteRatio),
-				fmt.Sprintf("%.1f%%", run.res.ViewCompleteness*100),
-				fmt.Sprintf("%d", run.res.DeadPathsVisible),
-				fmt.Sprintf("%.1f%%", run.res.MaxShareDev*100),
-				fmt.Sprintf("%.1f%%", run.res.MeanShareDev*100),
-				rec,
+		table := &Table{
+			Title: fmt.Sprintf("Manager failover: host 1 of N=%d dead for %d periods, then restarted", n, deadPeriods),
+			Columns: []string{
+				"steady B/p", "dead B/p", "ratio", "view compl", "dead paths",
+				"max Δshare", "mean Δshare", "recovery",
 			},
-		})
+		}
+		truth := runFailover("broadcast", n, deadPeriods, nil)
+		for _, strat := range dissemStrategies {
+			run := truth
+			if strat != "broadcast" {
+				run = runFailover(strat, n, deadPeriods, truth.originPaths)
+			}
+			maxDev, meanDev := relErrs(run.goodputs, truth.goodputs)
+			run.res.MaxShareDev = maxDev
+			run.res.MeanShareDev = meanDev
+			report.Strategies = append(report.Strategies, run.res)
+			rec := fmt.Sprintf("%dp", run.res.RecoveryPeriods)
+			if run.res.RecoveryPeriods < 0 {
+				rec = "never"
+			}
+			table.Rows = append(table.Rows, Row{
+				Label: strat,
+				Values: []string{
+					fmt.Sprintf("%.0f", run.res.SteadyBytesPerPeriod),
+					fmt.Sprintf("%.0f", run.res.DeadBytesPerPeriod),
+					fmt.Sprintf("%.2f", run.res.ByteRatio),
+					fmt.Sprintf("%.1f%%", run.res.ViewCompleteness*100),
+					fmt.Sprintf("%d", run.res.DeadPathsVisible),
+					fmt.Sprintf("%.1f%%", run.res.MaxShareDev*100),
+					fmt.Sprintf("%.1f%%", run.res.MeanShareDev*100),
+					rec,
+				},
+			})
+		}
+		return result{tables: []*Table{table}}, writeReport(path, report)
 	}
-	return table, report, writeReport(path, report)
 }

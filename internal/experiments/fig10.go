@@ -7,14 +7,15 @@ import (
 	"repro/internal/apps"
 	"repro/internal/aws"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/kollaps"
 )
 
-// fig10Topology builds the §5.6 Cassandra deployment: 4 replica pairs
+// fig10Geo builds the §5.6 Cassandra deployment: 4 replica pairs
 // (local coordinator in Frankfurt, remote copy in Sydney — or Seoul for
-// the what-if) plus 4 YCSB clients in Frankfurt.
-func fig10Topology(latencyScale float64) *kollaps.Experiment {
+// the what-if, at latencyScale 0.5) plus 4 YCSB clients in Frankfurt.
+func fig10Geo(latencyScale float64) *topology.Topology {
 	var services []aws.GeoService
 	for i := 0; i < 4; i++ {
 		services = append(services,
@@ -27,7 +28,12 @@ func fig10Topology(latencyScale float64) *kollaps.Experiment {
 	if err != nil {
 		panic(err)
 	}
-	exp := &kollaps.Experiment{Topology: top}
+	return top
+}
+
+// fig10Topology deploys the Cassandra deployment on Kollaps.
+func fig10Topology(latencyScale float64) *kollaps.Experiment {
+	exp := &kollaps.Experiment{Topology: fig10Geo(latencyScale)}
 	if err := exp.Deploy(5); err != nil {
 		panic(err)
 	}
@@ -58,85 +64,70 @@ func fig10Point(provider apps.StackProvider, eng *sim.Engine, totalRate float64,
 	return float64(done) / duration.Seconds(), reads, upds, (readSum + updSum) / n
 }
 
-// RunFig10 reproduces Figure 10: the throughput/latency curve of the
+// fig10Targets are Figure 10's aggregate YCSB target rates (ops/s).
+var fig10Targets = []float64{500, 1000, 2000, 3000, 4000, 5000}
+
+// fig10 reproduces Figure 10: the throughput/latency curve of the
 // geo-replicated Cassandra on "EC2" (the bare-metal ground truth fabric)
 // versus Kollaps.
-func RunFig10(duration time.Duration, targets []float64) *Table {
-	if duration <= 0 {
-		duration = 20 * time.Second
+func fig10(duration time.Duration) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Figure 10: geo-replicated Cassandra + YCSB, EC2 vs Kollaps",
+			Columns: []string{"EC2 ops/s", "EC2 lat(ms)", "Kollaps ops/s", "Kollaps lat(ms)"},
+		}
+		for _, target := range fig10Targets {
+			// "EC2": the target topology as a physical network.
+			bmExp := fig10Baremetal()
+			e2tp, _, _, e2lat := fig10Point(bmExp, bmExp.Eng, target, duration)
+			// Kollaps emulation.
+			kExp := fig10Topology(1)
+			ktp, _, _, klat := fig10Point(kExp, kExp.Eng, target, duration)
+			t.Rows = append(t.Rows, Row{
+				Label: fmt.Sprintf("target %.0f", target),
+				Values: []string{
+					fmt.Sprintf("%.0f", e2tp), fmt.Sprintf("%.1f", e2lat),
+					fmt.Sprintf("%.0f", ktp), fmt.Sprintf("%.1f", klat),
+				},
+			})
+		}
+		return result{tables: []*Table{t}}, nil
 	}
-	if targets == nil {
-		targets = []float64{500, 1000, 2000, 3000, 4000, 5000}
-	}
-	t := &Table{
-		Title:   "Figure 10: geo-replicated Cassandra + YCSB, EC2 vs Kollaps",
-		Columns: []string{"EC2 ops/s", "EC2 lat(ms)", "Kollaps ops/s", "Kollaps lat(ms)"},
-	}
-	for _, target := range targets {
-		// "EC2": the target topology as a physical network.
-		bmExp := fig10Baremetal()
-		e2tp, _, _, e2lat := fig10Point(bmExp, bmExp.Eng, target, duration)
-		// Kollaps emulation.
-		kExp := fig10Topology(1)
-		ktp, _, _, klat := fig10Point(kExp, kExp.Eng, target, duration)
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("target %.0f", target),
-			Values: []string{
-				fmt.Sprintf("%.0f", e2tp), fmt.Sprintf("%.1f", e2lat),
-				fmt.Sprintf("%.0f", ktp), fmt.Sprintf("%.1f", klat),
-			},
-		})
-	}
-	return t
 }
 
+// fig10Baremetal deploys the Cassandra deployment as a physical network.
 func fig10Baremetal() *kollaps.Baremetal {
-	var services []aws.GeoService
-	for i := 0; i < 4; i++ {
-		services = append(services,
-			aws.GeoService{Name: fmt.Sprintf("local-%d", i), Region: aws.EUCentral1},
-			aws.GeoService{Name: fmt.Sprintf("remote-%d", i), Region: aws.APSoutheast2},
-			aws.GeoService{Name: fmt.Sprintf("ycsb-%d", i), Region: aws.EUCentral1},
-		)
-	}
-	top, err := aws.GeoTopology(services, units.Gbps, 1)
-	if err != nil {
-		panic(err)
-	}
-	bm, err := kollaps.NewBaremetal(top, 42)
+	bm, err := kollaps.NewBaremetal(fig10Geo(1), 42)
 	if err != nil {
 		panic(err)
 	}
 	return bm
 }
 
-// RunFig11 reproduces Figure 11: the what-if of halving all inter-region
+// fig11 reproduces Figure 11: the what-if of halving all inter-region
 // latencies (moving the Sydney replicas to Seoul): read/update latencies
-// at the original and halved topologies.
-func RunFig11(duration time.Duration, targets []float64) *Table {
-	if duration <= 0 {
-		duration = 20 * time.Second
+// at the original and halved topologies, at Figure 10's target rates
+// up to 4000 ops/s.
+func fig11(duration time.Duration) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Figure 11: what-if halved latency (Sydney -> Seoul)",
+			Columns: []string{"orig read(ms)", "orig update(ms)", "halved read(ms)", "halved update(ms)", "orig ops/s", "halved ops/s"},
+		}
+		for _, target := range fig10Targets[:5] {
+			full := fig10Topology(1)
+			ftp, fr, fu, _ := fig10Point(full, full.Eng, target, duration)
+			half := fig10Topology(0.5)
+			htp, hr, hu, _ := fig10Point(half, half.Eng, target, duration)
+			t.Rows = append(t.Rows, Row{
+				Label: fmt.Sprintf("target %.0f", target),
+				Values: []string{
+					fmt.Sprintf("%.1f", fr), fmt.Sprintf("%.1f", fu),
+					fmt.Sprintf("%.1f", hr), fmt.Sprintf("%.1f", hu),
+					fmt.Sprintf("%.0f", ftp), fmt.Sprintf("%.0f", htp),
+				},
+			})
+		}
+		return result{tables: []*Table{t}}, nil
 	}
-	if targets == nil {
-		targets = []float64{500, 1000, 2000, 3000, 4000}
-	}
-	t := &Table{
-		Title:   "Figure 11: what-if halved latency (Sydney -> Seoul)",
-		Columns: []string{"orig read(ms)", "orig update(ms)", "halved read(ms)", "halved update(ms)", "orig ops/s", "halved ops/s"},
-	}
-	for _, target := range targets {
-		full := fig10Topology(1)
-		ftp, fr, fu, _ := fig10Point(full, full.Eng, target, duration)
-		half := fig10Topology(0.5)
-		htp, hr, hu, _ := fig10Point(half, half.Eng, target, duration)
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("target %.0f", target),
-			Values: []string{
-				fmt.Sprintf("%.1f", fr), fmt.Sprintf("%.1f", fu),
-				fmt.Sprintf("%.1f", hr), fmt.Sprintf("%.1f", hu),
-				fmt.Sprintf("%.0f", ftp), fmt.Sprintf("%.0f", htp),
-			},
-		})
-	}
-	return t
 }

@@ -9,52 +9,48 @@ import (
 	"repro/internal/transport"
 )
 
-// Fig3Config is one dumbbell configuration of Figure 3.
-type Fig3Config struct{ Containers, Flows int }
+// fig3Config is one dumbbell configuration of Figure 3.
+type fig3Config struct{ Containers, Flows int }
 
-// Fig3Configs are the paper's (containers, flows) tuples.
-var Fig3Configs = []Fig3Config{
+// fig3Configs are the paper's (containers, flows) tuples.
+var fig3Configs = []fig3Config{
 	{20, 10}, {40, 10}, {40, 20}, {80, 10}, {80, 20}, {80, 40},
 	{160, 10}, {160, 20}, {160, 40}, {160, 80},
 }
 
-// RunFig3 reproduces Figure 3: Kollaps metadata network usage on dumbbell
+// fig3Hosts are the physical host counts of Figure 3's columns.
+var fig3Hosts = []int{1, 2, 3, 4}
+
+// fig3 reproduces Figure 3: Kollaps metadata network usage on dumbbell
 // topologies with varying containers, flows and hosts. Metadata traffic
 // must grow with hosts, not with containers.
-func RunFig3(duration time.Duration, hosts []int, configs []Fig3Config) *Table {
-	if duration <= 0 {
-		duration = 5 * time.Second
-	}
-	if hosts == nil {
-		hosts = []int{1, 2, 3, 4}
-	}
-	if configs == nil {
-		configs = Fig3Configs
-	}
-	cols := make([]string, len(hosts))
-	for i, h := range hosts {
-		cols[i] = fmt.Sprintf("%d hosts", h)
-	}
-	t := &Table{
-		Title:   "Figure 3: metadata network traffic (KB/s total)",
-		Columns: cols,
-	}
-	for _, cfg := range configs {
-		vals := make([]string, len(hosts))
-		for i, h := range hosts {
-			rate := fig3Run(cfg, h, duration)
-			vals[i] = fmt.Sprintf("%.1f", rate/1024)
+func fig3(duration time.Duration, configs []fig3Config) runner {
+	return func(string) (result, error) {
+		cols := make([]string, len(fig3Hosts))
+		for i, h := range fig3Hosts {
+			cols[i] = fmt.Sprintf("%d hosts", h)
 		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("c=%d f=%d", cfg.Containers, cfg.Flows),
-			Values: vals,
-		})
+		t := &Table{
+			Title:   "Figure 3: metadata network traffic (KB/s total)",
+			Columns: cols,
+		}
+		for _, cfg := range configs {
+			vals := make([]string, len(fig3Hosts))
+			for i, h := range fig3Hosts {
+				rate := fig3Run(cfg, h, duration)
+				vals[i] = fmt.Sprintf("%.1f", rate/1024)
+			}
+			t.Rows = append(t.Rows, Row{
+				Label:  fmt.Sprintf("c=%d f=%d", cfg.Containers, cfg.Flows),
+				Values: vals,
+			})
+		}
+		return result{tables: []*Table{t}}, nil
 	}
-	return t
 }
 
 // fig3Run deploys one dumbbell and returns total metadata bytes/s sent.
-func fig3Run(cfg Fig3Config, hosts int, duration time.Duration) float64 {
+func fig3Run(cfg fig3Config, hosts int, duration time.Duration) float64 {
 	side := cfg.Containers / 2
 	var b strings.Builder
 	b.WriteString("experiment:\n  services:\n")

@@ -10,22 +10,24 @@ import (
 	"repro/kollaps"
 )
 
-// RunFig4 reproduces Figure 4: a geo-distributed memcached deployment
+// fig4 reproduces Figure 4: a geo-distributed memcached deployment
 // (4 emulated AWS regions, one server and three clients per region, each
-// server handling two local clients and one remote) emulated on an
-// increasing number of physical hosts. The aggregate client throughput
-// must stay constant as the emulation spreads over more hosts, while
-// metadata traffic per host stays modest.
-func RunFig4(duration time.Duration, hostCounts []int, connsPerClient int) *Table {
-	if duration <= 0 {
-		duration = 10 * time.Second
+// server handling two local clients and one remote) emulated on each of
+// the given numbers of physical hosts, once with 1 and once with 10
+// connections per client. The aggregate client throughput must stay
+// constant as the emulation spreads over more hosts, while metadata
+// traffic per host stays modest.
+func fig4(duration time.Duration, hostCounts []int) runner {
+	return func(string) (result, error) {
+		return result{tables: []*Table{
+			fig4Table(duration, hostCounts, 1),
+			fig4Table(duration, hostCounts, 10),
+		}}, nil
 	}
-	if hostCounts == nil {
-		hostCounts = []int{1, 2, 4, 8, 16}
-	}
-	if connsPerClient <= 0 {
-		connsPerClient = 1
-	}
+}
+
+// fig4Table runs Figure 4 with connsPerClient connections per client.
+func fig4Table(duration time.Duration, hostCounts []int, connsPerClient int) *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Figure 4: geo-distributed memcached, %d conn/client", connsPerClient),
 		Columns: []string{"agg ops/s", "metadata KB/s/host"},

@@ -123,39 +123,38 @@ func newMininetProvider(yaml string) (*mininetProvider, *sim.Engine) {
 	return p, eng
 }
 
-// RunFig5 reproduces Figure 5: deviation of Kollaps and Mininet from the
+// fig5 reproduces Figure 5: deviation of Kollaps and Mininet from the
 // bare-metal baseline for long-lived (iperf) and short-lived (wrk2) flows
 // under Cubic and Reno.
-func RunFig5(duration time.Duration) *Table {
-	if duration <= 0 {
-		duration = 20 * time.Second
-	}
-	t := &Table{
-		Title:   "Figure 5: deviation from bare-metal (1 Gb/s switch)",
-		Columns: []string{"baremetal", "kollaps", "mininet", "kollaps dev", "mininet dev"},
-	}
-	for _, cc := range []transport.CongestionControl{transport.Cubic, transport.Reno} {
-		cc := cc
-		long := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-			cs, _, _ := p.AppStack("c1")
-			_, svIP, _ := p.AppStack("sv")
-			svs, _, _ := p.AppStack("sv")
-			server := apps.NewIperfServer(eng, svs, 5201, false)
-			apps.NewIperfClient(eng, cs, svIP, 5201, cc)
-			return func() float64 { return float64(server.Received) * 8 / duration.Seconds() }
+func fig5(duration time.Duration) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Figure 5: deviation from bare-metal (1 Gb/s switch)",
+			Columns: []string{"baremetal", "kollaps", "mininet", "kollaps dev", "mininet dev"},
 		}
-		t.Rows = append(t.Rows, fig5Row("long-lived "+cc.String(), fig5Systems(fig5YAML, duration), long))
+		for _, cc := range []transport.CongestionControl{transport.Cubic, transport.Reno} {
+			cc := cc
+			long := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
+				cs, _, _ := p.AppStack("c1")
+				_, svIP, _ := p.AppStack("sv")
+				svs, _, _ := p.AppStack("sv")
+				server := apps.NewIperfServer(eng, svs, 5201, false)
+				apps.NewIperfClient(eng, cs, svIP, 5201, cc)
+				return func() float64 { return float64(server.Received) * 8 / duration.Seconds() }
+			}
+			t.Rows = append(t.Rows, fig5Row("long-lived "+cc.String(), fig5Systems(fig5YAML, duration), long))
 
-		short := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-			cs, _, _ := p.AppStack("c1")
-			svs, svIP, _ := p.AppStack("sv")
-			apps.NewHTTPServer(svs, 80, 200, 64*1024)
-			w := apps.NewWrkClient(eng, cs, svIP, 80, 100, 200, 64*1024, cc)
-			return func() float64 { return float64(w.Completed) / duration.Seconds() }
+			short := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
+				cs, _, _ := p.AppStack("c1")
+				svs, svIP, _ := p.AppStack("sv")
+				apps.NewHTTPServer(svs, 80, 200, 64*1024)
+				w := apps.NewWrkClient(eng, cs, svIP, 80, 100, 200, 64*1024, cc)
+				return func() float64 { return float64(w.Completed) / duration.Seconds() }
+			}
+			t.Rows = append(t.Rows, fig5Row("short-lived "+cc.String(), fig5Systems(fig5YAML, duration), short))
 		}
-		t.Rows = append(t.Rows, fig5Row("short-lived "+cc.String(), fig5Systems(fig5YAML, duration), short))
+		return result{tables: []*Table{t}}, nil
 	}
-	return t
 }
 
 func fig5Row(label string, systems []system, workload func(apps.StackProvider, *sim.Engine) func() float64) Row {
@@ -194,104 +193,102 @@ experiment:
     up: 100Mbps
 `
 
-// RunFig6 reproduces Figure 6: HTTP server throughput with 1-8 curl
+// fig6 reproduces Figure 6: HTTP server throughput with 1-8 curl
 // clients (a new connection per request) on bare metal, Kollaps and
 // Mininet. Mininet's per-connection switch-state cost makes it collapse as
 // client count grows.
-func RunFig6(duration time.Duration) *Table {
-	if duration <= 0 {
-		duration = 20 * time.Second
-	}
-	t := &Table{
-		Title:   "Figure 6: HTTP throughput (Mb/s) vs concurrent curl clients",
-		Columns: []string{"baremetal", "kollaps", "mininet"},
-	}
-	for _, clients := range []int{1, 2, 4, 8} {
-		clients := clients
-		workload := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-			svs, svIP, _ := p.AppStack("server")
-			apps.NewHTTPServer(svs, 80, 200, 64*1024)
-			cs, _, _ := p.AppStack("client")
-			var curls []*apps.CurlClient
-			for i := 0; i < clients; i++ {
-				curls = append(curls, apps.NewCurlClient(eng, cs, svIP, 80, 200, 64*1024, transport.Cubic))
-			}
-			return func() float64 {
-				var bytes int64
-				for _, c := range curls {
-					bytes += c.BytesIn
+func fig6(duration time.Duration) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Figure 6: HTTP throughput (Mb/s) vs concurrent curl clients",
+			Columns: []string{"baremetal", "kollaps", "mininet"},
+		}
+		for _, clients := range []int{1, 2, 4, 8} {
+			clients := clients
+			workload := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
+				svs, svIP, _ := p.AppStack("server")
+				apps.NewHTTPServer(svs, 80, 200, 64*1024)
+				cs, _, _ := p.AppStack("client")
+				var curls []*apps.CurlClient
+				for i := 0; i < clients; i++ {
+					curls = append(curls, apps.NewCurlClient(eng, cs, svIP, 80, 200, 64*1024, transport.Cubic))
 				}
-				return float64(bytes) * 8 / duration.Seconds() / 1e6
+				return func() float64 {
+					var bytes int64
+					for _, c := range curls {
+						bytes += c.BytesIn
+					}
+					return float64(bytes) * 8 / duration.Seconds() / 1e6
+				}
 			}
+			vals := make([]string, 3)
+			for i, s := range fig5Systems(fig6YAML, duration) {
+				vals[i] = fmt.Sprintf("%.1f", s.run(workload))
+			}
+			t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dx curl", clients), Values: vals})
 		}
-		vals := make([]string, 3)
-		for i, s := range fig5Systems(fig6YAML, duration) {
-			vals[i] = fmt.Sprintf("%.1f", s.run(workload))
-		}
-		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dx curl", clients), Values: vals})
+		return result{tables: []*Table{t}}, nil
 	}
-	return t
 }
 
-// RunFig7 reproduces Figure 7: mixed long- and short-lived flows across
+// fig7 reproduces Figure 7: mixed long- and short-lived flows across
 // three hosts; the wrk2 client is active only in the middle third of the
 // run. Reported is the deviation of each system from bare metal for the
 // long flow's bytes and the short flow's completed requests, per phase.
-func RunFig7(phase time.Duration) *Table {
-	if phase <= 0 {
-		phase = 20 * time.Second
-	}
-	duration := 3 * phase
-	type result struct{ iperfBits, wrkReqs float64 }
-	run := func(s system) result {
-		var out result
-		s.run(func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-			h1s, h1IP, _ := p.AppStack("c1")
-			h2s, _, _ := p.AppStack("c2")
-			svs, svIP, _ := p.AppStack("sv")
-			// Host 1 serves HTTP and drives iperf to host 3 (sv).
-			apps.NewHTTPServer(h1s, 80, 200, 64*1024)
-			server := apps.NewIperfServer(eng, svs, 5201, false)
-			apps.NewIperfClient(eng, h1s, svIP, 5201, transport.Cubic)
-			// Host 2 runs wrk2 against host 1 during the middle phase.
-			var w *apps.WrkClient
-			eng.At(phase, func() {
-				w = apps.NewWrkClient(eng, h2s, h1IP, 80, 100, 200, 64*1024, transport.Cubic)
-			})
-			eng.At(2*phase, func() { w.Stop() })
-			return func() float64 {
-				out.iperfBits = float64(server.Received) * 8 / duration.Seconds()
-				if w != nil {
-					out.wrkReqs = float64(w.Completed) / phase.Seconds()
+func fig7(phase time.Duration) runner {
+	return func(string) (result, error) {
+		duration := 3 * phase
+		type measured struct{ iperfBits, wrkReqs float64 }
+		run := func(s system) measured {
+			var out measured
+			s.run(func(p apps.StackProvider, eng *sim.Engine) func() float64 {
+				h1s, h1IP, _ := p.AppStack("c1")
+				h2s, _, _ := p.AppStack("c2")
+				svs, svIP, _ := p.AppStack("sv")
+				// Host 1 serves HTTP and drives iperf to host 3 (sv).
+				apps.NewHTTPServer(h1s, 80, 200, 64*1024)
+				server := apps.NewIperfServer(eng, svs, 5201, false)
+				apps.NewIperfClient(eng, h1s, svIP, 5201, transport.Cubic)
+				// Host 2 runs wrk2 against host 1 during the middle phase.
+				var w *apps.WrkClient
+				eng.At(phase, func() {
+					w = apps.NewWrkClient(eng, h2s, h1IP, 80, 100, 200, 64*1024, transport.Cubic)
+				})
+				eng.At(2*phase, func() { w.Stop() })
+				return func() float64 {
+					out.iperfBits = float64(server.Received) * 8 / duration.Seconds()
+					if w != nil {
+						out.wrkReqs = float64(w.Completed) / phase.Seconds()
+					}
+					return 0
 				}
-				return 0
-			}
-		})
-		return out
-	}
-	systems := fig5Systems(fig5YAML, duration)
-	base := run(systems[0])
-	kol := run(systems[1])
-	mn := run(systems[2])
-	dev := func(v, b float64) string {
-		if b == 0 {
-			return "n/a"
+			})
+			return out
 		}
-		return fmt.Sprintf("%.1f%%", math.Abs(1-v/b)*100)
+		systems := fig5Systems(fig5YAML, duration)
+		base := run(systems[0])
+		kol := run(systems[1])
+		mn := run(systems[2])
+		dev := func(v, b float64) string {
+			if b == 0 {
+				return "n/a"
+			}
+			return fmt.Sprintf("%.1f%%", math.Abs(1-v/b)*100)
+		}
+		t := &Table{
+			Title:   "Figure 7: mixed flows — deviation from bare-metal",
+			Columns: []string{"baremetal", "kollaps", "mininet", "kollaps dev", "mininet dev"},
+		}
+		t.Rows = append(t.Rows,
+			Row{Label: "iperf (Mb/s avg)", Values: []string{
+				fmt.Sprintf("%.1f", base.iperfBits/1e6), fmt.Sprintf("%.1f", kol.iperfBits/1e6),
+				fmt.Sprintf("%.1f", mn.iperfBits/1e6),
+				dev(kol.iperfBits, base.iperfBits), dev(mn.iperfBits, base.iperfBits)}},
+			Row{Label: "wrk2 (req/s)", Values: []string{
+				fmt.Sprintf("%.0f", base.wrkReqs), fmt.Sprintf("%.0f", kol.wrkReqs),
+				fmt.Sprintf("%.0f", mn.wrkReqs),
+				dev(kol.wrkReqs, base.wrkReqs), dev(mn.wrkReqs, base.wrkReqs)}},
+		)
+		return result{tables: []*Table{t}}, nil
 	}
-	t := &Table{
-		Title:   "Figure 7: mixed flows — deviation from bare-metal",
-		Columns: []string{"baremetal", "kollaps", "mininet", "kollaps dev", "mininet dev"},
-	}
-	t.Rows = append(t.Rows,
-		Row{Label: "iperf (Mb/s avg)", Values: []string{
-			fmt.Sprintf("%.1f", base.iperfBits/1e6), fmt.Sprintf("%.1f", kol.iperfBits/1e6),
-			fmt.Sprintf("%.1f", mn.iperfBits/1e6),
-			dev(kol.iperfBits, base.iperfBits), dev(mn.iperfBits, base.iperfBits)}},
-		Row{Label: "wrk2 (req/s)", Values: []string{
-			fmt.Sprintf("%.0f", base.wrkReqs), fmt.Sprintf("%.0f", kol.wrkReqs),
-			fmt.Sprintf("%.0f", mn.wrkReqs),
-			dev(kol.wrkReqs, base.wrkReqs), dev(mn.wrkReqs, base.wrkReqs)}},
-	)
-	return t
 }

@@ -97,71 +97,72 @@ var Fig8Expected = [6][6]float64{
 	{15.04, 17.55, 10, 21.06, 26.33, 10},
 }
 
-// RunFig8 reproduces Figure 8: six clients with staggered starts compete
-// across shared links; each phase's measured goodput per client is
-// reported next to the model's expected allocation.
-func RunFig8(phase time.Duration) *Table {
-	if phase <= 0 {
-		phase = 15 * time.Second
-	}
-	exp := mustKollaps(fig8YAML, 4, nil)
-	eng := exp.Eng
+// fig8 reproduces Figure 8: six clients with staggered starts, one
+// phase apart, compete across shared links; each phase's measured
+// goodput per client is reported next to the model's expected
+// allocation.
+func fig8(phase time.Duration) runner {
+	return func(string) (result, error) {
+		exp := mustKollaps(fig8YAML, 4, nil)
+		eng := exp.Eng
 
-	received := make([]int64, 6)
-	for i := 0; i < 6; i++ {
-		i := i
-		srv, _ := exp.Container(fmt.Sprintf("s%d", i+1))
-		srv.Stack.Listen(5201, &transport.Listener{OnAccept: func(c *transport.Conn) {
-			c.OnData = func(n int) { received[i] += int64(n) }
-		}})
-	}
-	for i := 0; i < 6; i++ {
-		i := i
-		eng.At(time.Duration(i)*phase, func() {
-			cli, _ := exp.Container(fmt.Sprintf("c%d", i+1))
+		received := make([]int64, 6)
+		for i := 0; i < 6; i++ {
+			i := i
 			srv, _ := exp.Container(fmt.Sprintf("s%d", i+1))
-			conn := cli.Stack.Dial(srv.IP, 5201, transport.Cubic)
-			conn.Write(1 << 30)
-			eng.Every(time.Second, func() {
-				if !conn.Closed() && conn.Buffered() < 1<<29 {
-					conn.Write(1 << 28)
+			srv.Stack.Listen(5201, &transport.Listener{OnAccept: func(c *transport.Conn) {
+				c.OnData = func(n int) { received[i] += int64(n) }
+			}})
+		}
+		for i := 0; i < 6; i++ {
+			i := i
+			eng.At(time.Duration(i)*phase, func() {
+				cli, _ := exp.Container(fmt.Sprintf("c%d", i+1))
+				srv, _ := exp.Container(fmt.Sprintf("s%d", i+1))
+				conn := cli.Stack.Dial(srv.IP, 5201, transport.Cubic)
+				conn.Write(1 << 30)
+				eng.Every(time.Second, func() {
+					if !conn.Closed() && conn.Buffered() < 1<<29 {
+						conn.Write(1 << 28)
+					}
+				})
+			})
+		}
+		window := phase / 2
+		var before, after [6][6]float64
+		for p := 0; p < 6; p++ {
+			p := p
+			eng.At(time.Duration(p+1)*phase-window, func() {
+				for i := 0; i < 6; i++ {
+					before[p][i] = float64(received[i])
 				}
 			})
-		})
-	}
-	window := phase / 2
-	var before, after [6][6]float64
-	for p := 0; p < 6; p++ {
-		p := p
-		eng.At(time.Duration(p+1)*phase-window, func() {
-			for i := 0; i < 6; i++ {
-				before[p][i] = float64(received[i])
-			}
-		})
-		eng.At(time.Duration(p+1)*phase-time.Millisecond, func() {
-			for i := 0; i < 6; i++ {
-				after[p][i] = float64(received[i])
-			}
-		})
-	}
-	eng.Run(6 * phase)
-
-	t := &Table{
-		Title:   "Figure 8: decentralized bandwidth throttling (Mb/s, measured vs model)",
-		Columns: []string{"c1", "c2", "c3", "c4", "c5", "c6"},
-	}
-	for p := 0; p < 6; p++ {
-		vals := make([]string, 6)
-		for i := 0; i < 6; i++ {
-			got := (after[p][i] - before[p][i]) * 8 / window.Seconds() / 1e6
-			want := Fig8Expected[p][i]
-			if want == 0 {
-				vals[i] = "-"
-			} else {
-				vals[i] = fmt.Sprintf("%.1f/%.1f", got, want)
-			}
+			eng.At(time.Duration(p+1)*phase-time.Millisecond, func() {
+				for i := 0; i < 6; i++ {
+					after[p][i] = float64(received[i])
+				}
+			})
 		}
-		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("phase %d", p+1), Values: vals})
+		eng.Run(6 * phase)
+
+		t := &Table{
+			Title:   "Figure 8: decentralized bandwidth throttling (Mb/s, measured vs model)",
+			Columns: []string{"c1", "c2", "c3", "c4", "c5", "c6"},
+		}
+		var measured [6][6]float64
+		for p := 0; p < 6; p++ {
+			vals := make([]string, 6)
+			for i := 0; i < 6; i++ {
+				measured[p][i] = (after[p][i] - before[p][i]) * 8 / window.Seconds() / 1e6
+				want := Fig8Expected[p][i]
+				if want == 0 {
+					vals[i] = "-"
+				} else {
+					vals[i] = fmt.Sprintf("%.1f/%.1f", measured[p][i], want)
+				}
+			}
+			t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("phase %d", p+1), Values: vals})
+		}
+		return result{tables: []*Table{t}, fig8Mbps: &measured}, nil
 	}
-	return t
 }

@@ -6,48 +6,43 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/aws"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/units"
 	"repro/kollaps"
 )
 
-// RunFig9 reproduces Figure 9: client latencies (50th/90th percentile) of
+// fig9 reproduces Figure 9: client latencies (50th/90th percentile) of
 // BFT-SMaRt (4 replicas) and Wheat (5 replicas, weighted votes) deployed
 // across five EC2 regions, emulated by Kollaps from the measured
 // inter-region latency matrix. One replica and one client per region.
-func RunFig9(duration time.Duration) *Table {
-	if duration <= 0 {
-		duration = 60 * time.Second
-	}
-	t := &Table{
-		Title:   "Figure 9: BFT-SMaRt (B) and Wheat (W) client latency (ms)",
-		Columns: []string{"B p50", "B p90", "W p50", "W p90"},
-	}
-	regions := aws.WheatRegions()
-	bft := fig9Run(regions[:4], apps.SMRConfig{}, duration, regions)
-	wheat := fig9Run(regions, apps.WheatWeights(5), duration, regions)
-	for i, r := range regions {
-		bv := []string{"-", "-"}
-		if i < len(bft) && bft[i] != nil {
-			bv = []string{fmt.Sprintf("%.0f", bft[i].Percentile(50)), fmt.Sprintf("%.0f", bft[i].Percentile(90))}
+func fig9(duration time.Duration) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Figure 9: BFT-SMaRt (B) and Wheat (W) client latency (ms)",
+			Columns: []string{"B p50", "B p90", "W p50", "W p90"},
 		}
-		wv := []string{"-", "-"}
-		if i < len(wheat) && wheat[i] != nil {
-			wv = []string{fmt.Sprintf("%.0f", wheat[i].Percentile(50)), fmt.Sprintf("%.0f", wheat[i].Percentile(90))}
+		regions := aws.WheatRegions()
+		bft := fig9Run(regions[:4], apps.SMRConfig{}, duration)
+		wheat := fig9Run(regions, apps.WheatWeights(5), duration)
+		for i, r := range regions {
+			t.Rows = append(t.Rows, Row{Label: string(r), Values: []string{
+				fmt.Sprintf("%.0f", bft[i].Percentile(50)), fmt.Sprintf("%.0f", bft[i].Percentile(90)),
+				fmt.Sprintf("%.0f", wheat[i].Percentile(50)), fmt.Sprintf("%.0f", wheat[i].Percentile(90)),
+			}})
 		}
-		t.Rows = append(t.Rows, Row{Label: string(r), Values: []string{bv[0], bv[1], wv[0], wv[1]}})
+		return result{tables: []*Table{t}}, nil
 	}
-	return t
 }
 
-// fig9Run deploys replicas in replicaRegions and one client per
-// clientRegion; returns each client's latency histogram (nil where no
-// client ran).
-func fig9Run(replicaRegions []aws.Region, cfg apps.SMRConfig, duration time.Duration, clientRegions []aws.Region) []*latHist {
+// fig9Run deploys replicas in replicaRegions and one client in each of
+// the five regions; returns each client's latency histogram.
+func fig9Run(replicaRegions []aws.Region, cfg apps.SMRConfig, duration time.Duration) []*metrics.Histogram {
 	var services []aws.GeoService
 	for i, r := range replicaRegions {
 		services = append(services, aws.GeoService{Name: fmt.Sprintf("replica-%d", i), Region: r})
 	}
+	clientRegions := aws.WheatRegions()
 	for i, r := range clientRegions {
 		services = append(services, aws.GeoService{Name: fmt.Sprintf("client-%d", i), Region: r})
 	}
@@ -74,17 +69,10 @@ func fig9Run(replicaRegions []aws.Region, cfg apps.SMRConfig, duration time.Dura
 		clients = append(clients, apps.NewSMRClient(exp.Eng, c.Stack, i, ips, 1))
 	}
 	exp.Run(duration)
-	out := make([]*latHist, len(clients))
+	out := make([]*metrics.Histogram, len(clients))
 	for i, c := range clients {
 		c.Stop()
-		out[i] = &latHist{h: &c.Latencies}
+		out[i] = &c.Latencies
 	}
 	return out
 }
-
-// latHist wraps a histogram pointer for result reporting.
-type latHist struct {
-	h interface{ Percentile(float64) float64 }
-}
-
-func (l *latHist) Percentile(p float64) float64 { return l.h.Percentile(p) }

@@ -3,25 +3,34 @@ package experiments
 import (
 	"os"
 	"testing"
-	"time"
 )
 
-// TestSmokeRemaining exercises the experiment harnesses at tiny durations
-// so regressions surface in the ordinary test run; full-length numbers
-// come from cmd/kollaps-bench and the root benchmarks.
+// TestSmokeRemaining checks that every table experiment of the
+// evaluation runs at its quick size and prints a non-empty table, and
+// that Table 3's emulated jitter stays within MSE < 1 of the EC2
+// measurement. It reads the paper report's run, which the paper subtest
+// of TestCommittedReportsRegenerate shares, so it costs no second run.
 func TestSmokeRemaining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are not short")
 	}
-	RunFig3(2*time.Second, []int{1, 2}, Fig3Configs[:2]).Fprint(os.Stdout)
-	RunFig4(3*time.Second, []int{1, 4}, 1).Fprint(os.Stdout)
-	RunFig9(10 * time.Second).Fprint(os.Stdout)
-	RunFig10(4*time.Second, []float64{1000, 4000}).Fprint(os.Stdout)
-	RunFig11(4*time.Second, []float64{1000}).Fprint(os.Stdout)
-	tb, mse := RunTable3(300)
-	tb.Fprint(os.Stdout)
-	if mse > 1.0 {
-		t.Errorf("Table 3 jitter MSE = %.3f, expected < 1", mse)
+	r, _ := fullRun(t, paper)
+	experiments := 0
+	for _, e := range evaluation {
+		if e.Report == "" {
+			experiments++
+		}
 	}
-	RunFig7(5 * time.Second).Fprint(os.Stdout)
+	if len(r.tables) < experiments {
+		t.Errorf("the %d table experiments printed %d tables", experiments, len(r.tables))
+	}
+	for _, tb := range r.tables {
+		if len(tb.Rows) == 0 {
+			t.Errorf("table %q has no rows", tb.Title)
+		}
+		tb.Fprint(os.Stdout)
+	}
+	if r.jitterMSE >= 1 {
+		t.Errorf("Table 3 jitter MSE = %.4f, want < 1", r.jitterMSE)
+	}
 }

@@ -2,48 +2,98 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/dissem"
 )
 
-// TestCommittedReportsRegenerate re-runs the failover, chaos and sweep
-// experiments at their committed configurations and demands that each
-// JSON report match the committed BENCH_*.json byte for byte: a
-// baseline that no longer describes the code fails here, not in a
-// reader's comparison. Each subtest also holds the full-scale report to
-// the experiment's acceptance invariants.
+// paperRun holds the paper report's one run per test binary, which
+// TestSmokeRemaining and the paper subtest of
+// TestCommittedReportsRegenerate share.
+var paperRun struct {
+	once   sync.Once
+	r      result
+	report []byte
+	err    error
+}
+
+// fullRun runs e at its full size and returns its result and the
+// report it wrote. The paper report runs once and is shared.
+func fullRun(t *testing.T, e Experiment) (result, []byte) {
+	t.Helper()
+	run := func(dir string) (result, []byte, error) {
+		path := filepath.Join(dir, e.Report)
+		r, err := e.full(path)
+		if err != nil {
+			return r, nil, err
+		}
+		report, err := os.ReadFile(path)
+		return r, report, err
+	}
+	if e.ID != paper.ID {
+		r, report, err := run(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, report
+	}
+	paperRun.once.Do(func() {
+		dir, err := os.MkdirTemp("", "paper")
+		if err != nil {
+			paperRun.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		paperRun.r, paperRun.report, paperRun.err = run(dir)
+	})
+	if paperRun.err != nil {
+		t.Fatal(paperRun.err)
+	}
+	return paperRun.r, paperRun.report
+}
+
+// TestCommittedReportsRegenerate re-runs every JSON experiment of the
+// evaluation table at its full size and demands that each report match
+// its committed BENCH_*.json byte for byte: a baseline that no longer
+// describes the code fails here, not in a reader's comparison. Each
+// subtest also holds its report to the experiment's acceptance
+// invariants.
 func TestCommittedReportsRegenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerating the committed reports is not short")
 	}
-	regenerate := func(t *testing.T, name string, run func(path string) error) {
+	// regenerate runs experiment id at its full size, compares its
+	// report with the committed copy, and decodes the report into v
+	// unless v is nil.
+	regenerate := func(t *testing.T, id string, v any) result {
 		t.Helper()
-		path := filepath.Join(t.TempDir(), name)
-		if err := run(path); err != nil {
-			t.Fatal(err)
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("no experiment %q", id)
 		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("..", "..", name))
+		r, got := fullRun(t, e)
+		want, err := os.ReadFile(filepath.Join("..", "..", e.Report))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s is stale: regenerate it with kollaps-bench (regenerated copy follows)\n%s", name, got)
+			t.Errorf("%s is stale: regenerate it with kollaps-bench -exp %s (regenerated copy follows)\n%s", e.Report, id, got)
 		}
+		if v != nil {
+			if err := json.Unmarshal(got, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
 	}
 
 	t.Run("failover", func(t *testing.T) {
-		var report *FailoverReport
-		regenerate(t, "BENCH_failover.json", func(path string) (err error) {
-			_, report, err = RunFailover(path, 32, 50)
-			return err
-		})
+		var report FailoverReport
+		regenerate(t, "failover", &report)
 		// Reconvergence within the suspicion threshold plus the Tree
 		// overlay's depth, ceil(log_4 N).
 		bound := dissem.DefaultSuspectAfter
@@ -70,11 +120,8 @@ func TestCommittedReportsRegenerate(t *testing.T) {
 	})
 
 	t.Run("chaos", func(t *testing.T) {
-		var report *ChaosReport
-		regenerate(t, "BENCH_chaos.json", func(path string) (err error) {
-			_, report, err = RunChaos(path, 8, 60)
-			return err
-		})
+		var report ChaosReport
+		regenerate(t, "chaos", &report)
 		// Suspicion + overlay reroute + one resync cycle, widened for the
 		// fault noise still running while the heal is measured.
 		const healBound = dissem.DefaultSuspectAfter + 7
@@ -108,12 +155,9 @@ func TestCommittedReportsRegenerate(t *testing.T) {
 	})
 
 	t.Run("sweep", func(t *testing.T) {
-		var report *SweepReport
-		regenerate(t, "BENCH_sweep.json", func(path string) (err error) {
-			_, report, err = RunSweep(path, 0, nil, nil, 0, 0)
-			return err
-		})
-		if want := len(SweepPeriods) * len(DissemStrategies); len(report.Cells) != want {
+		var report SweepReport
+		regenerate(t, "sweep", &report)
+		if want := len(sweepPeriods) * len(dissemStrategies); len(report.Cells) != want {
 			t.Fatalf("cells = %d, want %d", len(report.Cells), want)
 		}
 		for _, c := range report.Cells {
@@ -127,6 +171,30 @@ func TestCommittedReportsRegenerate(t *testing.T) {
 			if c.CtrlBytesPerPeriod <= 0 {
 				t.Errorf("cell %s/T=%v spent no control-plane bytes", c.Strategy, c.PeriodMs)
 			}
+		}
+	})
+
+	t.Run("paper", func(t *testing.T) {
+		r := regenerate(t, "paper", nil)
+		// Figure 8's model: iperf goodput counts payload while htb shapes
+		// wire bytes, so every active cell reads a few percent under the
+		// model's allocation, and by the same factor.
+		if r.fig8Mbps == nil {
+			t.Fatal("the paper report ran no Figure 8")
+		}
+		for p, row := range Fig8Expected {
+			for i, want := range row {
+				if want == 0 {
+					continue
+				}
+				if ratio := r.fig8Mbps[p][i] / want; ratio < 0.93 || ratio > 0.98 {
+					t.Errorf("Figure 8 phase %d c%d: measured/model = %.1f/%.2f = %.3f, want within [0.93, 0.98]",
+						p+1, i+1, r.fig8Mbps[p][i], want, ratio)
+				}
+			}
+		}
+		if r.jitterMSE >= 1 {
+			t.Errorf("Table 3 jitter MSE = %.4f, want < 1", r.jitterMSE)
 		}
 	})
 }

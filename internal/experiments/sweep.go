@@ -22,9 +22,9 @@ import (
 	"repro/kollaps"
 )
 
-// SweepPeriods are the Emulation Manager periods the sweep measures,
+// sweepPeriods are the Emulation Manager periods the sweep measures,
 // bracketing the paper's 50 ms default.
-var SweepPeriods = []time.Duration{
+var sweepPeriods = []time.Duration{
 	10 * time.Millisecond,
 	25 * time.Millisecond,
 	50 * time.Millisecond,
@@ -108,54 +108,38 @@ func sweepCell(strategy string, period time.Duration, n, warmup, measure int) Sw
 	}
 }
 
-// RunSweep measures every (period, strategy) cell, writes the JSON report
-// to path (skipped when path is empty) and returns a printable table. nil
-// periods/strategies select the defaults (SweepPeriods /
-// DissemStrategies); non-positive n, warmup and measure select the
-// committed BENCH_sweep.json configuration: 16 managers, 40 warmup and
-// 200 measured periods.
-func RunSweep(path string, n int, periods []time.Duration, strategies []string, warmup, measure int) (*Table, *SweepReport, error) {
-	if n <= 0 {
-		n = 16
-	}
-	if periods == nil {
-		periods = SweepPeriods
-	}
-	if strategies == nil {
-		strategies = DissemStrategies
-	}
-	if warmup <= 0 {
-		warmup = 40
-	}
-	if measure <= 0 {
-		measure = 200
-	}
-	report := &SweepReport{
-		Workload: fmt.Sprintf("dissemScaleYAML(%d), 8Mb/s CBR per client (odd flows pulse %v half-cycles), probe every period, epsilon %.2f",
-			n, sweepPulse/2, dissemEpsilon),
-		Hosts: n, FlowsPerHost: dissemFlowsPerHost,
-		WarmupPeriods: warmup, MeasurePeriods: measure,
-	}
-	table := &Table{
-		Title:   fmt.Sprintf("period vs accuracy: share deviation and control cost, N=%d managers", n),
-		Columns: []string{"mean Δshare", "max Δshare", "ctrl B/period", "dgrams/period", "stale p50", "stale p99"},
-	}
-	for _, p := range periods {
-		for _, strat := range strategies {
-			cell := sweepCell(strat, p, n, warmup, measure)
-			report.Cells = append(report.Cells, cell)
-			table.Rows = append(table.Rows, Row{
-				Label: fmt.Sprintf("T=%dms %s", int(p/time.Millisecond), strat),
-				Values: []string{
-					fmt.Sprintf("%.2f%%", cell.MeanShareDev*100),
-					fmt.Sprintf("%.1f%%", cell.MaxShareDev*100),
-					fmt.Sprintf("%.0f", cell.CtrlBytesPerPeriod),
-					fmt.Sprintf("%.1f", cell.CtrlDatagramsPerPeriod),
-					fmt.Sprintf("%.0fms", cell.StalenessP50Ms),
-					fmt.Sprintf("%.0fms", cell.StalenessP99Ms),
-				},
-			})
+// sweep measures every (period, strategy) cell on n managers, warmup
+// periods of warm-up and measure measured periods each, writes the JSON
+// report to path (skipped when empty) and returns a printable table.
+func sweep(n, warmup, measure int) runner {
+	return func(path string) (result, error) {
+		report := &SweepReport{
+			Workload: fmt.Sprintf("dissemScaleYAML(%d), 8Mb/s CBR per client (odd flows pulse %v half-cycles), probe every period, epsilon %.2f",
+				n, sweepPulse/2, dissemEpsilon),
+			Hosts: n, FlowsPerHost: dissemFlowsPerHost,
+			WarmupPeriods: warmup, MeasurePeriods: measure,
 		}
+		table := &Table{
+			Title:   fmt.Sprintf("period vs accuracy: share deviation and control cost, N=%d managers", n),
+			Columns: []string{"mean Δshare", "max Δshare", "ctrl B/period", "dgrams/period", "stale p50", "stale p99"},
+		}
+		for _, p := range sweepPeriods {
+			for _, strat := range dissemStrategies {
+				cell := sweepCell(strat, p, n, warmup, measure)
+				report.Cells = append(report.Cells, cell)
+				table.Rows = append(table.Rows, Row{
+					Label: fmt.Sprintf("T=%dms %s", int(p/time.Millisecond), strat),
+					Values: []string{
+						fmt.Sprintf("%.2f%%", cell.MeanShareDev*100),
+						fmt.Sprintf("%.1f%%", cell.MaxShareDev*100),
+						fmt.Sprintf("%.0f", cell.CtrlBytesPerPeriod),
+						fmt.Sprintf("%.1f", cell.CtrlDatagramsPerPeriod),
+						fmt.Sprintf("%.0fms", cell.StalenessP50Ms),
+						fmt.Sprintf("%.0fms", cell.StalenessP99Ms),
+					},
+				})
+			}
+		}
+		return result{tables: []*Table{table}}, writeReport(path, report)
 	}
-	return table, report, writeReport(path, report)
 }

@@ -21,37 +21,36 @@ var Table2Rates = []units.Bandwidth{
 	1 * units.Gbps, 2 * units.Gbps, 4 * units.Gbps,
 }
 
-// RunTable2 reproduces Table 2: bandwidth shaping accuracy of Kollaps,
+// table2 reproduces Table 2: bandwidth shaping accuracy of Kollaps,
 // Mininet and Trickle (default and tuned) on a point-to-point client/server
 // topology, one iperf flow per target rate.
-func RunTable2(duration time.Duration) *Table {
-	if duration <= 0 {
-		duration = 10 * time.Second
-	}
-	t := &Table{
-		Title:   "Table 2: bandwidth shaping accuracy (iperf goodput vs nominal)",
-		Columns: []string{"Kollaps", "Mininet", "trickle(def.)", "trickle(tuned)"},
-	}
-	for _, rate := range Table2Rates {
-		k := table2Kollaps(rate, duration)
-		m, mOK := table2Mininet(rate, duration)
-		td := table2Trickle(rate, duration, baselines.TrickleOptions{Window: 5 * time.Second})
-		tt := table2Trickle(rate, duration, baselines.Tuned(rate))
-		mCell := "N/A"
-		if mOK {
-			mCell = fmt.Sprintf("%s (%s)", mbps(m), pct(m, float64(rate)))
+func table2(duration time.Duration) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Table 2: bandwidth shaping accuracy (iperf goodput vs nominal)",
+			Columns: []string{"Kollaps", "Mininet", "trickle(def.)", "trickle(tuned)"},
 		}
-		t.Rows = append(t.Rows, Row{
-			Label: rate.String(),
-			Values: []string{
-				fmt.Sprintf("%s (%s)", mbps(k), pct(k, float64(rate))),
-				mCell,
-				fmt.Sprintf("%s (%s)", mbps(td), pct(td, float64(rate))),
-				fmt.Sprintf("%s (%s)", mbps(tt), pct(tt, float64(rate))),
-			},
-		})
+		for _, rate := range Table2Rates {
+			k := table2Kollaps(rate, duration)
+			m, mOK := table2Mininet(rate, duration)
+			td := table2Trickle(rate, duration, baselines.TrickleOptions{Window: 5 * time.Second})
+			tt := table2Trickle(rate, duration, baselines.Tuned(rate))
+			mCell := "N/A"
+			if mOK {
+				mCell = fmt.Sprintf("%s (%s)", mbps(m), pct(m, float64(rate)))
+			}
+			t.Rows = append(t.Rows, Row{
+				Label: rate.String(),
+				Values: []string{
+					fmt.Sprintf("%s (%s)", mbps(k), pct(k, float64(rate))),
+					mCell,
+					fmt.Sprintf("%s (%s)", mbps(td), pct(td, float64(rate))),
+					fmt.Sprintf("%s (%s)", mbps(tt), pct(tt, float64(rate))),
+				},
+			})
+		}
+		return result{tables: []*Table{t}}, nil
 	}
-	return t
 }
 
 // table2Topology is the point-to-point client/server description.

@@ -10,43 +10,42 @@ import (
 	"repro/internal/units"
 )
 
-// RunTable3 reproduces Table 3: jitter shaping accuracy. For each
+// table3 reproduces Table 3: jitter shaping accuracy. For each
 // us-east-1 destination the measured EC2 latency/jitter pair is emulated
 // on a single link and probed with pings; the emulated jitter is the
 // standard deviation of the one-way delays recovered from the RTT samples.
-// Returns the table plus the mean squared error between EC2 and emulated
+// The result carries the mean squared error between EC2 and emulated
 // jitter (the paper reports 0.2029).
-func RunTable3(pings int) (*Table, float64) {
-	if pings <= 0 {
-		pings = 2000
+func table3(pings int) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Table 3: jitter shaping accuracy (us-east-1 fan-out)",
+			Columns: []string{"Latency(ms)", "EC2 jitter(ms)", "Kollaps jitter(ms)"},
+		}
+		var observed, expected []float64
+		for _, link := range aws.USEast1Fanout {
+			got := table3Measure(link, pings)
+			want := link.Jitter.Seconds() * 1000
+			observed = append(observed, got)
+			expected = append(expected, want)
+			t.Rows = append(t.Rows, Row{
+				Label: string(link.To),
+				Values: []string{
+					fmt.Sprintf("%.0f", link.Latency.Seconds()*1000),
+					fmt.Sprintf("%.4f", want),
+					fmt.Sprintf("%.4f", got),
+				},
+			})
+		}
+		var mse float64
+		for i := range observed {
+			d := observed[i] - expected[i]
+			mse += d * d
+		}
+		mse /= float64(len(observed))
+		t.Rows = append(t.Rows, Row{Label: "MSE", Values: []string{"", "", fmt.Sprintf("%.4f", mse)}})
+		return result{tables: []*Table{t}, jitterMSE: mse}, nil
 	}
-	t := &Table{
-		Title:   "Table 3: jitter shaping accuracy (us-east-1 fan-out)",
-		Columns: []string{"Latency(ms)", "EC2 jitter(ms)", "Kollaps jitter(ms)"},
-	}
-	var observed, expected []float64
-	for _, link := range aws.USEast1Fanout {
-		got := table3Measure(link, pings)
-		want := link.Jitter.Seconds() * 1000
-		observed = append(observed, got)
-		expected = append(expected, want)
-		t.Rows = append(t.Rows, Row{
-			Label: string(link.To),
-			Values: []string{
-				fmt.Sprintf("%.0f", link.Latency.Seconds()*1000),
-				fmt.Sprintf("%.4f", want),
-				fmt.Sprintf("%.4f", got),
-			},
-		})
-	}
-	var mse float64
-	for i := range observed {
-		d := observed[i] - expected[i]
-		mse += d * d
-	}
-	mse /= float64(len(observed))
-	t.Rows = append(t.Rows, Row{Label: "MSE", Values: []string{"", "", fmt.Sprintf("%.4f", mse)}})
-	return t, mse
 }
 
 func table3Measure(link aws.Link, pings int) float64 {

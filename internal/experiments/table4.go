@@ -17,53 +17,47 @@ import (
 	"repro/internal/units"
 )
 
-// Table4Sizes are the scale-free topology sizes of Table 4.
-var Table4Sizes = []int{1000, 2000, 4000}
+// table4Pairs is how many random service pairs each Table 4 system pings.
+const table4Pairs = 50
 
-// RunTable4 reproduces Table 4: mean squared error between observed ping
+// table4 reproduces Table 4: mean squared error between observed ping
 // RTTs and the theoretical ones on large preferential-attachment
-// topologies, for Kollaps (4 hosts), Mininet (single host, 1000 elements
-// only) and Maxinet (4 workers + external controllers).
-func RunTable4(sizes []int, pairs int, duration time.Duration) *Table {
-	if sizes == nil {
-		sizes = Table4Sizes
-	}
-	if pairs <= 0 {
-		pairs = 50
-	}
-	if duration <= 0 {
-		duration = 20 * time.Second
-	}
-	t := &Table{
-		Title:   "Table 4: latency MSE on scale-free topologies (ms^2)",
-		Columns: []string{"#Nodes", "#Switches", "Kollaps", "Mininet", "Maxinet"},
-	}
-	for _, size := range sizes {
-		gK := table4Graph(size)
-		nodes := len(gK.Services())
-		switches := gK.NumNodes() - nodes
+// topologies of the given sizes, for Kollaps (4 hosts), Mininet (single
+// host, 1000 elements only) and Maxinet (4 workers + external
+// controllers).
+func table4(sizes []int, duration time.Duration) runner {
+	return func(string) (result, error) {
+		t := &Table{
+			Title:   "Table 4: latency MSE on scale-free topologies (ms^2)",
+			Columns: []string{"#Nodes", "#Switches", "Kollaps", "Mininet", "Maxinet"},
+		}
+		for _, size := range sizes {
+			gK := table4Graph(size)
+			nodes := len(gK.Services())
+			switches := gK.NumNodes() - nodes
 
-		kMSE := table4Kollaps(gK, pairs, duration)
-		mCell := "NA"
-		if size <= baselines.MininetMaxElements {
-			mMSE, ok := table4Mininet(table4Graph(size), pairs, duration)
-			if ok {
-				mCell = fmt.Sprintf("%.4f", mMSE)
+			kMSE := table4Kollaps(gK, duration)
+			mCell := "NA"
+			if size <= baselines.MininetMaxElements {
+				mMSE, ok := table4Mininet(table4Graph(size), duration)
+				if ok {
+					mCell = fmt.Sprintf("%.4f", mMSE)
+				}
 			}
+			xCell := "NA"
+			if size < 4000 {
+				xCell = fmt.Sprintf("%.4f", table4Maxinet(table4Graph(size), duration))
+			}
+			t.Rows = append(t.Rows, Row{
+				Label: fmt.Sprintf("%d", size),
+				Values: []string{
+					fmt.Sprintf("%d", nodes), fmt.Sprintf("%d", switches),
+					fmt.Sprintf("%.4f", kMSE), mCell, xCell,
+				},
+			})
 		}
-		xCell := "NA"
-		if size < 4000 {
-			xCell = fmt.Sprintf("%.4f", table4Maxinet(table4Graph(size), pairs, duration))
-		}
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("%d", size),
-			Values: []string{
-				fmt.Sprintf("%d", nodes), fmt.Sprintf("%d", switches),
-				fmt.Sprintf("%.4f", kMSE), mCell, xCell,
-			},
-		})
+		return result{tables: []*Table{t}}, nil
 	}
-	return t
 }
 
 func table4Graph(size int) *graph.Graph {
@@ -90,7 +84,7 @@ func pingPairs(g *graph.Graph, n int, seed int64) [][2]graph.NodeID {
 	return out
 }
 
-func table4Kollaps(g *graph.Graph, pairs int, duration time.Duration) float64 {
+func table4Kollaps(g *graph.Graph, duration time.Duration) float64 {
 	eng := sim.NewEngine(42)
 	rt, err := core.NewRuntime(eng, g, 4, nil, core.Options{})
 	if err != nil {
@@ -99,7 +93,7 @@ func table4Kollaps(g *graph.Graph, pairs int, duration time.Duration) float64 {
 	rt.Start()
 	col := rt.State().Collapsed
 	var obs, want []float64
-	for _, pr := range pingPairs(g, pairs, 7) {
+	for _, pr := range pingPairs(g, table4Pairs, 7) {
 		src, dst := pr[0], pr[1]
 		p := col.Path(src, dst)
 		rev := col.Path(dst, src)
@@ -136,7 +130,7 @@ func containerByNode(rt *core.Runtime, node graph.NodeID) *core.Container {
 
 // fabricPingMSE drives pings over any fabric-based network and compares to
 // the theoretical collapsed RTT.
-func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, pairs int, duration time.Duration) float64 {
+func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, duration time.Duration) float64 {
 	col := topology.Collapse(g)
 	stacks := make(map[graph.NodeID]*transport.Stack)
 	ips := make(map[graph.NodeID]packet.IP)
@@ -152,7 +146,7 @@ func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, pairs in
 		ips[n] = ip
 	}
 	var obs, want []float64
-	for _, pr := range pingPairs(g, pairs, 7) {
+	for _, pr := range pingPairs(g, table4Pairs, 7) {
 		src, dst := pr[0], pr[1]
 		p := col.Path(src, dst)
 		rev := col.Path(dst, src)
@@ -178,17 +172,17 @@ func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, pairs in
 	return metrics.MSE(obs, want)
 }
 
-func table4Mininet(g *graph.Graph, pairs int, duration time.Duration) (float64, bool) {
+func table4Mininet(g *graph.Graph, duration time.Duration) (float64, bool) {
 	eng := sim.NewEngine(42)
 	mn, err := baselines.NewMininet(eng, g)
 	if err != nil {
 		return 0, false
 	}
-	return fabricPingMSE(eng, mn.Network, g, pairs, duration), true
+	return fabricPingMSE(eng, mn.Network, g, duration), true
 }
 
-func table4Maxinet(g *graph.Graph, pairs int, duration time.Duration) float64 {
+func table4Maxinet(g *graph.Graph, duration time.Duration) float64 {
 	eng := sim.NewEngine(42)
 	mx := baselines.NewMaxinet(eng, g)
-	return fabricPingMSE(eng, mx.Network, g, pairs, duration)
+	return fabricPingMSE(eng, mx.Network, g, duration)
 }
