@@ -154,6 +154,7 @@ func TestManagerSolverCounters(t *testing.T) {
 		"kollaps_virtual_time_seconds 2\n",
 		"kollaps_topology_trees_built_total ",
 		"kollaps_topology_trees_carried_total 0\n",
+		"kollaps_topology_trees_repaired_total 0\n",
 		"kollaps_topology_paths_materialized_total ",
 	} {
 		if !strings.Contains(buf.String(), name) {

@@ -65,12 +65,15 @@ type Link struct {
 type Graph struct {
 	nodes  []Node
 	links  []Link
-	out    [][]int // node id -> outgoing link ids
+	adj    []adjacency // node id -> its link ids
 	byName map[string]NodeID
-	// shared marks nodes, out and byName as shared with a Clone (or its
+	// shared marks nodes, adj and byName as shared with a Clone (or its
 	// origin): the first AddNode/AddLink on either side copies them.
 	shared bool
 }
+
+// adjacency is one node's link ids: out leave the node, in arrive at it.
+type adjacency struct{ out, in []int }
 
 // New returns an empty graph.
 func New() *Graph {
@@ -78,8 +81,7 @@ func New() *Graph {
 }
 
 // unshare gives g its own nodes, adjacency and name index before a
-// structural mutation. The adjacency rows are carved from one block,
-// capacity-clipped so an append to one row cannot run into the next.
+// structural mutation.
 func (g *Graph) unshare() {
 	if !g.shared {
 		return
@@ -91,13 +93,19 @@ func (g *Graph) unshare() {
 		byName[k] = v
 	}
 	g.byName = byName
-	flat := make([]int, 0, len(g.links))
-	out := make([][]int, len(g.out))
-	for i, row := range g.out {
+	// The rows are carved from one block (every link is in one out row
+	// and one in row), capacity-clipped so an append to one row cannot
+	// run into the next.
+	flat := make([]int, 0, 2*len(g.links))
+	carve := func(row []int) []int {
 		flat = append(flat, row...)
-		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
+		return flat[len(flat)-len(row) : len(flat) : len(flat)]
 	}
-	g.out = out
+	adj := make([]adjacency, len(g.adj))
+	for i, a := range g.adj {
+		adj[i] = adjacency{out: carve(a.out), in: carve(a.in)}
+	}
+	g.adj = adj
 }
 
 // AddNode adds a named node and returns its id. Duplicate names are an
@@ -109,7 +117,7 @@ func (g *Graph) AddNode(name string, kind NodeKind) (NodeID, error) {
 	g.unshare()
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind})
-	g.out = append(g.out, nil)
+	g.adj = append(g.adj, adjacency{})
 	g.byName[name] = id
 	return id, nil
 }
@@ -129,7 +137,8 @@ func (g *Graph) AddLink(from, to NodeID, p LinkProps) int {
 	g.unshare()
 	id := len(g.links)
 	g.links = append(g.links, Link{ID: id, From: from, To: to, LinkProps: p})
-	g.out[from] = append(g.out[from], id)
+	g.adj[from].out = append(g.adj[from].out, id)
+	g.adj[to].in = append(g.adj[to].in, id)
 	return id
 }
 
@@ -194,8 +203,8 @@ func (g *Graph) Services() []NodeID {
 
 // Clone returns an independent copy; the dynamic topology engine makes one
 // per event group (§3). Only the link table — what events patch — is
-// copied eagerly; nodes, adjacency and the name index are shared until
-// either side adds a node or a link.
+// copied eagerly; nodes, the adjacency (out- and in-links) and the name
+// index are shared until either side adds a node or a link.
 func (g *Graph) Clone() *Graph {
 	g.shared = true
 	c := *g
@@ -264,8 +273,9 @@ func (f *propsFold) props() LinkProps {
 // ties broken by hop count, then by the arriving link's id). That triple is
 // a function of the graph alone — every candidate for a node is relaxed
 // from a node with a strictly smaller (dist, hops) key — so a Tree can be
-// compared, reused and carried to a later graph it still Holds for. It
-// keeps no reference to the graph; Path and Holds take the one to read.
+// compared, reused, carried to a later graph it still Holds for, or
+// repaired into a later graph's tree. It keeps no reference to the graph;
+// Path, Holds and Repair take the one to read.
 type Tree struct {
 	src NodeID
 	st  []treeNode
@@ -279,7 +289,8 @@ type treeNode struct {
 
 const unreached = time.Duration(math.MaxInt64)
 
-// Scratch is Dijkstra's reusable working memory; the zero value is ready.
+// Scratch is the settle loop's reusable working memory; the zero value is
+// ready.
 type Scratch struct{ heap []nodeDist }
 
 // Tree runs Dijkstra from src, skipping tombstoned links. sc may be nil.
@@ -295,37 +306,111 @@ func (g *Graph) Tree(src NodeID, sc *Scratch) Tree {
 	if cap(sc.heap) < len(st) {
 		sc.heap = make([]nodeDist, 0, len(st))
 	}
-	pq := append(sc.heap[:0], nodeDist{hopsID: uint64(src)})
+	sc.heap = g.settle(st, append(sc.heap[:0], nodeDist{hopsID: uint64(src)}))
+	return Tree{src: src, st: st}
+}
+
+// Repair derives g's tree from t, the tree of an earlier version of g with
+// the same nodes, where changed lists every link whose properties differ
+// between the two versions (links new in g included). sc must not be nil.
+//
+// A changed tree edge that is dead now, or whose new latency makes its
+// head's key worse, is a root: the root and everything below it in the
+// tree (found top down, a node's children being the heads of its
+// out-links that are their tree edges) is reset to unreached. Every other
+// entry is kept: its old tree path still exists and is no longer than
+// before, so its key is an upper bound. If anything was reset, each
+// unreached node is offered its live in-links; and every changed link is
+// offered to its head, which covers improvements, ties that take over the
+// link-id tie-break, restored links and new ones. The settle loop does the
+// rest. When it ends, every key is that of a real path and no live link
+// improves on its head's key, so the keys are the shortest ones; and every
+// tight link into a node was offered to it at its final key, so each
+// arriving link is the smallest tight one. The result equals g.Tree(t's
+// source) field for field.
+func (t Tree) Repair(g *Graph, changed []int, sc *Scratch) Tree {
+	st := append([]treeNode(nil), t.st...)
+	// q lists the reset nodes while the subtrees are found; each node is
+	// listed once, so the heap's capacity of one entry per node holds it.
+	q := sc.heap[:0]
+	reset := func(v NodeID) {
+		st[v] = treeNode{dist: unreached, via: -1}
+		q = append(q, nodeDist{hopsID: uint64(v)})
+	}
+	for _, li := range changed {
+		l := &g.links[li]
+		from, to := &st[l.From], &st[l.To]
+		// A tail reset by an earlier root is unreached now: so is its child.
+		if to.via == int32(li) && (l.Bandwidth < 0 || from.dist == unreached || from.dist+l.Latency > to.dist) {
+			reset(l.To)
+		}
+	}
+	for i := 0; i < len(q); i++ {
+		for _, li := range g.adj[q[i].hopsID].out {
+			if to := g.links[li].To; st[to].via == int32(li) {
+				reset(to)
+			}
+		}
+	}
+	pq := q[:0]
+	if len(q) > 0 {
+		for v := range st {
+			if st[v].dist == unreached {
+				for _, li := range g.adj[v].in {
+					pq = g.relax(st, pq, li)
+				}
+			}
+		}
+	}
+	for _, li := range changed {
+		pq = g.relax(st, pq, li)
+	}
+	sc.heap = g.settle(st, pq)
+	return Tree{src: t.src, st: st}
+}
+
+// settle is the one Dijkstra loop, shared by Tree and Repair: it pops the
+// least queued (dist, hops) key and offers the node's out-links to their
+// heads until the queue is empty. It returns the emptied queue for reuse.
+func (g *Graph) settle(st []treeNode, pq []nodeDist) []nodeDist {
 	for len(pq) > 0 {
 		cur, hops, id := pq[0], int32(pq[0].hopsID>>32), uint32(pq[0].hopsID)
 		pq = popMin(pq)
 		if s := &st[id]; cur.dist != s.dist || hops != s.hops {
 			continue // superseded by a better key queued later
 		}
-		for _, li := range g.out[id] {
-			l := &g.links[li]
-			if l.Bandwidth < 0 { // tombstone
-				continue
-			}
-			nd, nh := cur.dist+l.Latency, hops+1
-			ns := &st[l.To]
-			switch {
-			case nd < ns.dist || nd == ns.dist && nh < ns.hops:
-				ns.dist, ns.hops, ns.via = nd, nh, int32(li)
-				// A leaf whose one link leads straight back has nothing
-				// to relax: settled here, never queued. Services usually
-				// are such leaves, and they are most of a topology.
-				if back := g.out[l.To]; len(back) == 1 && g.links[back[0]].To == NodeID(id) {
-					continue
-				}
-				pq = push(pq, nodeDist{dist: nd, hopsID: uint64(nh)<<32 | uint64(l.To)})
-			case nd == ns.dist && nh == ns.hops && int32(li) < ns.via:
-				ns.via = int32(li) // same key already queued
-			}
+		for _, li := range g.adj[id].out {
+			pq = g.relax(st, pq, li)
 		}
 	}
-	sc.heap = pq
-	return Tree{src: src, st: st}
+	return pq
+}
+
+// relax offers link li, if live and leaving a reached node, to its head: a
+// strictly better (dist, hops) key takes the head and queues it, an equal
+// key through a smaller link id takes over the arriving link only (the
+// key is queued or settled already).
+func (g *Graph) relax(st []treeNode, pq []nodeDist, li int) []nodeDist {
+	l := &g.links[li]
+	from, to := &st[l.From], &st[l.To]
+	if l.Bandwidth < 0 || from.dist == unreached { // a tombstone, or nothing to offer
+		return pq
+	}
+	nd, nh := from.dist+l.Latency, from.hops+1
+	switch {
+	case nd < to.dist || nd == to.dist && nh < to.hops:
+		to.dist, to.hops, to.via = nd, nh, int32(li)
+		// A leaf whose one link leads straight back has nothing to
+		// relax: settled here, never queued. Services usually are such
+		// leaves, and they are most of a topology.
+		if back := g.adj[l.To].out; len(back) == 1 && g.links[back[0]].To == l.From {
+			return pq
+		}
+		return push(pq, nodeDist{dist: nd, hopsID: uint64(nh)<<32 | uint64(l.To)})
+	case nd == to.dist && nh == to.hops && int32(li) < to.via:
+		to.via = int32(li)
+	}
+	return pq
 }
 
 // Path materialises the tree's path to dst on g — the graph the tree was

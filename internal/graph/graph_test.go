@@ -389,7 +389,7 @@ func refShortestPaths(g *Graph, src NodeID) map[NodeID]*Path {
 			continue
 		}
 		s.done = true
-		for _, li := range g.out[cur.id] {
+		for _, li := range g.adj[cur.id].out {
 			l := &g.links[li]
 			if l.Bandwidth < 0 { // tombstone
 				continue
@@ -670,4 +670,159 @@ func TestTreeHoldsImpliesIdentical(t *testing.T) {
 	if g.Tree(c1, nil).Holds(grown, nil) {
 		t.Fatal("tree holds for a graph with another node count")
 	}
+}
+
+// trees returns g's tree from each of sources.
+func trees(g *Graph, sources []NodeID) []Tree {
+	out := make([]Tree, len(sources))
+	for i, src := range sources {
+		out[i] = g.Tree(src, nil)
+	}
+	return out
+}
+
+// checkRepair repairs each of olds, trees of a graph that a patch turned
+// into next, where changed lists at least every link whose properties
+// differ, and fails unless each repair equals a fresh Tree on next field
+// for field. It returns the fresh trees and how many of olds did not Hold.
+func checkRepair(t testing.TB, olds []Tree, next *Graph, changed []int) (fresh []Tree, stale int) {
+	t.Helper()
+	var sc Scratch
+	for _, old := range olds {
+		if !old.Holds(next, changed) {
+			stale++
+		}
+		got, want := old.Repair(next, changed, &sc), next.Tree(old.src, nil)
+		if !reflect.DeepEqual(got, want) {
+			for v := range want.st {
+				if got.st[v] != want.st[v] {
+					t.Fatalf("src %d, changed %v: Repair gives node %d %+v, a fresh Tree %+v", old.src, changed, v, got.st[v], want.st[v])
+				}
+			}
+			t.Fatalf("src %d, changed %v: Repair %+v, a fresh Tree %+v", old.src, changed, got, want)
+		}
+		fresh = append(fresh, want)
+	}
+	return fresh, stale
+}
+
+// patchGraph applies a patch set decoded from fuzz bytes to a clone of g
+// and returns the clone and the links it touched. Every two bytes are one
+// patch: a link's latency up, down or unchanged, a bandwidth-only change
+// on a tree edge, a tombstone, a restore, or a fresh link.
+func patchGraph(g *Graph, data []byte) (*Graph, []int) {
+	next := g.Clone()
+	var changed []int
+	n := next.NumNodes()
+	for i := 0; i+1 < len(data) && next.NumLinks() > 0; i += 2 {
+		op, arg := data[i], int(data[i+1])
+		li := arg % next.NumLinks()
+		p := next.Link(li).LinkProps
+		switch op % 7 {
+		case 0:
+			p.Latency += time.Duration(1+op>>3&1) * time.Millisecond
+		case 1:
+			p.Latency -= min(p.Latency, time.Duration(1+op>>3&1)*time.Millisecond)
+		case 2:
+			p.Jitter++ // latency unchanged
+		case 3: // the edge into node arg of the tree from node op>>3
+			via := next.Tree(NodeID(int(op>>3)%n), nil).st[arg%n].via
+			if via < 0 {
+				continue
+			}
+			li, p = int(via), next.Link(int(via)).LinkProps
+			p.Bandwidth = units.Bandwidth(1+op>>3&3) * 3 * units.Mbps
+		case 4:
+			next.RemoveLink(li)
+			changed = append(changed, li)
+			continue
+		case 5:
+			if p.Bandwidth < 0 {
+				p.Bandwidth = units.Mbps
+			}
+		default:
+			li = next.AddLink(NodeID(arg%n), NodeID(int(op>>3)%n), LinkProps{
+				Latency: time.Duration(op>>5&3) * time.Millisecond, Bandwidth: units.Mbps,
+			})
+			changed = append(changed, li)
+			continue
+		}
+		next.SetLinkProps(li, p)
+		changed = append(changed, li)
+	}
+	return next, changed
+}
+
+func FuzzTreeRepair(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 0, 2, 2, 2, 3, 0x81}, []byte{0, 0, 1, 2, 4, 1})
+	f.Add([]byte{9, 0, 1, 2, 0, 2, 2, 1, 3, 1, 2, 3, 1, 3, 4, 0, 4, 0, 3}, []byte{3, 4, 5, 3, 6, 7})
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 6; i++ {
+		g, p := make([]byte, 40+rng.Intn(80)), make([]byte, 2+2*rng.Intn(4))
+		rng.Read(g)
+		rng.Read(p)
+		f.Add(g, p)
+	}
+	f.Fuzz(func(t *testing.T, graphData, patchData []byte) {
+		g := fuzzGraph(graphData)
+		if g.NumNodes() == 0 {
+			return
+		}
+		next, changed := patchGraph(g, patchData)
+		sources := make([]NodeID, g.NumNodes())
+		for i := range sources {
+			sources[i] = NodeID(i)
+		}
+		checkRepair(t, trees(g, sources), next, changed)
+	})
+}
+
+// TestTreeRepairSingleFlaps flaps every bridge–bridge link of the
+// 1000-element scale-free graph, both directions at once as a set-link
+// event does: latency halved, bandwidth alone halved, latency ×1.5, the
+// link taken down and then brought back up. Every repair must equal a
+// fresh Tree.
+func TestTreeRepairSingleFlaps(t *testing.T) {
+	base := LinkProps{Latency: 2 * time.Millisecond, Bandwidth: units.Gbps}
+	g := ScaleFree(ScaleFreeOptions{Elements: 1000, EdgesPerNode: 2, LinkProps: base, Rand: rand.New(rand.NewSource(1))})
+	svc := g.Services()
+	olds := trees(g, []NodeID{0, svc[0], svc[len(svc)/2], svc[len(svc)-1]})
+	patches := []LinkProps{
+		{Latency: base.Latency / 2, Bandwidth: base.Bandwidth},
+		{Latency: base.Latency, Bandwidth: base.Bandwidth / 2},
+		{Latency: base.Latency * 3 / 2, Bandwidth: base.Bandwidth},
+	}
+	stale, flaps := 0, 0
+	for li := 0; li < g.NumLinks(); li++ {
+		l := g.Link(li)
+		if g.Node(l.From).Kind != Bridge || g.Node(l.To).Kind != Bridge || l.From > l.To {
+			continue
+		}
+		pair := []int{li}
+		for _, ri := range g.adj[l.To].out {
+			if g.Link(ri).To == l.From {
+				pair = append(pair, ri)
+			}
+		}
+		for _, p := range patches {
+			next := g.Clone()
+			for _, id := range pair {
+				next.SetLinkProps(id, p)
+			}
+			_, n := checkRepair(t, olds, next, pair)
+			stale += n
+		}
+		down := g.Clone()
+		for _, id := range pair {
+			down.RemoveLink(id)
+		}
+		downs, n := checkRepair(t, olds, down, pair)
+		_, m := checkRepair(t, downs, g, pair)
+		stale += n + m
+		flaps++
+	}
+	if flaps < 500 || stale < flaps {
+		t.Fatalf("%d bridge–bridge flaps left %d trees stale: too few to exercise Repair", flaps, stale)
+	}
+	t.Logf("%d flaps, %d of %d trees stale", flaps, stale, 5*flaps*len(olds))
 }

@@ -230,11 +230,12 @@ func TestCollapseCarryMatchesFresh(t *testing.T) {
 		st := runCarryScript(t, data)
 		total.TreesBuilt += st.TreesBuilt
 		total.TreesCarried += st.TreesCarried
+		total.TreesRepaired += st.TreesRepaired
 		total.PathsMaterialized += st.PathsMaterialized
 	}
 	t.Logf("%+v", total)
-	if total.TreesCarried*10 < total.TreesBuilt || total.TreesBuilt*10 < total.TreesCarried {
-		t.Fatalf("%+v: the scripts do not exercise both carry-over and rebuild", total)
+	if total.TreesCarried*10 < total.TreesBuilt || total.TreesBuilt*10 < total.TreesCarried || total.TreesRepaired == 0 {
+		t.Fatalf("%+v: the scripts do not exercise carry-over, rebuild and repair", total)
 	}
 }
 
@@ -250,8 +251,8 @@ func FuzzCollapseCarry(f *testing.F) {
 
 // TestCollapseAllocationBudget pins what a lookup costs on the
 // 1000-element scale-free graph: nothing on a hit, a tree plus one path
-// on a first ask, and next to nothing when the previous generation's tree
-// is adopted.
+// on a first ask, next to nothing when the previous generation's tree is
+// adopted, and a tree copy plus one path when it is repaired.
 func TestCollapseAllocationBudget(t *testing.T) {
 	base := graph.LinkProps{Latency: 2 * time.Millisecond, Bandwidth: units.Gbps}
 	g := graph.ScaleFree(graph.ScaleFreeOptions{Elements: 1000, EdgesPerNode: 2, LinkProps: base, Rand: rand.New(rand.NewSource(1))})
@@ -272,40 +273,46 @@ func TestCollapseAllocationBudget(t *testing.T) {
 		t.Errorf("Path hit: %.1f objects, want 0", hit)
 	}
 
-	// A bridge-bridge link that is in neither direction's tree from a, made
-	// slower: a's tree and its memoised path are adopted by the next
-	// generation.
-	var orig, dest string
-	for li := 0; li < g.NumLinks() && orig == ""; li++ {
+	// Two bridge-bridge links made slower: one in neither direction's tree
+	// from a, whose tree and memoised path the next generation adopts, and
+	// one a tree edge, which the next generation repairs.
+	lat := 3 * time.Millisecond
+	flap := func(live *Live, l graph.Link) {
+		if err := live.Apply(time.Second, Event{Kind: EvSetLink, Orig: g.Node(l.From).Name, Dest: g.Node(l.To).Name, Props: LinkPatch{Latency: &lat}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var carry, repair graph.Link
+	for li := 0; li < g.NumLinks() && (carry.To == 0 || repair.To == 0); li++ {
 		l := g.Link(li)
 		if g.Node(l.From).Kind != graph.Bridge || g.Node(l.To).Kind != graph.Bridge {
 			continue
 		}
 		probe := NewLive(g)
 		probe.State().Collapsed.Path(a, b)
-		lat := 3 * time.Millisecond
-		if err := probe.Apply(time.Second, Event{Kind: EvSetLink, Orig: g.Node(l.From).Name, Dest: g.Node(l.To).Name, Props: LinkPatch{Latency: &lat}}); err != nil {
-			t.Fatal(err)
-		}
+		flap(probe, l)
 		probe.State().Collapsed.Path(a, b)
 		if probe.CollapseStats().TreesCarried == 1 {
-			orig, dest = g.Node(l.From).Name, g.Node(l.To).Name
+			carry = l
+		} else if probe.CollapseStats().TreesRepaired == 1 {
+			repair = l
 		}
 	}
-	if orig == "" {
-		t.Fatal("no bridge link leaves the tree from the first service intact")
+	if carry.To == 0 || repair.To == 0 {
+		t.Fatal("no bridge link leaves the tree from the first service intact, or none is in it")
 	}
-	carried := make([]*Live, 0, runs+1)
-	paths := make([]*graph.Path, 0, runs+1)
-	for len(carried) <= runs {
-		live := NewLive(g)
-		paths = append(paths, live.State().Collapsed.Path(a, b))
-		lat := 3 * time.Millisecond
-		if err := live.Apply(time.Second, Event{Kind: EvSetLink, Orig: orig, Dest: dest, Props: LinkPatch{Latency: &lat}}); err != nil {
-			t.Fatal(err)
+	lives := func(l graph.Link) ([]*Live, []*graph.Path) {
+		out := make([]*Live, 0, runs+1)
+		paths := make([]*graph.Path, 0, runs+1)
+		for len(out) <= runs {
+			live := NewLive(g)
+			paths = append(paths, live.State().Collapsed.Path(a, b))
+			flap(live, l)
+			out = append(out, live)
 		}
-		carried = append(carried, live)
+		return out, paths
 	}
+	carried, paths := lives(carry)
 	i = 0
 	miss := testing.AllocsPerRun(runs, func() {
 		if carried[i].State().Collapsed.Path(a, b) != paths[i] {
@@ -316,7 +323,20 @@ func TestCollapseAllocationBudget(t *testing.T) {
 	if miss > 4 {
 		t.Errorf("Path adopting the previous generation's tree: %.1f objects, budget 4", miss)
 	}
-	if st := carried[0].CollapseStats(); st.TreesBuilt != 1 || st.TreesCarried != 1 || st.PathsMaterialized != 1 {
-		t.Errorf("stats after build + adopt = %+v, want 1/1/1", st)
+	if st := carried[0].CollapseStats(); st.TreesBuilt != 1 || st.TreesCarried != 1 || st.TreesRepaired != 0 || st.PathsMaterialized != 1 {
+		t.Errorf("stats after build + adopt = %+v, want 1/1/0/1", st)
+	}
+
+	// A repair allocates the tree slice, the source, its paths map (two
+	// objects once the path is in it), the path (two) and the cache entry;
+	// its working memory is the scratch the first tree sized.
+	repaired, _ := lives(repair)
+	i = 0
+	miss = testing.AllocsPerRun(runs, func() { repaired[i].State().Collapsed.Path(a, b); i++ })
+	if miss > 7 {
+		t.Errorf("Path repairing the previous generation's tree: %.1f objects, budget 7", miss)
+	}
+	if st := repaired[0].CollapseStats(); st.TreesBuilt != 2 || st.TreesCarried != 0 || st.TreesRepaired != 1 || st.PathsMaterialized != 2 {
+		t.Errorf("stats after build + repair = %+v, want 2/0/1/2", st)
 	}
 }

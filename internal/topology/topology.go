@@ -239,7 +239,8 @@ type Collapsed struct {
 	cache map[graph.NodeID]*source
 	// prev is the generation this one was derived from, changed the links
 	// whose properties differ between the two graphs: a source prev holds
-	// whose tree no changed link can alter is adopted instead of rebuilt.
+	// whose tree no changed link can alter is adopted, and any other
+	// source prev holds is repaired instead of rebuilt.
 	// Live cuts prev once this generation has a successor of its own, so
 	// held snapshots do not chain.
 	prev    *Collapsed
@@ -255,18 +256,20 @@ type source struct {
 	paths map[graph.NodeID]*graph.Path
 }
 
-// work is what every generation of one Live shares: Dijkstra's scratch
-// memory and the counters of collapse work actually done.
+// work is what every generation of one Live shares: the shortest-path
+// scratch memory and the counters of collapse work actually done.
 type work struct {
 	scratch graph.Scratch
 	stats   CollapseStats
 }
 
-// CollapseStats counts lazy collapse work: shortest-path trees built by
-// Dijkstra, trees adopted unchanged from the previous generation, and
-// paths materialised. carried/(built+carried) is the reuse ratio.
+// CollapseStats counts lazy collapse work: shortest-path trees built, trees
+// adopted unchanged from the previous generation, and paths materialised.
+// TreesRepaired counts the built trees that were derived from the previous
+// generation's tree by Tree.Repair rather than by a full Dijkstra; it is a
+// part of TreesBuilt. carried/(built+carried) is the reuse ratio.
 type CollapseStats struct {
-	TreesBuilt, TreesCarried, PathsMaterialized uint64
+	TreesBuilt, TreesCarried, TreesRepaired, PathsMaterialized uint64
 }
 
 // Collapse prepares the (lazy) collapsed topology of a built graph. The
@@ -299,19 +302,25 @@ func (c *Collapsed) Path(src, dst graph.NodeID) *graph.Path {
 }
 
 // miss is everything Path does beyond a lookup: adopt the previous
-// generation's tree for src when it still holds, or else run Dijkstra,
-// then materialise and memoise the one path asked for. Cold by
-// construction — once per (source, destination) per topology state at
-// most, never in the steady-state emulation loop.
+// generation's tree for src when it still holds, repair it when it does
+// not, or else (a first ask, or a node-count change) run Dijkstra; then
+// materialise and memoise the one path asked for. Cold by construction —
+// once per (source, destination) per topology state at most, never in the
+// steady-state emulation loop.
 func (c *Collapsed) miss(src, dst graph.NodeID) *graph.Path {
 	s := c.cache[src]
 	if s == nil {
 		if c.prev != nil {
 			s = c.prev.cache[src]
 		}
-		if s != nil && s.tree.Holds(c.g, c.changed) {
+		switch {
+		case s != nil && s.tree.Holds(c.g, c.changed):
 			c.w.stats.TreesCarried++
-		} else {
+		case s != nil && c.prev.g.NumNodes() == c.g.NumNodes():
+			s = &source{tree: s.tree.Repair(c.g, c.changed, &c.w.scratch), paths: make(map[graph.NodeID]*graph.Path)}
+			c.w.stats.TreesBuilt++
+			c.w.stats.TreesRepaired++
+		default:
 			s = &source{tree: c.g.Tree(src, &c.w.scratch), paths: make(map[graph.NodeID]*graph.Path)}
 			c.w.stats.TreesBuilt++
 		}
