@@ -6,8 +6,8 @@
 // two invariants of the Emulation Manager loop — the untraced
 // BenchmarkIterate stays at 0 allocs/op (the flight recorder must not
 // have re-introduced allocation when disabled), and the best
-// BenchmarkIterateTraced run stays within -max-trace-overhead of the best
-// untraced run (recording must be cheap enough to leave on).
+// BenchmarkIterateTraced run stays within maxTraceOverhead (1.10×) of the
+// best untraced run (recording must be cheap enough to leave on).
 // Minimum-of-count ns/op comparisons tolerate CI noise: a loaded runner
 // slows individual runs, but the minima converge.
 //
@@ -33,9 +33,12 @@ import (
 	"strings"
 )
 
+// maxTraceOverhead is the iterate gate's bound: BenchmarkIterateTraced's
+// best ns/op may be at most this multiple of BenchmarkIterate's.
+const maxTraceOverhead = 1.10
+
 func main() {
 	iterate := flag.String("iterate", "", "gate the iterate benchmarks from this `go test -bench` text output")
-	traceOverhead := flag.Float64("max-trace-overhead", 1.10, "iterate mode: fail when BenchmarkIterateTraced's best ns/op exceeds this multiple of BenchmarkIterate's")
 	ledger := flag.String("ledger", "", "gate one `go run ./bench -workload W` output (last line: the JSON result)")
 	ledgerAllocs := flag.Float64("max-ledger-allocs", 60000, "ledger mode: fail when allocs_per_virtual_s exceeds this")
 	flag.Parse()
@@ -45,7 +48,7 @@ func main() {
 	case *ledger != "":
 		err = checkLedger(*ledger, *ledgerAllocs)
 	case *iterate != "":
-		err = checkIterate(*iterate, *traceOverhead)
+		err = checkIterate(*iterate)
 	default:
 		fmt.Fprintln(os.Stderr, "benchcheck: name a gate: -iterate FILE or -ledger FILE")
 		os.Exit(2)
@@ -108,7 +111,7 @@ func parseBenchLines(raw string) map[string]*iterateResult {
 // checkIterate enforces the iterate-loop gates on a benchmark output
 // file; any error is a failed gate (or unusable input, which must also
 // fail — a gate that can't see its benchmarks is disabled, not passing).
-func checkIterate(path string, maxOverhead float64) error {
+func checkIterate(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -131,9 +134,9 @@ func checkIterate(path string, maxOverhead float64) error {
 		return fmt.Errorf("BenchmarkIterate best ns/op is %.0f — unusable measurement", plain.minNs)
 	}
 	overhead := traced.minNs / plain.minNs
-	if overhead > maxOverhead {
+	if overhead > maxTraceOverhead {
 		return fmt.Errorf("BenchmarkIterateTraced overhead %.2fx exceeds %.2fx (best %.0f vs %.0f ns/op)",
-			overhead, maxOverhead, traced.minNs, plain.minNs)
+			overhead, maxTraceOverhead, traced.minNs, plain.minNs)
 	}
 	fmt.Printf("ok   BenchmarkIterateTraced: %.2fx of untraced (best %.0f ns/op, %d allocs/op)\n",
 		overhead, traced.minNs, traced.maxAllocs)

@@ -8,20 +8,17 @@
 // Usage:
 //
 //	go run ./cmd/kollapslint ./...
-//	go run ./cmd/kollapslint -json ./internal/dissem ./internal/core
+//	go run ./cmd/kollapslint ./internal/dissem ./internal/core
 //
 // Exit status 1 when any analyzer reports a finding or a contract
 // package is missing its scope annotation;
 // findings print one per line in file:line:col order, like compiler
-// errors. With -json they print as one JSON array of
-// {file,line,col,analyzer,message} objects instead, for editor and CI
-// integration. See the package documentation of internal/lint for the
+// errors. See the package documentation of internal/lint for the
 // annotation vocabulary and DESIGN.md "Determinism & wire-safety
 // contract" for the rationale and the catch log.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,17 +47,7 @@ var contractPackages = map[string][]string{
 	},
 }
 
-// jsonFinding is the -json output shape for one diagnostic.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -99,37 +86,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kollapslint:", err)
 		os.Exit(2)
 	}
-	if *jsonOut {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:     relPath(root, f.Position.Filename),
-				Line:     f.Position.Line,
-				Col:      f.Position.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "kollapslint:", err)
-			os.Exit(2)
-		}
-		if len(findings) > 0 {
-			exit = 1
-		}
-	} else {
-		for _, f := range findings {
-			// Print module-relative paths so output is stable across hosts.
-			pos := f.Position
-			pos.Filename = relPath(root, pos.Filename)
-			fmt.Printf("%s: %s (%s)\n", pos, f.Message, f.Analyzer)
-			exit = 1
-		}
-		if exit == 0 {
-			fmt.Printf("kollapslint: %d packages clean\n", len(prog.Packages))
-		}
+	for _, f := range findings {
+		// Print module-relative paths so output is stable across hosts.
+		pos := f.Position
+		pos.Filename = relPath(root, pos.Filename)
+		fmt.Printf("%s: %s (%s)\n", pos, f.Message, f.Analyzer)
+		exit = 1
+	}
+	if exit == 0 {
+		fmt.Printf("kollapslint: %d packages clean\n", len(prog.Packages))
 	}
 	os.Exit(exit)
 }

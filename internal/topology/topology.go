@@ -357,45 +357,68 @@ type Live struct {
 	// it instead of re-deriving every emulation period.
 	gen     uint64
 	removed map[int]removedLink
-	// nodeDown counts outstanding node-leaves per declared name, so two
-	// independent actors taking the same node down (a scheduled NodeDown
-	// plus Churn on the same target) need two joins before the node's
-	// links come back — the first join must not end the other actor's
-	// outage early.
-	nodeDown map[string]int
 }
 
 // removedLink is one tombstoned link: its original properties plus the
-// set of events currently holding it down ("link:" or "node:"-prefixed
-// owners). A leave adds its owner — also to links already down, so
-// overlapping outages stack — and a join removes its owner; the link is
-// restored only when no owner remains. Without this provenance, one
-// actor's join would resurrect links a concurrent, still-active failure
-// intended to keep down — an interleaving the runtime-mutation API
-// (Churn over a topology with scheduled failures) makes routine.
+// outages holding it down, counted per owner ("link:" or "node:"
+// prefixed). Every leave adds one hold for its owner — also on links
+// already down, so overlapping outages stack, two leaves by the same
+// owner included — and every join releases one hold of its own owner;
+// the link is restored when no hold remains. Without this provenance,
+// one actor's join would resurrect links a concurrent, still-active
+// failure intended to keep down — an interleaving the runtime-mutation
+// API (Churn over a topology with scheduled failures) makes routine.
 type removedLink struct {
-	props  graph.LinkProps
-	owners map[string]struct{}
+	props graph.LinkProps
+	holds map[string]int
 }
 
 func (rl removedLink) clone() removedLink {
-	owners := make(map[string]struct{}, len(rl.owners))
-	for o := range rl.owners {
-		owners[o] = struct{}{}
+	holds := make(map[string]int, len(rl.holds))
+	for o, n := range rl.holds {
+		holds[o] = n
 	}
-	return removedLink{props: rl.props, owners: owners}
+	return removedLink{props: rl.props, holds: holds}
 }
 
 func linkOwner(orig, dest string) string { return "link:" + orig + "|" + dest }
 func nodeOwner(name string) string       { return "node:" + name }
 
+// hold adds one hold by owner on link li, taking the link down if it is
+// live.
+func hold(g *graph.Graph, removed map[int]removedLink, li int, owner string) {
+	if !g.LinkRemoved(li) {
+		removed[li] = removedLink{g.Link(li).LinkProps, map[string]int{owner: 1}}
+		g.RemoveLink(li)
+	} else if rl, ok := removed[li]; ok {
+		rl.holds[owner]++
+	}
+}
+
+// release drops one hold by owner on tombstoned link li — none when the
+// owner holds none — and restores the link once no hold remains.
+func release(g *graph.Graph, removed map[int]removedLink, li int, owner string) {
+	rl := removed[li]
+	switch n := rl.holds[owner]; {
+	case n == 0:
+		return
+	case n > 1:
+		rl.holds[owner] = n - 1
+		return
+	}
+	delete(rl.holds, owner)
+	if len(rl.holds) == 0 {
+		g.SetLinkProps(li, rl.props)
+		delete(removed, li)
+	}
+}
+
 // NewLive starts the state machine at the given (built) graph, time 0.
 func NewLive(g *graph.Graph) *Live {
 	return &Live{
-		st:       &State{At: 0, Graph: g, Collapsed: Collapse(g)},
-		gen:      1,
-		removed:  make(map[int]removedLink),
-		nodeDown: make(map[string]int),
+		st:      &State{At: 0, Graph: g, Collapsed: Collapse(g)},
+		gen:     1,
+		removed: make(map[int]removedLink),
 	}
 }
 
@@ -435,12 +458,8 @@ func (l *Live) ApplyIf(at time.Duration, check func(*State) error, evs ...Event)
 	for k, v := range l.removed {
 		removed[k] = v.clone()
 	}
-	nodeDown := make(map[string]int, len(l.nodeDown))
-	for k, v := range l.nodeDown {
-		nodeDown[k] = v
-	}
 	for _, e := range evs {
-		if err := applyEvent(next, e, removed, nodeDown); err != nil {
+		if err := applyEvent(next, e, removed); err != nil {
 			return err
 		}
 	}
@@ -454,7 +473,6 @@ func (l *Live) ApplyIf(at time.Duration, check func(*State) error, evs ...Event)
 	l.st = st
 	l.gen++
 	l.removed = removed
-	l.nodeDown = nodeDown
 	return nil
 }
 
@@ -512,7 +530,7 @@ func (p LinkPatch) check() error {
 	return nil
 }
 
-func applyEvent(g *graph.Graph, e Event, removed map[int]removedLink, nodeDown map[string]int) error {
+func applyEvent(g *graph.Graph, e Event, removed map[int]removedLink) error {
 	if e.Kind == EvSetLink || e.Kind == EvLinkJoin {
 		if err := e.Props.check(); err != nil {
 			return fmt.Errorf("topology: event %v %s->%s: %v", e.Kind, e.Orig, e.Dest, err)
@@ -540,9 +558,9 @@ func applyEvent(g *graph.Graph, e Event, removed map[int]removedLink, nodeDown m
 		}
 	case EvLinkLeave:
 		// Take live links down under this event's ownership; links
-		// already down (by a node-leave, say) gain it as an additional
-		// owner, so overlapping outages stack instead of erroring —
-		// Churn over scheduled link failures hits this interleaving.
+		// already down (by a node-leave, say) gain a hold, so overlapping
+		// outages stack instead of erroring — Churn over scheduled link
+		// failures hits this interleaving.
 		owner := linkOwner(e.Orig, e.Dest)
 		ids := linksBetween(g, e.Orig, e.Dest)
 		down := tombstonedBetween(g, removed, e.Orig, e.Dest)
@@ -550,34 +568,27 @@ func applyEvent(g *graph.Graph, e Event, removed map[int]removedLink, nodeDown m
 			return fmt.Errorf("topology: link-leave: no link %s->%s", e.Orig, e.Dest)
 		}
 		for _, pair := range ids {
-			removed[pair.fwd] = removedLink{g.Link(pair.fwd).LinkProps, map[string]struct{}{owner: {}}}
-			g.RemoveLink(pair.fwd)
+			hold(g, removed, pair.fwd, owner)
 			if pair.rev >= 0 {
-				removed[pair.rev] = removedLink{g.Link(pair.rev).LinkProps, map[string]struct{}{owner: {}}}
-				g.RemoveLink(pair.rev)
+				hold(g, removed, pair.rev, owner)
 			}
 		}
 		for _, li := range down {
-			removed[li].owners[owner] = struct{}{}
+			hold(g, removed, li, owner)
 		}
 	case EvLinkJoin:
-		// Release this event's hold on tombstoned links between the
-		// endpoints; each is restored (with its stored, patched props)
-		// once no other outage still owns it. With no tombstones at all,
-		// add a fresh pair with the patch properties.
+		// Release one of this event's holds on tombstoned links between
+		// the endpoints; each is restored (with its stored, patched
+		// props) once no other outage still holds it. With no tombstones
+		// at all, add a fresh pair with the patch properties.
 		owner := linkOwner(e.Orig, e.Dest)
 		tomb := tombstonedBetween(g, removed, e.Orig, e.Dest)
 		if len(tomb) > 0 {
 			for _, li := range tomb {
 				rl := removed[li]
 				rl.props = patchProps(rl.props, e.Props, nameMatches(names(g, g.Link(li).From), e.Orig))
-				delete(rl.owners, owner)
-				if len(rl.owners) == 0 {
-					g.SetLinkProps(li, rl.props)
-					delete(removed, li)
-				} else {
-					removed[li] = rl
-				}
+				removed[li] = rl
+				release(g, removed, li, owner)
 			}
 			break
 		}
@@ -591,63 +602,41 @@ func applyEvent(g *graph.Graph, e Event, removed map[int]removedLink, nodeDown m
 		rev := g.AddLink(b, a, lp)
 		patchLink(g, fwd, e.Props, true)
 		patchLink(g, rev, e.Props, false)
-	case EvNodeLeave:
+	case EvNodeLeave, EvNodeJoin:
+		// Every link touching the node gains (leave) or releases (join)
+		// one hold. Leaves of the same name stack: when two actors took
+		// the node down (scheduled NodeDown plus churn, say), the first
+		// join only drops one hold — the node's links come back with the
+		// last join, so neither actor's outage ends early. Links down for
+		// someone else's reasons only stay down. (Leave/join must use the
+		// same declared name to pair.)
 		ids := expandNodeName(g, e.Name)
 		if len(ids) == 0 {
-			return fmt.Errorf("topology: node-leave of unknown %q", e.Name)
+			return fmt.Errorf("topology: %v of unknown %q", e.Kind, e.Name)
 		}
 		owner := nodeOwner(e.Name)
-		nodeDown[e.Name]++
-		for _, id := range ids {
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(li)
-				if l.From != id && l.To != id {
-					continue
-				}
-				if !g.LinkRemoved(li) {
-					removed[li] = removedLink{l.LinkProps, map[string]struct{}{owner: {}}}
-					g.RemoveLink(li)
-				} else if rl, ok := removed[li]; ok {
-					rl.owners[owner] = struct{}{}
-				}
+		for li := 0; li < g.NumLinks(); li++ {
+			if !touches(g.Link(li), ids) {
+				continue
 			}
-		}
-	case EvNodeJoin:
-		ids := expandNodeName(g, e.Name)
-		if len(ids) == 0 {
-			return fmt.Errorf("topology: node-join of unknown %q", e.Name)
-		}
-		// Leaves of the same name stack: when two actors took the node
-		// down (scheduled NodeDown plus churn, say), the first join only
-		// decrements the count — the node's links come back with the
-		// last join, so neither actor's outage ends early. (Leave/join
-		// must use the same declared name to pair.)
-		if nodeDown[e.Name] > 1 {
-			nodeDown[e.Name]--
-			break
-		}
-		delete(nodeDown, e.Name)
-		owner := nodeOwner(e.Name)
-		for _, id := range ids {
-			for li, rl := range removed {
-				l := g.Link(li)
-				if l.From != id && l.To != id {
-					continue
-				}
-				if _, held := rl.owners[owner]; !held {
-					continue // down for someone else's reasons only
-				}
-				delete(rl.owners, owner)
-				if len(rl.owners) == 0 {
-					g.SetLinkProps(li, rl.props)
-					delete(removed, li)
-				} else {
-					removed[li] = rl
-				}
+			if e.Kind == EvNodeLeave {
+				hold(g, removed, li, owner)
+			} else if _, down := removed[li]; down {
+				release(g, removed, li, owner)
 			}
 		}
 	}
 	return nil
+}
+
+// touches reports whether link l starts or ends at one of ids.
+func touches(l graph.Link, ids []graph.NodeID) bool {
+	for _, id := range ids {
+		if l.From == id || l.To == id {
+			return true
+		}
+	}
+	return false
 }
 
 // tombstonedBetween returns the tombstoned link ids between two declared

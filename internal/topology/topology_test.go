@@ -682,6 +682,41 @@ func TestNodeLeavesStack(t *testing.T) {
 	}
 }
 
+func TestLinkLeavesStack(t *testing.T) {
+	// Link outages stack like node outages: two leaves of the same link
+	// need two joins, so the first join must not end the other actor's
+	// outage.
+	top, err := ParseYAML(liveTestYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := top.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewLive(g)
+	a, _ := g.Lookup("a")
+	b, _ := g.Lookup("b")
+	for i, ev := range []Event{
+		{Kind: EvLinkLeave, Orig: "a", Dest: "b"}, // scheduled outage
+		{Kind: EvLinkLeave, Orig: "a", Dest: "b"}, // a second actor on the same link
+		{Kind: EvLinkJoin, Orig: "a", Dest: "b"},  // its join: still down
+	} {
+		if err := live.Apply(time.Duration(i+1)*time.Second, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live.State().Collapsed.Path(a, b) != nil {
+		t.Fatal("first of two joins ended a doubly-held link outage")
+	}
+	if err := live.Apply(4*time.Second, Event{Kind: EvLinkJoin, Orig: "a", Dest: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if live.State().Collapsed.Path(a, b) == nil {
+		t.Fatal("final join did not restore the link")
+	}
+}
+
 func TestApplyIfVetoKeepsState(t *testing.T) {
 	top, err := ParseYAML(liveTestYAML)
 	if err != nil {

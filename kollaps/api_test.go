@@ -470,9 +470,9 @@ func TestChurnValidation(t *testing.T) {
 	}
 }
 
-// GrayHost with a negative or inverted delay band used to be clamped
-// silently by the injector; At and ChaosPlan now reject it, before and
-// after Deploy, and name the band.
+// A Gray action with a negative or inverted delay band used to be
+// clamped silently by the injector; ChaosPlan now rejects it, before and
+// after Deploy, and names the band.
 func TestGrayHostValidation(t *testing.T) {
 	exp, err := Load(quickYAML)
 	if err != nil {
@@ -486,15 +486,12 @@ func TestGrayHostValidation(t *testing.T) {
 			{-time.Millisecond, time.Millisecond, "-1ms"},
 			{5 * time.Millisecond, time.Millisecond, "[5ms,1ms]"},
 		} {
-			if err := exp.At(time.Second, GrayHost(0, tc.min, tc.max)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("deployed=%v: At(GrayHost(0, %v, %v)) = %v, want an error naming %s", deployed, tc.min, tc.max, err, tc.want)
-			}
 			plan := new(chaos.Plan).At(time.Second, chaos.Off()).At(2*time.Second, chaos.Gray(0, tc.min, tc.max))
 			if err := exp.ChaosPlan(plan); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("deployed=%v: ChaosPlan with Gray(0, %v, %v) = %v, want an error naming %s", deployed, tc.min, tc.max, err, tc.want)
 			}
 		}
-		if err := exp.At(time.Second, GrayHost(0, 0, 0)); err != nil {
+		if err := exp.ChaosPlan(new(chaos.Plan).At(time.Second, chaos.Gray(0, 0, 0))); err != nil {
 			t.Fatalf("deployed=%v: a zero band is valid: %v", deployed, err)
 		}
 	}

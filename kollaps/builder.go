@@ -132,11 +132,7 @@ func (b *TopologyBuilder) Link(orig, dest string, opts ...LinkOption) *TopologyB
 // call (or separate calls with equal times) are applied atomically as one
 // topology change.
 func (b *TopologyBuilder) At(at time.Duration, evs ...Event) *TopologyBuilder {
-	for _, ev := range evs {
-		raw := ev.ev
-		raw.At = at
-		b.top.Events = append(b.top.Events, raw)
-	}
+	b.top.Events = append(b.top.Events, unwrap(at, evs)...)
 	return b
 }
 

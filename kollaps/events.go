@@ -4,25 +4,20 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/topology"
 )
 
-// Event is one dynamic experiment change, not yet bound to a time. Build
-// events with the constructors — topology (Set, LinkDown, LinkUp,
-// NodeDown, NodeUp) or chaos (ChaosProfile, PartitionHosts,
-// PartitionOneWay, HealPartitions, GrayHost, ...) — and bind them with
-// Experiment.At or TopologyBuilder.At; the immediate mutators (SetLink,
-// FailLink, ...) bind them to the current virtual time. The five
-// topology event kinds back the YAML dynamic: section, so any scripted
-// scenario has a deterministic YAML-expressible core — what the API adds
-// is Go control flow, parameterization, seeded randomness and the chaos
-// plane around them.
+// Event is one topology change, not yet bound to a time. Build events
+// with the constructors (Set, LinkDown, LinkUp, NodeDown, NodeUp) and
+// bind them with Experiment.At or TopologyBuilder.At; the immediate
+// mutators (SetLink, FailLink, ...) bind them to the current virtual
+// time. The five event kinds back the YAML dynamic: section, so any
+// scripted scenario has a deterministic YAML-expressible core — what
+// the API adds is Go control flow, parameterization and seeded
+// randomness around them. Control-plane faults are scripted separately,
+// as a chaos.Plan (see ChaosPlan).
 type Event struct {
 	ev topology.Event
-	// chaos, when non-nil, marks this as a chaos-plane action instead of
-	// a topology change; At routes it to the deployment's fault injector.
-	chaos *chaos.Action
 }
 
 // Set changes properties of the link(s) between two declared endpoints;
@@ -65,39 +60,17 @@ func NodeUp(name string) Event {
 	return Event{ev: topology.Event{Kind: topology.EvNodeJoin, Name: name}}
 }
 
-// At schedules events at an absolute virtual time. Topology events
-// registered before Deploy are pre-registered on the topology (exactly
-// like a YAML dynamic: section — they are validated at Deploy and the
-// two forms produce identical deterministic runs); after Deploy they are
-// armed on the live runtime. Chaos events route to the deployment's
-// fault injector the same way (pre-registered, armed at Deploy).
-// Scheduling in the virtual past is an error. Topology events passed in
-// one call apply atomically as one topology change.
+// At schedules events at an absolute virtual time. Events registered
+// before Deploy are pre-registered on the topology (exactly like a YAML
+// dynamic: section — they are validated at Deploy and the two forms
+// produce identical deterministic runs); after Deploy they are armed on
+// the live runtime. Scheduling in the virtual past is an error. Events
+// passed in one call apply atomically as one topology change.
 func (e *Experiment) At(at time.Duration, evs ...Event) error {
 	if at < 0 {
 		return fmt.Errorf("kollaps: At(%v) is before the experiment start", at)
 	}
-	var topo []Event
-	var acts []chaos.Action
-	for _, ev := range evs {
-		if ev.chaos != nil {
-			if err := ev.chaos.Err(); err != nil {
-				return fmt.Errorf("kollaps: At(%v): %w", at, err)
-			}
-			acts = append(acts, *ev.chaos)
-		} else {
-			topo = append(topo, ev)
-		}
-	}
-	if len(acts) > 0 {
-		if err := e.scheduleChaos(at, acts); err != nil {
-			return err
-		}
-	}
-	if len(topo) == 0 {
-		return nil
-	}
-	raw := unwrap(at, topo)
+	raw := unwrap(at, evs)
 	if e.Runtime == nil {
 		e.Topology.Events = append(e.Topology.Events, raw...)
 		return nil
@@ -253,43 +226,21 @@ func (e *Experiment) Churn(rate float64, opts ...ChurnOption) (stop func(), err 
 			}
 		}
 	}
-
-	eng := e.Eng
-	stopped := false
 	down := make(map[string]bool)
-	meanGap := float64(time.Second) / rate
-	var tick func()
-	arm := func() {
-		eng.After(time.Duration(eng.Rand().ExpFloat64()*meanGap), tick)
-	}
-	tick = func() {
-		if stopped || (cfg.until > 0 && eng.Now() >= cfg.until) {
-			return
-		}
-		up := cfg.targets[:0:0]
-		for _, n := range cfg.targets {
-			if !down[n] {
-				up = append(up, n)
+	return e.churn(rate, cfg, len(cfg.targets),
+		func(i int) bool { return !down[cfg.targets[i]] },
+		func(i int) func() {
+			name := cfg.targets[i]
+			if e.Leave(name) != nil {
+				return nil
 			}
-		}
-		if len(up) > 0 {
-			name := up[eng.Rand().Intn(len(up))]
-			if e.Leave(name) == nil {
-				down[name] = true
-				gap := time.Duration(eng.Rand().ExpFloat64() * float64(cfg.downtime))
-				// The rejoin fires even after stop: churn must not leave
-				// the topology permanently degraded.
-				eng.After(gap, func() {
-					if e.Join(name) == nil {
-						delete(down, name)
-					}
-				})
+			down[name] = true
+			return func() {
+				if e.Join(name) == nil {
+					delete(down, name)
+				}
 			}
-		}
-		arm()
-	}
-	arm()
-	return func() { stopped = true }, nil
+		}), nil
 }
 
 // ManagerChurn drives seeded random *control-plane* churn, mirroring
@@ -329,7 +280,33 @@ func (e *Experiment) ManagerChurn(rate float64, opts ...ChurnOption) (stop func(
 			}
 		}
 	}
+	return e.churn(rate, cfg, len(cfg.hosts),
+		func(i int) bool { return !e.Runtime.ManagerDown(cfg.hosts[i]) },
+		func(i int) func() {
+			host := cfg.hosts[i]
+			if e.KillManager(host) != nil {
+				return nil
+			}
+			// Restart only this kill: if another actor restarted and
+			// re-killed the host in the meantime, reviving it here
+			// would silently undo that deliberate kill.
+			gen := e.Runtime.ManagerKills(host)
+			return func() {
+				if e.Runtime.ManagerKills(host) == gen {
+					_ = e.RestartManager(host)
+				}
+			}
+		}), nil
+}
 
+// churn is the seeded Poisson loop both churn drivers run over n
+// targets. Each tick draws from the engine's RNG, in this order: the gap
+// to the next tick (drawn when the tick is armed), the victim (Intn over
+// the targets up reports live), and — only when fail applied the fault
+// and returned its recovery — the downtime before that recovery runs.
+// Recoveries fire even after stop: churn must not leave a target
+// permanently down.
+func (e *Experiment) churn(rate float64, cfg churnConfig, n int, up func(i int) bool, fail func(i int) (heal func())) (stop func()) {
 	eng := e.Eng
 	stopped := false
 	meanGap := float64(time.Second) / rate
@@ -341,31 +318,19 @@ func (e *Experiment) ManagerChurn(rate float64, opts ...ChurnOption) (stop func(
 		if stopped || (cfg.until > 0 && eng.Now() >= cfg.until) {
 			return
 		}
-		up := cfg.hosts[:0:0]
-		for _, h := range cfg.hosts {
-			if !e.Runtime.ManagerDown(h) {
-				up = append(up, h)
+		var live []int
+		for i := 0; i < n; i++ {
+			if up(i) {
+				live = append(live, i)
 			}
 		}
-		if len(up) > 0 {
-			host := up[eng.Rand().Intn(len(up))]
-			if e.KillManager(host) == nil {
-				gen := e.Runtime.ManagerKills(host)
-				gap := time.Duration(eng.Rand().ExpFloat64() * float64(cfg.downtime))
-				// The restart fires even after stop — churn must not leave
-				// a manager permanently dead — but only for its own kill:
-				// if another actor restarted and re-killed the host in the
-				// meantime, reviving it here would silently undo that
-				// deliberate kill.
-				eng.After(gap, func() {
-					if e.Runtime.ManagerKills(host) == gen {
-						_ = e.RestartManager(host)
-					}
-				})
+		if len(live) > 0 {
+			if heal := fail(live[eng.Rand().Intn(len(live))]); heal != nil {
+				eng.After(time.Duration(eng.Rand().ExpFloat64()*float64(cfg.downtime)), heal)
 			}
 		}
 		arm()
 	}
 	arm()
-	return func() { stopped = true }, nil
+	return func() { stopped = true }
 }

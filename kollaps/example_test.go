@@ -109,13 +109,14 @@ func ExampleExperiment_ManagerChurn() {
 	// managers still down after churn stopped: 0
 }
 
-// ExampleExperiment_Chaos arms a stochastic fault profile on the
-// running control plane: from this virtual instant on, metadata
-// datagrams are dropped and corrupted with the given probabilities,
-// deterministically under the experiment seed. The emulation must ride
-// it out — corruption is caught by the integrity envelope and counted,
-// never decoded — and every injected fault is observable in ChaosStats.
-func ExampleExperiment_Chaos() {
+// ExampleExperiment_ChaosPlan_profile arms a stochastic fault profile
+// on the running control plane with a one-step plan at the current
+// virtual time: from this instant on, metadata datagrams are dropped and
+// corrupted with the given probabilities, deterministically under the
+// experiment seed. The emulation must ride it out — corruption is caught
+// by the integrity envelope and counted, never decoded — and every
+// injected fault is observable in ChaosStats.
+func ExampleExperiment_ChaosPlan_profile() {
 	exp, err := kollaps.Load(exampleYAML)
 	if err != nil {
 		panic(err)
@@ -123,7 +124,8 @@ func ExampleExperiment_Chaos() {
 	if err := exp.Deploy(4, kollaps.WithSeed(7)); err != nil {
 		panic(err)
 	}
-	if err := exp.Chaos(chaos.Profile{Drop: 0.2, Corrupt: 0.1}); err != nil {
+	plan := new(chaos.Plan).At(exp.Eng.Now(), chaos.SetProfile(chaos.Profile{Drop: 0.2, Corrupt: 0.1}))
+	if err := exp.ChaosPlan(plan); err != nil {
 		panic(err)
 	}
 	if err := exp.Run(2 * time.Second); err != nil {
@@ -139,19 +141,19 @@ func ExampleExperiment_Chaos() {
 	// schedule is replayable: true
 }
 
-// ExamplePartitionHosts schedules a control-plane partition exactly like
-// a topology event — even before Deploy — cutting hosts {0, 1} off from
-// the rest of the cluster for one virtual second, then healing. Only
-// metadata datagrams are blocked; application traffic still flows.
-func ExamplePartitionHosts() {
+// ExampleExperiment_ChaosPlan schedules a control-plane partition
+// before Deploy, cutting hosts {0, 1} off from the rest of the cluster
+// for one virtual second, then healing. Only metadata datagrams are
+// blocked; application traffic still flows.
+func ExampleExperiment_ChaosPlan() {
 	exp, err := kollaps.Load(exampleYAML)
 	if err != nil {
 		panic(err)
 	}
-	if err := exp.At(500*time.Millisecond, kollaps.PartitionHosts(0, 1)); err != nil {
-		panic(err)
-	}
-	if err := exp.At(1500*time.Millisecond, kollaps.HealPartitions()); err != nil {
+	plan := new(chaos.Plan).
+		At(500*time.Millisecond, chaos.PartitionHosts(0, 1)).
+		At(1500*time.Millisecond, chaos.Heal())
+	if err := exp.ChaosPlan(plan); err != nil {
 		panic(err)
 	}
 	if err := exp.Deploy(4, kollaps.WithSeed(7)); err != nil {

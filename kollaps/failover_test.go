@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/packet"
 )
 
@@ -227,5 +228,77 @@ func TestManagerChurnDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("manager churn not deterministic: goodputs %v vs %v", a, b)
 		}
+	}
+}
+
+// TestChurnScheduleGolden pins the exact fault schedule Churn and then
+// ManagerChurn draw under one seed — every node leave/join and manager
+// kill/restart, with its virtual time and target, as the flight recorder
+// saw it. TestManagerChurnDeterministic only compares a run with
+// itself; this list was recorded once, so a change to the order or
+// number of the drivers' seeded draws shows here.
+func TestChurnScheduleGolden(t *testing.T) {
+	exp, _ := deployFailover(t, 3, WithSeed(5), WithTrace())
+	stop, err := exp.Churn(2, ChurnDowntime(500*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if err := exp.Run(6 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stop, err = exp.ManagerChurn(4, ChurnDowntime(500*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(9 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if err := exp.Run(12 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	tr := exp.Tracer()
+	if tr.Dropped() != 0 {
+		t.Fatalf("flight recorder overflowed (%d events dropped)", tr.Dropped())
+	}
+	var got []string
+	for _, ev := range tr.Events(nil) {
+		switch ev.Kind {
+		case obs.KindNodeLeave, obs.KindNodeJoin:
+			got = append(got, fmt.Sprintf("%v %v %s", ev.At, ev.Kind, obs.UnpackName(ev.A)))
+		case obs.KindManagerKill, obs.KindManagerRestart:
+			got = append(got, fmt.Sprintf("%v %v %d", ev.At, ev.Kind, ev.Host))
+		}
+	}
+	want := []string{
+		"472.291255ms node_leave c2",
+		"868.921716ms node_join c2",
+		"879.935906ms node_leave c2",
+		"1.16097734s node_leave sv2",
+		"1.162039679s node_join sv2",
+		"1.189568773s node_join c2",
+		"2.336472855s node_leave sv2",
+		"2.438919301s node_join sv2",
+		"2.763766143s node_leave c0",
+		"3.738814228s node_join c0",
+		"6.176504431s manager_kill 1",
+		"6.263369399s manager_restart 1",
+		"7.146909208s manager_kill 1",
+		"7.837335714s manager_kill 0",
+		"7.964976316s manager_restart 1",
+		"8.502423191s manager_kill 2",
+		"8.558989093s manager_kill 1",
+		"8.592121992s manager_restart 0",
+		"8.698920525s manager_restart 1",
+		"8.914683708s manager_kill 1",
+		"9.101506921s manager_restart 2",
+		"9.854914106s manager_restart 1",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("churn schedule moved:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

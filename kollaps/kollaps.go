@@ -28,6 +28,13 @@
 //	stop, _ := exp.Churn(0.5, kollaps.ChurnTargets("server"))
 //	exp.Run(60 * time.Second)
 //
+// Faults on the control plane's metadata datagrams are scripted one way,
+// as a chaos.Plan handed to ChaosPlan:
+//
+//	exp.ChaosPlan(new(chaos.Plan).
+//		At(5*time.Second, chaos.PartitionHosts(0, 1)).
+//		At(15*time.Second, chaos.Heal()))
+//
 // The same workloads can run against a bare-metal deployment of the
 // target topology (NewBaremetal) — the ground truth the paper compares
 // emulation accuracy against — and against the baseline emulators in
@@ -40,6 +47,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dissem"
 	"repro/internal/fabric"
@@ -61,9 +69,9 @@ type Experiment struct {
 	Runtime *core.Runtime
 
 	seed int64
-	// pendingChaos holds chaos steps scheduled before Deploy (via At or
+	// pendingChaos holds chaos steps scheduled before Deploy (via
 	// ChaosPlan); Deploy arms them on the runtime's fault injector.
-	pendingChaos []chaosStep
+	pendingChaos []chaos.Step
 }
 
 // Load parses an experiment description, auto-detecting the YAML dialect
@@ -135,9 +143,7 @@ func (e *Experiment) Deploy(hosts int, opts ...Option) error {
 	e.Runtime = rt
 	rt.Start()
 	for _, s := range e.pendingChaos {
-		if err := e.armChaos(s.at, s.acts); err != nil {
-			return err
-		}
+		e.armChaos(s)
 	}
 	e.pendingChaos = nil
 	return nil
