@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/metadata"
 	"repro/internal/obs"
+	"repro/internal/units"
 )
 
 // Microbenchmarks of the §4.1 control-plane hot path. BenchmarkAllocate /
@@ -19,8 +23,9 @@ var allocBenchSizes = []int{16, 64, 256, 1024}
 
 // TestAllocateAllocatesNothing holds the indexed solver to 0 allocs/op
 // once its arena has grown to the working set: on the benchmark inputs at
-// every size, and on weighted aggregate entries (Weight 1–8), whose
-// per-underlying-flow loops are a separate path.
+// every size, on weighted aggregate entries (Weight 1–8), whose
+// per-underlying-flow loops are a separate path, and on a many-round
+// solve (flapShapedAllocation), which re-keys its heaps every round.
 func TestAllocateAllocatesNothing(t *testing.T) {
 	type input struct {
 		name  string
@@ -37,6 +42,8 @@ func TestAllocateAllocatesNothing(t *testing.T) {
 		flows[i].Weight = 1 + i%8
 	}
 	inputs = append(inputs, input{"weighted N=256", DenseCaps(capsMap, nil), flows})
+	caps, flows := flapShapedAllocation(42)
+	inputs = append(inputs, input{"scalefree_flap-shaped", caps, flows})
 
 	for _, in := range inputs {
 		var s AllocState
@@ -48,6 +55,37 @@ func TestAllocateAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: Allocate made %v allocs/op on a warm arena, want 0", in.name, allocs)
 		}
 	}
+}
+
+// flapShapedAllocation is one scalefree_flap solve in shape: a sparse
+// table of 4 096 links, of which the flows cross about 240, and 50
+// demand-capped flows on 10-link paths, so nearly every flow freezes in a
+// round of its own.
+func flapShapedAllocation(seed int64) ([]float64, []FlowDemand) {
+	rng := rand.New(rand.NewSource(seed))
+	caps := make([]float64, 4096)
+	for i := range caps {
+		caps[i] = math.NaN()
+	}
+	used := make([]int, 240)
+	for i := range used {
+		used[i] = rng.Intn(len(caps))
+		caps[used[i]] = float64(units.Bandwidth(10+rng.Intn(990)) * units.Mbps)
+	}
+	flows := make([]FlowDemand, 50)
+	for i := range flows {
+		links := make([]int, 10)
+		for j := range links {
+			links[j] = used[rng.Intn(len(used))]
+		}
+		flows[i] = FlowDemand{
+			ID:     FlowID(i),
+			Links:  links,
+			RTT:    time.Duration(1+rng.Intn(200)) * time.Millisecond,
+			Demand: units.Bandwidth(1+rng.Intn(200)) * units.Mbps,
+		}
+	}
+	return caps, flows
 }
 
 func BenchmarkAllocate(b *testing.B) {

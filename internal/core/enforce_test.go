@@ -134,7 +134,7 @@ func (r *enforceRig) pass(k int) {
 		return
 	}
 
-	caps := m.linkCaps()
+	caps, _ := rt.linkCaps()
 	var a, b AllocState
 	wantWD := a.Allocate(caps, all, nil)
 	greedy := append([]FlowDemand(nil), all...)

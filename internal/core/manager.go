@@ -77,10 +77,6 @@ type Manager struct {
 
 	// alloc is the indexed min-max solver's arena.
 	alloc AllocState
-	// caps is the dense per-link capacity table handed to the allocator,
-	// rebuilt only when the live topology's generation moves.
-	caps    []float64
-	capsGen uint64
 
 	flowsBuf  []localFlow
 	allBuf    []FlowDemand
@@ -452,26 +448,6 @@ func (m *Manager) demandOf(usage units.Bandwidth) units.Bandwidth {
 	return units.Bandwidth(float64(usage) * demandHeadroom)
 }
 
-// linkCaps returns the dense per-link capacity table for the current
-// topology generation. Link capacities only move when the live topology
-// mutates, so the table is rebuilt per generation, not per period.
-// Tombstoned links keep their negative sentinel: the allocator prices
-// them as zero-capacity constraints, exactly like the seed's map build.
-func (m *Manager) linkCaps() []float64 {
-	gen := m.rt.live.Gen()
-	if m.capsGen == gen {
-		return m.caps
-	}
-	g := m.rt.State().Graph
-	n := g.NumLinks()
-	m.caps = grow(m.caps, n)
-	for l := 0; l < n; l++ {
-		m.caps[l] = float64(g.Link(l).Bandwidth)
-	}
-	m.capsGen = gen
-	return m.caps
-}
-
 // enforcedRate is the rate a flow's htb is set to from its two solver
 // passes: the larger of the demand-aware share and the entitlement, and
 // never below 1 Kb/s. The accuracy probe's oracle applies the same rule.
@@ -495,7 +471,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	// measures this host's solver, not the simulation. The sanctioned
 	// exception to the no-wall-clock rule.
 	wallStart := time.Now() //kollaps:wallclock
-	caps := m.linkCaps()
+	caps, gen := m.rt.linkCaps()
 	// Two passes of the sharing model. The demand-aware pass implements
 	// the §3 maximization step: application-limited flows release their
 	// surplus to competitors. The greedy pass computes each flow's
@@ -511,7 +487,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	// greedy pass bit for bit whenever no demand binds below the fill
 	// level its flow froze at (demandSlack).
 	entitled := m.entBuf
-	if m.entMemo.matches(m.capsGen, all) {
+	if m.entMemo.matches(gen, all) {
 		m.entReused.Inc()
 	} else {
 		greedy := append(m.greedyBuf[:0], all...)
@@ -521,7 +497,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 		m.greedyBuf = greedy
 		entitled = m.alloc.Allocate(caps, greedy, m.entBuf)
 		m.entBuf = entitled
-		m.entMemo.record(m.capsGen, all, m.alloc.level)
+		m.entMemo.record(gen, all, m.alloc.level)
 	}
 	withDemand := entitled
 	if demandSlack(all, m.entMemo.level) {
@@ -575,7 +551,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 // the per-period arenas — plus that solve's per-flow fill levels, copied
 // out of AllocState so the next solve cannot overwrite them.
 type entitlementMemo struct {
-	gen   uint64 // capacity-table generation; 0 (never live) until recorded
+	gen   uint64 // topology generation of the capacity table (Runtime.linkCaps); 0 until recorded
 	flows []memoFlow
 	links []int // every flow's links, concatenated in flow order
 	level []float64

@@ -56,12 +56,8 @@ func (rt *Runtime) startProbe() {
 // honest reading — a dead control plane's containers keep sending under
 // stale allocations, and that divergence is accuracy loss.
 func (rt *Runtime) shareDeviation() (mean, max float64, ok bool) {
-	g := rt.State().Graph
-	nLinks := g.NumLinks()
-	caps := make([]float64, nLinks)
-	for l := range caps {
-		caps[l] = float64(g.Link(l).Bandwidth)
-	}
+	caps, _ := rt.linkCaps()
+	nLinks := len(caps)
 
 	var flows []FlowDemand
 	var obsRates []units.Bandwidth

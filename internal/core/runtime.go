@@ -121,6 +121,11 @@ type Runtime struct {
 
 	live *topology.Live
 	wide bool
+	// caps is the dense per-link capacity table every Manager hands the
+	// allocator, built for topology generation capsGen (0: never).
+	// Managers read it and never write it.
+	caps    []float64
+	capsGen uint64
 
 	// pending holds events registered before Start; Start sorts them,
 	// groups same-timestamp events into one atomic application
@@ -456,6 +461,26 @@ func (rt *Runtime) applyGroup(evs []topology.Event) error {
 		}
 	}
 	return nil
+}
+
+// linkCaps returns the dense per-link capacity table for the current
+// topology generation, with that generation. Link capacities only move
+// when the live topology mutates, so the table is built once per
+// generation for the whole deployment, not per period or per Manager.
+// Tombstoned links keep their negative sentinel: the allocator prices
+// them as zero-capacity constraints, exactly like the seed's map build.
+func (rt *Runtime) linkCaps() ([]float64, uint64) {
+	gen := rt.live.Gen()
+	if rt.capsGen != gen {
+		g := rt.State().Graph
+		n := g.NumLinks()
+		rt.caps = grow(rt.caps, n)
+		for l := 0; l < n; l++ {
+			rt.caps[l] = float64(g.Link(l).Bandwidth)
+		}
+		rt.capsGen = gen
+	}
+	return rt.caps, gen
 }
 
 // cachedPath resolves the collapsed path from container c toward dstIP

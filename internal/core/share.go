@@ -17,13 +17,14 @@
 // against every break-point published in Figure 8 of the paper.
 //
 // The solver here is the indexed, allocation-free form: all intermediate
-// state lives in a reusable AllocState arena (dense per-link arrays plus a
-// link→flow CSR index), so that at Table-4 scale the §4.1 emulation loop
-// does no steady-state allocation and no per-round sorting. AllocState.
-// Allocate is the package's one solver entry point. The seed's map-based
-// progressive filling is retained verbatim as AllocateReference in
-// share_reference_test.go — test-only, the differential-testing oracle and
-// the benchmark baseline.
+// state lives in a reusable AllocState arena (dense per-link slots, a
+// link→flow CSR index and two selection heaps), so that at Table-4 scale
+// the §4.1 emulation loop does no steady-state allocation, and a round
+// costs what its freezes changed rather than a rescan of every link and
+// flow. AllocState.Allocate is the package's one solver entry point. The
+// seed's map-based progressive filling is retained verbatim as
+// AllocateReference in share_reference_test.go — test-only, the
+// differential-testing oracle and the benchmark baseline.
 //
 // The package is deterministic: no wall-clock reads and no global
 // math/rand outside //kollaps:wallclock sites (kollapslint walltime),
@@ -34,7 +35,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/units"
@@ -122,32 +122,48 @@ type Allocation struct {
 // so steady-state Allocate calls do not allocate. It is not safe for
 // concurrent use — one per Emulation Manager, like the loop that owns it.
 type AllocState struct {
-	// per-flow scratch
+	fl     []flowSlot // per flow
+	level  []float64  // per flow: highest fill level up to its freeze (see demandSlack)
+	hi     float64    // highest fill level so far in this call
+	lk     []linkSlot // per link, dense over the capacity table's id space
+	calls  uint32
+	stamps uint32
 
-	weight   []float64 // 1/RTT of one underlying flow
-	wmult    []int     // weight multiplier (aggregated flow count)
-	demTheta []float64 // demand/weight, +Inf for greedy flows
-	frozen   []bool
-	level    []float64 // highest fill level up to the flow's freeze (see demandSlack)
-	hi       float64   // highest fill level so far in this call
+	active    []int32 // constrained link ids with ≥1 flow, in first-touch order
+	csr       []int32 // link→flow index storage
+	dirtyHead int32   // the dirty links, listed through linkSlot.nextDirty; -1 ends
 
-	// per-link scratch, dense over the capacity table's id space
-
-	capLeft []float64
-	sumW    []float64 // Σ weights of unfrozen flows; refreshed when dirty
-	dirty   []bool    // sumW invalidated by a freeze on this link
-	unfro   []int32   // unfrozen flow entries crossing the link
-	start   []int32   // CSR bucket start per link
-	end     []int32   // CSR bucket end per link (fill cursor during build)
-	touched []uint32  // per-call first-touch stamps
-	stamp   []uint32  // per-flow link-dedup stamps
-	calls   uint32
-	stamps  uint32
-
-	active []int32 // constrained link ids with ≥1 flow, ascending
-	csr    []int32 // link→flow index storage
+	// The selection heaps of rounds 2 onward: the links, keyed by theta
+	// and re-keyed when a freeze dirties them, and the demand-capped
+	// flows, keyed by demTheta. An exhausted link or a frozen flow is
+	// popped when it reaches the top.
+	links   keyHeap
+	demands keyHeap
 
 	remaining int
+}
+
+// flowSlot is one flow's solver state.
+type flowSlot struct {
+	weight   float64 // 1/RTT of one underlying flow
+	demTheta float64 // demand/weight, +Inf for greedy flows
+	wmult    int     // weight multiplier (aggregated flow count)
+	frozen   bool
+}
+
+// linkSlot is one link's solver state. All of it but the two stamps is
+// reset when a call first touches the link.
+type linkSlot struct {
+	capLeft   float64
+	sumW      float64 // Σ weights of unfrozen flows; refreshed when dirty
+	unfro     int32   // unfrozen flow entries crossing the link
+	start     int32   // CSR bucket start
+	end       int32   // CSR bucket end (fill cursor during build)
+	pos       int32   // index in the link heap
+	nextDirty int32   // next link on the dirty list
+	touched   uint32  // per-call first-touch stamp
+	stamp     uint32  // per-flow dedup stamp
+	dirty     bool    // sumW invalidated by a freeze on this link
 }
 
 // grow returns s resized to n elements, reusing capacity when possible.
@@ -162,14 +178,14 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// nextStamp returns a fresh dedup generation, clearing the stamp array on
-// the (once per 4·10⁹ flows) wraparound.
+// nextStamp returns a fresh dedup generation, clearing every link's stamp
+// on the (once per 4·10⁹ flows) wraparound.
 func (s *AllocState) nextStamp() uint32 {
 	s.stamps++
 	if s.stamps == 0 {
-		full := s.stamp[:cap(s.stamp)]
+		full := s.lk[:cap(s.lk)]
 		for i := range full {
-			full[i] = 0
+			full[i].stamp = 0
 		}
 		s.stamps = 1
 	}
@@ -191,14 +207,19 @@ func (s *AllocState) nextStamp() uint32 {
 // their allocation from every link they cross, and continue until every
 // flow is frozen. The indexed form differs only in representation: link
 // state is dense (no maps), the link→flow index is a CSR built once per
-// call (no per-round set compaction), the active link list is sorted once
-// (no per-round sort.Ints — ties still break toward the lowest link id),
-// and per-link weight sums are updated on freeze — a freeze invalidates
-// exactly the links it crossed, and only those are re-summed, instead of
-// every link being re-summed every round. The refresh walks the CSR
-// bucket in the same (flow index) order the reference sums its per-link
-// sets in, so every theta, every tie-break and every rounded rate is
-// reproduced bit for bit — the differential tests hold to exact equality.
+// call (no per-round set compaction), and the tightest constraint comes
+// off a heap instead of a per-round sort and rescan. Round 1 scans the
+// links and demands once. A call that needs a second round heapifies its
+// links on (theta, link id) and its demand-capped flows on (demTheta,
+// flow index); after each round only the links its freezes crossed are
+// re-summed and re-keyed, and links left without an unfrozen flow and
+// frozen demands are popped when they reach the top. The (theta, id)
+// order is the reference's ascending-id scan with strict <, and a demand
+// still displaces a link only when strictly tighter, so every round
+// freezes the same flows. Each re-sum walks the CSR bucket in the same
+// (flow index) order the reference sums its per-link sets in, so every
+// theta, every tie-break and every rounded rate is reproduced bit for
+// bit — the differential tests hold to exact equality.
 //
 // Each freeze also stores the highest fill level reached so far in
 // s.level (+Inf for flows no constraint applied to): the certificate
@@ -214,39 +235,32 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 	}
 	L := len(caps)
 
-	s.weight = grow(s.weight, n)
-	s.wmult = grow(s.wmult, n)
-	s.demTheta = grow(s.demTheta, n)
-	s.frozen = grow(s.frozen, n)
+	s.fl = grow(s.fl, n)
 	s.level = grow(s.level, n)
-	s.capLeft = grow(s.capLeft, L)
-	s.sumW = grow(s.sumW, L)
-	s.dirty = grow(s.dirty, L)
-	s.unfro = grow(s.unfro, L)
-	s.start = grow(s.start, L)
-	s.end = grow(s.end, L)
-	// Stamp arrays must preserve their contents across calls (stale stamps
+	// Link slots must preserve their stamps across calls (stale stamps
 	// from older generations are harmless; equal stamps are not), so grow
 	// them zero-filled instead of with arbitrary reused contents.
-	s.touched = growStamps(s.touched, L)
-	s.stamp = growStamps(s.stamp, L)
+	s.lk = growLinks(s.lk, L)
+	// The heaps are sized with the rest of the arena on every call — the
+	// link heap by the table, not by the active link count, which moves
+	// with every route change — so they grow when the arena does, not
+	// first in some later call that needs a second round.
+	s.links.e = grow(s.links.e, L)
+	s.demands.e = grow(s.demands.e, n)
 
 	inf := math.Inf(1)
 	for i := range flows {
 		f := &flows[i]
 		w := flowWeight(f.RTT)
-		s.weight[i] = w
-		m := f.Weight
-		if m < 1 {
-			m = 1
-		}
-		s.wmult[i] = m
+		fs := &s.fl[i]
+		fs.weight = w
+		fs.wmult = max(f.Weight, 1)
 		if f.Demand > 0 {
-			s.demTheta[i] = float64(f.Demand) / w
+			fs.demTheta = float64(f.Demand) / w
 		} else {
-			s.demTheta[i] = inf
+			fs.demTheta = inf
 		}
-		s.frozen[i] = false
+		fs.frozen = false
 		out[i] = Allocation{ID: f.ID, Bottleneck: -1}
 	}
 
@@ -254,9 +268,9 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 	// initialize their dense state on first touch, and size CSR buckets.
 	s.calls++
 	if s.calls == 0 {
-		full := s.touched[:cap(s.touched)]
+		full := s.lk[:cap(s.lk)]
 		for i := range full {
-			full[i] = 0
+			full[i].touched = 0
 		}
 		s.calls = 1
 	}
@@ -265,114 +279,65 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 	for i := range flows {
 		gen := s.nextStamp()
 		for _, l := range flows[i].Links {
-			if l < 0 || l >= L || math.IsNaN(caps[l]) || s.stamp[l] == gen {
+			if l < 0 || l >= L || math.IsNaN(caps[l]) {
 				continue
 			}
-			s.stamp[l] = gen
-			if s.touched[l] != call {
-				s.touched[l] = call
-				s.capLeft[l] = caps[l]
-				s.sumW[l] = 0
-				s.dirty[l] = false
-				s.unfro[l] = 0
+			ls := &s.lk[l]
+			if ls.stamp == gen {
+				continue
+			}
+			ls.stamp = gen
+			if ls.touched != call {
+				*ls = linkSlot{capLeft: caps[l], touched: call, stamp: gen}
 				s.active = append(s.active, int32(l))
 			}
-			s.unfro[l]++
+			ls.unfro++
 		}
 	}
-	slices.Sort(s.active)
+	s.dirtyHead = -1
 
-	// Fill pass: lay the CSR buckets out in link order, append flows in
+	// Fill pass: lay the CSR buckets out in active order, append flows in
 	// index order (the same order the reference's per-link sets grow in),
 	// and build the initial per-link weight sums — one addition per
 	// underlying flow, so a Weight-w entry sums exactly like w duplicates.
-	total := 0
+	total := int32(0)
 	for _, l := range s.active {
-		s.start[l] = int32(total)
-		s.end[l] = int32(total)
-		total += int(s.unfro[l])
+		ls := &s.lk[l]
+		ls.start, ls.end = total, total
+		total += ls.unfro
 	}
-	s.csr = grow(s.csr, total)
+	s.csr = grow(s.csr, int(total))
 	for i := range flows {
 		gen := s.nextStamp()
-		w := s.weight[i]
-		m := s.wmult[i]
+		w, m := s.fl[i].weight, s.fl[i].wmult
 		for _, l := range flows[i].Links {
-			if l < 0 || l >= L || math.IsNaN(caps[l]) || s.stamp[l] == gen {
+			if l < 0 || l >= L || math.IsNaN(caps[l]) {
 				continue
 			}
-			s.stamp[l] = gen
-			s.csr[s.end[l]] = int32(i)
-			s.end[l]++
+			ls := &s.lk[l]
+			if ls.stamp == gen {
+				continue
+			}
+			ls.stamp = gen
+			s.csr[ls.end] = int32(i)
+			ls.end++
 			for j := 0; j < m; j++ {
-				s.sumW[l] += w
+				ls.sumW += w
 			}
 		}
 	}
 
 	s.remaining = n
 	s.hi = 0
-	for s.remaining > 0 {
-		// Find the tightest constraint: the link (or flow demand) whose
-		// fill level theta = capacity / Σ weights is smallest. Links are
-		// scanned in ascending id order, then demands in flow order —
-		// the reference's deterministic tie-breaking.
-		bestTheta := inf
-		bestLink := -1 // -2 means a demand constraint
-		bestFlow := -1
-		for _, l32 := range s.active {
-			l := int(l32)
-			if s.unfro[l] == 0 {
-				continue
-			}
-			if s.dirty[l] {
-				// Re-sum the link's unfrozen weights in CSR (flow index)
-				// order — the exact order the reference's per-link set
-				// grows and is summed in, so the float result is
-				// bitwise identical.
-				sw := 0.0
-				for k := s.start[l]; k < s.end[l]; k++ {
-					fi := int(s.csr[k])
-					if s.frozen[fi] {
-						continue
-					}
-					w := s.weight[fi]
-					for j := 0; j < s.wmult[fi]; j++ {
-						sw += w
-					}
-				}
-				s.sumW[l] = sw
-				s.dirty[l] = false
-			}
-			sw := s.sumW[l]
-			if sw <= 0 {
-				continue
-			}
-			c := s.capLeft[l]
-			if c < 0 {
-				c = 0
-			}
-			theta := c / sw
-			if theta < bestTheta {
-				bestTheta, bestLink, bestFlow = theta, l, -1
-			}
-		}
-		for i := 0; i < n; i++ {
-			if s.frozen[i] {
-				continue
-			}
-			if t := s.demTheta[i]; t < bestTheta {
-				bestTheta, bestLink, bestFlow = t, -2, i
-			}
-		}
-
+	bestTheta, bestLink, bestFlow := s.scan()
+	for round := 1; ; round++ {
 		if bestLink == -1 && bestFlow == -1 {
 			// No constraint applies to the remaining flows: they are
 			// unbounded. Freeze them at +inf conceptually; report 0 demand
 			// flows as unconstrained max.
-			for i := 0; i < n; i++ {
-				if !s.frozen[i] {
-					s.frozen[i] = true
+			for i := range s.fl {
+				if !s.fl[i].frozen {
+					s.fl[i].frozen = true
 					s.remaining--
 					s.level[i] = inf
 					out[i].Rate = units.Bandwidth(math.MaxInt64 / 2)
@@ -389,30 +354,169 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 			// A demand constraint binds first: each underlying flow takes
 			// exactly its demand and stops competing.
 			s.freeze(caps, flows, out, bestFlow, float64(flows[bestFlow].Demand), -1)
-			continue
-		}
-		// The link bestLink saturates: all its unfrozen flows freeze at
-		// weight-proportional shares of what is left. The CSR bucket is
-		// immutable; entries frozen in earlier rounds are skipped, which
-		// preserves the reference's (ascending flow index) freeze order.
-		for k := s.start[bestLink]; k < s.end[bestLink]; k++ {
-			fi := int(s.csr[k])
-			if s.frozen[fi] {
-				continue
+		} else {
+			// The link bestLink saturates: all its unfrozen flows freeze at
+			// weight-proportional shares of what is left. The CSR bucket is
+			// immutable; entries frozen in earlier rounds are skipped, which
+			// preserves the reference's (ascending flow index) freeze order.
+			b := &s.lk[bestLink]
+			for _, fi := range s.csr[b.start:b.end] {
+				if s.fl[fi].frozen {
+					continue
+				}
+				s.freeze(caps, flows, out, int(fi), s.fl[fi].weight*bestTheta, bestLink)
 			}
-			s.freeze(caps, flows, out, fi, s.weight[fi]*bestTheta, bestLink)
 		}
+		if s.remaining == 0 {
+			break
+		}
+		if round == 1 {
+			s.buildHeaps()
+		} else {
+			s.rekey()
+		}
+		bestTheta, bestLink, bestFlow = s.pick()
 	}
 	return out
 }
 
+// theta is the link's fill level: its remaining capacity (negative
+// counts as zero) over the weight sum of its unfrozen flows. A link
+// without weight gets +Inf, which never binds.
+func (ls *linkSlot) theta() float64 {
+	if ls.sumW <= 0 {
+		return math.Inf(1)
+	}
+	c := ls.capLeft
+	if c < 0 {
+		c = 0
+	}
+	return c / ls.sumW
+}
+
+// scan finds round 1's tightest constraint in one pass: the least
+// (theta, link id) over the active links, then the first least demand
+// theta strictly below it, in flow order. No flow is frozen yet and no
+// weight sum is dirty.
+func (s *AllocState) scan() (bestTheta float64, bestLink, bestFlow int) {
+	bestTheta, bestLink, bestFlow = math.Inf(1), -1, -1
+	for _, l32 := range s.active {
+		l := int(l32)
+		t := s.lk[l].theta()
+		if t < bestTheta || t == bestTheta && bestLink >= 0 && l < bestLink {
+			bestTheta, bestLink = t, l
+		}
+	}
+	for i := range s.fl {
+		if t := s.fl[i].demTheta; t < bestTheta {
+			bestTheta, bestLink, bestFlow = t, -2, i
+		}
+	}
+	return bestTheta, bestLink, bestFlow
+}
+
+// buildHeaps heapifies the links that still have an unfrozen flow, with
+// the weight sums round 1 dirtied re-summed first, and the unfrozen
+// demand-capped flows, once a call needs a second round.
+func (s *AllocState) buildHeaps() {
+	for l := s.dirtyHead; l >= 0; l = s.lk[l].nextDirty {
+		s.lk[l].dirty = false
+		s.resum(&s.lk[l])
+	}
+	s.dirtyHead = -1
+	s.links = keyHeap{e: s.links.e[:0], lk: s.lk}
+	for _, l := range s.active {
+		if ls := &s.lk[l]; ls.unfro > 0 {
+			ls.pos = int32(len(s.links.e))
+			s.links.e = append(s.links.e, heapKey{ls.theta(), l})
+		}
+	}
+	s.links.heapify()
+
+	s.demands.e = s.demands.e[:0]
+	for i := range s.fl {
+		if fs := &s.fl[i]; !fs.frozen && fs.demTheta < math.Inf(1) {
+			s.demands.e = append(s.demands.e, heapKey{fs.demTheta, int32(i)})
+		}
+	}
+	s.demands.heapify()
+}
+
+// rekey re-sums the links the last round's freezes dirtied and fixes
+// their heap keys. Only a freeze moves a link's capacity or weight sum,
+// so no other key changed. A link left without an unfrozen flow keeps
+// its last key until pick pops it.
+func (s *AllocState) rekey() {
+	for l := s.dirtyHead; l >= 0; l = s.lk[l].nextDirty {
+		ls := &s.lk[l]
+		ls.dirty = false
+		if ls.unfro == 0 {
+			continue
+		}
+		s.resum(ls)
+		s.links.e[ls.pos].theta = ls.theta()
+		s.links.fix(int(ls.pos))
+	}
+	s.dirtyHead = -1
+}
+
+// resum recomputes the link's weight sum over its unfrozen flows in CSR
+// (flow index) order — the exact order the reference's per-link set grows
+// and is summed in, so the float result is bitwise identical.
+func (s *AllocState) resum(ls *linkSlot) {
+	sw := 0.0
+	for _, fi := range s.csr[ls.start:ls.end] {
+		fs := &s.fl[fi]
+		if fs.frozen {
+			continue
+		}
+		for j := 0; j < fs.wmult; j++ {
+			sw += fs.weight
+		}
+	}
+	ls.sumW = sw
+}
+
+// pick takes the tightest constraint off the heaps under scan's rule:
+// the least (theta, link id) link, unless the least (demTheta, flow
+// index) unfrozen demand is strictly below it. Links without an unfrozen
+// flow and frozen demands are popped on the way.
+func (s *AllocState) pick() (bestTheta float64, bestLink, bestFlow int) {
+	bestTheta, bestLink, bestFlow = math.Inf(1), -1, -1
+	for len(s.links.e) > 0 {
+		top := s.links.e[0]
+		if s.lk[top.id].unfro == 0 {
+			s.links.pop()
+			continue
+		}
+		if top.theta < bestTheta {
+			bestTheta, bestLink = top.theta, int(top.id)
+		}
+		break
+	}
+	for len(s.demands.e) > 0 {
+		top := s.demands.e[0]
+		if s.fl[top.id].frozen {
+			s.demands.pop()
+			continue
+		}
+		if top.theta < bestTheta {
+			bestTheta, bestLink, bestFlow = top.theta, -2, int(top.id)
+		}
+		break
+	}
+	return bestTheta, bestLink, bestFlow
+}
+
 // freeze fixes flow fi at unitRate per underlying flow and withdraws it
 // from the competition: every constrained link on its path loses the
-// flow's bandwidth and weight. The per-underlying-flow subtraction loop
-// reproduces the reference's arithmetic (which clamps after every
-// duplicate's subtraction) bit for bit.
+// flow's bandwidth and weight, and is listed dirty for the next re-key.
+// The per-underlying-flow subtraction loop reproduces the reference's
+// arithmetic (which clamps after every duplicate's subtraction) bit for
+// bit.
 func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation, fi int, unitRate float64, bottleneck int) {
-	s.frozen[fi] = true
+	fs := &s.fl[fi]
+	fs.frozen = true
 	s.level[fi] = s.hi
 	s.remaining--
 	if unitRate < 0 {
@@ -420,22 +524,128 @@ func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation
 	}
 	out[fi].Rate = units.Bandwidth(unitRate + 0.5)
 	out[fi].Bottleneck = bottleneck
-	m := s.wmult[fi]
 	L := len(caps)
 	gen := s.nextStamp()
 	for _, l := range flows[fi].Links {
-		if l < 0 || l >= L || math.IsNaN(caps[l]) || s.stamp[l] == gen {
+		if l < 0 || l >= L || math.IsNaN(caps[l]) {
 			continue
 		}
-		s.stamp[l] = gen
-		for j := 0; j < m; j++ {
-			s.capLeft[l] -= unitRate
-			if s.capLeft[l] < 0 {
-				s.capLeft[l] = 0
+		ls := &s.lk[l]
+		if ls.stamp == gen {
+			continue
+		}
+		ls.stamp = gen
+		for j := 0; j < fs.wmult; j++ {
+			ls.capLeft -= unitRate
+			if ls.capLeft < 0 {
+				ls.capLeft = 0
 			}
 		}
-		s.unfro[l]--
-		s.dirty[l] = true
+		ls.unfro--
+		if !ls.dirty {
+			ls.dirty = true
+			ls.nextDirty = s.dirtyHead
+			s.dirtyHead = int32(l)
+		}
+	}
+}
+
+// heapKey orders the solver's heaps: the smaller theta first, ties to the
+// smaller id — the order an ascending-id scan with strict < selects in.
+type heapKey struct {
+	theta float64
+	id    int32
+}
+
+func (a heapKey) less(b heapKey) bool {
+	return a.theta < b.theta || a.theta == b.theta && a.id < b.id
+}
+
+// keyHeap is a binary min-heap of heapKeys. When lk is non-nil the ids
+// are link ids and lk[id].pos holds each entry's index in e, so an entry
+// can be re-keyed in place.
+type keyHeap struct {
+	e  []heapKey
+	lk []linkSlot
+}
+
+func (h *keyHeap) place(i int, k heapKey) {
+	h.e[i] = k
+	if h.lk != nil {
+		h.lk[k.id].pos = int32(i)
+	}
+}
+
+// heapify orders e in O(len(e)); with lk, every entry's pos must already
+// be its index.
+func (h *keyHeap) heapify() {
+	for i := len(h.e)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// fix restores the heap after e[i]'s key changed.
+func (h *keyHeap) fix(i int) {
+	if !h.up(i) {
+		h.down(i)
+	}
+}
+
+// pop deletes the least entry.
+func (h *keyHeap) pop() {
+	last := len(h.e) - 1
+	if last > 0 {
+		h.place(0, h.e[last])
+	}
+	h.e = h.e[:last]
+	h.down(0)
+}
+
+// up and down sift e[i] toward the root or the leaves; an entry that
+// does not move is not rewritten.
+func (h *keyHeap) up(i int) bool {
+	e := h.e
+	k := e[i]
+	j := i
+	for j > 0 {
+		p := (j - 1) / 2
+		if !k.less(e[p]) {
+			break
+		}
+		h.place(j, e[p])
+		j = p
+	}
+	if j == i {
+		return false
+	}
+	h.place(j, k)
+	return true
+}
+
+func (h *keyHeap) down(i int) {
+	e := h.e
+	n := len(e)
+	if i >= n {
+		return
+	}
+	k := e[i]
+	j := i
+	for {
+		c := 2*j + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && e[r].less(e[c]) {
+			c = r
+		}
+		if !e[c].less(k) {
+			break
+		}
+		h.place(j, e[c])
+		j = c
+	}
+	if j != i {
+		h.place(j, k)
 	}
 }
 
@@ -470,11 +680,11 @@ func demandSlack(flows []FlowDemand, level []float64) bool {
 	return true
 }
 
-// growStamps resizes a stamp array preserving existing stamps and
-// zero-filling fresh elements (zero never equals a live generation).
-func growStamps(s []uint32, n int) []uint32 {
+// growLinks resizes the link slots preserving existing ones and
+// zero-filling fresh ones (zero never equals a live stamp).
+func growLinks(s []linkSlot, n int) []linkSlot {
 	if cap(s) < n {
-		ns := make([]uint32, n)
+		ns := make([]linkSlot, n)
 		copy(ns, s)
 		return ns
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -310,5 +311,132 @@ func FuzzDemandSlack(f *testing.F) {
 		caps := DenseCaps(capsMap, nil)
 		variants := demandVariants(caps, flows)
 		checkDemandSlack(t, "fuzz", caps, variants[int(mode)%len(variants)])
+	})
+}
+
+// tieTable is tieCase's capacity-table length: sparse, as a large
+// topology's link id space is to the links one Manager's flows cross.
+const tieTable = 4096
+
+// tieCase draws an instance on which tie-breaks decide. Capacities, RTTs
+// and demands each take one of three values, so link–link, demand–demand
+// and link–demand ties are common (a demand of c/k on a link shared by k
+// equal-RTT flows ties with it exactly). The table is mostly NaN
+// (unconstrained); among the links flows cross are +Inf, negative
+// (tombstoned) and NaN capacities; paths of 1–10 links repeat links and
+// reach past the table; a quarter of the entries aggregate 2–8 flows.
+func tieCase(rng *rand.Rand, nFlows int) ([]float64, []FlowDemand) {
+	caps := make([]float64, tieTable)
+	for i := range caps {
+		caps[i] = math.NaN()
+	}
+	used := make([]int, nFlows/2+8)
+	for i := range used {
+		l := rng.Intn(tieTable)
+		used[i] = l
+		switch r := rng.Intn(16); r {
+		case 0:
+			caps[l] = math.Inf(1)
+		case 1:
+			caps[l] = -1
+		case 2: // unconstrained
+		default:
+			caps[l] = float64(units.Bandwidth(10<<rng.Intn(3)) * units.Mbps)
+		}
+	}
+	flows := make([]FlowDemand, nFlows)
+	for i := range flows {
+		links := make([]int, 1+rng.Intn(10))
+		for j := range links {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				links[j] = tieTable + rng.Intn(4) // past the table
+			case r == 1 && j > 0:
+				links[j] = links[rng.Intn(j)] // a repeat
+			default:
+				links[j] = used[rng.Intn(len(used))]
+			}
+		}
+		var demand units.Bandwidth
+		if rng.Intn(2) == 0 {
+			demand = units.Bandwidth(5<<rng.Intn(3)) * units.Mbps
+		}
+		weight := 0
+		if rng.Intn(4) == 0 {
+			weight = 2 + rng.Intn(7)
+		}
+		flows[i] = FlowDemand{
+			ID:     FlowID(i),
+			Links:  links,
+			RTT:    time.Duration(10<<rng.Intn(3)) * time.Millisecond,
+			Demand: demand,
+			Weight: weight,
+		}
+	}
+	return caps, flows
+}
+
+// referenceCaps is the reference's view of a dense table: finite
+// capacities, tombstones included. NaN and +Inf links are left out —
+// +Inf never binds (its theta is +Inf, which no strict < selects) and its
+// remaining capacity stays +Inf, so it constrains nothing, exactly like
+// an absent link.
+func referenceCaps(caps []float64) map[int]units.Bandwidth {
+	m := make(map[int]units.Bandwidth)
+	for l, c := range caps {
+		if !math.IsNaN(c) && !math.IsInf(c, 1) {
+			m[l] = units.Bandwidth(c)
+		}
+	}
+	return m
+}
+
+// matchesReference solves flows on s and demands that every entry's
+// rate and bottleneck equal those the reference gives each of its
+// expanded duplicates.
+func matchesReference(t *testing.T, label string, s *AllocState, caps []float64, flows []FlowDemand) {
+	t.Helper()
+	want := AllocateReference(referenceCaps(caps), expandWeights(flows))
+	got := s.Allocate(caps, flows, nil)
+	at := 0
+	for i, f := range flows {
+		for j := 0; j < max(f.Weight, 1); j++ {
+			if got[i].Rate != want[at].Rate || got[i].Bottleneck != want[at].Bottleneck {
+				t.Fatalf("%s: flow %d (unit %d of %d) got (rate %d, bottleneck %d), reference (rate %d, bottleneck %d)",
+					label, i, j+1, max(f.Weight, 1), got[i].Rate, got[i].Bottleneck, want[at].Rate, want[at].Bottleneck)
+			}
+			at++
+		}
+	}
+}
+
+// TestAllocateTiesMatchReference holds the solver to the reference where
+// the order in which equal constraints are taken decides the outcome, on
+// one shared arena, from single flows up to 1 024 over the sparse table.
+func TestAllocateTiesMatchReference(t *testing.T) {
+	var s AllocState
+	rng := rand.New(rand.NewSource(38))
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144} {
+		for iter := 0; iter < 20; iter++ {
+			caps, flows := tieCase(rng, n)
+			matchesReference(t, fmt.Sprintf("N=%d #%d", n, iter), &s, caps, flows)
+		}
+	}
+	for _, n := range []int{256, 1024} {
+		caps, flows := tieCase(rng, n)
+		matchesReference(t, fmt.Sprintf("N=%d", n), &s, caps, flows)
+	}
+}
+
+// FuzzAllocateMatchesReference explores tieCase beyond the seeded test:
+// size picks 1–1 024 flows.
+func FuzzAllocateMatchesReference(f *testing.F) {
+	for _, n := range []uint16{0, 7, 63, 1023} {
+		f.Add(int64(n), n)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16) {
+		caps, flows := tieCase(rand.New(rand.NewSource(seed)), 1+int(size)%1024)
+		var s AllocState
+		matchesReference(t, "fuzz", &s, caps, flows)
 	})
 }
