@@ -166,7 +166,7 @@ type localFlow struct {
 	dstIP  packet.IP
 	rate   units.Bandwidth // observed egress rate over the last period
 	demand units.Bandwidth // observed ingress (requested) rate
-	alloc  units.Bandwidth // allocation currently enforced
+	alloc  units.Bandwidth // TCAL rate at collect time, kept: enforce may move it before demandLocal reads it
 	links  []int
 	rtt    time.Duration
 }
@@ -299,17 +299,17 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 			if demand < rate {
 				demand = rate
 			}
-			p := m.rt.cachedPath(c, dstIP)
+			p := m.rt.path(c, dstIP)
 			if p == nil {
 				continue // unknown destination or unreachable path
 			}
+			enforced, _ := c.tcal.Props(dstIP)
 			if demand < activeThreshold {
 				// Idle: release the allocation back to the path max so
 				// a future flow starts unthrottled.
-				if c.lastAlloc[dstIP] != p.Bandwidth {
+				if enforced.Bandwidth != p.Bandwidth {
 					_ = c.tcal.SetBandwidth(dstIP, p.Bandwidth)
 					_ = c.tcal.InjectCongestionLoss(dstIP, 0)
-					c.lastAlloc[dstIP] = p.Bandwidth
 					m.tcalSets.Inc()
 					m.rt.opts.Tracer.Record(m.rt.Eng.Now(), obs.KindTCALApply,
 						int32(m.host), int64(p.Bandwidth), obs.PackIP([4]byte(dstIP)))
@@ -319,7 +319,7 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 			flows = append(flows, localFlow{
 				src: c, dstIP: dstIP, rate: rate, demand: demand,
 				links: p.Links, rtt: p.RTT(),
-				alloc: c.lastAlloc[dstIP],
+				alloc: enforced.Bandwidth,
 			})
 		}
 	}
@@ -515,9 +515,8 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 		f := &local[i]
 		// Local flows occupy the first len(local) slots.
 		rate := enforcedRate(withDemand[i].Rate, entitled[i].Rate)
-		if f.src.lastAlloc[f.dstIP] != rate {
+		if enforced, _ := f.src.tcal.Props(f.dstIP); enforced.Bandwidth != rate {
 			_ = f.src.tcal.SetBandwidth(f.dstIP, rate)
-			f.src.lastAlloc[f.dstIP] = rate
 			m.tcalSets.Inc()
 			m.rt.opts.Tracer.Record(now, obs.KindTCALApply,
 				int32(m.host), int64(rate), obs.PackIP([4]byte(f.dstIP)))

@@ -83,7 +83,8 @@ func (rt *Runtime) shareDeviation() (mean, max float64, ok bool) {
 				RTT:    f.rtt,
 				Demand: m.demandLocal(f),
 			})
-			obsRates = append(obsRates, f.src.lastAlloc[f.dstIP])
+			enforced, _ := f.src.tcal.Props(f.dstIP)
+			obsRates = append(obsRates, enforced.Bandwidth)
 		}
 	}
 	if len(flows) == 0 {

@@ -82,6 +82,13 @@ const (
 // Container is one deployed application container: an IP on the physical
 // cluster, a transport stack for its application, and a TCAL shaping its
 // egress to every destination.
+//
+// A Container keeps no copy of its shaping state. The TCAL owns what is
+// enforced toward each destination (its qdiscs hold the rate, delay,
+// jitter and loss, read back with TCAL().Props), and the runtime's
+// collapsed topology owns the path toward it (Runtime.State().Collapsed).
+// The one per-destination fact the Container owns is the count of
+// oversubscribed periods that gates congestion-loss injection.
 type Container struct {
 	Name string
 	IP   packet.IP
@@ -93,15 +100,6 @@ type Container struct {
 
 	tcal *tcal.TCAL
 	rt   *Runtime
-	// pathCache memoizes collapsed-path lookups toward each destination
-	// (nil = unknown or unreachable), invalidated wholesale when the live
-	// topology's generation counter moves. The §4.1 loop resolves every
-	// destination of every container every period; against a static
-	// topology that is a pure cache hit.
-	pathCache map[packet.IP]*graph.Path
-	pathGen   uint64
-	// lastAlloc remembers the allocation enforced toward each dst.
-	lastAlloc map[packet.IP]units.Bandwidth
 	// overSub counts consecutive emulation periods a destination's
 	// demand exceeded its allocation (congestion-loss gating).
 	overSub map[packet.IP]int
@@ -136,7 +134,6 @@ type Runtime struct {
 	containers []*Container
 	byName     map[string]*Container
 	byIP       map[packet.IP]*Container
-	byNode     map[graph.NodeID]*Container
 
 	managers []*Manager
 	opts     Options
@@ -220,7 +217,6 @@ func NewRuntime(eng *sim.Engine, g *graph.Graph, nHosts int, placement map[strin
 		wide:    metadata.Wide(g.NumLinks()),
 		byName:  make(map[string]*Container),
 		byIP:    make(map[packet.IP]*Container),
-		byNode:  make(map[graph.NodeID]*Container),
 		opts:    opts,
 		chaos:   chaos.NewInjector(opts.Dissem.Seed, nHosts, opts.Tracer),
 	}
@@ -241,14 +237,12 @@ func NewRuntime(eng *sim.Engine, g *graph.Graph, nHosts int, placement map[strin
 		}
 		ip := packet.MakeIP(byte(host+1), byte(idx/250), byte(idx%250))
 		c := &Container{
-			Name:      node.Name,
-			IP:        ip,
-			Host:      host,
-			Node:      node.ID,
-			rt:        rt,
-			pathCache: make(map[packet.IP]*graph.Path),
-			lastAlloc: make(map[packet.IP]units.Bandwidth),
-			overSub:   make(map[packet.IP]int),
+			Name:    node.Name,
+			IP:      ip,
+			Host:    host,
+			Node:    node.ID,
+			rt:      rt,
+			overSub: make(map[packet.IP]int),
 		}
 		// Attach the container endpoint at its host's fabric node; the
 		// stack registers its handler through containerNet.
@@ -258,7 +252,6 @@ func NewRuntime(eng *sim.Engine, g *graph.Graph, nHosts int, placement map[strin
 		rt.containers = append(rt.containers, c)
 		rt.byName[node.Name] = c
 		rt.byIP[ip] = c
-		rt.byNode[node.ID] = c
 		idx++
 	}
 
@@ -440,24 +433,16 @@ func (rt *Runtime) applyGroup(evs []topology.Event) error {
 			}
 		}
 	}
-	st := rt.live.State()
 	for _, c := range rt.containers {
 		for _, dstIP := range c.tcal.Destinations() {
-			dst, ok := rt.byIP[dstIP]
-			if !ok {
-				c.tcal.RemovePath(dstIP)
-				continue
-			}
-			p := st.Collapsed.Path(c.Node, dst.Node)
+			p := rt.path(c, dstIP)
 			if p == nil {
 				c.tcal.RemovePath(dstIP)
-				delete(c.lastAlloc, dstIP)
 				continue
 			}
 			// Preserve counters: update in place.
 			_ = c.tcal.SetNetem(dstIP, p.Latency, p.Jitter, p.Loss)
 			_ = c.tcal.SetBandwidth(dstIP, p.Bandwidth)
-			c.lastAlloc[dstIP] = p.Bandwidth
 		}
 	}
 	return nil
@@ -483,32 +468,24 @@ func (rt *Runtime) linkCaps() ([]float64, uint64) {
 	return rt.caps, gen
 }
 
-// cachedPath resolves the collapsed path from container c toward dstIP
-// under the current topology state, memoized per container. A nil result
-// (unknown destination or unreachable path) is cached too. The cache is
-// dropped when the live topology's generation moves, so mutations are
-// visible at the event instant — same as the uncached lookup.
-func (rt *Runtime) cachedPath(c *Container, dstIP packet.IP) *graph.Path {
-	if gen := rt.live.Gen(); c.pathGen != gen {
-		clear(c.pathCache)
-		c.pathGen = gen
+// path returns the collapsed path from container c toward dstIP under
+// the current topology state, or nil when dstIP is no container or is
+// unreachable. It caches nothing itself: the collapse memoises every
+// (source, destination) pair it has resolved, and a topology event
+// installs a new collapse.
+func (rt *Runtime) path(c *Container, dstIP packet.IP) *graph.Path {
+	dst, ok := rt.byIP[dstIP]
+	if !ok {
+		return nil
 	}
-	if p, ok := c.pathCache[dstIP]; ok {
-		return p
-	}
-	var p *graph.Path
-	if dst, ok := rt.byIP[dstIP]; ok {
-		p = rt.live.State().Collapsed.Path(c.Node, dst.Node)
-	}
-	c.pathCache[dstIP] = p
-	return p
+	return rt.live.State().Collapsed.Path(c.Node, dst.Node)
 }
 
 // installPath materializes the TCAL chain from container c toward dstIP
 // under the current topology state. Reports false when the destination is
 // unknown or unreachable.
 func (rt *Runtime) installPath(c *Container, dstIP packet.IP) bool {
-	p := rt.cachedPath(c, dstIP)
+	p := rt.path(c, dstIP)
 	if p == nil {
 		return false
 	}
@@ -520,7 +497,6 @@ func (rt *Runtime) installPath(c *Container, dstIP packet.IP) bool {
 		// octets, so only a bug reaches here.
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	c.lastAlloc[dstIP] = p.Bandwidth
 	return true
 }
 

@@ -10,8 +10,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/tcal"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/units"
 )
 
 // fig8YAML is the §5.4 decentralized-throttling topology.
@@ -488,6 +490,57 @@ func TestRuntimeScheduleEventsValidation(t *testing.T) {
 	})
 	if _, err := NewRuntimeFromTopology(sim.NewEngine(1), top, 2, nil, Options{}); err == nil {
 		t.Fatal("expected dry-run validation error for bad pre-registered event")
+	}
+}
+
+// TestSetLinkRepointsEveryChain: at the instant a set-link event applies,
+// before any emulation period runs, every installed TCAL chain reads back
+// exactly its new collapsed path — loss included, and bandwidth even where
+// the loop had throttled the flow below the path's capacity.
+func TestSetLinkRepointsEveryChain(t *testing.T) {
+	rt := buildRuntime(t, fig8YAML, 2, Options{})
+	rt.Start()
+	for _, c := range rt.containers {
+		for _, d := range rt.containers {
+			if d != c {
+				rt.installPath(c, d.IP)
+			}
+		}
+	}
+	c1, _ := rt.Container("c1")
+	s1, _ := rt.Container("s1")
+	c2, _ := rt.Container("c2")
+	s2, _ := rt.Container("s2")
+	startGreedy(rt.Eng, c1, s1, transport.Cubic)
+	startGreedy(rt.Eng, c2, s2, transport.Cubic)
+	rt.Eng.Run(2025 * time.Millisecond) // mid-period: the next loop runs at 2.05 s
+
+	before := rt.State().Collapsed.Path(c1.Node, s1.Node)
+	if props, _ := c1.TCAL().Props(s1.IP); props.Bandwidth >= before.Bandwidth {
+		t.Fatalf("c1->s1 enforces %v, want the loop to have throttled it below the path's %v", props.Bandwidth, before.Bandwidth)
+	}
+	loss, bw := units.Loss(0.02), 20*units.Mbps
+	if err := rt.ApplyEvents(topology.Event{At: rt.Eng.Now(), Kind: topology.EvSetLink, Orig: "b1", Dest: "b2",
+		Props: topology.LinkPatch{Loss: &loss, Up: &bw}}); err != nil {
+		t.Fatal(err)
+	}
+	if p := rt.State().Collapsed.Path(c1.Node, s1.Node); math.Abs(float64(p.Loss-loss)) > 1e-9 || p.Bandwidth != bw {
+		t.Fatalf("c1->s1 after the event: loss %v, bandwidth %v; want %v, %v", p.Loss, p.Bandwidth, loss, bw)
+	}
+	checked := 0
+	for _, c := range rt.containers {
+		for _, dstIP := range c.TCAL().Destinations() {
+			dst := rt.byIP[dstIP]
+			p := rt.State().Collapsed.Path(c.Node, dst.Node)
+			want := tcal.PathProps{Latency: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Bandwidth: p.Bandwidth}
+			if got, _ := c.TCAL().Props(dstIP); got != want {
+				t.Errorf("%s->%s: TCAL enforces %+v, collapsed path is %+v", c.Name, dst.Name, got, want)
+			}
+			checked++
+		}
+	}
+	if n := len(rt.containers); checked != n*(n-1) {
+		t.Fatalf("checked %d chains, want %d", checked, n*(n-1))
 	}
 }
 

@@ -10,6 +10,12 @@
 // Emulation Core queries cumulative byte counters ("retrieve bandwidth
 // usage") and adjusts rates and loss on every loop iteration — netlink-
 // style direct calls, no process spawning.
+//
+// As on Linux, the qdiscs are the only record of what is enforced: the
+// htb holds the rate and the netem stage the delay and jitter, and Props
+// reads them back. The TCAL itself keeps only what the qdiscs cannot
+// tell apart: the path's base loss, which the netem stage's loss
+// composes with injected congestion loss.
 package tcal
 
 import (
@@ -68,7 +74,6 @@ type TCAL struct {
 type chain struct {
 	dst   packet.IP
 	qdisc *netem.Chain
-	props PathProps
 	// baseLoss is the topology path loss; injected congestion loss is
 	// composed on top and tracked separately so it can be re-derived
 	// every EM iteration.
@@ -111,7 +116,6 @@ func (t *TCAL) InstallPath(dst packet.IP, p PathProps) error {
 	c := &chain{
 		dst:      dst,
 		qdisc:    netem.NewChain(t.eng, netem.ChainProps{Delay: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Rate: p.Bandwidth}, t.egress),
-		props:    p,
 		baseLoss: p.Loss,
 	}
 	c.qdisc.HTB.OnDequeue = func() {
@@ -219,7 +223,6 @@ func (t *TCAL) SetBandwidth(dst packet.IP, rate units.Bandwidth) error {
 	if c == nil {
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
-	c.props.Bandwidth = rate
 	c.qdisc.HTB.SetRate(rate)
 	return nil
 }
@@ -231,7 +234,6 @@ func (t *TCAL) SetNetem(dst packet.IP, delay, jitter time.Duration, loss units.L
 	if c == nil {
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
-	c.props.Latency, c.props.Jitter = delay, jitter
 	c.baseLoss = loss
 	c.qdisc.Netem.Set(delay, jitter, loss)
 	return nil
@@ -245,17 +247,21 @@ func (t *TCAL) InjectCongestionLoss(dst packet.IP, extra units.Loss) error {
 	if c == nil {
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
-	c.qdisc.Netem.Set(c.props.Latency, c.props.Jitter, c.baseLoss.Compose(extra))
+	ne := c.qdisc.Netem
+	ne.Set(ne.Delay(), ne.Jitter(), c.baseLoss.Compose(extra))
 	return nil
 }
 
-// Props returns the currently installed properties toward dst.
+// Props returns the currently installed properties toward dst, read
+// back from its qdiscs. Loss is the path's base loss, without any
+// injected congestion loss.
 func (t *TCAL) Props(dst packet.IP) (PathProps, bool) {
 	c := t.chain(dst)
 	if c == nil {
 		return PathProps{}, false
 	}
-	return c.props, true
+	ne := c.qdisc.Netem
+	return PathProps{Latency: ne.Delay(), Jitter: ne.Jitter(), Loss: c.baseLoss, Bandwidth: c.qdisc.HTB.Rate()}, true
 }
 
 // Usage returns the bytes sent toward dst since the previous Usage call —

@@ -254,9 +254,21 @@ func TestProps(t *testing.T) {
 	if err := tc.SetNetem(dst, 7*time.Millisecond, 0, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = tc.Props(dst)
-	if got.Latency != 7*time.Millisecond {
-		t.Fatalf("Props after SetNetem = %+v", got)
+	want = PathProps{Latency: 7 * time.Millisecond, Loss: 0.05, Bandwidth: 10 * units.Mbps}
+	if got, _ = tc.Props(dst); got != want {
+		t.Fatalf("Props after SetNetem = %+v, want %+v", got, want)
+	}
+	// Props reports the base loss: injected congestion loss composes on
+	// top of it in the netem stage without replacing it.
+	if err := tc.InjectCongestionLoss(dst, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SetBandwidth(dst, 3*units.Mbps); err != nil {
+		t.Fatal(err)
+	}
+	want.Bandwidth = 3 * units.Mbps
+	if got, _ = tc.Props(dst); got != want {
+		t.Fatalf("Props after InjectCongestionLoss and SetBandwidth = %+v, want %+v", got, want)
 	}
 }
 
