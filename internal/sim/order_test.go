@@ -371,6 +371,96 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDeepQueueMatchesReference holds the heap deeper than the scripts
+// above ever grow it (they peak near 28 entries, three levels): at least
+// 1 000 events pending, as on the ledger's broadcast mesh, on a coarse
+// grid so that most instants hold several events and the seq half of the
+// order decides. Every series, stops from the driver and from callbacks,
+// and both delay lines ride along; fire order, clock and Pending must
+// match the reference at every firing.
+func TestDeepQueueMatchesReference(t *testing.T) {
+	const (
+		grid   = 10   // ns between the instants an event may land on
+		spread = 64   // instants ahead of now a new event may land
+		fill   = 1200 // events scheduled before the first Run
+		budget = 9000 // events scheduled in all; then the queue drains
+		rounds = 40
+	)
+	run := func(s sched) (log []rec, peak int) {
+		r := rand.New(rand.NewSource(1))
+		var stops []func()
+		var lineLast [numLines]time.Duration
+		scheduled := 0
+		var add func()
+		add = func() {
+			id := len(stops)
+			cb := func() {
+				log = append(log, rec{"fire", id, s.Now(), s.Pending()})
+				peak = max(peak, s.Pending())
+				if r.Intn(8) == 0 {
+					stops[r.Intn(len(stops))]()
+				}
+				if scheduled < budget {
+					add()
+				}
+			}
+			scheduled++
+			at := s.Now() + grid*time.Duration(r.Intn(spread))
+			switch x := r.Intn(64); {
+			case x == 0:
+				stops = append(stops, s.Every(grid*time.Duration(1+r.Intn(spread/4)), cb))
+			case x < 6:
+				k := x % numLines
+				at = max(at, lineLast[k])
+				lineLast[k] = at
+				s.Line(k, at, false, cb)
+				stops = append(stops, func() {})
+			case x < 24:
+				stops = append(stops, s.AtPacket(at, cb))
+			default:
+				stops = append(stops, s.At(at, cb))
+			}
+		}
+		for i := 0; i < fill; i++ {
+			add()
+		}
+		peak = s.Pending()
+		for i := 0; i < rounds; i++ {
+			s.Run(s.Now() + grid*spread/4)
+			log = append(log, rec{"round", i, s.Now(), s.Pending()})
+			for j := 0; j < 8; j++ {
+				stops[r.Intn(len(stops))]()
+			}
+		}
+		for _, stop := range stops { // ends the Every series
+			stop()
+		}
+		s.Run(s.Now() + 2*grid*spread)
+		log = append(log, rec{"end", 0, s.Now(), s.Pending()})
+		return log, peak
+	}
+	eng := NewEngine(1)
+	got, peak := run(newRealSched(eng))
+	want, refPeak := run(&refSched{})
+	if st := eng.Stats(); st.HeapPeak < 1000 || peak < 1000 {
+		t.Fatalf("heap peaked at %d entries, Pending at %d; the test needs at least 1 000", st.HeapPeak, peak)
+	}
+	if peak != refPeak {
+		t.Fatalf("Pending peaked at %d, reference at %d", peak, refPeak)
+	}
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: engine %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("engine logged %d records, reference %d", len(got), len(want))
+	}
+	if last := got[len(got)-1]; last.pending != 0 {
+		t.Fatalf("%d events still pending after the drain", last.pending)
+	}
+}
+
 func FuzzEngineOrder(f *testing.F) {
 	for _, prog := range orderSeeds {
 		f.Add(prog)

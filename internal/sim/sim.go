@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -28,7 +29,10 @@ import (
 //
 // Pending events live in three tables. heap is a 4-ary min-heap of
 // pointer-free entries ordered by (at, seq), so sifting moves plain words
-// and never trips a GC write barrier. slots holds what an entry fires —
+// and never trips a GC write barrier. Which of four children is earliest
+// depends on the data, so branching on those comparisons mispredicts; the
+// order is one branch-free mask (beforeMask), and siftDown settles a full
+// family by mask arithmetic (earliest). slots holds what an entry fires —
 // the callback, its heap position (so Stop can remove it in O(log n)) and
 // a generation that invalidates Timers once the slot is recycled through
 // the free list. nodes holds the events waiting behind a Line's head,
@@ -71,8 +75,19 @@ type entry struct {
 	slot int32
 }
 
-func (a entry) before(b entry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+func (a entry) before(b entry) bool { return beforeMask(a, b) != 0 }
+
+// beforeMask is the one definition of the order: all ones when a fires
+// before b, zero otherwise. It reads (at, seq) as one 128-bit unsigned
+// number, at's sign bit flipped so the unsigned order is the signed one,
+// subtracts b from a and widens the final borrow to a mask. No branch
+// depends on the keys, so siftDown can pick among children without a
+// misprediction.
+func beforeMask(a, b entry) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^sign, uint64(b.at)^sign, borrow)
+	return -borrow
 }
 
 // slot is the payload of one pending event: fn(), or pfn(p) for the typed
@@ -303,6 +318,8 @@ func (e *Engine) siftUp(i int, x entry) {
 }
 
 // siftDown settles x into the hole at i, moving the earliest child up.
+// A full family of four is settled by earliest; only the partial family
+// at the heap's fringe takes the comparison loop.
 func (e *Engine) siftDown(i int, x entry) {
 	n := len(e.heap)
 	for {
@@ -310,10 +327,15 @@ func (e *Engine) siftDown(i int, x entry) {
 		if first >= n {
 			break
 		}
-		least := first
-		for c := first + 1; c < first+4 && c < n; c++ {
-			if e.heap[c].before(e.heap[least]) {
-				least = c
+		var least int
+		if first+4 <= n {
+			least = first + earliest((*[4]entry)(e.heap[first:first+4]))
+		} else {
+			least = first
+			for c := first + 1; c < n; c++ {
+				if e.heap[c].before(e.heap[least]) {
+					least = c
+				}
 			}
 		}
 		if !e.heap[least].before(x) {
@@ -323,4 +345,15 @@ func (e *Engine) siftDown(i int, x entry) {
 		i = least
 	}
 	e.place(i, x)
+}
+
+// earliest returns the index of the earliest of four children: a
+// tournament of two pairs and then their winners, each pick made by
+// masking an index with beforeMask. Which child wins is data-dependent,
+// so a branch there mispredicts often; the masks cost the same every time.
+func earliest(c *[4]entry) int {
+	w01 := 1 &^ beforeMask(c[0], c[1])       // 0 when c[0] is earlier, else 1
+	w23 := 3 &^ (beforeMask(c[2], c[3]) & 1) // 2 when c[2] is earlier, else 3
+	m := beforeMask(c[w01&3], c[w23&3])
+	return int(w23 ^ (w01^w23)&m)
 }

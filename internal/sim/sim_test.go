@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -259,4 +260,79 @@ func TestLineRejectsEarlierEvents(t *testing.T) {
 	mustPanic("before the line's previous event", func() { l.At(4, &packet.Packet{}) })
 	e.Run(7)
 	mustPanic("before now", func() { l.At(6, &packet.Packet{}) })
+}
+
+// TestBeforeMaskOrder pins the branch-free order to the plain reading of
+// (at, seq): lexicographic, at signed, seq unsigned. before is defined
+// through beforeMask, and the two are checked against each other too, on
+// every pair of a set of boundary keys.
+func TestBeforeMaskOrder(t *testing.T) {
+	plain := func(a, b entry) bool {
+		return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	}
+	const bit63 = 1 << 63
+	rows := []struct {
+		name string
+		a, b entry
+		want bool
+	}{
+		{"equal at, lower seq", entry{at: 5, seq: 1}, entry{at: 5, seq: 2}, true},
+		{"equal at, higher seq", entry{at: 5, seq: 2}, entry{at: 5, seq: 1}, false},
+		{"equal keys", entry{at: 5, seq: 2}, entry{at: 5, seq: 2}, false},
+		{"seq differs in bit 63 only", entry{at: 5, seq: 7}, entry{at: 5, seq: bit63 | 7}, true},
+		{"seq differs in bit 63 only, reversed", entry{at: 5, seq: bit63 | 7}, entry{at: 5, seq: 7}, false},
+		{"at 0 before MaxInt64", entry{at: 0, seq: math.MaxUint64}, entry{at: math.MaxInt64}, true},
+		{"MaxInt64 after at 0", entry{at: math.MaxInt64}, entry{at: 0, seq: math.MaxUint64}, false},
+		{"at MaxInt64, equal, seq decides", entry{at: math.MaxInt64, seq: 0}, entry{at: math.MaxInt64, seq: 1}, true},
+		{"negative at before 0", entry{at: -1, seq: math.MaxUint64}, entry{at: 0}, true},
+	}
+	for _, r := range rows {
+		if got := beforeMask(r.a, r.b) != 0; got != r.want || plain(r.a, r.b) != r.want {
+			t.Errorf("%s: beforeMask says %v, plain order %v, want %v", r.name, got, plain(r.a, r.b), r.want)
+		}
+	}
+	var keys []entry
+	for _, at := range []time.Duration{math.MinInt64, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64} {
+		for _, seq := range []uint64{0, 1, bit63 - 1, bit63, bit63 | 1, math.MaxUint64} {
+			keys = append(keys, entry{at: at, seq: seq})
+		}
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			m := beforeMask(a, b)
+			if m != 0 && m != math.MaxUint64 {
+				t.Fatalf("beforeMask(%+v, %+v) = %#x, want all ones or zero", a, b, m)
+			}
+			if (m != 0) != plain(a, b) || a.before(b) != (m != 0) {
+				t.Fatalf("%+v vs %+v: mask %#x, before %v, plain order %v", a, b, m, a.before(b), plain(a, b))
+			}
+		}
+	}
+}
+
+// TestEarliestOfFour: every arrangement of four keys, two of them tied on
+// at, puts the earliest child's index out of the tournament.
+func TestEarliestOfFour(t *testing.T) {
+	keys := [4]entry{{at: 3, seq: 9}, {at: 3, seq: 4}, {at: 7, seq: 1}, {at: math.MaxInt64, seq: 0}}
+	var permute func(k int, c [4]entry)
+	permute = func(k int, c [4]entry) {
+		if k == len(c) {
+			want := 0
+			for i := range c {
+				if c[i] == keys[1] {
+					want = i
+				}
+			}
+			if got := earliest(&c); got != want {
+				t.Errorf("earliest(%v) = %d, want %d", c, got, want)
+			}
+			return
+		}
+		for i := k; i < len(c); i++ {
+			c[k], c[i] = c[i], c[k]
+			permute(k+1, c)
+			c[k], c[i] = c[i], c[k]
+		}
+	}
+	permute(0, keys)
 }

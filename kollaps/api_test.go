@@ -468,6 +468,21 @@ func TestChurnValidation(t *testing.T) {
 		}
 		stop()
 	}
+	// A NaN or +Inf rate used to be accepted, and the next Run never
+	// returned: every gap came out as zero (or as NaN wrapped negative,
+	// which the engine runs at once), so the driver re-armed at the same
+	// instant forever. The Run below proves nothing was armed.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := exp.Churn(rate); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("Churn(%g) = %v, want an error asking for a finite rate", rate, err)
+		}
+		if _, err := exp.ManagerChurn(rate); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("ManagerChurn(%g) = %v, want an error asking for a finite rate", rate, err)
+		}
+	}
+	if err := exp.Run(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A Gray action with a negative or inverted delay band used to be

@@ -2,6 +2,7 @@ package kollaps
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/topology"
@@ -200,13 +201,14 @@ func ChurnUntil(t time.Duration) ChurnOption {
 // downtime. All randomness comes from the deployment's seeded engine, so
 // the exact churn schedule is a deterministic function of the seed — a
 // property the YAML dialect cannot express (its event list is fixed, not
-// sampled per seed). The returned stop function halts further churn.
+// sampled per seed). The rate must be positive and finite. The returned
+// stop function halts further churn.
 func (e *Experiment) Churn(rate float64, opts ...ChurnOption) (stop func(), err error) {
 	if e.Runtime == nil {
 		return nil, fmt.Errorf("kollaps: Churn before Deploy")
 	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("kollaps: churn rate must be positive, got %g", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("kollaps: churn rate must be positive and finite, got %g", rate)
 	}
 	cfg, err := churnOptions(opts)
 	if err != nil {
@@ -252,14 +254,14 @@ func (e *Experiment) Churn(rate float64, opts ...ChurnOption) (stop func(), err 
 // containers keep their traffic — so what churns is the metadata layer
 // the dissemination strategies must survive. All randomness comes from
 // the deployment's seeded engine; the schedule is deterministic per
-// seed. The returned stop function halts further kills (managers already
-// down still restart).
+// seed. The rate must be positive and finite. The returned stop function
+// halts further kills (managers already down still restart).
 func (e *Experiment) ManagerChurn(rate float64, opts ...ChurnOption) (stop func(), err error) {
 	if e.Runtime == nil {
 		return nil, fmt.Errorf("kollaps: ManagerChurn before Deploy")
 	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("kollaps: manager churn rate must be positive, got %g", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("kollaps: manager churn rate must be positive and finite, got %g", rate)
 	}
 	cfg, err := churnOptions(opts)
 	if err != nil {
@@ -305,14 +307,16 @@ func (e *Experiment) ManagerChurn(rate float64, opts ...ChurnOption) (stop func(
 // the targets up reports live), and — only when fail applied the fault
 // and returned its recovery — the downtime before that recovery runs.
 // Recoveries fire even after stop: churn must not leave a target
-// permanently down.
+// permanently down. A draw too long for the clock (a tiny rate, a huge
+// downtime) saturates at the latest instant the clock can reach:
+// converted as is, it would wrap negative and fire at once.
 func (e *Experiment) churn(rate float64, cfg churnConfig, n int, up func(i int) bool, fail func(i int) (heal func())) (stop func()) {
 	eng := e.Eng
 	stopped := false
 	meanGap := float64(time.Second) / rate
 	var tick func()
 	arm := func() {
-		eng.After(time.Duration(eng.Rand().ExpFloat64()*meanGap), tick)
+		eng.After(untilLatest(eng.Now(), eng.Rand().ExpFloat64()*meanGap), tick)
 	}
 	tick = func() {
 		if stopped || (cfg.until > 0 && eng.Now() >= cfg.until) {
@@ -326,11 +330,22 @@ func (e *Experiment) churn(rate float64, cfg churnConfig, n int, up func(i int) 
 		}
 		if len(live) > 0 {
 			if heal := fail(live[eng.Rand().Intn(len(live))]); heal != nil {
-				eng.After(time.Duration(eng.Rand().ExpFloat64()*float64(cfg.downtime)), heal)
+				eng.After(untilLatest(eng.Now(), eng.Rand().ExpFloat64()*float64(cfg.downtime)), heal)
 			}
 		}
 		arm()
 	}
 	arm()
 	return func() { stopped = true }
+}
+
+// untilLatest converts a delay of d nanoseconds drawn at now to a
+// Duration, saturating at the latest instant the clock can reach. A delay
+// in range converts exactly as time.Duration(d) does.
+func untilLatest(now time.Duration, d float64) time.Duration {
+	latest := time.Duration(math.MaxInt64) - now
+	if !(d < float64(latest)) {
+		return latest
+	}
+	return min(time.Duration(d), latest) // float64(latest) may round up
 }

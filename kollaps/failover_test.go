@@ -2,6 +2,7 @@ package kollaps
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +229,53 @@ func TestManagerChurnDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("manager churn not deterministic: goodputs %v vs %v", a, b)
 		}
+	}
+}
+
+// TestChurnSaturatesLongDraws: a draw longer than the clock can reach
+// waits at the end of time. At 1e-12 kills per second the mean gap is
+// 1e21 ns; the conversion used to wrap it to a negative delay, which the
+// engine runs at once, and all four managers died within half a second.
+// A downtime past the end of time likewise keeps its manager down instead
+// of restarting it at once.
+func TestChurnSaturatesLongDraws(t *testing.T) {
+	exp, _ := deployFailover(t, 4, WithSeed(11))
+	if _, err := exp.ManagerChurn(1e-12); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 4; h++ {
+		if n := exp.Runtime.ManagerKills(h); n != 0 {
+			t.Errorf("manager %d killed %d times in 0.5 s at 1e-12 kills per second", h, n)
+		}
+	}
+
+	// Seed 3's first kills draw past the end of time; each used to wrap
+	// to a restart at once, and the revived manager could be killed again.
+	exp, _ = deployFailover(t, 4, WithSeed(3))
+	stop, err := exp.ManagerChurn(20, ChurnDowntime(math.MaxInt64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	killed := false
+	for h := 0; h < 4; h++ {
+		n := exp.Runtime.ManagerKills(h)
+		killed = killed || n > 0
+		switch {
+		case n > 1:
+			t.Errorf("manager %d killed %d times: it restarted within 0.5 s of a downtime drawn past the end of time", h, n)
+		case n == 1 && !exp.Runtime.ManagerDown(h):
+			t.Errorf("manager %d restarted within 0.5 s of a downtime drawn past the end of time", h)
+		}
+	}
+	if !killed {
+		t.Fatal("no manager killed in 0.5 s at 20 kills per second")
 	}
 }
 
