@@ -210,20 +210,29 @@ func (n *Network) AttachEndpoint(node graph.NodeID, ip packet.IP, h packet.Handl
 	leaf[ip[3]] = int32(len(n.endpoints))
 }
 
-// endpoint returns the endpoint attached at ip, or nil.
-func (n *Network) endpoint(ip packet.IP) *endpoint {
+// lookup returns the index into endpoints plus one of the endpoint
+// attached at ip, or 0.
+func (n *Network) lookup(ip packet.IP) int32 {
 	if ip[0] != 10 {
-		return nil
+		return 0
 	}
 	mid := n.addrs[ip[1]]
 	if mid == nil {
-		return nil
+		return 0
 	}
 	leaf := mid[ip[2]]
-	if leaf == nil || leaf[ip[3]] == 0 {
-		return nil
+	if leaf == nil {
+		return 0
 	}
-	return &n.endpoints[leaf[ip[3]]-1]
+	return leaf[ip[3]]
+}
+
+// endpoint returns the endpoint attached at ip, or nil.
+func (n *Network) endpoint(ip packet.IP) *endpoint {
+	if i := n.lookup(ip); i != 0 {
+		return &n.endpoints[i-1]
+	}
+	return nil
 }
 
 // Register implements packet.Network for endpoints attached beforehand via
@@ -246,15 +255,19 @@ func (n *Network) NodeOf(ip packet.IP) (graph.NodeID, bool) {
 
 // Send injects a packet at its source endpoint and forwards it hop by hop
 // toward the destination. Implements packet.Network: the fabric owns p
-// from here on and releases it once delivered or dropped.
+// from here on and releases it once delivered or dropped. The destination
+// endpoint is resolved once, here, and its index rides in p.Route; an
+// endpoint is updated in place, never moved, so the index stays good
+// while the packet is in flight.
 func (n *Network) Send(p *packet.Packet) {
 	p.AssertLive("fabric: Send")
-	src := n.endpoint(p.Src)
-	if src == nil {
+	src, dst := n.lookup(p.Src), n.lookup(p.Dst)
+	if src == 0 || dst == 0 {
 		n.drop(p)
 		return
 	}
-	n.forward(src.node, p)
+	p.Route = dst
+	n.forward(n.endpoints[src-1].node, p)
 }
 
 // drop counts an unroutable packet and releases it.
@@ -279,11 +292,7 @@ func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
 // default path allocates nothing per hop. A delivered packet is released
 // when its handler returns.
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
-	dst := n.endpoint(p.Dst)
-	if dst == nil {
-		n.drop(p)
-		return
-	}
+	dst := &n.endpoints[p.Route-1]
 	if dst.node == node {
 		h := dst.handler
 		if h == nil {

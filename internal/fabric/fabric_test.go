@@ -91,10 +91,46 @@ func TestNoRoute(t *testing.T) {
 	nw.AttachEndpoint(a, ipA, nil)
 	nw.AttachEndpoint(b, ipB, func(p *packet.Packet) { t.Fatal("impossible delivery") })
 	nw.Send(&packet.Packet{Src: ipA, Dst: ipB, Size: 100})
-	nw.Send(&packet.Packet{Src: packet.MakeIP(9, 9, 9), Dst: ipB, Size: 100}) // unknown src
+	nw.Send(&packet.Packet{Src: packet.MakeIP(9, 9, 9), Dst: ipB, Size: 100})    // unknown src
+	nw.Send(&packet.Packet{Src: ipA, Dst: packet.MakeIP(9, 9, 9), Size: 100})    // unknown dst
+	nw.Send(&packet.Packet{Src: ipA, Dst: packet.IP{192, 168, 0, 2}, Size: 100}) // outside 10/8
 	eng.RunAll()
-	if nw.DroppedNoRoute != 2 {
-		t.Fatalf("DroppedNoRoute = %d, want 2", nw.DroppedNoRoute)
+	if nw.DroppedNoRoute != 4 {
+		t.Fatalf("DroppedNoRoute = %d, want 4", nw.DroppedNoRoute)
+	}
+}
+
+// TestHandlerChangeReachesPacketInFlight: the endpoint a packet carries
+// from Send is an index into the endpoint table, so a handler installed
+// while the packet is in flight, by Register or by attaching the same IP
+// again, is the one that receives it, also after the table has grown.
+func TestHandlerChangeReachesPacketInFlight(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g, a, b := lineTopology(props(10*time.Millisecond, units.Gbps))
+	nw := New(eng, g, Options{})
+	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+	nw.AttachEndpoint(a, ipA, nil)
+	nw.AttachEndpoint(b, ipB, func(*packet.Packet) { t.Error("the replaced handler received a packet") })
+	var got []string
+	for _, tc := range []struct {
+		name    string
+		replace func(h packet.Handler)
+	}{
+		{"Register", func(h packet.Handler) { nw.Register(ipB, h) }},
+		{"AttachEndpoint", func(h packet.Handler) { nw.AttachEndpoint(b, ipB, h) }},
+	} {
+		name, grow := tc.name, len(nw.endpoints)
+		nw.Send(&packet.Packet{Src: ipA, Dst: ipB, Size: 100})
+		eng.Run(eng.Now() + 5*time.Millisecond)
+		for i := 0; i < 2*grow; i++ { // reallocates the table under the packet
+			nw.AttachEndpoint(a, packet.MakeIP(1, byte(len(nw.endpoints)/250), byte(len(nw.endpoints)%250)), nil)
+		}
+		tc.replace(func(*packet.Packet) { got = append(got, name) })
+		eng.Run(eng.Now() + 50*time.Millisecond)
+		nw.Register(ipB, func(*packet.Packet) { t.Error("a stale handler received a packet") })
+	}
+	if len(got) != 2 || got[0] != "Register" || got[1] != "AttachEndpoint" || nw.Delivered != 2 {
+		t.Fatalf("received by %v, Delivered = %d; want one packet each by Register and AttachEndpoint", got, nw.Delivered)
 	}
 }
 

@@ -81,6 +81,10 @@ type Packet struct {
 
 	pool     *Pool
 	released bool
+	// Route is scratch space for the network that owns the packet: the
+	// fabric carries the destination endpoint it resolved at Send here.
+	// It is declared last, where it fits in the struct's padding.
+	Route int32
 }
 
 // Segment is the TCP header state a TCP packet carries. Payload content is
@@ -138,9 +142,23 @@ func (p *Packet) Release() {
 	if p.Frame != nil {
 		pl.ReleaseFrame(p.Frame)
 	}
+	// Field by field: assigning a whole Packet compiles to a block copy
+	// of a zeroed temporary (runtime.duffcopy), the bulk of a release.
+	p.Src, p.Dst = IP{}, IP{}
+	p.SrcPort, p.DstPort = 0, 0
+	p.Proto = 0
+	p.Size = 0
+	p.TCP.Flags, p.TCP.HasEcho = 0, false
+	p.TCP.Seq, p.TCP.Len, p.TCP.Ack = 0, 0, 0
+	p.TCP.TS, p.TCP.TSEcho = 0, 0
+	p.TCP.SACK = p.TCP.SACK[:0]
 	clear(p.TCP.Marks) // drop the metadata references
-	seg := Segment{SACK: p.TCP.SACK[:0], Marks: p.TCP.Marks[:0]}
-	*p = Packet{TCP: seg, pool: pl, released: true}
+	p.TCP.Marks = p.TCP.Marks[:0]
+	p.Echo = Echo{}
+	p.Frame = nil
+	p.Payload = nil
+	p.Route = 0
+	p.released = true
 	pl.free = append(pl.free, p)
 	pl.out--
 }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -37,27 +38,67 @@ func TestPoolReusesLIFOAndCounts(t *testing.T) {
 	}
 }
 
+// setNonZero gives v, and every exported field, element and array cell
+// inside it, a non-zero value; slices get two elements. A kind it does not
+// know fails the test, so a new field cannot slip past it.
+func setNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				setNonZero(t, v.Field(i))
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			setNonZero(t, v.Index(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			setNonZero(t, v.Index(i))
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Uint8, reflect.Uint16:
+		v.SetUint(7)
+	case reflect.Interface:
+		v.Set(reflect.ValueOf("meta"))
+	default:
+		t.Fatalf("setNonZero: no value for a %v (%v)", v.Kind(), v.Type())
+	}
+}
+
+// TestReleaseZeroesAndKeepsSegmentCapacity: every exported field of a
+// packet, its TCP segment and its echo body set, the packet released and
+// drawn again reads as new, apart from the SACK and mark capacity, which
+// it keeps, and its pool.
 func TestReleaseZeroesAndKeepsSegmentCapacity(t *testing.T) {
 	var pl Pool
 	p := pl.Get()
-	*p = Packet{Src: MakeIP(1, 2, 3), Size: 99, Payload: "app", pool: p.pool,
-		TCP:  Segment{Seq: 7, SACK: [][2]int64{{1, 2}, {3, 4}}, Marks: []Mark{{End: 5, Meta: "m"}}},
-		Echo: Echo{ID: 3, Reply: true}}
+	setNonZero(t, reflect.ValueOf(p).Elem())
+	p.Frame = append(pl.Frame(8), "frame"...) // a frame goes back to its pool
 	marks := p.TCP.Marks
 	p.Release()
 	q := pl.Get()
 	if q != p {
 		t.Fatal("pool did not hand the released packet back")
 	}
-	if q.Src != (IP{}) || q.Size != 0 || q.Payload != nil || q.TCP.Seq != 0 || q.Echo != (Echo{}) ||
-		len(q.TCP.SACK) != 0 || len(q.TCP.Marks) != 0 {
-		t.Fatalf("reused packet not zeroed: %+v", q)
+	want := Packet{TCP: Segment{SACK: q.TCP.SACK[:0], Marks: q.TCP.Marks[:0]}, pool: &pl}
+	if !reflect.DeepEqual(*q, want) {
+		t.Fatalf("reused packet not zeroed:\n got %+v\nwant %+v", *q, want)
 	}
-	if cap(q.TCP.SACK) < 2 || cap(q.TCP.Marks) < 1 {
+	if cap(q.TCP.SACK) < 2 || cap(q.TCP.Marks) < 2 || &q.TCP.Marks[:1][0] != &marks[0] {
 		t.Fatal("reused packet lost its SACK or mark capacity")
 	}
-	if marks[:1][0].Meta != nil {
+	if marks[0].Meta != nil || marks[1].Meta != nil {
 		t.Fatal("released packet still references a mark's metadata")
+	}
+	if out, frames := pl.Outstanding(); out != 1 || frames != 0 {
+		t.Fatalf("outstanding %d packets, %d frames; want the packet only", out, frames)
 	}
 }
 

@@ -76,10 +76,11 @@ func (l *Line) At(at time.Duration, p *packet.Packet) {
 
 // advance moves line l past its head, the heap's root on slot id: the next
 // queued event takes over the slot and replaces the root in place, or the
-// line goes idle and gives the slot up.
+// line goes idle, gives the slot up and leaves the root held for the
+// callback's first push.
 func (e *Engine) advance(l *Line, id int32) {
 	if l.head < 0 {
-		e.remove(0)
+		e.held = true
 		e.release(id)
 		l.slot = -1
 		return

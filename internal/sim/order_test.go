@@ -352,11 +352,71 @@ var orderSeeds = [][]byte{
 	{opLine, 1, opLine, 1, opLine, 3, opLine, 9, opRun, 8, opHalt, 0, opLine, 1, opStep, 0},
 	// A queued line event whose packet was released panics when it fires.
 	{opLine, 1, opLine, 241, opLine, 2, opRun, 4, opHalt, nop},
+
+	// The rest hold a fired root for its callback's first schedule.
+	// Pending and Stats read inside callbacks of every kind: one-shots
+	// that schedule and ones that do not, an idle line, a line head with
+	// an event queued behind it, an Every tick that schedules before its
+	// re-arm (TestStatsAccountInsideCallbacks reads Stats at each note).
+	{opAt, 1, opAtPacket, 1, opLine, 1, opEvery, 0, opLine, 9, opLine, 9, opRun, 3,
+		opAt, 1, opHalt, nop, opLine, 1, opAfter, 0, opHalt, nop, opHalt, nop, opAtPacket, 0, opHalt, nop},
+	// Stops of other pending timers, children of the held root among
+	// them, before the first schedule: an Every tick stops one and then
+	// re-arms into the root; one-shots stop one and schedule nothing.
+	{opEvery, 0, opAt, 2, opAt, 3, opAtPacket, 2, opAt, 4, opAt, 5, opAt, 6, opAt, 7, opRun, 1,
+		opStop, 2, opRun, 2, opStop, 5, opStop, 4, opStop, 7, opStop, 6, opRun, 8},
+	// An Every stops itself and then schedules into the slot it gave up,
+	// with same-instant events behind it; the stale handle, stopped
+	// afterwards, must spare the newcomer.
+	{opEvery, 0, opAt, 1, opAtPacket, 1, opAt, 3, opRun, 1, opStep, 1, opHalt, nop, opHalt, nop,
+		opStop, 0, opRun, 4, opHalt, nop, opHalt, nop},
+	// Callbacks that schedule nothing, of every kind, over a heap two
+	// levels deep; an Every tick stops its own series and is not re-armed.
+	{opAt, 1, opAtPacket, 1, opLine, 1, opEvery, 0, opAt, 2, opAt, 3, opAt, 4, opAt, 5, opAt, 6,
+		opRun, 2, opHalt, nop, opHalt, nop, opHalt, nop, opHalt, nop, opHalt, nop, opRun, 0, opRun, 8},
+	// Halt from an idle line's callback while its root is held, with
+	// events left behind; scheduling afterwards, on the line too, counts.
+	{opLine, 1, opAt, 1, opAtPacket, 1, opAt, 3, opRun, 4, opHalt, 0, opAt, 0, opLine, 2, opStep, 0, opRun, 3},
+	// Idle lines whose callbacks re-arm the same line, later and in the
+	// current instant, and one that lets its line go idle.
+	{opLine, 1, opAt, 2, opLine, 9, opRun, 6, opLine, 1, opLine, 8, opLine, 9, opHalt, nop,
+		opLine, 0, opHalt, nop, opHalt, nop},
+	// Several same-instant schedules from one firing: an Every tick
+	// schedules at its re-arm's instant and then in the current one, so
+	// the newcomer takes the root and the re-arm ties behind it.
+	{opEvery, 0, opAt, 2, opRun, 1, opAt, 1, opRun, 2, opAtPacket, 1, opHalt, nop, opAfter, 0,
+		opLine, 1, opHalt, nop, opHalt, nop},
 }
 
 func TestEngineOrderScenarios(t *testing.T) {
 	for _, prog := range orderSeeds {
 		checkScript(t, prog)
+	}
+}
+
+// auditSched is a realSched whose every Pending read also checks that
+// Stats accounts for the count, so the check runs inside firing callbacks
+// as well as between them.
+type auditSched struct {
+	*realSched
+	t *testing.T
+}
+
+func (a auditSched) Pending() int {
+	n := a.realSched.Pending()
+	if st := a.Stats(); st.Scheduled+st.Rearmed != st.Fired+st.Stopped+int64(n) {
+		a.t.Fatalf("at %v: stats %+v do not account for %d pending", a.Now(), st, n)
+	}
+	return n
+}
+
+// TestStatsAccountInsideCallbacks: on every scenario, Stats read at each
+// record, inside firing callbacks too (while a fired root is held),
+// accounts for Pending. TestEngineOrderScenarios compares the records
+// themselves with the reference.
+func TestStatsAccountInsideCallbacks(t *testing.T) {
+	for _, prog := range orderSeeds {
+		runScript(auditSched{newRealSched(NewEngine(1)), t}, prog)
 	}
 }
 

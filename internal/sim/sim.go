@@ -40,6 +40,19 @@ import (
 // line's head is in the heap. At steady state scheduling and firing
 // allocate nothing.
 //
+// A fired root stays in the heap while its callback runs, as a held
+// entry: the first event the callback schedules (At, After, AtPacket,
+// an idle Line's At, or the Every re-arm) takes its place at index 0 with
+// one siftDown, instead of a siftDown to remove the root and a siftUp to
+// insert the newcomer. A callback that schedules nothing has the root
+// removed when it returns. The order is unchanged: sequence numbers are
+// drawn as before, and the held key (now, its seq) precedes every live
+// key, so no removal or siftUp below it crosses it. Pending does not
+// count the held entry, and the heap's length after each push is what a
+// remove-then-push gives, so HeapPeak is unchanged too. The held root
+// makes re-entry unsound: Step, and so Run and RunAll, panic when called
+// from inside a firing callback; every caller drives them from top level.
+//
 // The engine also owns the simulation's packet pool (Packets): every
 // packet and control frame the substrates carry is drawn from it and
 // released back, so reuse follows the deterministic event order.
@@ -54,6 +67,8 @@ type Engine struct {
 	stats     Stats
 	rng       *rand.Rand
 	halted    bool
+	held      bool // heap[0] is the firing event's spent entry, kept for the next push
+	firing    bool // a callback is running: Step must not re-enter
 	packets   packet.Pool
 }
 
@@ -64,6 +79,7 @@ type Stats struct {
 	Stopped   int64 // pending events Timer.Stop removed
 	Rearmed   int64 // Every re-arms after a tick
 	Queued    int64 // Line events that waited behind their line's head
+	Replaced  int64 // fired events whose heap position went straight to the next event scheduled
 	HeapPeak  int   // the heap's high-water length
 }
 
@@ -200,8 +216,12 @@ func (e *Engine) release(id int32) {
 }
 
 // Step runs the single next event. It reports false when the queue is empty
-// or the engine was halted.
+// or the engine was halted. It panics when called from inside a firing
+// callback.
 func (e *Engine) Step() bool {
+	if e.firing {
+		panic(reentered)
+	}
 	if len(e.heap) == 0 || e.halted {
 		return false
 	}
@@ -211,18 +231,16 @@ func (e *Engine) Step() bool {
 	}
 	e.now = top.at
 	e.stats.Fired++
+	e.firing = true
 	if l := e.slots[top.slot].line; l != nil {
 		p := e.slots[top.slot].p
 		e.advance(l, top.slot)
 		p.AssertLive("sim: Line firing")
 		l.fn(p)
-		return true
-	}
-	s := e.slots[top.slot]
-	e.remove(0)
-	if s.period > 0 {
+	} else if s := e.slots[top.slot]; s.period > 0 {
 		// The slot stays owned across the tick so the Timer can stop the
 		// series from inside fn; a changed generation afterwards means it did.
+		e.held = true
 		e.slots[top.slot].pos = -1
 		s.fn()
 		switch {
@@ -233,22 +251,35 @@ func (e *Engine) Step() bool {
 			e.push(top.slot, e.now+s.period)
 			e.stats.Rearmed++
 		}
-		return true
-	}
-	e.release(top.slot)
-	if s.pfn != nil {
-		s.p.AssertLive("sim: AtPacket firing")
-		s.pfn(s.p)
 	} else {
-		s.fn()
+		e.held = true
+		e.release(top.slot)
+		if s.pfn != nil {
+			s.p.AssertLive("sim: AtPacket firing")
+			s.pfn(s.p)
+		} else {
+			s.fn()
+		}
+	}
+	e.firing = false
+	if e.held {
+		e.held = false
+		e.remove(0)
 	}
 	return true
 }
 
+// reentered is what Step and Run panic with inside a firing callback.
+const reentered = "sim: Step re-entered from a callback"
+
 // Run executes events until the virtual clock would pass until, the queue
 // empties, or Halt is called. The clock is left at min(until, last event
-// time); events at exactly until do run.
+// time); events at exactly until do run. Like Step, it panics when called
+// from inside a firing callback.
 func (e *Engine) Run(until time.Duration) {
+	if e.firing {
+		panic(reentered)
+	}
 	for len(e.heap) > 0 && e.heap[0].at <= until && e.Step() {
 	}
 	if !e.halted && e.now < until {
@@ -271,13 +302,27 @@ func (e *Engine) Halted() bool { return e.halted }
 
 // Pending returns the number of live events in the queue, those waiting
 // behind a Line's head included.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.nodes) - len(e.freeNodes) }
+func (e *Engine) Pending() int {
+	n := len(e.heap) + len(e.nodes) - len(e.freeNodes)
+	if e.held {
+		n--
+	}
+	return n
+}
 
-// push queues slot id at time at under the next sequence number.
+// push queues slot id at time at under the next sequence number: in the
+// held root's place when there is one, else at the bottom.
 func (e *Engine) push(id int32, at time.Duration) {
-	e.heap = append(e.heap, entry{})
-	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, slot: id})
+	x := entry{at: at, seq: e.seq, slot: id}
 	e.seq++
+	if e.held {
+		e.held = false
+		e.stats.Replaced++
+		e.siftDown(0, x)
+		return
+	}
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, x)
 	if len(e.heap) > e.stats.HeapPeak {
 		e.stats.HeapPeak = len(e.heap)
 	}

@@ -220,7 +220,8 @@ func TestStatsCountsOperations(t *testing.T) {
 	var l Line
 	l.Init(e, func(*packet.Packet) {})
 	stopped := e.After(5, func() {})
-	e.AtPacket(1, func(*packet.Packet) {}, p)
+	follow := func(*packet.Packet) { e.After(0, func() {}) } // takes the fired root
+	e.AtPacket(1, follow, p)
 	l.At(2, p) // the line's head: into the heap
 	l.At(2, p) // queued behind it
 	l.At(3, p) // queued
@@ -237,9 +238,44 @@ func TestStatsCountsOperations(t *testing.T) {
 		t.Fatalf("Pending = %d, want 5 (3 in the heap, 2 behind the line head)", got)
 	}
 	e.RunAll()
-	want := Stats{Scheduled: 7, Fired: 7, Stopped: 2, Rearmed: 2, Queued: 2, HeapPeak: 5}
+	// Replaced: the follow-up and the two re-arms. A line head with more
+	// queued hands its root over in advance, not by a push; the line's
+	// last event and the stopping tick schedule nothing.
+	want := Stats{Scheduled: 8, Fired: 8, Stopped: 2, Rearmed: 2, Queued: 2, Replaced: 3, HeapPeak: 5}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+// TestReentryPanics: Step, Run and RunAll called from a firing callback
+// panic, whether or not the callback has scheduled anything yet, and the
+// engine goes on once the callback returns.
+func TestReentryPanics(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	for i, reenter := range []func(){
+		func() { e.Step() },
+		func() { e.Run(e.Now() + 1) },
+		func() { e.Run(e.Now() - 1) }, // would fire nothing
+		e.RunAll,
+	} {
+		i, reenter := i, reenter
+		e.At(time.Duration(i), func() {
+			fired++
+			if i%2 == 1 {
+				e.After(10, func() {}) // the held root is already handed on
+			}
+			defer func() {
+				if r := recover(); r != "sim: Step re-entered from a callback" {
+					t.Errorf("reentry %d: panic %v", i, r)
+				}
+			}()
+			reenter()
+		})
+	}
+	e.RunAll()
+	if fired != 4 || e.Pending() != 0 || e.Stats().Fired != 6 {
+		t.Fatalf("fired %d callbacks, %d events pending, stats %+v", fired, e.Pending(), e.Stats())
 	}
 }
 
