@@ -361,8 +361,8 @@ func (m *Manager) disseminate() {
 func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 	now := m.rt.Eng.Now()
 	stale := 3 * m.rt.opts.Period
-	g := m.rt.State().Graph
-	nLinks := g.NumLinks()
+	lats := m.rt.linkLats()
+	nLinks := len(lats)
 
 	all := m.allBuf[:0]
 	for i := range local {
@@ -389,7 +389,7 @@ func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 				stats.StaleLinks.Inc()
 				continue
 			}
-			lat += g.Link(int(l)).Latency
+			lat += lats[l]
 			arena = append(arena, int(l))
 		}
 		links := arena[start:len(arena):len(arena)]

@@ -120,9 +120,11 @@ type Runtime struct {
 	live *topology.Live
 	wide bool
 	// caps is the dense per-link capacity table every Manager hands the
-	// allocator, built for topology generation capsGen (0: never).
-	// Managers read it and never write it.
+	// allocator, and lats the per-link latencies Managers price remote
+	// paths with, both built for topology generation capsGen (0: never).
+	// Managers read them and never write them.
 	caps    []float64
+	lats    []time.Duration
 	capsGen uint64
 
 	// pending holds events registered before Start; Start sorts them,
@@ -455,17 +457,33 @@ func (rt *Runtime) applyGroup(evs []topology.Event) error {
 // Tombstoned links keep their negative sentinel: the allocator prices
 // them as zero-capacity constraints, exactly like the seed's map build.
 func (rt *Runtime) linkCaps() ([]float64, uint64) {
+	rt.linkTables()
+	return rt.caps, rt.capsGen
+}
+
+// linkLats returns the dense per-link latency table for the current
+// topology generation: every Manager sums it over every remote flow's
+// links every period, which a flat table serves faster than the graph's
+// chunked link table.
+func (rt *Runtime) linkLats() []time.Duration {
+	rt.linkTables()
+	return rt.lats
+}
+
+// linkTables builds caps and lats for the current generation, once.
+func (rt *Runtime) linkTables() {
 	gen := rt.live.Gen()
-	if rt.capsGen != gen {
-		g := rt.State().Graph
-		n := g.NumLinks()
-		rt.caps = grow(rt.caps, n)
-		for l := 0; l < n; l++ {
-			rt.caps[l] = float64(g.Link(l).Bandwidth)
-		}
-		rt.capsGen = gen
+	if rt.capsGen == gen {
+		return
 	}
-	return rt.caps, gen
+	g := rt.State().Graph
+	n := g.NumLinks()
+	rt.caps, rt.lats = grow(rt.caps, n), grow(rt.lats, n)
+	for l := 0; l < n; l++ {
+		link := g.Link(l)
+		rt.caps[l], rt.lats[l] = float64(link.Bandwidth), link.Latency
+	}
+	rt.capsGen = gen
 }
 
 // path returns the collapsed path from container c toward dstIP under

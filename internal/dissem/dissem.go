@@ -395,10 +395,12 @@ type Summary struct {
 	StalenessP99Ms float64
 }
 
-// Summarize folds per-node stats into one Summary.
+// Summarize folds per-node stats into one Summary. The percentiles are
+// read off the nodes' own sample sets (metrics.MergedPercentile), not a
+// merged copy of them.
 func Summarize(stats []*Stats) Summary {
 	var sum Summary
-	var h metrics.Histogram
+	hs := make([]*metrics.Histogram, 0, len(stats))
 	for _, s := range stats {
 		if s == nil {
 			continue
@@ -407,10 +409,10 @@ func Summarize(stats []*Stats) Summary {
 		sum.BytesSent += s.BytesSent.Value()
 		sum.DatagramsRecv += s.DatagramsRecv.Value()
 		sum.BytesRecv += s.BytesRecv.Value()
-		h.Merge(&s.Staleness)
+		hs = append(hs, &s.Staleness)
 	}
-	sum.StalenessP50Ms = h.Percentile(50)
-	sum.StalenessP99Ms = h.Percentile(99)
+	sum.StalenessP50Ms = metrics.MergedPercentile(hs, 50)
+	sum.StalenessP99Ms = metrics.MergedPercentile(hs, 99)
 	return sum
 }
 

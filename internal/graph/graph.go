@@ -6,9 +6,11 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/units"
@@ -63,13 +65,29 @@ type Link struct {
 // in-memory structure the Emulation Manager maintains throughout an
 // experiment.
 type Graph struct {
-	nodes  []Node
-	links  []Link
+	nodes []Node
+	// chunks is the link table: link id i is slot i%chunkLinks of chunk
+	// i/chunkLinks. A chunk is shared with every Clone that has not
+	// written it.
+	chunks []*linkChunk
+	nlinks int
 	adj    []adjacency // node id -> its link ids
 	byName map[string]NodeID
 	// shared marks nodes, adj and byName as shared with a Clone (or its
 	// origin): the first AddNode/AddLink on either side copies them.
 	shared bool
+}
+
+// chunkLinks is the number of links one chunk of the link table holds: a
+// write after Clone copies 64 links, not the table.
+const chunkLinks = 64
+
+// linkChunk is one fixed block of the link table. owner is the one graph
+// allowed to write it in place; Clone clears it, so a chunk two graphs
+// share has none and is copied by whichever side writes it first.
+type linkChunk struct {
+	links [chunkLinks]Link
+	owner *Graph
 }
 
 // adjacency is one node's link ids: out leave the node, in arrive at it.
@@ -96,7 +114,7 @@ func (g *Graph) unshare() {
 	// The rows are carved from one block (every link is in one out row
 	// and one in row), capacity-clipped so an append to one row cannot
 	// run into the next.
-	flat := make([]int, 0, 2*len(g.links))
+	flat := make([]int, 0, 2*g.nlinks)
 	carve := func(row []int) []int {
 		flat = append(flat, row...)
 		return flat[len(flat)-len(row) : len(flat) : len(flat)]
@@ -135,11 +153,33 @@ func (g *Graph) MustAddNode(name string, kind NodeKind) NodeID {
 // AddLink adds a unidirectional link and returns its id.
 func (g *Graph) AddLink(from, to NodeID, p LinkProps) int {
 	g.unshare()
-	id := len(g.links)
-	g.links = append(g.links, Link{ID: id, From: from, To: to, LinkProps: p})
+	id := g.nlinks
+	if id%chunkLinks == 0 {
+		g.chunks = append(g.chunks, &linkChunk{owner: g})
+	}
+	g.nlinks++
+	*g.writable(id) = Link{ID: id, From: from, To: to, LinkProps: p}
 	g.adj[from].out = append(g.adj[from].out, id)
 	g.adj[to].in = append(g.adj[to].in, id)
 	return id
+}
+
+// link is the link table's entry for id, to read.
+func (g *Graph) link(id int) *Link {
+	return &g.chunks[uint(id)/chunkLinks].links[uint(id)%chunkLinks]
+}
+
+// writable is the link table's entry for id, to write: a chunk g does not
+// own is copied first, so no other graph sees the write.
+func (g *Graph) writable(id int) *Link {
+	c := g.chunks[uint(id)/chunkLinks]
+	if c.owner != g {
+		own := *c
+		own.owner = g
+		c = &own
+		g.chunks[uint(id)/chunkLinks] = c
+	}
+	return &c.links[uint(id)%chunkLinks]
 }
 
 // AddBiLink adds two opposite links with identical properties and returns
@@ -151,29 +191,40 @@ func (g *Graph) AddBiLink(a, b NodeID, p LinkProps) (int, int) {
 // RemoveLink marks a link as removed. Removed links are skipped by path
 // computations. (The dynamic topology engine removes and re-adds links.)
 func (g *Graph) RemoveLink(id int) {
-	if id >= 0 && id < len(g.links) {
-		g.links[id].Bandwidth = -1 // tombstone
+	if id >= 0 && id < g.nlinks {
+		g.writable(id).Bandwidth = -1 // tombstone
 	}
 }
 
 // LinkRemoved reports whether the link is tombstoned.
 func (g *Graph) LinkRemoved(id int) bool {
-	return id >= 0 && id < len(g.links) && g.links[id].Bandwidth < 0
+	return id >= 0 && id < g.nlinks && g.link(id).Bandwidth < 0
 }
 
 // SetLinkProps replaces the properties of a live link.
 func (g *Graph) SetLinkProps(id int, p LinkProps) {
-	if id >= 0 && id < len(g.links) {
-		l := &g.links[id]
-		l.LinkProps = p
+	if id >= 0 && id < g.nlinks {
+		g.writable(id).LinkProps = p
 	}
 }
 
 // Node returns the node with the given id.
 func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
 
-// Link returns the link with the given id.
-func (g *Graph) Link(id int) Link { return g.links[id] }
+// Link returns the link with the given id; it panics on an id outside
+// [0, NumLinks()).
+func (g *Graph) Link(id int) Link {
+	if uint(id) >= uint(g.nlinks) {
+		panic(errLinkRange)
+	}
+	return *g.link(id)
+}
+
+var errLinkRange = errors.New("graph: link id out of range")
+
+// OutLinks returns the ids of the links leaving id, in ascending order.
+// The slice is the graph's own: callers only read it.
+func (g *Graph) OutLinks(id NodeID) []int { return g.adj[id].out }
 
 // Lookup finds a node by name.
 func (g *Graph) Lookup(name string) (NodeID, bool) {
@@ -185,7 +236,7 @@ func (g *Graph) Lookup(name string) (NodeID, bool) {
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumLinks returns the number of links including tombstones.
-func (g *Graph) NumLinks() int { return len(g.links) }
+func (g *Graph) NumLinks() int { return g.nlinks }
 
 // Nodes returns all nodes.
 func (g *Graph) Nodes() []Node { return g.nodes }
@@ -202,14 +253,40 @@ func (g *Graph) Services() []NodeID {
 }
 
 // Clone returns an independent copy; the dynamic topology engine makes one
-// per event group (§3). Only the link table — what events patch — is
-// copied eagerly; nodes, the adjacency (out- and in-links) and the name
-// index are shared until either side adds a node or a link.
+// per event group (§3). Nothing is copied eagerly but the list of link
+// chunks: a chunk is copied by the first side to write one of its links,
+// and nodes, the adjacency (out- and in-links) and the name index are
+// shared until either side adds a node or a link.
 func (g *Graph) Clone() *Graph {
 	g.shared = true
+	for _, c := range g.chunks {
+		if c.owner == g {
+			c.owner = nil
+		}
+	}
 	c := *g
-	c.links = append([]Link(nil), g.links...)
+	c.chunks = append([]*linkChunk(nil), g.chunks...)
 	return &c
+}
+
+// ChangedLinks appends to dst, in ascending order, the ids of g's links
+// that differ from old's, links old does not have included. A chunk the
+// two graphs share is equal without being read, so comparing a patched
+// Clone with its origin reads only the chunks the patch copied.
+func (g *Graph) ChangedLinks(old *Graph, dst []int) []int {
+	for ci, c := range g.chunks {
+		lo := ci * chunkLinks
+		hi := min(lo+chunkLinks, g.nlinks)
+		if ci < len(old.chunks) && old.chunks[ci] == c {
+			lo = max(lo, old.nlinks)
+		}
+		for i := lo; i < hi; i++ {
+			if i >= old.nlinks || c.links[i-ci*chunkLinks] != *old.link(i) {
+				dst = append(dst, i)
+			}
+		}
+	}
+	return dst
 }
 
 // Path is a shortest path between two services: the ordered link ids it
@@ -276,9 +353,16 @@ func (f *propsFold) props() LinkProps {
 // compared, reused, carried to a later graph it still Holds for, or
 // repaired into a later graph's tree. It keeps no reference to the graph;
 // Path, Holds and Repair take the one to read.
+//
+// A Tree is a flat table of every node's entry, shared with the trees
+// repaired from it and never written, plus a patch: the entries where
+// this tree differs from the table, sorted by node. A tree Graph.Tree
+// builds has no patch; Repair keeps its parent's table and writes a new
+// patch, unless that would pass maxPatch entries.
 type Tree struct {
-	src NodeID
-	st  []treeNode
+	src   NodeID
+	base  []treeNode
+	patch []patchEntry
 }
 
 type treeNode struct {
@@ -287,27 +371,74 @@ type treeNode struct {
 	via  int32 // arriving link id; -1 at the source and at unreached nodes
 }
 
+// patchEntry is a Tree's entry for node where it differs from the table.
+type patchEntry struct {
+	treeNode
+	node int32
+}
+
 const unreached = time.Duration(math.MaxInt64)
 
-// Scratch is the settle loop's reusable working memory; the zero value is
-// ready.
-type Scratch struct{ heap []nodeDist }
+// maxPatch is the most entries a repaired tree's patch may hold on n
+// nodes; a larger one is folded into a fresh table. At n/8 a patch (24
+// bytes an entry) stays under a quarter of the table (16 bytes a node),
+// and a lookup's binary search under log2(n/8) steps.
+func maxPatch(n int) int { return n / 8 }
+
+// at returns node v's entry.
+func (t *Tree) at(v NodeID) treeNode {
+	p := t.patch
+	lo, hi := 0, len(p)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p[m].node < int32(v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(p) && p[lo].node == int32(v) {
+		return p[lo].treeNode
+	}
+	return t.base[v]
+}
+
+// Scratch is the reusable working memory of Tree and Repair; the zero
+// value is ready. Tree sizes a Scratch it is given for its graph, so a
+// later Repair of that size allocates nothing but its result.
+type Scratch struct {
+	heap []nodeDist
+	st   []treeNode // the tree Repair works on, materialised
+	log  []int32    // the nodes Repair wrote, repeats included
+}
+
+// grow sizes sc for trees of n nodes.
+func (sc *Scratch) grow(n int) {
+	if cap(sc.heap) < n {
+		sc.heap = make([]nodeDist, 0, n)
+	}
+	if cap(sc.st) < n {
+		sc.st = make([]treeNode, n)
+	}
+	if cap(sc.log) < n {
+		sc.log = make([]int32, 0, n)
+	}
+}
 
 // Tree runs Dijkstra from src, skipping tombstoned links. sc may be nil.
 func (g *Graph) Tree(src NodeID, sc *Scratch) Tree {
-	if sc == nil {
-		sc = new(Scratch)
-	}
 	st := make([]treeNode, len(g.nodes))
 	for i := range st {
 		st[i] = treeNode{dist: unreached, via: -1}
 	}
 	st[src].dist = 0
-	if cap(sc.heap) < len(st) {
-		sc.heap = make([]nodeDist, 0, len(st))
+	if sc == nil {
+		sc = &Scratch{heap: make([]nodeDist, 0, len(st))}
+	} else {
+		sc.grow(len(st))
 	}
-	sc.heap = g.settle(st, append(sc.heap[:0], nodeDist{hopsID: uint64(src)}))
-	return Tree{src: src, st: st}
+	sc.heap = g.settle(st, append(sc.heap[:0], nodeDist{hopsID: uint64(src)}), nil)
+	return Tree{src: src, base: st}
 }
 
 // Repair derives g's tree from t, the tree of an earlier version of g with
@@ -319,26 +450,39 @@ func (g *Graph) Tree(src NodeID, sc *Scratch) Tree {
 // tree (found top down, a node's children being the heads of its
 // out-links that are their tree edges) is reset to unreached. Every other
 // entry is kept: its old tree path still exists and is no longer than
-// before, so its key is an upper bound. If anything was reset, each
-// unreached node is offered its live in-links; and every changed link is
-// offered to its head, which covers improvements, ties that take over the
-// link-id tie-break, restored links and new ones. The settle loop does the
-// rest. When it ends, every key is that of a real path and no live link
-// improves on its head's key, so the keys are the shortest ones; and every
-// tight link into a node was offered to it at its final key, so each
-// arriving link is the smallest tight one. The result equals g.Tree(t's
-// source) field for field.
+// before, so its key is an upper bound. Each reset node is offered its
+// live in-links, and every changed link is offered to its head, which
+// covers improvements, ties that take over the link-id tie-break, restored
+// links and new ones. A node t left unreached needs no offer of its own:
+// a path to it now crosses a changed link, or a node the settle loop
+// reaches and relaxes. The settle loop does the rest. When it ends, every
+// key is that of a real path and no live link improves on its head's key,
+// so the keys are the shortest ones; and every tight link into a node was
+// offered to it at its final key, so each arriving link is the smallest
+// tight one. The result equals g.Tree(t's source) node for node.
+//
+// The work happens on t materialised in sc, logging every node written;
+// the result shares t's table and patches the logged nodes and t's own
+// patched ones, so t stays as it was.
 func (t Tree) Repair(g *Graph, changed []int, sc *Scratch) Tree {
-	st := append([]treeNode(nil), t.st...)
+	n := len(t.base)
+	sc.grow(n)
+	st := sc.st[:n]
+	copy(st, t.base)
+	for _, p := range t.patch {
+		st[p.node] = p.treeNode
+	}
+	log := sc.log[:0]
 	// q lists the reset nodes while the subtrees are found; each node is
 	// listed once, so the heap's capacity of one entry per node holds it.
 	q := sc.heap[:0]
 	reset := func(v NodeID) {
 		st[v] = treeNode{dist: unreached, via: -1}
 		q = append(q, nodeDist{hopsID: uint64(v)})
+		log = append(log, int32(v))
 	}
 	for _, li := range changed {
-		l := &g.links[li]
+		l := g.link(li)
 		from, to := &st[l.From], &st[l.To]
 		// A tail reset by an earlier root is unreached now: so is its child.
 		if to.via == int32(li) && (l.Bandwidth < 0 || from.dist == unreached || from.dist+l.Latency > to.dist) {
@@ -347,32 +491,78 @@ func (t Tree) Repair(g *Graph, changed []int, sc *Scratch) Tree {
 	}
 	for i := 0; i < len(q); i++ {
 		for _, li := range g.adj[q[i].hopsID].out {
-			if to := g.links[li].To; st[to].via == int32(li) {
+			if to := g.link(li).To; st[to].via == int32(li) {
 				reset(to)
 			}
 		}
 	}
+	// The reset nodes head the log; the queue reuses q's storage.
 	pq := q[:0]
-	if len(q) > 0 {
-		for v := range st {
-			if st[v].dist == unreached {
-				for _, li := range g.adj[v].in {
-					pq = g.relax(st, pq, li)
-				}
-			}
+	for _, v := range log[:len(q)] {
+		for _, li := range g.adj[v].in {
+			pq = g.relax(st, pq, li, &log)
 		}
 	}
 	for _, li := range changed {
-		pq = g.relax(st, pq, li)
+		pq = g.relax(st, pq, li, &log)
 	}
-	sc.heap = g.settle(st, pq)
-	return Tree{src: t.src, st: st}
+	sc.heap = g.settle(st, pq, &log)
+	sc.log = log
+	return t.repatch(st, log)
+}
+
+// repatch returns the tree st, t repaired, as t's table plus a patch: of
+// the nodes t patched or the repair wrote (log), the ones where st and the
+// table differ. A patch past maxPatch entries folds into a fresh table.
+func (t Tree) repatch(st []treeNode, log []int32) Tree {
+	slices.Sort(log)
+	log = slices.Compact(log)
+	// visit offers f, in ascending order, every node t patched or log
+	// lists, until f returns false.
+	visit := func(f func(v int32) bool) {
+		old, log := t.patch, log
+		for len(old) > 0 || len(log) > 0 {
+			var v int32
+			switch {
+			case len(log) == 0 || len(old) > 0 && old[0].node < log[0]:
+				v, old = old[0].node, old[1:]
+			case len(old) == 0 || log[0] < old[0].node:
+				v, log = log[0], log[1:]
+			default:
+				v, old, log = log[0], old[1:], log[1:]
+			}
+			if !f(v) {
+				return
+			}
+		}
+	}
+	limit, n := maxPatch(len(st)), 0
+	visit(func(v int32) bool {
+		if st[v] != t.base[v] {
+			n++
+		}
+		return n <= limit
+	})
+	switch {
+	case n > limit:
+		return Tree{src: t.src, base: append([]treeNode(nil), st...)}
+	case n == 0:
+		return Tree{src: t.src, base: t.base}
+	}
+	patch := make([]patchEntry, 0, n)
+	visit(func(v int32) bool {
+		if st[v] != t.base[v] {
+			patch = append(patch, patchEntry{st[v], v})
+		}
+		return true
+	})
+	return Tree{src: t.src, base: t.base, patch: patch}
 }
 
 // settle is the one Dijkstra loop, shared by Tree and Repair: it pops the
 // least queued (dist, hops) key and offers the node's out-links to their
 // heads until the queue is empty. It returns the emptied queue for reuse.
-func (g *Graph) settle(st []treeNode, pq []nodeDist) []nodeDist {
+func (g *Graph) settle(st []treeNode, pq []nodeDist, log *[]int32) []nodeDist {
 	for len(pq) > 0 {
 		cur, hops, id := pq[0], int32(pq[0].hopsID>>32), uint32(pq[0].hopsID)
 		pq = popMin(pq)
@@ -380,7 +570,7 @@ func (g *Graph) settle(st []treeNode, pq []nodeDist) []nodeDist {
 			continue // superseded by a better key queued later
 		}
 		for _, li := range g.adj[id].out {
-			pq = g.relax(st, pq, li)
+			pq = g.relax(st, pq, li, log)
 		}
 	}
 	return pq
@@ -389,9 +579,10 @@ func (g *Graph) settle(st []treeNode, pq []nodeDist) []nodeDist {
 // relax offers link li, if live and leaving a reached node, to its head: a
 // strictly better (dist, hops) key takes the head and queues it, an equal
 // key through a smaller link id takes over the arriving link only (the
-// key is queued or settled already).
-func (g *Graph) relax(st []treeNode, pq []nodeDist, li int) []nodeDist {
-	l := &g.links[li]
+// key is queued or settled already). A head it writes is appended to
+// log, when there is one.
+func (g *Graph) relax(st []treeNode, pq []nodeDist, li int, log *[]int32) []nodeDist {
+	l := g.link(li)
 	from, to := &st[l.From], &st[l.To]
 	if l.Bandwidth < 0 || from.dist == unreached { // a tombstone, or nothing to offer
 		return pq
@@ -400,15 +591,21 @@ func (g *Graph) relax(st []treeNode, pq []nodeDist, li int) []nodeDist {
 	switch {
 	case nd < to.dist || nd == to.dist && nh < to.hops:
 		to.dist, to.hops, to.via = nd, nh, int32(li)
+		if log != nil {
+			*log = append(*log, int32(l.To))
+		}
 		// A leaf whose one link leads straight back has nothing to
 		// relax: settled here, never queued. Services usually are such
 		// leaves, and they are most of a topology.
-		if back := g.adj[l.To].out; len(back) == 1 && g.links[back[0]].To == l.From {
+		if back := g.adj[l.To].out; len(back) == 1 && g.link(back[0]).To == l.From {
 			return pq
 		}
 		return push(pq, nodeDist{dist: nd, hopsID: uint64(nh)<<32 | uint64(l.To)})
 	case nd == to.dist && nh == to.hops && int32(li) < to.via:
 		to.via = int32(li)
+		if log != nil {
+			*log = append(*log, int32(l.To))
+		}
 	}
 	return pq
 }
@@ -418,17 +615,24 @@ func (g *Graph) relax(st []treeNode, pq []nodeDist, li int) []nodeDist {
 // their composed properties. Nil when dst is the source, unreached or not
 // a node.
 func (t Tree) Path(g *Graph, dst NodeID) *Path {
-	if dst < 0 || int(dst) >= len(t.st) || t.st[dst].via < 0 {
+	if dst < 0 || int(dst) >= len(t.base) {
 		return nil
 	}
-	links := make([]int, t.st[dst].hops)
-	for at, i := dst, len(links)-1; i >= 0; i-- {
-		links[i] = int(t.st[at].via)
-		at = g.links[links[i]].From
+	e := t.at(dst)
+	if e.via < 0 {
+		return nil
+	}
+	links := make([]int, e.hops)
+	for i := len(links) - 1; ; i-- {
+		links[i] = int(e.via)
+		if i == 0 {
+			break
+		}
+		e = t.at(g.link(links[i]).From)
 	}
 	var f propsFold
 	for _, li := range links {
-		f.add(&g.links[li].LinkProps)
+		f.add(&g.link(li).LinkProps)
 	}
 	return &Path{From: t.src, To: dst, Links: links, LinkProps: f.props()}
 }
@@ -443,12 +647,12 @@ func (t Tree) Path(g *Graph, dst NodeID) *Path {
 // it could move the link-id tie-break. Paths materialised from t compose
 // the same properties on either graph, since no tree edge changed.
 func (t Tree) Holds(g *Graph, changed []int) bool {
-	if len(t.st) != len(g.nodes) {
+	if len(t.base) != len(g.nodes) {
 		return false
 	}
 	for _, li := range changed {
-		l := &g.links[li]
-		from, to := &t.st[l.From], &t.st[l.To]
+		l := g.link(li)
+		from, to := t.at(l.From), t.at(l.To)
 		if to.via == int32(li) {
 			return false
 		}

@@ -201,6 +201,83 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestCloneWritesCopyTheirChunk writes on both sides of a Clone: property
+// changes and a tombstone in a shared chunk, and a link added to the
+// shared, partly filled last chunk by each side. Each side must read its
+// own values, a clone of the clone must keep what it saw, and
+// ChangedLinks must list exactly the links a full compare finds.
+func TestCloneWritesCopyTheirChunk(t *testing.T) {
+	g := New()
+	for i := 0; i < 12; i++ {
+		g.MustAddNode(fmt.Sprintf("n%d", i), Service)
+	}
+	for i := 0; i < chunkLinks+chunkLinks/2; i++ {
+		g.AddLink(NodeID(i%12), NodeID((i+1)%12), props(time.Duration(i)*time.Millisecond, units.Gbps))
+	}
+	orig := make([]Link, g.NumLinks())
+	for i := range orig {
+		orig[i] = g.Link(i)
+	}
+	c := g.Clone()
+	c.SetLinkProps(3, props(time.Hour, units.Kbps))
+	g.SetLinkProps(3, props(time.Minute, units.Mbps))
+	g.RemoveLink(chunkLinks + 2)
+	cl := c.AddLink(1, 2, props(time.Second, units.Kbps))
+	gl := g.AddLink(2, 1, props(2*time.Second, units.Mbps))
+	if cl != gl || cl != len(orig) {
+		t.Fatalf("the added links got ids %d and %d, want %d on both sides", cl, gl, len(orig))
+	}
+	cc := c.Clone()
+	c.SetLinkProps(cl, props(3*time.Second, units.Kbps))
+	c.RemoveLink(5)
+
+	want := func(who string, x *Graph, edits map[int]Link) {
+		t.Helper()
+		if x.NumLinks() != len(orig)+1 {
+			t.Fatalf("%s has %d links, want %d", who, x.NumLinks(), len(orig)+1)
+		}
+		for i := 0; i < x.NumLinks(); i++ {
+			w, ok := edits[i]
+			if !ok {
+				w = orig[i]
+			}
+			if got := x.Link(i); got != w {
+				t.Fatalf("%s link %d = %+v, want %+v", who, i, got, w)
+			}
+		}
+	}
+	with := func(i int, from, to NodeID, p LinkProps) Link { return Link{ID: i, From: from, To: to, LinkProps: p} }
+	down := func(l Link) Link { l.Bandwidth = -1; return l }
+	want("origin", g, map[int]Link{
+		3:              with(3, orig[3].From, orig[3].To, props(time.Minute, units.Mbps)),
+		chunkLinks + 2: down(orig[chunkLinks+2]),
+		gl:             with(gl, 2, 1, props(2*time.Second, units.Mbps)),
+	})
+	want("clone", c, map[int]Link{
+		3:  with(3, orig[3].From, orig[3].To, props(time.Hour, units.Kbps)),
+		5:  down(orig[5]),
+		cl: with(cl, 1, 2, props(3*time.Second, units.Kbps)),
+	})
+	want("clone of the clone", cc, map[int]Link{
+		3:  with(3, orig[3].From, orig[3].To, props(time.Hour, units.Kbps)),
+		cl: with(cl, 1, 2, props(time.Second, units.Kbps)),
+	})
+	for _, pair := range []struct {
+		name     string
+		old, new *Graph
+	}{{"clone vs origin", g, c}, {"clone of the clone vs clone", c, cc}, {"clone vs clone of the clone", cc, c}} {
+		var full []int
+		for i := 0; i < pair.new.NumLinks(); i++ {
+			if i >= pair.old.NumLinks() || pair.new.Link(i) != pair.old.Link(i) {
+				full = append(full, i)
+			}
+		}
+		if got := pair.new.ChangedLinks(pair.old, nil); !reflect.DeepEqual(got, full) {
+			t.Errorf("%s: ChangedLinks = %v, a full compare %v", pair.name, got, full)
+		}
+	}
+}
+
 func TestDeterministicPaths(t *testing.T) {
 	// With two equal-latency routes, tie-break must be stable across runs.
 	build := func() *Graph {
@@ -390,7 +467,7 @@ func refShortestPaths(g *Graph, src NodeID) map[NodeID]*Path {
 		}
 		s.done = true
 		for _, li := range g.adj[cur.id].out {
-			l := &g.links[li]
+			l := g.link(li)
 			if l.Bandwidth < 0 { // tombstone
 				continue
 			}
@@ -428,7 +505,7 @@ func refShortestPaths(g *Graph, src NodeID) map[NodeID]*Path {
 		lobjs := make([]Link, len(rev))
 		for i := range rev {
 			links[i] = rev[len(rev)-1-i]
-			lobjs[i] = g.links[links[i]]
+			lobjs[i] = *g.link(links[i])
 		}
 		out[nid] = &Path{From: src, To: nid, Links: links, LinkProps: refComposeProps(lobjs)}
 	}
@@ -582,14 +659,14 @@ func TestTreeMatchesReference(t *testing.T) {
 }
 
 // fuzzGraph decodes a small multigraph from fuzz bytes: the first byte
-// sizes it, then every 3 bytes are one link (from, to, latency in 0..3 ms
-// with the high bit tombstoning it).
-func fuzzGraph(data []byte) *Graph {
+// sizes it (2 to span+1 nodes), then every 3 bytes are one link (from, to,
+// latency in 0..3 ms with the high bit tombstoning it).
+func fuzzGraph(data []byte, span int) *Graph {
 	g := New()
 	if len(data) == 0 {
 		return g
 	}
-	n := 2 + int(data[0])%14
+	n := 2 + int(data[0])%span
 	for i := 0; i < n; i++ {
 		g.MustAddNode(fmt.Sprintf("n%d", i), NodeKind(i%2))
 	}
@@ -612,7 +689,7 @@ func FuzzTreeMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 0, 1, 0, 1, 0, 0})
 	f.Add([]byte{9, 0, 1, 2, 0, 2, 2, 1, 3, 1, 2, 3, 1, 3, 4, 0, 4, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstReference(t, fuzzGraph(data))
+		checkAgainstReference(t, fuzzGraph(data, 14))
 	})
 }
 
@@ -654,8 +731,8 @@ func TestTreeHoldsImpliesIdentical(t *testing.T) {
 				continue
 			}
 			held++
-			if fresh := next.Tree(NodeID(src), nil); !reflect.DeepEqual(old, fresh) {
-				t.Fatalf("round %d src %d: tree Holds across %v but a fresh one differs", round, src, changed)
+			if v, differ := treeDiff(old, next.Tree(NodeID(src), nil)); differ {
+				t.Fatalf("round %d src %d: tree Holds across %v but a fresh one differs at node %d", round, src, changed, v)
 			}
 		}
 	}
@@ -681,29 +758,54 @@ func trees(g *Graph, sources []NodeID) []Tree {
 	return out
 }
 
+// treeDiff compares two trees as values: the source, the node count and
+// every node's entry, whatever table and patch each keeps them in. It
+// returns the first node that differs (-1 for the source or the count).
+func treeDiff(a, b Tree) (NodeID, bool) {
+	if a.src != b.src || len(a.base) != len(b.base) {
+		return -1, true
+	}
+	for v := range a.base {
+		if a.at(NodeID(v)) != b.at(NodeID(v)) {
+			return NodeID(v), true
+		}
+	}
+	return 0, false
+}
+
 // checkRepair repairs each of olds, trees of a graph that a patch turned
 // into next, where changed lists at least every link whose properties
-// differ, and fails unless each repair equals a fresh Tree on next field
-// for field. It returns the fresh trees and how many of olds did not Hold.
-func checkRepair(t testing.TB, olds []Tree, next *Graph, changed []int) (fresh []Tree, stale int) {
+// differ, and fails unless each repair equals a fresh Tree on next node
+// for node and leaves the tree it started from as it was. It returns the
+// repaired trees, for a later patch to repair again, and how many of olds
+// did not Hold.
+func checkRepair(t testing.TB, olds []Tree, next *Graph, changed []int) (repaired []Tree, stale int) {
 	t.Helper()
 	var sc Scratch
 	for _, old := range olds {
 		if !old.Holds(next, changed) {
 			stale++
 		}
-		got, want := old.Repair(next, changed, &sc), next.Tree(old.src, nil)
-		if !reflect.DeepEqual(got, want) {
-			for v := range want.st {
-				if got.st[v] != want.st[v] {
-					t.Fatalf("src %d, changed %v: Repair gives node %d %+v, a fresh Tree %+v", old.src, changed, v, got.st[v], want.st[v])
-				}
-			}
-			t.Fatalf("src %d, changed %v: Repair %+v, a fresh Tree %+v", old.src, changed, got, want)
+		before := Tree{src: old.src, base: make([]treeNode, len(old.base))}
+		for v := range before.base {
+			before.base[v] = old.at(NodeID(v))
 		}
-		fresh = append(fresh, want)
+		got, want := old.Repair(next, changed, &sc), next.Tree(old.src, nil)
+		if v, differ := treeDiff(old, before); differ {
+			t.Fatalf("src %d, changed %v: Repair wrote node %d of the tree it repaired", old.src, changed, v)
+		}
+		if v, differ := treeDiff(got, want); differ {
+			if v < 0 {
+				t.Fatalf("src %d, changed %v: Repair gives source %d over %d nodes, a fresh Tree %d over %d", old.src, changed, got.src, len(got.base), want.src, len(want.base))
+			}
+			t.Fatalf("src %d, changed %v: Repair gives node %d %+v, a fresh Tree %+v", old.src, changed, v, got.at(v), want.at(v))
+		}
+		if len(got.patch) > maxPatch(len(got.base)) {
+			t.Fatalf("src %d: a patch of %d entries on %d nodes was not folded", old.src, len(got.patch), len(got.base))
+		}
+		repaired = append(repaired, got)
 	}
-	return fresh, stale
+	return repaired, stale
 }
 
 // patchGraph applies a patch set decoded from fuzz bytes to a clone of g
@@ -726,7 +828,8 @@ func patchGraph(g *Graph, data []byte) (*Graph, []int) {
 		case 2:
 			p.Jitter++ // latency unchanged
 		case 3: // the edge into node arg of the tree from node op>>3
-			via := next.Tree(NodeID(int(op>>3)%n), nil).st[arg%n].via
+			tr := next.Tree(NodeID(int(op>>3)%n), nil)
+			via := tr.at(NodeID(arg % n)).via
 			if via < 0 {
 				continue
 			}
@@ -753,27 +856,37 @@ func patchGraph(g *Graph, data []byte) (*Graph, []int) {
 	return next, changed
 }
 
+// FuzzTreeRepair repairs a chain of patch sets: every tree of the graph
+// is repaired across the first set, each result across the next one, and
+// so on, so patches land on patched trees and fold. Each patch set is a
+// count byte (1 to 4 patches) followed by patchGraph's two bytes a patch.
 func FuzzTreeRepair(f *testing.F) {
-	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 0, 2, 2, 2, 3, 0x81}, []byte{0, 0, 1, 2, 4, 1})
-	f.Add([]byte{9, 0, 1, 2, 0, 2, 2, 1, 3, 1, 2, 3, 1, 3, 4, 0, 4, 0, 3}, []byte{3, 4, 5, 3, 6, 7})
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 0, 2, 2, 2, 3, 0x81}, []byte{2, 0, 0, 1, 2, 4, 1})
+	f.Add([]byte{9, 0, 1, 2, 0, 2, 2, 1, 3, 1, 2, 3, 1, 3, 4, 0, 4, 0, 3}, []byte{2, 3, 4, 5, 3, 6, 7, 0, 4, 2})
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 6; i++ {
-		g, p := make([]byte, 40+rng.Intn(80)), make([]byte, 2+2*rng.Intn(4))
+		g, p := make([]byte, 40+rng.Intn(80)), make([]byte, 4+rng.Intn(24))
 		rng.Read(g)
 		rng.Read(p)
 		f.Add(g, p)
 	}
 	f.Fuzz(func(t *testing.T, graphData, patchData []byte) {
-		g := fuzzGraph(graphData)
+		g := fuzzGraph(graphData, 46) // up to 47 nodes: patches of up to 5 entries
 		if g.NumNodes() == 0 {
 			return
 		}
-		next, changed := patchGraph(g, patchData)
 		sources := make([]NodeID, g.NumNodes())
 		for i := range sources {
 			sources[i] = NodeID(i)
 		}
-		checkRepair(t, trees(g, sources), next, changed)
+		ts := trees(g, sources)
+		for len(patchData) > 0 {
+			end := min(1+2*(1+int(patchData[0])%4), len(patchData))
+			next, changed := patchGraph(g, patchData[1:end])
+			patchData = patchData[end:]
+			ts, _ = checkRepair(t, ts, next, changed)
+			g = next
+		}
 	})
 }
 
@@ -825,4 +938,60 @@ func TestTreeRepairSingleFlaps(t *testing.T) {
 		t.Fatalf("%d bridge–bridge flaps left %d trees stale: too few to exercise Repair", flaps, stale)
 	}
 	t.Logf("%d flaps, %d of %d trees stale", flaps, stale, 5*flaps*len(olds))
+}
+
+// BenchmarkTreeRepair repairs shortest-path trees of the 1000-element
+// scale-free graph across bridge–bridge latency flaps, the tree work one
+// set-link event leaves: one op is one tree repaired across one flap. Each
+// repair is the next one's input, so patches land on patched trees and
+// fold; 64 flaps and then their undos make a cycle.
+func BenchmarkTreeRepair(b *testing.B) {
+	base := LinkProps{Latency: 2 * time.Millisecond, Bandwidth: units.Gbps}
+	g := ScaleFree(ScaleFreeOptions{Elements: 1000, EdgesPerNode: 2, LinkProps: base, Rand: rand.New(rand.NewSource(1))})
+	var pairs [][]int
+	for li := 0; li < g.NumLinks(); li++ {
+		if l := g.Link(li); g.Node(l.From).Kind == Bridge && g.Node(l.To).Kind == Bridge && l.From < l.To {
+			for _, ri := range g.OutLinks(l.To) {
+				if g.Link(ri).To == l.From {
+					pairs = append(pairs, []int{li, ri})
+				}
+			}
+		}
+	}
+	const flaps = 64
+	rng := rand.New(rand.NewSource(2))
+	gens, changed := []*Graph{g}, [][]int{nil}
+	step := func(pair []int, props func(li int) LinkProps) {
+		next := gens[len(gens)-1].Clone()
+		for _, li := range pair {
+			next.SetLinkProps(li, props(li))
+		}
+		gens, changed = append(gens, next), append(changed, pair)
+	}
+	for i := 0; i < flaps; i++ {
+		lat := time.Duration(1+rng.Intn(4)) * time.Millisecond
+		step(pairs[rng.Intn(len(pairs))], func(int) LinkProps { return LinkProps{Latency: lat, Bandwidth: base.Bandwidth} })
+	}
+	for i := flaps; i > 0; i-- {
+		before := gens[i-1]
+		step(changed[i], func(li int) LinkProps { return before.Link(li).LinkProps })
+	}
+	svc := g.Services()
+	sources := make([]NodeID, 50)
+	for i := range sources {
+		sources[i] = svc[i*len(svc)/len(sources)]
+	}
+	ts := trees(g, sources)
+	var sc Scratch
+	g.Tree(sources[0], &sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	at := 1
+	for i := 0; i < b.N; i++ {
+		j := i % len(ts)
+		ts[j] = ts[j].Repair(gens[at], changed[at], &sc)
+		if j == len(ts)-1 {
+			at = at%(2*flaps) + 1
+		}
+	}
 }

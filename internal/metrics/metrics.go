@@ -69,17 +69,99 @@ func (h *Histogram) Percentile(p float64) float64 {
 		return 0
 	}
 	h.sort()
-	if p <= 0 {
-		return h.samples[0]
+	return h.samples[nearestRank(p, len(h.samples))]
+}
+
+// nearestRank is the index of the p-th percentile among n sorted samples.
+func nearestRank(p float64, n int) int {
+	switch {
+	case p <= 0:
+		return 0
+	case p >= 100:
+		return n - 1
 	}
-	if p >= 100 {
-		return h.samples[len(h.samples)-1]
+	return max(int(math.Ceil(p/100*float64(n)))-1, 0)
+}
+
+// MergedPercentile is Percentile over the samples of every histogram in
+// hs taken together — what Percentile answers after Merging them all into
+// one — found without the merged copy: each histogram is sorted in place,
+// as Percentile does, and a k-way walk over their sorted samples counts
+// off the rank from whichever end is nearer. Its memory is one cursor per
+// histogram. Nil histograms are skipped.
+func MergedPercentile(hs []*Histogram, p float64) float64 {
+	n := 0
+	for _, h := range hs {
+		if h != nil {
+			h.sort()
+			n += len(h.samples)
+		}
 	}
-	rank := int(math.Ceil(p/100*float64(len(h.samples)))) - 1
-	if rank < 0 {
-		rank = 0
+	if n == 0 {
+		return 0
 	}
-	return h.samples[rank]
+	rank := nearestRank(p, n)
+	if rank < n/2 {
+		return walk(hs, rank, false)
+	}
+	return walk(hs, n-1-rank, true)
+}
+
+// walk returns the sample k places from the low end (from the high end
+// when down) of the histograms' sorted samples taken together: a binary
+// heap of one cursor per histogram, ordered by the sample each points at,
+// advanced k times. The order is sort.Float64s', NaN lowest.
+func walk(hs []*Histogram, k int, down bool) float64 {
+	type cursor struct {
+		s []float64
+		i int // samples passed, counted from the walk's end
+	}
+	at := func(c cursor) float64 {
+		if down {
+			return c.s[len(c.s)-1-c.i]
+		}
+		return c.s[c.i]
+	}
+	first := func(a, b cursor) bool { // a's sample comes before b's
+		x, y := at(a), at(b)
+		if down {
+			x, y = y, x
+		}
+		return x < y || x != x && y == y
+	}
+	heap := make([]cursor, 0, len(hs))
+	for _, h := range hs {
+		if h != nil && len(h.samples) > 0 {
+			heap = append(heap, cursor{s: h.samples})
+		}
+	}
+	sift := func(i int) {
+		for {
+			least, l, r := i, 2*i+1, 2*i+2
+			if l < len(heap) && first(heap[l], heap[least]) {
+				least = l
+			}
+			if r < len(heap) && first(heap[r], heap[least]) {
+				least = r
+			}
+			if least == i {
+				return
+			}
+			heap[i], heap[least] = heap[least], heap[i]
+			i = least
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		sift(i)
+	}
+	for ; k > 0; k-- {
+		if heap[0].i++; heap[0].i == len(heap[0].s) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		sift(0)
+	}
+	return at(heap[0])
 }
 
 // StdDev returns the population standard deviation.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -217,4 +218,39 @@ func TestHistogramSumConsistency(t *testing.T) {
 	h.Merge(&Histogram{})
 	h.Merge(nil)
 	check(&h, "after empty Merge")
+}
+
+// TestMergedPercentileMatchesMerge checks the k-way walk against Merge
+// followed by Percentile: random sets of histograms (empty, nil and
+// single-sample ones among them, values drawn from a few so ties are
+// common, NaN now and then), every rank class from p ≤ 0 to p ≥ 100.
+func TestMergedPercentileMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ps := []float64{-5, 0, 0.1, 1, 25, 49.9, 50, 50.1, 75, 99, 99.9, 100, 150}
+	for round := 0; round < 300; round++ {
+		hs := make([]*Histogram, rng.Intn(9))
+		for i := range hs {
+			if rng.Intn(8) == 0 {
+				continue // nil
+			}
+			hs[i] = new(Histogram)
+			for j := rng.Intn(40); j > 0; j-- {
+				v := float64(rng.Intn(12))
+				if rng.Intn(50) == 0 {
+					v = math.NaN()
+				}
+				hs[i].Add(v)
+			}
+		}
+		var merged Histogram
+		for _, h := range hs {
+			merged.Merge(h)
+		}
+		for _, p := range ps {
+			got, want := MergedPercentile(hs, p), merged.Percentile(p)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("round %d, p%v over %d samples: MergedPercentile = %v, Merge then Percentile = %v", round, p, merged.Count(), got, want)
+			}
+		}
+	}
 }

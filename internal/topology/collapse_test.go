@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -252,7 +253,9 @@ func FuzzCollapseCarry(f *testing.F) {
 // TestCollapseAllocationBudget pins what a lookup costs on the
 // 1000-element scale-free graph: nothing on a hit, a tree plus one path
 // on a first ask, next to nothing when the previous generation's tree is
-// adopted, and a tree copy plus one path when it is repaired.
+// adopted, and a patch over that tree plus one path when it is repaired —
+// in objects, and for a repair in bytes too, since a patch is one object
+// like the whole-tree copy it replaced.
 func TestCollapseAllocationBudget(t *testing.T) {
 	base := graph.LinkProps{Latency: 2 * time.Millisecond, Bandwidth: units.Gbps}
 	g := graph.ScaleFree(graph.ScaleFreeOptions{Elements: 1000, EdgesPerNode: 2, LinkProps: base, Rand: rand.New(rand.NewSource(1))})
@@ -327,7 +330,7 @@ func TestCollapseAllocationBudget(t *testing.T) {
 		t.Errorf("stats after build + adopt = %+v, want 1/1/0/1", st)
 	}
 
-	// A repair allocates the tree slice, the source, its paths map (two
+	// A repair allocates the tree's patch, the source, its paths map (two
 	// objects once the path is in it), the path (two) and the cache entry;
 	// its working memory is the scratch the first tree sized.
 	repaired, _ := lives(repair)
@@ -338,5 +341,61 @@ func TestCollapseAllocationBudget(t *testing.T) {
 	}
 	if st := repaired[0].CollapseStats(); st.TreesBuilt != 2 || st.TreesCarried != 0 || st.TreesRepaired != 1 || st.PathsMaterialized != 2 {
 		t.Errorf("stats after build + repair = %+v, want 2/0/1/2", st)
+	}
+	// In bytes, the same repair is a quarter of one copy of the tree (16
+	// bytes a node): a patch that has to fold, or a repair that copies
+	// the tree, fails here.
+	repaired, _ = lives(repair)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, live := range repaired {
+		live.State().Collapsed.Path(a, b)
+	}
+	runtime.ReadMemStats(&after)
+	if perRepair := (after.TotalAlloc - before.TotalAlloc) / uint64(len(repaired)); perRepair > 4096 {
+		t.Errorf("Path repairing the previous generation's tree: %d bytes, budget 4096", perRepair)
+	}
+}
+
+// BenchmarkApplyFlap is one set-link latency flap on a bridge–bridge link
+// of the 1000-element scale-free graph, applied to a Live and followed by
+// the questions that re-point shaping after it: one op is the Apply plus
+// the path of each of 100 service pairs, most of them adopted or repaired
+// from the previous generation.
+func BenchmarkApplyFlap(b *testing.B) {
+	base := graph.LinkProps{Latency: 2 * time.Millisecond, Bandwidth: units.Gbps}
+	g := graph.ScaleFree(graph.ScaleFreeOptions{Elements: 1000, EdgesPerNode: 2, LinkProps: base, Rand: rand.New(rand.NewSource(1))})
+	var bridges [][2]string
+	for li := 0; li < g.NumLinks(); li++ {
+		if l := g.Link(li); g.Node(l.From).Kind == graph.Bridge && g.Node(l.To).Kind == graph.Bridge && l.From < l.To {
+			bridges = append(bridges, [2]string{g.Node(l.From).Name, g.Node(l.To).Name})
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	svc := g.Services()
+	pairs := make([][2]graph.NodeID, 100)
+	for i := range pairs {
+		pairs[i] = [2]graph.NodeID{svc[rng.Intn(len(svc))], svc[rng.Intn(len(svc))]}
+	}
+	events := make([]Event, 256)
+	for i := range events {
+		br, lat := bridges[rng.Intn(len(bridges))], time.Duration(1+rng.Intn(4))*time.Millisecond
+		events[i] = Event{Kind: EvSetLink, Orig: br[0], Dest: br[1], Props: LinkPatch{Latency: &lat}}
+	}
+	live := NewLive(g)
+	ask := func() {
+		st := live.State()
+		for _, p := range pairs {
+			st.Collapsed.Path(p[0], p[1])
+		}
+	}
+	ask()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := live.Apply(time.Duration(i+1)*time.Millisecond, events[i%len(events)]); err != nil {
+			b.Fatal(err)
+		}
+		ask()
 	}
 }

@@ -14,6 +14,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -278,14 +279,11 @@ func Collapse(g *graph.Graph) *Collapsed {
 	return &Collapsed{g: g, cache: make(map[graph.NodeID]*source), w: new(work)}
 }
 
-// after prepares the collapse of next, a patched clone of c's graph.
+// after prepares the collapse of next, a patched clone of c's graph. Only
+// the link chunks the patch copied are compared.
 func (c *Collapsed) after(next *graph.Graph) *Collapsed {
 	n := &Collapsed{g: next, cache: make(map[graph.NodeID]*source, len(c.cache)), prev: c, w: c.w}
-	for i := 0; i < next.NumLinks(); i++ {
-		if i >= c.g.NumLinks() || next.Link(i) != c.g.Link(i) {
-			n.changed = append(n.changed, i)
-		}
-	}
+	n.changed = next.ChangedLinks(c.g, nil)
 	return n
 }
 
@@ -686,33 +684,48 @@ func nameMatches(nodeName, declared string) bool {
 		nodeName[:len(declared)] == declared && nodeName[len(declared)] == '-'
 }
 
-// linksBetween finds live link ids orig->dest (fwd) and dest->orig (rev).
-// Service names expand to their replicas' nodes by prefix match.
+// linksBetween finds live link ids orig->dest (fwd) and dest->orig (rev),
+// in ascending order of fwd. Service names expand to their replicas'
+// nodes by prefix match. Each forward link is paired with the first live
+// link back along it, in id order, that no earlier pair took; a forward
+// link an earlier pair took as its reverse is skipped.
+//
+// No link is scanned by name: orig is resolved by one pass over the nodes,
+// the forward links are those nodes' out-links whose head dest matches,
+// and a reverse link is an out-link of the head. The pass uses
+// nameMatches, not expandNodeName, which would let an exact name hide its
+// replica-named siblings.
 func linksBetween(g *graph.Graph, orig, dest string) []linkPair {
-	match := nameMatches
+	var buf [8]int
+	fwd := buf[:0]
+	for _, n := range g.Nodes() {
+		if !nameMatches(n.Name, orig) {
+			continue
+		}
+		for _, li := range g.OutLinks(n.ID) {
+			if !g.LinkRemoved(li) && nameMatches(names(g, g.Link(li).To), dest) {
+				fwd = append(fwd, li)
+			}
+		}
+	}
+	slices.Sort(fwd)
 	var out []linkPair
 	used := make(map[int]bool)
-	for li := 0; li < g.NumLinks(); li++ {
-		if g.LinkRemoved(li) || used[li] {
+	for _, li := range fwd {
+		if used[li] {
 			continue
 		}
 		l := g.Link(li)
-		if match(names(g, l.From), orig) && match(names(g, l.To), dest) {
-			pair := linkPair{fwd: li, rev: -1}
-			for rj := 0; rj < g.NumLinks(); rj++ {
-				if rj == li || g.LinkRemoved(rj) || used[rj] {
-					continue
-				}
-				r := g.Link(rj)
-				if r.From == l.To && r.To == l.From {
-					pair.rev = rj
-					used[rj] = true
-					break
-				}
+		pair := linkPair{fwd: li, rev: -1}
+		for _, rj := range g.OutLinks(l.To) {
+			if rj != li && !g.LinkRemoved(rj) && !used[rj] && g.Link(rj).To == l.From {
+				pair.rev = rj
+				used[rj] = true
+				break
 			}
-			used[li] = true
-			out = append(out, pair)
 		}
+		used[li] = true
+		out = append(out, pair)
 	}
 	return out
 }

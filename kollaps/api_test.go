@@ -1,6 +1,7 @@
 package kollaps
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -479,6 +480,25 @@ func TestChurnValidation(t *testing.T) {
 		if _, err := exp.ManagerChurn(rate); err == nil || !strings.Contains(err.Error(), "finite") {
 			t.Errorf("ManagerChurn(%g) = %v, want an error asking for a finite rate", rate, err)
 		}
+	}
+	// A rate above 1e9 per second used to be accepted, and the next Run
+	// never returned: every gap came out under one nanosecond and
+	// truncated to zero, so the clock stayed put. 1e9 itself is the
+	// largest accepted rate; it is stopped at once, before it can run.
+	for name, churn := range map[string]func(float64) (func(), error){
+		"Churn":        func(r float64) (func(), error) { return exp.Churn(r) },
+		"ManagerChurn": func(r float64) (func(), error) { return exp.ManagerChurn(r) },
+	} {
+		for _, rate := range []float64{1e12, 2e9} {
+			if _, err := churn(rate); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%g", rate)) {
+				t.Errorf("%s(%g) = %v, want an error naming the rate", name, rate, err)
+			}
+		}
+		stop, err := churn(1e9)
+		if err != nil {
+			t.Fatalf("%s(1e9): %v", name, err)
+		}
+		stop()
 	}
 	if err := exp.Run(500 * time.Millisecond); err != nil {
 		t.Fatal(err)

@@ -201,14 +201,16 @@ func ChurnUntil(t time.Duration) ChurnOption {
 // downtime. All randomness comes from the deployment's seeded engine, so
 // the exact churn schedule is a deterministic function of the seed — a
 // property the YAML dialect cannot express (its event list is fixed, not
-// sampled per seed). The rate must be positive and finite. The returned
-// stop function halts further churn.
+// sampled per seed). The rate must be positive and at most 1e9 per
+// second: a faster one draws gaps under one virtual nanosecond, which
+// truncate to zero, and the clock would never advance. The returned stop
+// function halts further churn.
 func (e *Experiment) Churn(rate float64, opts ...ChurnOption) (stop func(), err error) {
 	if e.Runtime == nil {
 		return nil, fmt.Errorf("kollaps: Churn before Deploy")
 	}
-	if !(rate > 0) || math.IsInf(rate, 1) {
-		return nil, fmt.Errorf("kollaps: churn rate must be positive and finite, got %g", rate)
+	if err := checkChurnRate("churn", rate); err != nil {
+		return nil, err
 	}
 	cfg, err := churnOptions(opts)
 	if err != nil {
@@ -254,14 +256,15 @@ func (e *Experiment) Churn(rate float64, opts ...ChurnOption) (stop func(), err 
 // containers keep their traffic — so what churns is the metadata layer
 // the dissemination strategies must survive. All randomness comes from
 // the deployment's seeded engine; the schedule is deterministic per
-// seed. The rate must be positive and finite. The returned stop function
-// halts further kills (managers already down still restart).
+// seed. The rate must be positive and at most 1e9 per second, as for
+// Churn. The returned stop function halts further kills (managers
+// already down still restart).
 func (e *Experiment) ManagerChurn(rate float64, opts ...ChurnOption) (stop func(), err error) {
 	if e.Runtime == nil {
 		return nil, fmt.Errorf("kollaps: ManagerChurn before Deploy")
 	}
-	if !(rate > 0) || math.IsInf(rate, 1) {
-		return nil, fmt.Errorf("kollaps: manager churn rate must be positive and finite, got %g", rate)
+	if err := checkChurnRate("manager churn", rate); err != nil {
+		return nil, err
 	}
 	cfg, err := churnOptions(opts)
 	if err != nil {
@@ -299,6 +302,23 @@ func (e *Experiment) ManagerChurn(rate float64, opts ...ChurnOption) (stop func(
 				}
 			}
 		}), nil
+}
+
+// maxChurnRate is the fastest churn the drivers accept, in events per
+// virtual second: a mean gap of one nanosecond, the clock's resolution.
+const maxChurnRate = 1e9
+
+// checkChurnRate rejects a rate the churn loop cannot run: not positive,
+// not finite (NaN and +Inf gaps used to re-arm at the same instant
+// forever), or above maxChurnRate, where gaps truncate to zero.
+func checkChurnRate(what string, rate float64) error {
+	switch {
+	case !(rate > 0) || math.IsInf(rate, 1):
+		return fmt.Errorf("kollaps: %s rate must be positive and finite, got %g", what, rate)
+	case rate > maxChurnRate:
+		return fmt.Errorf("kollaps: %s rate %g is above %g per second: gaps under one virtual nanosecond would stop the clock", what, rate, float64(maxChurnRate))
+	}
+	return nil
 }
 
 // churn is the seeded Poisson loop both churn drivers run over n
