@@ -41,6 +41,14 @@ type Options struct {
 }
 
 // Network is a packet fabric over a topology graph.
+//
+// A packet costs one line event per pipe it crosses. A bridge's
+// PerHopDelay is not an event of its own: every pipe into a hop-charging
+// bridge adds it to its netem stage's exits as a constant (netem.SetHop),
+// so the packet reaches the bridge already delayed and goes straight into
+// the next pipe's shaper. Endpoints therefore never sit at such a bridge
+// (AttachEndpoint panics): a packet delivered there would arrive one hop
+// late.
 type Network struct {
 	eng *sim.Engine
 	g   *graph.Graph
@@ -49,7 +57,7 @@ type Network struct {
 	// Every per-packet lookup is an index, never a hash: link ids, node
 	// ids and endpoint slots are dense.
 	pipes  []*pipe   // by graph link id; nil for a removed link
-	bridge []bool    // by node id: the node pays PerHopDelay (never with a Hook)
+	bridge []bool    // by node id: the node pays PerHopDelay (never with a Hook), folded into its inbound pipes
 	routes [][]int32 // node -> dst node -> out link id or a route sentinel; rows filled lazily
 	// addrs reaches an endpoint from 10.b.c.d through the octets b, c, d
 	// (1 KiB leaf pages); a leaf entry is an index into endpoints plus one,
@@ -77,13 +85,12 @@ type endpoint struct {
 }
 
 // pipe is one unidirectional link: serialization at line rate with a
-// finite queue, then propagation delay/jitter/loss, then arrival at the
-// far node.
+// finite queue, then propagation delay/jitter/loss (and the far node's
+// hop when it is a bridge), then arrival at the far node.
 type pipe struct {
 	tb      *netem.TokenBucket
 	ne      *netem.Netem
 	to      graph.NodeID
-	hop     sim.Line // bridge-hop delay ahead of tb, constant and so FIFO
 	waiters netem.FIFO[func()]
 }
 
@@ -106,13 +113,13 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 		bridge: make([]bool, g.NumNodes()),
 		routes: make([][]int32, g.NumNodes()),
 	}
+	for id, node := range g.Nodes() {
+		n.bridge[id] = node.Kind == graph.Bridge && opt.PerHopDelay > 0 && opt.Hook == nil
+	}
 	for id := range n.pipes {
 		if !g.LinkRemoved(id) {
 			n.buildPipe(id)
 		}
-	}
-	for id, node := range g.Nodes() {
-		n.bridge[id] = node.Kind == graph.Bridge && opt.PerHopDelay > 0 && opt.Hook == nil
 	}
 	return n
 }
@@ -123,8 +130,10 @@ func (n *Network) buildPipe(id int) {
 	// Arrival at the far node.
 	arrive := func(pk *packet.Packet) { n.arrive(p.to, pk) }
 	p.ne = netem.NewNetem(n.eng, l.Latency, l.Jitter, l.Loss, arrive)
+	if n.bridge[l.To] {
+		p.ne.SetHop(n.opt.PerHopDelay)
+	}
 	p.tb = netem.NewTokenBucket(n.eng, l.Bandwidth, p.ne.Enqueue)
-	p.hop.Init(n.eng, p.tb.Enqueue)
 	p.tb.OnDequeue = func() {
 		// Wake one waiter per departure (FIFO): waking them all would
 		// let the first refill the queue and starve the rest, whereas
@@ -187,10 +196,14 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 // AttachEndpoint binds an IP address to a graph node and registers its
 // delivery handler. Several IPs may share one node (containers on a host).
 // The address must be in 10/8, the plan every deployment uses
-// (packet.MakeIP); anything else panics.
+// (packet.MakeIP), and the node must not be a hop-charging bridge, whose
+// inbound pipes already charge the hop onward; anything else panics.
 func (n *Network) AttachEndpoint(node graph.NodeID, ip packet.IP, h packet.Handler) {
 	if ip[0] != 10 {
 		panic(fmt.Sprintf("fabric: AttachEndpoint of %v outside 10/8", ip))
+	}
+	if n.bridge[node] {
+		panic(fmt.Sprintf("fabric: AttachEndpoint of %v at hop-charging bridge %d", ip, node))
 	}
 	mid := n.addrs[ip[1]]
 	if mid == nil {
@@ -287,9 +300,8 @@ func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
 }
 
 // forward moves p one step from node: to its handler at the destination,
-// else into the next link's queue, after the per-hop delay when node is a
-// bridge. That delay is constant, so each pipe's hop is a sim.Line and the
-// default path allocates nothing per hop. A delivered packet is released
+// else into the next link's queue. A bridge's per-hop delay was already
+// charged by the pipe that brought p here. A delivered packet is released
 // when its handler returns.
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 	dst := &n.endpoints[p.Route-1]
@@ -312,10 +324,6 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 	pipe := n.pipes[link]
 	if pipe == nil {
 		n.drop(p)
-		return
-	}
-	if n.bridge[node] {
-		pipe.hop.At(n.eng.Now()+n.opt.PerHopDelay, p)
 		return
 	}
 	pipe.tb.Enqueue(p)

@@ -45,10 +45,10 @@ type TokenBucket struct {
 	last   time.Duration
 
 	queue    FIFO[*packet.Packet]
-	queued   int    // bytes
-	draining bool   // a future drain is scheduled
-	inDrain  bool   // the drain loop is on the stack (reentrancy guard)
-	wake     func() // the scheduled drain, built once so waiting allocates nothing
+	queued   int          // bytes
+	draining bool         // wake is pending
+	inDrain  bool         // the drain loop is on the stack (reentrancy guard)
+	wake     sim.Standing // the future drain: one slot for the shaper's life
 
 	// OnDequeue, when set, runs after a drain pass that released at
 	// least one packet — the hook the TCAL uses to wake TSQ-throttled
@@ -68,10 +68,10 @@ type TokenBucket struct {
 // 100 ms worth of bytes at the configured rate (min 16 KiB).
 func NewTokenBucket(eng *sim.Engine, rate units.Bandwidth, next func(*packet.Packet)) *TokenBucket {
 	tb := &TokenBucket{eng: eng, next: next}
-	tb.wake = func() {
+	tb.wake = eng.NewStanding(func() {
 		tb.draining = false
 		tb.drain()
-	}
+	})
 	tb.SetRate(rate)
 	tb.tokens = tb.burst
 	tb.last = eng.Now()
@@ -169,8 +169,11 @@ func (tb *TokenBucket) drain() {
 				if wait < time.Microsecond {
 					wait = time.Microsecond
 				}
+				if tb.draining {
+					panic("netem: a second drain wake-up")
+				}
 				tb.draining = true
-				tb.eng.After(wait, tb.wake)
+				tb.wake.At(tb.eng.Now() + wait)
 				break
 			}
 			tb.tokens -= need
@@ -197,6 +200,11 @@ func (tb *TokenBucket) drain() {
 // link physics and holds only here: experiments that want reordered,
 // duplicated, or corrupted control datagrams get them from the chaos
 // plane (internal/chaos), one layer up.
+//
+// A stage may also carry a constant hop: the processing delay of the
+// node it delivers to, added to every exit after both clamps (SetHop).
+// A constant moves every exit alike, so the line stays FIFO, and the
+// next node's work rides the stage's own event instead of one of its own.
 type Netem struct {
 	eng  *sim.Engine
 	line sim.Line // in flight, delivering to next
@@ -204,8 +212,7 @@ type Netem struct {
 	delay  time.Duration
 	jitter time.Duration
 	loss   units.Loss
-
-	lastExit time.Duration
+	hop    time.Duration // added to every exit; not part of Delay
 
 	// Counters.
 	SentPackets int64
@@ -224,7 +231,12 @@ func (n *Netem) Set(delay, jitter time.Duration, loss units.Loss) {
 	n.delay, n.jitter, n.loss = delay, jitter, loss.Clamp()
 }
 
-// Delay returns the configured fixed delay.
+// SetHop sets the constant added to every exit after the ordering clamp:
+// the per-hop delay of the node the stage delivers to. Call it before the
+// first Enqueue; changing it with packets in flight could reorder them.
+func (n *Netem) SetHop(d time.Duration) { n.hop = d }
+
+// Delay returns the configured fixed delay, without the hop.
 func (n *Netem) Delay() time.Duration { return n.delay }
 
 // Jitter returns the configured jitter standard deviation.
@@ -233,8 +245,8 @@ func (n *Netem) Jitter() time.Duration { return n.jitter }
 // Loss returns the configured loss probability.
 func (n *Netem) Loss() units.Loss { return n.loss }
 
-// Enqueue applies loss, then schedules delivery after delay + jitter. A
-// lost packet is released.
+// Enqueue applies loss, then schedules delivery after delay + jitter
+// (plus the hop). A lost packet is released.
 func (n *Netem) Enqueue(p *packet.Packet) {
 	p.AssertLive("netem: Enqueue")
 	if n.loss > 0 && n.eng.Rand().Float64() < float64(n.loss) {
@@ -251,13 +263,11 @@ func (n *Netem) Enqueue(p *packet.Packet) {
 			d = 0
 		}
 	}
-	exit := n.eng.Now() + d
-	if exit < n.lastExit { // preserve ordering
-		exit = n.lastExit
-	}
-	n.lastExit = exit
+	// Preserve ordering: no exit before the previous one. The line's last
+	// time already carries the hop, and max(now+d, last-hop)+hop is
+	// max(now+d+hop, last), so the hop moves every exit alike.
 	n.SentPackets++
-	n.line.At(exit, p)
+	n.line.At(max(n.eng.Now()+d+n.hop, n.line.Last()), p)
 }
 
 // Chain is the per-destination qdisc pair the TCAL installs: an htb stage

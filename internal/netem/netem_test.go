@@ -189,6 +189,46 @@ func TestNetemOrderingPreserved(t *testing.T) {
 	}
 }
 
+// TestNetemHopShiftsEveryExit: a stage with a hop delivers every packet
+// of a jittered, clamped stream exactly hop later than the same stage
+// without one, in the same order, and Delay leaves the hop out.
+func TestNetemHopShiftsEveryExit(t *testing.T) {
+	const hop = 20 * time.Microsecond
+	run := func(hop time.Duration) (exits []time.Duration, sizes []int) {
+		eng := sim.NewEngine(3)
+		ne := NewNetem(eng, 5*time.Millisecond, 4*time.Millisecond, 0, func(p *packet.Packet) {
+			exits, sizes = append(exits, eng.Now()), append(sizes, p.Size)
+		})
+		ne.SetHop(hop)
+		if ne.Delay() != 5*time.Millisecond {
+			t.Fatalf("Delay = %v with a hop, want the configured 5ms", ne.Delay())
+		}
+		for i := 0; i < 200; i++ {
+			i := i
+			eng.At(time.Duration(i)*100*time.Microsecond, func() { ne.Enqueue(mkPacket(i + 1)) })
+		}
+		eng.RunAll()
+		return exits, sizes
+	}
+	base, order := run(0)
+	got, gotOrder := run(hop)
+	if len(base) != 200 || len(got) != 200 {
+		t.Fatalf("delivered %d and %d of 200", len(base), len(got))
+	}
+	clamped := 0
+	for i := range got {
+		if got[i] != base[i]+hop || gotOrder[i] != order[i] || order[i] != i+1 {
+			t.Fatalf("packet %d: exit %v (size %d), want %v (size %d)", i, got[i], gotOrder[i], base[i]+hop, order[i])
+		}
+		if i > 0 && base[i] == base[i-1] {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no exit was clamped to its predecessor's; the test needs some")
+	}
+}
+
 func TestNetemSetRuntime(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var at time.Duration

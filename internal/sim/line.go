@@ -18,12 +18,17 @@ import (
 // seq) is never smaller than its head's: it cannot be the global minimum
 // while the head is pending, and it enters the heap as the head leaves.
 //
+// A line is a standing event: it takes its slot at its first At and keeps
+// it for life, so a line that empties and is refilled (most do, one
+// packet at a time) pushes its slot again without allocating or
+// releasing one. The slot's heap position says whether the line is idle.
+//
 // A Line is used in place: it must not be copied after Init.
 type Line struct {
 	eng        *Engine
 	fn         func(*packet.Packet)
 	last       time.Duration // the latest event's time
-	slot       int32         // the head's slot; -1 while the line is idle
+	slot       int32         // the head's slot, owned from the first At on; -1 before
 	head, tail int32         // queued nodes behind the head; -1 when none
 }
 
@@ -41,6 +46,9 @@ func (l *Line) Init(eng *Engine, fn func(*packet.Packet)) {
 	*l = Line{eng: eng, fn: fn, slot: -1, head: -1, tail: -1}
 }
 
+// Last returns the time of the line's latest event, 0 before the first.
+func (l *Line) Last() time.Duration { return l.last }
+
 // At schedules fn(p) at absolute virtual time at. It panics when at
 // precedes now or the line's previous event. Line events cannot be
 // stopped; firing on a packet released in the meantime panics.
@@ -51,7 +59,14 @@ func (l *Line) At(at time.Duration, p *packet.Packet) {
 	}
 	l.last = at
 	if l.slot < 0 {
-		l.slot = e.schedule(at, slot{line: l, p: p}).slot
+		l.slot = e.alloc()
+		e.slots[l.slot] = slot{line: l, gen: e.slots[l.slot].gen, pos: -1}
+	}
+	if s := &e.slots[l.slot]; s.pos < 0 {
+		e.checkAt(at)
+		e.stats.Scheduled++
+		s.p = p
+		e.push(l.slot, at)
 		return
 	}
 	var id int32
@@ -76,13 +91,14 @@ func (l *Line) At(at time.Duration, p *packet.Packet) {
 
 // advance moves line l past its head, the heap's root on slot id: the next
 // queued event takes over the slot and replaces the root in place, or the
-// line goes idle, gives the slot up and leaves the root held for the
+// line goes idle, keeping its slot, and leaves the root held for the
 // callback's first push.
 func (e *Engine) advance(l *Line, id int32) {
 	if l.head < 0 {
 		e.held = true
-		e.release(id)
-		l.slot = -1
+		s := &e.slots[id]
+		s.p = nil
+		s.pos = -1
 		return
 	}
 	n := e.nodes[l.head]

@@ -25,14 +25,28 @@ type sched interface {
 	// non-decreasing per line; released hands the event a packet that is
 	// already back in its pool.
 	Line(k int, at time.Duration, released bool, fn func())
+	// Standing returns an idle standing event that fires fn.
+	Standing(fn func()) standingEvent
 	Step() bool
 	Run(until time.Duration)
 	Halt()
 	Pending() int
 }
 
-// numLines is how many delay lines a script can address.
-const numLines = 2
+// standingEvent is a Standing's surface: Engine's *Standing, or the
+// reference's model of it.
+type standingEvent interface {
+	At(at time.Duration)
+	Stop()
+	Free()
+}
+
+// numLines is how many delay lines a script can address, and
+// numStandings how many standing events.
+const (
+	numLines     = 2
+	numStandings = 2
+)
 
 type realSched struct {
 	*Engine
@@ -74,6 +88,10 @@ func (r *realSched) Line(k int, at time.Duration, released bool, fn func()) {
 	}
 	r.queued[k] = append(r.queued[k], lineEvent{p, fn})
 	r.lines[k].At(at, p)
+}
+func (r *realSched) Standing(fn func()) standingEvent {
+	s := r.Engine.NewStanding(fn)
+	return &s
 }
 func (r *realSched) AtPacket(at time.Duration, fn func()) func() {
 	want := &packet.Packet{}
@@ -138,6 +156,31 @@ func (r *refSched) Line(_ int, at time.Duration, released bool, fn func()) {
 	r.add(at, 0, fn)
 }
 
+// Standing is a one-shot re-added on every At: a re-key is a stop and a
+// fresh schedule.
+func (r *refSched) Standing(fn func()) standingEvent { return &refStanding{r: r, fn: fn} }
+
+type refStanding struct {
+	r    *refSched
+	fn   func()
+	stop func() // non-nil while pending
+}
+
+func (s *refStanding) At(at time.Duration) {
+	s.Stop()
+	s.stop = s.r.add(at, 0, func() {
+		s.stop = nil
+		s.fn()
+	})
+}
+func (s *refStanding) Stop() {
+	if s.stop != nil {
+		s.stop()
+		s.stop = nil
+	}
+}
+func (s *refStanding) Free() { s.Stop() }
+
 // releasedLinePanic is what firing a line event on a released packet
 // panics with.
 const releasedLinePanic = "packet: sim: Line firing of a released packet"
@@ -179,6 +222,7 @@ const (
 	opAtPacket        // the typed entry point
 	opHalt            // Halt when arg < 32, else nothing
 	opLine            // line arg/8%2 at max(now + arg%8, its last); arg >= 240: on a released packet
+	opStanding        // standing arg/8%2, created on first use: arg/16%4 is 0 or 1: At(now + arg%8); 2: Stop; 3: Free
 	numOps
 
 	nop = 255 // with opHalt: a callback that does nothing
@@ -192,11 +236,12 @@ type rec struct {
 }
 
 type interp struct {
-	s        sched
-	prog     []byte
-	stops    []func()
-	lineLast [numLines]time.Duration
-	log      []rec
+	s         sched
+	prog      []byte
+	stops     []func()
+	lineLast  [numLines]time.Duration
+	standings [numStandings]standingEvent // nil until used, and after Free
+	log       []rec
 }
 
 func (in *interp) note(what string, id int) {
@@ -256,6 +301,31 @@ func (in *interp) do(op, arg byte, self int) {
 		in.lineLast[k] = at
 		in.s.Line(k, at, arg >= 240, cb)
 		in.stops = append(in.stops, func() {}) // line events cannot be stopped
+	case opStanding:
+		k := int(arg/8) % numStandings
+		st := in.standings[k]
+		if st == nil {
+			// One timer number for the event's life: its fires log it,
+			// and opStop on it is its Stop.
+			id := len(in.stops)
+			st = in.s.Standing(func() {
+				in.note("fire", id)
+				if op, arg, ok := in.next(); ok {
+					in.do(op, arg, id)
+				}
+			})
+			in.standings[k] = st
+			in.stops = append(in.stops, st.Stop)
+		}
+		switch arg / 16 % 4 {
+		case 0, 1:
+			st.At(in.s.Now() + time.Duration(arg%8))
+		case 2:
+			st.Stop()
+		case 3:
+			st.Free()
+			in.standings[k] = nil
+		}
 	}
 }
 
@@ -386,6 +456,34 @@ var orderSeeds = [][]byte{
 	// the newcomer takes the root and the re-arm ties behind it.
 	{opEvery, 0, opAt, 2, opRun, 1, opAt, 1, opRun, 2, opAtPacket, 1, opHalt, nop, opAfter, 0,
 		opLine, 1, opHalt, nop, opHalt, nop},
+
+	// Standing events (arg: delay arg%8, event arg/8%2, then +32 Stop,
+	// +48 Free). At on an idle event, then re-keys of the pending one
+	// earlier and later; the last re-key ties with an At scheduled after
+	// it and fires first.
+	{opStanding, 3, opAt, 3, opStanding, 1, opStanding, 5, opAt, 5, opRun, 8, opHalt, nop, opHalt, nop, opHalt, nop},
+	// Stop of a pending event, by the event and by its timer number, each
+	// followed by a new At; Free of a pending event; the next use creates
+	// a fresh event in the freed slot.
+	{opStanding, 2, opStanding, 32, opStanding, 2, opStop, 0, opStanding, 4, opStanding, 48,
+		opStanding, 1, opStop, 0, opRun, 8, opHalt, nop},
+	// Re-arm from the event's own callback, which takes the held root,
+	// then Free from it; a one-shot takes the freed slot and a new
+	// standing event arms in the same instant.
+	{opStanding, 1, opAt, 1, opRun, 6, opStanding, 2, opHalt, nop, opStanding, 48,
+		opAt, 0, opStanding, 8, opRun, 2, opHalt, nop, opHalt, nop},
+	// One standing event's callback re-keys the other, which is pending
+	// deeper in the heap, while an idle line's head waits at the same
+	// instant; the re-keyed one stops the first (idle, so nothing) and
+	// re-arms itself in the current instant.
+	{opStanding, 1, opStanding, 12, opLine, 1, opAt, 2, opAt, 4, opAt, 6, opAt, 7, opRun, 8,
+		opStanding, 10, opHalt, nop, opStanding, 32, opHalt, nop, opStanding, 8, opStanding, 40, opHalt, nop},
+	// Re-keys across a heap two levels deep, both up and down, Stop of a
+	// one-shot beside them, and an Every ticking through; both events
+	// are freed from the driver at the end, one pending, one idle.
+	{opAt, 1, opAt, 2, opAt, 3, opAt, 4, opAt, 5, opAt, 6, opAt, 7, opEvery, 1, opStanding, 7,
+		opStanding, 0, opStanding, 14, opStanding, 8, opStop, 3, opStanding, 6, opRun, 4,
+		opHalt, nop, opStanding, 15, opHalt, nop, opHalt, nop, opHalt, nop, opStanding, 58, opStanding, 48},
 }
 
 func TestEngineOrderScenarios(t *testing.T) {
@@ -561,6 +659,68 @@ func TestWriteOrderFuzzCorpus(t *testing.T) {
 	}
 }
 
+// TestRekeyKeepsOneSlot: re-keying a pending standing event, the RTO's
+// pattern, keeps one heap entry and one slot and counts a stop and a
+// schedule per re-key; Free hands the slot to the next one-shot.
+func TestRekeyKeepsOneSlot(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	st := e.NewStanding(func() { fired++ })
+	for i := 0; i < 1000; i++ {
+		st.At(200*time.Millisecond + time.Duration(i%7))
+	}
+	if e.Pending() != 1 || len(e.heap) != 1 || len(e.slots) != 1 {
+		t.Fatalf("Pending=%d heap=%d slots=%d after 1000 re-keys, want 1 each", e.Pending(), len(e.heap), len(e.slots))
+	}
+	if s := e.Stats(); s.Scheduled != 1000 || s.Stopped != 999 {
+		t.Fatalf("stats %+v, want 1000 scheduled and 999 stopped", s)
+	}
+	e.RunAll()
+	if fired != 1 || e.Now() != 200*time.Millisecond+time.Duration(999%7) || st.Pending() {
+		t.Fatalf("fired %d times at %v (pending %v), want once at the last key", fired, e.Now(), st.Pending())
+	}
+	st.At(e.Now() + 1)
+	id := st.slot
+	st.Free()
+	st.Stop()
+	st.Free()
+	tm := e.After(1, func() {})
+	if e.Pending() != 1 || len(e.slots) != 1 || tm.slot != id {
+		t.Fatalf("Pending=%d slots=%d: Free did not stop the event and return its slot", e.Pending(), len(e.slots))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At after Free did not panic")
+		}
+	}()
+	st.At(e.Now() + 1)
+}
+
+// TestLineKeepsItsSlot: a line that goes idle and is refilled, from the
+// driver or from its own callback, reuses the one slot it took at Init.
+func TestLineKeepsItsSlot(t *testing.T) {
+	e := NewEngine(1)
+	p := &packet.Packet{}
+	var l Line
+	refills := 0
+	l.Init(e, func(p *packet.Packet) {
+		if refills < 100 {
+			refills++
+			l.At(e.Now()+time.Microsecond, p)
+		}
+	})
+	for i := 0; i < 10; i++ {
+		l.At(e.Now()+time.Millisecond, p)
+		e.RunAll()
+	}
+	if len(e.slots) != 1 || len(e.free) != 0 || e.Pending() != 0 || refills != 100 {
+		t.Fatalf("slots=%d free=%d Pending=%d refills=%d, want one slot kept, nothing pending", len(e.slots), len(e.free), e.Pending(), refills)
+	}
+	if s := e.Stats(); s.Scheduled != 110 || s.Fired != 110 {
+		t.Fatalf("stats %+v, want 110 scheduled and fired", s)
+	}
+}
+
 // TestStaleTimerSparesSlotReuser pins the generation check directly: the
 // second timer provably occupies the first one's slot.
 func TestStaleTimerSparesSlotReuser(t *testing.T) {
@@ -632,6 +792,17 @@ func TestScheduleAndFireAllocateNothing(t *testing.T) {
 		rto = e.After(200*time.Millisecond, fn)
 	})
 	rto.Stop()
+	st := e.NewStanding(fn)
+	st.At(e.Now() + 200*time.Millisecond)
+	k := 0
+	check("Standing re-key", func() {
+		k++
+		st.At(e.Now() + 200*time.Millisecond + time.Duration(k%3))
+	})
+	st.Free()
+	var idle Line
+	idle.Init(e, pfn)
+	check("idle line refill+fire", func() { idle.At(e.Now()+time.Microsecond, p); e.Step() })
 	e.Every(time.Microsecond, fn)
 	check("Every tick", func() { e.Step() })
 	var l Line

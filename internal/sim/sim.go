@@ -40,16 +40,24 @@ import (
 // line's head is in the heap. At steady state scheduling and firing
 // allocate nothing.
 //
+// Most events are one-shots: the slot is taken when they are scheduled and
+// released when they fire or stop. A standing event (NewStanding, and
+// every Line) instead owns its slot from its first arming on: arming it
+// again pushes the slot without allocating one, firing or stopping leaves
+// it owned, and arming it while pending re-keys its entry in place with
+// one sift.
+//
 // A fired root stays in the heap while its callback runs, as a held
 // entry: the first event the callback schedules (At, After, AtPacket,
-// an idle Line's At, or the Every re-arm) takes its place at index 0 with
-// one siftDown, instead of a siftDown to remove the root and a siftUp to
-// insert the newcomer. A callback that schedules nothing has the root
-// removed when it returns. The order is unchanged: sequence numbers are
-// drawn as before, and the held key (now, its seq) precedes every live
-// key, so no removal or siftUp below it crosses it. Pending does not
-// count the held entry, and the heap's length after each push is what a
-// remove-then-push gives, so HeapPeak is unchanged too. The held root
+// an idle Line's or standing event's At, or the Every re-arm) takes its
+// place at index 0 with one siftDown, instead of a siftDown to remove the
+// root and a siftUp to insert the newcomer. A callback that schedules
+// nothing has the root removed when it returns. The order is unchanged:
+// sequence numbers are drawn as before, and the held key (now, its seq)
+// precedes every live key, so no removal, siftUp or re-key below it
+// crosses it. Pending does not count the held entry, and the heap's
+// length after each push is what a remove-then-push gives, so HeapPeak
+// is unchanged too. The held root
 // makes re-entry unsound: Step, and so Run and RunAll, panic when called
 // from inside a firing callback; every caller drives them from top level.
 //
@@ -74,9 +82,9 @@ type Engine struct {
 
 // Stats counts the engine's operations since it was created.
 type Stats struct {
-	Scheduled int64 // events scheduled: At, AtPacket, After, Every and Line.At
+	Scheduled int64 // events scheduled: At, AtPacket, After, Every, Line.At and Standing.At
 	Fired     int64 // events whose callback ran, each Every tick included
-	Stopped   int64 // pending events Timer.Stop removed
+	Stopped   int64 // pending events Timer.Stop or Standing.Stop removed, and re-keys
 	Rearmed   int64 // Every re-arms after a tick
 	Queued    int64 // Line events that waited behind their line's head
 	Replaced  int64 // fired events whose heap position went straight to the next event scheduled
@@ -106,7 +114,7 @@ func beforeMask(a, b entry) uint64 {
 	return -borrow
 }
 
-// slot is the payload of one pending event: fn(), or pfn(p) for the typed
+// slot is the payload of one event: fn(), or pfn(p) for the typed
 // packet events the per-packet path schedules without building a closure,
 // or line.fn(p) for a Line's head.
 type slot struct {
@@ -114,10 +122,14 @@ type slot struct {
 	pfn    func(*packet.Packet)
 	p      *packet.Packet
 	line   *Line
-	period time.Duration // > 0: an Every timer, re-armed after each tick
+	period time.Duration // > 0: an Every timer, re-armed after each tick; standing: a Standing's, never re-armed
 	gen    uint64        // bumped on release; a Timer of an older gen is dead
-	pos    int32         // index in heap; -1 while an Every tick is running
+	pos    int32         // index in heap; -1 while an Every tick runs or a standing slot is idle
 }
+
+// standing is a Standing's slot.period: the slot is kept across a firing
+// like an Every timer's, and never re-armed by the engine.
+const standing time.Duration = -1
 
 // NewEngine returns an engine whose clock starts at zero, with the given
 // random seed.
@@ -190,22 +202,32 @@ func (e *Engine) Every(period time.Duration, fn func()) Timer {
 }
 
 func (e *Engine) schedule(at time.Duration, s slot) Timer {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
+	e.checkAt(at)
 	e.stats.Scheduled++
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		id = int32(len(e.slots))
-		e.slots = append(e.slots, slot{})
-	}
+	id := e.alloc()
 	s.gen = e.slots[id].gen
 	e.slots[id] = s
 	e.push(id, at)
 	return Timer{eng: e, slot: id, gen: s.gen}
+}
+
+// checkAt panics when at precedes now.
+func (e *Engine) checkAt(at time.Duration) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
+}
+
+// alloc takes a slot index from the free list, or grows the table. The
+// caller fills the slot under its current generation.
+func (e *Engine) alloc() int32 {
+	if n := len(e.free); n > 0 {
+		id := e.free[n-1]
+		e.free = e.free[:n-1]
+		return id
+	}
+	e.slots = append(e.slots, slot{})
+	return int32(len(e.slots) - 1)
 }
 
 // release recycles a slot: its pointers are dropped so the callback and
@@ -237,13 +259,16 @@ func (e *Engine) Step() bool {
 		e.advance(l, top.slot)
 		p.AssertLive("sim: Line firing")
 		l.fn(p)
-	} else if s := e.slots[top.slot]; s.period > 0 {
+	} else if s := e.slots[top.slot]; s.period != 0 {
 		// The slot stays owned across the tick so the Timer can stop the
-		// series from inside fn; a changed generation afterwards means it did.
+		// series from inside fn; a changed generation afterwards means it
+		// did. A standing event's fn re-arms it (into the held root) or
+		// frees it itself.
 		e.held = true
 		e.slots[top.slot].pos = -1
 		s.fn()
 		switch {
+		case s.period == standing:
 		case e.slots[top.slot].gen != s.gen:
 		case e.halted:
 			e.release(top.slot)
@@ -328,7 +353,10 @@ func (e *Engine) push(id int32, at time.Duration) {
 	}
 }
 
-// remove deletes heap[i], refilling the hole with the last entry.
+// remove deletes heap[i], refilling the hole with the last entry. It
+// settles the entry itself rather than through fix: remove runs on every
+// Stop and after every callback that schedules nothing, and fix is too
+// big to inline.
 func (e *Engine) remove(i int) {
 	n := len(e.heap) - 1
 	last := e.heap[n]
@@ -340,6 +368,16 @@ func (e *Engine) remove(i int) {
 		e.siftUp(i, last)
 	} else {
 		e.siftDown(i, last)
+	}
+}
+
+// fix settles x into the hole at i, up or down as its key requires: a
+// pending standing event's new key.
+func (e *Engine) fix(i int, x entry) {
+	if i > 0 && x.before(e.heap[(i-1)/4]) {
+		e.siftUp(i, x)
+	} else {
+		e.siftDown(i, x)
 	}
 }
 

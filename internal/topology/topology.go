@@ -155,11 +155,8 @@ func (t *Topology) Validate() error {
 		if l.Orig == l.Dest {
 			return fmt.Errorf("topology: link %d is a self-loop on %q", i, l.Orig)
 		}
-		if l.Up <= 0 {
-			return fmt.Errorf("topology: link %d (%s->%s) has no upload bandwidth", i, l.Orig, l.Dest)
-		}
-		if !l.Unidirectional && l.Down <= 0 {
-			return fmt.Errorf("topology: link %d (%s->%s) has no download bandwidth", i, l.Orig, l.Dest)
+		if err := l.props().check(); err != nil {
+			return fmt.Errorf("topology: link %d (%s->%s): %v", i, l.Orig, l.Dest, err)
 		}
 	}
 	for i, e := range t.Events {
@@ -506,6 +503,17 @@ func DryRun(g *graph.Graph, evs []Event) (*State, error) {
 		}
 	}
 	return live.State(), nil
+}
+
+// props returns a declared link's properties as a patch that sets them
+// all, so that a declaration and a SetLink event are held to one rule
+// (check). A unidirectional link has no download bandwidth to check.
+func (l LinkDef) props() LinkPatch {
+	p := LinkPatch{Latency: &l.Latency, Jitter: &l.Jitter, Up: &l.Up, Loss: &l.Loss}
+	if !l.Unidirectional {
+		p.Down = &l.Down
+	}
+	return p
 }
 
 // check rejects patch values no link can carry. Bandwidth in particular

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,6 +175,11 @@ func TestValidateErrors(t *testing.T) {
 		{"unknown dest", func(t *Topology) { t.Links[0].Dest = "ghost" }},
 		{"self loop", func(t *Topology) { t.Links[0].Dest = t.Links[0].Orig }},
 		{"zero bandwidth", func(t *Topology) { t.Links[0].Up = 0 }},
+		{"zero download", func(t *Topology) { t.Links[0].Down = 0 }},
+		{"negative latency", func(t *Topology) { t.Links[0].Latency = -time.Millisecond }},
+		{"negative jitter", func(t *Topology) { t.Links[0].Jitter = -time.Millisecond }},
+		{"negative loss", func(t *Topology) { t.Links[0].Loss = -0.5 }},
+		{"loss above one", func(t *Topology) { t.Links[0].Loss = 2 }},
 		{"negative event time", func(t *Topology) {
 			t.Events = append(t.Events, Event{At: -time.Second, Kind: EvNodeLeave, Name: "c1"})
 		}},
@@ -189,6 +195,34 @@ func TestValidateErrors(t *testing.T) {
 		c.mut(top)
 		if err := top.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+}
+
+// TestValidateLinkProps: a declared link is held to the rule a SetLink
+// event is (LinkPatch.check; TestValidateErrors has a case per value),
+// the error names the link's index and endpoints, a unidirectional link
+// has no download bandwidth to check, and the YAML dialect rejects the
+// same values as it parses them.
+func TestValidateLinkProps(t *testing.T) {
+	top, err := ParseYAML(listing1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &top.Links[1]
+	l.Latency = -time.Millisecond
+	want := fmt.Sprintf("link 1 (%s->%s): negative latency", l.Orig, l.Dest)
+	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Validate = %v, want an error naming %q", err, want)
+	}
+	l.Latency, l.Unidirectional, l.Down = 0, true, 0
+	if err := top.Validate(); err != nil {
+		t.Errorf("a unidirectional link has no download bandwidth to check: %v", err)
+	}
+	for _, kv := range []string{"latency: -1ms", "jitter: -1ms", "loss: -0.5", "loss: 1.5", "loss: 150%"} {
+		src := "experiment:\n  services:\n    name: a\n    name: b\n  links:\n    orig: a\n    dest: b\n    up: 10Mbps\n    " + kv + "\n"
+		if top, err := ParseYAML(src); err == nil {
+			t.Errorf("YAML %q parsed: %+v", kv, top.Links)
 		}
 	}
 }

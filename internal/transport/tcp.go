@@ -99,7 +99,6 @@ type Conn struct {
 	recover    int64
 	highSacked int64         // highest byte covered by any SACK block seen
 	lastCut    time.Duration // last window reduction (at most one per RTT)
-	paceSet    bool          // a pacing continuation is scheduled
 	tsqParked  bool          // throttled by egress backpressure (TSQ)
 
 	// Cubic state ([43]); window quantities in MSS units.
@@ -107,12 +106,12 @@ type Conn struct {
 	epochStart time.Duration
 	cubicK     float64
 
-	rtoTimer sim.Timer
-	rtoSet   bool
-
-	// The timer and wake-up callbacks, bound once per connection so that
-	// re-arming per segment does not allocate a method value each time.
-	rtoFn, paceFn, tsqFn func()
+	// The retransmission timer and the pacing continuation own one
+	// engine slot each for the connection's life (freed at teardown), so
+	// re-arming the RTO per ACK is one re-key. tsqFn is bound once so
+	// that parking on TSQ does not allocate a method value each time.
+	rtoTimer, pacer sim.Standing
+	tsqFn           func()
 
 	// Receiver state. ooo holds received-but-not-in-order byte ranges,
 	// sorted by start and coalesced, so SACK blocks describe large
@@ -250,7 +249,9 @@ func (s *Stack) newConn(id fourTuple, cc CongestionControl) *Conn {
 		ssthresh: math.MaxFloat64 / 4,
 		rto:      initialRTO,
 	}
-	c.rtoFn, c.paceFn, c.tsqFn = c.onRTO, c.onPace, c.onTSQWake
+	c.rtoTimer = s.eng.NewStanding(c.onRTO)
+	c.pacer = s.eng.NewStanding(c.onPace)
+	c.tsqFn = c.onTSQWake
 	return c
 }
 
@@ -475,7 +476,6 @@ func (c *Conn) onTSQWake() {
 }
 
 func (c *Conn) onPace() {
-	c.paceSet = false
 	c.trySend()
 }
 
@@ -503,9 +503,8 @@ func (c *Conn) trySend() {
 	// Recovery is purely ACK-clocked (with RTO as fallback): pacing there
 	// would spin no-op wakeups while the pipe is full. A TSQ-parked
 	// connection resumes from the drain callback instead.
-	if !c.inRecovery && !c.tsqParked && c.sndBuf > 0 && float64(c.sndNext-c.sndUna)+mss <= c.cwnd && !c.paceSet {
-		c.paceSet = true
-		c.stack.eng.After(c.paceDelay(), c.paceFn)
+	if !c.inRecovery && !c.tsqParked && c.sndBuf > 0 && float64(c.sndNext-c.sndUna)+mss <= c.cwnd && !c.pacer.Pending() {
+		c.pacer.At(c.stack.eng.Now() + c.paceDelay())
 	}
 	if c.sndBuf == 0 && c.closingWanted && !c.finSent && c.sndNext == c.sndUna {
 		c.sendFIN()
@@ -592,23 +591,13 @@ func (c *Conn) emitFIN(seq int64) {
 	c.stack.net.Send(p)
 }
 
+// armRTO (re)starts the retransmission timer: one re-key when it is
+// already pending.
 func (c *Conn) armRTO() {
-	if c.rtoSet {
-		c.rtoTimer.Stop()
-	}
-	c.rtoSet = true
-	c.rtoTimer = c.stack.eng.After(c.rto, c.rtoFn)
-}
-
-func (c *Conn) disarmRTO() {
-	if c.rtoSet {
-		c.rtoTimer.Stop()
-		c.rtoSet = false
-	}
+	c.rtoTimer.At(c.stack.eng.Now() + c.rto)
 }
 
 func (c *Conn) onRTO() {
-	c.rtoSet = false
 	if c.closed || c.sndUna == c.sndNext {
 		return
 	}
@@ -744,7 +733,7 @@ func (c *Conn) processAck(seg *packet.Segment) {
 			c.grow(float64(newly))
 		}
 		if c.sndUna == c.sndNext {
-			c.disarmRTO()
+			c.rtoTimer.Stop()
 			c.rto = c.boundedRTO()
 			if c.finSent {
 				c.finAcked = true
@@ -1024,7 +1013,8 @@ func (c *Conn) teardown() {
 		return
 	}
 	c.closed = true
-	c.disarmRTO()
+	c.rtoTimer.Free()
+	c.pacer.Free()
 	delete(c.stack.conns, c.id)
 }
 

@@ -221,6 +221,28 @@ func TestTopologyBuilderValidates(t *testing.T) {
 	}
 }
 
+// TestTopologyBuilderValidatesLinkProps: properties a SetLink event
+// would reject are rejected at declaration too, as an error from
+// Experiment rather than a panic once the first packet is scheduled.
+func TestTopologyBuilderValidatesLinkProps(t *testing.T) {
+	for name, opt := range map[string]LinkOption{
+		"negative latency": Latency(-time.Millisecond),
+		"negative jitter":  Jitter(-time.Millisecond),
+		"negative loss":    Loss(-0.5),
+		"loss above one":   Loss(2),
+	} {
+		exp, err := NewTopology().
+			Service("a").Service("b").
+			Link("a", "b", Latency(time.Millisecond), Up(10*units.Mbps), opt).
+			Experiment()
+		if err == nil {
+			t.Errorf("%s: Experiment returned %v, want an error", name, exp)
+		} else if !strings.Contains(err.Error(), "link 0 (a->b)") {
+			t.Errorf("%s: error %q does not name the link", name, err)
+		}
+	}
+}
+
 func TestImmediateMutation(t *testing.T) {
 	exp, err := NewTopology().
 		Service("a").Service("b").
