@@ -72,20 +72,24 @@ type Manager struct {
 	entReused  *metrics.Counter // entitlement passes answered from entMemo
 	demDerived *metrics.Counter // demand-aware passes equal to the entitlement pass
 	tcalSets   *metrics.Counter // enforced TCAL bandwidth changes
+	viewReused *metrics.Counter // view blocks whose priced entries were kept
+	viewPriced *metrics.Counter // view blocks priced anew
 
 	// ---- per-period scratch, reused across iterations ----
 
 	// alloc is the indexed min-max solver's arena.
 	alloc AllocState
 
-	flowsBuf  []localFlow
+	flowsBuf []localFlow
+	// allBuf is the allocator's input: the local entries, then from
+	// remote.at on the remote ones, which outlive the period.
 	allBuf    []FlowDemand
+	remote    remoteView
+	viewBuf   []dissem.OriginView
 	greedyBuf []FlowDemand
 	wdBuf     []Allocation
 	entBuf    []Allocation // the entitlement pass's output, valid for entMemo's key
 	entMemo   entitlementMemo
-	rfBuf     []dissem.RemoteFlow
-	rlinks    []int // arena backing remote FlowDemand.Links
 
 	// msg and its records/link arena back the local report; disseminate()
 	// hands it to the dissemination node within the same iteration, and
@@ -186,6 +190,8 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		m.entReused = reg.Counter("kollaps_solver_entitlement_reused_total" + label)
 		m.demDerived = reg.Counter("kollaps_solver_demand_derived_total" + label)
 		m.tcalSets = reg.Counter("kollaps_tcal_shaping_ops_total" + label)
+		m.viewReused = reg.Counter("kollaps_view_origins_reused_total" + label)
+		m.viewPriced = reg.Counter("kollaps_view_origins_rebuilt_total" + label)
 	} else {
 		m.solveRuns = &metrics.Counter{}
 		m.solveNs = &metrics.Counter{}
@@ -193,6 +199,8 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		m.entReused = &metrics.Counter{}
 		m.demDerived = &metrics.Counter{}
 		m.tcalSets = &metrics.Counter{}
+		m.viewReused = &metrics.Counter{}
+		m.viewPriced = &metrics.Counter{}
 	}
 	if err := m.newNode(); err != nil {
 		return nil, err
@@ -204,8 +212,11 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 
 // newNode builds a fresh dissemination endpoint. A restarted manager
 // gets a new one — like a restarted process, it remembers nothing: no
-// peer views, no ack baselines, no overlay suspicions.
+// peer views, no ack baselines, no overlay suspicions. The fresh node
+// issues shape stamps from the start again, so no priced view block may
+// outlive the node that stamped it.
 func (m *Manager) newNode() error {
+	m.remote.blocks = m.remote.blocks[:0]
 	cfg := m.rt.opts.Dissem
 	cfg.NumHosts = len(m.emIPs)
 	cfg.Wide = m.rt.wide
@@ -358,50 +369,37 @@ func (m *Manager) disseminate() {
 // link lists; aggregated records (Count > 1) keep their count as the
 // entry's Weight — the solver treats a Weight-w entry exactly like w
 // duplicate flows, without materializing them.
+//
+// The remote entries outlive the period. The node lends its view one
+// block per origin, each with a shape stamp (dissem.OriginView). While a
+// block's origin, stamp and record count and the topology generation
+// repeat, its entries keep their ids, links, RTTs and weights, and only
+// their demands are rewritten from fresh usage. The first block that
+// differs is priced anew, and so is every block after it: RemoteFlowID
+// numbers the records of the whole view, so a changed block moves the
+// ids of its successors.
 func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
-	now := m.rt.Eng.Now()
-	stale := 3 * m.rt.opts.Period
-	lats := m.rt.linkLats()
-	nLinks := len(lats)
-
-	all := m.allBuf[:0]
+	now, period := m.rt.Eng.Now(), m.rt.opts.Period
+	lats, gen := m.rt.linkLats()
+	v := &m.remote
+	if v.gen != gen {
+		v.gen, v.blocks = gen, v.blocks[:0]
+	}
+	nl := len(local)
+	all := m.placeLocal(nl)
 	for i := range local {
-		all = append(all, FlowDemand{
+		all[i] = FlowDemand{
 			ID:     LocalFlowID(m.host, i),
 			Links:  local[i].links,
 			RTT:    local[i].rtt,
 			Demand: m.demandLocal(&local[i]),
-		})
+		}
 	}
-	m.rfBuf = m.node.AppendRemoteFlows(now, stale, m.rfBuf[:0])
-	arena := m.rlinks[:0]
-	stats := m.node.Stats()
-	for i := range m.rfBuf {
-		rf := &m.rfBuf[i]
-		start := len(arena)
-		var lat time.Duration
-		for _, l := range rf.Links {
-			if int(l) >= nLinks {
-				// A link id outside the live graph's id space comes from a
-				// stale or corrupt report: it has no capacity or latency to
-				// price and nothing to enforce against. Drop the id (the
-				// seed fed it to the allocator as a phantom) and count it.
-				stats.StaleLinks.Inc()
-				continue
-			}
-			lat += lats[l]
-			arena = append(arena, int(l))
-		}
-		links := arena[start:len(arena):len(arena)]
-		if len(links) == 0 && len(rf.Links) > 0 {
-			continue // every link was stale: nothing left to constrain
-		}
-		count := int(rf.Count)
-		if count < 1 {
-			count = 1
-		}
-		per := units.Bandwidth(float64(rf.BPS)/float64(count) + 0.5)
-		demand := m.demandOf(per)
+	m.viewBuf = m.node.AppendView(now, 3*period, m.viewBuf[:0])
+	var stale, reused, priced int64
+	id, end := 0, 0 // the block's first RemoteFlowID index; end of the remote entries so far
+	for b := range m.viewBuf {
+		o := &m.viewBuf[b]
 		// A usage report older than one period (hierarchical aggregation
 		// delay) cannot safely cap the flow: a low stale reading would
 		// hand its share to competitors and oversubscribe the link, since
@@ -409,20 +407,146 @@ func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 		// such flows as greedy — they get at most their RTT-weighted
 		// share, never less, and the next fresh report re-enables the §3
 		// maximization step.
-		if rf.Age > m.rt.opts.Period+m.rt.opts.Period/2 {
-			demand = 0
+		greedy := o.Age > period+period/2
+		if b < len(v.blocks) && v.blocks[b].prices(o) {
+			pb := &v.blocks[b]
+			for j := end; j < pb.end; j++ {
+				e := &all[nl+j]
+				e.Demand = m.remoteDemand(o.BPS(int(v.recOf[j])), e.Weight, greedy)
+			}
+			end, stale = pb.end, stale+pb.stale
+			reused++
+		} else {
+			all = m.priceBlock(all[:nl+end], b, o, id, lats, greedy)
+			end, stale = v.blocks[b].end, stale+v.blocks[b].stale
+			priced++
 		}
-		all = append(all, FlowDemand{
-			ID:     RemoteFlowID(i),
-			Links:  links,
-			RTT:    2 * lat,
-			Demand: demand,
-			Weight: count,
-		})
+		id += o.Len()
 	}
-	m.rlinks = arena
+	if priced > 0 || nl+end != len(all) {
+		v.priced++
+	}
+	v.truncate(len(m.viewBuf)) // drops the blocks of origins that left the view
+	all = all[:nl+end]
+	if stale > 0 {
+		m.node.Stats().StaleLinks.Add(stale)
+	}
+	m.viewReused.Add(reused)
+	m.viewPriced.Add(priced)
 	m.allBuf = all
 	return all
+}
+
+// remoteView keeps the remote part of Manager.allBuf across periods:
+// one block of priced entries per block of the node's view.
+type remoteView struct {
+	gen    uint64 // topology generation the blocks were priced under
+	at     int    // allBuf index of the first remote entry: the local count
+	blocks []pricedBlock
+	recOf  []int32 // by remote entry: its record's index in its view block
+	links  []int   // arena behind the remote entries' Links
+	// priced counts the periods in which a block was priced anew or
+	// dropped: while it holds still, so does every remote entry's id,
+	// links, RTT and weight, which is what the entitlement memo reads.
+	priced uint64
+}
+
+// pricedBlock is one view block's entries: priced under its origin,
+// stamp and record count.
+type pricedBlock struct {
+	origin   uint16
+	stamp    uint64
+	nrec     int   // records in the view block, priced or dropped
+	end      int   // end of its entries, counted from remote.at
+	linksEnd int   // end of its entries' links in remoteView.links
+	stale    int64 // link ids dropped as outside the topology
+}
+
+// prices reports whether b holds the pricing of view block o: the same
+// origin, the same shape stamp and as many records.
+func (b *pricedBlock) prices(o *dissem.OriginView) bool {
+	return b.origin == o.Origin && b.stamp == o.Stamp && b.nrec == o.Len()
+}
+
+// truncate keeps the first n blocks and their entries' bookkeeping.
+func (v *remoteView) truncate(n int) {
+	v.blocks = v.blocks[:n]
+	end, linksEnd := 0, 0
+	if n > 0 {
+		end, linksEnd = v.blocks[n-1].end, v.blocks[n-1].linksEnd
+	}
+	v.recOf, v.links = v.recOf[:end], v.links[:linksEnd]
+}
+
+// placeLocal sizes allBuf for n local entries in front of the remote
+// ones, moving the remote entries when the local count changed.
+func (m *Manager) placeLocal(n int) []FlowDemand {
+	buf, at := m.allBuf, m.remote.at
+	if n == at {
+		return buf
+	}
+	nr := len(buf) - at
+	if n > at {
+		buf = slices.Grow(buf, n-at)
+	}
+	moved := buf[:n+nr]
+	copy(moved[n:], buf[at:at+nr])
+	m.remote.at = n
+	return moved
+}
+
+// priceBlock appends the entries of view block o, the b-th, whose first
+// record is remote record id, to all, which ends with block b-1's
+// entries, and records the block in its place.
+func (m *Manager) priceBlock(all []FlowDemand, b int, o *dissem.OriginView, id int, lats []time.Duration, greedy bool) []FlowDemand {
+	v := &m.remote
+	v.truncate(b)
+	var stale int64
+	for r := 0; r < o.Len(); r++ {
+		bps, count, links := o.Record(r)
+		start := len(v.links)
+		var lat time.Duration
+		for _, l := range links {
+			if int(l) >= len(lats) {
+				// A link id outside the live graph's id space comes from a
+				// stale or corrupt report: it has no capacity or latency to
+				// price and nothing to enforce against. Drop the id (the
+				// seed fed it to the allocator as a phantom) and count it.
+				stale++
+				continue
+			}
+			lat += lats[l]
+			v.links = append(v.links, int(l))
+		}
+		path := v.links[start:len(v.links):len(v.links)]
+		if len(path) == 0 && len(links) > 0 {
+			continue // every link was stale: nothing left to constrain
+		}
+		w := max(int(count), 1)
+		all = append(all, FlowDemand{
+			ID:     RemoteFlowID(id + r),
+			Links:  path,
+			RTT:    2 * lat,
+			Demand: m.remoteDemand(bps, w, greedy),
+			Weight: w,
+		})
+		v.recOf = append(v.recOf, int32(r))
+	}
+	v.blocks = append(v.blocks, pricedBlock{
+		origin: o.Origin, stamp: o.Stamp, nrec: o.Len(),
+		end: len(all) - v.at, linksEnd: len(v.links), stale: stale,
+	})
+	return all
+}
+
+// remoteDemand is a remote record's demand per underlying flow: its
+// usage split evenly over its weight, through demandOf, or 0 (greedy)
+// when its report is too old to cap it.
+func (m *Manager) remoteDemand(bps uint32, weight int, greedy bool) units.Bandwidth {
+	if greedy {
+		return 0
+	}
+	return m.demandOf(units.Bandwidth(float64(bps)/float64(weight) + 0.5))
 }
 
 // demandLocal estimates a local flow's demand for the sharing model. A
@@ -487,7 +611,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	// greedy pass bit for bit whenever no demand binds below the fill
 	// level its flow froze at (demandSlack).
 	entitled := m.entBuf
-	if m.entMemo.matches(gen, all) {
+	if m.entMemo.matches(gen, m.remote.priced, len(local), all) {
 		m.entReused.Inc()
 	} else {
 		greedy := append(m.greedyBuf[:0], all...)
@@ -497,7 +621,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 		m.greedyBuf = greedy
 		entitled = m.alloc.Allocate(caps, greedy, m.entBuf)
 		m.entBuf = entitled
-		m.entMemo.record(gen, all, m.alloc.level)
+		m.entMemo.record(gen, m.remote.priced, all, m.alloc.level)
 	}
 	withDemand := entitled
 	if demandSlack(all, m.entMemo.level) {
@@ -551,6 +675,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 // out of AllocState so the next solve cannot overwrite them.
 type entitlementMemo struct {
 	gen   uint64 // topology generation of the capacity table (Runtime.linkCaps); 0 until recorded
+	view  uint64 // remoteView.priced when recorded
 	flows []memoFlow
 	links []int // every flow's links, concatenated in flow order
 	level []float64
@@ -564,10 +689,16 @@ type memoFlow struct {
 }
 
 // matches reports whether flows, with demands ignored, are exactly the
-// recorded entitlement input under capacity generation gen.
-func (k *entitlementMemo) matches(gen uint64, flows []FlowDemand) bool {
+// recorded entitlement input under capacity generation gen. The first
+// nLocal are the local entries; the remote ones after them are compared
+// only when the remote view was priced anew (view moved) since the
+// record.
+func (k *entitlementMemo) matches(gen, view uint64, nLocal int, flows []FlowDemand) bool {
 	if k.gen != gen || len(k.flows) != len(flows) {
 		return false
+	}
+	if k.view == view {
+		flows = flows[:nLocal]
 	}
 	start := 0
 	for i := range flows {
@@ -581,10 +712,10 @@ func (k *entitlementMemo) matches(gen uint64, flows []FlowDemand) bool {
 	return true
 }
 
-// record makes flows (demands ignored) under generation gen the memo key,
-// with level the fill levels of its greedy solve.
-func (k *entitlementMemo) record(gen uint64, flows []FlowDemand, level []float64) {
-	k.gen = gen
+// record makes flows (demands ignored) under generation gen and remote
+// view view the memo key, with level the fill levels of its greedy solve.
+func (k *entitlementMemo) record(gen, view uint64, flows []FlowDemand, level []float64) {
+	k.gen, k.view = gen, view
 	k.flows, k.links = k.flows[:0], k.links[:0]
 	for i := range flows {
 		f := &flows[i]

@@ -462,12 +462,12 @@ func (rt *Runtime) linkCaps() ([]float64, uint64) {
 }
 
 // linkLats returns the dense per-link latency table for the current
-// topology generation: every Manager sums it over every remote flow's
-// links every period, which a flat table serves faster than the graph's
-// chunked link table.
-func (rt *Runtime) linkLats() []time.Duration {
+// topology generation, and the generation: every Manager sums it over
+// the links of every remote path it prices, which a flat table serves
+// faster than the graph's chunked link table.
+func (rt *Runtime) linkLats() ([]time.Duration, uint64) {
 	rt.linkTables()
-	return rt.lats
+	return rt.lats, rt.capsGen
 }
 
 // linkTables builds caps and lats for the current generation, once.

@@ -1,6 +1,7 @@
 package dissem
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/metadata"
@@ -32,13 +33,16 @@ type broadcastEntry struct {
 	held  bool
 	at    time.Duration // arrival (virtual) time
 	seq   uint32        // envelope sequence the entry was stamped with
+	shape uint64        // OriginView.Stamp of msg's flows
 }
 
 func newBroadcastNode(cfg Config, host int, tr Transport) *broadcastNode {
-	return &broadcastNode{
+	n := &broadcastNode{
 		endpoint: endpoint{cfg: cfg, host: host, tr: tr},
 		remote:   make([]broadcastEntry, cfg.NumHosts),
 	}
+	n.appendView = n.AppendView
+	return n
 }
 
 func (n *broadcastNode) Publish(now time.Duration, msg *metadata.Message) {
@@ -48,9 +52,10 @@ func (n *broadcastNode) Publish(now time.Duration, msg *metadata.Message) {
 	n.raw = metadata.AppendEncode(n.raw[:0], msg, n.cfg.Wide)
 	for h := 0; h < n.cfg.NumHosts; h++ {
 		if h != n.host {
-			n.stats.send(n.tr, h, n.raw)
+			n.stats.post(n.tr, h, n.raw)
 		}
 	}
+	n.stats.sent(n.cfg.NumHosts-1, len(n.raw))
 }
 
 func (n *broadcastNode) Receive(now time.Duration, payload []byte) {
@@ -72,24 +77,33 @@ func (n *broadcastNode) Receive(now time.Duration, payload []byte) {
 	// Duplicate or reordered-stale copy of a report already held: the
 	// held entry wins, so a duplicated datagram cannot refresh `at` and a
 	// displaced old report cannot roll the view backwards. Expiry in
-	// AppendRemoteFlows drops the entry, clearing the sequence state a
+	// AppendView drops the entry, clearing the sequence state a
 	// cold-restarted sender would otherwise have to outrun.
 	e := &n.remote[from]
 	if e.held && !seqFresh(e.seq, seq) {
 		return
 	}
+	held, shape := e.held, e.shape
 	n.in, *e = *e, n.in
-	e.held, e.at, e.seq = true, now, seq
+	// The report replaced is in n.in until the next Receive decodes over
+	// it. A new stamp only when the paths moved: most reports repeat the
+	// last one's paths with fresh usage.
+	if !held || !sameFlowPaths(e.msg.Flows, n.in.msg.Flows) {
+		shape = n.newStamp()
+	}
+	e.held, e.at, e.seq, e.shape = true, now, seq, shape
 }
 
-func (n *broadcastNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
-	return n.AppendRemoteFlows(now, maxAge, nil)
+// sameFlowPaths reports whether two reports list the same paths in the
+// same order (a report's records each count one flow).
+func sameFlowPaths(a, b []metadata.FlowRecord) bool {
+	return slices.EqualFunc(a, b, func(x, y metadata.FlowRecord) bool { return slices.Equal(x.Links, y.Links) })
 }
 
-// AppendRemoteFlows is on the emulation loop's 0-alloc hot path
-// (BenchmarkIterate runs the Broadcast node): entries append into the
+// AppendView is on the emulation loop's 0-alloc hot path
+// (BenchmarkIterate runs the Broadcast node): blocks append into the
 // caller's buffer.
-func (n *broadcastNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
+func (n *broadcastNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	for h := range n.remote {
 		e := &n.remote[h]
 		if !e.held {
@@ -100,16 +114,8 @@ func (n *broadcastNode) AppendRemoteFlows(now, maxAge time.Duration, out []Remot
 			e.held = false
 			continue
 		}
-		for _, f := range e.msg.Flows {
-			out = append(out, RemoteFlow{
-				Origin: wire.U16(h, nil),
-				BPS:    f.BPS,
-				Count:  1,
-				Links:  f.Links,
-				Age:    age,
-			})
-			n.stats.staleness(age)
-		}
+		out = append(out, OriginView{Origin: wire.U16(h, nil), Age: age, Stamp: e.shape, flows: e.msg.Flows})
+		n.stats.stalenessN(age, len(e.msg.Flows))
 	}
 	return out
 }

@@ -85,6 +85,7 @@ type deltaPeer struct {
 	lastSeq   uint32
 	refreshed time.Duration // arrival time of the newest report
 	originTS  time.Duration // sender-side generation time of that report
+	shape     uint64        // OriginView.Stamp of flows
 }
 
 func newDeltaNode(cfg Config, host int, tr Transport) *deltaNode {
@@ -100,6 +101,7 @@ func newDeltaNode(cfg Config, host int, tr Transport) *deltaNode {
 			n.live.watch(h)
 		}
 	}
+	n.appendView = n.AppendView
 	return n
 }
 
@@ -182,6 +184,7 @@ func (n *deltaNode) Publish(now time.Duration, msg *metadata.Message) {
 	// apply a diff against and would stay silent — and unacked — forever.
 	// lastSent is untouched: the full went to one peer, not all.
 	n.readmit = n.readmit[:0]
+	readmits := 0
 	for h := 0; h < n.cfg.NumHosts; h++ {
 		if h == n.host {
 			continue
@@ -190,12 +193,15 @@ func (n *deltaNode) Publish(now time.Duration, msg *metadata.Message) {
 			if len(n.readmit) == 0 {
 				n.readmit, _ = n.appendReport(n.readmit, msgDeltaFull, now, cur.recs)
 			}
-			n.stats.send(n.tr, h, n.readmit)
+			n.stats.post(n.tr, h, n.readmit)
 			n.needFull[h] = false
+			readmits++
 			continue
 		}
-		n.stats.send(n.tr, h, n.raw)
+		n.stats.post(n.tr, h, n.raw)
 	}
+	n.stats.sent(readmits, len(n.readmit))
+	n.stats.sent(n.cfg.NumHosts-1-readmits, len(n.raw))
 }
 
 // minAcked returns the lowest sequence number acknowledged by every peer
@@ -477,6 +483,9 @@ func (n *deltaNode) receiveReport(now time.Duration, typ byte, from int, payload
 	}
 	applyRecs(&n.next, base, n.upd.recs)
 	p.flows, n.next = n.next, p.flows
+	if !p.held || !sameShape(p.flows.recs, n.next.recs) {
+		p.shape = n.newStamp()
+	}
 	p.held = true
 	p.lastSeq = seq
 	p.refreshed = now
@@ -496,11 +505,7 @@ func (n *deltaNode) maybeAck(typ byte, to int, seq uint32) {
 	n.stats.sendFrame(n.tr, to, frame)
 }
 
-func (n *deltaNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
-	return n.AppendRemoteFlows(now, maxAge, nil)
-}
-
-func (n *deltaNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
+func (n *deltaNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	for h := range n.peers {
 		p := &n.peers[h]
 		if !p.held {
@@ -511,16 +516,8 @@ func (n *deltaNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlo
 			continue
 		}
 		age := now - p.originTS
-		for _, r := range p.flows.recs {
-			out = append(out, RemoteFlow{
-				Origin: wire.U16(h, nil),
-				BPS:    r.bps,
-				Count:  r.count,
-				Links:  r.links,
-				Age:    age,
-			})
-			n.stats.staleness(age)
-		}
+		out = append(out, OriginView{Origin: wire.U16(h, nil), Age: age, Stamp: p.shape, recs: p.flows.recs})
+		n.stats.stalenessN(age, len(p.flows.recs))
 	}
 	return out
 }

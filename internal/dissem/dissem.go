@@ -260,6 +260,67 @@ type RemoteFlow struct {
 	Age time.Duration
 }
 
+// OriginView is one block of a node's remote view (Node.AppendView):
+// one origin's records, lent without copying, with the age of their
+// measurement and a shape stamp. Records are read through Len, Record
+// and BPS, and stay valid exactly as long as RemoteFlow.Links.
+type OriginView struct {
+	// Origin is the reporting manager, or MergedOrigin for a Tree record
+	// merged from several.
+	Origin uint16
+	// Age is how old the block's measurement is, as RemoteFlow.Age.
+	Age time.Duration
+	// Stamp names the block's shape: its number of records and each
+	// record's Links and Count. Within one node's life a stamp is issued
+	// once and names one shape, so a consumer that priced a block may
+	// keep that pricing for as long as the stamp repeats, re-reading only
+	// BPS and Age. A node may issue a fresh stamp for an unchanged shape
+	// (Tree does for every block it lends), never an old stamp for a new
+	// one. A fresh node — a restarted manager's — issues stamps from the
+	// start again, so stamps of two nodes must never be compared.
+	Stamp uint64
+
+	flows []metadata.FlowRecord // Broadcast: the origin's report, a flow per record
+	recs  []pathRec             // Delta, Gossip: the origin's path aggregates
+	agg   []aggRec              // Tree: one merged record
+}
+
+// Len returns the block's number of records.
+func (v *OriginView) Len() int { return len(v.flows) + len(v.recs) + len(v.agg) }
+
+// Record returns record i: its summed usage, the number of flows it
+// aggregates, and its path.
+func (v *OriginView) Record(i int) (bps uint32, count uint16, links []uint16) {
+	switch {
+	case v.flows != nil:
+		return v.flows[i].BPS, 1, v.flows[i].Links
+	case v.recs != nil:
+		return v.recs[i].bps, v.recs[i].count, v.recs[i].links
+	}
+	return clampU32(v.agg[i].bps), v.agg[i].count, v.agg[i].links
+}
+
+// BPS returns record i's summed usage: Record without the path and
+// count, which a consumer reusing a block's pricing reads per record
+// per period (BPS inlines; Record does not).
+func (v *OriginView) BPS(i int) uint32 {
+	switch {
+	case v.flows != nil:
+		return v.flows[i].BPS
+	case v.recs != nil:
+		return v.recs[i].bps
+	}
+	return clampU32(v.agg[i].bps)
+}
+
+// sameShape reports whether two path-aggregate lists have the same
+// shape: the same number of records, each with the same count and path.
+func sameShape(a, b []pathRec) bool {
+	return slices.EqualFunc(a, b, func(x, y pathRec) bool {
+		return x.count == y.count && slices.Equal(x.links, y.links)
+	})
+}
+
 // Stats are one node's control-plane counters.
 type Stats struct {
 	// DatagramsSent / BytesSent count every control datagram this node
@@ -351,10 +412,30 @@ func (s *Stats) AdoptFrom(old *Stats) {
 }
 
 // send copies one inner frame into a fresh integrity envelope
-// (envelope.go) and hands it to the transport — the form for a payload
-// encoded once and sent to several peers. Counters see the on-wire size.
+// (envelope.go) and hands it to the transport. Counters see the on-wire
+// size.
 func (s *Stats) send(tr Transport, host int, inner []byte) {
-	s.sendFrame(tr, host, append(newFrame(tr, len(inner)), inner...))
+	s.post(tr, host, inner)
+	s.sent(1, len(inner))
+}
+
+// post is send without the counting: the form for a payload encoded once
+// and sent to several peers, whose sender counts the whole burst with
+// one sent once the last copy is posted. A counter add waits for the
+// send path's stores to drain, so a burst pays it once, not per peer.
+func (s *Stats) post(tr Transport, host int, inner []byte) {
+	frame := append(newFrame(tr, len(inner)), inner...)
+	s.stamp(frame)
+	tr.SendTo(host, frame)
+}
+
+// sent counts n posted datagrams, each sealing an inner payload of size
+// bytes.
+func (s *Stats) sent(n, size int) {
+	if n > 0 {
+		s.DatagramsSent.Add(int64(n))
+		s.BytesSent.Add(int64(n * (envHeaderLen + size)))
+	}
 }
 
 // sendFrame stamps the envelope header of a frame built in place
@@ -365,6 +446,13 @@ func (s *Stats) sendFrame(tr Transport, host int, frame []byte) {
 	tr.SendTo(host, frame)
 	s.DatagramsSent.Inc()
 	s.BytesSent.Add(int64(len(frame)))
+}
+
+// stalenessN samples age once for each of n records read at that age.
+func (s *Stats) stalenessN(age time.Duration, n int) {
+	for ; n > 0; n-- {
+		s.staleness(age)
+	}
 }
 
 func (s *Stats) staleness(age time.Duration) {
@@ -419,7 +507,7 @@ func Summarize(stats []*Stats) Summary {
 // Node is one manager's endpoint of the dissemination subsystem. The
 // emulation loop calls Publish once per period with the local report,
 // feeds every inbound control datagram to Receive, and reads the fused
-// remote view with RemoteFlows. Nodes are not safe for concurrent use;
+// remote view with AppendView. Nodes are not safe for concurrent use;
 // the deterministic simulation is single-threaded.
 type Node interface {
 	// Publish disseminates the manager's local report for this period.
@@ -431,16 +519,21 @@ type Node interface {
 	// payload stays owned by the caller, which recycles it once Receive
 	// returns: implementations only read it, and copy what they keep.
 	Receive(now time.Duration, payload []byte)
-	// RemoteFlows returns the node's current view of every other
-	// manager's flows, dropping entries not refreshed within maxAge.
-	// The result is deterministic: ordered by origin, then path. Links
-	// are lent exactly as by AppendRemoteFlows.
+	// AppendView appends the node's current view of every other
+	// manager's flows to buf, one OriginView per origin (per record for
+	// Tree, whose merged records each carry an age of their own), and
+	// drops entries not refreshed within maxAge. The records are lent,
+	// not copied: they stay owned by the node and are valid until its
+	// next Publish or Receive, which may recycle the storage behind them.
+	// Every record read samples Stats.Staleness, once. The result is
+	// deterministic: ordered by origin, then path.
+	AppendView(now, maxAge time.Duration, buf []OriginView) []OriginView
+	// RemoteFlows returns the view of AppendView as one RemoteFlow per
+	// record. Links are lent exactly as by AppendView.
 	RemoteFlows(now, maxAge time.Duration) []RemoteFlow
 	// AppendRemoteFlows is RemoteFlows appending into buf's storage, so a
 	// per-period caller reuses one buffer instead of allocating a view
-	// every tick. The returned entries' Links slices stay owned by the
-	// node and are valid until its next Publish or Receive, which may
-	// recycle the storage behind them; callers copy what they keep.
+	// every tick.
 	AppendRemoteFlows(now, maxAge time.Duration, buf []RemoteFlow) []RemoteFlow
 	// Stats exposes the node's control-plane counters.
 	Stats() *Stats
@@ -452,10 +545,41 @@ type endpoint struct {
 	host  int
 	tr    Transport
 	stats Stats
+
+	// appendView is the strategy's AppendView, which RemoteFlows and
+	// AppendRemoteFlows copy out of; view is their scratch.
+	appendView func(now, maxAge time.Duration, buf []OriginView) []OriginView
+	view       []OriginView
+	// stamps is the last OriginView.Stamp issued.
+	stamps uint64
 }
 
 // Stats exposes the node's control-plane counters.
 func (e *endpoint) Stats() *Stats { return &e.stats }
+
+// newStamp issues a shape stamp never issued before by this node.
+func (e *endpoint) newStamp() uint64 {
+	e.stamps++
+	return e.stamps
+}
+
+// RemoteFlows returns the view as one RemoteFlow per record.
+func (e *endpoint) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
+	return e.AppendRemoteFlows(now, maxAge, nil)
+}
+
+// AppendRemoteFlows copies the view's records into buf.
+func (e *endpoint) AppendRemoteFlows(now, maxAge time.Duration, buf []RemoteFlow) []RemoteFlow {
+	e.view = e.appendView(now, maxAge, e.view[:0])
+	for i := range e.view {
+		v := &e.view[i]
+		for r := 0; r < v.Len(); r++ {
+			bps, count, links := v.Record(r)
+			buf = append(buf, RemoteFlow{Origin: v.Origin, BPS: bps, Count: count, Links: links, Age: v.Age})
+		}
+	}
+	return buf
+}
 
 // New builds a node for manager host under the given configuration.
 // Config.NumHosts must be set: without it Tree would compute a bogus

@@ -89,8 +89,11 @@ type gossipNode struct {
 	pullGap  []int
 
 	// Scratch. folded is where Publish folds the local report; when the
-	// content changed it is swapped with the own entry's records.
+	// content changed it is swapped with the own entry's records. in is
+	// where receivePush decodes an adopted entry's records, swapped with
+	// the ones they replace.
 	folded   recSet
+	in       recSet
 	offsets  []int    // Publish: the period's ring offsets
 	suspects []int    // Publish: the suspects being probed
 	probe    []byte   // Publish: the vv-only probe sealed once per suspect
@@ -106,6 +109,7 @@ type gossipEntry struct {
 	ts   time.Duration
 	ttl  int // remaining infect-and-die hops (0 = cold)
 	recSet
+	shape uint64 // OriginView.Stamp of the records
 }
 
 func newGossipNode(cfg Config, host int, tr Transport) *gossipNode {
@@ -137,6 +141,7 @@ func newGossipNode(cfg Config, host int, tr Transport) *gossipNode {
 			n.live.watch(h)
 		}
 	}
+	n.appendView = n.AppendView
 	return n
 }
 
@@ -228,8 +233,9 @@ func (n *gossipNode) Publish(now time.Duration, msg *metadata.Message) {
 		if n.suspects = n.live.appendSuspects(n.suspects[:0]); len(n.suspects) > 0 {
 			n.probe = n.appendPush(n.probe[:0], now, nil)
 			for _, h := range n.suspects {
-				n.stats.send(n.tr, h, n.probe)
+				n.stats.post(n.tr, h, n.probe)
 			}
+			n.stats.sent(len(n.suspects), len(n.probe))
 		}
 	}
 }
@@ -428,9 +434,13 @@ func (n *gossipNode) receivePush(now time.Duration, from int, payload []byte) {
 		local := &n.entries[origin]
 		switch {
 		case !local.held, cver > local.cver && ts > local.ts:
+			n.in.reset()
+			n.in.readRecs(payload, recsOff, nrec, n.cfg.Wide)
+			if !local.held || !sameShape(local.recs, n.in.recs) {
+				local.shape = n.newStamp()
+			}
+			local.recSet, n.in = n.in, local.recSet
 			local.held, local.cver, local.ts, local.ttl = true, cver, ts, ttl
-			local.reset()
-			local.readRecs(payload, recsOff, nrec, n.cfg.Wide)
 			n.pullGap[origin] = 0 // content arrived: reset the pull backoff
 			if ttl > 0 {
 				fresh = append(fresh, wire.U16(origin, nil))
@@ -540,11 +550,7 @@ func (n *gossipNode) receivePull(now time.Duration, from int, payload []byte) {
 	}
 }
 
-func (n *gossipNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
-	return n.AppendRemoteFlows(now, maxAge, nil)
-}
-
-func (n *gossipNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
+func (n *gossipNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	// Heartbeats diffuse epidemically, so a live origin's ts at a distant
 	// node legitimately lags a couple of periods behind the origin's own
 	// clock. Expiry therefore tolerates maxAge plus a 2/3 diffusion
@@ -560,16 +566,8 @@ func (n *gossipNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFl
 		if !e.held || h == n.host || age > expire {
 			continue // unknown, or dead or unreachable: expired, but kept (cver)
 		}
-		for _, r := range e.recs {
-			out = append(out, RemoteFlow{
-				Origin: wire.U16(h, nil),
-				BPS:    r.bps,
-				Count:  r.count,
-				Links:  r.links,
-				Age:    age,
-			})
-			n.stats.staleness(age)
-		}
+		out = append(out, OriginView{Origin: wire.U16(h, nil), Age: age, Stamp: e.shape, recs: e.recs})
+		n.stats.stalenessN(age, len(e.recs))
 	}
 	return out
 }

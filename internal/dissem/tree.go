@@ -124,6 +124,7 @@ func newTreeNode(cfg Config, host int, tr Transport) *treeNode {
 		n.foster[h] = -1
 	}
 	n.reform()
+	n.appendView = n.AppendView
 	return n
 }
 
@@ -268,8 +269,9 @@ func (n *treeNode) Publish(now time.Duration, msg *metadata.Message) {
 			n.codec.parts = append(n.codec.parts, n.local)
 			n.probe = append(n.probe[:0], n.codec.encode(msgTreeUp, n.host, now, n.codec.merge(), &n.stats)...)
 			for _, h := range n.suspects {
-				n.stats.send(n.tr, h, n.probe)
+				n.stats.post(n.tr, h, n.probe)
 			}
+			n.stats.sent(len(n.suspects), len(n.probe))
 		}
 	}
 }
@@ -418,24 +420,18 @@ func (n *treeNode) adopt(slot *treeReport, now time.Duration) {
 	slot.held, slot.at = true, now
 }
 
-func (n *treeNode) RemoteFlows(now, maxAge time.Duration) []RemoteFlow {
-	return n.AppendRemoteFlows(now, maxAge, nil)
-}
-
-func (n *treeNode) AppendRemoteFlows(now, maxAge time.Duration, out []RemoteFlow) []RemoteFlow {
+// AppendView lends each merged record as a block of its own: a merged
+// record carries its own age and origin. Merging rebuilds the records on
+// every call, so every block gets a fresh stamp.
+func (n *treeNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	if n.extern.held && now-n.extern.at <= maxAge {
 		n.codec.parts = append(n.codec.parts, n.extern.recs)
 	}
 	n.queueUps(now, maxAge)
-	for _, r := range n.codec.merge() {
-		age := now - r.ts
-		out = append(out, RemoteFlow{
-			Origin: r.origin,
-			BPS:    clampU32(r.bps),
-			Count:  r.count,
-			Links:  r.links,
-			Age:    age,
-		})
+	merged := n.codec.merge()
+	for i := range merged {
+		age := now - merged[i].ts
+		out = append(out, OriginView{Origin: merged[i].origin, Age: age, Stamp: n.newStamp(), agg: merged[i : i+1 : i+1]})
 		n.stats.staleness(age)
 	}
 	return out
