@@ -378,6 +378,9 @@ func (m *Manager) disseminate() {
 // differs is priced anew, and so is every block after it: RemoteFlowID
 // numbers the records of the whole view, so a changed block moves the
 // ids of its successors.
+//
+// This walk is the view read the staleness statistics describe: each
+// block is sampled once, at its age, weighted by its record count.
 func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 	now, period := m.rt.Eng.Now(), m.rt.opts.Period
 	lats, gen := m.rt.linkLats()
@@ -395,11 +398,13 @@ func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 			Demand: m.demandLocal(&local[i]),
 		}
 	}
-	m.viewBuf = m.node.AppendView(now, 3*period, m.viewBuf[:0])
+	m.viewBuf = m.node.AppendView(now, dissem.ExpireAfter*period, m.viewBuf[:0])
+	st := m.node.Stats()
 	var stale, reused, priced int64
 	id, end := 0, 0 // the block's first RemoteFlowID index; end of the remote entries so far
 	for b := range m.viewBuf {
 		o := &m.viewBuf[b]
+		st.SampleStaleness(o.Age, o.Len())
 		// A usage report older than one period (hierarchical aggregation
 		// delay) cannot safely cap the flow: a low stale reading would
 		// hand its share to competitors and oversubscribe the link, since
@@ -429,7 +434,7 @@ func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 	v.truncate(len(m.viewBuf)) // drops the blocks of origins that left the view
 	all = all[:nl+end]
 	if stale > 0 {
-		m.node.Stats().StaleLinks.Add(stale)
+		st.StaleLinks.Add(stale)
 	}
 	m.viewReused.Add(reused)
 	m.viewPriced.Add(priced)

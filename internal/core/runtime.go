@@ -618,9 +618,6 @@ func (rt *Runtime) DissemStats() []*dissem.Stats {
 // applied so far is therefore TopologyGen()-1.
 func (rt *Runtime) TopologyGen() uint64 { return rt.live.Gen() }
 
-// DissemKind returns the deployed metadata-dissemination strategy.
-func (rt *Runtime) DissemKind() dissem.Kind { return rt.opts.Dissem.Kind }
-
 // Tracer returns the deployment's flight recorder (nil when tracing is
 // disabled).
 func (rt *Runtime) Tracer() *obs.Tracer { return rt.opts.Tracer }

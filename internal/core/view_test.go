@@ -23,7 +23,7 @@ import (
 // kept view is checked against (FuzzGlobalFlowsMatchesRebuild).
 func (m *Manager) globalFlowsRebuild(local []localFlow) []FlowDemand {
 	now := m.rt.Eng.Now()
-	stale := 3 * m.rt.opts.Period
+	stale := dissem.ExpireAfter * m.rt.opts.Period
 	lats, _ := m.rt.linkLats()
 	nLinks := len(lats)
 
@@ -41,6 +41,9 @@ func (m *Manager) globalFlowsRebuild(local []localFlow) []FlowDemand {
 	stats := m.node.Stats()
 	for i := range rfs {
 		rf := &rfs[i]
+		// The view is read once per period, here: every record is sampled
+		// at its age, as a block of one.
+		stats.SampleStaleness(rf.Age, 1)
 		start := len(arena)
 		var lat time.Duration
 		for _, l := range rf.Links {

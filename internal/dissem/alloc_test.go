@@ -72,6 +72,9 @@ func TestAllocationContract(t *testing.T) {
 	)
 	// A collection starting mid-call can allocate on the runtime's behalf.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// MemStats counts every goroutine's allocations: with one P, nothing
+	// else runs while a metered call does (as in testing.AllocsPerRun).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, row := range []struct {
 		name string
 		kind Kind
@@ -146,12 +149,6 @@ func TestAllocationContract(t *testing.T) {
 					round(warm, false)
 				}
 				for r := 0; r < measure; r++ {
-					// The staleness histogram keeps exact samples and grows
-					// (amortized, up to its cap) as views are read; emptied, it
-					// refills the capacity warm-up gave it.
-					for _, node := range nodes {
-						node.Stats().Staleness.Reset()
-					}
 					round(warm+r, true)
 					runtime.GC()
 				}

@@ -11,12 +11,13 @@ import (
 // broadcastNode is the paper's §4.2 exchange, extracted unchanged from the
 // original Emulation Manager: each period the full local report is encoded
 // once with the paper's wire format and unicast to every peer; the view is
-// simply the latest report from each peer, expiring after maxAge.
+// simply the latest report from each peer.
 //
 // Failure model: Broadcast is the one strategy that needs no suspicion
 // (Config.SuspectAfter is ignored) — it holds no per-peer protocol state
-// beyond the view itself, so a dead manager simply ages out after maxAge
-// and a restarted one reappears with its first report.
+// beyond the view itself, so a dead manager's report simply expires in
+// Publish, ExpireAfter periods after it arrived, and a restarted one
+// reappears with its first report.
 type broadcastNode struct {
 	endpoint
 
@@ -49,6 +50,13 @@ func (n *broadcastNode) Publish(now time.Duration, msg *metadata.Message) {
 	if msg == nil || n.cfg.NumHosts < 2 {
 		return
 	}
+	// Expire reports older than ExpireAfter periods (see Receive).
+	horizon := n.horizon(now)
+	for h := range n.remote {
+		if e := &n.remote[h]; e.at < horizon {
+			e.held = false
+		}
+	}
 	n.raw = metadata.AppendEncode(n.raw[:0], msg, n.cfg.Wide)
 	for h := 0; h < n.cfg.NumHosts; h++ {
 		if h != n.host {
@@ -77,7 +85,7 @@ func (n *broadcastNode) Receive(now time.Duration, payload []byte) {
 	// Duplicate or reordered-stale copy of a report already held: the
 	// held entry wins, so a duplicated datagram cannot refresh `at` and a
 	// displaced old report cannot roll the view backwards. Expiry in
-	// AppendView drops the entry, clearing the sequence state a
+	// Publish drops the entry, clearing the sequence state a
 	// cold-restarted sender would otherwise have to outrun.
 	e := &n.remote[from]
 	if e.held && !seqFresh(e.seq, seq) {
@@ -105,17 +113,9 @@ func sameFlowPaths(a, b []metadata.FlowRecord) bool {
 // caller's buffer.
 func (n *broadcastNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	for h := range n.remote {
-		e := &n.remote[h]
-		if !e.held {
-			continue
+		if e := &n.remote[h]; e.held && now-e.at <= maxAge {
+			out = append(out, OriginView{Origin: wire.U16(h, nil), Age: now - e.at, Stamp: e.shape, flows: e.msg.Flows})
 		}
-		age := now - e.at
-		if age > maxAge {
-			e.held = false
-			continue
-		}
-		out = append(out, OriginView{Origin: wire.U16(h, nil), Age: age, Stamp: e.shape, flows: e.msg.Flows})
-		n.stats.stalenessN(age, len(e.msg.Flows))
 	}
 	return out
 }

@@ -109,6 +109,14 @@ func (n *deltaNode) Publish(now time.Duration, msg *metadata.Message) {
 	if msg == nil || n.cfg.NumHosts < 2 {
 		return
 	}
+	// Expire the state of peers silent for ExpireAfter periods: the next
+	// report from one must be a full (receiveReport).
+	horizon := n.horizon(now)
+	for h := range n.peers {
+		if p := &n.peers[h]; p.refreshed < horizon {
+			p.held = false
+		}
+	}
 	// Advance the failure detector one period. A newly suspected peer's
 	// ack state is garbage-collected: it must neither pin the baseline
 	// nor, if stale, be trusted after the peer restarts with empty state.
@@ -507,17 +515,9 @@ func (n *deltaNode) maybeAck(typ byte, to int, seq uint32) {
 
 func (n *deltaNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	for h := range n.peers {
-		p := &n.peers[h]
-		if !p.held {
-			continue
+		if p := &n.peers[h]; p.held && now-p.refreshed <= maxAge {
+			out = append(out, OriginView{Origin: wire.U16(h, nil), Age: now - p.originTS, Stamp: p.shape, recs: p.flows.recs})
 		}
-		if now-p.refreshed > maxAge {
-			p.held = false
-			continue
-		}
-		age := now - p.originTS
-		out = append(out, OriginView{Origin: wire.U16(h, nil), Age: age, Stamp: p.shape, recs: p.flows.recs})
-		n.stats.stalenessN(age, len(p.flows.recs))
 	}
 	return out
 }

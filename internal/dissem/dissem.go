@@ -161,6 +161,12 @@ type Config struct {
 // periods, and the threshold every deployment runs with.
 const DefaultSuspectAfter = 3
 
+// ExpireAfter is the view horizon, in emulation periods. Broadcast and
+// Delta drop a peer's state, on their own clock, once its last refresh
+// predates their publish ExpireAfter ticks back; the emulation loop reads
+// its view at a maxAge of ExpireAfter periods.
+const ExpireAfter = 3
+
 // withDefaults returns a validated configuration's normalized copy.
 func (c Config) withDefaults() Config {
 	if c.Epsilon == 0 {
@@ -331,10 +337,11 @@ type Stats struct {
 	DatagramsRecv metrics.Counter
 	BytesRecv     metrics.Counter
 	// Staleness samples the age (milliseconds) of remote flows as the
-	// emulation loop reads the view. Long runs are decimated: once the
-	// histogram reaches maxStalenessSamples it is halved and further
-	// ages are recorded at double the stride, bounding memory while
-	// keeping the percentiles.
+	// emulation loop reads the view: the loop hands each view block it
+	// reads to SampleStaleness, while AppendView and RemoteFlows sample
+	// nothing. Long runs are decimated: once the histogram reaches
+	// maxStalenessSamples it is halved and further ages are recorded at
+	// double the stride, bounding memory while keeping the percentiles.
 	Staleness metrics.Histogram
 	// StaleLinks counts remote-flow link ids the consumer (the Emulation
 	// Manager) had to drop because they fall outside the live topology's
@@ -448,26 +455,25 @@ func (s *Stats) sendFrame(tr Transport, host int, frame []byte) {
 	s.BytesSent.Add(int64(len(frame)))
 }
 
-// stalenessN samples age once for each of n records read at that age.
-func (s *Stats) stalenessN(age time.Duration, n int) {
-	for ; n > 0; n-- {
-		s.staleness(age)
-	}
-}
-
-func (s *Stats) staleness(age time.Duration) {
+// SampleStaleness records one view block the emulation loop read: age
+// once for each of its records (OriginView.Age and Len). The loop is its
+// one caller, so Staleness describes the view the loop priced, whoever
+// else reads it.
+func (s *Stats) SampleStaleness(age time.Duration, records int) {
 	if s.staleStride == 0 {
 		s.staleStride = 1
 	}
-	s.staleSkip++
-	if s.staleSkip < s.staleStride {
-		return
-	}
-	s.staleSkip = 0
-	s.Staleness.AddDuration(age)
-	if s.Staleness.Count() >= maxStalenessSamples {
-		s.Staleness.Decimate()
-		s.staleStride *= 2
+	for ; records > 0; records-- {
+		s.staleSkip++
+		if s.staleSkip < s.staleStride {
+			continue
+		}
+		s.staleSkip = 0
+		s.Staleness.AddDuration(age)
+		if s.Staleness.Count() >= maxStalenessSamples {
+			s.Staleness.Decimate()
+			s.staleStride *= 2
+		}
 	}
 }
 
@@ -521,12 +527,15 @@ type Node interface {
 	Receive(now time.Duration, payload []byte)
 	// AppendView appends the node's current view of every other
 	// manager's flows to buf, one OriginView per origin (per record for
-	// Tree, whose merged records each carry an age of their own), and
-	// drops entries not refreshed within maxAge. The records are lent,
-	// not copied: they stay owned by the node and are valid until its
-	// next Publish or Receive, which may recycle the storage behind them.
-	// Every record read samples Stats.Staleness, once. The result is
-	// deterministic: ordered by origin, then path.
+	// Tree, whose merged records each carry an age of their own), leaving
+	// out entries not refreshed within maxAge. A read changes nothing: it
+	// expires no state (Broadcast and Delta drop a peer in Publish, see
+	// ExpireAfter) and samples no staleness (the emulation loop does, with
+	// Stats.SampleStaleness), so any reader may look at any time. The
+	// records are lent, not copied: they stay owned by the node and are
+	// valid until its next Publish, Receive or AppendView, which may
+	// recycle the storage behind them (Tree merges its view anew on every
+	// read). The result is deterministic: ordered by origin, then path.
 	AppendView(now, maxAge time.Duration, buf []OriginView) []OriginView
 	// RemoteFlows returns the view of AppendView as one RemoteFlow per
 	// record. Links are lent exactly as by AppendView.
@@ -552,6 +561,10 @@ type endpoint struct {
 	view       []OriginView
 	// stamps is the last OriginView.Stamp issued.
 	stamps uint64
+	// published rings the node's last ExpireAfter publish times, indexed
+	// by publish count: the clock Broadcast and Delta expire peers on.
+	published [ExpireAfter]time.Duration
+	publishes int
 }
 
 // Stats exposes the node's control-plane counters.
@@ -561,6 +574,18 @@ func (e *endpoint) Stats() *Stats { return &e.stats }
 func (e *endpoint) newStamp() uint64 {
 	e.stamps++
 	return e.stamps
+}
+
+// horizon ticks the publish clock at now and returns the time of the
+// node's publish ExpireAfter ticks back (0 before there was one): a peer
+// last refreshed before it has expired. Under a publish every period this
+// drops exactly what is older than ExpireAfter periods at now.
+func (e *endpoint) horizon(now time.Duration) time.Duration {
+	i := e.publishes % ExpireAfter
+	back := e.published[i]
+	e.published[i] = now
+	e.publishes++
+	return back
 }
 
 // RemoteFlows returns the view as one RemoteFlow per record.

@@ -394,6 +394,36 @@ func TestBroadcastViewAndExpiry(t *testing.T) {
 	}
 }
 
+// TestPublishExpiresSilentPeers: Broadcast and Delta drop a silent
+// peer's state on the node's own publish clock, once its last report
+// predates the node's publish ExpireAfter ticks back, whatever horizon
+// readers pass in between: a read at 0 hides the peer and keeps it, a
+// read at an hour shows it exactly until the publish that expires it.
+func TestPublishExpiresSilentPeers(t *testing.T) {
+	const period = 50 * time.Millisecond
+	for _, kind := range []Kind{Broadcast, Delta} {
+		h := newHarness(t, Config{Kind: kind}, 3)
+		msgs := []*metadata.Message{
+			hostMsg(0, metadata.FlowRecord{BPS: 100, Links: []uint16{0}}),
+			hostMsg(1, metadata.FlowRecord{BPS: 200, Links: []uint16{1}}),
+			hostMsg(2, metadata.FlowRecord{BPS: 300, Links: []uint16{2}}),
+		}
+		h.round(period, msgs)
+		h.kill(2)
+		for r := 1; r <= ExpireAfter+1; r++ {
+			h.round(period, msgs)
+			h.nodes[0].RemoteFlows(h.now, 0)
+			held := false
+			for _, rf := range h.nodes[0].RemoteFlows(h.now, time.Hour) {
+				held = held || rf.Origin == 2
+			}
+			if want := r <= ExpireAfter; held != want {
+				t.Errorf("%v: %d periods after host 2's last report, held = %v, want %v", kind, r, held, want)
+			}
+		}
+	}
+}
+
 func TestDeltaConvergesAndSuppresses(t *testing.T) {
 	const period = 50 * time.Millisecond
 	h := newHarness(t, Config{Kind: Delta, Epsilon: 0.05, ResyncEvery: 100}, 3)
@@ -706,10 +736,20 @@ func TestStatsCounters(t *testing.T) {
 		for i := range msgs {
 			msgs[i] = hostMsg(i, metadata.FlowRecord{BPS: 1000, Links: []uint16{uint16(i)}})
 		}
+		// Staleness is what the emulation loop samples: every block of the
+		// view it reads, once per record. Other reads sample nothing and
+		// expire nothing, even at a horizon that hides every record.
+		var view []OriginView
+		var records int64
 		for r := 0; r < 3; r++ {
 			h.round(period, msgs)
 			for _, n := range h.nodes {
-				n.RemoteFlows(h.now, 10*period)
+				n.RemoteFlows(h.now, 0)
+				view = n.AppendView(h.now, 10*period, view[:0])
+				for i := range view {
+					n.Stats().SampleStaleness(view[i].Age, view[i].Len())
+					records += int64(view[i].Len())
+				}
 			}
 		}
 		var sent, recvd, bytesSent, bytesRecvd, stale int64
@@ -724,8 +764,8 @@ func TestStatsCounters(t *testing.T) {
 		if sent == 0 || sent != recvd || bytesSent == 0 || bytesSent != bytesRecvd {
 			t.Errorf("%v: sent %d/%dB recv %d/%dB", kind, sent, bytesSent, recvd, bytesRecvd)
 		}
-		if stale == 0 {
-			t.Errorf("%v: no staleness samples", kind)
+		if records == 0 || stale != records {
+			t.Errorf("%v: %d staleness samples for %d records read", kind, stale, records)
 		}
 		sum := Summarize([]*Stats{h.nodes[0].Stats(), h.nodes[1].Stats(), nil})
 		if sum.DatagramsSent != h.nodes[0].Stats().DatagramsSent.Value()+h.nodes[1].Stats().DatagramsSent.Value() {

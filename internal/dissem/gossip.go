@@ -567,7 +567,6 @@ func (n *gossipNode) AppendView(now, maxAge time.Duration, out []OriginView) []O
 			continue // unknown, or dead or unreachable: expired, but kept (cver)
 		}
 		out = append(out, OriginView{Origin: wire.U16(h, nil), Age: age, Stamp: e.shape, recs: e.recs})
-		n.stats.stalenessN(age, len(e.recs))
 	}
 	return out
 }

@@ -430,9 +430,7 @@ func (n *treeNode) AppendView(now, maxAge time.Duration, out []OriginView) []Ori
 	n.queueUps(now, maxAge)
 	merged := n.codec.merge()
 	for i := range merged {
-		age := now - merged[i].ts
-		out = append(out, OriginView{Origin: merged[i].origin, Age: age, Stamp: n.newStamp(), agg: merged[i : i+1 : i+1]})
-		n.stats.staleness(age)
+		out = append(out, OriginView{Origin: merged[i].origin, Age: now - merged[i].ts, Stamp: n.newStamp(), agg: merged[i : i+1 : i+1]})
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/dissem"
 	"repro/internal/packet"
 	"repro/kollaps"
 )
@@ -39,7 +40,7 @@ type dumbbell struct {
 // non-nil) is asked before each send whether flow is on at now.
 func newDumbbell(name string, n int, period time.Duration, plan *chaos.Plan,
 	gate func(flow int, now time.Duration) bool, opts ...kollaps.Option) *dumbbell {
-	d := &dumbbell{name: name, n: n, period: period, maxAge: 3 * period,
+	d := &dumbbell{name: name, n: n, period: period, maxAge: dissem.ExpireAfter * period,
 		received: make([]int64, dissemFlowsPerHost*n)}
 	d.exp = mustKollaps(dissemScaleYAML(n), n, plan, append(opts, kollaps.WithPeriod(period))...)
 	interval := time.Duration(float64(cbrPayload*8) / 8e6 * float64(time.Second))

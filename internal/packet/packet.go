@@ -232,18 +232,6 @@ func (pl *Pool) ReleaseFrame(f []byte) {
 // unless an owner dropped one without releasing it.
 func (pl *Pool) Outstanding() (packets, frames int) { return pl.out, pl.framesOut }
 
-// FlowKey identifies a (src container, dst container) aggregate — the
-// granularity at which Kollaps enforces bandwidth (§3: per destination,
-// not per flow).
-type FlowKey struct {
-	Src, Dst IP
-}
-
-func (k FlowKey) String() string { return k.Src.String() + "->" + k.Dst.String() }
-
-// Key returns the packet's flow key.
-func (p *Packet) Key() FlowKey { return FlowKey{Src: p.Src, Dst: p.Dst} }
-
 // Handler consumes delivered packets.
 type Handler func(*Packet)
 

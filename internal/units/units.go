@@ -28,9 +28,6 @@ const (
 // Bps returns the bandwidth in bytes per second.
 func (b Bandwidth) Bps() float64 { return float64(b) / 8 }
 
-// BitsPerSecond returns the raw bits-per-second value as a float.
-func (b Bandwidth) BitsPerSecond() float64 { return float64(b) }
-
 // TimeToSend returns how long it takes to serialize n bytes at rate b.
 // A zero or negative bandwidth is treated as infinitely fast.
 func (b Bandwidth) TimeToSend(n int) time.Duration {
