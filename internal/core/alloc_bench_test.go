@@ -24,8 +24,10 @@ var allocBenchSizes = []int{16, 64, 256, 1024}
 // TestAllocateAllocatesNothing holds the indexed solver to 0 allocs/op
 // once its arena has grown to the working set: on the benchmark inputs at
 // every size, on weighted aggregate entries (Weight 1–8), whose
-// per-underlying-flow loops are a separate path, and on a many-round
-// solve (flapShapedAllocation), which re-keys its heaps every round.
+// per-underlying-flow loops are a separate path, on a many-round solve
+// over shared links (sharedPathAllocation), which re-keys its heap every
+// round, and on scalefree_flap's chain-shaped solve (flapSolveShape),
+// greedy and demand-aware, whose flows key their single-flow links.
 func TestAllocateAllocatesNothing(t *testing.T) {
 	type input struct {
 		name  string
@@ -42,8 +44,12 @@ func TestAllocateAllocatesNothing(t *testing.T) {
 		flows[i].Weight = 1 + i%8
 	}
 	inputs = append(inputs, input{"weighted N=256", DenseCaps(capsMap, nil), flows})
-	caps, flows := flapShapedAllocation(42)
-	inputs = append(inputs, input{"scalefree_flap-shaped", caps, flows})
+	caps, flows := sharedPathAllocation(42)
+	inputs = append(inputs, input{"10-link shared paths", caps, flows})
+	for _, demands := range []bool{false, true} {
+		caps, flows := flapSolveShape(42, demands)
+		inputs = append(inputs, input{fmt.Sprintf("scalefree_flap-shaped demands=%v", demands), caps, flows})
+	}
 
 	for _, in := range inputs {
 		var s AllocState
@@ -57,11 +63,11 @@ func TestAllocateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// flapShapedAllocation is one scalefree_flap solve in shape: a sparse
-// table of 4 096 links, of which the flows cross about 240, and 50
+// sharedPathAllocation is a many-round solve over mostly shared links: a
+// sparse table of 4 096 links, of which the flows cross about 240, and 50
 // demand-capped flows on 10-link paths, so nearly every flow freezes in a
 // round of its own.
-func flapShapedAllocation(seed int64) ([]float64, []FlowDemand) {
+func sharedPathAllocation(seed int64) ([]float64, []FlowDemand) {
 	rng := rand.New(rand.NewSource(seed))
 	caps := make([]float64, 4096)
 	for i := range caps {
@@ -88,6 +94,46 @@ func flapShapedAllocation(seed int64) ([]float64, []FlowDemand) {
 	return caps, flows
 }
 
+// flapSolveShape is one scalefree_flap solve in shape: at seed 1 that
+// workload's solve crosses about 235 links, 93 % of them single-flow,
+// through 253 link→flow entries. Here 49 ping flows on a sparse table of
+// 4 096 links each cross a run of 4–5 links no other flow crosses, and 18
+// links are shared by two flows (seed 1: 239 links, 221 single-flow, 257
+// entries). With demands, every flow is capped at the pings' 20 kb/s,
+// far below any link's fill level.
+func flapSolveShape(seed int64, demands bool) ([]float64, []FlowDemand) {
+	rng := rand.New(rand.NewSource(seed))
+	caps := make([]float64, 4096)
+	for i := range caps {
+		caps[i] = math.NaN()
+	}
+	ids := rng.Perm(len(caps))
+	link := func() int {
+		l := ids[0]
+		ids = ids[1:]
+		caps[l] = float64(units.Bandwidth(10+rng.Intn(990)) * units.Mbps)
+		return l
+	}
+	flows := make([]FlowDemand, 49)
+	for i := range flows {
+		links := make([]int, 4+rng.Intn(2))
+		for j := range links {
+			links[j] = link()
+		}
+		flows[i] = FlowDemand{ID: FlowID(i), Links: links, RTT: time.Duration(1+rng.Intn(200)) * time.Millisecond}
+		if demands {
+			flows[i].Demand = 20 * units.Kbps
+		}
+	}
+	for k := 0; k < 18; k++ {
+		l, a := link(), rng.Intn(len(flows))
+		b := (a + 1 + rng.Intn(len(flows)-1)) % len(flows)
+		flows[a].Links = append(flows[a].Links, l)
+		flows[b].Links = append(flows[b].Links, l)
+	}
+	return caps, flows
+}
+
 func BenchmarkAllocate(b *testing.B) {
 	for _, n := range allocBenchSizes {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -101,6 +147,22 @@ func BenchmarkAllocate(b *testing.B) {
 				out = s.Allocate(caps, flows, out)
 			}
 			_ = out
+		})
+	}
+	for _, demands := range []bool{false, true} {
+		name := "scalefree_flap/greedy"
+		if demands {
+			name = "scalefree_flap/demand-aware"
+		}
+		b.Run(name, func(b *testing.B) {
+			caps, flows := flapSolveShape(1, demands)
+			var s AllocState
+			var out []Allocation
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out = s.Allocate(caps, flows, out)
+			}
 		})
 	}
 }

@@ -18,7 +18,7 @@
 //
 // The solver here is the indexed, allocation-free form: all intermediate
 // state lives in a reusable AllocState arena (dense per-link slots, a
-// link→flow CSR index and two selection heaps), so that at Table-4 scale
+// link→flow CSR index and one selection heap), so that at Table-4 scale
 // the §4.1 emulation loop does no steady-state allocation, and a round
 // costs what its freezes changed rather than a rescan of every link and
 // flow. AllocState.Allocate is the package's one solver entry point. The
@@ -133,12 +133,11 @@ type AllocState struct {
 	csr       []int32 // link→flow index storage
 	dirtyHead int32   // the dirty links, listed through linkSlot.nextDirty; -1 ends
 
-	// The selection heaps of rounds 2 onward: the links, keyed by theta
-	// and re-keyed when a freeze dirties them, and the demand-capped
-	// flows, keyed by demTheta. An exhausted link or a frozen flow is
-	// popped when it reaches the top.
-	links   keyHeap
-	demands keyHeap
+	// The selection heap of rounds 2 onward (see buildHeap): the shared
+	// links, re-keyed when a freeze dirties them, and one key per unfrozen
+	// flow, fixed until it freezes. A key whose link has no unfrozen flow
+	// left, or whose flow froze, is popped when it reaches the top.
+	heap keyHeap
 
 	remaining int
 }
@@ -209,14 +208,16 @@ func (s *AllocState) nextStamp() uint32 {
 // state is dense (no maps), the link→flow index is a CSR built once per
 // call (no per-round set compaction), and the tightest constraint comes
 // off a heap instead of a per-round sort and rescan. Round 1 scans the
-// links and demands once. A call that needs a second round heapifies its
-// links on (theta, link id) and its demand-capped flows on (demTheta,
-// flow index); after each round only the links its freezes crossed are
-// re-summed and re-keyed, and links left without an unfrozen flow and
-// frozen demands are popped when they reach the top. The (theta, id)
-// order is the reference's ascending-id scan with strict <, and a demand
-// still displaces a link only when strictly tighter, so every round
-// freezes the same flows. Each re-sum walks the CSR bucket in the same
+// links and demands once. A call that needs a second round heapifies one
+// key per link that two or more flows cross and one per unfrozen flow:
+// the least of its demand and the links only it crosses, whose keys stay
+// fixed until it freezes. After each round only the shared links its
+// freezes crossed are re-summed and re-keyed, and the keys of emptied
+// links and frozen flows are popped when they reach the top. The heap
+// orders by theta, then a link before a demand, then id: the reference's
+// ascending-id scan with strict <, where a demand displaces a link only
+// when strictly tighter, so every round freezes the same flows. Each
+// re-sum walks the CSR bucket in the same
 // (flow index) order the reference sums its per-link sets in, so every
 // theta, every tie-break and every rounded rate is reproduced bit for
 // bit — the differential tests hold to exact equality.
@@ -241,12 +242,11 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 	// from older generations are harmless; equal stamps are not), so grow
 	// them zero-filled instead of with arbitrary reused contents.
 	s.lk = growLinks(s.lk, L)
-	// The heaps are sized with the rest of the arena on every call — the
-	// link heap by the table, not by the active link count, which moves
-	// with every route change — so they grow when the arena does, not
-	// first in some later call that needs a second round.
-	s.links.e = grow(s.links.e, L)
-	s.demands.e = grow(s.demands.e, n)
+	// The heap is sized with the rest of the arena on every call — by the
+	// table and the flows, not by the active link count, which moves with
+	// every route change — so it grows when the arena does, not first in
+	// some later call that needs a second round.
+	s.heap.e = grow(s.heap.e, L+n)
 
 	inf := math.Inf(1)
 	for i := range flows {
@@ -371,7 +371,7 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 			break
 		}
 		if round == 1 {
-			s.buildHeaps()
+			s.buildHeap(caps, flows)
 		} else {
 			s.rekey()
 		}
@@ -415,37 +415,52 @@ func (s *AllocState) scan() (bestTheta float64, bestLink, bestFlow int) {
 	return bestTheta, bestLink, bestFlow
 }
 
-// buildHeaps heapifies the links that still have an unfrozen flow, with
-// the weight sums round 1 dirtied re-summed first, and the unfrozen
-// demand-capped flows, once a call needs a second round.
-func (s *AllocState) buildHeaps() {
+// buildHeap heapifies, once a call needs a second round, one key per
+// shared link (a CSR bucket of two or more flows) that still has an
+// unfrozen flow, with the weight sums round 1 dirtied re-summed first, and
+// one per unfrozen flow: the least of its demand and its single-flow
+// links. Only a freeze of a flow crossing a link moves the link's key, so
+// a single-flow link's key is fixed until its one flow freezes, and the
+// flow's key stands for all of them. A demand's id is the table length
+// plus the flow index, so at an equal theta a link comes first.
+func (s *AllocState) buildHeap(caps []float64, flows []FlowDemand) {
 	for l := s.dirtyHead; l >= 0; l = s.lk[l].nextDirty {
 		s.lk[l].dirty = false
 		s.resum(&s.lk[l])
 	}
 	s.dirtyHead = -1
-	s.links = keyHeap{e: s.links.e[:0], lk: s.lk}
+	s.heap = keyHeap{e: s.heap.e[:0], lk: s.lk}
 	for _, l := range s.active {
-		if ls := &s.lk[l]; ls.unfro > 0 {
-			ls.pos = int32(len(s.links.e))
-			s.links.e = append(s.links.e, heapKey{ls.theta(), l})
+		if ls := &s.lk[l]; ls.unfro > 0 && ls.end-ls.start > 1 {
+			ls.pos = int32(len(s.heap.e))
+			s.heap.e = append(s.heap.e, heapKey{ls.theta(), l})
 		}
 	}
-	s.links.heapify()
-
-	s.demands.e = s.demands.e[:0]
+	L := len(caps)
 	for i := range s.fl {
-		if fs := &s.fl[i]; !fs.frozen && fs.demTheta < math.Inf(1) {
-			s.demands.e = append(s.demands.e, heapKey{fs.demTheta, int32(i)})
+		if s.fl[i].frozen {
+			continue
+		}
+		k := heapKey{s.fl[i].demTheta, int32(L + i)}
+		for _, l := range flows[i].Links {
+			if l < 0 || l >= L || math.IsNaN(caps[l]) || s.lk[l].end-s.lk[l].start > 1 {
+				continue
+			}
+			if lk := (heapKey{s.lk[l].theta(), int32(l)}); lk.less(k) {
+				k = lk
+			}
+		}
+		if k.theta < math.Inf(1) {
+			s.heap.e = append(s.heap.e, k)
 		}
 	}
-	s.demands.heapify()
+	s.heap.heapify()
 }
 
 // rekey re-sums the links the last round's freezes dirtied and fixes
 // their heap keys. Only a freeze moves a link's capacity or weight sum,
 // so no other key changed. A link left without an unfrozen flow keeps
-// its last key until pick pops it.
+// its last key until pick pops it; a dirty single-flow link is one.
 func (s *AllocState) rekey() {
 	for l := s.dirtyHead; l >= 0; l = s.lk[l].nextDirty {
 		ls := &s.lk[l]
@@ -454,8 +469,8 @@ func (s *AllocState) rekey() {
 			continue
 		}
 		s.resum(ls)
-		s.links.e[ls.pos].theta = ls.theta()
-		s.links.fix(int(ls.pos))
+		s.heap.e[ls.pos].theta = ls.theta()
+		s.heap.fix(int(ls.pos))
 	}
 	s.dirtyHead = -1
 }
@@ -477,35 +492,27 @@ func (s *AllocState) resum(ls *linkSlot) {
 	ls.sumW = sw
 }
 
-// pick takes the tightest constraint off the heaps under scan's rule:
-// the least (theta, link id) link, unless the least (demTheta, flow
-// index) unfrozen demand is strictly below it. Links without an unfrozen
-// flow and frozen demands are popped on the way.
+// pick takes the tightest constraint off the heap: its least live key,
+// unless that key's theta is +Inf, which never binds. A link's key is
+// stale once no unfrozen flow crosses the link, a demand's once its flow
+// froze; stale keys are popped on the way.
 func (s *AllocState) pick() (bestTheta float64, bestLink, bestFlow int) {
-	bestTheta, bestLink, bestFlow = math.Inf(1), -1, -1
-	for len(s.links.e) > 0 {
-		top := s.links.e[0]
-		if s.lk[top.id].unfro == 0 {
-			s.links.pop()
+	L := int32(len(s.lk))
+	for len(s.heap.e) > 0 {
+		top := s.heap.e[0]
+		if top.id < L && s.lk[top.id].unfro == 0 || top.id >= L && s.fl[top.id-L].frozen {
+			s.heap.pop()
 			continue
 		}
-		if top.theta < bestTheta {
-			bestTheta, bestLink = top.theta, int(top.id)
+		if top.theta == math.Inf(1) {
+			break
 		}
-		break
+		if top.id < L {
+			return top.theta, int(top.id), -1
+		}
+		return top.theta, -2, int(top.id - L)
 	}
-	for len(s.demands.e) > 0 {
-		top := s.demands.e[0]
-		if s.fl[top.id].frozen {
-			s.demands.pop()
-			continue
-		}
-		if top.theta < bestTheta {
-			bestTheta, bestLink, bestFlow = top.theta, -2, int(top.id)
-		}
-		break
-	}
-	return bestTheta, bestLink, bestFlow
+	return math.Inf(1), -1, -1
 }
 
 // freeze fixes flow fi at unitRate per underlying flow and withdraws it
@@ -522,7 +529,12 @@ func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation
 	if unitRate < 0 {
 		unitRate = 0
 	}
-	out[fi].Rate = units.Bandwidth(unitRate + 0.5)
+	// A rate at or past 2^63 b/s saturates instead of wrapping negative.
+	if r := unitRate + 0.5; r < math.MaxInt64 {
+		out[fi].Rate = units.Bandwidth(r)
+	} else {
+		out[fi].Rate = math.MaxInt64
+	}
 	out[fi].Bottleneck = bottleneck
 	L := len(caps)
 	gen := s.nextStamp()
@@ -550,8 +562,10 @@ func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation
 	}
 }
 
-// heapKey orders the solver's heaps: the smaller theta first, ties to the
+// heapKey orders the solver's heap: the smaller theta first, ties to the
 // smaller id — the order an ascending-id scan with strict < selects in.
+// A link's id is its link id, a demand's the table length plus its flow
+// index, so at an equal theta every link precedes every demand.
 type heapKey struct {
 	theta float64
 	id    int32
@@ -561,9 +575,9 @@ func (a heapKey) less(b heapKey) bool {
 	return a.theta < b.theta || a.theta == b.theta && a.id < b.id
 }
 
-// keyHeap is a binary min-heap of heapKeys. When lk is non-nil the ids
-// are link ids and lk[id].pos holds each entry's index in e, so an entry
-// can be re-keyed in place.
+// keyHeap is a binary min-heap of heapKeys. For an id that is a link id,
+// lk[id].pos holds the entry's index in e, so a shared link's entry can
+// be re-keyed in place.
 type keyHeap struct {
 	e  []heapKey
 	lk []linkSlot
@@ -571,13 +585,13 @@ type keyHeap struct {
 
 func (h *keyHeap) place(i int, k heapKey) {
 	h.e[i] = k
-	if h.lk != nil {
+	if int(k.id) < len(h.lk) {
 		h.lk[k.id].pos = int32(i)
 	}
 }
 
-// heapify orders e in O(len(e)); with lk, every entry's pos must already
-// be its index.
+// heapify orders e in O(len(e)); every link entry's pos must already be
+// its index.
 func (h *keyHeap) heapify() {
 	for i := len(h.e)/2 - 1; i >= 0; i-- {
 		h.down(i)

@@ -95,6 +95,11 @@ func TestAllocateSyntheticMatchesReference(t *testing.T) {
 		caps, flows := SyntheticAllocation(n, n/2+8, 42)
 		sameAllocations(t, "synthetic", Allocate(caps, flows), AllocateReference(caps, flows))
 	}
+	for _, demands := range []bool{false, true} {
+		caps, flows := flapSolveShape(1, demands)
+		var s AllocState
+		matchesReference(t, fmt.Sprintf("scalefree_flap-shaped demands=%v", demands), &s, caps, flows)
+	}
 }
 
 // expandWeights turns every Weight-w entry into w duplicate unit entries —
@@ -410,33 +415,120 @@ func matchesReference(t *testing.T, label string, s *AllocState, caps []float64,
 	}
 }
 
+// chainCase draws an instance shaped like a scale-free topology's solve:
+// each flow crosses its own run of 1–6 links no other flow crosses (in
+// random id order, sometimes one repeated), plus up to three of a few
+// links the flows share. Capacities are multiples of 10 Mb/s, three in
+// four RTTs are 10 ms and demands are 0, 5, 10 or 20 Mb/s, so a
+// single-flow link, a shared link (20 Mb/s over two flows) and a demand
+// meet at one theta round after round — the ties the solver's one heap
+// orders by theta, then link before demand, then id.
+func chainCase(rng *rand.Rand, nFlows int) ([]float64, []FlowDemand) {
+	caps := make([]float64, 2*tieTable) // room for 1 024 flows' private runs
+	for i := range caps {
+		caps[i] = math.NaN()
+	}
+	ids := rng.Perm(len(caps))
+	next := func() int {
+		l := ids[0]
+		ids = ids[1:]
+		caps[l] = float64(units.Bandwidth(10*(1+rng.Intn(4))) * units.Mbps)
+		return l
+	}
+	shared := make([]int, nFlows/8+2)
+	for i := range shared {
+		shared[i] = next()
+	}
+	flows := make([]FlowDemand, nFlows)
+	for i := range flows {
+		var links []int
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			links = append(links, next())
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			links = append(links, shared[rng.Intn(len(shared))])
+		}
+		if rng.Intn(8) == 0 {
+			links = append(links, links[rng.Intn(len(links))])
+		}
+		rng.Shuffle(len(links), func(a, b int) { links[a], links[b] = links[b], links[a] })
+		rtt := 10 * time.Millisecond
+		if rng.Intn(4) == 0 {
+			rtt = 20 * time.Millisecond
+		}
+		var demand units.Bandwidth
+		if r := rng.Intn(4); r > 0 {
+			demand = units.Bandwidth(5<<(r-1)) * units.Mbps
+		}
+		weight := 0
+		if rng.Intn(8) == 0 {
+			weight = 2
+		}
+		flows[i] = FlowDemand{ID: FlowID(i), Links: links, RTT: rtt, Demand: demand, Weight: weight}
+	}
+	return caps, flows
+}
+
 // TestAllocateTiesMatchReference holds the solver to the reference where
 // the order in which equal constraints are taken decides the outcome, on
-// one shared arena, from single flows up to 1 024 over the sparse table.
+// one shared arena, from single flows up to 1 024 over the sparse table:
+// tieCase's instances and chainCase's, whose single-flow links the heap
+// keys through their flows.
 func TestAllocateTiesMatchReference(t *testing.T) {
 	var s AllocState
 	rng := rand.New(rand.NewSource(38))
-	for _, n := range []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144} {
-		for iter := 0; iter < 20; iter++ {
-			caps, flows := tieCase(rng, n)
-			matchesReference(t, fmt.Sprintf("N=%d #%d", n, iter), &s, caps, flows)
+	for _, gen := range []struct {
+		name string
+		draw func(*rand.Rand, int) ([]float64, []FlowDemand)
+	}{{"tie", tieCase}, {"chain", chainCase}} {
+		for _, n := range []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144} {
+			for iter := 0; iter < 20; iter++ {
+				caps, flows := gen.draw(rng, n)
+				matchesReference(t, fmt.Sprintf("%s N=%d #%d", gen.name, n, iter), &s, caps, flows)
+			}
 		}
-	}
-	for _, n := range []int{256, 1024} {
-		caps, flows := tieCase(rng, n)
-		matchesReference(t, fmt.Sprintf("N=%d", n), &s, caps, flows)
+		for _, n := range []int{256, 1024} {
+			caps, flows := gen.draw(rng, n)
+			matchesReference(t, fmt.Sprintf("%s N=%d", gen.name, n), &s, caps, flows)
+		}
 	}
 }
 
-// FuzzAllocateMatchesReference explores tieCase beyond the seeded test:
-// size picks 1–1 024 flows.
+// TestAllocateSelectionTies pins the heap's two tie rules on inputs where
+// a second round decides (round 1 takes flow 0's 5 Mb/s link): a flow's
+// single-flow link beats its own demand at an equal theta, and of a flow's
+// single-flow links at one theta the one with the smaller id binds.
+func TestAllocateSelectionTies(t *testing.T) {
+	rtt := 10 * time.Millisecond
+	first := FlowDemand{ID: 0, Links: []int{1}, RTT: rtt}
+	for _, tc := range []struct {
+		name string
+		flow FlowDemand
+	}{
+		{"link before demand", FlowDemand{ID: 1, Links: []int{2}, RTT: rtt, Demand: 10 * units.Mbps}},
+		{"single-flow links by id", FlowDemand{ID: 1, Links: []int{3, 2}, RTT: rtt}},
+	} {
+		caps := DenseCaps(map[int]units.Bandwidth{1: 5 * units.Mbps, 2: 10 * units.Mbps, 3: 10 * units.Mbps}, nil)
+		var s AllocState
+		matchesReference(t, tc.name, &s, caps, []FlowDemand{first, tc.flow})
+		if got := s.Allocate(caps, []FlowDemand{first, tc.flow}, nil)[1].Bottleneck; got != 2 {
+			t.Fatalf("%s: bottleneck %d, want link 2", tc.name, got)
+		}
+	}
+}
+
+// FuzzAllocateMatchesReference explores tieCase and chainCase beyond the
+// seeded test: size picks 1–1 024 flows, and both generators draw from
+// the seed.
 func FuzzAllocateMatchesReference(f *testing.F) {
 	for _, n := range []uint16{0, 7, 63, 1023} {
 		f.Add(int64(n), n)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, size uint16) {
-		caps, flows := tieCase(rand.New(rand.NewSource(seed)), 1+int(size)%1024)
 		var s AllocState
-		matchesReference(t, "fuzz", &s, caps, flows)
+		caps, flows := tieCase(rand.New(rand.NewSource(seed)), 1+int(size)%1024)
+		matchesReference(t, "fuzz tie", &s, caps, flows)
+		caps, flows = chainCase(rand.New(rand.NewSource(seed)), 1+int(size)%1024)
+		matchesReference(t, "fuzz chain", &s, caps, flows)
 	})
 }

@@ -198,6 +198,31 @@ func TestAllocateNoConstraints(t *testing.T) {
 	}
 }
 
+// TestAllocateSaturatesAtMaxInt64 pins the rate conversion at the top of
+// the range: a greedy flow alone on a link declared at math.MaxInt64 b/s
+// (2^63 as a float) is allocated math.MaxInt64, not a wrapped negative
+// rate, while two flows sharing the link keep the exact 2^62 each.
+func TestAllocateSaturatesAtMaxInt64(t *testing.T) {
+	caps := map[int]units.Bandwidth{0: math.MaxInt64}
+	flow := FlowDemand{Links: []int{0}, RTT: time.Second}
+	for _, tc := range []struct {
+		flows int
+		want  units.Bandwidth
+	}{{1, math.MaxInt64}, {2, 1 << 62}} {
+		flows := make([]FlowDemand, tc.flows)
+		for i := range flows {
+			flows[i] = flow
+			flows[i].ID = FlowID(i)
+		}
+		for i, a := range Allocate(caps, flows) {
+			if a.Rate != tc.want || a.Bottleneck != 0 {
+				t.Errorf("%d flows: flow %d got (rate %d, bottleneck %d), want (rate %d, bottleneck 0)",
+					tc.flows, i, a.Rate, a.Bottleneck, tc.want)
+			}
+		}
+	}
+}
+
 func TestAllocateEmpty(t *testing.T) {
 	if got := Allocate(map[int]units.Bandwidth{0: units.Mbps}, nil); len(got) != 0 {
 		t.Errorf("empty flows -> %d allocations", len(got))

@@ -227,6 +227,24 @@ func TestValidateLinkProps(t *testing.T) {
 	}
 }
 
+// TestParseOutOfRangeBandwidth: a rate too large for a Bandwidth, on a
+// declared link or a dynamic event, fails the parse with an error that
+// names the rate as written, not a wrapped negative one.
+func TestParseOutOfRangeBandwidth(t *testing.T) {
+	const rate = "99999999999Gbps"
+	link := "experiment:\n  services:\n    name: a\n    name: b\n  links:\n    orig: a\n    dest: b\n    up: 10Mbps\n"
+	for _, src := range []string{
+		strings.Replace(link, "up: 10Mbps", "up: "+rate, 1),
+		link + "    down: " + rate + "\n",
+		strings.Replace(link, "up: 10Mbps", "bandwidth: "+rate, 1),
+		link + "dynamic:\n  orig: a\n  dest: b\n  time: 1\n  up: " + rate + "\n",
+	} {
+		if _, err := ParseYAML(src); err == nil || !strings.Contains(err.Error(), rate) {
+			t.Errorf("ParseYAML = %v, want an error naming %s\n%s", err, rate, src)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"experiment:\n  services:\n    name: a\n  links:\n    orig a", // missing colon

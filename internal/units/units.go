@@ -7,6 +7,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -72,7 +73,8 @@ func (b Bandwidth) String() string {
 //
 //	"10Mbps", "10 Mbps", "10Mb/s", "10M", "128Kbps", "1Gb/s", "9600bps", "9600"
 //
-// A bare number is interpreted as bits per second.
+// A bare number is interpreted as bits per second. A rate at or past
+// 2^63 b/s does not fit a Bandwidth and is an error.
 func ParseBandwidth(s string) (Bandwidth, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -99,7 +101,11 @@ func ParseBandwidth(s string) (Bandwidth, error) {
 	if err != nil {
 		return 0, fmt.Errorf("units: bad bandwidth %q: %v", s, err)
 	}
-	return Bandwidth(v * float64(mult)), nil
+	bps := v * float64(mult)
+	if bps >= math.MaxInt64 {
+		return 0, fmt.Errorf("units: bandwidth %q out of range", s)
+	}
+	return Bandwidth(bps), nil
 }
 
 func bandwidthUnit(u string) (Bandwidth, error) {

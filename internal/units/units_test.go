@@ -1,6 +1,8 @@
 package units
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,6 +27,7 @@ func TestParseBandwidth(t *testing.T) {
 		{"100 Mbps", 100 * Mbps},
 		{"50Mb/s", 50 * Mbps},
 		{"0Mbps", 0},
+		{"9223372036854774784bps", 9223372036854774784}, // the largest float below 2^63
 	}
 	for _, c := range cases {
 		got, err := ParseBandwidth(c.in)
@@ -42,6 +45,19 @@ func TestParseBandwidthErrors(t *testing.T) {
 	for _, in := range []string{"", "Mbps", "10Xbps", "-5Mbps", "10..5Mbps", "ten Mbps"} {
 		if _, err := ParseBandwidth(in); err == nil {
 			t.Errorf("ParseBandwidth(%q): expected error", in)
+		}
+	}
+}
+
+// TestParseBandwidthOutOfRange pins the top of the range: rates that do
+// not fit an int64 are an error that quotes the input, not a wrapped
+// negative Bandwidth (TestParseBandwidth parses the largest float below
+// 2^63).
+func TestParseBandwidthOutOfRange(t *testing.T) {
+	for _, in := range []string{"99999999999Gbps", "9223372036854775807bps", "9223372036854775808", "9223372037Gbps"} {
+		got, err := ParseBandwidth(in)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(in)) {
+			t.Errorf("ParseBandwidth(%q) = %d, %v; want an error quoting the input", in, got, err)
 		}
 	}
 }
