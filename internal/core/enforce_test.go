@@ -233,6 +233,32 @@ func TestEnforceMatchesFreshSolves(t *testing.T) {
 	}
 }
 
+// TestEnforceFitsMatchFreshSolves is the Manager-level differential for
+// the demand-aware pass that demandFits answers: with every local and
+// remote flow application-limited and small, each pass's results and
+// enforced rates equal two fresh solves, and the certificate answers
+// most passes; a greedy remote record then forces the solve again.
+func TestEnforceFitsMatchFreshSolves(t *testing.T) {
+	r := newEnforceRig(t, Options{})
+	m := r.m
+	const lo = 300_000
+	r.setReport(lo, lo, lo, lo)
+	for i := 0; i < 8; i++ {
+		r.setReport(lo+uint32(i)*977, lo, lo-uint32(i)*311, lo)
+		r.pass(1 + i%3)
+	}
+	fits := m.demFit.Value()
+	r.setReport(40_000_000, lo, lo, lo)
+	r.pass(1)
+	r.pass(1)
+	t.Logf("%d enforce calls: %d demand-aware passes certified, %d derived",
+		m.solveRuns.Value(), m.demFit.Value(), m.demDerived.Value())
+	if fits < 4 || m.demFit.Value() != fits {
+		t.Fatalf("certified %d of the first 8 passes and %d of the 2 greedy ones; want ≥ 4 and 0",
+			fits, m.demFit.Value()-fits)
+	}
+}
+
 // TestEnforceAllocationContract holds iterate — the whole loop pass:
 // collect, disseminate, merge, enforce — to 0 heap objects once warm,
 // the datagrams it sends included: their frames and packets come from the

@@ -71,6 +71,7 @@ type Manager struct {
 	solveFlows *metrics.Counter // flow entries fed to the sharing model
 	entReused  *metrics.Counter // entitlement passes answered from entMemo
 	demDerived *metrics.Counter // demand-aware passes equal to the entitlement pass
+	demFit     *metrics.Counter // demand-aware passes where every demand fits
 	tcalSets   *metrics.Counter // enforced TCAL bandwidth changes
 	viewReused *metrics.Counter // view blocks whose priced entries were kept
 	viewPriced *metrics.Counter // view blocks priced anew
@@ -189,6 +190,7 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		m.solveFlows = reg.Counter("kollaps_solver_flows_total" + label)
 		m.entReused = reg.Counter("kollaps_solver_entitlement_reused_total" + label)
 		m.demDerived = reg.Counter("kollaps_solver_demand_derived_total" + label)
+		m.demFit = reg.Counter("kollaps_solver_demand_fit_total" + label)
 		m.tcalSets = reg.Counter("kollaps_tcal_shaping_ops_total" + label)
 		m.viewReused = reg.Counter("kollaps_view_origins_reused_total" + label)
 		m.viewPriced = reg.Counter("kollaps_view_origins_rebuilt_total" + label)
@@ -198,6 +200,7 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		m.solveFlows = &metrics.Counter{}
 		m.entReused = &metrics.Counter{}
 		m.demDerived = &metrics.Counter{}
+		m.demFit = &metrics.Counter{}
 		m.tcalSets = &metrics.Counter{}
 		m.viewReused = &metrics.Counter{}
 		m.viewPriced = &metrics.Counter{}
@@ -614,7 +617,8 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	// (entMemo): the same inputs in the same order give the same floats,
 	// and last period's output stands. The demand-aware pass is the
 	// greedy pass bit for bit whenever no demand binds below the fill
-	// level its flow froze at (demandSlack).
+	// level its flow froze at (demandSlack); and when every demand fits its
+	// links (demandFits), each flow freezes at its demand without a solve.
 	entitled := m.entBuf
 	if m.entMemo.matches(gen, m.remote.priced, len(local), all) {
 		m.entReused.Inc()
@@ -631,6 +635,10 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	withDemand := entitled
 	if demandSlack(all, m.entMemo.level) {
 		m.demDerived.Inc()
+	} else if m.alloc.demandFits(caps, all) {
+		m.demFit.Inc()
+		withDemand = fitAllocation(all, m.wdBuf)
+		m.wdBuf = withDemand
 	} else {
 		withDemand = m.alloc.Allocate(caps, all, m.wdBuf)
 		m.wdBuf = withDemand

@@ -118,6 +118,7 @@ func TestManagerSolverCounters(t *testing.T) {
 	for _, name := range []string{
 		`kollaps_solver_entitlement_reused_total{host="0"}`,
 		`kollaps_solver_demand_derived_total{host="0"}`,
+		`kollaps_solver_demand_fit_total{host="0"}`,
 	} {
 		if v, ok := snap[name]; !ok || v > runs {
 			t.Fatalf("%s = %v (present %v), want at most %v", name, v, ok, runs)

@@ -177,6 +177,20 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// nextCall returns a fresh first-touch generation, clearing every link's
+// touched stamp on the (once per 4·10⁹ calls) wraparound.
+func (s *AllocState) nextCall() uint32 {
+	s.calls++
+	if s.calls == 0 {
+		full := s.lk[:cap(s.lk)]
+		for i := range full {
+			full[i].touched = 0
+		}
+		s.calls = 1
+	}
+	return s.calls
+}
+
 // nextStamp returns a fresh dedup generation, clearing every link's stamp
 // on the (once per 4·10⁹ flows) wraparound.
 func (s *AllocState) nextStamp() uint32 {
@@ -266,15 +280,7 @@ func (s *AllocState) Allocate(caps []float64, flows []FlowDemand, out []Allocati
 
 	// Count pass: discover the constrained links the flows actually cross,
 	// initialize their dense state on first touch, and size CSR buckets.
-	s.calls++
-	if s.calls == 0 {
-		full := s.lk[:cap(s.lk)]
-		for i := range full {
-			full[i].touched = 0
-		}
-		s.calls = 1
-	}
-	call := s.calls
+	call := s.nextCall()
 	s.active = s.active[:0]
 	for i := range flows {
 		gen := s.nextStamp()
@@ -529,12 +535,7 @@ func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation
 	if unitRate < 0 {
 		unitRate = 0
 	}
-	// A rate at or past 2^63 b/s saturates instead of wrapping negative.
-	if r := unitRate + 0.5; r < math.MaxInt64 {
-		out[fi].Rate = units.Bandwidth(r)
-	} else {
-		out[fi].Rate = math.MaxInt64
-	}
+	out[fi].Rate = rateOf(unitRate)
 	out[fi].Bottleneck = bottleneck
 	L := len(caps)
 	gen := s.nextStamp()
@@ -560,6 +561,15 @@ func (s *AllocState) freeze(caps []float64, flows []FlowDemand, out []Allocation
 			s.dirtyHead = int32(l)
 		}
 	}
+}
+
+// rateOf rounds a non-negative per-flow rate to a Bandwidth. A rate at or
+// past 2^63 b/s saturates instead of wrapping negative.
+func rateOf(unitRate float64) units.Bandwidth {
+	if r := unitRate + 0.5; r < math.MaxInt64 {
+		return units.Bandwidth(r)
+	}
+	return math.MaxInt64
 }
 
 // heapKey orders the solver's heap: the smaller theta first, ties to the
@@ -692,6 +702,60 @@ func demandSlack(flows []FlowDemand, level []float64) bool {
 		}
 	}
 	return true
+}
+
+// fitMargin is the share of a link's capacity demandFits leaves free, and
+// fitFlows the most underlying flows it lets cross a link: together they
+// bound the solve's rounding below the margin (DESIGN.md has the proof).
+const (
+	fitMargin = 1e-9
+	fitFlows  = 1 << 20
+)
+
+// demandFits reports whether Allocate over flows would freeze every flow
+// at its demand, returning fitAllocation's result: every flow has a
+// demand and, on every link Allocate constrains (skipped and deduplicated
+// as Allocate does), Σ max(Weight, 1)·Demand ≤ cap·(1 − fitMargin) over
+// at most fitFlows underlying flows; a negative cap fails. It stops at
+// the first greedy flow and sums in s's link slots (capLeft the demands,
+// sumW the flow count), so it costs O(Σ links) and allocates nothing.
+func (s *AllocState) demandFits(caps []float64, flows []FlowDemand) bool {
+	L := len(caps)
+	s.lk = growLinks(s.lk, L)
+	call := s.nextCall()
+	for i := range flows {
+		f := &flows[i]
+		if f.Demand <= 0 {
+			return false
+		}
+		m, gen := float64(max(f.Weight, 1)), s.nextStamp()
+		for _, l := range f.Links {
+			if l < 0 || l >= L || math.IsNaN(caps[l]) || s.lk[l].stamp == gen {
+				continue
+			}
+			ls := &s.lk[l]
+			if ls.touched != call {
+				*ls = linkSlot{touched: call}
+			}
+			ls.stamp = gen
+			ls.capLeft += m * float64(f.Demand)
+			ls.sumW += m
+			if !(ls.capLeft <= caps[l]*(1-fitMargin)) || ls.sumW > fitFlows {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fitAllocation is Allocate's result when demandFits holds, appended to
+// out[:0]'s storage: each flow frozen at its demand, rounded as by freeze.
+func fitAllocation(flows []FlowDemand, out []Allocation) []Allocation {
+	out = grow(out, len(flows))
+	for i := range flows {
+		out[i] = Allocation{ID: flows[i].ID, Rate: rateOf(float64(flows[i].Demand)), Bottleneck: -1}
+	}
+	return out
 }
 
 // growLinks resizes the link slots preserving existing ones and

@@ -461,9 +461,10 @@ func (g *Graph) Tree(src NodeID, sc *Scratch) Tree {
 // offered to it at its final key, so each arriving link is the smallest
 // tight one. The result equals g.Tree(t's source) node for node.
 //
-// The work happens on t materialised in sc, logging every node written;
-// the result shares t's table and patches the logged nodes and t's own
-// patched ones, so t stays as it was.
+// The work happens on t materialised in sc, logging every node written
+// (repeats included); the result shares t's table and patches the logged
+// nodes and t's own patched ones, so t stays as it was, or folds, decided
+// before any sort, when the patch would pass maxPatch entries.
 func (t Tree) Repair(g *Graph, changed []int, sc *Scratch) Tree {
 	n := len(t.base)
 	sc.grow(n)
@@ -512,50 +513,47 @@ func (t Tree) Repair(g *Graph, changed []int, sc *Scratch) Tree {
 }
 
 // repatch returns the tree st, t repaired, as t's table plus a patch: of
-// the nodes t patched or the repair wrote (log), the ones where st and the
-// table differ. A patch past maxPatch entries folds into a fresh table.
+// the nodes t patched or the repair wrote (log, which may repeat them),
+// the ones where st and the table differ. The fold is decided before any
+// sort. One pass drops log's repeats in place, marking kept nodes by
+// complementing their hop counts in st (never negative), and counts those
+// that differ; t's patched nodes outside log differ by construction, and
+// join log. Past maxPatch the tree folds into a fresh table; only a kept
+// patch sorts its nodes.
 func (t Tree) repatch(st []treeNode, log []int32) Tree {
-	slices.Sort(log)
-	log = slices.Compact(log)
-	// visit offers f, in ascending order, every node t patched or log
-	// lists, until f returns false.
-	visit := func(f func(v int32) bool) {
-		old, log := t.patch, log
-		for len(old) > 0 || len(log) > 0 {
-			var v int32
-			switch {
-			case len(log) == 0 || len(old) > 0 && old[0].node < log[0]:
-				v, old = old[0].node, old[1:]
-			case len(old) == 0 || log[0] < old[0].node:
-				v, log = log[0], log[1:]
-			default:
-				v, old, log = log[0], old[1:], log[1:]
+	k, n := 0, 0
+	for _, v := range log {
+		if e := &st[v]; e.hops >= 0 {
+			if *e != t.base[v] {
+				n++
 			}
-			if !f(v) {
-				return
-			}
+			e.hops = ^e.hops
+			log[k], k = v, k+1
 		}
 	}
-	limit, n := maxPatch(len(st)), 0
-	visit(func(v int32) bool {
-		if st[v] != t.base[v] {
+	log = log[:k]
+	for _, p := range t.patch {
+		if st[p.node].hops >= 0 {
 			n++
+			log = append(log, p.node) // within cap: log holds distinct nodes
 		}
-		return n <= limit
-	})
+	}
+	for _, v := range log[:k] {
+		st[v].hops = ^st[v].hops
+	}
 	switch {
-	case n > limit:
+	case n > maxPatch(len(st)):
 		return Tree{src: t.src, base: append([]treeNode(nil), st...)}
 	case n == 0:
 		return Tree{src: t.src, base: t.base}
 	}
+	slices.Sort(log)
 	patch := make([]patchEntry, 0, n)
-	visit(func(v int32) bool {
+	for _, v := range log {
 		if st[v] != t.base[v] {
 			patch = append(patch, patchEntry{st[v], v})
 		}
-		return true
-	})
+	}
 	return Tree{src: t.src, base: t.base, patch: patch}
 }
 

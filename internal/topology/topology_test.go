@@ -245,6 +245,22 @@ func TestParseOutOfRangeBandwidth(t *testing.T) {
 	}
 }
 
+// TestParseOutOfRangeLatency: a bare latency too large for a
+// time.Duration, on a link or a dynamic event, is a parse error naming
+// the written value, not a wrapped negative latency Validate reports.
+func TestParseOutOfRangeLatency(t *testing.T) {
+	const lat = "1e13"
+	link := "experiment:\n  services:\n    name: a\n    name: b\n  links:\n    orig: a\n    dest: b\n    latency: 10\n    up: 10Mbps\n"
+	for _, src := range []string{
+		strings.Replace(link, "latency: 10", "latency: "+lat, 1),
+		link + "dynamic:\n  orig: a\n  dest: b\n  time: 1\n  latency: " + lat + "\n",
+	} {
+		if _, err := ParseYAML(src); err == nil || !strings.Contains(err.Error(), lat) {
+			t.Errorf("ParseYAML = %v, want an error naming %s\n%s", err, lat, src)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"experiment:\n  services:\n    name: a\n  links:\n    orig a", // missing colon

@@ -127,7 +127,9 @@ func bandwidthUnit(u string) (Bandwidth, error) {
 
 // ParseLatency parses a latency value. A bare number is milliseconds (the
 // paper's topology files use "latency: 10" meaning 10 ms); otherwise any
-// time.Duration syntax is accepted ("10ms", "1.5s", "250us").
+// time.Duration syntax is accepted ("10ms", "1.5s", "250us"). NaN, ±Inf
+// and a latency at or past 2^63 ns do not fit a time.Duration and are an
+// error.
 func ParseLatency(s string) (time.Duration, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -137,7 +139,10 @@ func ParseLatency(s string) (time.Duration, error) {
 		if v < 0 {
 			return 0, fmt.Errorf("units: negative latency %q", s)
 		}
-		return time.Duration(v * float64(time.Millisecond)), nil
+		if ns := v * float64(time.Millisecond); ns < math.MaxInt64 {
+			return time.Duration(ns), nil
+		}
+		return 0, fmt.Errorf("units: latency %q out of range", s)
 	}
 	d, err := time.ParseDuration(t)
 	if err != nil {
@@ -153,7 +158,7 @@ func ParseLatency(s string) (time.Duration, error) {
 type Loss float64
 
 // ParseLoss parses a loss probability. Accepts "0.01" (probability) or
-// "1%" (percentage).
+// "1%" (percentage); NaN is out of range.
 func ParseLoss(s string) (Loss, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -171,7 +176,7 @@ func ParseLoss(s string) (Loss, error) {
 	if pct {
 		v /= 100
 	}
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) {
 		return 0, fmt.Errorf("units: loss %q out of range [0,1]", s)
 	}
 	return Loss(v), nil

@@ -155,6 +155,55 @@ func TestParseLatency(t *testing.T) {
 	}
 }
 
+// TestParseLatencyOutOfRange pins the top of the bare-millisecond form:
+// NaN, ±Inf and latencies at or past 2^63 ns are an error that quotes the
+// input, not a wrapped negative time.Duration. A latency just below 2^63
+// ns still parses.
+func TestParseLatencyOutOfRange(t *testing.T) {
+	for _, in := range []string{"1e13", "10000000000000", "9223372036854.775808", "NaN", "nan", "Inf", "+Inf", "-Inf", "1e309"} {
+		got, err := ParseLatency(in)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(in)) {
+			t.Errorf("ParseLatency(%q) = %d, %v; want an error quoting the input", in, got, err)
+		}
+	}
+	if got, err := ParseLatency("9223372036854.77"); err != nil || got < 9223372036854760000 {
+		t.Errorf("ParseLatency(%q) = %d, %v; want just below 2^63 ns", "9223372036854.77", got, err)
+	}
+}
+
+// TestParseLossRejectsNaN: NaN compares false against both ends of
+// [0,1], so the range check must reject it explicitly.
+func TestParseLossRejectsNaN(t *testing.T) {
+	for _, in := range []string{"NaN", "nan", "nan%", "+NaN", "-nan %"} {
+		got, err := ParseLoss(in)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(in)) {
+			t.Errorf("ParseLoss(%q) = %v, %v; want an error quoting the input", in, got, err)
+		}
+	}
+}
+
+// FuzzUnitsParse holds the three parsers to their ranges on any input:
+// whatever one returns with a nil error is finite, non-negative and
+// representable — a bandwidth in [0, 2^63) b/s, a latency in [0, 2^63)
+// ns, a loss in [0, 1].
+func FuzzUnitsParse(f *testing.F) {
+	for _, s := range []string{"10Mbps", "1e13", "NaN", "nan%", "Inf", "-Inf", "9223372036854775807bps",
+		"99999999999Gbps", "10ms", "2562047h47m16.854775807s", "2562047h48m", "1.5", "50%", "0x1p62", "1_000"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if b, err := ParseBandwidth(s); err == nil && b < 0 {
+			t.Errorf("ParseBandwidth(%q) = %d", s, b)
+		}
+		if d, err := ParseLatency(s); err == nil && d < 0 {
+			t.Errorf("ParseLatency(%q) = %d", s, d)
+		}
+		if l, err := ParseLoss(s); err == nil && !(l >= 0 && l <= 1) {
+			t.Errorf("ParseLoss(%q) = %v", s, l)
+		}
+	})
+}
+
 func TestParseLoss(t *testing.T) {
 	cases := []struct {
 		in   string
