@@ -130,7 +130,6 @@ type YCSBClient struct {
 	pending map[int64]pendingOp
 	nextID  int64
 	flip    bool
-	stopped bool
 }
 
 type pendingOp struct {
@@ -153,7 +152,7 @@ func NewYCSBClient(eng *sim.Engine, st *transport.Stack, coord packet.IP, target
 		interval = time.Millisecond
 	}
 	eng.Every(interval, func() {
-		if y.stopped || len(y.pending) >= maxOutstanding {
+		if len(y.pending) >= maxOutstanding {
 			return
 		}
 		y.issue()
@@ -189,9 +188,6 @@ func (y *YCSBClient) onResp(m *cassMsg) {
 		y.ReadLat.AddDuration(lat)
 	}
 }
-
-// Stop halts issuing.
-func (y *YCSBClient) Stop() { y.stopped = true }
 
 // CassandraCluster wires the Figure 10 deployment: local/remote replica
 // pairs plus YCSB clients against the local coordinators.

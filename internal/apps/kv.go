@@ -71,8 +71,7 @@ type MemtierClient struct {
 	// Latencies records operation latencies (ms).
 	Latencies metrics.Histogram
 
-	eng     *sim.Engine
-	stopped bool
+	eng *sim.Engine
 }
 
 // NewMemtierClient opens conns connections and starts the loops.
@@ -90,7 +89,7 @@ func (m *MemtierClient) loop(conn *transport.Conn) {
 	var issuedAt time.Duration
 	received := 0
 	issue := func() {
-		if m.stopped || conn.Closed() {
+		if conn.Closed() {
 			return
 		}
 		issuedAt = m.eng.Now()
@@ -98,9 +97,6 @@ func (m *MemtierClient) loop(conn *transport.Conn) {
 	}
 	conn.OnConnected = issue
 	conn.OnData = func(n int) {
-		if m.stopped {
-			return
-		}
 		received += n
 		for received >= kvRespSize {
 			received -= kvRespSize
@@ -110,6 +106,3 @@ func (m *MemtierClient) loop(conn *transport.Conn) {
 		}
 	}
 }
-
-// Stop halts the loops.
-func (m *MemtierClient) Stop() { m.stopped = true }

@@ -46,18 +46,16 @@ func NewIperfServer(eng *sim.Engine, st *transport.Stack, port uint16, sampler b
 // IperfClient drives one greedy bulk flow.
 type IperfClient struct {
 	Conn *transport.Conn
-	stop sim.Timer
 }
 
-// NewIperfClient dials the server and keeps the connection saturated until
-// Stop is called.
+// NewIperfClient dials the server and keeps the connection saturated.
 func NewIperfClient(eng *sim.Engine, st *transport.Stack, dst packet.IP, port uint16, cc transport.CongestionControl) *IperfClient {
 	cl := &IperfClient{}
 	cl.Conn = st.Dial(dst, port, cc)
 	cl.Conn.Write(1 << 28)
 	// Top the buffer back up to 256 MiB every 100ms — enough headroom to
 	// saturate multi-Gb/s shaped paths.
-	cl.stop = eng.Every(100*time.Millisecond, func() {
+	eng.Every(100*time.Millisecond, func() {
 		if !cl.Conn.Closed() {
 			if have := cl.Conn.Buffered(); have < 1<<28 {
 				cl.Conn.Write(int(1<<28 - have))
@@ -65,12 +63,6 @@ func NewIperfClient(eng *sim.Engine, st *transport.Stack, dst packet.IP, port ui
 		}
 	})
 	return cl
-}
-
-// Stop ends the flow.
-func (c *IperfClient) Stop() {
-	c.stop.Stop()
-	c.Conn.Abort()
 }
 
 // Pinger issues ICMP echoes at an interval and collects RTT statistics.
@@ -211,7 +203,6 @@ type CurlClient struct {
 	reqSize  int
 	respSize int
 	cc       transport.CongestionControl
-	stopped  bool
 }
 
 // NewCurlClient starts the request loop immediately.
@@ -224,9 +215,6 @@ func NewCurlClient(eng *sim.Engine, st *transport.Stack, dst packet.IP, port uin
 }
 
 func (c *CurlClient) next() {
-	if c.stopped {
-		return
-	}
 	start := c.eng.Now()
 	conn := c.st.Dial(c.dst, c.port, c.cc)
 	received := 0
@@ -242,6 +230,3 @@ func (c *CurlClient) next() {
 		}
 	}
 }
-
-// Stop ends the loop after the in-flight request.
-func (c *CurlClient) Stop() { c.stopped = true }

@@ -2,8 +2,7 @@
 // interposes on the cluster fabric between managerTransport.SendTo and
 // Manager.onMetadata and composes independent fault channels — drop,
 // duplicate (burst n), reorder (bounded displacement), bit-corrupt,
-// delay spike, one-way and symmetric host partitions, and gray-failure
-// profiles (a host whose datagrams all arrive periods late).
+// delay spike and one-way host partitions.
 //
 // Every decision is drawn from the injector's own seeded source and
 // timed on the virtual clock, so a seed replays a byte-identical fault
@@ -11,8 +10,8 @@
 // layer split with internal/netem is deliberate: netem models link
 // physics (rate, delay, jitter, Bernoulli loss — faults a healthy
 // network exhibits), chaos models adversarial failure (faults the
-// network stack and operators inflict). An injector with no profile, no
-// partitions and no gray hosts is transparent and draws no randomness,
+// network stack and operators inflict). An injector with no profile and
+// no partitions is transparent and draws no randomness,
 // so deployments that never call into the chaos plane replay exactly as
 // before.
 //
@@ -95,13 +94,11 @@ func (s Stats) Total() int64 {
 // fabric. It is not safe for concurrent use; the deterministic
 // simulation is single-threaded.
 type Injector struct {
-	rng      *rand.Rand
-	numHosts int
-	tracer   *obs.Tracer
+	rng    *rand.Rand
+	tracer *obs.Tracer
 
 	profile Profile
-	blocked map[[2]int]bool          // {from,to} pairs a partition discards
-	gray    map[int][2]time.Duration // host -> [min,max] added latency
+	blocked map[[2]int]bool // {from,to} pairs a partition discards
 
 	stats   Stats
 	hash    uint64 // FNV-1a fold of every fault decision
@@ -116,14 +113,12 @@ const (
 
 // NewInjector builds an injector over its own seeded random source.
 // tracer may be nil (faults still inject, just unrecorded).
-func NewInjector(seed int64, numHosts int, tracer *obs.Tracer) *Injector {
+func NewInjector(seed int64, tracer *obs.Tracer) *Injector {
 	return &Injector{
-		rng:      rand.New(rand.NewSource(seed ^ 0x6b6f6c6c61707321)), // decorrelate from other seed consumers
-		numHosts: numHosts,
-		tracer:   tracer,
-		blocked:  make(map[[2]int]bool),
-		gray:     make(map[int][2]time.Duration),
-		hash:     fnvOffset,
+		rng:     rand.New(rand.NewSource(seed ^ 0x6b6f6c6c61707321)), // decorrelate from other seed consumers
+		tracer:  tracer,
+		blocked: make(map[[2]int]bool),
+		hash:    fnvOffset,
 	}
 }
 
@@ -132,7 +127,7 @@ func NewInjector(seed int64, numHosts int, tracer *obs.Tracer) *Injector {
 // randomness, so an untouched chaos plane cannot shift the replay of a
 // pre-chaos deployment.
 func (inj *Injector) Active() bool {
-	return inj.profile.active() || len(inj.blocked) > 0 || len(inj.gray) > 0
+	return inj.profile.active() || len(inj.blocked) > 0
 }
 
 // Stats returns the per-channel fault counters.
@@ -174,17 +169,6 @@ func (inj *Injector) Send(now time.Duration, from, to int, payload []byte, deliv
 		return
 	}
 	var d time.Duration
-	if g, ok := inj.gray[from]; ok {
-		d += inj.grayDelay(g)
-	}
-	if g, ok := inj.gray[to]; ok {
-		d += inj.grayDelay(g)
-	}
-	if d > 0 {
-		inj.stats.Delayed++
-		inj.fold('G', from, to, int64(d))
-		inj.tracer.Record(now, obs.KindChaosDelay, int32(from), int64(to), int64(d))
-	}
 	p := inj.profile
 	if p.Drop > 0 && inj.rng.Float64() < p.Drop {
 		inj.stats.Dropped++
@@ -236,18 +220,6 @@ func (inj *Injector) Send(now time.Duration, from, to int, payload []byte, deliv
 	}
 }
 
-// grayDelay draws one gray-failure latency uniform in [min, max].
-func (inj *Injector) grayDelay(g [2]time.Duration) time.Duration {
-	d := g[0]
-	if span := g[1] - g[0]; span > 0 {
-		d += time.Duration(inj.rng.Int63n(int64(span) + 1))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // setProfile swaps the per-datagram fault profile.
 func (inj *Injector) setProfile(now time.Duration, p Profile) {
 	inj.profile = p.withDefaults()
@@ -260,45 +232,10 @@ func (inj *Injector) partitionOneWay(now time.Duration, from, to int) {
 	inj.tracer.Record(now, obs.KindChaosPartition, -1, int64(from), int64(to))
 }
 
-// partitionHosts isolates the island from every other host, both
-// directions.
-func (inj *Injector) partitionHosts(now time.Duration, island []int) {
-	in := make(map[int]bool, len(island))
-	for _, h := range island {
-		in[h] = true
-	}
-	for h := 0; h < inj.numHosts; h++ {
-		if in[h] {
-			continue
-		}
-		for _, i := range island {
-			inj.blocked[[2]int{i, h}] = true
-			inj.blocked[[2]int{h, i}] = true
-		}
-	}
-	for _, i := range island {
-		inj.tracer.Record(now, obs.KindChaosPartition, -1, int64(i), -1)
-	}
-}
-
 // heal clears every partition.
 func (inj *Injector) heal(now time.Duration) {
 	for k := range inj.blocked {
 		delete(inj.blocked, k)
 	}
 	inj.tracer.Record(now, obs.KindChaosHeal, -1, -1, -1)
-}
-
-// setGray marks a host gray-failed: every datagram it sends or
-// receives gains a uniform latency in [min, max]; Gray has checked
-// 0 <= min <= max.
-func (inj *Injector) setGray(now time.Duration, host int, min, max time.Duration) {
-	inj.gray[host] = [2]time.Duration{min, max}
-	inj.tracer.Record(now, obs.KindChaosGray, -1, int64(host), int64(max))
-}
-
-// clearGray restores a gray-failed host.
-func (inj *Injector) clearGray(now time.Duration, host int) {
-	delete(inj.gray, host)
-	inj.tracer.Record(now, obs.KindChaosGray, -1, int64(host), 0)
 }

@@ -21,7 +21,7 @@ func collect(out *[]delivery) func(time.Duration, []byte) {
 }
 
 func TestInactiveInjectorIsTransparent(t *testing.T) {
-	inj := NewInjector(1, 4, nil)
+	inj := NewInjector(1, nil)
 	if inj.Active() {
 		t.Fatal("fresh injector should be inactive")
 	}
@@ -41,14 +41,14 @@ func TestInactiveInjectorIsTransparent(t *testing.T) {
 	if inj.Stats().Total() != 0 {
 		t.Fatalf("inactive injector counted faults: %+v", inj.Stats())
 	}
-	if inj.ScheduleHash() != NewInjector(1, 4, nil).ScheduleHash() {
+	if inj.ScheduleHash() != NewInjector(1, nil).ScheduleHash() {
 		t.Fatal("inactive injector advanced its schedule hash")
 	}
 }
 
 func TestSameSeedSameSchedule(t *testing.T) {
 	run := func() (uint64, Stats, []delivery) {
-		inj := NewInjector(7, 4, nil)
+		inj := NewInjector(7, nil)
 		SetProfile(Profile{
 			Drop: 0.2, Duplicate: 0.2, DupBurst: 2,
 			Reorder: 0.2, ReorderDelay: 5 * time.Millisecond,
@@ -84,7 +84,7 @@ func TestSameSeedSameSchedule(t *testing.T) {
 }
 
 func TestPartitionOneWayBlocksOneDirection(t *testing.T) {
-	inj := NewInjector(1, 4, nil)
+	inj := NewInjector(1, nil)
 	PartitionOneWay(0, 1).Apply(0, inj)
 	var got []delivery
 	inj.Send(0, 0, 1, []byte{1}, collect(&got))
@@ -105,56 +105,8 @@ func TestPartitionOneWayBlocksOneDirection(t *testing.T) {
 	}
 }
 
-func TestPartitionHostsIsolatesIsland(t *testing.T) {
-	inj := NewInjector(1, 4, nil)
-	PartitionHosts(0, 1).Apply(0, inj)
-	blocked := func(from, to int) bool {
-		var got []delivery
-		inj.Send(0, from, to, []byte{1}, collect(&got))
-		return len(got) == 0
-	}
-	for _, c := range []struct {
-		from, to int
-		want     bool
-	}{
-		{0, 2, true}, {2, 0, true}, {1, 3, true}, {3, 1, true},
-		{0, 1, false}, {1, 0, false}, {2, 3, false}, {3, 2, false},
-	} {
-		if got := blocked(c.from, c.to); got != c.want {
-			t.Errorf("blocked(%d->%d) = %v, want %v", c.from, c.to, got, c.want)
-		}
-	}
-}
-
-func TestGrayHostDelaysBothDirections(t *testing.T) {
-	min, max := 2*time.Millisecond, 10*time.Millisecond
-	inj := NewInjector(1, 4, nil)
-	Gray(2, min, max).Apply(0, inj)
-	var got []delivery
-	inj.Send(0, 2, 0, []byte{1}, collect(&got)) // gray sender
-	inj.Send(0, 1, 2, []byte{1}, collect(&got)) // gray receiver
-	inj.Send(0, 0, 1, []byte{1}, collect(&got)) // untouched pair
-	if len(got) != 3 {
-		t.Fatalf("delivered %d of 3", len(got))
-	}
-	for i := 0; i < 2; i++ {
-		if got[i].d < min || got[i].d > max {
-			t.Errorf("gray delay %d = %v, want in [%v,%v]", i, got[i].d, min, max)
-		}
-	}
-	if got[2].d != 0 {
-		t.Errorf("untouched pair delayed by %v", got[2].d)
-	}
-	ClearGray(2).Apply(0, inj)
-	got = got[:0]
-	inj.Send(0, 2, 0, []byte{1}, collect(&got))
-	if got[0].d != 0 {
-		t.Errorf("cleared gray host still delayed by %v", got[0].d)
-	}
-}
-
 func TestCorruptionCopiesPayload(t *testing.T) {
-	inj := NewInjector(3, 2, nil)
+	inj := NewInjector(3, nil)
 	SetProfile(Profile{Corrupt: 1, CorruptBits: 4}).Apply(0, inj)
 	orig := bytes.Repeat([]byte{0xAA}, 32)
 	payload := append([]byte(nil), orig...)
@@ -175,7 +127,7 @@ func TestCorruptionCopiesPayload(t *testing.T) {
 }
 
 func TestDuplicateBurst(t *testing.T) {
-	inj := NewInjector(4, 2, nil)
+	inj := NewInjector(4, nil)
 	SetProfile(Profile{Duplicate: 1, DupBurst: 3}).Apply(0, inj)
 	var got []delivery
 	inj.Send(0, 0, 1, []byte{1, 2}, collect(&got))
@@ -194,10 +146,11 @@ func TestDuplicateBurst(t *testing.T) {
 
 func TestFaultsAreTraced(t *testing.T) {
 	tr := obs.NewTracer(1 << 10)
-	inj := NewInjector(5, 4, tr)
-	SetProfile(Profile{Drop: 1}).Apply(time.Second, inj)
+	inj := NewInjector(5, tr)
+	SetProfile(Profile{Delay: 1, DelayMin: time.Millisecond}).Apply(time.Second, inj)
 	PartitionOneWay(2, 3).Apply(time.Second, inj)
-	Gray(1, time.Millisecond, time.Millisecond).Apply(time.Second, inj)
+	inj.Send(2*time.Second, 0, 1, []byte{1}, func(time.Duration, []byte) {})
+	SetProfile(Profile{Drop: 1}).Apply(2*time.Second, inj)
 	inj.Send(2*time.Second, 0, 1, []byte{1}, func(time.Duration, []byte) {})
 	Heal().Apply(3*time.Second, inj)
 	kinds := map[obs.Kind]int{}
@@ -205,7 +158,7 @@ func TestFaultsAreTraced(t *testing.T) {
 		kinds[e.Kind]++
 	}
 	for _, k := range []obs.Kind{
-		obs.KindChaosProfile, obs.KindChaosPartition, obs.KindChaosGray,
+		obs.KindChaosProfile, obs.KindChaosPartition,
 		obs.KindChaosDelay, obs.KindChaosDrop, obs.KindChaosHeal,
 	} {
 		if kinds[k] == 0 {
@@ -217,15 +170,12 @@ func TestFaultsAreTraced(t *testing.T) {
 func TestPlanAccumulatesSteps(t *testing.T) {
 	var p Plan
 	p.At(time.Second, SetProfile(Profile{Drop: 0.1})).
-		At(2*time.Second, PartitionHosts(0)).
+		At(2*time.Second, PartitionOneWay(1, 0)).
 		At(3*time.Second, Heal(), Off())
 	if len(p.Steps) != 3 {
 		t.Fatalf("Steps = %d, want 3", len(p.Steps))
 	}
 	if p.Steps[1].At != 2*time.Second || len(p.Steps[2].Acts) != 2 {
 		t.Fatalf("plan misbuilt: %+v", p.Steps)
-	}
-	if PartitionHosts(1, 0).String() != "chaos: partition island [0 1]" {
-		t.Fatalf("action desc = %q", PartitionHosts(1, 0).String())
 	}
 }

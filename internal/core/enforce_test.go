@@ -267,8 +267,8 @@ func TestEnforceFitsMatchFreshSolves(t *testing.T) {
 // containers offer a period of real traffic and the peer's report
 // arrives); on the hit path the entitlement input repeats, on the miss
 // path a remote record's links change every period and move the local
-// flows' enforced rates. The rig runs bare, with the flight recorder and
-// registry, and with InjectLoss.
+// flows' enforced rates. The rig runs bare, and with the flight recorder
+// and registry.
 func TestEnforceAllocationContract(t *testing.T) {
 	// A collection starting mid-pass can allocate on the runtime's behalf.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -278,7 +278,6 @@ func TestEnforceAllocationContract(t *testing.T) {
 	}{
 		{"bare", Options{}},
 		{"traced", Options{Tracer: obs.NewTracer(1 << 10), Registry: obs.NewRegistry()}},
-		{"inject-loss", Options{InjectLoss: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newEnforceRig(t, tc.opts)
@@ -351,22 +350,6 @@ func TestEnforceAllocationContract(t *testing.T) {
 				t.Fatalf("rig misconfigured: %d datagrams, %d local flows, %d miss-path rate changes over %d passes",
 					sent()-sends, len(m.flowsBuf), missSets, measured)
 			}
-			if rt.opts.InjectLoss && !oversubscribed(m) {
-				t.Fatal("no local flow oversubscribed: InjectLoss never computed a loss")
-			}
 		})
 	}
-}
-
-// oversubscribed reports whether some local flow of m has been
-// oversubscribed long enough for InjectLoss to inject loss.
-func oversubscribed(m *Manager) bool {
-	for _, c := range m.locals {
-		for _, n := range c.overSub {
-			if n >= 3 {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dissem"
 	"repro/internal/metadata"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/transport"
@@ -232,18 +231,6 @@ func (m *Manager) newNode() error {
 	return nil
 }
 
-// Host returns the manager's host index.
-func (m *Manager) Host() int { return m.host }
-
-// Down reports whether the manager is currently killed.
-func (m *Manager) Down() bool { return m.dead }
-
-// MetadataSent returns the cumulative metadata bytes this Manager sent.
-func (m *Manager) MetadataSent() int64 { return m.node.Stats().BytesSent.Value() }
-
-// DissemStats exposes the manager's control-plane counters.
-func (m *Manager) DissemStats() *dissem.Stats { return m.node.Stats() }
-
 // Node exposes the manager's dissemination endpoint (tests, experiments).
 func (m *Manager) Node() dissem.Node { return m.node }
 
@@ -264,11 +251,11 @@ func (m *Manager) onMetadata(_ packet.IP, frame []byte) {
 
 // iterate is one emulation loop pass. It is the root of the 0 allocs/op
 // contract: once warm, a pass allocates nothing — with local flows whose
-// enforced rate changes, with tracing and metrics on, and with
-// InjectLoss. The datagrams it sends are no exception: their frames and
-// packets come from the engine's pool, which the fabric refills as it
-// delivers. TestEnforceAllocationContract meters iterate itself on those
-// inputs; BenchmarkIterate and `cmd/benchcheck -iterate` gate the
+// enforced rate changes, and with tracing and metrics on. The datagrams
+// it sends are no exception: their frames and packets come from the
+// engine's pool, which the fabric refills as it delivers.
+// TestEnforceAllocationContract meters iterate itself on those inputs;
+// BenchmarkIterate and `cmd/benchcheck -iterate` gate the
 // collect-merge-enforce part in CI. Slow paths (arena growth, a topology
 // generation's first path lookups) amortise to nothing.
 func (m *Manager) iterate() {
@@ -323,7 +310,6 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 				// a future flow starts unthrottled.
 				if enforced.Bandwidth != p.Bandwidth {
 					_ = c.tcal.SetBandwidth(dstIP, p.Bandwidth)
-					_ = c.tcal.InjectCongestionLoss(dstIP, 0)
 					m.tcalSets.Inc()
 					m.rt.opts.Tracer.Record(m.rt.Eng.Now(), obs.KindTCALApply,
 						int32(m.host), int64(p.Bandwidth), obs.PackIP([4]byte(dstIP)))
@@ -657,27 +643,6 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 			m.tcalSets.Inc()
 			m.rt.opts.Tracer.Record(now, obs.KindTCALApply,
 				int32(m.host), int64(rate), obs.PackIP([4]byte(f.dstIP)))
-		}
-		// §3 "Congestion": expose oversubscription as packet loss so
-		// loss-based congestion control backs off. Off by default in
-		// this substrate (the tail-dropping htb already provides the
-		// signal; see Options.InjectLoss); when enabled it is gated on
-		// sustained oversubscription and capped so it cannot starve
-		// SACK recovery of retransmissions.
-		if m.rt.opts.InjectLoss {
-			var extra units.Loss
-			if f.demand > rate+rate/10 {
-				f.src.overSub[f.dstIP]++
-			} else {
-				f.src.overSub[f.dstIP] = 0
-			}
-			if f.src.overSub[f.dstIP] >= 3 {
-				extra = netem.LossForOversubscription(f.demand, rate)
-				if extra > 0.25 {
-					extra = 0.25
-				}
-			}
-			_ = f.src.tcal.InjectCongestionLoss(f.dstIP, extra)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -94,7 +95,7 @@ func TestDropSitesReleaseEveryPacket(t *testing.T) {
 			a, nobody := r.c("a").IP, packet.MakeIP(99, 0, 0)
 			r.rt.Cluster.Send(r.packetTo(nobody, a)) // unknown source
 			r.rt.Cluster.Send(r.packetTo(a, nobody)) // unknown destination
-			host, _ := r.rt.Cluster.NodeOf(a)
+			host, _ := r.rt.Cluster.Graph().Lookup(fmt.Sprintf("host%d", r.c("a").Host))
 			unheard := packet.MakeIP(99, 0, 1)
 			r.rt.Cluster.AttachEndpoint(host, unheard, nil)
 			r.rt.Cluster.Send(r.packetTo(a, unheard)) // no handler
@@ -102,7 +103,10 @@ func TestDropSitesReleaseEveryPacket(t *testing.T) {
 		{"unmatched TCAL", func(r *dropRig) { r.c("a").TCAL().Send(r.packetTo(r.c("a").IP, r.c("x").IP)) },
 			func(r *dropRig) bool { return r.c("a").TCAL().UnmatchedDropped == 1 }},
 		{"unreachable install", func(r *dropRig) { r.flood("a", "y", 10, 100) },
-			func(r *dropRig) bool { return r.got["y"] == 0 && !r.c("a").TCAL().HasPath(r.c("y").IP) }},
+			func(r *dropRig) bool {
+				_, installed := r.c("a").TCAL().Props(r.c("y").IP)
+				return r.got["y"] == 0 && !installed
+			}},
 		{"killed manager", func(r *dropRig) {
 			// Every datagram is held 5–10 ms, so host 1 dies with its
 			// period's datagrams in flight; a publish racing the kill

@@ -30,13 +30,6 @@ type Options struct {
 	// released artifact's value; it bounds the shortest flows Kollaps
 	// can shape, §6).
 	Period time.Duration
-	// InjectLoss enables the §3 congestion-loss workaround: netem loss
-	// proportional to sustained oversubscription. On a Linux kernel this
-	// is the *only* loss signal because htb backpressures (TSQ) instead
-	// of dropping; this substrate's htb tail-drops like a router, so the
-	// signal already exists and the workaround defaults off. Enable it
-	// to study the paper's mechanism in isolation.
-	InjectLoss bool
 	// Dissem selects and tunes the metadata-dissemination strategy
 	// (default: the paper's full-mesh broadcast). NumHosts and Wide are
 	// filled in at deployment.
@@ -100,9 +93,6 @@ type Container struct {
 
 	tcal *tcal.TCAL
 	rt   *Runtime
-	// overSub counts consecutive emulation periods a destination's
-	// demand exceeded its allocation (congestion-loss gating).
-	overSub map[packet.IP]int
 }
 
 // TCAL exposes the container's shaping layer (tests, experiments).
@@ -220,7 +210,7 @@ func NewRuntime(eng *sim.Engine, g *graph.Graph, nHosts int, placement map[strin
 		byName:  make(map[string]*Container),
 		byIP:    make(map[packet.IP]*Container),
 		opts:    opts,
-		chaos:   chaos.NewInjector(opts.Dissem.Seed, nHosts, opts.Tracer),
+		chaos:   chaos.NewInjector(opts.Dissem.Seed, opts.Tracer),
 	}
 
 	idx := 0
@@ -239,12 +229,11 @@ func NewRuntime(eng *sim.Engine, g *graph.Graph, nHosts int, placement map[strin
 		}
 		ip := packet.MakeIP(byte(host+1), byte(idx/250), byte(idx%250))
 		c := &Container{
-			Name:    node.Name,
-			IP:      ip,
-			Host:    host,
-			Node:    node.ID,
-			rt:      rt,
-			overSub: make(map[packet.IP]int),
+			Name: node.Name,
+			IP:   ip,
+			Host: host,
+			Node: node.ID,
+			rt:   rt,
 		}
 		// Attach the container endpoint at its host's fabric node; the
 		// stack registers its handler through containerNet.

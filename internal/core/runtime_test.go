@@ -642,17 +642,14 @@ func TestUniqueContainerIPs(t *testing.T) {
 }
 
 func TestFlowIDHelpers(t *testing.T) {
-	if got := LocalFlowID(3, 7).String(); got != "h3f7" {
-		t.Fatalf("LocalFlowID(3,7) = %q", got)
+	if got := LocalFlowID(3, 7); got != 3<<32|7 {
+		t.Fatalf("LocalFlowID(3,7) = %#x", uint64(got))
 	}
-	if got := RemoteFlowID(5).String(); got != "r5" {
-		t.Fatalf("RemoteFlowID(5) = %q", got)
+	if got := RemoteFlowID(5); got != remoteIDFlag|5 {
+		t.Fatalf("RemoteFlowID(5) = %#x", uint64(got))
 	}
 	if LocalFlowID(3, 7) == LocalFlowID(7, 3) || LocalFlowID(0, 1)&remoteIDFlag != 0 {
 		t.Fatal("FlowID packing broken")
-	}
-	if itoa(0) != "0" || itoa(255) != "255" {
-		t.Fatal("itoa broken")
 	}
 	if clampU32(-1) != 0 || clampU32(1<<40) != ^uint32(0) || clampU32(77) != 77 {
 		t.Fatal("clampU32 broken")
@@ -695,5 +692,71 @@ func TestRuntimeRejectsNarrowLinkIDOverflow(t *testing.T) {
 	// The vetoed group must not have advanced the live state.
 	if got := rt.State().Graph.NumLinks(); got != 256 {
 		t.Fatalf("vetoed join advanced the graph to %d links", got)
+	}
+}
+
+// TestIdleReleaseKeepsPathLoss: when a throttled flow goes idle, the
+// Manager releases its allocation back to the path's rate and touches
+// nothing else, so the loss the TCAL's netem enforces toward the
+// destination is still exactly the collapsed path's: the declared 1 %
+// folded once, 1-(1-0.01) = 0.010000000000000009 in float64, and never
+// composed again.
+func TestIdleReleaseKeepsPathLoss(t *testing.T) {
+	const yaml = `
+experiment:
+  services:
+    name: a1
+    name: a2
+    name: b
+  bridges:
+    name: s
+  links:
+    orig: a1
+    dest: s
+    latency: 5
+    up: 100Mbps
+    loss: 0.01
+    orig: a2
+    dest: s
+    latency: 5
+    up: 100Mbps
+    orig: s
+    dest: b
+    latency: 5
+    up: 10Mbps
+`
+	rt := buildRuntime(t, yaml, 3, Options{})
+	rt.Start()
+	a1, _ := rt.Container("a1")
+	a2, _ := rt.Container("a2")
+	b, _ := rt.Container("b")
+	// Two 8 Mb/s CBR flows share the 10 Mb/s link into b; a1's stops at 1 s.
+	for _, f := range []struct {
+		c    *Container
+		stop time.Duration
+	}{{a1, time.Second}, {a2, 2 * time.Second}} {
+		f := f
+		var tick func()
+		tick = func() {
+			if rt.Eng.Now() < f.stop {
+				f.c.Stack.SendUDP(b.IP, 9, 9, 1000, nil)
+				rt.Eng.At(rt.Eng.Now()+time.Millisecond, tick)
+			}
+		}
+		rt.Eng.At(0, tick)
+	}
+	path := rt.path(a1, b.IP)
+	rt.Eng.Run(900 * time.Millisecond)
+	if got, _ := a1.TCAL().Props(b.IP); got.Bandwidth >= path.Bandwidth {
+		t.Fatalf("a1 -> b enforced %v while sharing, want below the path's %v", got.Bandwidth, path.Bandwidth)
+	}
+	rt.Eng.Run(1500 * time.Millisecond)
+	got, _ := a1.TCAL().Props(b.IP)
+	if got.Bandwidth != path.Bandwidth {
+		t.Fatalf("idle a1 -> b enforced %v, want the released path rate %v", got.Bandwidth, path.Bandwidth)
+	}
+	declared := units.Loss(0.01)
+	if want := 1 - (1 - declared); got.Loss != want || path.Loss != want {
+		t.Fatalf("idle a1 -> b loss = %v on a path of loss %v, want both %v", float64(got.Loss), float64(path.Loss), float64(want))
 	}
 }

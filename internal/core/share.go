@@ -61,29 +61,6 @@ func LocalFlowID(host, i int) FlowID {
 // RemoteFlowID packs a remote-view index into a FlowID.
 func RemoteFlowID(i int) FlowID { return remoteIDFlag | FlowID(uint32(i)) }
 
-// String renders the id for logs and metrics: "h3f7" for the 8th local
-// flow of host 3, "r5" for the 6th remote-view aggregate.
-func (id FlowID) String() string {
-	if id&remoteIDFlag != 0 {
-		return "r" + itoa(int(id&0xffffffff))
-	}
-	return "h" + itoa(int(id>>32)) + "f" + itoa(int(id&0xffffffff))
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
 // FlowDemand describes one entry in the bandwidth sharing computation.
 // Kollaps shares bandwidth per destination, not per transport connection
 // (§3), so a FlowDemand aggregates all traffic from one container to one

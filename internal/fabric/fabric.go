@@ -187,9 +187,6 @@ func queueBytes(lp graph.LinkProps) int {
 	return max(int(1.5*bdp), 32*1024)
 }
 
-// Engine returns the simulation engine the fabric runs on.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // Graph returns the topology graph.
 func (n *Network) Graph() *graph.Graph { return n.g }
 
@@ -256,14 +253,6 @@ func (n *Network) Register(ip packet.IP, h packet.Handler) {
 		panic(fmt.Sprintf("fabric: Register of unattached IP %v", ip))
 	}
 	e.handler = h
-}
-
-// NodeOf returns the node an IP is attached to.
-func (n *Network) NodeOf(ip packet.IP) (graph.NodeID, bool) {
-	if e := n.endpoint(ip); e != nil {
-		return e.node, true
-	}
-	return 0, false
 }
 
 // Send injects a packet at its source endpoint and forwards it hop by hop

@@ -29,13 +29,6 @@ const (
 	Bridge
 )
 
-func (k NodeKind) String() string {
-	if k == Service {
-		return "service"
-	}
-	return "bridge"
-}
-
 // Node is a vertex in the topology graph.
 type Node struct {
 	ID   NodeID
@@ -306,17 +299,8 @@ type Path struct {
 // RTT-aware fair-sharing model of §3 keys on this.
 func (p *Path) RTT() time.Duration { return 2 * p.Latency }
 
-// ComposeProps folds link properties along a path per the §3 formulas.
-func ComposeProps(links []Link) LinkProps {
-	var f propsFold
-	for i := range links {
-		f.add(&links[i].LinkProps)
-	}
-	return f.props()
-}
-
-// propsFold is the §3 composition as a forward fold, so a path walked
-// off the link table composes in the same float order as ComposeProps.
+// propsFold folds link properties along a path per the §3 formulas, in
+// path order.
 type propsFold struct {
 	out            LinkProps
 	keep, jitterSq float64

@@ -71,7 +71,7 @@ func TestComposeProps(t *testing.T) {
 		{LinkProps: LinkProps{Latency: 10 * time.Millisecond, Jitter: 3 * time.Millisecond, Bandwidth: 100 * units.Mbps, Loss: 0.01}},
 		{LinkProps: LinkProps{Latency: 20 * time.Millisecond, Jitter: 4 * time.Millisecond, Bandwidth: 10 * units.Mbps, Loss: 0.02}},
 	}
-	got := ComposeProps(links)
+	got := composeProps(links)
 	if got.Latency != 30*time.Millisecond {
 		t.Errorf("latency = %v", got.Latency)
 	}
@@ -86,7 +86,7 @@ func TestComposeProps(t *testing.T) {
 	if math.Abs(float64(got.Loss)-want) > 1e-12 {
 		t.Errorf("loss = %v, want %v", got.Loss, want)
 	}
-	if zero := ComposeProps(nil); zero != (LinkProps{}) {
+	if zero := composeProps(nil); zero != (LinkProps{}) {
 		t.Errorf("empty compose = %+v", zero)
 	}
 }
@@ -118,7 +118,7 @@ func TestComposePropsProperties(t *testing.T) {
 				maxLoss = lp.Loss
 			}
 		}
-		got := ComposeProps(links)
+		got := composeProps(links)
 		return got.Latency == sumLat && got.Bandwidth == minBW &&
 			got.Loss >= maxLoss-1e-12 && got.Loss <= 1
 	}
@@ -994,4 +994,14 @@ func BenchmarkTreeRepair(b *testing.B) {
 			at = at%(2*flaps) + 1
 		}
 	}
+}
+
+// composeProps folds a path's links through the §3 composition the
+// shortest-path walk uses.
+func composeProps(links []Link) LinkProps {
+	var f propsFold
+	for i := range links {
+		f.add(&links[i].LinkProps)
+	}
+	return f.props()
 }

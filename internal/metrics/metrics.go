@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -42,24 +41,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(len(h.samples))
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.samples[0]
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.samples[len(h.samples)-1]
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) using
@@ -310,9 +291,4 @@ func (ts *TimeSeries) Last() float64 {
 		return 0
 	}
 	return ts.Points[len(ts.Points)-1].Value
-}
-
-// String renders a short summary for logs.
-func (ts *TimeSeries) String() string {
-	return fmt.Sprintf("%s: %d points, mean %.3f", ts.Name, len(ts.Points), ts.Mean())
 }

@@ -22,9 +22,6 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 3 {
 		t.Fatalf("Mean = %v", h.Mean())
 	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
 	if got := h.Percentile(50); got != 3 {
 		t.Fatalf("P50 = %v, want 3", got)
 	}
@@ -41,8 +38,8 @@ func TestHistogramAddAfterQuery(t *testing.T) {
 	h.Add(10)
 	_ = h.Percentile(50)
 	h.Add(1) // must re-sort on the next query
-	if got := h.Min(); got != 1 {
-		t.Fatalf("Min after late Add = %v, want 1", got)
+	if got := h.Percentile(1); got != 1 {
+		t.Fatalf("P1 after late Add = %v, want 1", got)
 	}
 }
 
@@ -150,8 +147,8 @@ func TestHistogramDecimateAndMerge(t *testing.T) {
 	if h.Count() != 500 {
 		t.Fatalf("Count after Decimate = %d, want 500", h.Count())
 	}
-	if h.Max() != 1000 {
-		t.Fatalf("Max after Decimate = %v, want 1000 (max must survive)", h.Max())
+	if h.Percentile(100) != 1000 {
+		t.Fatalf("max after Decimate = %v, want 1000 (max must survive)", h.Percentile(100))
 	}
 	if got := h.Percentile(50); got < p50-3 || got > p50+3 {
 		t.Fatalf("p50 after Decimate = %v, want ~%v", got, p50)
@@ -162,8 +159,8 @@ func TestHistogramDecimateAndMerge(t *testing.T) {
 	var other Histogram
 	other.Add(5000)
 	h.Merge(&other)
-	if h.Count() != 501 || h.Max() != 5000 {
-		t.Fatalf("after Merge: count=%d max=%v", h.Count(), h.Max())
+	if h.Count() != 501 || h.Percentile(100) != 5000 {
+		t.Fatalf("after Merge: count=%d max=%v", h.Count(), h.Percentile(100))
 	}
 	// Decimating tiny histograms is a no-op.
 	var tiny Histogram

@@ -13,14 +13,13 @@
 // real network path inflicts and Kollaps configures (delay, jitter,
 // Bernoulli loss, bandwidth). It never duplicates, reorders, or corrupts
 // a packet, because the emulated links are configured not to. Adversarial
-// faults — duplication, reordering, corruption, partitions, gray
-// failures — are the chaos plane's job (internal/chaos), which injects
+// faults — duplication, reordering, corruption, delay spikes,
+// partitions — are the chaos plane's job (internal/chaos), which injects
 // them into the control plane's metadata datagrams, deterministically
 // under the experiment seed, without touching these qdiscs.
 package netem
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/packet"
@@ -112,9 +111,6 @@ func (tb *TokenBucket) SetQueueLimit(bytes int) {
 		tb.limit = bytes
 	}
 }
-
-// QueueLimit returns the current backlog limit in bytes.
-func (tb *TokenBucket) QueueLimit() int { return tb.limit }
 
 // Backlog returns the queued byte count.
 func (tb *TokenBucket) Backlog() int { return tb.queued }
@@ -299,14 +295,3 @@ type ChainProps struct {
 
 // Enqueue feeds the chain.
 func (c *Chain) Enqueue(p *packet.Packet) { c.HTB.Enqueue(p) }
-
-// LossForOversubscription computes the loss probability the Emulation
-// Core injects when demand exceeds the allocation (§3 "Congestion"):
-// packets are dropped proportionally to the oversubscribed capacity.
-func LossForOversubscription(usage, allocated units.Bandwidth) units.Loss {
-	if allocated <= 0 || usage <= allocated {
-		return 0
-	}
-	l := 1 - float64(allocated)/float64(usage)
-	return units.Loss(math.Min(l, 0.9))
-}

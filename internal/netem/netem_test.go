@@ -272,26 +272,6 @@ func TestChain(t *testing.T) {
 	}
 }
 
-func TestLossForOversubscription(t *testing.T) {
-	if got := LossForOversubscription(50*units.Mbps, 100*units.Mbps); got != 0 {
-		t.Errorf("under capacity: loss = %v", got)
-	}
-	if got := LossForOversubscription(100*units.Mbps, 100*units.Mbps); got != 0 {
-		t.Errorf("at capacity: loss = %v", got)
-	}
-	got := LossForOversubscription(200*units.Mbps, 100*units.Mbps)
-	if math.Abs(float64(got)-0.5) > 1e-9 {
-		t.Errorf("2x oversubscribed: loss = %v, want 0.5", got)
-	}
-	// Extreme oversubscription is capped.
-	if got := LossForOversubscription(10000*units.Mbps, 1); got > 0.9 {
-		t.Errorf("loss cap exceeded: %v", got)
-	}
-	if got := LossForOversubscription(100, 0); got != 0 {
-		t.Errorf("zero allocation: loss = %v, want 0 (no data)", got)
-	}
-}
-
 func BenchmarkTokenBucket(b *testing.B) {
 	eng := sim.NewEngine(1)
 	tb := NewTokenBucket(eng, 10*units.Gbps, func(p *packet.Packet) {})

@@ -71,11 +71,11 @@ const (
 	// The chaos fault-injection plane (internal/chaos). Per-fault events
 	// record the datagram they hit: Host is the sender, A the receiver,
 	// and B carries the fault-specific argument (added latency in
-	// nanoseconds for reorder/delay/gray, flipped bit count for corrupt,
+	// nanoseconds for reorder/delay, flipped bit count for corrupt,
 	// burst size for duplicate). Per-action events record schedule steps:
 	// partition/heal carry the two endpoints in A and B (-1 = wildcard),
-	// gray carries the delayed host in A, profile marks a fault-profile
-	// change on the whole fabric (Host is -1).
+	// profile marks a fault-profile change on the whole fabric (Host is
+	// -1).
 	KindChaosDrop
 	KindChaosDuplicate
 	KindChaosReorder
@@ -83,7 +83,6 @@ const (
 	KindChaosDelay
 	KindChaosPartition
 	KindChaosHeal
-	KindChaosGray
 	KindChaosProfile
 )
 
@@ -134,8 +133,6 @@ func (k Kind) String() string {
 		return "chaos_partition"
 	case KindChaosHeal:
 		return "chaos_heal"
-	case KindChaosGray:
-		return "chaos_gray"
 	case KindChaosProfile:
 		return "chaos_profile"
 	}
@@ -200,10 +197,8 @@ func (t *Tracer) Record(at time.Duration, kind Kind, host int32, a, b int64) {
 	t.mu.Unlock()
 }
 
-// Enabled reports whether the tracer records events (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Len returns the number of events currently held (≤ Cap).
+// Len returns the number of events currently held (at most the ring's
+// capacity).
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -218,16 +213,6 @@ func (t *Tracer) lenLocked() int {
 	if t.head < uint64(len(t.ev)) {
 		return int(t.head)
 	}
-	return len(t.ev)
-}
-
-// Cap returns the ring capacity (0 for nil).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.ev)
 }
 
@@ -382,7 +367,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			emit(`{"name":"share-deviation","ph":"C","ts":%d,"pid":%d,"tid":0,"args":{"mean_ppm":%d,"max_ppm":%d}}`,
 				ts, pid(e.Host), e.A, e.B)
 		case KindChaosDrop, KindChaosDuplicate, KindChaosReorder, KindChaosCorrupt,
-			KindChaosDelay, KindChaosPartition, KindChaosHeal, KindChaosGray, KindChaosProfile:
+			KindChaosDelay, KindChaosPartition, KindChaosHeal, KindChaosProfile:
 			emit(`{"name":%q,"cat":"chaos","ph":"i","s":"p","ts":%d,"pid":%d,"tid":0,"args":{"a":%d,"b":%d}}`,
 				e.Kind.String(), ts, pid(e.Host), e.A, e.B)
 		default:

@@ -31,17 +31,6 @@ const (
 	ICMP
 )
 
-func (p Proto) String() string {
-	switch p {
-	case TCP:
-		return "tcp"
-	case UDP:
-		return "udp"
-	default:
-		return "icmp"
-	}
-}
-
 // Header sizes in bytes. MSS payloads plus these yield the on-wire size
 // accounted by the shapers — which is what produces the characteristic
 // ≈ −4/−5 % goodput-vs-line-rate signature of Table 2.

@@ -322,9 +322,6 @@ func (e *Engine) RunAll() {
 // Halt stops the engine: Run/RunAll/Step return immediately afterwards.
 func (e *Engine) Halt() { e.halted = true }
 
-// Halted reports whether Halt has been called.
-func (e *Engine) Halted() bool { return e.halted }
-
 // Pending returns the number of live events in the queue, those waiting
 // behind a Line's head included.
 func (e *Engine) Pending() int {

@@ -137,8 +137,8 @@ func TestHalt(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("ticks after halt: %d, want 5", n)
 	}
-	if !e.Halted() {
-		t.Fatal("Halted() = false")
+	if !e.halted {
+		t.Fatal("halted = false after Halt")
 	}
 }
 

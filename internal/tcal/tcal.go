@@ -8,14 +8,12 @@
 // jitter, loss) chained into an htb qdisc (bandwidth), reached through a
 // u32-style two-level filter keyed on the destination address. The
 // Emulation Core queries cumulative byte counters ("retrieve bandwidth
-// usage") and adjusts rates and loss on every loop iteration — netlink-
-// style direct calls, no process spawning.
+// usage") and adjusts rates on every loop iteration — netlink-style
+// direct calls, no process spawning.
 //
 // As on Linux, the qdiscs are the only record of what is enforced: the
-// htb holds the rate and the netem stage the delay and jitter, and Props
-// reads them back. The TCAL itself keeps only what the qdiscs cannot
-// tell apart: the path's base loss, which the netem stage's loss
-// composes with injected congestion loss.
+// htb holds the rate and the netem stage the delay, jitter and loss, and
+// Props reads them back.
 package tcal
 
 import (
@@ -72,12 +70,8 @@ type TCAL struct {
 }
 
 type chain struct {
-	dst   packet.IP
-	qdisc *netem.Chain
-	// baseLoss is the topology path loss; injected congestion loss is
-	// composed on top and tracked separately so it can be re-derived
-	// every EM iteration.
-	baseLoss    units.Loss
+	dst         packet.IP
+	qdisc       *netem.Chain
 	lastRead    int64
 	lastReadReq int64
 	// waiters are TSQ-throttled senders to wake when the htb drains.
@@ -114,9 +108,8 @@ func (t *TCAL) InstallPath(dst packet.IP, p PathProps) error {
 		return fmt.Errorf("tcal: path to %v collides with installed %v on octets 3-4", dst, old.dst)
 	}
 	c := &chain{
-		dst:      dst,
-		qdisc:    netem.NewChain(t.eng, netem.ChainProps{Delay: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Rate: p.Bandwidth}, t.egress),
-		baseLoss: p.Loss,
+		dst:   dst,
+		qdisc: netem.NewChain(t.eng, netem.ChainProps{Delay: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Rate: p.Bandwidth}, t.egress),
 	}
 	c.qdisc.HTB.OnDequeue = func() {
 		// One waiter per departure: connections sharing a destination
@@ -163,9 +156,6 @@ func (t *TCAL) RemovePath(dst packet.IP) {
 		t.dstsDirty = true
 	}
 }
-
-// HasPath reports whether dst has an installed chain.
-func (t *TCAL) HasPath(dst packet.IP) bool { return t.chain(dst) != nil }
 
 // Destinations returns the installed destinations in ascending IP order.
 // The returned slice is owned by the TCAL and reused: it stays valid (and
@@ -227,41 +217,26 @@ func (t *TCAL) SetBandwidth(dst packet.IP, rate units.Bandwidth) error {
 	return nil
 }
 
-// SetNetem updates delay, jitter and base loss toward dst (topology state
+// SetNetem updates delay, jitter and loss toward dst (topology state
 // change).
 func (t *TCAL) SetNetem(dst packet.IP, delay, jitter time.Duration, loss units.Loss) error {
 	c := t.chain(dst)
 	if c == nil {
 		return fmt.Errorf("tcal: no path to %v", dst)
 	}
-	c.baseLoss = loss
 	c.qdisc.Netem.Set(delay, jitter, loss)
 	return nil
 }
 
-// InjectCongestionLoss composes extra packet loss on top of the path's
-// base loss — the §3 workaround that exposes oversubscription to
-// loss-based congestion control.
-func (t *TCAL) InjectCongestionLoss(dst packet.IP, extra units.Loss) error {
-	c := t.chain(dst)
-	if c == nil {
-		return fmt.Errorf("tcal: no path to %v", dst)
-	}
-	ne := c.qdisc.Netem
-	ne.Set(ne.Delay(), ne.Jitter(), c.baseLoss.Compose(extra))
-	return nil
-}
-
 // Props returns the currently installed properties toward dst, read
-// back from its qdiscs. Loss is the path's base loss, without any
-// injected congestion loss.
+// back from its qdiscs.
 func (t *TCAL) Props(dst packet.IP) (PathProps, bool) {
 	c := t.chain(dst)
 	if c == nil {
 		return PathProps{}, false
 	}
 	ne := c.qdisc.Netem
-	return PathProps{Latency: ne.Delay(), Jitter: ne.Jitter(), Loss: c.baseLoss, Bandwidth: c.qdisc.HTB.Rate()}, true
+	return PathProps{Latency: ne.Delay(), Jitter: ne.Jitter(), Loss: ne.Loss(), Bandwidth: c.qdisc.HTB.Rate()}, true
 }
 
 // Usage returns the bytes sent toward dst since the previous Usage call —
@@ -279,8 +254,7 @@ func (t *TCAL) Usage(dst packet.IP) int64 {
 
 // Requested returns the bytes the application *offered* toward dst since
 // the previous Requested call: bytes shaped through plus bytes tail-dropped
-// by the full htb queue. The Emulation Core compares this demand with the
-// allocation to decide congestion-loss injection (§3 "Congestion").
+// by the full htb queue: the demand the Emulation Core allocates for.
 func (t *TCAL) Requested(dst packet.IP) int64 {
 	c := t.chain(dst)
 	if c == nil {

@@ -96,14 +96,14 @@ func TestSetBandwidthTakesEffect(t *testing.T) {
 	}
 }
 
-func TestSetNetemAndCongestionLoss(t *testing.T) {
+func TestSetNetemLoss(t *testing.T) {
 	eng := sim.NewEngine(7)
 	delivered := 0
 	tc := New(eng, func(p *packet.Packet) { delivered++ })
 	dst := packet.MakeIP(0, 1, 1)
 	tc.InstallPath(dst, PathProps{Latency: time.Millisecond, Bandwidth: units.Gbps, Loss: 0})
-	// Inject 50% congestion loss on a lossless path.
-	if err := tc.InjectCongestionLoss(dst, 0.5); err != nil {
+	// 50% loss on a lossless path.
+	if err := tc.SetNetem(dst, time.Millisecond, 0, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4000; i++ {
@@ -115,8 +115,8 @@ func TestSetNetemAndCongestionLoss(t *testing.T) {
 	if frac < 0.45 || frac > 0.55 {
 		t.Fatalf("delivered fraction = %.3f, want ~0.5", frac)
 	}
-	// Clearing congestion loss restores the base loss.
-	if err := tc.InjectCongestionLoss(dst, 0); err != nil {
+	// Setting the loss back to 0 delivers everything again.
+	if err := tc.SetNetem(dst, time.Millisecond, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	delivered = 0
@@ -129,38 +129,16 @@ func TestSetNetemAndCongestionLoss(t *testing.T) {
 	}
 }
 
-func TestCongestionLossComposesWithBaseLoss(t *testing.T) {
-	eng := sim.NewEngine(11)
-	delivered := 0
-	tc := New(eng, func(p *packet.Packet) { delivered++ })
-	dst := packet.MakeIP(0, 1, 1)
-	tc.InstallPath(dst, PathProps{Bandwidth: units.Gbps, Loss: 0.2})
-	if err := tc.InjectCongestionLoss(dst, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	n := 10000
-	for i := 0; i < n; i++ {
-		at := time.Duration(i) * 20 * time.Microsecond
-		eng.At(at, func() { tc.Send(mk(dst, 200)) })
-	}
-	eng.RunAll()
-	// Composite keep = 0.8*0.5 = 0.4.
-	frac := float64(delivered) / float64(n)
-	if frac < 0.37 || frac > 0.43 {
-		t.Fatalf("composite keep = %.3f, want ~0.40", frac)
-	}
-}
-
 func TestRemovePath(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tc := New(eng, func(p *packet.Packet) {})
 	dst := packet.MakeIP(0, 1, 1)
 	tc.InstallPath(dst, PathProps{Bandwidth: units.Gbps})
-	if !tc.HasPath(dst) || len(tc.Destinations()) != 1 {
+	if tc.chain(dst) == nil || len(tc.Destinations()) != 1 {
 		t.Fatal("path not installed")
 	}
 	tc.RemovePath(dst)
-	if tc.HasPath(dst) {
+	if tc.chain(dst) != nil {
 		t.Fatal("path still installed")
 	}
 	tc.Send(mk(dst, 100))
@@ -175,9 +153,6 @@ func TestRemovePath(t *testing.T) {
 	if err := tc.SetNetem(dst, 0, 0, 0); err == nil {
 		t.Fatal("SetNetem on removed path should error")
 	}
-	if err := tc.InjectCongestionLoss(dst, 0.1); err == nil {
-		t.Fatal("InjectCongestionLoss on removed path should error")
-	}
 	if got := tc.Usage(dst); got != 0 {
 		t.Fatalf("Usage of removed path = %d", got)
 	}
@@ -186,7 +161,7 @@ func TestRemovePath(t *testing.T) {
 	tc.InstallPath(other, PathProps{Bandwidth: units.Gbps})
 	tc.RemovePath(dst)
 	tc.RemovePath(packet.MakeIP(0, 200, 200))
-	if !tc.HasPath(other) || len(tc.Destinations()) != 1 {
+	if tc.chain(other) == nil || len(tc.Destinations()) != 1 {
 		t.Fatalf("redundant removes disturbed %v: %v", other, tc.Destinations())
 	}
 }
@@ -213,7 +188,7 @@ func TestInstallPathRefusesOctetCollision(t *testing.T) {
 	}
 	tc.Send(mk(far, 100))
 	tc.RemovePath(far)
-	if tc.UnmatchedDropped != 1 || !tc.HasPath(near) || tc.HasPath(far) {
+	if tc.UnmatchedDropped != 1 || tc.chain(near) == nil || tc.chain(far) != nil {
 		t.Fatalf("%v must stay unmatched and leave %v alone: dropped=%d", far, near, tc.UnmatchedDropped)
 	}
 	if err := tc.InstallPath(near, PathProps{Latency: 2 * time.Millisecond}); err != nil {
@@ -258,17 +233,12 @@ func TestProps(t *testing.T) {
 	if got, _ = tc.Props(dst); got != want {
 		t.Fatalf("Props after SetNetem = %+v, want %+v", got, want)
 	}
-	// Props reports the base loss: injected congestion loss composes on
-	// top of it in the netem stage without replacing it.
-	if err := tc.InjectCongestionLoss(dst, 0.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := tc.SetBandwidth(dst, 3*units.Mbps); err != nil {
 		t.Fatal(err)
 	}
 	want.Bandwidth = 3 * units.Mbps
 	if got, _ = tc.Props(dst); got != want {
-		t.Fatalf("Props after InjectCongestionLoss and SetBandwidth = %+v, want %+v", got, want)
+		t.Fatalf("Props after SetBandwidth = %+v, want %+v", got, want)
 	}
 }
 

@@ -477,6 +477,35 @@ func TestParseXMLErrors(t *testing.T) {
 	}
 }
 
+// TestParseXMLRejectsUnrepresentable: a delay, jitter or rate that does
+// not fit its int64 unit (NaN, ±Inf, 1e13 ms, 1e17 kb/s) is an error
+// naming the edge, the attribute and the value, not a wrapped number that
+// Validate later reports as negative.
+func TestParseXMLRejectsUnrepresentable(t *testing.T) {
+	for _, tc := range []struct{ attr, value, want string }{
+		{"int_delayms", "NaN", "edge 0 int_delayms=NaN"},
+		{"int_delayms", "Inf", "edge 0 int_delayms=+Inf"},
+		{"int_delayms", "-Inf", "edge 0 int_delayms=-Inf"},
+		{"int_delayms", "1e13", "edge 0 int_delayms=1e+13"},
+		{"dbl_jitterms", "NaN", "edge 0 dbl_jitterms=NaN"},
+		{"dbl_jitterms", "Inf", "edge 0 dbl_jitterms=+Inf"},
+		{"dbl_kbps", "1e17", "edge 0 dbl_kbps=1e+17"},
+		{"dbl_kbps", "Inf", "edge 0 dbl_kbps=+Inf"},
+		{"dbl_kbps", "NaN", "edge 0 dbl_kbps=NaN"},
+		{"dbl_plr", "NaN", "edge 0 loss NaN"},
+	} {
+		attrs := map[string]string{"int_delayms": "5", "dbl_jitterms": "0", "dbl_kbps": "10000", "dbl_plr": "0"}
+		attrs[tc.attr] = tc.value
+		src := fmt.Sprintf(`<topology><vertices><vertex int_idx="0" role="virtnode"/><vertex int_idx="1" role="virtnode"/></vertices>`+
+			`<edges><edge int_src="0" int_dst="1" int_delayms=%q dbl_jitterms=%q dbl_kbps=%q dbl_plr=%q/></edges></topology>`,
+			attrs["int_delayms"], attrs["dbl_jitterms"], attrs["dbl_kbps"], attrs["dbl_plr"])
+		_, err := ParseXML(src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s=%q: err = %v, want one naming %q", tc.attr, tc.value, err, tc.want)
+		}
+	}
+}
+
 func TestUnidirectionalLink(t *testing.T) {
 	src := `
 experiment:

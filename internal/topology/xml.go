@@ -3,6 +3,7 @@ package topology
 import (
 	"encoding/xml"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -85,19 +86,43 @@ func ParseXML(src string) (*Topology, error) {
 		if !ok {
 			return nil, fmt.Errorf("topology: xml: edge %d references unknown vertex %d", i, e.Dst)
 		}
-		if e.PLR < 0 || e.PLR > 1 {
+		if !(e.PLR >= 0 && e.PLR <= 1) {
 			return nil, fmt.Errorf("topology: xml: edge %d loss %v out of range", i, e.PLR)
+		}
+		delay, err := xmlScale(i, "int_delayms", e.DelayMS, float64(time.Millisecond))
+		if err != nil {
+			return nil, err
+		}
+		jitter, err := xmlScale(i, "dbl_jitterms", e.Jitter, float64(time.Millisecond))
+		if err != nil {
+			return nil, err
+		}
+		bw, err := xmlScale(i, "dbl_kbps", e.KBPS, 1000)
+		if err != nil {
+			return nil, err
 		}
 		t.Links = append(t.Links, LinkDef{
 			Orig:           src,
 			Dest:           dst,
-			Latency:        time.Duration(e.DelayMS * float64(time.Millisecond)),
-			Jitter:         time.Duration(e.Jitter * float64(time.Millisecond)),
-			Up:             units.Bandwidth(e.KBPS * 1000),
-			Down:           units.Bandwidth(e.KBPS * 1000),
+			Latency:        time.Duration(delay),
+			Jitter:         time.Duration(jitter),
+			Up:             units.Bandwidth(bw),
+			Down:           units.Bandwidth(bw),
 			Loss:           units.Loss(e.PLR),
 			Unidirectional: true,
 		})
 	}
 	return t, nil
+}
+
+// xmlScale returns v·unit as an int64, v being attribute name of edge
+// number edge. NaN, ±Inf and a magnitude at or past 2^63 do not fit and
+// are an error naming the edge, the attribute and the value; a negative
+// value is left for Validate, which names the link.
+func xmlScale(edge int, name string, v, unit float64) (int64, error) {
+	x := v * unit
+	if !(math.Abs(x) < math.MaxInt64) {
+		return 0, fmt.Errorf("topology: xml: edge %d %s=%v out of range", edge, name, v)
+	}
+	return int64(x), nil
 }

@@ -198,12 +198,6 @@ func NewStack(eng *sim.Engine, net packet.Network, ip packet.IP) *Stack {
 	return s
 }
 
-// IP returns the stack's address.
-func (s *Stack) IP() packet.IP { return s.ip }
-
-// Engine returns the simulation engine.
-func (s *Stack) Engine() *sim.Engine { return s.eng }
-
 // Listen installs a listener on port.
 func (s *Stack) Listen(port uint16, l *Listener) {
 	s.listeners[port] = l
@@ -324,12 +318,6 @@ func (c *Conn) WriteMsg(n int, meta any) {
 
 // Buffered returns the bytes queued but not yet sent.
 func (c *Conn) Buffered() int64 { return c.sndBuf }
-
-// Unacked returns the bytes in flight.
-func (c *Conn) Unacked() int64 { return c.sndNext - c.sndUna }
-
-// Cwnd returns the current congestion window in bytes.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
 
 // SRTT returns the smoothed RTT estimate (zero before the first sample).
 func (c *Conn) SRTT() time.Duration { return c.srtt }
@@ -1017,6 +1005,3 @@ func (c *Conn) teardown() {
 	c.pacer.Free()
 	delete(c.stack.conns, c.id)
 }
-
-// Abort drops the connection immediately without a FIN exchange.
-func (c *Conn) Abort() { c.teardown() }

@@ -37,7 +37,7 @@ func TestHandshake(t *testing.T) {
 	var accepted *Conn
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) { accepted = c }})
 	connected := false
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	c.OnConnected = func() { connected = true }
 	eng.Run(time.Second)
 	if accepted == nil {
@@ -53,7 +53,7 @@ func TestHandshake(t *testing.T) {
 
 func TestDialNoListener(t *testing.T) {
 	eng, cli, srv := testNet(t, gigLink(), 1)
-	c := cli.Dial(srv.IP(), 81, Reno) // nothing listening
+	c := cli.Dial(srv.ip, 81, Reno) // nothing listening
 	eng.Run(10 * time.Second)
 	if c.Established() {
 		t.Fatal("connected to nothing")
@@ -70,7 +70,7 @@ func TestBulkTransferReachesLineRate(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnData = func(n int) { received += int64(n) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	const total = 10_000_000
 	c.Write(total)
 	eng.Run(10 * time.Second)
@@ -104,7 +104,7 @@ func TestGoodputHeaderSignature(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnData = func(n int) { received += int64(n) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	// Keep the pipe saturated for the whole run.
 	c.Write(40_000_000)
 	eng.Run(10 * time.Second)
@@ -137,8 +137,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 		recv[c.id.remote.port] = n
 		c.OnData = func(k int) { *n += int64(k) }
 	}})
-	c1 := cliS.Dial(srvS.IP(), 80, Reno)
-	c2 := cliS.Dial(srvS.IP(), 80, Reno)
+	c1 := cliS.Dial(srvS.ip, 80, Reno)
+	c2 := cliS.Dial(srvS.ip, 80, Reno)
 	c1.Write(200_000_000)
 	c2.Write(200_000_000)
 	eng.Run(20 * time.Second)
@@ -171,7 +171,7 @@ func TestLossRecovery(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnData = func(n int) { received += int64(n) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	const total = 3_000_000
 	c.Write(total)
 	eng.Run(60 * time.Second)
@@ -193,7 +193,7 @@ func TestHeavyLossStillCompletes(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnData = func(n int) { received += int64(n) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	const total = 200_000
 	c.Write(total)
 	eng.Run(120 * time.Second)
@@ -213,7 +213,7 @@ func TestCongestionLossThroughputReno(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnData = func(n int) { received += int64(n) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	c.Write(1 << 30)
 	eng.Run(30 * time.Second)
 	mbps := float64(received) * 8 / 30 / 1e6
@@ -232,7 +232,7 @@ func TestCubicOutperformsRenoOnLFN(t *testing.T) {
 		srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 			c.OnData = func(n int) { received += int64(n) }
 		}})
-		c := cli.Dial(srv.IP(), 80, cc)
+		c := cli.Dial(srv.ip, 80, cc)
 		c.Write(1 << 31)
 		eng.Run(40 * time.Second)
 		return received
@@ -256,7 +256,7 @@ func TestRTOOnBlackhole(t *testing.T) {
 	nw.AttachEndpoint(b, ipB, nil)
 	cli, srv := NewStack(eng, nw, ipA), NewStack(eng, nw, ipB)
 	srv.Listen(80, &Listener{})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	eng.Run(100 * time.Millisecond) // handshake done
 	if !c.Established() {
 		t.Fatal("no handshake")
@@ -268,8 +268,8 @@ func TestRTOOnBlackhole(t *testing.T) {
 	if c.RTOs == 0 {
 		t.Fatal("expected RTOs on a black-holed path")
 	}
-	if c.Cwnd() > 2*mss {
-		t.Fatalf("cwnd = %.0f after repeated RTOs, want collapsed", c.Cwnd())
+	if c.cwnd > 2*mss {
+		t.Fatalf("cwnd = %.0f after repeated RTOs, want collapsed", c.cwnd)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestCloseHandshake(t *testing.T) {
 		srvConn = c
 		c.OnClose = func() { srvClosed = true; c.Close() }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	c.Write(5000)
 	c.Close()
 	eng.Run(5 * time.Second)
@@ -302,7 +302,7 @@ func TestWriteAfterClose(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnData = func(n int) { got += int64(n) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	c.Write(1000)
 	c.Close()
 	c.Write(9999) // must be ignored
@@ -322,7 +322,7 @@ func TestInOrderDelivery(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnData = func(n int) { chunks = append(chunks, n) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	total := 0
 	for i := 1; i <= 50; i++ {
 		c.Write(i * 100)
@@ -344,16 +344,16 @@ func TestRenoSawtooth(t *testing.T) {
 	lp := graph.LinkProps{Latency: 10 * time.Millisecond, Bandwidth: 50 * units.Mbps, Loss: 0.001}
 	eng, cli, srv := testNet(t, lp, 13)
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	c.Write(1 << 30)
 	var lo, hi float64 = math.MaxFloat64, 0
 	eng.Every(50*time.Millisecond, func() {
 		if c.Established() && eng.Now() > 2*time.Second {
-			if c.Cwnd() < lo {
-				lo = c.Cwnd()
+			if c.cwnd < lo {
+				lo = c.cwnd
 			}
-			if c.Cwnd() > hi {
-				hi = c.Cwnd()
+			if c.cwnd > hi {
+				hi = c.cwnd
 			}
 		}
 	})
@@ -373,7 +373,7 @@ func TestUDPDelivery(t *testing.T) {
 	srv.HandleUDP(53, func(src packet.IP, srcPort uint16, size int, payload any) {
 		gotSize, gotPayload = size, payload
 	})
-	cli.SendUDP(srv.IP(), 53, 9999, 512, "hello")
+	cli.SendUDP(srv.ip, 53, 9999, 512, "hello")
 	eng.RunAll()
 	if gotSize != 512 {
 		t.Fatalf("UDP size = %d, want 512", gotSize)
@@ -385,19 +385,19 @@ func TestUDPDelivery(t *testing.T) {
 
 func TestUDPNoHandler(t *testing.T) {
 	eng, cli, srv := testNet(t, gigLink(), 15)
-	cli.SendUDP(srv.IP(), 54, 1, 100, nil) // silently dropped
+	cli.SendUDP(srv.ip, 54, 1, 100, nil) // silently dropped
 	eng.RunAll()
 	// Also removing a handler works.
 	srv.HandleUDP(55, func(packet.IP, uint16, int, any) {})
 	srv.HandleUDP(55, nil)
-	cli.SendUDP(srv.IP(), 55, 1, 100, nil)
+	cli.SendUDP(srv.ip, 55, 1, 100, nil)
 	eng.RunAll()
 }
 
 func TestPingRTT(t *testing.T) {
 	eng, cli, srv := testNet(t, gigLink(), 16)
 	var rtt time.Duration
-	cli.Ping(srv.IP(), 64, func(d time.Duration) { rtt = d })
+	cli.Ping(srv.ip, 64, func(d time.Duration) { rtt = d })
 	eng.RunAll()
 	if rtt < 10*time.Millisecond || rtt > 11*time.Millisecond {
 		t.Fatalf("ping RTT = %v, want ~10ms", rtt)
@@ -411,7 +411,7 @@ func TestPingWithJitter(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		at := time.Duration(i) * 200 * time.Millisecond
 		eng.At(at, func() {
-			cli.Ping(srv.IP(), 64, func(d time.Duration) { rtts = append(rtts, d) })
+			cli.Ping(srv.ip, 64, func(d time.Duration) { rtts = append(rtts, d) })
 		})
 	}
 	eng.RunAll()
@@ -444,7 +444,7 @@ func TestManyConnectionsDistinctPorts(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) { accepted++ }})
 	conns := make([]*Conn, 50)
 	for i := range conns {
-		conns[i] = cli.Dial(srv.IP(), 80, Reno)
+		conns[i] = cli.Dial(srv.ip, 80, Reno)
 	}
 	eng.Run(time.Second)
 	if accepted != 50 {
@@ -467,7 +467,7 @@ func BenchmarkBulkTransfer(b *testing.B) {
 		srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 			c.OnData = func(n int) { received += int64(n) }
 		}})
-		c := cli.Dial(srv.IP(), 80, Cubic)
+		c := cli.Dial(srv.ip, 80, Cubic)
 		c.Write(5_000_000)
 		eng.Run(5 * time.Second)
 		if received == 0 {
@@ -482,7 +482,7 @@ func TestWriteMsgFraming(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnMsg = func(meta any) { got = append(got, meta.(string)) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	c.WriteMsg(100, "a")
 	c.WriteMsg(5000, "b")
 	c.Write(777) // unframed filler between messages
@@ -502,7 +502,7 @@ func TestWriteMsgUnderLoss(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnMsg = func(meta any) { got = append(got, meta.(int)) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	const n = 200
 	for i := 0; i < n; i++ {
 		c.WriteMsg(2000, i)
@@ -528,7 +528,7 @@ func TestWriteMsgBidirectional(t *testing.T) {
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
 		c.OnMsg = func(meta any) { c.WriteMsg(500, "resp:"+meta.(string)) }
 	}})
-	c := cli.Dial(srv.IP(), 80, Reno)
+	c := cli.Dial(srv.ip, 80, Reno)
 	var got []string
 	c.OnMsg = func(meta any) { got = append(got, meta.(string)) }
 	c.WriteMsg(100, "r1")

@@ -182,12 +182,6 @@ func ParseLoss(s string) (Loss, error) {
 	return Loss(v), nil
 }
 
-// Compose returns the combined loss of two sequential lossy stages:
-// 1-(1-a)(1-b).
-func (l Loss) Compose(other Loss) Loss {
-	return 1 - (1-l)*(1-other)
-}
-
 // Clamp limits the loss to [0,1].
 func (l Loss) Clamp() Loss {
 	if l < 0 {

@@ -233,52 +233,6 @@ func TestParseLoss(t *testing.T) {
 	}
 }
 
-func TestLossCompose(t *testing.T) {
-	got := Loss(0.1).Compose(0.1)
-	want := Loss(1 - 0.9*0.9)
-	if diff := float64(got - want); diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("Compose = %v, want %v", got, want)
-	}
-	// Composition with zero is identity.
-	if got := Loss(0.25).Compose(0); got != 0.25 {
-		t.Errorf("Compose(0) = %v, want 0.25", got)
-	}
-	// Composition with one is total loss.
-	if got := Loss(0.25).Compose(1); got != 1 {
-		t.Errorf("Compose(1) = %v, want 1", got)
-	}
-}
-
-func TestLossComposeProperties(t *testing.T) {
-	clamp := func(x float64) Loss {
-		if x < 0 {
-			x = -x
-		}
-		return Loss(x - float64(int(x))).Clamp()
-	}
-	// Commutative and within [0,1].
-	f := func(a, b float64) bool {
-		x, y := clamp(a), clamp(b)
-		ab, ba := x.Compose(y), y.Compose(x)
-		d := float64(ab - ba)
-		if d < 0 {
-			d = -d
-		}
-		return d < 1e-9 && ab >= 0 && ab <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Monotone: composing can only increase loss.
-	g := func(a, b float64) bool {
-		x, y := clamp(a), clamp(b)
-		return x.Compose(y) >= x-1e-12 && x.Compose(y) >= y-1e-12
-	}
-	if err := quick.Check(g, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLossClamp(t *testing.T) {
 	if got := Loss(-0.5).Clamp(); got != 0 {
 		t.Errorf("Clamp(-0.5) = %v", got)

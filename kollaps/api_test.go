@@ -151,7 +151,7 @@ func TestBaremetalSeedZeroHonored(t *testing.T) {
 	as, _, _ := bm.AppStack("a")
 	_, bIP, _ := bm.AppStack("b")
 	as.Ping(bIP, 64, func(d time.Duration) { rtt = d })
-	bm.Run(time.Second)
+	bm.Eng.Run(time.Second)
 	if rtt == 0 {
 		t.Fatal("seed-0 bare-metal network moved no traffic")
 	}
@@ -252,8 +252,8 @@ func TestImmediateMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutation before Deploy is an error.
-	if err := exp.FailLink("a", "b"); err == nil {
-		t.Fatal("FailLink before Deploy must error")
+	if err := exp.apply(LinkDown("a", "b")); err == nil {
+		t.Fatal("a live LinkDown before Deploy must error")
 	}
 	if err := exp.Deploy(2); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestImmediateMutation(t *testing.T) {
 		a.Stack.Ping(b.IP, 64, func(d time.Duration) { rtts = append(rtts, d) })
 	}
 	// Phase 1: 10ms link → ~20ms RTT. Phase 2 (SetLink to 50ms): ~100ms.
-	// Phase 3 (FailLink): lost. Phase 4 (RestoreLink): restored props.
+	// Phase 3 (LinkDown): lost. Phase 4 (LinkUp): restored props.
 	exp.Eng.At(100*time.Millisecond, ping)
 	exp.Eng.At(1*time.Second, func() {
 		if err := exp.SetLink("a", "b", Latency(50*time.Millisecond)); err != nil {
@@ -275,13 +275,13 @@ func TestImmediateMutation(t *testing.T) {
 		ping()
 	})
 	exp.Eng.At(2*time.Second, func() {
-		if err := exp.FailLink("a", "b"); err != nil {
+		if err := exp.apply(LinkDown("a", "b")); err != nil {
 			t.Error(err)
 		}
 		ping()
 	})
 	exp.Eng.At(3*time.Second, func() {
-		if err := exp.RestoreLink("a", "b"); err != nil {
+		if err := exp.apply(LinkUp("a", "b")); err != nil {
 			t.Error(err)
 		}
 		ping()
@@ -290,7 +290,7 @@ func TestImmediateMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rtts) != 3 {
-		t.Fatalf("got %d ping replies, want 3 (one lost during FailLink)", len(rtts))
+		t.Fatalf("got %d ping replies, want 3 (one lost while the link was down)", len(rtts))
 	}
 	within := func(d, want time.Duration) bool {
 		diff := d - want
@@ -306,7 +306,7 @@ func TestImmediateMutation(t *testing.T) {
 		t.Fatalf("post-SetLink RTT = %v, want ~100ms", rtts[1])
 	}
 	if !within(rtts[2], 100*time.Millisecond) {
-		t.Fatalf("post-RestoreLink RTT = %v, want ~100ms (restored props)", rtts[2])
+		t.Fatalf("post-LinkUp RTT = %v, want ~100ms (restored props)", rtts[2])
 	}
 }
 
@@ -340,10 +340,10 @@ func TestSetLinkRejectsImpossibleValues(t *testing.T) {
 	if gen := exp.Runtime.TopologyGen(); gen != 1 {
 		t.Fatalf("rejected SetLinks moved the topology to generation %d", gen)
 	}
-	if err := exp.FailLink("a", "s"); err != nil {
+	if err := exp.apply(LinkDown("a", "s")); err != nil {
 		t.Fatal(err)
 	}
-	if err := exp.RestoreLink("a", "s"); err != nil {
+	if err := exp.apply(LinkUp("a", "s")); err != nil {
 		t.Fatal(err)
 	}
 	// Each applied change moves the generation by exactly one.
@@ -527,38 +527,6 @@ func TestChurnValidation(t *testing.T) {
 	}
 }
 
-// A Gray action with a negative or inverted delay band used to be
-// clamped silently by the injector; ChaosPlan now rejects it, before and
-// after Deploy, and names the band.
-func TestGrayHostValidation(t *testing.T) {
-	exp, err := Load(quickYAML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(deployed bool) {
-		for _, tc := range []struct {
-			min, max time.Duration
-			want     string
-		}{
-			{-time.Millisecond, time.Millisecond, "-1ms"},
-			{5 * time.Millisecond, time.Millisecond, "[5ms,1ms]"},
-		} {
-			plan := new(chaos.Plan).At(time.Second, chaos.Off()).At(2*time.Second, chaos.Gray(0, tc.min, tc.max))
-			if err := exp.ChaosPlan(plan); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("deployed=%v: ChaosPlan with Gray(0, %v, %v) = %v, want an error naming %s", deployed, tc.min, tc.max, err, tc.want)
-			}
-		}
-		if err := exp.ChaosPlan(new(chaos.Plan).At(time.Second, chaos.Gray(0, 0, 0))); err != nil {
-			t.Fatalf("deployed=%v: a zero band is valid: %v", deployed, err)
-		}
-	}
-	check(false)
-	if err := exp.Deploy(1); err != nil {
-		t.Fatal(err)
-	}
-	check(true)
-}
-
 // A plan with one invalid step time arms none of its steps: ChaosPlan
 // checks every step's time — ≥ 0 before Deploy, not in the virtual past
 // after it — before it schedules any.
@@ -567,7 +535,7 @@ func TestChaosPlanRejectedLeavesNothingArmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := new(chaos.Plan).At(100*time.Millisecond, chaos.PartitionHosts(0)).At(-time.Second, chaos.Heal())
+	plan := new(chaos.Plan).At(100*time.Millisecond, chaos.PartitionOneWay(0, 1)).At(-time.Second, chaos.Heal())
 	if err := exp.ChaosPlan(plan); err == nil || !strings.Contains(err.Error(), "-1s") {
 		t.Fatalf("ChaosPlan with a step at -1s = %v, want an error naming it", err)
 	}
@@ -581,7 +549,7 @@ func TestChaosPlanRejectedLeavesNothingArmed(t *testing.T) {
 		t.Fatalf("a plan rejected before Deploy injected faults: %+v", s)
 	}
 	now := time.Second
-	plan = new(chaos.Plan).At(now+100*time.Millisecond, chaos.PartitionHosts(0)).At(now-time.Millisecond, chaos.Heal())
+	plan = new(chaos.Plan).At(now+100*time.Millisecond, chaos.PartitionOneWay(0, 1)).At(now-time.Millisecond, chaos.Heal())
 	if err := exp.ChaosPlan(plan); err == nil || !strings.Contains(err.Error(), "virtual past") {
 		t.Fatalf("ChaosPlan with a step in the past = %v, want a virtual-past error", err)
 	}

@@ -13,12 +13,11 @@ import (
 // that never touch it replay byte-identically to pre-chaos builds.
 //
 // Faults are scripted one way: a chaos.Plan of timed steps over the
-// chaos package's actions (SetProfile, Off, PartitionHosts,
-// PartitionOneWay, Heal, Gray, ClearGray), scheduled with ChaosPlan
-// before or after Deploy:
+// chaos package's actions (SetProfile, Off, PartitionOneWay, Heal),
+// scheduled with ChaosPlan before or after Deploy:
 //
 //	exp.ChaosPlan(new(chaos.Plan).
-//		At(5*time.Second, chaos.PartitionHosts(0, 1)).
+//		At(5*time.Second, chaos.PartitionOneWay(0, 1)).
 //		At(15*time.Second, chaos.Heal()))
 //
 // A running experiment arms a fault at the current virtual time with a
@@ -33,8 +32,8 @@ import (
 // ChaosPlan schedules every step of a chaos plan. Before Deploy the
 // steps are pre-registered and armed at Deploy; after Deploy a step in
 // the virtual past is an error. A plan with an invalid step — a negative
-// time, a time in the virtual past, or an invalid action (see
-// chaos.Action.Err) — is rejected before any step is scheduled.
+// time or a time in the virtual past — is rejected before any step is
+// scheduled.
 func (e *Experiment) ChaosPlan(p *chaos.Plan) error {
 	for _, s := range p.Steps {
 		if s.At < 0 {
@@ -42,11 +41,6 @@ func (e *Experiment) ChaosPlan(p *chaos.Plan) error {
 		}
 		if e.Runtime != nil && s.At < e.Eng.Now() {
 			return fmt.Errorf("kollaps: chaos step at %v is in the virtual past (now %v)", s.At, e.Eng.Now())
-		}
-		for _, a := range s.Acts {
-			if err := a.Err(); err != nil {
-				return fmt.Errorf("kollaps: chaos step at %v: %w", s.At, err)
-			}
 		}
 	}
 	if e.Runtime == nil {

@@ -11,7 +11,7 @@ import (
 // Event is one topology change, not yet bound to a time. Build events
 // with the constructors (Set, LinkDown, LinkUp, NodeDown, NodeUp) and
 // bind them with Experiment.At or TopologyBuilder.At; the immediate
-// mutators (SetLink, FailLink, ...) bind them to the current virtual
+// mutators (SetLink, Leave, ...) bind them to the current virtual
 // time. The five event kinds back the YAML dynamic: section, so any
 // scripted scenario has a deterministic YAML-expressible core — what
 // the API adds is Go control flow, parameterization and seeded
@@ -102,16 +102,6 @@ func unwrap(at time.Duration, evs []Event) []topology.Event {
 // observations of the running emulation.
 func (e *Experiment) SetLink(orig, dest string, opts ...LinkOption) error {
 	return e.apply(Set(orig, dest, opts...))
-}
-
-// FailLink immediately removes the link(s) between two endpoints.
-func (e *Experiment) FailLink(orig, dest string) error {
-	return e.apply(LinkDown(orig, dest))
-}
-
-// RestoreLink immediately restores previously failed link(s).
-func (e *Experiment) RestoreLink(orig, dest string, opts ...LinkOption) error {
-	return e.apply(LinkUp(orig, dest, opts...))
 }
 
 // Leave immediately removes a node (service, replica set or bridge) from

@@ -142,16 +142,16 @@ func ExampleExperiment_ChaosPlan_profile() {
 }
 
 // ExampleExperiment_ChaosPlan schedules a control-plane partition
-// before Deploy, cutting hosts {0, 1} off from the rest of the cluster
-// for one virtual second, then healing. Only metadata datagrams are
-// blocked; application traffic still flows.
+// before Deploy, discarding every metadata datagram from host 0 to
+// host 1 for one virtual second, then healing. Only metadata datagrams
+// are blocked; application traffic still flows.
 func ExampleExperiment_ChaosPlan() {
 	exp, err := kollaps.Load(exampleYAML)
 	if err != nil {
 		panic(err)
 	}
 	plan := new(chaos.Plan).
-		At(500*time.Millisecond, chaos.PartitionHosts(0, 1)).
+		At(500*time.Millisecond, chaos.PartitionOneWay(0, 1)).
 		At(1500*time.Millisecond, chaos.Heal())
 	if err := exp.ChaosPlan(plan); err != nil {
 		panic(err)

@@ -150,12 +150,12 @@ func TestKillManagerStopsControlPlaneNotTraffic(t *testing.T) {
 			if err := exp.KillManager(1); err != nil {
 				t.Fatal(err)
 			}
-			sentAtKill := exp.Runtime.Managers()[1].MetadataSent()
+			sentAtKill := exp.Runtime.Managers()[1].Node().Stats().BytesSent.Value()
 			preTraffic := *received[1]
 			if err := exp.Run(2 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if got := exp.Runtime.Managers()[1].MetadataSent(); got != sentAtKill {
+			if got := exp.Runtime.Managers()[1].Node().Stats().BytesSent.Value(); got != sentAtKill {
 				t.Fatalf("dead manager kept sending metadata: %d -> %d bytes", sentAtKill, got)
 			}
 			if *received[1] <= preTraffic {
@@ -182,7 +182,7 @@ func TestKillManagerStopsControlPlaneNotTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := exp.Runtime.Managers()[1]
-			if m.MetadataSent() <= sentAtKill {
+			if m.Node().Stats().BytesSent.Value() <= sentAtKill {
 				t.Fatal("restarted manager never resumed dissemination")
 			}
 			if m.Iterations <= iters {

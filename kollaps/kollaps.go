@@ -15,7 +15,7 @@
 //
 // The same topology can be built without YAML and scripted live — events
 // can be scheduled (At), applied immediately from engine callbacks
-// (SetLink, FailLink, Leave, Join), or sampled per seed (Churn):
+// (SetLink, Leave, Join), or sampled per seed (Churn):
 //
 //	exp, _ := kollaps.NewTopology().
 //		Service("client").Service("server").Bridge("s1").
@@ -32,7 +32,7 @@
 // as a chaos.Plan handed to ChaosPlan:
 //
 //	exp.ChaosPlan(new(chaos.Plan).
-//		At(5*time.Second, chaos.PartitionHosts(0, 1)).
+//		At(5*time.Second, chaos.PartitionOneWay(0, 1)).
 //		At(15*time.Second, chaos.Heal()))
 //
 // The same workloads can run against a bare-metal deployment of the
@@ -129,12 +129,11 @@ func (e *Experiment) Deploy(hosts int, opts ...Option) error {
 		probe = obs.NewProbe(cfg.probeEvery)
 	}
 	rt, err := core.NewRuntimeFromTopology(e.Eng, e.Topology, hosts, cfg.placement, core.Options{
-		Period:     cfg.period,
-		InjectLoss: cfg.injectLoss,
-		Dissem:     cfg.dissemConfig(kind),
-		Tracer:     tracer,
-		Registry:   reg,
-		Probe:      probe,
+		Period:   cfg.period,
+		Dissem:   cfg.dissemConfig(kind),
+		Tracer:   tracer,
+		Registry: reg,
+		Probe:    probe,
 	})
 	if err != nil {
 		e.Eng = nil
@@ -307,6 +306,3 @@ func (b *Baremetal) AppStack(name string) (*transport.Stack, packet.IP, error) {
 	}
 	return st, b.ips[name], nil
 }
-
-// Run advances the bare-metal network to the given absolute virtual time.
-func (b *Baremetal) Run(until time.Duration) { b.Eng.Run(until) }

@@ -141,7 +141,7 @@ func TestBaremetalGroundTruth(t *testing.T) {
 	}
 	var rtt time.Duration
 	as.Ping(bIP, 64, func(d time.Duration) { rtt = d })
-	bm.Run(time.Second)
+	bm.Eng.Run(time.Second)
 	// 2 x 5ms per direction = 20ms RTT plus switch overheads.
 	if rtt < 20*time.Millisecond || rtt > 21*time.Millisecond {
 		t.Fatalf("baremetal RTT = %v, want ~20ms", rtt)

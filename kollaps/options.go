@@ -22,7 +22,6 @@ type config struct {
 	seed       int64
 	period     time.Duration
 	placement  map[string]int
-	injectLoss bool
 	strategy   string
 	dissem     dissemConfig
 	trace      bool
@@ -54,12 +53,6 @@ func WithPeriod(period time.Duration) Option {
 // round-robin).
 func WithPlacement(placement map[string]int) Option {
 	return optionFunc(func(c *config) { c.placement = placement })
-}
-
-// WithInjectLoss enables the §3 congestion-loss workaround (see
-// core.Options.InjectLoss).
-func WithInjectLoss() Option {
-	return optionFunc(func(c *config) { c.injectLoss = true })
 }
 
 // WithDissem selects how Emulation Managers exchange metadata:
