@@ -8,6 +8,9 @@
 // cmd/kollaps-bench runs its entries, the paper report (BENCH_paper.json)
 // pins the table experiments at their quick sizes, and the committed
 // reports' test regenerates every BENCH_*.json from it.
+// Every non-Kollaps system (bare metal, Mininet, Maxinet, and bare metal
+// under Trickle) is built one way, by deploy (deploy.go): one network
+// over the target graph with one transport stack per service.
 // README.md shows how to run them; DESIGN.md explains where the measured
 // values depart from the paper's (for Figure 7, "Sharing model").
 //

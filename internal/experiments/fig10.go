@@ -78,8 +78,11 @@ func fig10(duration time.Duration) runner {
 		}
 		for _, target := range fig10Targets {
 			// "EC2": the target topology as a physical network.
-			bmExp := fig10Baremetal()
-			e2tp, _, _, e2lat := fig10Point(bmExp, bmExp.Eng, target, duration)
+			ec2, err := deploy(mustGraph(fig10Geo(1), nil), baremetal)
+			if err != nil {
+				return result{}, err
+			}
+			e2tp, _, _, e2lat := fig10Point(ec2, ec2.eng, target, duration)
 			// Kollaps emulation.
 			kExp := fig10Topology(1)
 			ktp, _, _, klat := fig10Point(kExp, kExp.Eng, target, duration)
@@ -93,15 +96,6 @@ func fig10(duration time.Duration) runner {
 		}
 		return result{tables: []*Table{t}}, nil
 	}
-}
-
-// fig10Baremetal deploys the Cassandra deployment as a physical network.
-func fig10Baremetal() *kollaps.Baremetal {
-	bm, err := kollaps.NewBaremetal(fig10Geo(1), 42)
-	if err != nil {
-		panic(err)
-	}
-	return bm
 }
 
 // fig11 reproduces Figure 11: the what-if of halving all inter-region

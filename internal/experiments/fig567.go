@@ -6,13 +6,9 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/baselines"
-	"repro/internal/graph"
-	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/transport"
-	"repro/kollaps"
 )
 
 // fig5YAML is the three-host / 1 Gb/s switch topology of §5.3.
@@ -57,70 +53,23 @@ func fig5Systems(yaml string, duration time.Duration) []system {
 			return measure()
 		}}
 	}
+	onNetwork := func(nw network) func() (apps.StackProvider, *sim.Engine) {
+		return func() (apps.StackProvider, *sim.Engine) {
+			d, err := deploy(mustGraph(topology.ParseYAML(yaml)), nw)
+			if err != nil {
+				panic(err)
+			}
+			return d, d.eng
+		}
+	}
 	return []system{
-		mk("baremetal", func() (apps.StackProvider, *sim.Engine) {
-			top, err := topology.ParseYAML(yaml)
-			if err != nil {
-				panic(err)
-			}
-			bm, err := kollaps.NewBaremetal(top, 42)
-			if err != nil {
-				panic(err)
-			}
-			return bm, bm.Eng
-		}),
+		mk("baremetal", onNetwork(baremetal)),
 		mk("kollaps", func() (apps.StackProvider, *sim.Engine) {
 			exp := mustKollaps(yaml, 3, nil)
 			return exp, exp.Eng
 		}),
-		mk("mininet", func() (apps.StackProvider, *sim.Engine) {
-			return newMininetProvider(yaml)
-		}),
+		mk("mininet", onNetwork(mininet)),
 	}
-}
-
-// mininetProvider adapts a Mininet deployment to StackProvider.
-type mininetProvider struct {
-	eng    *sim.Engine
-	stacks map[string]*transport.Stack
-	ips    map[string]packet.IP
-}
-
-func (m *mininetProvider) AppStack(name string) (*transport.Stack, packet.IP, error) {
-	st, ok := m.stacks[name]
-	if !ok {
-		return nil, packet.IP{}, fmt.Errorf("mininet: unknown host %q", name)
-	}
-	return st, m.ips[name], nil
-}
-
-func newMininetProvider(yaml string) (*mininetProvider, *sim.Engine) {
-	top, err := topology.ParseYAML(yaml)
-	if err != nil {
-		panic(err)
-	}
-	g, _, err := top.Build()
-	if err != nil {
-		panic(err)
-	}
-	eng := sim.NewEngine(42)
-	mn, err := baselines.NewMininet(eng, g)
-	if err != nil {
-		panic(err)
-	}
-	p := &mininetProvider{eng: eng, stacks: map[string]*transport.Stack{}, ips: map[string]packet.IP{}}
-	idx := 0
-	for _, n := range g.Nodes() {
-		if n.Kind != graph.Service {
-			continue
-		}
-		ip := packet.MakeIP(4, byte(idx/250), byte(idx%250))
-		idx++
-		mn.AttachEndpoint(n.ID, ip, nil)
-		p.stacks[n.Name] = transport.NewStack(eng, mn.Network, ip)
-		p.ips[n.Name] = ip
-	}
-	return p, eng
 }
 
 // fig5 reproduces Figure 5: deviation of Kollaps and Mininet from the

@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/baselines"
-	"repro/internal/fabric"
-	"repro/internal/graph"
-	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/units"
 )
@@ -71,55 +69,43 @@ experiment:
 `, rate, rate)
 }
 
-func table2Kollaps(rate units.Bandwidth, d time.Duration) float64 {
-	exp := mustKollaps(table2Topology(rate), 2, nil)
-	cli, _ := exp.Container("c1")
-	srv, _ := exp.Container("sv")
-	server := apps.NewIperfServer(exp.Eng, srv.Stack, 5201, false)
-	apps.NewIperfClient(exp.Eng, cli.Stack, srv.IP, 5201, transport.Cubic)
-	exp.Run(d)
+// table2Iperf runs one iperf flow from c1 to sv for d and returns its
+// goodput in bits/s.
+func table2Iperf(p apps.StackProvider, eng *sim.Engine, d time.Duration) float64 {
+	cli, _, _ := p.AppStack("c1")
+	srv, svIP, _ := p.AppStack("sv")
+	server := apps.NewIperfServer(eng, srv, 5201, false)
+	apps.NewIperfClient(eng, cli, svIP, 5201, transport.Cubic)
+	eng.Run(d)
 	return float64(server.Received) * 8 / d.Seconds()
 }
 
+func table2Kollaps(rate units.Bandwidth, d time.Duration) float64 {
+	exp := mustKollaps(table2Topology(rate), 2, nil)
+	return table2Iperf(exp, exp.Eng, d)
+}
+
 func table2Mininet(rate units.Bandwidth, d time.Duration) (float64, bool) {
-	eng := sim.NewEngine(42)
-	g := graph.New()
-	a := g.MustAddNode("c1", graph.Service)
-	b := g.MustAddNode("sv", graph.Service)
-	g.AddBiLink(a, b, graph.LinkProps{Latency: time.Millisecond, Bandwidth: rate})
-	mn, err := baselines.NewMininet(eng, g)
+	mn, err := deploy(mustGraph(topology.ParseYAML(table2Topology(rate))), mininet)
 	if err != nil {
 		return 0, false // >1Gb/s: the real tool refuses too
 	}
-	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
-	mn.AttachEndpoint(a, ipA, nil)
-	mn.AttachEndpoint(b, ipB, nil)
-	cli := transport.NewStack(eng, mn.Network, ipA)
-	srv := transport.NewStack(eng, mn.Network, ipB)
-	server := apps.NewIperfServer(eng, srv, 5201, false)
-	apps.NewIperfClient(eng, cli, ipB, 5201, transport.Cubic)
-	eng.Run(d)
-	return float64(server.Received) * 8 / d.Seconds(), true
+	return table2Iperf(mn, mn.eng, d), true
 }
 
 func table2Trickle(rate units.Bandwidth, d time.Duration, opt baselines.TrickleOptions) float64 {
 	// Trickle shapes in userspace over an *unshaped* fat path.
-	eng := sim.NewEngine(42)
-	g := graph.New()
-	a := g.MustAddNode("c1", graph.Service)
-	b := g.MustAddNode("sv", graph.Service)
-	g.AddBiLink(a, b, graph.LinkProps{Latency: time.Millisecond, Bandwidth: 10 * units.Gbps})
-	nw := fabric.New(eng, g, fabric.Options{})
-	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
-	nw.AttachEndpoint(a, ipA, nil)
-	nw.AttachEndpoint(b, ipB, nil)
-	cli := transport.NewStack(eng, nw, ipA)
-	srv := transport.NewStack(eng, nw, ipB)
-	server := apps.NewIperfServer(eng, srv, 5201, false)
-	conn := cli.Dial(ipB, 5201, transport.Cubic)
-	sh := baselines.NewTrickle(eng, conn, rate, opt)
+	bm, err := deploy(mustGraph(topology.ParseYAML(table2Topology(10*units.Gbps))), baremetal)
+	if err != nil {
+		panic(err)
+	}
+	cli, _, _ := bm.AppStack("c1")
+	srv, svIP, _ := bm.AppStack("sv")
+	server := apps.NewIperfServer(bm.eng, srv, 5201, false)
+	conn := cli.Dial(svIP, 5201, transport.Cubic)
+	sh := baselines.NewTrickle(bm.eng, conn, rate, opt)
 	need := int64(rate.Bps()*d.Seconds()*4) + 1<<20
 	sh.Write(int(need))
-	eng.Run(d)
+	bm.eng.Run(d)
 	return float64(server.Received) * 8 / d.Seconds()
 }

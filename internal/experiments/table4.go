@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/packet"
@@ -38,15 +36,13 @@ func table4(sizes []int, duration time.Duration) runner {
 
 			kMSE := table4Kollaps(gK, duration)
 			mCell := "NA"
-			if size <= baselines.MininetMaxElements {
-				mMSE, ok := table4Mininet(table4Graph(size), duration)
-				if ok {
-					mCell = fmt.Sprintf("%.4f", mMSE)
-				}
+			if mMSE, err := table4System(table4Graph(size), mininet, duration); err == nil {
+				mCell = fmt.Sprintf("%.4f", mMSE)
 			}
 			xCell := "NA"
 			if size < 4000 {
-				xCell = fmt.Sprintf("%.4f", table4Maxinet(table4Graph(size), duration))
+				xMSE, _ := table4System(table4Graph(size), maxinet, duration)
+				xCell = fmt.Sprintf("%.4f", xMSE)
 			}
 			t.Rows = append(t.Rows, Row{
 				Label: fmt.Sprintf("%d", size),
@@ -91,60 +87,30 @@ func table4Kollaps(g *graph.Graph, duration time.Duration) float64 {
 		panic(err)
 	}
 	rt.Start()
-	col := rt.State().Collapsed
-	var obs, want []float64
-	for _, pr := range pingPairs(g, table4Pairs, 7) {
-		src, dst := pr[0], pr[1]
-		p := col.Path(src, dst)
-		rev := col.Path(dst, src)
-		if p == nil || rev == nil {
-			continue
-		}
-		theo := (p.Latency + rev.Latency).Seconds() * 1000
-		srcC := containerByNode(rt, src)
-		dstC := containerByNode(rt, dst)
-		h := &metrics.Histogram{}
-		eng.Every(time.Second, func() {
-			srcC.Stack.Ping(dstC.IP, 64, func(rtt time.Duration) { h.AddDuration(rtt) })
-		})
-		collect := func() {
-			if h.Count() > 0 {
-				obs = append(obs, h.Mean())
-				want = append(want, theo)
-			}
-		}
-		eng.At(duration-time.Millisecond, collect)
-	}
-	eng.Run(duration)
-	return metrics.MSE(obs, want)
+	return pingMSE(eng, g, func(name string) (*transport.Stack, packet.IP) {
+		c, _ := rt.Container(name)
+		return c.Stack, c.IP
+	}, duration)
 }
 
-func containerByNode(rt *core.Runtime, node graph.NodeID) *core.Container {
-	for _, c := range rt.Containers() {
-		if c.Node == node {
-			return c
-		}
+// table4System is Table 4's cell for a non-Kollaps system; it errors
+// when the system refuses the topology.
+func table4System(g *graph.Graph, nw network, duration time.Duration) (float64, error) {
+	d, err := deploy(g, nw)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	return pingMSE(d.eng, g, func(name string) (*transport.Stack, packet.IP) {
+		h := d.hosts[name]
+		return h.stack, h.ip
+	}, duration), nil
 }
 
-// fabricPingMSE drives pings over any fabric-based network and compares to
-// the theoretical collapsed RTT.
-func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, duration time.Duration) float64 {
+// pingMSE pings every reachable pair of table4Pairs once a second from
+// the stack that names a service and returns the MSE between the mean
+// observed RTTs and the theoretical collapsed ones.
+func pingMSE(eng *sim.Engine, g *graph.Graph, stack func(name string) (*transport.Stack, packet.IP), duration time.Duration) float64 {
 	col := topology.Collapse(g)
-	stacks := make(map[graph.NodeID]*transport.Stack)
-	ips := make(map[graph.NodeID]packet.IP)
-	idx := 0
-	ensure := func(n graph.NodeID) {
-		if _, ok := stacks[n]; ok {
-			return
-		}
-		ip := packet.MakeIP(byte(idx/60000), byte(idx/250%250), byte(idx%250))
-		idx++
-		nw.AttachEndpoint(n, ip, nil)
-		stacks[n] = transport.NewStack(eng, nw, ip)
-		ips[n] = ip
-	}
 	var obs, want []float64
 	for _, pr := range pingPairs(g, table4Pairs, 7) {
 		src, dst := pr[0], pr[1]
@@ -153,11 +119,10 @@ func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, duration
 		if p == nil || rev == nil {
 			continue
 		}
-		ensure(src)
-		ensure(dst)
 		theo := (p.Latency + rev.Latency).Seconds() * 1000
+		s, _ := stack(g.Node(src).Name)
+		_, d := stack(g.Node(dst).Name)
 		h := &metrics.Histogram{}
-		s, d := stacks[src], ips[dst]
 		eng.Every(time.Second, func() {
 			s.Ping(d, 64, func(rtt time.Duration) { h.AddDuration(rtt) })
 		})
@@ -170,19 +135,4 @@ func fabricPingMSE(eng *sim.Engine, nw *fabric.Network, g *graph.Graph, duration
 	}
 	eng.Run(duration)
 	return metrics.MSE(obs, want)
-}
-
-func table4Mininet(g *graph.Graph, duration time.Duration) (float64, bool) {
-	eng := sim.NewEngine(42)
-	mn, err := baselines.NewMininet(eng, g)
-	if err != nil {
-		return 0, false
-	}
-	return fabricPingMSE(eng, mn.Network, g, duration), true
-}
-
-func table4Maxinet(g *graph.Graph, duration time.Duration) float64 {
-	eng := sim.NewEngine(42)
-	mx := baselines.NewMaxinet(eng, g)
-	return fabricPingMSE(eng, mx.Network, g, duration)
 }

@@ -138,25 +138,6 @@ func TestSeedZeroHonored(t *testing.T) {
 	}
 }
 
-func TestBaremetalSeedZeroHonored(t *testing.T) {
-	exp, err := Load(quickYAML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := NewBaremetal(exp.Topology, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rtt time.Duration
-	as, _, _ := bm.AppStack("a")
-	_, bIP, _ := bm.AppStack("b")
-	as.Ping(bIP, 64, func(d time.Duration) { rtt = d })
-	bm.Eng.Run(time.Second)
-	if rtt == 0 {
-		t.Fatal("seed-0 bare-metal network moved no traffic")
-	}
-}
-
 func TestTopologyBuilder(t *testing.T) {
 	exp, err := NewTopology().
 		Service("a").

@@ -35,10 +35,9 @@
 //		At(5*time.Second, chaos.PartitionOneWay(0, 1)).
 //		At(15*time.Second, chaos.Heal()))
 //
-// The same workloads can run against a bare-metal deployment of the
-// target topology (NewBaremetal) — the ground truth the paper compares
-// emulation accuracy against — and against the baseline emulators in
-// internal/baselines.
+// The paper's evaluation runs the same workloads against bare metal and
+// the baseline emulators (internal/baselines); internal/experiments
+// builds those systems.
 package kollaps
 
 import (
@@ -50,8 +49,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dissem"
-	"repro/internal/fabric"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -253,56 +250,4 @@ func (e *Experiment) WriteTrace(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Baremetal deploys the *target* topology as a physical network (full
-// switch state, real queues) — the ground-truth environment the paper
-// benchmarks emulation accuracy against.
-type Baremetal struct {
-	Eng    *sim.Engine
-	Net    *fabric.Network
-	stacks map[string]*transport.Stack
-	ips    map[string]packet.IP
-}
-
-// NewBaremetal builds the ground-truth network for a topology, with one
-// transport stack per service container. The seed is honored as given —
-// including 0, which used to silently mean "default 42".
-func NewBaremetal(top *topology.Topology, seed int64) (*Baremetal, error) {
-	g, _, err := top.Build()
-	if err != nil {
-		return nil, err
-	}
-	if n := len(g.Services()); n > core.MaxContainers {
-		return nil, fmt.Errorf("kollaps: %d service containers exceed the address plan's limit of %d", n, core.MaxContainers)
-	}
-	eng := sim.NewEngine(seed)
-	nw := fabric.New(eng, g, fabric.Options{PerHopDelay: 20 * time.Microsecond})
-	b := &Baremetal{
-		Eng: eng, Net: nw,
-		stacks: make(map[string]*transport.Stack),
-		ips:    make(map[string]packet.IP),
-	}
-	idx := 0
-	for _, n := range g.Nodes() {
-		if n.Kind != graph.Service {
-			continue
-		}
-		ip := packet.MakeIP(0, byte(idx/250), byte(idx%250))
-		nw.AttachEndpoint(n.ID, ip, nil)
-		b.stacks[n.Name] = transport.NewStack(eng, nw, ip)
-		b.ips[n.Name] = ip
-		idx++
-	}
-	return b, nil
-}
-
-// AppStack implements the application StackProvider interface over the
-// bare-metal network.
-func (b *Baremetal) AppStack(name string) (*transport.Stack, packet.IP, error) {
-	st, ok := b.stacks[name]
-	if !ok {
-		return nil, packet.IP{}, fmt.Errorf("kollaps: unknown bare-metal host %q", name)
-	}
-	return st, b.ips[name], nil
 }

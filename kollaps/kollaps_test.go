@@ -118,36 +118,6 @@ func TestAppStackProvider(t *testing.T) {
 	}
 }
 
-func TestBaremetalGroundTruth(t *testing.T) {
-	exp, err := Load(quickYAML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := NewBaremetal(exp.Topology, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ apps.StackProvider = bm
-	as, _, err := bm.AppStack("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bIP, err := bm.AppStack("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := bm.AppStack("nope"); err == nil {
-		t.Fatal("expected unknown-host error")
-	}
-	var rtt time.Duration
-	as.Ping(bIP, 64, func(d time.Duration) { rtt = d })
-	bm.Eng.Run(time.Second)
-	// 2 x 5ms per direction = 20ms RTT plus switch overheads.
-	if rtt < 20*time.Millisecond || rtt > 21*time.Millisecond {
-		t.Fatalf("baremetal RTT = %v, want ~20ms", rtt)
-	}
-}
-
 func TestDeterministicDeployments(t *testing.T) {
 	run := func() int64 {
 		exp, _ := Load(quickYAML)
