@@ -49,19 +49,27 @@ func fig10Point(provider apps.StackProvider, eng *sim.Engine, totalRate float64,
 	}
 	eng.Run(duration)
 	var done int64
-	var readSum, updSum, n float64
+	var readSum, updSum float64
+	var reads, upds int
 	for _, y := range cl.Clients {
 		done += y.Completed
 		readSum += y.ReadLat.Mean() * float64(y.ReadLat.Count())
 		updSum += y.UpdateLat.Mean() * float64(y.UpdateLat.Count())
-		n += float64(y.ReadLat.Count() + y.UpdateLat.Count())
+		reads += y.ReadLat.Count()
+		upds += y.UpdateLat.Count()
 	}
-	if n == 0 {
+	if reads+upds == 0 {
 		return 0, 0, 0, 0
 	}
-	reads := readSum / (n / 2)
-	upds := updSum / (n / 2)
-	return float64(done) / duration.Seconds(), reads, upds, (readSum + updSum) / n
+	// Each kind's mean is over its own completions: updates wait on the
+	// remote replica, so fewer of them complete than reads.
+	mean := func(sum float64, n int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n)
+	}
+	return float64(done) / duration.Seconds(), mean(readSum, reads), mean(updSum, upds), mean(readSum+updSum, reads+upds)
 }
 
 // fig10Targets are Figure 10's aggregate YCSB target rates (ops/s).
