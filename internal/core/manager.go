@@ -577,8 +577,9 @@ func enforcedRate(withDemand, entitled units.Bandwidth) units.Bandwidth {
 	return rate
 }
 
-// enforce applies the allocation to local flows: htb rate per destination
-// plus injected loss when the application demands more than its share.
+// enforce applies the allocation to local flows: each destination's htb
+// is set to its flow's enforcedRate when that differs from the rate the
+// TCAL holds. The path's netem (delay, jitter, loss) stays as installed.
 func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	if len(all) == 0 {
 		return

@@ -80,8 +80,6 @@ const (
 // enforced toward each destination (its qdiscs hold the rate, delay,
 // jitter and loss, read back with TCAL().Props), and the runtime's
 // collapsed topology owns the path toward it (Runtime.State().Collapsed).
-// The one per-destination fact the Container owns is the count of
-// oversubscribed periods that gates congestion-loss injection.
 type Container struct {
 	Name string
 	IP   packet.IP

@@ -698,9 +698,8 @@ func TestRuntimeRejectsNarrowLinkIDOverflow(t *testing.T) {
 // TestIdleReleaseKeepsPathLoss: when a throttled flow goes idle, the
 // Manager releases its allocation back to the path's rate and touches
 // nothing else, so the loss the TCAL's netem enforces toward the
-// destination is still exactly the collapsed path's: the declared 1 %
-// folded once, 1-(1-0.01) = 0.010000000000000009 in float64, and never
-// composed again.
+// destination is still exactly the collapsed path's: the declared 1 %,
+// folded once along a path with one lossy link, and never composed again.
 func TestIdleReleaseKeepsPathLoss(t *testing.T) {
 	const yaml = `
 experiment:
@@ -755,8 +754,7 @@ experiment:
 	if got.Bandwidth != path.Bandwidth {
 		t.Fatalf("idle a1 -> b enforced %v, want the released path rate %v", got.Bandwidth, path.Bandwidth)
 	}
-	declared := units.Loss(0.01)
-	if want := 1 - (1 - declared); got.Loss != want || path.Loss != want {
+	if want := units.Loss(0.01); got.Loss != want || path.Loss != want {
 		t.Fatalf("idle a1 -> b loss = %v on a path of loss %v, want both %v", float64(got.Loss), float64(path.Loss), float64(want))
 	}
 }

@@ -300,21 +300,23 @@ type Path struct {
 func (p *Path) RTT() time.Duration { return 2 * p.Latency }
 
 // propsFold folds link properties along a path per the §3 formulas, in
-// path order.
+// path order. Loss accumulates as loss + l - loss·l, the same
+// 1-Π(1-lᵢ) as a product of keep probabilities but exact for a path with
+// one lossy link: a declared loss of 0.01 is enforced as 0.01.
 type propsFold struct {
-	out            LinkProps
-	keep, jitterSq float64
-	n              int
+	out      LinkProps
+	jitterSq float64
+	n        int
 }
 
 func (f *propsFold) add(l *LinkProps) {
 	if f.n == 0 {
-		f.out.Bandwidth, f.keep = l.Bandwidth, 1
+		f.out.Bandwidth = l.Bandwidth
 	}
 	f.n++
 	f.out.Latency += l.Latency
 	f.jitterSq += float64(l.Jitter) * float64(l.Jitter)
-	f.keep *= 1 - float64(l.Loss)
+	f.out.Loss += l.Loss - f.out.Loss*l.Loss
 	if l.Bandwidth < f.out.Bandwidth {
 		f.out.Bandwidth = l.Bandwidth
 	}
@@ -325,7 +327,6 @@ func (f *propsFold) props() LinkProps {
 		return LinkProps{}
 	}
 	f.out.Jitter = time.Duration(math.Sqrt(f.jitterSq))
-	f.out.Loss = units.Loss(1 - f.keep)
 	return f.out
 }
 

@@ -86,6 +86,11 @@ func TestComposeProps(t *testing.T) {
 	if math.Abs(float64(got.Loss)-want) > 1e-12 {
 		t.Errorf("loss = %v, want %v", got.Loss, want)
 	}
+	// One lossy link among lossless ones is enforced exactly as declared.
+	links[1].Loss = 0
+	if got := composeProps(links); got.Loss != 0.01 {
+		t.Errorf("one lossy link: loss = %v, want exactly 0.01", float64(got.Loss))
+	}
 	if zero := composeProps(nil); zero != (LinkProps{}) {
 		t.Errorf("empty compose = %+v", zero)
 	}
@@ -518,18 +523,16 @@ func refComposeProps(links []Link) LinkProps {
 		return out
 	}
 	out.Bandwidth = links[0].Bandwidth
-	keep := 1.0
 	jitterSq := 0.0
 	for _, l := range links {
 		out.Latency += l.Latency
 		jitterSq += float64(l.Jitter) * float64(l.Jitter)
-		keep *= 1 - float64(l.Loss)
+		out.Loss += l.Loss - out.Loss*l.Loss
 		if l.Bandwidth < out.Bandwidth {
 			out.Bandwidth = l.Bandwidth
 		}
 	}
 	out.Jitter = time.Duration(math.Sqrt(jitterSq))
-	out.Loss = units.Loss(1 - keep)
 	return out
 }
 
