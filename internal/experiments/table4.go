@@ -41,8 +41,9 @@ func table4(sizes []int, duration time.Duration) runner {
 			}
 			xCell := "NA"
 			if size < 4000 {
-				xMSE, _ := table4System(table4Graph(size), maxinet, duration)
-				xCell = fmt.Sprintf("%.4f", xMSE)
+				if xMSE, err := table4System(table4Graph(size), maxinet, duration); err == nil {
+					xCell = fmt.Sprintf("%.4f", xMSE)
+				}
 			}
 			t.Rows = append(t.Rows, Row{
 				Label: fmt.Sprintf("%d", size),
@@ -106,9 +107,9 @@ func table4System(g *graph.Graph, nw network, duration time.Duration) (float64, 
 	}, duration), nil
 }
 
-// pingMSE pings every reachable pair of table4Pairs once a second from
-// the stack that names a service and returns the MSE between the mean
-// observed RTTs and the theoretical collapsed ones.
+// pingMSE pings each reachable one of table4Pairs service pairs once a
+// second, through the stacks that stack looks up by service name, and
+// returns the MSE between the mean observed and the collapsed RTTs.
 func pingMSE(eng *sim.Engine, g *graph.Graph, stack func(name string) (*transport.Stack, packet.IP), duration time.Duration) float64 {
 	col := topology.Collapse(g)
 	var obs, want []float64
