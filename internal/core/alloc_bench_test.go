@@ -188,13 +188,13 @@ func BenchmarkAllocateReference(b *testing.B) {
 // engine's event queue stays empty across b.N. Steady state must not
 // allocate.
 //
-// BenchmarkIterateTraced runs the identical pass with the observability
-// plane enabled (flight recorder + metrics registry): the CI bench job
+// BenchmarkIterateTraced runs the identical pass with the flight recorder
+// enabled (both carry the deployment's metrics registry): the CI bench job
 // gates BenchmarkIterate at 0 allocs/op and the traced variant at ≤10%
 // ns/op overhead (cmd/benchcheck -iterate).
 func BenchmarkIterate(b *testing.B) { benchIterate(b, Options{}) }
 func BenchmarkIterateTraced(b *testing.B) {
-	benchIterate(b, Options{Tracer: obs.NewTracer(1 << 13), Registry: obs.NewRegistry()})
+	benchIterate(b, Options{Tracer: obs.NewTracer(1 << 13)})
 }
 
 func benchIterate(b *testing.B, opts Options) {

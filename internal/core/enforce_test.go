@@ -277,7 +277,7 @@ func TestEnforceAllocationContract(t *testing.T) {
 		opts Options
 	}{
 		{"bare", Options{}},
-		{"traced", Options{Tracer: obs.NewTracer(1 << 10), Registry: obs.NewRegistry()}},
+		{"traced", Options{Tracer: obs.NewTracer(1 << 10)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newEnforceRig(t, tc.opts)

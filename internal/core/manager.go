@@ -182,28 +182,16 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 		emIPs: emIPs,
 	}
 	m.chaosDeliver, m.sendLater = m.deliverChaos, m.sendDeferred
-	if reg := rt.opts.Registry; reg != nil {
-		label := fmt.Sprintf(`{host="%d"}`, host)
-		m.solveRuns = reg.Counter("kollaps_solver_runs_total" + label)
-		m.solveNs = reg.Counter("kollaps_solver_wall_ns_total" + label)
-		m.solveFlows = reg.Counter("kollaps_solver_flows_total" + label)
-		m.entReused = reg.Counter("kollaps_solver_entitlement_reused_total" + label)
-		m.demDerived = reg.Counter("kollaps_solver_demand_derived_total" + label)
-		m.demFit = reg.Counter("kollaps_solver_demand_fit_total" + label)
-		m.tcalSets = reg.Counter("kollaps_tcal_shaping_ops_total" + label)
-		m.viewReused = reg.Counter("kollaps_view_origins_reused_total" + label)
-		m.viewPriced = reg.Counter("kollaps_view_origins_rebuilt_total" + label)
-	} else {
-		m.solveRuns = &metrics.Counter{}
-		m.solveNs = &metrics.Counter{}
-		m.solveFlows = &metrics.Counter{}
-		m.entReused = &metrics.Counter{}
-		m.demDerived = &metrics.Counter{}
-		m.demFit = &metrics.Counter{}
-		m.tcalSets = &metrics.Counter{}
-		m.viewReused = &metrics.Counter{}
-		m.viewPriced = &metrics.Counter{}
-	}
+	reg, label := rt.reg, fmt.Sprintf(`{host="%d"}`, host)
+	m.solveRuns = reg.Counter("kollaps_solver_runs_total" + label)
+	m.solveNs = reg.Counter("kollaps_solver_wall_ns_total" + label)
+	m.solveFlows = reg.Counter("kollaps_solver_flows_total" + label)
+	m.entReused = reg.Counter("kollaps_solver_entitlement_reused_total" + label)
+	m.demDerived = reg.Counter("kollaps_solver_demand_derived_total" + label)
+	m.demFit = reg.Counter("kollaps_solver_demand_fit_total" + label)
+	m.tcalSets = reg.Counter("kollaps_tcal_shaping_ops_total" + label)
+	m.viewReused = reg.Counter("kollaps_view_origins_reused_total" + label)
+	m.viewPriced = reg.Counter("kollaps_view_origins_rebuilt_total" + label)
 	if err := m.newNode(); err != nil {
 		return nil, err
 	}

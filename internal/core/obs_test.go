@@ -95,8 +95,7 @@ func TestRuntimeTracing(t *testing.T) {
 // Solver counters land in the registry under per-host labels, and the
 // prometheus export carries them.
 func TestManagerSolverCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	rt := buildRuntime(t, fig8YAML, 2, Options{Registry: reg})
+	rt := buildRuntime(t, fig8YAML, 2, Options{})
 	rt.Start()
 	c1, _ := rt.Container("c1")
 	s1, _ := rt.Container("s1")
@@ -106,7 +105,7 @@ func TestManagerSolverCounters(t *testing.T) {
 	startGreedy(rt.Eng, c2, s2, transport.Cubic)
 	rt.Eng.Run(2 * time.Second)
 
-	snap := reg.Snapshot()
+	snap := rt.Metrics().Snapshot()
 	runs := snap[`kollaps_solver_runs_total{host="0"}`]
 	if runs == 0 {
 		t.Fatalf("host 0 solver never ran: %v", snap)
@@ -141,7 +140,7 @@ func TestManagerSolverCounters(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := rt.Metrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{

@@ -41,12 +41,6 @@ type Options struct {
 	// hook is a nil-safe no-op, so the emulation loop pays one inlined
 	// nil check per hook and stays allocation-free either way.
 	Tracer *obs.Tracer
-	// Registry, when non-nil, receives the deployment's metrics: solver
-	// counters per Manager, per-strategy dissemination counters, manager
-	// liveness and topology-generation gauges. Hot-path counters are
-	// resolved to pointers at deployment, so the loop never touches the
-	// registry's maps.
-	Registry *obs.Registry
 	// Probe, when non-nil, samples emulation accuracy: every Probe.Every
 	// periods (offset to mid-period, after every Manager's loop has run)
 	// the runtime re-solves the global demand set with a fresh AllocState
@@ -129,6 +123,13 @@ type Runtime struct {
 	opts     Options
 	started  bool
 
+	// reg holds the deployment's metrics: solver counters per Manager,
+	// per-strategy dissemination counters, manager liveness and
+	// topology-generation gauges. Every deployment has one: gauges read
+	// live state lazily, and hot-path counters are resolved to pointers
+	// at deployment, so the loop never touches the registry's maps.
+	reg *obs.Registry
+
 	// chaos interposes on every metadata datagram between
 	// managerTransport.SendTo and the fabric. It is always present but
 	// transparent (and randomness-free) until an experiment arms it, so
@@ -209,6 +210,7 @@ func NewRuntime(eng *sim.Engine, g *graph.Graph, nHosts int, placement map[strin
 		byIP:    make(map[packet.IP]*Container),
 		opts:    opts,
 		chaos:   chaos.NewInjector(opts.Dissem.Seed, opts.Tracer),
+		reg:     obs.NewRegistry(),
 	}
 
 	idx := 0
@@ -613,9 +615,8 @@ func (rt *Runtime) Tracer() *obs.Tracer { return rt.opts.Tracer }
 // never nil: an unarmed injector is a transparent passthrough.
 func (rt *Runtime) Chaos() *chaos.Injector { return rt.chaos }
 
-// Metrics returns the deployment's metrics registry (nil when none was
-// configured).
-func (rt *Runtime) Metrics() *obs.Registry { return rt.opts.Registry }
+// Metrics returns the deployment's metrics registry.
+func (rt *Runtime) Metrics() *obs.Registry { return rt.reg }
 
 // AccuracyProbe returns the deployment's accuracy probe (nil when none
 // was configured).
@@ -628,10 +629,7 @@ func (rt *Runtime) AccuracyProbe() *obs.Probe { return rt.opts.Probe }
 // Solver counters are registered by each Manager itself, which keeps the
 // returned pointers on its hot path.
 func (rt *Runtime) registerMetrics() {
-	reg := rt.opts.Registry
-	if reg == nil {
-		return
-	}
+	reg := rt.reg
 	reg.Gauge("kollaps_topology_generation", func() float64 { return float64(rt.live.Gen()) })
 	// What following the topology costs: trees built, trees a generation
 	// adopted unchanged from the one before, the built trees that were

@@ -56,9 +56,9 @@ type Network struct {
 
 	// Every per-packet lookup is an index, never a hash: link ids, node
 	// ids and endpoint slots are dense.
-	pipes  []*pipe   // by graph link id; nil for a removed link
-	bridge []bool    // by node id: the node pays PerHopDelay (never with a Hook), folded into its inbound pipes
-	routes [][]int32 // node -> dst node -> out link id or a route sentinel; rows filled lazily
+	pipes  []*netem.Chain // by graph link id; nil for a removed link
+	bridge []bool         // by node id: the node pays PerHopDelay (never with a Hook), folded into its inbound pipes
+	routes [][]int32      // node -> dst node -> out link id or a route sentinel; rows filled lazily
 	// addrs reaches an endpoint from 10.b.c.d through the octets b, c, d
 	// (1 KiB leaf pages); a leaf entry is an index into endpoints plus one,
 	// 0 meaning unattached.
@@ -84,22 +84,6 @@ type endpoint struct {
 	handler packet.Handler
 }
 
-// pipe is one unidirectional link: serialization at line rate with a
-// finite queue, then propagation delay/jitter/loss (and the far node's
-// hop when it is a bridge), then arrival at the far node.
-type pipe struct {
-	tb      *netem.TokenBucket
-	ne      *netem.Netem
-	to      graph.NodeID
-	waiters netem.FIFO[func()]
-}
-
-// senderTSQ is the backpressure threshold applied at a sender's own
-// first-hop link: a real host's NIC qdisc throttles the socket (TSQ)
-// rather than tail-dropping locally. Queues at *intermediate* switches
-// still drop — that is genuine network congestion.
-const senderTSQ = 64 * 1024
-
 // New builds a fabric over g. The graph must not be mutated afterwards.
 func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 	if opt.PerHopDelay == 0 {
@@ -109,7 +93,7 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 		eng:    eng,
 		g:      g,
 		opt:    opt,
-		pipes:  make([]*pipe, g.NumLinks()),
+		pipes:  make([]*netem.Chain, g.NumLinks()),
 		bridge: make([]bool, g.NumNodes()),
 		routes: make([][]int32, g.NumNodes()),
 	}
@@ -124,30 +108,25 @@ func New(eng *sim.Engine, g *graph.Graph, opt Options) *Network {
 	return n
 }
 
+// buildPipe builds link id's pipe, one unidirectional shaped link:
+// serialization at line rate with a finite queue, then propagation
+// delay/jitter/loss (and the far node's hop when it is a bridge), then
+// arrival at the far node.
 func (n *Network) buildPipe(id int) {
 	l := n.g.Link(id)
-	p := &pipe{to: l.To}
-	// Arrival at the far node.
-	arrive := func(pk *packet.Packet) { n.arrive(p.to, pk) }
-	p.ne = netem.NewNetem(n.eng, l.Latency, l.Jitter, l.Loss, arrive)
-	if n.bridge[l.To] {
-		p.ne.SetHop(n.opt.PerHopDelay)
+	to := l.To
+	c := netem.NewChain(n.eng, netem.ChainProps{Delay: l.Latency, Jitter: l.Jitter, Loss: l.Loss, Rate: l.Bandwidth},
+		func(p *packet.Packet) { n.arrive(to, p) })
+	if n.bridge[to] {
+		c.Netem.SetHop(n.opt.PerHopDelay)
 	}
-	p.tb = netem.NewTokenBucket(n.eng, l.Bandwidth, p.ne.Enqueue)
-	p.tb.OnDequeue = func() {
-		// Wake one waiter per departure (FIFO): waking them all would
-		// let the first refill the queue and starve the rest, whereas
-		// the kernel's fq qdisc round-robins flows sharing a NIC.
-		if p.waiters.Len() > 0 && p.tb.Backlog()+packet.MSS <= senderTSQ {
-			p.waiters.Pop()()
-		}
-	}
-	p.tb.SetQueueLimit(queueBytes(l.LinkProps))
-	n.pipes[id] = p
+	c.HTB.SetQueueLimit(queueBytes(l.LinkProps))
+	n.pipes[id] = c
 }
 
-// firstHop resolves the sender's egress pipe from src toward dst.
-func (n *Network) firstHop(src, dst packet.IP) *pipe {
+// firstHop resolves the sender's egress shaper from src toward dst: the
+// sender's own NIC qdisc, the one queue whose TSQ limit throttles it.
+func (n *Network) firstHop(src, dst packet.IP) *netem.TokenBucket {
 	s, d := n.endpoint(src), n.endpoint(dst)
 	if s == nil || d == nil || s.node == d.node {
 		return nil
@@ -156,28 +135,25 @@ func (n *Network) firstHop(src, dst packet.IP) *pipe {
 	if !ok {
 		return nil
 	}
-	return n.pipes[link]
+	return n.pipes[link].HTB
 }
 
 // Writable implements packet.FlowControl: a sender may emit while its own
 // first-hop queue stays under the TSQ threshold.
 func (n *Network) Writable(src, dst packet.IP, b int) bool {
-	p := n.firstHop(src, dst)
-	if p == nil {
-		return true
-	}
-	return p.tb.Backlog()+b <= senderTSQ
+	tb := n.firstHop(src, dst)
+	return tb == nil || tb.Writable(b)
 }
 
 // NotifyWritable parks fn until the sender's first-hop queue drains below
 // the threshold.
 func (n *Network) NotifyWritable(src, dst packet.IP, fn func()) {
-	p := n.firstHop(src, dst)
-	if p == nil {
+	tb := n.firstHop(src, dst)
+	if tb == nil {
 		fn()
 		return
 	}
-	p.waiters.Push(fn)
+	tb.NotifyWritable(fn)
 }
 
 // queueBytes sizes a link's queue at 1.5 × its bandwidth-delay product,
@@ -315,7 +291,7 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 		n.drop(p)
 		return
 	}
-	pipe.tb.Enqueue(p)
+	pipe.Enqueue(p)
 }
 
 // nextHop returns the outgoing link id from node toward dst from the route
@@ -379,9 +355,9 @@ func (n *Network) SetLinkProps(id int, lp graph.LinkProps) {
 	if p == nil {
 		return
 	}
-	p.tb.SetRate(lp.Bandwidth)
-	p.tb.SetQueueLimit(queueBytes(lp))
-	p.ne.Set(lp.Latency, lp.Jitter, lp.Loss)
+	p.HTB.SetRate(lp.Bandwidth)
+	p.HTB.SetQueueLimit(queueBytes(lp))
+	p.Netem.Set(lp.Latency, lp.Jitter, lp.Loss)
 }
 
 // LinkStats reports the counters of one link's pipe, zeros for an unknown
@@ -391,11 +367,11 @@ func (n *Network) LinkStats(id int) (sentBytes, sentPackets, dropped int64) {
 	if p == nil {
 		return 0, 0, 0
 	}
-	return p.tb.SentBytes, p.tb.SentPackets, p.tb.Dropped
+	return p.HTB.SentBytes, p.HTB.SentPackets, p.HTB.Dropped
 }
 
 // pipe returns link id's pipe, or nil when id is out of range or removed.
-func (n *Network) pipe(id int) *pipe {
+func (n *Network) pipe(id int) *netem.Chain {
 	if id < 0 || id >= len(n.pipes) {
 		return nil
 	}

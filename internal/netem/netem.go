@@ -4,10 +4,11 @@
 // filter that classifies packets by destination address is the TCAL's own
 // table (package tcal).
 //
-// Kollaps chains them per destination: filter → netem (latency, jitter,
-// loss) → htb (bandwidth). The same primitives also build the "bare-metal"
-// fabric links and the baseline emulators, so all systems under comparison
-// shape traffic with the same machinery — as they do on a real kernel.
+// Kollaps chains them per destination: filter → htb (bandwidth) → netem
+// (latency, jitter, loss); see Chain. The same Chain also builds every
+// link of the "bare-metal" fabric and the baseline emulators, so all
+// systems under comparison shape traffic with the same machinery — as
+// they do on a real kernel.
 //
 // Layer ownership: this package models link physics — the impairments a
 // real network path inflicts and Kollaps configures (delay, jitter,
@@ -29,10 +30,11 @@ import (
 
 // TokenBucket models the htb qdisc: a rate limiter with a burst allowance
 // and a finite FIFO backlog. When the backlog is full further packets are
-// dropped (tail drop) — the behaviour of a router queue; the kernel's
-// backpressure-instead-of-drop quirk that the paper works around (§3
-// "Congestion") is exactly why the Kollaps EM injects explicit netem loss,
-// which this package also provides.
+// dropped (tail drop) — the behaviour of a router queue. The sender that
+// owns the qdisc asks Writable first instead, and parks on
+// NotifyWritable while the backlog is over tsqLimit, as Linux TCP Small
+// Queues does: congestion at its own shaper throttles the socket instead
+// of dropping (§3 "Congestion").
 type TokenBucket struct {
 	eng  *sim.Engine
 	next func(*packet.Packet)
@@ -49,11 +51,10 @@ type TokenBucket struct {
 	inDrain  bool         // the drain loop is on the stack (reentrancy guard)
 	wake     sim.Standing // the future drain: one slot for the shaper's life
 
-	// OnDequeue, when set, runs after a drain pass that released at
-	// least one packet — the hook the TCAL uses to wake TSQ-throttled
-	// senders. It runs outside the drain loop, so callbacks may enqueue
-	// freely.
-	OnDequeue func()
+	// waiters are TSQ-throttled senders, woken one per drain pass that
+	// released a packet, after the drain loop, so a woken sender may
+	// enqueue freely.
+	waiters FIFO[func()]
 
 	// Counters for the TCAL usage queries and for test assertions.
 	SentBytes    int64
@@ -61,6 +62,15 @@ type TokenBucket struct {
 	DroppedBytes int64
 	Dropped      int64
 }
+
+// tsqLimit is the backlog in bytes above which a sender is throttled,
+// emulating Linux TCP Small Queues: "when the htb qdisc queue is full,
+// rather than dropping packets, it back-pressures the application" (§3).
+// 64 KiB keeps the bufferbloat the kernel would exhibit without letting
+// rate changes turn into loss storms. Queues a sender does not consult —
+// those at intermediate switches — still tail-drop: that is genuine
+// network congestion.
+const tsqLimit = 64 * 1024
 
 // NewTokenBucket creates a shaper. A non-positive rate means unlimited
 // (packets pass through untouched). Burst defaults to one MTU, limit to
@@ -114,6 +124,25 @@ func (tb *TokenBucket) SetQueueLimit(bytes int) {
 
 // Backlog returns the queued byte count.
 func (tb *TokenBucket) Backlog() int { return tb.queued }
+
+// Writable reports whether a sender may queue n more bytes: true while
+// the backlog plus n stays within the TSQ limit.
+func (tb *TokenBucket) Writable(n int) bool { return tb.queued+n <= tsqLimit }
+
+// NotifyWritable parks fn until a drain pass leaves room for another
+// MSS. Parked senders are woken one per pass, first come first served:
+// waking them all would let the first refill the queue and starve the
+// rest, whereas the kernel's fq qdisc round-robins flows sharing a NIC.
+func (tb *TokenBucket) NotifyWritable(fn func()) { tb.waiters.Push(fn) }
+
+// WakeAll wakes every parked sender in order, for a bucket that is being
+// discarded: its drain will no longer be asked about, so a sender left
+// parked on it would never be woken.
+func (tb *TokenBucket) WakeAll() {
+	for tb.waiters.Len() > 0 {
+		tb.waiters.Pop()()
+	}
+}
 
 func (tb *TokenBucket) refill() {
 	now := tb.eng.Now()
@@ -182,8 +211,8 @@ func (tb *TokenBucket) drain() {
 		released = true
 	}
 	tb.inDrain = false
-	if released && tb.OnDequeue != nil {
-		tb.OnDequeue()
+	if released && tb.waiters.Len() > 0 && tb.Writable(packet.MSS) {
+		tb.waiters.Pop()()
 	}
 }
 
@@ -266,13 +295,14 @@ func (n *Netem) Enqueue(p *packet.Packet) {
 	n.line.At(max(n.eng.Now()+d+n.hop, n.line.Last()), p)
 }
 
-// Chain is the per-destination qdisc pair the TCAL installs: an htb stage
-// (bandwidth) feeding a netem stage (latency/jitter/loss). The paper's
-// Linux deployment chains netem→htb, with TSQ accounting for skbs across
-// the whole tree; modelling the htb first makes its backlog exactly the
-// socket-owned queue TSQ throttles on, while the netem stage then plays
-// the network's propagation delay — the shaped rate and end-to-end
-// properties are identical.
+// Chain is one shaped link: an htb stage (bandwidth) feeding a netem
+// stage (latency/jitter/loss). The TCAL installs one per destination and
+// the fabric one per link direction. The paper's Linux deployment chains
+// netem→htb, with TSQ accounting for skbs across the whole tree;
+// modelling the htb first makes its backlog exactly the socket-owned
+// queue TSQ throttles on, while the netem stage then plays the network's
+// propagation delay — the shaped rate and end-to-end properties are
+// identical.
 type Chain struct {
 	Netem *Netem
 	HTB   *TokenBucket

@@ -292,20 +292,21 @@ func TestSetRateUnlimitedFlushesBacklog(t *testing.T) {
 	eng := sim.NewEngine(1)
 	delivered, woken := 0, 0
 	tb := NewTokenBucket(eng, 1*units.Mbps, func(*packet.Packet) { delivered++ })
-	tb.OnDequeue = func() { woken++ }
 	for i := 0; i < 10; i++ {
 		tb.Enqueue(mkPacket(packet.MTU))
 	}
 	if tb.Backlog() == 0 {
 		t.Fatal("setup: no backlog at 1 Mb/s")
 	}
-	wokenBefore := woken
+	for i := 0; i < 2; i++ {
+		tb.NotifyWritable(func() { woken++ })
+	}
 	tb.SetRate(0)
 	if delivered != 10 || tb.Backlog() != 0 || tb.queue.Len() != 0 {
 		t.Fatalf("after SetRate(0): %d/10 delivered, %d B queued", delivered, tb.Backlog())
 	}
-	if woken != wokenBefore+1 {
-		t.Fatalf("OnDequeue ran %d times for the flush, want 1", woken-wokenBefore)
+	if woken != 1 {
+		t.Fatalf("the flush woke %d parked senders, want 1", woken)
 	}
 	for fired := 0; eng.Step(); fired++ {
 		if fired > 4 {
@@ -323,6 +324,66 @@ func TestSetRateUnlimitedFlushesBacklog(t *testing.T) {
 	eng.RunAll()
 	if delivered != 15 || tb.SentPackets != 15 {
 		t.Fatalf("%d delivered, %d counted after re-shaping, want 15", delivered, tb.SentPackets)
+	}
+}
+
+// TestTSQBoundary: a sender may queue up to the TSQ limit and not one byte
+// past it, and parked senders are woken one per drain pass that released
+// a packet, first come first served, only once the backlog leaves room
+// for another MSS — the first wake comes with exactly that much room.
+func TestTSQBoundary(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tb := NewTokenBucket(eng, units.Mbps, func(*packet.Packet) {})
+	tb.SetQueueLimit(1 << 20) // keep tail drop out of the way
+	var woken, backlogs []int
+	park := func(i int) {
+		tb.NotifyWritable(func() {
+			woken = append(woken, i)
+			backlogs = append(backlogs, tb.Backlog())
+		})
+	}
+	tb.Enqueue(mkPacket(packet.MTU)) // leaves at once, on the burst
+	park(0)
+	// The first departure leaves less than an MSS of room, the second
+	// exactly an MSS. Queueing the first runs a pass that releases
+	// nothing, so it wakes no one, room or not.
+	tb.Enqueue(mkPacket(448))
+	if len(woken) != 0 {
+		t.Fatalf("a drain pass that released nothing woke %v", woken)
+	}
+	tb.Enqueue(mkPacket(packet.MSS - 448))
+	for tb.Backlog() < tsqLimit {
+		tb.Enqueue(mkPacket(min(1024, tsqLimit-tb.Backlog())))
+	}
+	if tb.Backlog() != tsqLimit || !tb.Writable(0) || tb.Writable(1) {
+		t.Fatalf("backlog %d B: Writable(0)=%v Writable(1)=%v, want %d B, true, false",
+			tb.Backlog(), tb.Writable(0), tb.Writable(1), tsqLimit)
+	}
+	park(1)
+	park(2)
+	held := 0 // releasing passes that left too little room to wake anyone
+	for sent := tb.SentPackets; len(woken) < 3; sent = tb.SentPackets {
+		before := len(woken)
+		if !eng.Step() {
+			t.Fatalf("bucket went idle with %v woken", woken)
+		}
+		released := tb.SentPackets > sent
+		room := tb.Backlog()+packet.MSS <= tsqLimit
+		switch wakes := len(woken) - before; {
+		case released && room && wakes != 1, (!released || !room) && wakes != 0:
+			t.Fatalf("pass released %v with backlog %d B: %d wakes", released, tb.Backlog(), wakes)
+		case released && !room:
+			held++
+		}
+	}
+	if held == 0 {
+		t.Fatal("no releasing pass was held back by the MSS of room")
+	}
+	if woken[0] != 0 || woken[1] != 1 || woken[2] != 2 {
+		t.Fatalf("woken = %v, want [0 1 2]", woken)
+	}
+	if backlogs[0] != tsqLimit-packet.MSS {
+		t.Fatalf("first wake at a backlog of %d B, want %d", backlogs[0], tsqLimit-packet.MSS)
 	}
 }
 

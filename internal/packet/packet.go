@@ -17,6 +17,7 @@ type IP [4]byte
 // the deployment generator (host index in the second octet).
 func MakeIP(h, a, b byte) IP { return IP{10, h, a, b} }
 
+// String formats ip in dotted-quad notation.
 func (ip IP) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
 }

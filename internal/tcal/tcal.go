@@ -4,12 +4,12 @@
 // htb/netem qdiscs over netlink sockets; here the same structure is built
 // from the simulator's qdisc primitives.
 //
-// For each destination container the TCAL installs a netem qdisc (latency,
-// jitter, loss) chained into an htb qdisc (bandwidth), reached through a
-// u32-style two-level filter keyed on the destination address. The
-// Emulation Core queries cumulative byte counters ("retrieve bandwidth
-// usage") and adjusts rates on every loop iteration — netlink-style
-// direct calls, no process spawning.
+// For each destination container the TCAL installs an htb qdisc
+// (bandwidth) chained into a netem qdisc (latency, jitter, loss), a
+// netem.Chain, reached through a u32-style two-level filter keyed on the
+// destination address. The Emulation Core queries cumulative byte
+// counters ("retrieve bandwidth usage") and adjusts rates on every loop
+// iteration — netlink-style direct calls, no process spawning.
 //
 // As on Linux, the qdiscs are the only record of what is enforced: the
 // htb holds the rate and the netem stage the delay, jitter and loss, and
@@ -36,15 +36,6 @@ type PathProps struct {
 	Loss      units.Loss
 	Bandwidth units.Bandwidth
 }
-
-// TSQLimit is the per-destination byte threshold above which the TCAL
-// backpressures the sender, emulating Linux TCP Small Queues: "when a
-// buffer in a router or switch fills up, it drops further incoming
-// packets... when the htb qdisc queue is full, rather than dropping
-// packets, it back-pressures the application" (§3). 64 KiB keeps the
-// bufferbloat the kernel would exhibit without letting rate changes turn
-// into loss storms.
-const TSQLimit = 64 * 1024
 
 // TCAL shapes one container's egress traffic.
 type TCAL struct {
@@ -74,8 +65,6 @@ type chain struct {
 	qdisc       *netem.Chain
 	lastRead    int64
 	lastReadReq int64
-	// waiters are TSQ-throttled senders to wake when the htb drains.
-	waiters netem.FIFO[func()]
 }
 
 // New creates a TCAL whose shaped packets exit through egress (the host
@@ -96,7 +85,8 @@ func (t *TCAL) chain(dst packet.IP) *chain {
 
 // InstallPath creates (or replaces) the qdisc chain toward dst. It fails,
 // installing nothing, when another destination sharing dst's last two
-// octets is installed: the filter could not tell the two apart.
+// octets is installed: the filter could not tell the two apart. Senders
+// parked on a replaced chain are woken in order, and consult the new one.
 func (t *TCAL) InstallPath(dst packet.IP, p PathProps) error {
 	page := t.chains[dst[2]]
 	if page == nil {
@@ -107,34 +97,25 @@ func (t *TCAL) InstallPath(dst packet.IP, p PathProps) error {
 	if old != nil && old.dst != dst {
 		return fmt.Errorf("tcal: path to %v collides with installed %v on octets 3-4", dst, old.dst)
 	}
-	c := &chain{
+	page[dst[3]] = &chain{
 		dst:   dst,
 		qdisc: netem.NewChain(t.eng, netem.ChainProps{Delay: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Rate: p.Bandwidth}, t.egress),
 	}
-	c.qdisc.HTB.OnDequeue = func() {
-		// One waiter per departure: connections sharing a destination
-		// chain take round-robin turns, like fq on a real host.
-		if c.waiters.Len() > 0 && c.qdisc.HTB.Backlog()+packet.MSS <= TSQLimit {
-			c.waiters.Pop()()
-		}
-	}
 	if old == nil {
 		t.dstsDirty = true
+	} else {
+		old.qdisc.HTB.WakeAll()
 	}
-	page[dst[3]] = c
 	return nil
 }
 
 // Writable implements TSQ backpressure: data toward dst may be emitted
-// while the htb backlog stays under TSQLimit. Destinations without an
-// installed chain are writable (the path is installed lazily on first
+// while the htb backlog stays under the TSQ limit. Destinations without
+// an installed chain are writable (the path is installed lazily on first
 // send).
 func (t *TCAL) Writable(dst packet.IP, n int) bool {
 	c := t.chain(dst)
-	if c == nil {
-		return true
-	}
-	return c.qdisc.HTB.Backlog()+n <= TSQLimit
+	return c == nil || c.qdisc.HTB.Writable(n)
 }
 
 // NotifyWritable parks fn until the htb toward dst drains below the TSQ
@@ -145,15 +126,17 @@ func (t *TCAL) NotifyWritable(dst packet.IP, fn func()) {
 		fn()
 		return
 	}
-	c.waiters.Push(fn)
+	c.qdisc.HTB.NotifyWritable(fn)
 }
 
 // RemovePath removes the chain toward dst; subsequent packets are dropped
-// (destination unreachable).
+// (destination unreachable). Senders parked on the chain are woken in
+// order, and find dst writable.
 func (t *TCAL) RemovePath(dst packet.IP) {
-	if t.chain(dst) != nil {
+	if c := t.chain(dst); c != nil {
 		t.chains[dst[2]][dst[3]] = nil
 		t.dstsDirty = true
+		c.qdisc.HTB.WakeAll()
 	}
 }
 

@@ -286,3 +286,50 @@ func TestTSQWaitersWakeInOrder(t *testing.T) {
 		t.Fatalf("woken = %v, want [0 1 2]", woken)
 	}
 }
+
+// TestDiscardedChainWakesParkedSenders: a sender parked on a chain that
+// RemovePath drops, or InstallPath replaces, is woken in order with the
+// rest of that chain's senders, and finds dst writable (no chain, or an
+// empty one). Left parked it would wait on a drain that no longer answers
+// to it: a TCP connection would never re-arm its pacer.
+func TestDiscardedChainWakesParkedSenders(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		discard func(*TCAL, packet.IP)
+	}{
+		{"RemovePath", func(tc *TCAL, dst packet.IP) { tc.RemovePath(dst) }},
+		{"InstallPath", func(tc *TCAL, dst packet.IP) {
+			if err := tc.InstallPath(dst, PathProps{Bandwidth: 8 * units.Mbps}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			tcal := New(eng, func(*packet.Packet) {})
+			dst := packet.MakeIP(0, 1, 1)
+			tcal.InstallPath(dst, PathProps{Bandwidth: 8 * units.Mbps})
+			for tcal.Writable(dst, packet.MSS) {
+				tcal.Send(mk(dst, packet.MTU))
+			}
+			var woken []int
+			for i := 0; i < 3; i++ {
+				i := i
+				tcal.NotifyWritable(dst, func() {
+					woken = append(woken, i)
+					if !tcal.Writable(dst, packet.MSS) {
+						t.Errorf("woken sender %d finds %v not writable", i, dst)
+					}
+				})
+			}
+			tc.discard(tcal, dst)
+			if len(woken) != 3 || woken[0] != 0 || woken[1] != 1 || woken[2] != 2 {
+				t.Fatalf("woken = %v after %s, want [0 1 2]", woken, tc.name)
+			}
+			eng.RunAll()
+			if len(woken) != 3 {
+				t.Fatalf("woken = %v: a sender was woken twice", woken)
+			}
+		})
+	}
+}

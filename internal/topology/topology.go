@@ -74,6 +74,8 @@ const (
 	EvNodeJoin
 )
 
+// String returns the event kind's name: set-link, link-leave, link-join,
+// node-leave or node-join.
 func (k EventKind) String() string {
 	switch k {
 	case EvSetLink:

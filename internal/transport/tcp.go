@@ -28,6 +28,8 @@ const (
 	Cubic
 )
 
+// String returns the algorithm's name as Linux spells it: "reno" or
+// "cubic".
 func (c CongestionControl) String() string {
 	if c == Cubic {
 		return "cubic"

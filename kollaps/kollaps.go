@@ -114,9 +114,8 @@ func (e *Experiment) Deploy(hosts int, opts ...Option) error {
 	}
 	e.seed = cfg.seed
 	e.Eng = sim.NewEngine(cfg.seed)
-	// The metrics registry is always on — gauges read live state lazily,
-	// so an unqueried registry costs nothing. Tracer and probe are opt-in.
-	reg := obs.NewRegistry()
+	// The runtime always carries a metrics registry; tracer and probe
+	// are opt-in.
 	var tracer *obs.Tracer
 	if cfg.trace {
 		tracer = obs.NewTracer(obs.DefaultTraceEvents)
@@ -126,11 +125,10 @@ func (e *Experiment) Deploy(hosts int, opts ...Option) error {
 		probe = obs.NewProbe(cfg.probeEvery)
 	}
 	rt, err := core.NewRuntimeFromTopology(e.Eng, e.Topology, hosts, cfg.placement, core.Options{
-		Period:   cfg.period,
-		Dissem:   cfg.dissemConfig(kind),
-		Tracer:   tracer,
-		Registry: reg,
-		Probe:    probe,
+		Period: cfg.period,
+		Dissem: cfg.dissemConfig(kind),
+		Tracer: tracer,
+		Probe:  probe,
 	})
 	if err != nil {
 		e.Eng = nil
