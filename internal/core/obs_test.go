@@ -156,6 +156,7 @@ func TestManagerSolverCounters(t *testing.T) {
 		"kollaps_topology_trees_carried_total 0\n",
 		"kollaps_topology_trees_repaired_total 0\n",
 		"kollaps_topology_paths_materialized_total ",
+		"kollaps_topology_paths_kept_total 0\n",
 	} {
 		if !strings.Contains(buf.String(), name) {
 			t.Fatalf("prometheus export missing %q:\n%s", name, buf.String())

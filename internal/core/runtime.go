@@ -634,11 +634,14 @@ func (rt *Runtime) registerMetrics() {
 	// What following the topology costs: trees built, trees a generation
 	// adopted unchanged from the one before, the built trees that were
 	// repaired from the one before rather than run from scratch, paths
-	// materialised. carried/(built+carried) is the reuse ratio across events.
+	// materialised, and paths a rebuilt tree took over from the one before
+	// because they did not move. carried/(built+carried) is the reuse
+	// ratio across events.
 	reg.Gauge("kollaps_topology_trees_built_total", func() float64 { return float64(rt.live.CollapseStats().TreesBuilt) })
 	reg.Gauge("kollaps_topology_trees_carried_total", func() float64 { return float64(rt.live.CollapseStats().TreesCarried) })
 	reg.Gauge("kollaps_topology_trees_repaired_total", func() float64 { return float64(rt.live.CollapseStats().TreesRepaired) })
 	reg.Gauge("kollaps_topology_paths_materialized_total", func() float64 { return float64(rt.live.CollapseStats().PathsMaterialized) })
+	reg.Gauge("kollaps_topology_paths_kept_total", func() float64 { return float64(rt.live.CollapseStats().PathsKept) })
 	reg.Gauge("kollaps_virtual_time_seconds", func() float64 { return rt.Eng.Now().Seconds() })
 	reg.Gauge("kollaps_hosts", func() float64 { return float64(len(rt.managers)) })
 	reg.Gauge("kollaps_containers", func() float64 { return float64(len(rt.containers)) })

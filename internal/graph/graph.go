@@ -56,7 +56,8 @@ type Link struct {
 
 // Graph is a directed multigraph of services and bridges. It is the
 // in-memory structure the Emulation Manager maintains throughout an
-// experiment.
+// experiment. It is not safe for concurrent use: Clone marks what it
+// shares, and Tree builds the transit index on first use.
 type Graph struct {
 	nodes []Node
 	// chunks is the link table: link id i is slot i%chunkLinks of chunk
@@ -69,6 +70,9 @@ type Graph struct {
 	// shared marks nodes, adj and byName as shared with a Clone (or its
 	// origin): the first AddNode/AddLink on either side copies them.
 	shared bool
+	// ix is the transit index of the graph's structure, built on first use
+	// and shared with every Clone; AddNode and AddLink drop it.
+	ix *transit
 }
 
 // chunkLinks is the number of links one chunk of the link table holds: a
@@ -126,6 +130,7 @@ func (g *Graph) AddNode(name string, kind NodeKind) (NodeID, error) {
 		return 0, fmt.Errorf("graph: duplicate node name %q", name)
 	}
 	g.unshare()
+	g.ix = nil
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind})
 	g.adj = append(g.adj, adjacency{})
@@ -146,6 +151,7 @@ func (g *Graph) MustAddNode(name string, kind NodeKind) NodeID {
 // AddLink adds a unidirectional link and returns its id.
 func (g *Graph) AddLink(from, to NodeID, p LinkProps) int {
 	g.unshare()
+	g.ix = nil
 	id := g.nlinks
 	if id%chunkLinks == 0 {
 		g.chunks = append(g.chunks, &linkChunk{owner: g})
@@ -248,9 +254,11 @@ func (g *Graph) Services() []NodeID {
 // Clone returns an independent copy; the dynamic topology engine makes one
 // per event group (§3). Nothing is copied eagerly but the list of link
 // chunks: a chunk is copied by the first side to write one of its links,
-// and nodes, the adjacency (out- and in-links) and the name index are
+// and nodes, the adjacency (out- and in-links), the name index and the
+// transit index (built here first, so a lineage of clones holds one) are
 // shared until either side adds a node or a link.
 func (g *Graph) Clone() *Graph {
+	g.transit()
 	g.shared = true
 	for _, c := range g.chunks {
 		if c.owner == g {
@@ -337,15 +345,18 @@ func (f *propsFold) props() LinkProps {
 // from a node with a strictly smaller (dist, hops) key — so a Tree can be
 // compared, reused, carried to a later graph it still Holds for, or
 // repaired into a later graph's tree. It keeps no reference to the graph;
-// Path, Holds and Repair take the one to read.
+// Path, Holds, Keeps and Repair take the one to read.
 //
-// A Tree is a flat table of every node's entry, shared with the trees
-// repaired from it and never written, plus a patch: the entries where
-// this tree differs from the table, sorted by node. A tree Graph.Tree
-// builds has no patch; Repair keeps its parent's table and writes a new
-// patch, unless that would pass maxPatch entries.
+// A Tree keeps entries for the transit nodes only, one slot each (see
+// transit); a leaf's entry is derived from its in-links when read, and the
+// source's is zero. The transit entries are a flat table, shared with the
+// trees repaired from it and never written, plus a patch: the slots where
+// this tree differs from the table, sorted. A tree Graph.Tree builds has no
+// patch; Repair keeps its parent's table and writes a new patch, unless
+// that would pass maxPatch entries.
 type Tree struct {
 	src   NodeID
+	ix    *transit
 	base  []treeNode
 	patch []patchEntry
 }
@@ -356,36 +367,116 @@ type treeNode struct {
 	via  int32 // arriving link id; -1 at the source and at unreached nodes
 }
 
-// patchEntry is a Tree's entry for node where it differs from the table.
+// patchEntry is a Tree's entry for slot where it differs from the table.
 type patchEntry struct {
 	treeNode
-	node int32
+	slot int32
 }
 
 const unreached = time.Duration(math.MaxInt64)
 
 // maxPatch is the most entries a repaired tree's patch may hold on n
-// nodes; a larger one is folded into a fresh table. At n/8 a patch (24
-// bytes an entry) stays under a quarter of the table (16 bytes a node),
+// slots; a larger one is folded into a fresh table. At n/8 a patch (24
+// bytes an entry) stays under a quarter of the table (16 bytes a slot),
 // and a lookup's binary search under log2(n/8) steps.
 func maxPatch(n int) int { return n / 8 }
 
-// at returns node v's entry.
-func (t *Tree) at(v NodeID) treeNode {
+// transit is the transit index of a graph's structure: every node's slot
+// in a Tree's table, -1 at a leaf, and every slot's node. A leaf is a node
+// v with exactly one out-link v→u, where u ≠ v has two or more out-links,
+// and whose in-links all come from u: a service on its access link,
+// usually, and most of a topology. A shortest path from elsewhere never
+// crosses a leaf (its one way on leads back to u), so the leaf's entry is
+// its best live in-link from u by (dist, hops, link id), read off u's
+// entry. u has two or more out-links, so it is never a leaf itself and a
+// derivation never recurses; two nodes linked only to each other are both
+// transit. The index depends on the adjacency alone, never on link
+// properties: tombstoning a link does not move it.
+type transit struct {
+	slot  []int32 // node -> slot; -1 at a leaf
+	nodes []int32 // slot -> node
+}
+
+// transit returns g's transit index, building it on first use.
+func (g *Graph) transit() *transit {
+	if g.ix != nil {
+		return g.ix
+	}
+	ix := &transit{slot: make([]int32, len(g.nodes))}
+	for v := range g.nodes {
+		if g.leaf(NodeID(v)) {
+			ix.slot[v] = -1
+			continue
+		}
+		ix.slot[v] = int32(len(ix.nodes))
+		ix.nodes = append(ix.nodes, int32(v))
+	}
+	g.ix = ix
+	return ix
+}
+
+// leaf reports whether v is a leaf of g's structure (see transit).
+func (g *Graph) leaf(v NodeID) bool {
+	out := g.adj[v].out
+	if len(out) != 1 {
+		return false
+	}
+	u := g.link(out[0]).To
+	if u == v || len(g.adj[u].out) < 2 {
+		return false
+	}
+	for _, li := range g.adj[v].in {
+		if g.link(li).From != u {
+			return false
+		}
+	}
+	return true
+}
+
+// entry returns slot s's entry.
+func (t *Tree) entry(s int32) treeNode {
 	p := t.patch
 	lo, hi := 0, len(p)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if p[m].node < int32(v) {
+		if p[m].slot < s {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	if lo < len(p) && p[lo].node == int32(v) {
+	if lo < len(p) && p[lo].slot == s {
 		return p[lo].treeNode
 	}
-	return t.base[v]
+	return t.base[s]
+}
+
+// at returns node v's entry on g, the graph t is the tree of: a transit
+// node's from the tree, the source's zero, and a leaf's derived from its
+// live in-links, which all come from one transit node u and so share u's
+// key and hop count. In ascending id order, the first of the shortest wins.
+func (t *Tree) at(g *Graph, v NodeID) treeNode {
+	if s := t.ix.slot[v]; s >= 0 {
+		return t.entry(s)
+	}
+	if v == t.src {
+		return treeNode{via: -1}
+	}
+	e := treeNode{dist: unreached, via: -1}
+	for _, li := range g.adj[v].in {
+		l := g.link(li)
+		if l.Bandwidth < 0 {
+			continue
+		}
+		u := t.entry(t.ix.slot[l.From])
+		if u.dist == unreached {
+			break
+		}
+		if nd := u.dist + l.Latency; nd < e.dist {
+			e = treeNode{dist: nd, hops: u.hops + 1, via: int32(li)}
+		}
+	}
+	return e
 }
 
 // Scratch is the reusable working memory of Tree and Repair; the zero
@@ -394,10 +485,10 @@ func (t *Tree) at(v NodeID) treeNode {
 type Scratch struct {
 	heap []nodeDist
 	st   []treeNode // the tree Repair works on, materialised
-	log  []int32    // the nodes Repair wrote, repeats included
+	log  []int32    // the slots Repair wrote, repeats included
 }
 
-// grow sizes sc for trees of n nodes.
+// grow sizes sc for trees of n slots.
 func (sc *Scratch) grow(n int) {
 	if cap(sc.heap) < n {
 		sc.heap = make([]nodeDist, 0, n)
@@ -411,24 +502,36 @@ func (sc *Scratch) grow(n int) {
 }
 
 // Tree runs Dijkstra from src, skipping tombstoned links. sc may be nil.
+// A leaf source is never queued: its out-link is offered to its
+// neighbour from the zero key.
 func (g *Graph) Tree(src NodeID, sc *Scratch) Tree {
-	st := make([]treeNode, len(g.nodes))
+	ix := g.transit()
+	st := make([]treeNode, len(ix.nodes))
 	for i := range st {
 		st[i] = treeNode{dist: unreached, via: -1}
 	}
-	st[src].dist = 0
 	if sc == nil {
 		sc = &Scratch{heap: make([]nodeDist, 0, len(st))}
 	} else {
 		sc.grow(len(st))
 	}
-	sc.heap = g.settle(st, append(sc.heap[:0], nodeDist{hopsID: uint64(src)}), nil)
-	return Tree{src: src, base: st}
+	pq := sc.heap[:0]
+	if s := ix.slot[src]; s >= 0 {
+		st[s].dist = 0
+		pq = append(pq, nodeDist{hopsID: uint64(s)})
+	} else {
+		for _, li := range g.adj[src].out {
+			pq = g.relax(ix, src, st, pq, li, nil)
+		}
+	}
+	sc.heap = g.settle(ix, src, st, pq, nil)
+	return Tree{src: src, ix: ix, base: st}
 }
 
 // Repair derives g's tree from t, the tree of an earlier version of g with
-// the same nodes, where changed lists every link whose properties differ
-// between the two versions (links new in g included). sc must not be nil.
+// the same structure, where changed lists every link whose properties
+// differ between the two versions. sc must not be nil. A g whose transit
+// index is not t's (a node or a link was added since) gets a fresh Tree.
 //
 // A changed tree edge that is dead now, or whose new latency makes its
 // head's key worse, is a root: the root and everything below it in the
@@ -437,157 +540,178 @@ func (g *Graph) Tree(src NodeID, sc *Scratch) Tree {
 // entry is kept: its old tree path still exists and is no longer than
 // before, so its key is an upper bound. Each reset node is offered its
 // live in-links, and every changed link is offered to its head, which
-// covers improvements, ties that take over the link-id tie-break, restored
-// links and new ones. A node t left unreached needs no offer of its own:
-// a path to it now crosses a changed link, or a node the settle loop
+// covers improvements, ties that take over the link-id tie-break and
+// restored links. A node t left unreached needs no offer of its own: a
+// path to it now crosses a changed link, or a node the settle loop
 // reaches and relaxes. The settle loop does the rest. When it ends, every
 // key is that of a real path and no live link improves on its head's key,
 // so the keys are the shortest ones; and every tight link into a node was
 // offered to it at its final key, so each arriving link is the smallest
-// tight one. The result equals g.Tree(t's source) node for node.
+// tight one. Only transit slots are ever written: a leaf's entry is
+// derived from g when read. The result equals g.Tree(t's source) node for
+// node.
 //
-// The work happens on t materialised in sc, logging every node written
+// The work happens on t materialised in sc, logging every slot written
 // (repeats included); the result shares t's table and patches the logged
-// nodes and t's own patched ones, so t stays as it was, or folds, decided
+// slots and t's own patched ones, so t stays as it was, or folds, decided
 // before any sort, when the patch would pass maxPatch entries.
 func (t Tree) Repair(g *Graph, changed []int, sc *Scratch) Tree {
+	ix := g.transit()
+	if t.ix != ix {
+		return g.Tree(t.src, sc)
+	}
 	n := len(t.base)
 	sc.grow(n)
 	st := sc.st[:n]
 	copy(st, t.base)
 	for _, p := range t.patch {
-		st[p.node] = p.treeNode
+		st[p.slot] = p.treeNode
 	}
 	log := sc.log[:0]
-	// q lists the reset nodes while the subtrees are found; each node is
-	// listed once, so the heap's capacity of one entry per node holds it.
+	// q lists the reset slots while the subtrees are found; each slot is
+	// listed once, so the heap's capacity of one entry per slot holds it.
 	q := sc.heap[:0]
-	reset := func(v NodeID) {
-		st[v] = treeNode{dist: unreached, via: -1}
-		q = append(q, nodeDist{hopsID: uint64(v)})
-		log = append(log, int32(v))
+	reset := func(s int32) {
+		st[s] = treeNode{dist: unreached, via: -1}
+		q = append(q, nodeDist{hopsID: uint64(s)})
+		log = append(log, s)
 	}
 	for _, li := range changed {
 		l := g.link(li)
-		from, to := &st[l.From], &st[l.To]
+		s := ix.slot[l.To]
+		if s < 0 || st[s].via != int32(li) {
+			continue
+		}
+		// A tree edge leaves a transit node or the source.
+		from, to := treeNode{}, &st[s]
+		if fs := ix.slot[l.From]; fs >= 0 {
+			from = st[fs]
+		}
 		// A tail reset by an earlier root is unreached now: so is its child.
-		if to.via == int32(li) && (l.Bandwidth < 0 || from.dist == unreached || from.dist+l.Latency > to.dist) {
-			reset(l.To)
+		if l.Bandwidth < 0 || from.dist == unreached || from.dist+l.Latency > to.dist {
+			reset(s)
 		}
 	}
 	for i := 0; i < len(q); i++ {
-		for _, li := range g.adj[q[i].hopsID].out {
-			if to := g.link(li).To; st[to].via == int32(li) {
-				reset(to)
+		for _, li := range g.adj[ix.nodes[q[i].hopsID]].out {
+			if s := ix.slot[g.link(li).To]; s >= 0 && st[s].via == int32(li) {
+				reset(s)
 			}
 		}
 	}
-	// The reset nodes head the log; the queue reuses q's storage.
+	// The reset slots head the log; the queue reuses q's storage.
 	pq := q[:0]
-	for _, v := range log[:len(q)] {
-		for _, li := range g.adj[v].in {
-			pq = g.relax(st, pq, li, &log)
+	for _, s := range log[:len(q)] {
+		for _, li := range g.adj[ix.nodes[s]].in {
+			pq = g.relax(ix, t.src, st, pq, li, &log)
 		}
 	}
 	for _, li := range changed {
-		pq = g.relax(st, pq, li, &log)
+		pq = g.relax(ix, t.src, st, pq, li, &log)
 	}
-	sc.heap = g.settle(st, pq, &log)
+	sc.heap = g.settle(ix, t.src, st, pq, &log)
 	sc.log = log
 	return t.repatch(st, log)
 }
 
 // repatch returns the tree st, t repaired, as t's table plus a patch: of
-// the nodes t patched or the repair wrote (log, which may repeat them),
+// the slots t patched or the repair wrote (log, which may repeat them),
 // the ones where st and the table differ. The fold is decided before any
-// sort. One pass drops log's repeats in place, marking kept nodes by
+// sort. One pass drops log's repeats in place, marking kept slots by
 // complementing their hop counts in st (never negative), and counts those
-// that differ; t's patched nodes outside log differ by construction, and
+// that differ; t's patched slots outside log differ by construction, and
 // join log. Past maxPatch the tree folds into a fresh table; only a kept
-// patch sorts its nodes.
+// patch sorts its slots.
 func (t Tree) repatch(st []treeNode, log []int32) Tree {
 	k, n := 0, 0
-	for _, v := range log {
-		if e := &st[v]; e.hops >= 0 {
-			if *e != t.base[v] {
+	for _, s := range log {
+		if e := &st[s]; e.hops >= 0 {
+			if *e != t.base[s] {
 				n++
 			}
 			e.hops = ^e.hops
-			log[k], k = v, k+1
+			log[k], k = s, k+1
 		}
 	}
 	log = log[:k]
 	for _, p := range t.patch {
-		if st[p.node].hops >= 0 {
+		if st[p.slot].hops >= 0 {
 			n++
-			log = append(log, p.node) // within cap: log holds distinct nodes
+			log = append(log, p.slot) // within cap: log holds distinct slots
 		}
 	}
-	for _, v := range log[:k] {
-		st[v].hops = ^st[v].hops
+	for _, s := range log[:k] {
+		st[s].hops = ^st[s].hops
 	}
 	switch {
 	case n > maxPatch(len(st)):
-		return Tree{src: t.src, base: append([]treeNode(nil), st...)}
+		return Tree{src: t.src, ix: t.ix, base: append([]treeNode(nil), st...)}
 	case n == 0:
-		return Tree{src: t.src, base: t.base}
+		return Tree{src: t.src, ix: t.ix, base: t.base}
 	}
 	slices.Sort(log)
 	patch := make([]patchEntry, 0, n)
-	for _, v := range log {
-		if st[v] != t.base[v] {
-			patch = append(patch, patchEntry{st[v], v})
+	for _, s := range log {
+		if st[s] != t.base[s] {
+			patch = append(patch, patchEntry{st[s], s})
 		}
 	}
-	return Tree{src: t.src, base: t.base, patch: patch}
+	return Tree{src: t.src, ix: t.ix, base: t.base, patch: patch}
 }
 
 // settle is the one Dijkstra loop, shared by Tree and Repair: it pops the
-// least queued (dist, hops) key and offers the node's out-links to their
-// heads until the queue is empty. It returns the emptied queue for reuse.
-func (g *Graph) settle(st []treeNode, pq []nodeDist, log *[]int32) []nodeDist {
+// least queued (dist, hops) key and offers the slot's node's out-links to
+// their heads until the queue is empty. It returns the emptied queue for
+// reuse.
+func (g *Graph) settle(ix *transit, src NodeID, st []treeNode, pq []nodeDist, log *[]int32) []nodeDist {
 	for len(pq) > 0 {
-		cur, hops, id := pq[0], int32(pq[0].hopsID>>32), uint32(pq[0].hopsID)
+		cur, hops, s := pq[0], int32(pq[0].hopsID>>32), uint32(pq[0].hopsID)
 		pq = popMin(pq)
-		if s := &st[id]; cur.dist != s.dist || hops != s.hops {
+		if e := &st[s]; cur.dist != e.dist || hops != e.hops {
 			continue // superseded by a better key queued later
 		}
-		for _, li := range g.adj[id].out {
-			pq = g.relax(st, pq, li, log)
+		for _, li := range g.adj[ix.nodes[s]].out {
+			pq = g.relax(ix, src, st, pq, li, log)
 		}
 	}
 	return pq
 }
 
-// relax offers link li, if live and leaving a reached node, to its head: a
-// strictly better (dist, hops) key takes the head and queues it, an equal
-// key through a smaller link id takes over the arriving link only (the
-// key is queued or settled already). A head it writes is appended to
-// log, when there is one.
-func (g *Graph) relax(st []treeNode, pq []nodeDist, li int, log *[]int32) []nodeDist {
+// relax offers link li, if live, leaving a reached node and arriving at a
+// transit one, to its head: a strictly better (dist, hops) key takes the
+// head and queues it, an equal key through a smaller link id takes over
+// the arriving link only (the key is queued or settled already). A leaf
+// is never written (its entry is derived when read), and a link leaving a
+// leaf other than the source improves nothing. A slot it writes is
+// appended to log, when there is one.
+func (g *Graph) relax(ix *transit, src NodeID, st []treeNode, pq []nodeDist, li int, log *[]int32) []nodeDist {
 	l := g.link(li)
-	from, to := &st[l.From], &st[l.To]
-	if l.Bandwidth < 0 || from.dist == unreached { // a tombstone, or nothing to offer
+	s := ix.slot[l.To]
+	if s < 0 || l.Bandwidth < 0 { // a leaf, or a tombstone
 		return pq
 	}
+	var from treeNode // the source's key, when it is a leaf
+	if fs := ix.slot[l.From]; fs >= 0 {
+		from = st[fs]
+	} else if l.From != src {
+		return pq
+	}
+	if from.dist == unreached {
+		return pq
+	}
+	to := &st[s]
 	nd, nh := from.dist+l.Latency, from.hops+1
 	switch {
 	case nd < to.dist || nd == to.dist && nh < to.hops:
 		to.dist, to.hops, to.via = nd, nh, int32(li)
 		if log != nil {
-			*log = append(*log, int32(l.To))
+			*log = append(*log, s)
 		}
-		// A leaf whose one link leads straight back has nothing to
-		// relax: settled here, never queued. Services usually are such
-		// leaves, and they are most of a topology.
-		if back := g.adj[l.To].out; len(back) == 1 && g.link(back[0]).To == l.From {
-			return pq
-		}
-		return push(pq, nodeDist{dist: nd, hopsID: uint64(nh)<<32 | uint64(l.To)})
+		return push(pq, nodeDist{dist: nd, hopsID: uint64(nh)<<32 | uint64(s)})
 	case nd == to.dist && nh == to.hops && int32(li) < to.via:
 		to.via = int32(li)
 		if log != nil {
-			*log = append(*log, int32(l.To))
+			*log = append(*log, s)
 		}
 	}
 	return pq
@@ -598,10 +722,10 @@ func (g *Graph) relax(st []treeNode, pq []nodeDist, li int, log *[]int32) []node
 // their composed properties. Nil when dst is the source, unreached or not
 // a node.
 func (t Tree) Path(g *Graph, dst NodeID) *Path {
-	if dst < 0 || int(dst) >= len(t.base) {
+	if dst < 0 || int(dst) >= len(t.ix.slot) {
 		return nil
 	}
-	e := t.at(dst)
+	e := t.at(g, dst)
 	if e.via < 0 {
 		return nil
 	}
@@ -611,7 +735,7 @@ func (t Tree) Path(g *Graph, dst NodeID) *Path {
 		if i == 0 {
 			break
 		}
-		e = t.at(g.link(links[i]).From)
+		e = t.at(g, g.link(links[i]).From)
 	}
 	var f propsFold
 	for _, li := range links {
@@ -620,22 +744,57 @@ func (t Tree) Path(g *Graph, dst NodeID) *Path {
 	return &Path{From: t.src, To: dst, Links: links, LinkProps: f.props()}
 }
 
+// Keeps reports whether p, a path from t's source materialised on an
+// earlier version of g, is still t's path on g, where t is g's tree and
+// changed lists every link whose properties differ between the two
+// versions: t reaches p.To over exactly p.Links, and none of them changed.
+// Then p composes the same properties on g, and can stand for the path
+// Path would materialise.
+func (t Tree) Keeps(g *Graph, changed []int, p *Path) bool {
+	e := t.at(g, p.To)
+	if int(e.hops) != len(p.Links) {
+		return false
+	}
+	for i := len(p.Links) - 1; i >= 0; i-- {
+		li := p.Links[i]
+		if e.via != int32(li) || slices.Contains(changed, li) {
+			return false
+		}
+		if i > 0 {
+			e = t.at(g, g.link(li).From)
+		}
+	}
+	return true
+}
+
 // Holds reports whether t, built on an earlier version of g with the same
-// nodes, is still g's tree from its source, where changed lists every link
-// whose properties differ between the two versions (links new in g
-// included). It holds when no changed link is a tree edge and none, as it
-// now stands, reaches its head with a key that beats or ties the tree's:
-// then the tree's paths exist unchanged, every unchanged link still fails
-// to improve on them, and so do the changed ones. A tie is refused because
-// it could move the link-id tie-break. Paths materialised from t compose
-// the same properties on either graph, since no tree edge changed.
+// structure, is still g's tree from its source, where changed lists every
+// link whose properties differ between the two versions. It holds when no
+// changed link is a tree edge and none, as it now stands, reaches its head
+// with a key that beats or ties the tree's: then the tree's paths exist
+// unchanged, every unchanged link still fails to improve on them, and so
+// do the changed ones. A tie is refused because it could move the link-id
+// tie-break. A leaf's entry is read off g, so a changed in-link of a leaf
+// other than the source refuses whenever the tree reaches the leaf's
+// neighbour: a path materialised from t may have crossed it as it was.
+// Paths materialised from t compose the same properties on either graph,
+// since no tree edge changed. A g whose transit index is not t's (a node
+// or a link was added since) refuses.
 func (t Tree) Holds(g *Graph, changed []int) bool {
-	if len(t.base) != len(g.nodes) {
+	if t.ix != g.transit() {
 		return false
 	}
 	for _, li := range changed {
 		l := g.link(li)
-		from, to := t.at(l.From), t.at(l.To)
+		from := t.at(g, l.From)
+		s := t.ix.slot[l.To]
+		if s < 0 {
+			if l.To != t.src && from.dist != unreached {
+				return false
+			}
+			continue
+		}
+		to := t.entry(s)
 		if to.via == int32(li) {
 			return false
 		}

@@ -734,7 +734,7 @@ func TestTreeHoldsImpliesIdentical(t *testing.T) {
 				continue
 			}
 			held++
-			if v, differ := treeDiff(old, next.Tree(NodeID(src), nil)); differ {
+			if v, differ := treeDiff(next, old, next.Tree(NodeID(src), nil)); differ {
 				t.Fatalf("round %d src %d: tree Holds across %v but a fresh one differs at node %d", round, src, changed, v)
 			}
 		}
@@ -752,6 +752,80 @@ func TestTreeHoldsImpliesIdentical(t *testing.T) {
 	}
 }
 
+// TestTransitLeaves pins the leaf rule at its edges: which nodes the
+// transit index leaves out, what a leaf's derived entry reads, that a
+// changed in-link of a leaf refuses Holds and repairs exactly, and every
+// tree of the graph against the reference.
+func TestTransitLeaves(t *testing.T) {
+	lat := func(ms int) LinkProps { return props(time.Duration(ms)*time.Millisecond, units.Gbps) }
+	g := New()
+	h := g.MustAddNode("h", Bridge) // a hub
+	k := g.MustAddNode("k", Bridge) // a second hub
+	a := g.MustAddNode("a", Service)
+	b := g.MustAddNode("b", Service) // three parallel links in from h
+	x := g.MustAddNode("x", Service) // x and y know only each other
+	y := g.MustAddNode("y", Service)
+	w := g.MustAddNode("w", Service) // on h, with an in-link from k as well
+	s := g.MustAddNode("s", Service) // on h, with a self-loop
+	d := g.MustAddNode("d", Service) // on k, its link in tombstoned
+	g.AddBiLink(h, k, lat(1))
+	g.AddBiLink(a, h, lat(2))
+	g.AddLink(b, h, lat(1))
+	g.AddLink(h, b, lat(3))
+	bIn := g.AddLink(h, b, lat(2))
+	g.AddLink(h, b, lat(2)) // ties with bIn through a larger id
+	g.AddBiLink(x, y, lat(1))
+	g.AddBiLink(w, h, lat(1))
+	g.AddLink(k, w, lat(1))
+	g.AddBiLink(s, h, lat(1))
+	g.AddLink(s, s, lat(1))
+	_, dIn := g.AddBiLink(d, k, lat(1))
+	g.RemoveLink(dIn)
+
+	ix := g.transit()
+	for v, leaf := range map[NodeID]bool{h: false, k: false, a: true, b: true, x: false, y: false, w: false, s: false, d: true} {
+		if got := ix.slot[v] < 0; got != leaf {
+			t.Errorf("node %s: leaf = %v, want %v", g.Node(v).Name, got, leaf)
+		}
+	}
+
+	fromA := g.Tree(a, nil) // a leaf source
+	for _, c := range []struct {
+		v    NodeID
+		want treeNode
+	}{
+		{a, treeNode{via: -1}},
+		{b, treeNode{dist: 4 * time.Millisecond, hops: 2, via: int32(bIn)}},
+		{d, treeNode{dist: unreached, via: -1}},
+	} {
+		if got := fromA.at(g, c.v); got != c.want {
+			t.Errorf("tree from a: node %s reads %+v, want %+v", g.Node(c.v).Name, got, c.want)
+		}
+	}
+	if p := fromA.Path(g, d); p != nil {
+		t.Errorf("tree from a reaches d over its tombstoned link: %+v", p)
+	}
+	checkAgainstReference(t, g)
+
+	// A faster link into b, and d's link back up.
+	next := g.Clone()
+	next.SetLinkProps(bIn, lat(1))
+	next.SetLinkProps(dIn, lat(1))
+	changed := []int{bIn, dIn}
+	if fromA.Holds(next, changed) {
+		t.Error("the tree from a holds across a changed in-link of the leaf b")
+	}
+	if !g.Tree(x, nil).Holds(next, changed) {
+		t.Error("the tree from x, which reaches neither h nor k, does not hold")
+	}
+	all := make([]NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	checkRepair(t, g, trees(g, all), next, changed)
+	checkAgainstReference(t, next)
+}
+
 // trees returns g's tree from each of sources.
 func trees(g *Graph, sources []NodeID) []Tree {
 	out := make([]Tree, len(sources))
@@ -761,50 +835,51 @@ func trees(g *Graph, sources []NodeID) []Tree {
 	return out
 }
 
-// treeDiff compares two trees as values: the source, the node count and
-// every node's entry, whatever table and patch each keeps them in. It
-// returns the first node that differs (-1 for the source or the count).
-func treeDiff(a, b Tree) (NodeID, bool) {
-	if a.src != b.src || len(a.base) != len(b.base) {
+// treeDiff compares two trees of g as values: the source, the node count
+// and every node's entry, leaves included, whatever table and patch each
+// keeps them in. It returns the first node that differs (-1 for the
+// source or the count).
+func treeDiff(g *Graph, a, b Tree) (NodeID, bool) {
+	if a.src != b.src || len(a.ix.slot) != len(b.ix.slot) {
 		return -1, true
 	}
-	for v := range a.base {
-		if a.at(NodeID(v)) != b.at(NodeID(v)) {
+	for v := range a.ix.slot {
+		if a.at(g, NodeID(v)) != b.at(g, NodeID(v)) {
 			return NodeID(v), true
 		}
 	}
 	return 0, false
 }
 
-// checkRepair repairs each of olds, trees of a graph that a patch turned
+// checkRepair repairs each of olds, trees of prev that a patch turned
 // into next, where changed lists at least every link whose properties
 // differ, and fails unless each repair equals a fresh Tree on next node
 // for node and leaves the tree it started from as it was. It returns the
 // repaired trees, for a later patch to repair again, and how many of olds
 // did not Hold.
-func checkRepair(t testing.TB, olds []Tree, next *Graph, changed []int) (repaired []Tree, stale int) {
+func checkRepair(t testing.TB, prev *Graph, olds []Tree, next *Graph, changed []int) (repaired []Tree, stale int) {
 	t.Helper()
 	var sc Scratch
 	for _, old := range olds {
 		if !old.Holds(next, changed) {
 			stale++
 		}
-		before := Tree{src: old.src, base: make([]treeNode, len(old.base))}
-		for v := range before.base {
-			before.base[v] = old.at(NodeID(v))
+		before := Tree{src: old.src, ix: old.ix, base: make([]treeNode, len(old.base))}
+		for s := range before.base {
+			before.base[s] = old.entry(int32(s))
 		}
 		got, want := old.Repair(next, changed, &sc), next.Tree(old.src, nil)
-		if v, differ := treeDiff(old, before); differ {
+		if v, differ := treeDiff(prev, old, before); differ {
 			t.Fatalf("src %d, changed %v: Repair wrote node %d of the tree it repaired", old.src, changed, v)
 		}
-		if v, differ := treeDiff(got, want); differ {
+		if v, differ := treeDiff(next, got, want); differ {
 			if v < 0 {
-				t.Fatalf("src %d, changed %v: Repair gives source %d over %d nodes, a fresh Tree %d over %d", old.src, changed, got.src, len(got.base), want.src, len(want.base))
+				t.Fatalf("src %d, changed %v: Repair gives source %d over %d nodes, a fresh Tree %d over %d", old.src, changed, got.src, len(got.ix.slot), want.src, len(want.ix.slot))
 			}
-			t.Fatalf("src %d, changed %v: Repair gives node %d %+v, a fresh Tree %+v", old.src, changed, v, got.at(v), want.at(v))
+			t.Fatalf("src %d, changed %v: Repair gives node %d %+v, a fresh Tree %+v", old.src, changed, v, got.at(next, v), want.at(next, v))
 		}
 		if len(got.patch) > maxPatch(len(got.base)) {
-			t.Fatalf("src %d: a patch of %d entries on %d nodes was not folded", old.src, len(got.patch), len(got.base))
+			t.Fatalf("src %d: a patch of %d entries on %d slots was not folded", old.src, len(got.patch), len(got.base))
 		}
 		repaired = append(repaired, got)
 	}
@@ -832,7 +907,7 @@ func patchGraph(g *Graph, data []byte) (*Graph, []int) {
 			p.Jitter++ // latency unchanged
 		case 3: // the edge into node arg of the tree from node op>>3
 			tr := next.Tree(NodeID(int(op>>3)%n), nil)
-			via := tr.at(NodeID(arg % n)).via
+			via := tr.at(next, NodeID(arg%n)).via
 			if via < 0 {
 				continue
 			}
@@ -887,7 +962,7 @@ func FuzzTreeRepair(f *testing.F) {
 			end := min(1+2*(1+int(patchData[0])%4), len(patchData))
 			next, changed := patchGraph(g, patchData[1:end])
 			patchData = patchData[end:]
-			ts, _ = checkRepair(t, ts, next, changed)
+			ts, _ = checkRepair(t, g, ts, next, changed)
 			g = next
 		}
 	})
@@ -925,15 +1000,15 @@ func TestTreeRepairSingleFlaps(t *testing.T) {
 			for _, id := range pair {
 				next.SetLinkProps(id, p)
 			}
-			_, n := checkRepair(t, olds, next, pair)
+			_, n := checkRepair(t, g, olds, next, pair)
 			stale += n
 		}
 		down := g.Clone()
 		for _, id := range pair {
 			down.RemoveLink(id)
 		}
-		downs, n := checkRepair(t, olds, down, pair)
-		_, m := checkRepair(t, downs, g, pair)
+		downs, n := checkRepair(t, g, olds, down, pair)
+		_, m := checkRepair(t, down, downs, g, pair)
 		stale += n + m
 		flaps++
 	}

@@ -268,8 +268,11 @@ type work struct {
 // TreesRepaired counts the built trees that were derived from the previous
 // generation's tree by Tree.Repair rather than by a full Dijkstra; it is a
 // part of TreesBuilt. carried/(built+carried) is the reuse ratio.
+// PathsKept counts the paths a rebuilt or repaired source took over from
+// the previous generation because they did not move (Tree.Keeps), where it
+// would otherwise have materialised them.
 type CollapseStats struct {
-	TreesBuilt, TreesCarried, TreesRepaired, PathsMaterialized uint64
+	TreesBuilt, TreesCarried, TreesRepaired, PathsMaterialized, PathsKept uint64
 }
 
 // Collapse prepares the (lazy) collapsed topology of a built graph. The
@@ -300,8 +303,9 @@ func (c *Collapsed) Path(src, dst graph.NodeID) *graph.Path {
 
 // miss is everything Path does beyond a lookup: adopt the previous
 // generation's tree for src when it still holds, repair it when it does
-// not, or else (a first ask, or a node-count change) run Dijkstra; then
-// materialise and memoise the one path asked for. Cold by construction —
+// not, or else (a first ask, or a node or link added) run Dijkstra; then
+// take the one path asked for over from the previous generation when it
+// did not move, or materialise it, and memoise it. Cold by construction —
 // once per (source, destination) per topology state at most, never in the
 // steady-state emulation loop.
 func (c *Collapsed) miss(src, dst graph.NodeID) *graph.Path {
@@ -313,7 +317,7 @@ func (c *Collapsed) miss(src, dst graph.NodeID) *graph.Path {
 		switch {
 		case s != nil && s.tree.Holds(c.g, c.changed):
 			c.w.stats.TreesCarried++
-		case s != nil && c.prev.g.NumNodes() == c.g.NumNodes():
+		case s != nil && c.prev.g.NumNodes() == c.g.NumNodes() && c.prev.g.NumLinks() == c.g.NumLinks():
 			s = &source{tree: s.tree.Repair(c.g, c.changed, &c.w.scratch), paths: make(map[graph.NodeID]*graph.Path)}
 			c.w.stats.TreesBuilt++
 			c.w.stats.TreesRepaired++
@@ -325,12 +329,33 @@ func (c *Collapsed) miss(src, dst graph.NodeID) *graph.Path {
 	}
 	p := s.paths[dst] // an adopted source may hold it already
 	if p == nil && dst >= 0 && int(dst) < c.g.NumNodes() && c.g.Node(dst).Kind == graph.Service {
-		if p = s.tree.Path(c.g, dst); p != nil {
-			s.paths[dst] = p
+		if p = c.kept(src, dst, s.tree); p != nil {
+			c.w.stats.PathsKept++
+		} else if p = s.tree.Path(c.g, dst); p != nil {
 			c.w.stats.PathsMaterialized++
+		}
+		if p != nil {
+			s.paths[dst] = p
 		}
 	}
 	return p
+}
+
+// kept returns the previous generation's path src->dst when t, src's tree
+// in this one, still routes it over the same unchanged links, and nil
+// otherwise.
+func (c *Collapsed) kept(src, dst graph.NodeID, t graph.Tree) *graph.Path {
+	if c.prev == nil {
+		return nil
+	}
+	o := c.prev.cache[src]
+	if o == nil {
+		return nil
+	}
+	if p := o.paths[dst]; p != nil && t.Keeps(c.g, c.changed, p) {
+		return p
+	}
+	return nil
 }
 
 // State is one topology state: the graph and its collapse, valid from At
