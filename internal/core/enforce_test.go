@@ -142,7 +142,8 @@ func (r *enforceRig) pass(k int) {
 		greedy[i].Demand = 0
 	}
 	wantEnt := b.Allocate(caps, greedy, nil)
-	sameAllocations(t, "entitlement pass", m.entBuf, wantEnt)
+	memo := &m.entMemo
+	sameAllocations(t, "entitlement pass", memo.out[memo.last], wantEnt)
 	if m.demDerived.Value() != derived {
 		sameAllocations(t, "derived demand-aware pass", wantWD, wantEnt)
 	} else {
@@ -233,6 +234,80 @@ func TestEnforceMatchesFreshSolves(t *testing.T) {
 	}
 }
 
+// TestEnforceMemoSlots is the differential for the entitlement memo's two
+// slots and its capacity version: every pass is checked against two fresh
+// solves, and each step asserts whether the memo answered and, when it
+// did not, why. Two reports alternate; a latency change the flows do not
+// cross leaves the key alone, one they cross moves their RTTs, and a
+// capacity change or a link's leave and rejoin moves the capacities.
+func TestEnforceMemoSlots(t *testing.T) {
+	r := newEnforceRig(t, Options{})
+	m := r.m
+	// The local flows are greedy. A's four remote records bind below
+	// their greedy share; B's eight greedy records on the same paths
+	// halve the shares, so B's fill levels, read for A's input, would
+	// certify A's demands.
+	const hi, mid, k = 40_000_000, 8_000_000, 300
+	r.setReport(mid, mid, mid, mid)
+	a := r.report
+	r.setReport(hi, hi, hi, hi, hi, hi, hi, hi)
+	b := r.report
+	step := func(name string, rep *metadata.Message, want string) {
+		t.Helper()
+		r.report = *rep
+		hit, capMiss, inMiss := m.entReused.Value(), m.entMissCap.Value(), m.entMissIn.Value()
+		r.pass(k)
+		got := "hit"
+		switch {
+		case m.entMissCap.Value() != capMiss:
+			got = "capacity"
+		case m.entMissIn.Value() != inMiss:
+			got = "input"
+		case m.entReused.Value() == hit:
+			got = "nothing"
+		}
+		if got != want {
+			t.Fatalf("%s: memo answered %q, want %q", name, got, want)
+		}
+	}
+	step("first A", &a, "capacity")
+	step("first B", &b, "input")
+	for i := 0; i < 3; i++ {
+		step("alternating A", &a, "hit")
+		step("alternating B", &b, "hit")
+	}
+
+	lat := 30 * time.Millisecond
+	r.setLink("s4", "b3", topology.LinkPatch{Latency: &lat})
+	step("latency off every path, A", &a, "hit")
+	step("latency off every path, B", &b, "hit")
+
+	r.setLink("b1", "b2", topology.LinkPatch{Latency: &lat})
+	step("latency on a path, A", &a, "input")
+	step("latency on a path, B", &b, "input")
+	step("new RTTs, A", &a, "hit")
+	step("new RTTs, B", &b, "hit")
+
+	bw := 20 * units.Mbps
+	r.setLink("b1", "b2", topology.LinkPatch{Up: &bw})
+	step("capacity, A", &a, "capacity")
+	step("capacity, B", &b, "input")
+	step("new capacity, A", &a, "hit")
+	step("new capacity, B", &b, "hit")
+
+	for _, kind := range []topology.EventKind{topology.EvLinkLeave, topology.EvLinkJoin} {
+		ev := topology.Event{At: r.rt.Eng.Now(), Kind: kind, Orig: "b2", Dest: "b3"}
+		if err := r.rt.applyGroup([]topology.Event{ev}); err != nil {
+			t.Fatal(err)
+		}
+		step(kind.String()+", A", &a, "capacity")
+		step(kind.String()+", B", &b, "input")
+		step(kind.String()+" settled, A", &a, "hit")
+	}
+	t.Logf("%d enforce calls: %d reused, %d capacity misses, %d input misses, %d derived",
+		m.solveRuns.Value(), m.entReused.Value(), m.entMissCap.Value(), m.entMissIn.Value(), m.demDerived.Value())
+}
+
 // TestEnforceFitsMatchFreshSolves is the Manager-level differential for
 // the demand-aware pass that demandFits answers: with every local and
 // remote flow application-limited and small, each pass's results and
@@ -265,10 +340,11 @@ func TestEnforceFitsMatchFreshSolves(t *testing.T) {
 // engine's pool, and the peer manager's delivery handed the previous
 // period's back. Local flows are active (between metered passes the
 // containers offer a period of real traffic and the peer's report
-// arrives); on the hit path the entitlement input repeats, on the miss
-// path a remote record's links change every period and move the local
-// flows' enforced rates. The rig runs bare, and with the flight recorder
-// and registry.
+// arrives). Reports A, B and C differ in one remote record's path each.
+// On the hit path A and B alternate, which the memo's two slots answer;
+// on the miss path A, B and C cycle, so every pass finds neither slot
+// holding its input, solves, and moves the local flows' enforced rates.
+// The rig runs bare, and with the flight recorder and registry.
 func TestEnforceAllocationContract(t *testing.T) {
 	// A collection starting mid-pass can allocate on the runtime's behalf.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -284,12 +360,15 @@ func TestEnforceAllocationContract(t *testing.T) {
 			m, rt := r.m, r.rt
 			sent := m.node.Stats().DatagramsSent.Value
 
-			// Reports A and B differ in one remote record's path.
 			r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
 			reportA := r.report
 			r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
 			r.report.Flows[1].Links = r.paths[2]
 			reportB := r.report
+			r.setReport(40_000_000, 300_000, 40_000_000, 300_000)
+			r.report.Flows[0].Links = r.paths[3]
+			reportC := r.report
+			reports := [3]*metadata.Message{&reportA, &reportB, &reportC}
 
 			const k, warm, measured = 20, 8, 40
 			over, calls := 0, 0 // passes that allocated, of all metered
@@ -313,24 +392,21 @@ func TestEnforceAllocationContract(t *testing.T) {
 				}
 				calls++
 			}
-			for i := 0; i < warm; i++ { // both decode buffers, every arena
-				period(&reportB, false)
-				period(&reportA, false)
+			// Both decode buffers, every arena, both memo slots at every
+			// input's size: C, A, B cycled, which leaves A and B in the slots.
+			for i := 0; i < 3*warm; i++ {
+				period(reports[(i+2)%3], false)
 			}
 			sends, reused, sets := sent(), m.entReused.Value(), m.tcalSets.Value()
 			for i := 0; i < measured; i++ {
-				period(&reportA, true)
+				period(reports[i%2], true)
 			}
 			if got := m.entReused.Value() - reused; got != measured {
 				t.Fatalf("hit path reused the entitlement pass %d of %d times", got, measured)
 			}
 			reused, hitSets := m.entReused.Value(), m.tcalSets.Value()-sets
 			for i := 0; i < measured; i++ {
-				report := &reportA
-				if i%2 == 0 {
-					report = &reportB
-				}
-				period(report, true)
+				period(reports[(i+2)%3], true) // C first: A and B are in the slots
 			}
 			if got := m.entReused.Value() - reused; got != 0 {
 				t.Fatalf("miss path reused the entitlement pass %d times, want 0", got)

@@ -69,6 +69,8 @@ type Manager struct {
 	solveNs    *metrics.Counter // cumulative wall-clock ns in those calls
 	solveFlows *metrics.Counter // flow entries fed to the sharing model
 	entReused  *metrics.Counter // entitlement passes answered from entMemo
+	entMissCap *metrics.Counter // entitlement solves no slot's capacity version matched
+	entMissIn  *metrics.Counter // entitlement solves a slot's capacities but not its flows matched
 	demDerived *metrics.Counter // demand-aware passes equal to the entitlement pass
 	demFit     *metrics.Counter // demand-aware passes where every demand fits
 	tcalSets   *metrics.Counter // enforced TCAL bandwidth changes
@@ -83,13 +85,11 @@ type Manager struct {
 	flowsBuf []localFlow
 	// allBuf is the allocator's input: the local entries, then from
 	// remote.at on the remote ones, which outlive the period.
-	allBuf    []FlowDemand
-	remote    remoteView
-	viewBuf   []dissem.OriginView
-	greedyBuf []FlowDemand
-	wdBuf     []Allocation
-	entBuf    []Allocation // the entitlement pass's output, valid for entMemo's key
-	entMemo   entitlementMemo
+	allBuf  []FlowDemand
+	remote  remoteView
+	viewBuf []dissem.OriginView
+	wdBuf   []Allocation
+	entMemo entitlementMemo // the last two entitlement passes, keys and outputs
 
 	// msg and its records/link arena back the local report; disseminate()
 	// hands it to the dissemination node within the same iteration, and
@@ -187,6 +187,9 @@ func newManager(rt *Runtime, host int, emIPs []packet.IP) (*Manager, error) {
 	m.solveNs = reg.Counter("kollaps_solver_wall_ns_total" + label)
 	m.solveFlows = reg.Counter("kollaps_solver_flows_total" + label)
 	m.entReused = reg.Counter("kollaps_solver_entitlement_reused_total" + label)
+	missed := fmt.Sprintf(`kollaps_solver_entitlement_missed_total{host="%d",cause=`, host)
+	m.entMissCap = reg.Counter(missed + `"capacity"}`)
+	m.entMissIn = reg.Counter(missed + `"input"}`)
 	m.demDerived = reg.Counter("kollaps_solver_demand_derived_total" + label)
 	m.demFit = reg.Counter("kollaps_solver_demand_fit_total" + label)
 	m.tcalSets = reg.Counter("kollaps_tcal_shaping_ops_total" + label)
@@ -578,7 +581,7 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	// measures this host's solver, not the simulation. The sanctioned
 	// exception to the no-wall-clock rule.
 	wallStart := time.Now() //kollaps:wallclock
-	caps, gen := m.rt.linkCaps()
+	caps, capsVer := m.rt.linkCaps()
 	// Two passes of the sharing model. The demand-aware pass implements
 	// the §3 maximization step: application-limited flows release their
 	// surplus to competitors. The greedy pass computes each flow's
@@ -588,27 +591,26 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	// rebalances), while competitors enjoy the maximized allocation.
 	//
 	// A pass is solved only when its answer can change. Demand jitter
-	// does not reach the greedy input, so it usually equals last period's
-	// (entMemo): the same inputs in the same order give the same floats,
-	// and last period's output stands. The demand-aware pass is the
-	// greedy pass bit for bit whenever no demand binds below the fill
-	// level its flow froze at (demandSlack); and when every demand fits its
-	// links (demandFits), each flow freezes at its demand without a solve.
-	entitled := m.entBuf
-	if m.entMemo.matches(gen, m.remote.priced, len(local), all) {
+	// does not reach the greedy input, so it usually equals one of the
+	// last two greedy inputs solved (entMemo): the same inputs in the same
+	// order give the same floats, and that solve's output stands. The
+	// demand-aware pass is the greedy pass bit for bit whenever no demand
+	// binds below the fill level its flow froze at (demandSlack); and when
+	// every demand fits its links (demandFits), each flow freezes at its
+	// demand without a solve.
+	memo := &m.entMemo
+	slot, miss := memo.entitlement(&m.alloc, caps, capsVer, m.remote.priced, len(local), all)
+	switch miss {
+	case memoHit:
 		m.entReused.Inc()
-	} else {
-		greedy := append(m.greedyBuf[:0], all...)
-		for i := range greedy {
-			greedy[i].Demand = 0
-		}
-		m.greedyBuf = greedy
-		entitled = m.alloc.Allocate(caps, greedy, m.entBuf)
-		m.entBuf = entitled
-		m.entMemo.record(gen, m.remote.priced, all, m.alloc.level)
+	case missCapacity:
+		m.entMissCap.Inc()
+	case missInput:
+		m.entMissIn.Inc()
 	}
+	entitled := memo.out[slot]
 	withDemand := entitled
-	if demandSlack(all, m.entMemo.level) {
+	if demandSlack(all, memo.level[slot]) {
 		m.demDerived.Inc()
 	} else if m.alloc.demandFits(caps, all) {
 		m.demFit.Inc()
@@ -636,42 +638,94 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	}
 }
 
-// entitlementMemo is the key of the Manager's last entitlement solve —
-// every input the greedy pass reads, in order, with links copied out of
-// the per-period arenas — plus that solve's per-flow fill levels, copied
-// out of AllocState so the next solve cannot overwrite them.
+// entitlementMemo keeps the Manager's last two entitlement solves, one
+// per slot: the key — every input the greedy pass reads, in order, with
+// links copied out of the per-period arenas, and the capacity table's
+// version — that solve's per-flow fill levels, copied out of AllocState so
+// the next solve cannot overwrite them, and its output. Two, because a
+// flow active in alternate periods (a 10 Hz ping against the 50 ms period)
+// makes the input alternate between two flow sets.
+//
+// Each field is one backing array for both slots, slot i in its i-th
+// half, so a growth costs one allocation per field, not one per slot.
 type entitlementMemo struct {
-	gen   uint64 // topology generation of the capacity table (Runtime.linkCaps); 0 until recorded
-	view  uint64 // remoteView.priced when recorded
-	flows []memoFlow
-	links []int // every flow's links, concatenated in flow order
-	level []float64
+	last  int       // the slot that answered or was recorded most recently
+	caps  [2]uint64 // capacity version of the slot's solve (Runtime.linkCaps); 0: empty
+	view  [2]uint64 // remoteView.priced when the slot was recorded
+	flows [2][]memoFlow
+	links [2][]int // every flow's links, concatenated in flow order
+	level [2][]float64
+	out   [2][]Allocation
+
+	flowsBack []memoFlow
+	linksBack []int
+	levelBack []float64
+	outBack   []Allocation
+	greedy    []FlowDemand // a miss's solver input: the flows, demands zeroed
 }
 
 type memoFlow struct {
 	id     FlowID
 	rtt    time.Duration
 	weight int
-	end    int // end of this flow's links in entitlementMemo.links
+	end    int // end of this flow's links in its slot's links
 }
 
-// matches reports whether flows, with demands ignored, are exactly the
-// recorded entitlement input under capacity generation gen. The first
-// nLocal are the local entries; the remote ones after them are compared
-// only when the remote view was priced anew (view moved) since the
-// record.
-func (k *entitlementMemo) matches(gen, view uint64, nLocal int, flows []FlowDemand) bool {
-	if k.gen != gen || len(k.flows) != len(flows) {
+// memoMiss says why entitlement solved: missCapacity when no slot was
+// solved under the current capacity version, missInput when one was but
+// no slot's flows match.
+type memoMiss uint8
+
+const (
+	memoHit memoMiss = iota
+	missCapacity
+	missInput
+)
+
+// entitlement returns the slot whose output is the greedy pass over flows
+// (demands ignored) under capacity table caps, whose version is ver, and
+// remote view view. On a miss it solves with s into the least recent slot
+// and records the key there. The first nLocal flows are the local
+// entries; a slot's remote ones after them are compared only when the
+// remote view was priced anew since it was recorded.
+func (k *entitlementMemo) entitlement(s *AllocState, caps []float64, ver, view uint64, nLocal int, flows []FlowDemand) (int, memoMiss) {
+	miss := missCapacity
+	for _, i := range [2]int{k.last, 1 - k.last} {
+		if k.caps[i] != ver {
+			continue
+		}
+		miss = missInput
+		if k.matches(i, view, nLocal, flows) {
+			k.last = i
+			return i, memoHit
+		}
+	}
+	greedy := append(k.greedy[:0], flows...)
+	for j := range greedy {
+		greedy[j].Demand = 0
+	}
+	k.greedy = greedy
+	i := 1 - k.last
+	k.outBack = growPair(k.outBack, &k.out, len(flows))
+	k.out[i] = s.Allocate(caps, greedy, k.out[i])
+	k.record(i, ver, view, flows, s.level)
+	return i, miss
+}
+
+// matches reports whether flows are slot i's input, given its capacity
+// version matched.
+func (k *entitlementMemo) matches(i int, view uint64, nLocal int, flows []FlowDemand) bool {
+	if len(k.flows[i]) != len(flows) {
 		return false
 	}
-	if k.view == view {
+	if k.view[i] == view {
 		flows = flows[:nLocal]
 	}
-	start := 0
-	for i := range flows {
-		f, e := &flows[i], &k.flows[i]
+	links, start := k.links[i], 0
+	for j := range flows {
+		f, e := &flows[j], &k.flows[i][j]
 		if f.ID != e.id || f.RTT != e.rtt || f.Weight != e.weight ||
-			!slices.Equal(f.Links, k.links[start:e.end]) {
+			!slices.Equal(f.Links, links[start:e.end]) {
 			return false
 		}
 		start = e.end
@@ -679,17 +733,42 @@ func (k *entitlementMemo) matches(gen, view uint64, nLocal int, flows []FlowDema
 	return true
 }
 
-// record makes flows (demands ignored) under generation gen and remote
-// view view the memo key, with level the fill levels of its greedy solve.
-func (k *entitlementMemo) record(gen, view uint64, flows []FlowDemand, level []float64) {
-	k.gen, k.view = gen, view
-	k.flows, k.links = k.flows[:0], k.links[:0]
-	for i := range flows {
-		f := &flows[i]
-		k.links = append(k.links, f.Links...)
-		k.flows = append(k.flows, memoFlow{id: f.ID, rtt: f.RTT, weight: f.Weight, end: len(k.links)})
+// record makes flows (demands ignored) under capacity version ver and
+// remote view view slot i's key, with level the fill levels of its greedy
+// solve, and makes slot i the most recent.
+func (k *entitlementMemo) record(i int, ver, view uint64, flows []FlowDemand, level []float64) {
+	nl := 0
+	for j := range flows {
+		nl += len(flows[j].Links)
 	}
-	k.level = append(k.level[:0], level...)
+	k.flowsBack = growPair(k.flowsBack, &k.flows, len(flows))
+	k.linksBack = growPair(k.linksBack, &k.links, nl)
+	k.levelBack = growPair(k.levelBack, &k.level, len(level))
+	k.caps[i], k.view[i], k.last = ver, view, i
+	k.flows[i], k.links[i] = k.flows[i][:0], k.links[i][:0]
+	for j := range flows {
+		f := &flows[j]
+		k.links[i] = append(k.links[i], f.Links...)
+		k.flows[i] = append(k.flows[i], memoFlow{id: f.ID, rtt: f.RTT, weight: f.Weight, end: len(k.links[i])})
+	}
+	k.level[i] = append(k.level[i][:0], level...)
+}
+
+// growPair makes each half of back hold at least n elements. A growth
+// allocates both halves at once, at least doubling them, and moves each
+// slot's part (which lies in its half, capped at its end) to its new
+// half, contents and length kept.
+func growPair[T any](back []T, part *[2][]T, n int) []T {
+	h := len(back) / 2
+	if n <= h {
+		return back
+	}
+	nh := max(n, 2*h)
+	nb := make([]T, 2*nh)
+	for i := range part {
+		part[i] = append(nb[i*nh:i*nh:(i+1)*nh], part[i]...)
+	}
+	return nb
 }
 
 // clampU32 saturates a signed rate into the 32-bit BPS wire field via

@@ -126,6 +126,16 @@ func TestManagerSolverCounters(t *testing.T) {
 	if snap[`kollaps_solver_entitlement_reused_total{host="0"}`] == 0 {
 		t.Fatalf("host 0 never reused its entitlement pass: %v", snap)
 	}
+	// Every entitlement pass is reused or missed, and a miss has one cause.
+	capMiss, ok1 := snap[`kollaps_solver_entitlement_missed_total{host="0",cause="capacity"}`]
+	inMiss, ok2 := snap[`kollaps_solver_entitlement_missed_total{host="0",cause="input"}`]
+	if !ok1 || !ok2 || capMiss == 0 {
+		t.Fatalf("missed series: capacity %v (present %v), input %v (present %v), want both, capacity ≥ 1",
+			capMiss, ok1, inMiss, ok2)
+	}
+	if got := snap[`kollaps_solver_entitlement_reused_total{host="0"}`] + capMiss + inMiss; got != runs {
+		t.Fatalf("reused + missed = %v, want the %v solver runs", got, runs)
+	}
 	if snap[`kollaps_tcal_shaping_ops_total{host="0"}`] == 0 {
 		t.Fatalf("host 0 enforced no shaping changes: %v", snap)
 	}
@@ -146,9 +156,12 @@ func TestManagerSolverCounters(t *testing.T) {
 	for _, name := range []string{
 		"# TYPE kollaps_solver_runs_total counter",
 		"# TYPE kollaps_solver_entitlement_reused_total counter",
+		"# TYPE kollaps_solver_entitlement_missed_total counter",
 		"# TYPE kollaps_solver_demand_derived_total counter",
 		`kollaps_solver_runs_total{host="0"}`,
 		`kollaps_solver_entitlement_reused_total{host="0"}`,
+		`kollaps_solver_entitlement_missed_total{host="0",cause="capacity"}`,
+		`kollaps_solver_entitlement_missed_total{host="0",cause="input"}`,
 		`kollaps_solver_demand_derived_total{host="0"}`,
 		`kollaps_dissem_bytes_sent{host="0",strategy="broadcast"}`,
 		"kollaps_virtual_time_seconds 2\n",

@@ -103,11 +103,15 @@ type Runtime struct {
 	wide bool
 	// caps is the dense per-link capacity table every Manager hands the
 	// allocator, and lats the per-link latencies Managers price remote
-	// paths with, both built for topology generation capsGen (0: never).
-	// Managers read them and never write them.
-	caps    []float64
-	lats    []time.Duration
-	capsGen uint64
+	// paths with, both built for topology generation tablesGen (0: never).
+	// capsVer is the capacity table's content version: it moves only
+	// when a rebuild changed the table's length or some link's capacity,
+	// so a latency change leaves it alone. Managers read the tables and
+	// never write them.
+	caps      []float64
+	lats      []time.Duration
+	tablesGen uint64
+	capsVer   uint64
 
 	// pending holds events registered before Start; Start sorts them,
 	// groups same-timestamp events into one atomic application
@@ -440,14 +444,15 @@ func (rt *Runtime) applyGroup(evs []topology.Event) error {
 }
 
 // linkCaps returns the dense per-link capacity table for the current
-// topology generation, with that generation. Link capacities only move
+// topology generation, with its content version: equal versions mean
+// equal tables, whatever moved in between. Link capacities only move
 // when the live topology mutates, so the table is built once per
 // generation for the whole deployment, not per period or per Manager.
 // Tombstoned links keep their negative sentinel: the allocator prices
 // them as zero-capacity constraints, exactly like the seed's map build.
 func (rt *Runtime) linkCaps() ([]float64, uint64) {
 	rt.linkTables()
-	return rt.caps, rt.capsGen
+	return rt.caps, rt.capsVer
 }
 
 // linkLats returns the dense per-link latency table for the current
@@ -456,23 +461,32 @@ func (rt *Runtime) linkCaps() ([]float64, uint64) {
 // faster than the graph's chunked link table.
 func (rt *Runtime) linkLats() ([]time.Duration, uint64) {
 	rt.linkTables()
-	return rt.lats, rt.capsGen
+	return rt.lats, rt.tablesGen
 }
 
-// linkTables builds caps and lats for the current generation, once.
+// linkTables builds caps and lats for the current generation, once, and
+// bumps capsVer when the capacities it wrote differ from the last ones.
 func (rt *Runtime) linkTables() {
 	gen := rt.live.Gen()
-	if rt.capsGen == gen {
+	if rt.tablesGen == gen {
 		return
 	}
 	g := rt.State().Graph
 	n := g.NumLinks()
+	changed := rt.capsVer == 0 || n != len(rt.caps)
 	rt.caps, rt.lats = grow(rt.caps, n), grow(rt.lats, n)
-	for l := 0; l < n; l++ {
+	caps, lats := rt.caps, rt.lats[:len(rt.caps)]
+	for l := range caps {
 		link := g.Link(l)
-		rt.caps[l], rt.lats[l] = float64(link.Bandwidth), link.Latency
+		if c := float64(link.Bandwidth); caps[l] != c {
+			caps[l], changed = c, true
+		}
+		lats[l] = link.Latency
 	}
-	rt.capsGen = gen
+	if changed {
+		rt.capsVer++
+	}
+	rt.tablesGen = gen
 }
 
 // path returns the collapsed path from container c toward dstIP under
