@@ -17,8 +17,10 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
+	"repro/internal/dissem"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
 	"repro/internal/topology"
@@ -27,7 +29,16 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-const usage = "usage: kollaps {validate|collapse|plan|run} [-hosts N] [-for D] [-seed S] [-dissem broadcast|delta|tree|gossip] [-epsilon E] [-fanout K] [-trace out.json] [-probe N] [-cpuprofile F] [-memprofile F] topology.{yaml,xml}"
+var usage = "usage: kollaps {validate|collapse|plan|run} [-hosts N] [-for D] [-seed S] [-dissem " + strategies("|") + "] [-epsilon E] [-fanout K] [-trace out.json] [-probe N] [-cpuprofile F] [-memprofile F] topology.{yaml,xml}"
+
+// strategies joins the dissemination strategies' names with sep.
+func strategies(sep string) string {
+	names := make([]string, 0, len(dissem.Kinds()))
+	for _, k := range dissem.Kinds() {
+		names = append(names, k.String())
+	}
+	return strings.Join(names, sep)
+}
 
 // run executes the subcommand in args[0] and writes its report to
 // stdout. It returns the process exit code: 2 for a bad command line, 1
@@ -43,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hosts := fs.Int("hosts", 4, "physical hosts")
 	runFor := fs.Duration("for", 60*time.Second, "virtual duration for run")
 	seed := fs.Int64("seed", 42, "simulation seed (0 is a valid seed)")
-	dissemFlag := fs.String("dissem", "broadcast", "metadata dissemination strategy: broadcast, delta, tree or gossip")
+	dissemFlag := fs.String("dissem", "broadcast", "metadata dissemination strategy: "+strategies(", "))
 	epsilon := fs.Float64("epsilon", 0.05, "delta: relative usage change below which a flow is not re-sent (negative sends every change; 0 means default)")
 	fanout := fs.Int("fanout", 4, "tree: aggregation overlay arity; gossip: pushes per period")
 	traceOut := fs.String("trace", "", "run: write the flight recorder as Chrome trace_event JSON to this path (chrome://tracing / Perfetto)")

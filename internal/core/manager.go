@@ -328,6 +328,7 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 		}
 		recs = append(recs, metadata.FlowRecord{
 			BPS:   clampU32(int64(flows[i].rate)),
+			Count: 1,
 			Links: arena[start:len(arena):len(arena)],
 		})
 	}

@@ -1,7 +1,6 @@
 package dissem
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/metadata"
@@ -96,16 +95,10 @@ func (n *broadcastNode) Receive(now time.Duration, payload []byte) {
 	// The report replaced is in n.in until the next Receive decodes over
 	// it. A new stamp only when the paths moved: most reports repeat the
 	// last one's paths with fresh usage.
-	if !held || !sameFlowPaths(e.msg.Flows, n.in.msg.Flows) {
+	if !held || !sameShape(e.msg.Flows, n.in.msg.Flows) {
 		shape = n.newStamp()
 	}
 	e.held, e.at, e.seq, e.shape = true, now, seq, shape
-}
-
-// sameFlowPaths reports whether two reports list the same paths in the
-// same order (a report's records each count one flow).
-func sameFlowPaths(a, b []metadata.FlowRecord) bool {
-	return slices.EqualFunc(a, b, func(x, y metadata.FlowRecord) bool { return slices.Equal(x.Links, y.Links) })
 }
 
 // AppendView is on the emulation loop's 0-alloc hot path
@@ -114,7 +107,7 @@ func sameFlowPaths(a, b []metadata.FlowRecord) bool {
 func (n *broadcastNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	for h := range n.remote {
 		if e := &n.remote[h]; e.held && now-e.at <= maxAge {
-			out = append(out, OriginView{Origin: wire.U16(h, nil), Age: now - e.at, Stamp: e.shape, flows: e.msg.Flows})
+			out = append(out, OriginView{Origin: wire.U16(h, nil), Age: now - e.at, Stamp: e.shape, recs: e.msg.Flows})
 		}
 	}
 	return out

@@ -247,15 +247,15 @@ func (n *deltaNode) minAcked() uint32 {
 
 // exceeds reports whether the current aggregate v must be re-sent to a
 // peer that may hold old (had==false: that may not hold the path at all).
-func (n *deltaNode) exceeds(old, v pathRec, had bool) bool {
-	if !had || old.count != v.count {
+func (n *deltaNode) exceeds(old, v metadata.FlowRecord, had bool) bool {
+	if !had || old.Count != v.Count {
 		return true
 	}
-	d := int64(v.bps) - int64(old.bps)
+	d := int64(v.BPS) - int64(old.BPS)
 	if d < 0 {
 		d = -d
 	}
-	return float64(d) > n.cfg.Epsilon*float64(old.bps)
+	return float64(d) > n.cfg.Epsilon*float64(old.BPS)
 }
 
 // diff lists path aggregates to re-send, gated two ways:
@@ -279,7 +279,7 @@ func (n *deltaNode) exceeds(old, v pathRec, had bool) bool {
 // The result is n.upd in wire order: the changed records in path order,
 // then the tombstones (count 0) in path order. Their link lists point
 // into the snapshots; encoding and applyRecs copy them out.
-func (n *deltaNode) diff(baseSeq uint32, cur []pathRec) {
+func (n *deltaNode) diff(baseSeq uint32, cur []metadata.FlowRecord) {
 	n.changed = slices.Grow(n.changed[:0], len(cur))[:len(cur)]
 	clear(n.changed)
 	n.removed = n.removed[:0]
@@ -300,23 +300,23 @@ func (n *deltaNode) diff(baseSeq uint32, cur []pathRec) {
 	slices.SortFunc(n.removed, slices.Compare[[]uint16])
 	n.removed = slices.CompactFunc(n.removed, slices.Equal[[]uint16])
 	for _, links := range n.removed {
-		n.upd.recs = append(n.upd.recs, pathRec{links: links})
+		n.upd.recs = append(n.upd.recs, metadata.FlowRecord{Links: links})
 	}
 }
 
 // against walks an older table alongside cur, both in path order, marking
 // the current records a holder of old would need re-sent and, when
 // tombstones is set, collecting old's paths that are gone now.
-func (n *deltaNode) against(cur, old []pathRec, tombstones bool) {
+func (n *deltaNode) against(cur, old []metadata.FlowRecord, tombstones bool) {
 	for i, v := range cur {
-		for len(old) > 0 && slices.Compare(old[0].links, v.links) < 0 {
+		for len(old) > 0 && slices.Compare(old[0].Links, v.Links) < 0 {
 			if tombstones {
-				n.removed = append(n.removed, old[0].links)
+				n.removed = append(n.removed, old[0].Links)
 			}
 			old = old[1:]
 		}
-		var was pathRec
-		had := len(old) > 0 && slices.Equal(old[0].links, v.links)
+		var was metadata.FlowRecord
+		had := len(old) > 0 && slices.Equal(old[0].Links, v.Links)
 		if had {
 			was, old = old[0], old[1:]
 		}
@@ -326,7 +326,7 @@ func (n *deltaNode) against(cur, old []pathRec, tombstones bool) {
 	}
 	if tombstones {
 		for _, r := range old {
-			n.removed = append(n.removed, r.links)
+			n.removed = append(n.removed, r.Links)
 		}
 	}
 }
@@ -346,7 +346,7 @@ func sortByPath(s *recSet) {
 	slices.SortStableFunc(s.recs, comparePaths)
 	w := 0
 	for i := 1; i < len(s.recs); i++ {
-		if !slices.Equal(s.recs[i].links, s.recs[w].links) {
+		if !slices.Equal(s.recs[i].Links, s.recs[w].Links) {
 			w++
 		}
 		s.recs[w] = s.recs[i]
@@ -357,22 +357,22 @@ func sortByPath(s *recSet) {
 // applyRecs writes into dst the table base updated by upd — both in path
 // order, one record per path: an update replaces or inserts its path, a
 // tombstone (count 0) removes it. Links are copied into dst's arena.
-func applyRecs(dst *recSet, base, upd []pathRec) {
+func applyRecs(dst *recSet, base, upd []metadata.FlowRecord) {
 	dst.reset()
 	for _, u := range upd {
-		for len(base) > 0 && slices.Compare(base[0].links, u.links) < 0 {
-			dst.add(base[0].bps, base[0].count, base[0].links)
+		for len(base) > 0 && slices.Compare(base[0].Links, u.Links) < 0 {
+			dst.add(base[0].BPS, base[0].Count, base[0].Links)
 			base = base[1:]
 		}
-		if len(base) > 0 && slices.Equal(base[0].links, u.links) {
+		if len(base) > 0 && slices.Equal(base[0].Links, u.Links) {
 			base = base[1:]
 		}
-		if u.count != 0 {
-			dst.add(u.bps, u.count, u.links)
+		if u.Count != 0 {
+			dst.add(u.BPS, u.Count, u.Links)
 		}
 	}
 	for _, b := range base {
-		dst.add(b.bps, b.count, b.links)
+		dst.add(b.BPS, b.Count, b.Links)
 	}
 }
 
@@ -386,7 +386,7 @@ func applyRecs(dst *recSet, base, upd []pathRec) {
 // priority over tombstones — and the drop is counted; the clamped tail
 // heals through later diffs (lastSent is only advanced for records
 // actually sent) and resyncs. It returns how many records were encoded.
-func (n *deltaNode) appendReport(buf []byte, typ byte, now time.Duration, recs []pathRec) ([]byte, int) {
+func (n *deltaNode) appendReport(buf []byte, typ byte, now time.Duration, recs []metadata.FlowRecord) ([]byte, int) {
 	if dropped := len(recs) - maxWireRecords; dropped > 0 {
 		n.stats.TruncatedRecords.Add(int64(dropped))
 		recs = recs[:maxWireRecords]

@@ -26,7 +26,7 @@
 //     prefixes, grouped origins).
 //   - Gossip drops all fixed structure: every period each manager pushes
 //     its hot records to Fanout sampled peers, receivers forward novelty
-//     for GossipRounds hops (infect-and-die), and per-peer version
+//     for ⌈log_Fanout(N)⌉+1 hops (infect-and-die), and per-peer version
 //     vectors carried on every datagram detect convergence and drive
 //     anti-entropy pulls for anything a node is missing. O(N·fanout)
 //     datagrams per period with no overlay to maintain, so manager churn
@@ -103,6 +103,10 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("dissem: unknown strategy %q (want broadcast, delta, tree or gossip)", s)
 }
 
+// Kinds lists every strategy in the order experiments and the CLI name
+// them.
+func Kinds() []Kind { return []Kind{Broadcast, Delta, Tree, Gossip} }
+
 // Config tunes a strategy. The zero value selects Broadcast with the
 // defaults below.
 type Config struct {
@@ -125,11 +129,6 @@ type Config struct {
 	// Fanout is the arity of the Tree overlay (default 4, minimum 2) and
 	// the number of peers a Gossip node pushes to per period.
 	Fanout int
-	// GossipRounds is the infect-and-die hop budget: how many hops a
-	// record adopted as new is forwarded before the rumor dies. The
-	// default, ⌈log_Fanout(NumHosts)⌉+1, covers the deployment with one
-	// spare hop; anti-entropy pulls repair whatever the push wave misses.
-	GossipRounds int
 	// Seed drives Gossip's deterministic peer sampling; the runtime fills
 	// it with the deployment seed so identical seeds replay identical
 	// control-plane traffic.
@@ -203,7 +202,7 @@ func (c Config) Validate() error {
 		v    int
 	}{
 		{"ResyncEvery", c.ResyncEvery}, {"AckEvery", c.AckEvery}, {"Fanout", c.Fanout},
-		{"GossipRounds", c.GossipRounds}, {"SuspectAfter", c.SuspectAfter},
+		{"SuspectAfter", c.SuspectAfter},
 	} {
 		if knob.v < 0 {
 			return fmt.Errorf("dissem: %s must not be negative, got %d (0 selects the default)", knob.name, knob.v)
@@ -286,44 +285,32 @@ type OriginView struct {
 	// start again, so stamps of two nodes must never be compared.
 	Stamp uint64
 
-	flows []metadata.FlowRecord // Broadcast: the origin's report, a flow per record
-	recs  []pathRec             // Delta, Gossip: the origin's path aggregates
-	agg   []aggRec              // Tree: one merged record
+	// recs are the block's records: Broadcast's decoded report (a flow
+	// per record), Delta's and Gossip's path aggregates, or one merged
+	// Tree record.
+	recs []metadata.FlowRecord
 }
 
 // Len returns the block's number of records.
-func (v *OriginView) Len() int { return len(v.flows) + len(v.recs) + len(v.agg) }
+func (v *OriginView) Len() int { return len(v.recs) }
 
 // Record returns record i: its summed usage, the number of flows it
 // aggregates, and its path.
 func (v *OriginView) Record(i int) (bps uint32, count uint16, links []uint16) {
-	switch {
-	case v.flows != nil:
-		return v.flows[i].BPS, 1, v.flows[i].Links
-	case v.recs != nil:
-		return v.recs[i].bps, v.recs[i].count, v.recs[i].links
-	}
-	return clampU32(v.agg[i].bps), v.agg[i].count, v.agg[i].links
+	r := &v.recs[i]
+	return r.BPS, r.Count, r.Links
 }
 
 // BPS returns record i's summed usage: Record without the path and
 // count, which a consumer reusing a block's pricing reads per record
-// per period (BPS inlines; Record does not).
-func (v *OriginView) BPS(i int) uint32 {
-	switch {
-	case v.flows != nil:
-		return v.flows[i].BPS
-	case v.recs != nil:
-		return v.recs[i].bps
-	}
-	return clampU32(v.agg[i].bps)
-}
+// per period.
+func (v *OriginView) BPS(i int) uint32 { return v.recs[i].BPS }
 
-// sameShape reports whether two path-aggregate lists have the same
-// shape: the same number of records, each with the same count and path.
-func sameShape(a, b []pathRec) bool {
-	return slices.EqualFunc(a, b, func(x, y pathRec) bool {
-		return x.count == y.count && slices.Equal(x.links, y.links)
+// sameShape reports whether two record lists have the same shape: the
+// same number of records, each with the same count and path.
+func sameShape(a, b []metadata.FlowRecord) bool {
+	return slices.EqualFunc(a, b, func(x, y metadata.FlowRecord) bool {
+		return x.Count == y.Count && slices.Equal(x.Links, y.Links)
 	})
 }
 
@@ -644,8 +631,9 @@ func New(cfg Config, host int, tr Transport) (Node, error) {
 //	             see gossip.go
 //	gossip pull: [type][host:2][n:2] n×(origin:2)
 //
-// Link ids are 1 byte, or 2 when Config.Wide (same rule as metadata);
-// the tree codec's varint link ids are width-agnostic.
+// A record's link list is metadata's (metadata.AppendLinks): a 1-byte
+// count, then ids of 1 byte, or 2 when Config.Wide. The tree codec's
+// varint link ids are width-agnostic.
 
 const (
 	msgDeltaFull  byte = 1
@@ -663,35 +651,6 @@ const (
 // datagram. Encoders clamp to it and count the overflow in
 // Stats.TruncatedRecords.
 const maxWireRecords = int(^uint16(0))
-
-// idWidth is the on-wire size of one link id.
-func idWidth(wide bool) int {
-	if wide {
-		return 2
-	}
-	return 1
-}
-
-// appendLinks encodes a link list with a 1-byte count. Paths longer
-// than 255 links saturate: the first 255 ids are encoded and sat
-// counts the clamp — the pre-fix behavior wrapped the count byte,
-// desynchronizing the decoder from the first overlong path onward.
-func appendLinks(buf []byte, links []uint16, wide bool, sat *metrics.Counter) []byte {
-	if n := int(wire.U8(len(links), sat)); n < len(links) {
-		links = links[:n]
-	}
-	buf = append(buf, wire.U8(len(links), nil))
-	for _, l := range links {
-		if wide {
-			buf = binary.BigEndian.AppendUint16(buf, l)
-		} else {
-			// Narrow mode is only negotiated when every topology link id
-			// fits a byte; a saturation here means mis-negotiation.
-			buf = append(buf, wire.U8(int(l), sat))
-		}
-	}
-	return buf
-}
 
 // clampU32 saturates a 64-bit usage sum into a 32-bit wire field,
 // counting clamps in the process-wide wire.Saturations.
@@ -724,19 +683,12 @@ func take[T any](scratch *[]T) []T {
 // merged by walking them side by side, and is the canonical order of
 // records in views and on the wire.
 
-// pathRec is one path aggregate: summed usage and the number of
-// underlying flows. On Delta's wire count==0 marks a tombstone.
-//
-//kollaps:wire
-type pathRec struct {
-	bps   uint32
-	count uint16
-	links []uint16
-}
+// A record is a metadata.FlowRecord whose Count is the number of flows
+// summed into it; on Delta's wire Count==0 marks a tombstone.
 
 // recSet is a reusable record list plus the arena behind its link lists.
 type recSet struct {
-	recs  []pathRec
+	recs  []metadata.FlowRecord
 	links []uint16
 }
 
@@ -748,14 +700,16 @@ func (s *recSet) reset() {
 func (s *recSet) add(bps uint32, count uint16, links []uint16) {
 	start := len(s.links)
 	s.links = append(s.links, links...)
-	s.recs = append(s.recs, pathRec{bps, count, s.links[start:len(s.links):len(s.links)]})
+	s.recs = append(s.recs, metadata.FlowRecord{BPS: bps, Count: count, Links: s.links[start:len(s.links):len(s.links)]})
 }
 
 // comparePaths orders records by path.
-func comparePaths(a, b pathRec) int { return slices.Compare(a.links, b.links) }
+func comparePaths(a, b metadata.FlowRecord) int { return slices.Compare(a.Links, b.Links) }
 
 // fold loads a local report, merging flows that share a path: usage is
-// summed (saturating) and count keeps how many flows went in.
+// summed (saturating) and Count keeps how many flows went in. Each flow
+// counts one whatever its own Count says, so a report built without
+// Count folds as one with it.
 func (s *recSet) fold(msg *metadata.Message) {
 	s.reset()
 	for _, f := range msg.Flows {
@@ -764,10 +718,10 @@ func (s *recSet) fold(msg *metadata.Message) {
 	slices.SortFunc(s.recs, comparePaths)
 	w := 0
 	for i := 1; i < len(s.recs); i++ {
-		if r := s.recs[i]; slices.Equal(r.links, s.recs[w].links) {
-			s.recs[w].bps = clampU32(uint64(s.recs[w].bps) + uint64(r.bps))
-			if s.recs[w].count < ^uint16(0) {
-				s.recs[w].count++
+		if r := s.recs[i]; slices.Equal(r.Links, s.recs[w].Links) {
+			s.recs[w].BPS = clampU32(uint64(s.recs[w].BPS) + uint64(r.BPS))
+			if s.recs[w].Count < ^uint16(0) {
+				s.recs[w].Count++
 			}
 		} else {
 			w++
@@ -783,31 +737,21 @@ func (s *recSet) fold(msg *metadata.Message) {
 // at b[off:], a span the caller has validated with skipRecs.
 func (s *recSet) readRecs(b []byte, off, n int, wide bool) {
 	for i := 0; i < n; i++ {
-		bps, count, nl := binary.BigEndian.Uint32(b[off:]), binary.BigEndian.Uint16(b[off+4:]), int(b[off+6])
-		off += 7
+		bps, count := binary.BigEndian.Uint32(b[off:]), binary.BigEndian.Uint16(b[off+4:])
 		start := len(s.links)
-		for j := 0; j < nl; j++ {
-			if wide {
-				s.links = append(s.links, binary.BigEndian.Uint16(b[off:]))
-				off += 2
-			} else {
-				s.links = append(s.links, uint16(b[off]))
-				off++
-			}
-		}
-		s.recs = append(s.recs, pathRec{bps, count, s.links[start:len(s.links):len(s.links)]})
+		s.links, off = metadata.ReadLinks(s.links, b, off+6, wide)
+		s.recs = append(s.recs, metadata.FlowRecord{BPS: bps, Count: count, Links: s.links[start:len(s.links):len(s.links)]})
 	}
 }
 
 // skipRecs bounds-checks n wire records at b[off:] and returns the
 // offset past them; ok==false means the datagram is truncated.
 func skipRecs(b []byte, off, n int, wide bool) (int, bool) {
-	idw := idWidth(wide)
 	for i := 0; i < n; i++ {
 		if off+7 > len(b) {
 			return 0, false
 		}
-		off += 7 + idw*int(b[off+6])
+		off += 6 + metadata.LinksSize(int(b[off+6]), wide)
 		if off > len(b) {
 			return 0, false
 		}
@@ -816,20 +760,20 @@ func skipRecs(b []byte, off, n int, wide bool) (int, bool) {
 }
 
 // appendRecs encodes records in the wire form readRecs parses.
-func appendRecs(buf []byte, recs []pathRec, wide bool, sat *metrics.Counter) []byte {
+func appendRecs(buf []byte, recs []metadata.FlowRecord, wide bool, sat *metrics.Counter) []byte {
 	for _, r := range recs {
-		buf = binary.BigEndian.AppendUint32(buf, r.bps)
-		buf = binary.BigEndian.AppendUint16(buf, r.count)
-		buf = appendLinks(buf, r.links, wide, sat)
+		buf = binary.BigEndian.AppendUint32(buf, r.BPS)
+		buf = binary.BigEndian.AppendUint16(buf, r.Count)
+		buf = metadata.AppendLinks(buf, r.Links, wide, sat)
 	}
 	return buf
 }
 
 // recsWireSize is the exact number of bytes appendRecs produces.
-func recsWireSize(recs []pathRec, wide bool) int {
-	size, idw := 7*len(recs), idWidth(wide)
+func recsWireSize(recs []metadata.FlowRecord, wide bool) int {
+	size := 6 * len(recs)
 	for _, r := range recs {
-		size += idw * min(len(r.links), 0xFF)
+		size += metadata.LinksSize(min(len(r.Links), 0xFF), wide)
 	}
 	return size
 }

@@ -222,6 +222,11 @@ func TestParseKind(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v", s, got, err)
 		}
 	}
+	for _, k := range Kinds() {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v, want %v", k.String(), got, err, k)
+		}
+	}
 	if _, err := ParseKind("epidemic"); err == nil {
 		t.Error("ParseKind(epidemic) should fail")
 	}
@@ -252,7 +257,6 @@ func TestParseKind(t *testing.T) {
 		"ResyncEvery":  {Kind: Delta, ResyncEvery: -7},
 		"AckEvery":     {Kind: Delta, AckEvery: -7},
 		"Fanout":       {Kind: Tree, Fanout: -7},
-		"GossipRounds": {Kind: Gossip, GossipRounds: -7},
 		"SuspectAfter": {Kind: Gossip, SuspectAfter: -7},
 	} {
 		cfg.NumHosts = 4

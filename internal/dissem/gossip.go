@@ -15,7 +15,7 @@ import (
 // a dead manager can take down. Each period a node pushes its *hot*
 // records — entries whose content it recently learned — to Fanout peers
 // drawn by seeded sampling, receivers forward novelty immediately for
-// GossipRounds hops (infect-and-die: a rumor everyone already knows stops
+// ⌈log_Fanout(N)⌉+1 hops (infect-and-die: a rumor everyone already knows stops
 // being told), and every datagram carries the sender's version vector so
 // a node that missed a wave detects the gap and pulls exactly the origins
 // it lacks (anti-entropy). Cost is O(N·Fanout) datagrams per period plus
@@ -113,17 +113,12 @@ type gossipEntry struct {
 }
 
 func newGossipNode(cfg Config, host int, tr Transport) *gossipNode {
-	rounds := cfg.GossipRounds
-	if rounds == 0 {
-		// ⌈log_f(N)⌉ + 1: the push wave covers the deployment with one
-		// spare hop; pulls repair the tail.
-		rounds = 2
-		for covered := cfg.Fanout; covered < cfg.NumHosts && rounds < 255; covered *= cfg.Fanout {
-			rounds++
-		}
-	}
-	if rounds > 255 {
-		rounds = 255 // the wire carries ttl in one byte
+	// The infect-and-die hop budget, ⌈log_f(N)⌉ + 1: the push wave covers
+	// the deployment with one spare hop; pulls repair the tail. The wire
+	// carries ttl in one byte.
+	rounds := 2
+	for covered := cfg.Fanout; covered < cfg.NumHosts && rounds < 255; covered *= cfg.Fanout {
+		rounds++
 	}
 	n := &gossipNode{
 		endpoint:  endpoint{cfg: cfg, host: host, tr: tr},
@@ -219,7 +214,7 @@ func (n *gossipNode) Publish(now time.Duration, msg *metadata.Message) {
 		n.sendPush(now, t, n.hotOrigins(t))
 	}
 	// Decrement the hop budget once per period: a rumor is told for
-	// GossipRounds periods from each node that adopted it, then dies.
+	// n.rounds periods from each node that adopted it, then dies.
 	for o := range n.entries {
 		if e := &n.entries[o]; e.ttl > 0 {
 			e.ttl--
@@ -240,8 +235,8 @@ func (n *gossipNode) Publish(now time.Duration, msg *metadata.Message) {
 	}
 }
 
-func sameRec(a, b pathRec) bool {
-	return a.bps == b.bps && a.count == b.count && slices.Equal(a.links, b.links)
+func sameRec(a, b metadata.FlowRecord) bool {
+	return a.BPS == b.BPS && a.Count == b.Count && slices.Equal(a.Links, b.Links)
 }
 
 // hotOrigins lists, ascending, the origins with a live hop budget that

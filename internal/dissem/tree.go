@@ -109,6 +109,8 @@ type treeNode struct {
 	targets  []int  // sendDowns: the children and fosters being served
 	suspects []int  // Publish: the suspects being probed
 	probe    []byte // Publish: the probe sealed once per suspect
+	// viewRecs are AppendView's merged records as the view lends them.
+	viewRecs []metadata.FlowRecord
 }
 
 func newTreeNode(cfg Config, host int, tr Transport) *treeNode {
@@ -429,8 +431,11 @@ func (n *treeNode) AppendView(now, maxAge time.Duration, out []OriginView) []Ori
 	}
 	n.queueUps(now, maxAge)
 	merged := n.codec.merge()
-	for i := range merged {
-		out = append(out, OriginView{Origin: merged[i].origin, Age: now - merged[i].ts, Stamp: n.newStamp(), agg: merged[i : i+1 : i+1]})
+	recs := slices.Grow(n.viewRecs[:0], len(merged))
+	for i, r := range merged {
+		recs = append(recs, metadata.FlowRecord{BPS: clampU32(r.bps), Count: r.count, Links: r.links})
+		out = append(out, OriginView{Origin: r.origin, Age: now - r.ts, Stamp: n.newStamp(), recs: recs[i : i+1 : i+1]})
 	}
+	n.viewRecs = recs
 	return out
 }

@@ -19,9 +19,16 @@ import (
 // per-flow goodputs — the product of the RTT-aware sharing model runs on
 // every manager — stay within tolerance.
 
-// dissemStrategies lists the strategies the control-plane experiments
-// compare, Broadcast (the accuracy ground truth) first.
-var dissemStrategies = []string{"broadcast", "delta", "tree", "gossip"}
+// dissemStrategies names the strategies the control-plane experiments
+// compare, in dissem.Kinds order: Broadcast (the accuracy ground truth)
+// first.
+var dissemStrategies = func() []string {
+	var names []string
+	for _, k := range dissem.Kinds() {
+		names = append(names, k.String())
+	}
+	return names
+}()
 
 // dissemFlowsPerHost is the number of client containers (= active flows)
 // each Emulation Manager hosts.

@@ -41,7 +41,8 @@ func sinkCall(name string) bool {
 		strings.HasPrefix(name, "Fprint"),
 		strings.HasPrefix(name, "Send"), strings.HasPrefix(name, "send"),
 		strings.HasPrefix(name, "appendRec"), strings.HasPrefix(name, "appendLinks"),
-		strings.HasPrefix(name, "appendVV"):
+		strings.HasPrefix(name, "appendVV"),
+		strings.HasPrefix(name, "AppendEncode"), strings.HasPrefix(name, "AppendLinks"):
 		return true
 	}
 	switch name {

@@ -28,6 +28,18 @@ func BadCollect(m map[string]int, buf []byte) []byte {
 	return buf
 }
 
+// BadMetadataCodec feeds the metadata wire codec's encoders (message and
+// link list) from inside the range.
+func BadMetadataCodec(m map[uint16][]uint16, buf []byte) []byte {
+	for _, links := range m { // want `map iteration order reaches sink AppendLinks`
+		buf = AppendLinks(buf, links, false)
+	}
+	for host := range m { // want `map iteration order reaches sink AppendEncode`
+		buf = AppendEncode(buf, host)
+	}
+	return buf
+}
+
 // GoodSorted is the sanctioned sortedKeys idiom: collect, sort, encode.
 func GoodSorted(m map[string]int, buf []byte) []byte {
 	keys := make([]string, 0, len(m))
@@ -65,4 +77,14 @@ func GoodAnnotated(m map[string]int, buf []byte) []byte {
 func encodeEntry(buf []byte, k string, v int) []byte {
 	buf = append(buf, k...)
 	return append(buf, byte(v))
+}
+
+// AppendEncode and AppendLinks stand in for internal/metadata's encoders.
+func AppendEncode(buf []byte, host uint16) []byte { return append(buf, byte(host)) }
+
+func AppendLinks(buf []byte, links []uint16, wide bool) []byte {
+	for _, l := range links {
+		buf = append(buf, byte(l))
+	}
+	return buf
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -31,6 +32,11 @@ import (
 type FlowRecord struct {
 	// BPS is the observed bandwidth usage in bits per second.
 	BPS uint32
+	// Count is the number of flows the record stands for: 1 for a flow
+	// as reported, more for a strategy's record summing the flows of one
+	// path. The paper's wire format does not carry it: AppendEncode
+	// leaves it out and DecodeInto sets it to 1.
+	Count uint16
 	// Links are the topology link ids on the flow's path.
 	Links []uint16
 }
@@ -65,21 +71,8 @@ func AppendEncode(buf []byte, m *Message, wide bool) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, m.Host)
 	buf = binary.BigEndian.AppendUint16(buf, wire.U16(len(flows), nil))
 	for _, f := range flows {
-		links := f.Links
-		if n := int(wire.U8(len(links), nil)); n < len(links) {
-			links = links[:n]
-		}
 		buf = binary.BigEndian.AppendUint32(buf, f.BPS)
-		buf = append(buf, wire.U8(len(links), nil))
-		for _, l := range links {
-			if wide {
-				buf = binary.BigEndian.AppendUint16(buf, l)
-			} else {
-				// Narrow mode is only selected when all link ids fit a
-				// byte; saturation here means the caller mis-sized.
-				buf = append(buf, wire.U8(int(l), nil))
-			}
-		}
+		buf = AppendLinks(buf, f.Links, wide, nil)
 	}
 	return buf
 }
@@ -88,8 +81,9 @@ func AppendEncode(buf []byte, m *Message, wide bool) []byte {
 // the caller owns: m.Flows is reused
 // (its capacity kept) and every flow's Links is a sub-slice of the links
 // arena, which is appended to and returned — a per-datagram receiver
-// passes last time's arena[:0] and allocates nothing once warm. On error
-// m holds a partial message the caller must discard.
+// passes last time's arena[:0] and allocates nothing once warm. Every
+// flow's Count is 1. On error m holds a partial message the caller must
+// discard.
 func DecodeInto(m *Message, links []uint16, b []byte, wide bool) ([]uint16, error) {
 	if len(b) < 4 {
 		return links, fmt.Errorf("metadata: short message (%d bytes)", len(b))
@@ -98,34 +92,73 @@ func DecodeInto(m *Message, links []uint16, b []byte, wide bool) ([]uint16, erro
 	m.Flows = m.Flows[:0]
 	n := int(binary.BigEndian.Uint16(b[2:]))
 	off := 4
-	idw := 1
-	if wide {
-		idw = 2
-	}
 	for i := 0; i < n; i++ {
 		if off+5 > len(b) {
 			return links, fmt.Errorf("metadata: truncated flow %d", i)
 		}
 		bps := binary.BigEndian.Uint32(b[off:])
-		nl := int(b[off+4])
-		off += 5
-		if off+nl*idw > len(b) {
+		off += 4
+		if off+LinksSize(int(b[off]), wide) > len(b) {
 			return links, fmt.Errorf("metadata: truncated links of flow %d", i)
 		}
 		start := len(links)
-		for j := 0; j < nl; j++ {
-			if wide {
-				links = append(links, binary.BigEndian.Uint16(b[off:]))
-				off += 2
-			} else {
-				links = append(links, uint16(b[off]))
-				off++
-			}
-		}
-		m.Flows = append(m.Flows, FlowRecord{BPS: bps, Links: links[start:len(links):len(links)]})
+		links, off = ReadLinks(links, b, off, wide)
+		m.Flows = append(m.Flows, FlowRecord{BPS: bps, Count: 1, Links: links[start:len(links):len(links)]})
 	}
 	if off != len(b) {
 		return links, fmt.Errorf("metadata: %d trailing bytes", len(b)-off)
 	}
 	return links, nil
+}
+
+// A link list on the wire — the paper's per-flow (iii) and (iv), and
+// every strategy record's path — is a 1-byte count, then the ids: 1 byte
+// each, or 2 (big-endian) when wide.
+
+// LinksSize is the wire size of a list of n link ids, its count byte
+// included; n is at most 255, as encoded.
+func LinksSize(n int, wide bool) int {
+	if wide {
+		return 1 + 2*n
+	}
+	return 1 + n
+}
+
+// AppendLinks encodes a link list. Paths longer than 255 links saturate:
+// the first 255 ids are encoded, and the clamp is counted in
+// wire.Saturations and sat (when non-nil) — a wrapped count byte would
+// desynchronize the decoder from the first overlong path onward.
+func AppendLinks(buf []byte, links []uint16, wide bool, sat *metrics.Counter) []byte {
+	if n := int(wire.U8(len(links), sat)); n < len(links) {
+		links = links[:n]
+	}
+	buf = append(buf, wire.U8(len(links), nil))
+	for _, l := range links {
+		if wide {
+			buf = binary.BigEndian.AppendUint16(buf, l)
+		} else {
+			// Narrow mode is only selected when all link ids fit a
+			// byte; saturation here means the caller mis-sized.
+			buf = append(buf, wire.U8(int(l), sat))
+		}
+	}
+	return buf
+}
+
+// ReadLinks appends the link list encoded at b[off:] to arena and
+// returns the arena and the offset past the list. The caller has checked
+// that the list fits b (LinksSize of its count byte).
+func ReadLinks(arena []uint16, b []byte, off int, wide bool) ([]uint16, int) {
+	n := int(b[off])
+	off++
+	for j := 0; j < n; j++ {
+		if wide {
+			arena = append(arena, binary.BigEndian.Uint16(b[off:]))
+			off += 2
+		} else {
+			arena = append(arena, uint16(b[off]))
+			off++
+		}
+	}
+	return arena, off
 }

@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -17,9 +18,9 @@ func sample() *Message {
 	return &Message{
 		Host: 3,
 		Flows: []FlowRecord{
-			{BPS: 50_000_000, Links: []uint16{0, 6, 7, 8}},
-			{BPS: 10_000_000, Links: []uint16{2, 6, 7, 10}},
-			{BPS: 125_000, Links: []uint16{1}},
+			{BPS: 50_000_000, Count: 1, Links: []uint16{0, 6, 7, 8}},
+			{BPS: 10_000_000, Count: 1, Links: []uint16{2, 6, 7, 10}},
+			{BPS: 125_000, Count: 1, Links: []uint16{1}},
 		},
 	}
 }
@@ -52,6 +53,22 @@ func TestEncodedSizeMatchesPaperFormat(t *testing.T) {
 	wantWide := 2 + 2 + (4 + 1 + 8) + (4 + 1 + 8) + (4 + 1 + 2)
 	if len(bw) != wantWide {
 		t.Fatalf("wide size = %d, want %d", len(bw), wantWide)
+	}
+}
+
+// TestCountStaysOffTheWire pins the paper's format: a record's Count is
+// not encoded, so any Count gives the same bytes, and decoding reads 1.
+func TestCountStaysOffTheWire(t *testing.T) {
+	m := sample()
+	want := AppendEncode(nil, m, false)
+	for i := range m.Flows {
+		m.Flows[i].Count = uint16(7 * i)
+	}
+	if got := AppendEncode(nil, m, false); !bytes.Equal(got, want) {
+		t.Fatalf("Count reached the wire:\n%x\n%x", got, want)
+	}
+	if got, err := decode(want, false); err != nil || !reflect.DeepEqual(got, sample()) {
+		t.Fatalf("decode = %+v, %v, want every Count 1", got, err)
 	}
 }
 
@@ -111,9 +128,9 @@ func TestWideBoundaryRoundTrip(t *testing.T) {
 	m := &Message{
 		Host: 1,
 		Flows: []FlowRecord{
-			{BPS: 1_000, Links: []uint16{0, 255}},
-			{BPS: 2_000, Links: []uint16{255, 256, 257}},
-			{BPS: 3_000, Links: []uint16{65535}},
+			{BPS: 1_000, Count: 1, Links: []uint16{0, 255}},
+			{BPS: 2_000, Count: 1, Links: []uint16{255, 256, 257}},
+			{BPS: 3_000, Count: 1, Links: []uint16{65535}},
 		},
 	}
 	got, err := decode(AppendEncode(nil, m, true), true)
@@ -162,7 +179,7 @@ func TestRoundTripProperty(t *testing.T) {
 			if i < len(bps) {
 				b = bps[i]
 			}
-			m.Flows = append(m.Flows, FlowRecord{BPS: b, Links: []uint16{r[0], r[1], r[2]}})
+			m.Flows = append(m.Flows, FlowRecord{BPS: b, Count: 1, Links: []uint16{r[0], r[1], r[2]}})
 		}
 		got, err := decode(AppendEncode(nil, m, true), true)
 		if err != nil {

@@ -14,8 +14,9 @@ package wire
 import "repro/internal/metrics"
 
 // Saturations counts every clamped narrowing across the process, so a
-// run that lost information on the wire is visible in /metrics even
-// when the codec didn't thread its own counter.
+// run that lost information on the wire shows up even when the codec
+// didn't thread its own counter. No metrics registry exports it: read
+// it in-process (tests do, with Value).
 var Saturations metrics.Counter
 
 // count records one saturation on the global and optional per-site
