@@ -546,7 +546,7 @@ func (c *Conn) sendData(seq int64, length int, rexmit bool) {
 	} else {
 		c.pushFlight(flight{seq: seq, length: length, sentAt: now})
 	}
-	c.armRTO()
+	c.startRTO()
 }
 
 // pushFlight appends f to inFlight. Acked flights are sliced off the
@@ -571,7 +571,7 @@ func (c *Conn) sendFIN() {
 	c.sndNext++ // FIN occupies one sequence slot
 	c.pushFlight(flight{seq: seq, length: 0, sentAt: c.stack.eng.Now()})
 	c.emitFIN(seq)
-	c.armRTO()
+	c.startRTO()
 }
 
 // emitFIN sends a FIN in sequence slot seq.
@@ -582,9 +582,22 @@ func (c *Conn) emitFIN(seq int64) {
 }
 
 // armRTO (re)starts the retransmission timer: one re-key when it is
-// already pending.
+// already pending. Only an ACK of new data restarts a running timer
+// (RFC 6298 §5.3); a transmission starts it (startRTO).
 func (c *Conn) armRTO() {
 	c.rtoTimer.At(c.stack.eng.Now() + c.rto)
+}
+
+// startRTO starts the retransmission timer unless it is running: RFC
+// 6298 §5.1, for every segment that occupies sequence space, a
+// retransmission included. A running timer already times the oldest
+// outstanding segment; restarting it on each send would let SACK
+// recovery's new data push a lost retransmission's timeout back for as
+// long as the sender has data.
+func (c *Conn) startRTO() {
+	if !c.rtoTimer.Pending() {
+		c.armRTO()
+	}
 }
 
 func (c *Conn) onRTO() {
@@ -839,7 +852,7 @@ func (c *Conn) retransmitNextHole() bool {
 			f.rexmitted = true
 			c.emitFIN(f.seq)
 			c.Retransmits++
-			c.armRTO()
+			c.startRTO()
 			return true
 		}
 		c.sendData(f.seq, f.length, true)

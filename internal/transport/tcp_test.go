@@ -538,3 +538,81 @@ func TestWriteMsgBidirectional(t *testing.T) {
 		t.Fatalf("responses = %v", got)
 	}
 }
+
+// TestLostRetransmissionTimesOut drops one segment and then its fast
+// retransmission, while the dupACKs that every later segment draws keep
+// SACK recovery sending new data. RFC 6298 §5.1 starts the timer only
+// when it is not running, so those new segments must not push it back:
+// the timer has to fire within one RTO of the lost retransmission, and
+// the transfer must go on from there.
+func TestLostRetransmissionTimesOut(t *testing.T) {
+	eng := sim.NewEngine(12)
+	g := graph.New()
+	a := g.MustAddNode("a", graph.Service)
+	b := g.MustAddNode("b", graph.Service)
+	g.AddBiLink(a, b, graph.LinkProps{Latency: 5 * time.Millisecond, Bandwidth: 20 * units.Mbps})
+	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+	var c *Conn
+	const dropAfter = 500 * time.Millisecond
+	var (
+		target           int64 = -1 // seq of the segment dropped twice
+		copies           int
+		lostAt, resentAt time.Duration // arrivals of the retransmission and of the copy after it
+		rtoAtLoss        time.Duration
+	)
+	hook := func(node graph.NodeID, p *packet.Packet, forward func()) {
+		if node != b || p.Src != ipA || p.TCP.Len == 0 || eng.Now() < dropAfter {
+			forward()
+			return
+		}
+		if target < 0 {
+			target = p.TCP.Seq
+		}
+		if p.TCP.Seq != target {
+			forward()
+			return
+		}
+		copies++
+		switch copies {
+		case 1: // the original
+			p.Release()
+			return
+		case 2: // its fast retransmission
+			lostAt, rtoAtLoss = eng.Now(), c.rto
+			p.Release()
+			return
+		case 3:
+			resentAt = eng.Now()
+		}
+		forward()
+	}
+	nw := fabric.New(eng, g, fabric.Options{Hook: hook})
+	nw.AttachEndpoint(a, ipA, nil)
+	nw.AttachEndpoint(b, ipB, nil)
+	cli, srv := NewStack(eng, nw, ipA), NewStack(eng, nw, ipB)
+	var received int64
+	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
+		c.OnData = func(n int) { received += int64(n) }
+	}})
+	c = cli.Dial(srv.ip, 80, Cubic)
+	c.Write(1 << 30)
+	const run = 5 * time.Second
+	eng.Run(run)
+	t.Logf("retransmission lost at %v (RTO %v), next copy at %v; %d RTOs, %d bytes received", lostAt, rtoAtLoss, resentAt, c.RTOs, received)
+	if copies < 2 {
+		t.Fatalf("saw %d copies of the target segment, want the original and its retransmission dropped", copies)
+	}
+	if c.FastRecovery == 0 || c.RTOs == 0 {
+		t.Fatalf("fast recoveries %d, RTOs %d: want the retransmission's loss to end in a timeout", c.FastRecovery, c.RTOs)
+	}
+	// The copy after the lost one crosses the link once more: allow its
+	// one-way delay on top of one RTO.
+	if resentAt == 0 || resentAt-lostAt > rtoAtLoss+10*time.Millisecond {
+		t.Fatalf("retransmission lost at %v (RTO %v), next copy at %v: the timer was pushed back", lostAt, rtoAtLoss, resentAt)
+	}
+	// Resumed: the receiver's in-order bytes reach well past the hole,
+	// about half the line rate over the run at the least.
+	if min := int64(float64(20*units.Mbps) / 8 * run.Seconds() / 2); received < min {
+		t.Fatalf("received %d bytes in %v, want at least %d after the timeout", received, run, min)
+	}
+}
