@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/wire"
 )
 
@@ -90,16 +91,23 @@ func treeOriginEnc(origin uint16) uint64 {
 	return uint64(origin) + 1
 }
 
-// aggRec is one aggregated flow record.
+// aggRec is one aggregated flow record: the record itself and what
+// merging and the codec need besides.
 //
 //kollaps:wire
 type aggRec struct {
+	// rec is the record: summed usage (saturating), the number of flows
+	// summed, and the path. It is an array of one so that a view lends
+	// it in place (rec[:]).
+	rec    [1]metadata.FlowRecord
 	origin uint16        // reporting host, MergedOrigin when aggregated
-	bps    uint64        // summed usage (clamped to uint32 on the wire)
-	count  uint16        // underlying flow count
 	ts     time.Duration // oldest origin generation time merged in
-	links  []uint16
-	prefix uint64 // pathPrefix(links), so most path comparisons never load links
+	prefix uint64        // pathPrefix(rec[0].Links), so most path comparisons never load links
+}
+
+// newAggRec wraps one record of origin's, generated at ts.
+func newAggRec(origin uint16, ts time.Duration, r metadata.FlowRecord) aggRec {
+	return aggRec{rec: [1]metadata.FlowRecord{r}, origin: origin, ts: ts, prefix: pathPrefix(r.Links)}
 }
 
 // pathPrefix packs a path's first four link ids, zero-padded, so that
@@ -130,7 +138,7 @@ func compareAggPaths(a, b aggRec) int {
 	if a.prefix != b.prefix {
 		return cmp.Compare(a.prefix, b.prefix)
 	}
-	return slices.Compare(a.links, b.links)
+	return slices.Compare(a.rec[0].Links, b.rec[0].Links)
 }
 
 // treeCodec is the scratch one node's merges and encodes run in.
@@ -179,12 +187,13 @@ func (c *treeCodec) merge() []aggRec {
 		r := c.parts[best][0]
 		c.parts[best] = c.parts[best][1:]
 		if last := len(out) - 1; last >= 0 && compareAggPaths(out[last], r) == 0 {
-			a := &out[last]
-			a.bps += r.bps
+			a, f := &out[last], &r.rec[0]
+			s := &a.rec[0]
+			s.BPS = clampU32(uint64(s.BPS) + uint64(f.BPS))
 			// Saturate: at deployment scale the per-path flow count can
 			// exceed 16 bits, and silent wraparound would hand the min-max
 			// solver a tiny weight for the heaviest aggregate.
-			a.count = wire.U16(int(a.count)+int(r.count), nil)
+			s.Count = wire.U16(int(s.Count)+int(f.Count), nil)
 			if r.ts < a.ts {
 				a.ts = r.ts
 			}
@@ -243,7 +252,7 @@ func (c *treeCodec) encode(typ byte, host int, now time.Duration, recs []aggRec,
 		// One group: the run of refs sharing g[0]'s key.
 		n, counts := 0, false
 		for n < len(g) && g[n].originEnc == g[0].originEnc && g[n].ageQ == g[0].ageQ {
-			counts = counts || recs[g[n].idx].count != 1
+			counts = counts || recs[g[n].idx].rec[0].Count != 1
 			n++
 		}
 		buf = binary.AppendUvarint(buf, g[0].originEnc)
@@ -255,16 +264,16 @@ func (c *treeCodec) encode(typ byte, host int, now time.Duration, recs []aggRec,
 		buf = binary.AppendUvarint(buf, flag)
 		var prev []uint16
 		for _, ref := range g[:n] {
-			r := &recs[ref.idx]
-			buf = binary.AppendUvarint(buf, uint64(clampU32(r.bps)))
+			r := &recs[ref.idx].rec[0]
+			buf = binary.AppendUvarint(buf, uint64(r.BPS))
 			if counts {
-				buf = binary.AppendUvarint(buf, uint64(r.count))
+				buf = binary.AppendUvarint(buf, uint64(r.Count))
 			}
 			shared := 0
-			for shared < len(prev) && shared < len(r.links) && prev[shared] == r.links[shared] {
+			for shared < len(prev) && shared < len(r.Links) && prev[shared] == r.Links[shared] {
 				shared++
 			}
-			nnew := len(r.links) - shared
+			nnew := len(r.Links) - shared
 			if shared < 15 && nnew < 15 {
 				buf = append(buf, wire.U8(shared<<4|nnew, nil))
 			} else {
@@ -272,10 +281,10 @@ func (c *treeCodec) encode(typ byte, host int, now time.Duration, recs []aggRec,
 				buf = binary.AppendUvarint(buf, uint64(shared))
 				buf = binary.AppendUvarint(buf, uint64(nnew))
 			}
-			for _, l := range r.links[shared:] {
+			for _, l := range r.Links[shared:] {
 				buf = binary.AppendUvarint(buf, uint64(l))
 			}
-			prev = r.links
+			prev = r.Links
 		}
 		g = g[n:]
 	}
@@ -382,14 +391,11 @@ func decodeTreeV1(payload []byte, now time.Duration, dst *treeReport) bool {
 				dst.links = append(dst.links, uint16(l))
 			}
 			prev = dst.links[start:len(dst.links):len(dst.links)]
-			dst.recs = append(dst.recs, aggRec{
-				origin: origin,
-				bps:    bps,
-				count:  wire.U16(int(count), nil),
-				ts:     ts,
-				links:  prev,
-				prefix: pathPrefix(prev),
-			})
+			dst.recs = append(dst.recs, newAggRec(origin, ts, metadata.FlowRecord{
+				BPS:   wire.U32(bps, nil),
+				Count: wire.U16(int(count), nil),
+				Links: prev,
+			}))
 		}
 	}
 	return off == len(payload)

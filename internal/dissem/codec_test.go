@@ -20,12 +20,12 @@ import (
 // record, shared path prefixes, counts above 1, mixed ages.
 func codecRecs(now time.Duration) []aggRec {
 	return mergeRecs([]aggRec{
-		{origin: 0, bps: 2_900_000, count: 1, ts: now, links: []uint16{1, 0, 2}},
-		{origin: 0, bps: 1_400_000, count: 1, ts: now, links: []uint16{3, 0, 4}},
-		{origin: 7, bps: 2_100_000, count: 3, ts: now - 50*time.Millisecond, links: []uint16{300, 0, 301}},
-		{origin: 7, bps: 900, count: 1, ts: now - 50*time.Millisecond, links: []uint16{300, 0, 302}},
-		{origin: 3, bps: 5, count: 2, ts: now - 100*time.Millisecond, links: []uint16{9}},
-		{origin: MergedOrigin, bps: 4_000_000_000, count: 40_000, ts: now - time.Millisecond, links: []uint16{65535, 0}},
+		agg(0, 2_900_000, 1, now, []uint16{1, 0, 2}),
+		agg(0, 1_400_000, 1, now, []uint16{3, 0, 4}),
+		agg(7, 2_100_000, 3, now-50*time.Millisecond, []uint16{300, 0, 301}),
+		agg(7, 900, 1, now-50*time.Millisecond, []uint16{300, 0, 302}),
+		agg(3, 5, 2, now-100*time.Millisecond, []uint16{9}),
+		agg(MergedOrigin, 4_000_000_000, 40_000, now-time.Millisecond, []uint16{65535, 0}),
 	})
 }
 
@@ -36,7 +36,7 @@ func sortRecs(recs []aggRec) {
 		if recs[i].origin != recs[j].origin {
 			return recs[i].origin < recs[j].origin
 		}
-		return pathKey(recs[i].links) < pathKey(recs[j].links)
+		return pathKey(recs[i].rec[0].Links) < pathKey(recs[j].rec[0].Links)
 	})
 }
 
@@ -61,8 +61,7 @@ func TestTreeCodecRoundTrip(t *testing.T) {
 	sortRecs(in)
 	sortRecs(out)
 	for i := range in {
-		if out[i].origin != in[i].origin || out[i].bps != in[i].bps ||
-			out[i].count != in[i].count || !reflect.DeepEqual(out[i].links, in[i].links) {
+		if out[i].origin != in[i].origin || !reflect.DeepEqual(out[i].rec, in[i].rec) {
 			t.Fatalf("record %d: got %+v, want %+v", i, out[i], in[i])
 		}
 		// Ages are quantized to the 1024 µs unit, flooring (records may
@@ -136,7 +135,7 @@ func TestTreeCodecFutureVersionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := encodeTree(msgTreeUp, 1, now, []aggRec{
-		{origin: 1, bps: 1000, count: 1, ts: now, links: []uint16{4, 5}},
+		agg(1, 1000, 1, now, []uint16{4, 5}),
 	}, &stats)
 	node.Receive(now, stats.seal(up))
 	before := node.RemoteFlows(now, time.Second)
@@ -161,7 +160,7 @@ func TestTreeCodecTruncationStillCounted(t *testing.T) {
 	now := time.Second
 	recs := make([]aggRec, maxWireRecords+7)
 	for i := range recs {
-		recs[i] = aggRec{origin: 1, bps: uint64(i), count: 1, ts: now, links: []uint16{uint16(i / 256), uint16(i % 256)}}
+		recs[i] = agg(1, uint32(i), 1, now, []uint16{uint16(i / 256), uint16(i % 256)})
 	}
 	var stats Stats
 	raw := encodeTree(msgTreeUp, 1, now, recs, &stats)

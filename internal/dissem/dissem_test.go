@@ -152,15 +152,17 @@ func keyLinks(k string) []uint16 {
 	return links
 }
 
+// agg is one aggregate record, built as a node builds its own.
+func agg(origin uint16, bps uint32, count uint16, ts time.Duration, links []uint16) aggRec {
+	return newAggRec(origin, ts, metadata.FlowRecord{BPS: bps, Count: count, Links: links})
+}
+
 // mergeRecs runs parts — path-sorted first, as a node holds them — through
 // a fresh codec's merge.
 func mergeRecs(parts ...[]aggRec) []aggRec {
 	var c treeCodec
 	for _, p := range parts {
 		p = slices.Clone(p)
-		for i := range p {
-			p[i].prefix = pathPrefix(p[i].links)
-		}
 		slices.SortFunc(p, compareAggPaths)
 		c.parts = append(c.parts, p)
 	}
@@ -280,23 +282,23 @@ func TestParseKind(t *testing.T) {
 func TestMergeRecsCountSaturates(t *testing.T) {
 	links := []uint16{4, 5}
 	parts := [][]aggRec{
-		{{origin: 1, bps: 1000, count: 40_000, ts: 1, links: links}},
-		{{origin: 2, bps: 2000, count: 40_000, ts: 2, links: links}},
+		{agg(1, 1000, 40_000, 1, links)},
+		{agg(2, 2000, 40_000, 2, links)},
 	}
 	out := mergeRecs(parts...)
 	if len(out) != 1 {
 		t.Fatalf("mergeRecs returned %d records, want 1", len(out))
 	}
-	if out[0].count != ^uint16(0) {
-		t.Fatalf("merged count = %d, want saturation at %d (wrapped!)", out[0].count, ^uint16(0))
+	if got := out[0].rec[0].Count; got != ^uint16(0) {
+		t.Fatalf("merged count = %d, want saturation at %d (wrapped!)", got, ^uint16(0))
 	}
-	if out[0].bps != 3000 || out[0].origin != MergedOrigin || out[0].ts != 1 {
+	if out[0].rec[0].BPS != 3000 || out[0].origin != MergedOrigin || out[0].ts != 1 {
 		t.Fatalf("merged record = %+v", out[0])
 	}
 	// Below the limit, counts still add exactly.
-	parts[1][0].count = 3
-	if out := mergeRecs(parts...); out[0].count != 40_003 {
-		t.Fatalf("merged count = %d, want 40003", out[0].count)
+	parts[1][0].rec[0].Count = 3
+	if got := mergeRecs(parts...)[0].rec[0].Count; got != 40_003 {
+		t.Fatalf("merged count = %d, want 40003", got)
 	}
 }
 

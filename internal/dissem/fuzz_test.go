@@ -102,8 +102,8 @@ func FuzzDecodeTree(f *testing.F) {
 			t.Fatal("decodeTree returned records alongside failure")
 		}
 		for _, r := range recs {
-			if len(r.links) > 255 {
-				t.Fatalf("decoded %d links from a 1-byte length field", len(r.links))
+			if n := len(r.rec[0].Links); n > 255 {
+				t.Fatalf("decoded %d links from a 1-byte length field", n)
 			}
 		}
 	})
@@ -154,8 +154,8 @@ func FuzzTreeCodecRoundTrip(f *testing.F) {
 		sortRecs(recs)
 		sortRecs(again)
 		for i := range recs {
-			if again[i].origin != recs[i].origin || again[i].bps != clampU32U64(recs[i].bps) ||
-				again[i].count != recs[i].count || len(again[i].links) != len(recs[i].links) {
+			a, r := &again[i].rec[0], &recs[i].rec[0]
+			if again[i].origin != recs[i].origin || a.BPS != r.BPS || a.Count != r.Count || len(a.Links) != len(r.Links) {
 				t.Fatalf("round trip changed record %d: %+v -> %+v", i, recs[i], again[i])
 			}
 			if d := again[i].ts - recs[i].ts; d < 0 || d >= treeAgeUnit {
@@ -164,9 +164,6 @@ func FuzzTreeCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// clampU32U64 mirrors the encoder's bps clamp for the round-trip oracle.
-func clampU32U64(v uint64) uint64 { return uint64(clampU32(v)) }
 
 func FuzzGossipReceive(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {

@@ -109,8 +109,6 @@ type treeNode struct {
 	targets  []int  // sendDowns: the children and fosters being served
 	suspects []int  // Publish: the suspects being probed
 	probe    []byte // Publish: the probe sealed once per suspect
-	// viewRecs are AppendView's merged records as the view lends them.
-	viewRecs []metadata.FlowRecord
 }
 
 func newTreeNode(cfg Config, host int, tr Transport) *treeNode {
@@ -239,14 +237,11 @@ func (n *treeNode) Publish(now time.Duration, msg *metadata.Message) {
 	for _, f := range msg.Flows {
 		start := len(n.localLinks)
 		n.localLinks = append(n.localLinks, f.Links...)
-		n.local = append(n.local, aggRec{
-			origin: wire.U16(n.host, nil),
-			bps:    uint64(f.BPS),
-			count:  1,
-			ts:     now,
-			links:  n.localLinks[start:len(n.localLinks):len(n.localLinks)],
-			prefix: pathPrefix(f.Links),
-		})
+		n.local = append(n.local, newAggRec(wire.U16(n.host, nil), now, metadata.FlowRecord{
+			BPS:   f.BPS,
+			Count: 1,
+			Links: n.localLinks[start:len(n.localLinks):len(n.localLinks)],
+		}))
 	}
 	slices.SortFunc(n.local, compareAggPaths)
 	n.sendUp(now)
@@ -422,20 +417,18 @@ func (n *treeNode) adopt(slot *treeReport, now time.Duration) {
 	slot.held, slot.at = true, now
 }
 
-// AppendView lends each merged record as a block of its own: a merged
-// record carries its own age and origin. Merging rebuilds the records on
-// every call, so every block gets a fresh stamp.
+// AppendView lends each merged record as a block of its own, in place: a
+// merged record carries its own age and origin. Merging rebuilds the
+// records on every call, so every block gets a fresh stamp.
 func (n *treeNode) AppendView(now, maxAge time.Duration, out []OriginView) []OriginView {
 	if n.extern.held && now-n.extern.at <= maxAge {
 		n.codec.parts = append(n.codec.parts, n.extern.recs)
 	}
 	n.queueUps(now, maxAge)
 	merged := n.codec.merge()
-	recs := slices.Grow(n.viewRecs[:0], len(merged))
-	for i, r := range merged {
-		recs = append(recs, metadata.FlowRecord{BPS: clampU32(r.bps), Count: r.count, Links: r.links})
-		out = append(out, OriginView{Origin: r.origin, Age: now - r.ts, Stamp: n.newStamp(), recs: recs[i : i+1 : i+1]})
+	for i := range merged {
+		r := &merged[i]
+		out = append(out, OriginView{Origin: r.origin, Age: now - r.ts, Stamp: n.newStamp(), recs: r.rec[:]})
 	}
-	n.viewRecs = recs
 	return out
 }
