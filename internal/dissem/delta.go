@@ -361,18 +361,18 @@ func applyRecs(dst *recSet, base, upd []metadata.FlowRecord) {
 	dst.reset()
 	for _, u := range upd {
 		for len(base) > 0 && slices.Compare(base[0].Links, u.Links) < 0 {
-			dst.add(base[0].BPS, base[0].Count, base[0].Links)
+			dst.add(base[0])
 			base = base[1:]
 		}
 		if len(base) > 0 && slices.Equal(base[0].Links, u.Links) {
 			base = base[1:]
 		}
 		if u.Count != 0 {
-			dst.add(u.BPS, u.Count, u.Links)
+			dst.add(u)
 		}
 	}
 	for _, b := range base {
-		dst.add(b.BPS, b.Count, b.Links)
+		dst.add(b)
 	}
 }
 

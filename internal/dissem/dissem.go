@@ -697,10 +697,11 @@ func (s *recSet) reset() {
 }
 
 // add appends a record, copying its links into the arena.
-func (s *recSet) add(bps uint32, count uint16, links []uint16) {
+func (s *recSet) add(r metadata.FlowRecord) {
 	start := len(s.links)
-	s.links = append(s.links, links...)
-	s.recs = append(s.recs, metadata.FlowRecord{BPS: bps, Count: count, Links: s.links[start:len(s.links):len(s.links)]})
+	s.links = append(s.links, r.Links...)
+	r.Links = s.links[start:len(s.links):len(s.links)]
+	s.recs = append(s.recs, r)
 }
 
 // comparePaths orders records by path.
@@ -713,7 +714,7 @@ func comparePaths(a, b metadata.FlowRecord) int { return slices.Compare(a.Links,
 func (s *recSet) fold(msg *metadata.Message) {
 	s.reset()
 	for _, f := range msg.Flows {
-		s.add(f.BPS, 1, f.Links)
+		s.add(metadata.FlowRecord{BPS: f.BPS, Count: 1, Links: f.Links})
 	}
 	slices.SortFunc(s.recs, comparePaths)
 	w := 0
