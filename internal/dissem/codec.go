@@ -187,8 +187,8 @@ func (c *treeCodec) merge() []aggRec {
 		r := c.parts[best][0]
 		c.parts[best] = c.parts[best][1:]
 		if last := len(out) - 1; last >= 0 && compareAggPaths(out[last], r) == 0 {
-			a, f := &out[last], &r.rec[0]
-			s := &a.rec[0]
+			a := &out[last]
+			s, f := &a.rec[0], &r.rec[0]
 			s.BPS = clampU32(uint64(s.BPS) + uint64(f.BPS))
 			// Saturate: at deployment scale the per-path flow count can
 			// exceed 16 bits, and silent wraparound would hand the min-max
