@@ -63,6 +63,44 @@ func TestAllocateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAllocateArenasGrowGeometrically solves 10, 11, …, 53 flows on one
+// AllocState, a Manager's flow count climbing one flow per period: each
+// arena, and the output, must reallocate a few times, not once per new
+// maximum.
+func TestAllocateArenasGrowGeometrically(t *testing.T) {
+	capsMap, flows := SyntheticAllocation(53, 40, 42)
+	caps := DenseCaps(capsMap, nil)
+	var s AllocState
+	var out []Allocation
+	arenas := []struct {
+		name string
+		cap  func() int
+	}{
+		{"fl", func() int { return cap(s.fl) }},
+		{"level", func() int { return cap(s.level) }},
+		{"lk", func() int { return cap(s.lk) }},
+		{"heap", func() int { return cap(s.heap.e) }},
+		{"csr", func() int { return cap(s.csr) }},
+		{"out", func() int { return cap(out) }},
+	}
+	grown := make([]int, len(arenas))
+	last := make([]int, len(arenas))
+	for n := 10; n <= len(flows); n++ {
+		out = s.Allocate(caps, flows[:n], out)
+		for i, a := range arenas {
+			if c := a.cap(); c != last[i] {
+				grown[i]++
+				last[i] = c
+			}
+		}
+	}
+	for i, a := range arenas {
+		if grown[i] > 4 {
+			t.Errorf("%s: allocated %d times while the flow count climbed from 10 to %d, want at most 4", a.name, grown[i], len(flows))
+		}
+	}
+}
+
 // sharedPathAllocation is a many-round solve over mostly shared links: a
 // sparse table of 4 096 links, of which the flows cross about 240, and 50
 // demand-capped flows on 10-link paths, so nearly every flow freezes in a

@@ -164,6 +164,10 @@ func TestManagerSolverCounters(t *testing.T) {
 		`kollaps_solver_entitlement_missed_total{host="0",cause="input"}`,
 		`kollaps_solver_demand_derived_total{host="0"}`,
 		`kollaps_dissem_bytes_sent{host="0",strategy="broadcast"}`,
+		`kollaps_dissem_saturated{host="0",strategy="broadcast"} 0`,
+		`kollaps_dissem_truncated_records{host="0",strategy="broadcast"} 0`,
+		`kollaps_dissem_bad_versions{host="0",strategy="broadcast"} 0`,
+		`kollaps_dissem_staleness_ms{host="0",strategy="broadcast",quantile="0.99"}`,
 		"kollaps_virtual_time_seconds 2\n",
 		"kollaps_topology_trees_built_total ",
 		"kollaps_topology_trees_carried_total 0\n",

@@ -676,6 +676,9 @@ func (rt *Runtime) registerMetrics() {
 		gauge("bad_datagrams", "", func(s *dissem.Stats) float64 { return float64(s.BadDatagram.Value()) })
 		gauge("bad_checksums", "", func(s *dissem.Stats) float64 { return float64(s.BadChecksum.Value()) })
 		gauge("stale_links", "", func(s *dissem.Stats) float64 { return float64(s.StaleLinks.Value()) })
+		gauge("saturated", "", func(s *dissem.Stats) float64 { return float64(s.Saturated.Value()) })
+		gauge("truncated_records", "", func(s *dissem.Stats) float64 { return float64(s.TruncatedRecords.Value()) })
+		gauge("bad_versions", "", func(s *dissem.Stats) float64 { return float64(s.BadVersion.Value()) })
 		gauge("staleness_ms", `,quantile="0.5"`, func(s *dissem.Stats) float64 { return s.Staleness.Percentile(50) })
 		gauge("staleness_ms", `,quantile="0.99"`, func(s *dissem.Stats) float64 { return s.Staleness.Percentile(99) })
 		hostLabel := fmt.Sprintf(`{host="%d"}`, m.host)

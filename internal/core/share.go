@@ -146,10 +146,12 @@ type linkSlot struct {
 // Contents are unspecified; callers overwrite every element they read.
 // The growth branch runs only until the arena reaches the deployment's
 // working-set size, then never again — the steady state the 0-alloc
-// gate measures.
+// gate measures. It at least doubles the capacity, so an arena climbing
+// to its working set one flow at a time reallocates a few times, not
+// once per new maximum.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
@@ -736,10 +738,11 @@ func fitAllocation(flows []FlowDemand, out []Allocation) []Allocation {
 }
 
 // growLinks resizes the link slots preserving existing ones and
-// zero-filling fresh ones (zero never equals a live stamp).
+// zero-filling fresh ones (zero never equals a live stamp), growing the
+// capacity as grow does.
 func growLinks(s []linkSlot, n int) []linkSlot {
 	if cap(s) < n {
-		ns := make([]linkSlot, n)
+		ns := make([]linkSlot, n, max(n, 2*cap(s)))
 		copy(ns, s)
 		return ns
 	}
