@@ -379,6 +379,10 @@ func TestEnforceAllocationContract(t *testing.T) {
 					m.iterate()
 					return
 				}
+				// The staleness histogram keeps exact samples and grows
+				// (amortised, up to its cap) as the view is read; emptied,
+				// it refills the capacity warm-up gave it.
+				m.node.Stats().Staleness.Reset()
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				m.iterate()

@@ -385,7 +385,7 @@ func (m *Manager) globalFlows(local []localFlow) []FlowDemand {
 	id, end := 0, 0 // the block's first RemoteFlowID index; end of the remote entries so far
 	for b := range m.viewBuf {
 		o := &m.viewBuf[b]
-		st.Staleness.Add(o.Age, o.Len())
+		st.SampleStaleness(o.Age, o.Len())
 		// A usage report older than one period (hierarchical aggregation
 		// delay) cannot safely cap the flow: a low stale reading would
 		// hand its share to competitors and oversubscribe the link, since

@@ -43,7 +43,7 @@ func (m *Manager) globalFlowsRebuild(local []localFlow) []FlowDemand {
 		rf := &rfs[i]
 		// The view is read once per period, here: every record is sampled
 		// at its age, as a block of one.
-		stats.Staleness.Add(rf.Age, 1)
+		stats.SampleStaleness(rf.Age, 1)
 		start := len(arena)
 		var lat time.Duration
 		for _, l := range rf.Links {
@@ -300,9 +300,9 @@ func (r *viewRig) period() {
 		r.tb.Fatalf("period %d: StaleLinks %d, rebuild %d", r.checked, sa.StaleLinks.Value(), sb.StaleLinks.Value())
 	}
 	ha, hb := &sa.Staleness, &sb.Staleness
-	if ha.Count() != hb.Count() || ha.Percentile(100) != hb.Percentile(100) ||
+	if ha.Count() != hb.Count() || ha.Mean() != hb.Mean() || ha.Percentile(100) != hb.Percentile(100) ||
 		ha.Percentile(50) != hb.Percentile(50) || ha.Percentile(99) != hb.Percentile(99) {
-		r.tb.Fatalf("period %d: staleness tally of %d samples differs from the rebuild's %d", r.checked, ha.Count(), hb.Count())
+		r.tb.Fatalf("period %d: staleness histogram of %d samples differs from the rebuild's %d", r.checked, ha.Count(), hb.Count())
 	}
 }
 

@@ -323,13 +323,13 @@ type Stats struct {
 	// DatagramsRecv / BytesRecv count every datagram handed to Receive.
 	DatagramsRecv metrics.Counter
 	BytesRecv     metrics.Counter
-	// Staleness tallies the age of remote flows as the emulation loop
-	// reads the view: the loop adds each view block it reads, at the
-	// block's age once per record (OriginView.Age and Len), while
-	// AppendView and RemoteFlows add nothing. Its percentiles are in
-	// milliseconds. A block's records share one age, so the tally holds
-	// one entry per distinct age, however many records the loop reads.
-	Staleness metrics.Tally
+	// Staleness samples the age (milliseconds) of remote flows as the
+	// emulation loop reads the view: the loop hands each view block it
+	// reads to SampleStaleness, while AppendView and RemoteFlows sample
+	// nothing. Long runs are decimated: once the histogram reaches
+	// maxStalenessSamples it is halved and further ages are recorded at
+	// double the stride, bounding memory while keeping the percentiles.
+	Staleness metrics.Histogram
 	// StaleLinks counts remote-flow link ids the consumer (the Emulation
 	// Manager) had to drop because they fall outside the live topology's
 	// link-id space — the footprint of stale or corrupt reports that can
@@ -370,8 +370,13 @@ type Stats struct {
 	// process-wide wire.Saturations.
 	Saturated metrics.Counter
 
-	envSeq uint32 // envelope sequence of the last datagram sealed
+	staleStride int
+	staleSkip   int
+	envSeq      uint32 // envelope sequence of the last datagram sealed
 }
+
+// maxStalenessSamples caps the staleness histogram per node.
+const maxStalenessSamples = 1 << 16
 
 // AdoptFrom transfers old's accumulated counters, staleness distribution
 // and envelope sequence into s, field by field. It exists for manager
@@ -393,7 +398,10 @@ func (s *Stats) AdoptFrom(old *Stats) {
 	s.BadDatagram.Store(old.BadDatagram.Value())
 	s.BadChecksum.Store(old.BadChecksum.Value())
 	s.Saturated.Store(old.Saturated.Value())
-	s.Staleness = metrics.MergeTallies(&old.Staleness)
+	s.Staleness.Reset()
+	s.Staleness.Merge(&old.Staleness)
+	s.staleStride = old.staleStride
+	s.staleSkip = old.staleSkip
 	s.envSeq = old.envSeq
 }
 
@@ -434,6 +442,28 @@ func (s *Stats) sendFrame(tr Transport, host int, frame []byte) {
 	s.BytesSent.Add(int64(len(frame)))
 }
 
+// SampleStaleness records one view block the emulation loop read: age
+// once for each of its records (OriginView.Age and Len). The loop is its
+// one caller, so Staleness describes the view the loop priced, whoever
+// else reads it.
+func (s *Stats) SampleStaleness(age time.Duration, records int) {
+	if s.staleStride == 0 {
+		s.staleStride = 1
+	}
+	for ; records > 0; records-- {
+		s.staleSkip++
+		if s.staleSkip < s.staleStride {
+			continue
+		}
+		s.staleSkip = 0
+		s.Staleness.AddDuration(age)
+		if s.Staleness.Count() >= maxStalenessSamples {
+			s.Staleness.Decimate()
+			s.staleStride *= 2
+		}
+	}
+}
+
 // Summary aggregates the stats of all nodes of a deployment.
 type Summary struct {
 	DatagramsSent int64
@@ -447,10 +477,11 @@ type Summary struct {
 }
 
 // Summarize folds per-node stats into one Summary. The percentiles are
-// read off the nodes' tallies merged into one.
+// read off the nodes' own sample sets (metrics.MergedPercentile), not a
+// merged copy of them.
 func Summarize(stats []*Stats) Summary {
 	var sum Summary
-	ts := make([]*metrics.Tally, 0, len(stats))
+	hs := make([]*metrics.Histogram, 0, len(stats))
 	for _, s := range stats {
 		if s == nil {
 			continue
@@ -459,11 +490,10 @@ func Summarize(stats []*Stats) Summary {
 		sum.BytesSent += s.BytesSent.Value()
 		sum.DatagramsRecv += s.DatagramsRecv.Value()
 		sum.BytesRecv += s.BytesRecv.Value()
-		ts = append(ts, &s.Staleness)
+		hs = append(hs, &s.Staleness)
 	}
-	all := metrics.MergeTallies(ts...)
-	sum.StalenessP50Ms = all.Percentile(50)
-	sum.StalenessP99Ms = all.Percentile(99)
+	sum.StalenessP50Ms = metrics.MergedPercentile(hs, 50)
+	sum.StalenessP99Ms = metrics.MergedPercentile(hs, 99)
 	return sum
 }
 
@@ -487,8 +517,8 @@ type Node interface {
 	// Tree, whose merged records each carry an age of their own), leaving
 	// out entries not refreshed within maxAge. A read changes nothing: it
 	// expires no state (Broadcast and Delta drop a peer in Publish, see
-	// ExpireAfter) and samples no staleness (the emulation loop adds to
-	// Stats.Staleness), so any reader may look at any time. The
+	// ExpireAfter) and samples no staleness (the emulation loop does, with
+	// Stats.SampleStaleness), so any reader may look at any time. The
 	// records are lent, not copied: they stay owned by the node and are
 	// valid until its next Publish, Receive or AppendView, which may
 	// recycle the storage behind them (Tree merges its view anew on every

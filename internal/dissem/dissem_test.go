@@ -753,7 +753,7 @@ func TestStatsCounters(t *testing.T) {
 				n.RemoteFlows(h.now, 0)
 				view = n.AppendView(h.now, 10*period, view[:0])
 				for i := range view {
-					n.Stats().Staleness.Add(view[i].Age, view[i].Len())
+					n.Stats().SampleStaleness(view[i].Age, view[i].Len())
 					records += int64(view[i].Len())
 				}
 			}

@@ -1,13 +1,10 @@
 // Package metrics provides the measurement primitives the evaluation
-// harness uses: duration/value histograms with percentiles, exact
-// tallies of repeating durations, atomic counters, mean-squared error,
-// and simple time series.
+// harness uses: duration/value histograms with percentiles, atomic
+// counters, mean-squared error, and simple time series.
 package metrics
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -67,6 +64,87 @@ func nearestRank(p float64, n int) int {
 	return max(int(math.Ceil(p/100*float64(n)))-1, 0)
 }
 
+// MergedPercentile is Percentile over the samples of every histogram in
+// hs taken together — what Percentile answers after Merging them all into
+// one — found without the merged copy: each histogram is sorted in place,
+// as Percentile does, and a k-way walk over their sorted samples counts
+// off the rank from whichever end is nearer. Its memory is one cursor per
+// histogram. Nil histograms are skipped.
+func MergedPercentile(hs []*Histogram, p float64) float64 {
+	n := 0
+	for _, h := range hs {
+		if h != nil {
+			h.sort()
+			n += len(h.samples)
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := nearestRank(p, n)
+	if rank < n/2 {
+		return walk(hs, rank, false)
+	}
+	return walk(hs, n-1-rank, true)
+}
+
+// walk returns the sample k places from the low end (from the high end
+// when down) of the histograms' sorted samples taken together: a binary
+// heap of one cursor per histogram, ordered by the sample each points at,
+// advanced k times. The order is sort.Float64s', NaN lowest.
+func walk(hs []*Histogram, k int, down bool) float64 {
+	type cursor struct {
+		s []float64
+		i int // samples passed, counted from the walk's end
+	}
+	at := func(c cursor) float64 {
+		if down {
+			return c.s[len(c.s)-1-c.i]
+		}
+		return c.s[c.i]
+	}
+	first := func(a, b cursor) bool { // a's sample comes before b's
+		x, y := at(a), at(b)
+		if down {
+			x, y = y, x
+		}
+		return x < y || x != x && y == y
+	}
+	heap := make([]cursor, 0, len(hs))
+	for _, h := range hs {
+		if h != nil && len(h.samples) > 0 {
+			heap = append(heap, cursor{s: h.samples})
+		}
+	}
+	sift := func(i int) {
+		for {
+			least, l, r := i, 2*i+1, 2*i+2
+			if l < len(heap) && first(heap[l], heap[least]) {
+				least = l
+			}
+			if r < len(heap) && first(heap[r], heap[least]) {
+				least = r
+			}
+			if least == i {
+				return
+			}
+			heap[i], heap[least] = heap[least], heap[i]
+			i = least
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		sift(i)
+	}
+	for ; k > 0; k-- {
+		if heap[0].i++; heap[0].i == len(heap[0].s) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		sift(0)
+	}
+	return at(heap[0])
+}
+
 // StdDev returns the population standard deviation.
 func (h *Histogram) StdDev() float64 {
 	n := len(h.samples)
@@ -82,6 +160,13 @@ func (h *Histogram) StdDev() float64 {
 	return math.Sqrt(ss / float64(n))
 }
 
+// Reset discards all samples.
+func (h *Histogram) Reset() {
+	h.samples = h.samples[:0]
+	h.sorted = false
+	h.sum = 0
+}
+
 func (h *Histogram) sort() {
 	if !h.sorted {
 		sort.Float64s(h.samples)
@@ -89,89 +174,33 @@ func (h *Histogram) sort() {
 	}
 }
 
-// Tally counts duration samples exactly: a table of the values seen,
-// sorted ascending, each with the number of samples at it. A stream
-// whose values repeat — the age of a block of records, the same for every
-// record of it — costs one entry per distinct value, not one slot per
-// sample. It answers the order statistics a Histogram fed the same
-// samples with AddDuration answers, bit for bit. The zero value is ready
-// to use. Like Histogram it belongs to the simulation thread.
-type Tally struct {
-	entries []tallyEntry
-	n       int // samples over all entries
-}
-
-type tallyEntry struct {
-	d time.Duration
-	n int
-}
-
-// maxTallyEntries bounds a tally's table. Reaching it merges adjacent
-// entries pairwise into the larger value of each pair: memory stays
-// bounded, no sample is lost and the maximum survives, at the price of
-// coarser percentiles. A run needs a table this large only if its samples
-// take that many distinct values.
-const maxTallyEntries = 1 << 16
-
-// Add records n samples of value d; n ≤ 0 records nothing.
-func (t *Tally) Add(d time.Duration, n int) {
-	if n <= 0 {
+// Decimate halves the sample set, keeping every second sample of the
+// sorted distribution, anchored so the maximum always survives — callers
+// feeding unbounded streams use it to cap memory while preserving the
+// quantiles and the observed worst case.
+func (h *Histogram) Decimate() {
+	if len(h.samples) < 2 {
 		return
 	}
-	t.n += n
-	i, found := slices.BinarySearchFunc(t.entries, d, func(e tallyEntry, d time.Duration) int { return cmp.Compare(e.d, d) })
-	if found {
-		t.entries[i].n += n
+	h.sort()
+	kept := h.samples[:0]
+	var sum float64
+	for i := (len(h.samples) - 1) % 2; i < len(h.samples); i += 2 {
+		kept = append(kept, h.samples[i])
+		sum += h.samples[i]
+	}
+	h.samples = kept
+	h.sum = sum
+}
+
+// Merge folds every sample of other into h (other is left untouched).
+func (h *Histogram) Merge(other *Histogram) {
+	if other == nil || len(other.samples) == 0 {
 		return
 	}
-	t.entries = slices.Insert(t.entries, i, tallyEntry{d: d, n: n})
-	if len(t.entries) >= maxTallyEntries {
-		t.halve()
-	}
-}
-
-// halve merges the entries pairwise from the top, each pair into its
-// larger value; with an odd count the smallest entry stands alone.
-func (t *Tally) halve() {
-	e := t.entries
-	kept := e[:len(e)%2]
-	for i := len(kept); i < len(e); i += 2 {
-		kept = append(kept, tallyEntry{d: e[i+1].d, n: e[i].n + e[i+1].n})
-	}
-	t.entries = kept
-}
-
-// Count returns the number of samples.
-func (t *Tally) Count() int { return t.n }
-
-// Percentile returns the p-th percentile in milliseconds, nearest-rank as
-// Histogram.Percentile, or 0 with no samples.
-func (t *Tally) Percentile(p float64) float64 {
-	if t.n == 0 {
-		return 0
-	}
-	rank, i := nearestRank(p, t.n), 0
-	for rank >= t.entries[i].n {
-		rank -= t.entries[i].n
-		i++
-	}
-	return float64(t.entries[i].d) / float64(time.Millisecond)
-}
-
-// MergeTallies returns one tally holding the samples of every tally in ts:
-// their entries concatenated and sorted by value. A value two tallies
-// share keeps two adjacent entries, which every method reads as one. Nil
-// tallies are skipped. The result owns its storage.
-func MergeTallies(ts ...*Tally) Tally {
-	var m Tally
-	for _, t := range ts {
-		if t != nil {
-			m.entries = append(m.entries, t.entries...)
-			m.n += t.n
-		}
-	}
-	slices.SortFunc(m.entries, func(a, b tallyEntry) int { return cmp.Compare(a.d, b.d) })
-	return m
+	h.samples = append(h.samples, other.samples...)
+	h.sorted = false
+	h.sum += other.sum
 }
 
 // Counter is a monotonically increasing event or byte count. The zero

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -57,6 +58,15 @@ func TestHistogramDuration(t *testing.T) {
 	h.AddDuration(15 * time.Millisecond)
 	if got := h.Mean(); got != 15 {
 		t.Fatalf("AddDuration mean = %v ms, want 15", got)
+	}
+}
+
+func TestHistogramReset(t *testing.T) {
+	var h Histogram
+	h.Add(1)
+	h.Reset()
+	if h.Count() != 0 || h.Mean() != 0 {
+		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -127,8 +137,43 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-// Add maintains the cached sum incrementally; Mean (which divides it by
-// Count) must stay consistent with the samples.
+func TestHistogramDecimateAndMerge(t *testing.T) {
+	var h Histogram
+	for i := 1; i <= 1000; i++ {
+		h.Add(float64(i))
+	}
+	p50, p99 := h.Percentile(50), h.Percentile(99)
+	h.Decimate()
+	if h.Count() != 500 {
+		t.Fatalf("Count after Decimate = %d, want 500", h.Count())
+	}
+	if h.Percentile(100) != 1000 {
+		t.Fatalf("max after Decimate = %v, want 1000 (max must survive)", h.Percentile(100))
+	}
+	if got := h.Percentile(50); got < p50-3 || got > p50+3 {
+		t.Fatalf("p50 after Decimate = %v, want ~%v", got, p50)
+	}
+	if got := h.Percentile(99); got < p99-3 || got > p99+3 {
+		t.Fatalf("p99 after Decimate = %v, want ~%v", got, p99)
+	}
+	var other Histogram
+	other.Add(5000)
+	h.Merge(&other)
+	if h.Count() != 501 || h.Percentile(100) != 5000 {
+		t.Fatalf("after Merge: count=%d max=%v", h.Count(), h.Percentile(100))
+	}
+	// Decimating tiny histograms is a no-op.
+	var tiny Histogram
+	tiny.Add(1)
+	tiny.Decimate()
+	if tiny.Count() != 1 {
+		t.Fatal("Decimate of single sample should keep it")
+	}
+}
+
+// Decimate and Merge maintain the cached sum incrementally; Mean (which
+// divides it by Count) must stay consistent with the surviving samples
+// through any interleaving of the two.
 func TestHistogramSumConsistency(t *testing.T) {
 	recompute := func(h *Histogram) float64 {
 		var s float64
@@ -154,84 +199,55 @@ func TestHistogramSumConsistency(t *testing.T) {
 		h.Add(float64(i) * 1.5)
 	}
 	check(&h, "after Add")
+	h.Decimate() // odd count exercises the keep-the-max anchoring
+	check(&h, "after Decimate(odd)")
+
+	var other Histogram
+	for i := 0; i < 32; i++ {
+		other.Add(float64(1000 + i))
+	}
+	other.Decimate()
+	h.Merge(&other)
+	check(&h, "after Merge of decimated")
+	h.Decimate()
+	check(&h, "after Decimate of merged")
+	// Merging an empty histogram changes nothing.
+	h.Merge(&Histogram{})
+	h.Merge(nil)
+	check(&h, "after empty Merge")
 }
 
-// FuzzTallyMatchesHistogram checks tallies against the Histogram oracle,
-// fed the same samples one at a time with AddDuration. The input is a
-// list of 4-byte blocks (tally, age high byte, age low byte, count), the
-// ages signed and drawn from a narrow range so that blocks repeat them,
-// spread over four tallies. Each tally's percentiles, and those of the
-// four merged, must equal the oracle's bit for bit.
-func FuzzTallyMatchesHistogram(f *testing.F) {
-	f.Add([]byte{0, 0, 50, 3, 1, 0, 50, 2, 2, 1, 0, 1, 0, 0, 49, 0, 3, 255, 200, 7, 0, 0, 50, 1})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var ts [4]Tally
-		var hs [4]Histogram
-		var all Histogram
-		for ; len(b) >= 4; b = b[4:] {
-			i, n := int(b[0])%len(ts), int(b[3]%8)
-			age := time.Duration(int16(uint16(b[1])<<8|uint16(b[2]))) * 37 * time.Microsecond
-			ts[i].Add(age, n)
-			for j := 0; j < n; j++ {
-				hs[i].AddDuration(age)
-				all.AddDuration(age)
+// TestMergedPercentileMatchesMerge checks the k-way walk against Merge
+// followed by Percentile: random sets of histograms (empty, nil and
+// single-sample ones among them, values drawn from a few so ties are
+// common, NaN now and then), every rank class from p ≤ 0 to p ≥ 100.
+func TestMergedPercentileMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ps := []float64{-5, 0, 0.1, 1, 25, 49.9, 50, 50.1, 75, 99, 99.9, 100, 150}
+	for round := 0; round < 300; round++ {
+		hs := make([]*Histogram, rng.Intn(9))
+		for i := range hs {
+			if rng.Intn(8) == 0 {
+				continue // nil
 			}
-		}
-		merged := MergeTallies(&ts[0], nil, &ts[1], &ts[2], &ts[3])
-		if merged.Count() != all.Count() {
-			t.Fatalf("merged tally counts %d samples, the oracle %d", merged.Count(), all.Count())
-		}
-		for _, p := range []float64{0, 1, 50, 99, 99.9, 100} {
-			for i := range ts {
-				if got, want := ts[i].Percentile(p), hs[i].Percentile(p); got != want || ts[i].Count() != hs[i].Count() {
-					t.Fatalf("tally %d of %d samples: p%v = %v, oracle %v of %d", i, ts[i].Count(), p, got, want, hs[i].Count())
+			hs[i] = new(Histogram)
+			for j := rng.Intn(40); j > 0; j-- {
+				v := float64(rng.Intn(12))
+				if rng.Intn(50) == 0 {
+					v = math.NaN()
 				}
-			}
-			if got, want := merged.Percentile(p), all.Percentile(p); got != want {
-				t.Fatalf("merged tally: p%v = %v, oracle %v", p, got, want)
+				hs[i].Add(v)
 			}
 		}
-	})
-}
-
-// TestTallyBoundKeepsMax crosses the entry bound, from an even table (a
-// tally fed one new age at a time) and from an odd one (a merged tally
-// past the bound, then one more age): the table halves instead of
-// growing, no sample is lost, the maximum survives exactly, and no
-// percentile reads below the exact one, since entries merge upward.
-func TestTallyBoundKeepsMax(t *testing.T) {
-	var even, low, high Tally
-	var exact Histogram
-	for i := 1; i <= maxTallyEntries; i++ {
-		even.Add(time.Duration(i)*time.Millisecond, i%3+1)
-		for j := 0; j <= i%3; j++ {
-			exact.AddDuration(time.Duration(i) * time.Millisecond)
+		var merged Histogram
+		for _, h := range hs {
+			merged.Merge(h)
 		}
-		if i < maxTallyEntries {
-			low.Add(time.Duration(i)*time.Millisecond, 1)
-		}
-	}
-	high.Add((maxTallyEntries+1)*time.Millisecond, 1)
-	odd := MergeTallies(&low, &high) // maxTallyEntries entries, not yet halved
-	odd.Add((maxTallyEntries+2)*time.Millisecond, 1)
-	for _, c := range []struct {
-		name       string
-		tally      *Tally
-		n, entries int
-		max        float64
-	}{
-		{"even", &even, exact.Count(), maxTallyEntries / 2, maxTallyEntries},
-		{"odd", &odd, maxTallyEntries + 1, maxTallyEntries/2 + 1, maxTallyEntries + 2},
-	} {
-		if len(c.tally.entries) != c.entries || c.tally.Count() != c.n || c.tally.Percentile(100) != c.max {
-			t.Fatalf("%s: %d entries, %d samples, max %v; want %d, %d, %v",
-				c.name, len(c.tally.entries), c.tally.Count(), c.tally.Percentile(100), c.entries, c.n, c.max)
-		}
-	}
-	for _, p := range []float64{0, 1, 50, 99, 99.9, 100} {
-		if got, want := even.Percentile(p), exact.Percentile(p); got < want {
-			t.Fatalf("p%v = %v after halving, below the exact %v", p, got, want)
+		for _, p := range ps {
+			got, want := MergedPercentile(hs, p), merged.Percentile(p)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("round %d, p%v over %d samples: MergedPercentile = %v, Merge then Percentile = %v", round, p, merged.Count(), got, want)
+			}
 		}
 	}
 }
