@@ -244,7 +244,7 @@ func benchIterate(b *testing.B, opts Options) {
 	for _, c := range m.locals {
 		for _, d := range rt.containers {
 			if d != c {
-				rt.installPath(c, d.IP)
+				rt.point(c, d.IP)
 			}
 		}
 	}

@@ -69,7 +69,7 @@ func newEnforceRig(t *testing.T, opts Options) *enforceRig {
 	for _, c := range m.locals {
 		for _, d := range rt.containers {
 			if d != c {
-				rt.installPath(c, d.IP)
+				rt.point(c, d.IP)
 			}
 		}
 	}

@@ -281,8 +281,7 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 		// The TCAL maintains its destination set in sorted order; the
 		// per-period scan no longer re-sorts an unchanged set.
 		for _, dstIP := range c.tcal.Destinations() {
-			sent := c.tcal.Usage(dstIP)
-			req := c.tcal.Requested(dstIP)
+			sent, req := c.tcal.Poll(dstIP)
 			rate := units.Bandwidth(float64(sent*8) / period.Seconds())
 			demand := units.Bandwidth(float64(req*8) / period.Seconds())
 			// An ACK-clocked (or TSQ-parked) sender can offer nothing
@@ -299,12 +298,7 @@ func (m *Manager) collectLocal(period time.Duration) []localFlow {
 			if demand < activeThreshold {
 				// Idle: release the allocation back to the path max so
 				// a future flow starts unthrottled.
-				if enforced.Bandwidth != p.Bandwidth {
-					_ = c.tcal.SetBandwidth(dstIP, p.Bandwidth)
-					m.tcalSets.Inc()
-					m.rt.opts.Tracer.Record(m.rt.Eng.Now(), obs.KindTCALApply,
-						int32(m.host), int64(p.Bandwidth), obs.PackIP([4]byte(dstIP)))
-				}
+				m.shape(c, dstIP, enforced.Bandwidth, p.Bandwidth)
 				continue
 			}
 			flows = append(flows, localFlow{
@@ -629,14 +623,20 @@ func (m *Manager) enforce(local []localFlow, all []FlowDemand) {
 	for i := range local {
 		f := &local[i]
 		// Local flows occupy the first len(local) slots.
-		rate := enforcedRate(withDemand[i].Rate, entitled[i].Rate)
-		if enforced, _ := f.src.tcal.Props(f.dstIP); enforced.Bandwidth != rate {
-			_ = f.src.tcal.SetBandwidth(f.dstIP, rate)
-			m.tcalSets.Inc()
-			m.rt.opts.Tracer.Record(now, obs.KindTCALApply,
-				int32(m.host), int64(rate), obs.PackIP([4]byte(f.dstIP)))
-		}
+		enforced, _ := f.src.tcal.Props(f.dstIP)
+		m.shape(f.src, f.dstIP, enforced.Bandwidth, enforcedRate(withDemand[i].Rate, entitled[i].Rate))
 	}
+}
+
+// shape sets c's htb toward dst to rate when it holds another one,
+// counting and tracing the change: the emulation loop's one rate writer.
+func (m *Manager) shape(c *Container, dst packet.IP, held, rate units.Bandwidth) {
+	if held == rate {
+		return
+	}
+	_ = c.tcal.SetBandwidth(dst, rate)
+	m.tcalSets.Inc()
+	m.rt.opts.Tracer.Record(m.rt.Eng.Now(), obs.KindTCALApply, int32(m.host), int64(rate), obs.PackIP([4]byte(dst)))
 }
 
 // entitlementMemo keeps the Manager's last two entitlement solves, one

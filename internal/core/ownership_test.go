@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/netem"
 	"repro/internal/packet"
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -100,12 +101,10 @@ func TestDropSitesReleaseEveryPacket(t *testing.T) {
 			r.rt.Cluster.AttachEndpoint(host, unheard, nil)
 			r.rt.Cluster.Send(r.packetTo(a, unheard)) // no handler
 		}, func(r *dropRig) bool { return r.rt.Cluster.DroppedNoRoute == 2 }},
-		{"unmatched TCAL", func(r *dropRig) { r.c("a").TCAL().Send(r.packetTo(r.c("a").IP, r.c("x").IP)) },
-			func(r *dropRig) bool { return r.c("a").TCAL().UnmatchedDropped == 1 }},
 		{"unreachable install", func(r *dropRig) { r.flood("a", "y", 10, 100) },
 			func(r *dropRig) bool {
 				_, installed := r.c("a").TCAL().Props(r.c("y").IP)
-				return r.got["y"] == 0 && !installed
+				return r.got["y"] == 0 && !installed && r.c("a").TCAL().UnmatchedDropped == 10
 			}},
 		{"killed manager", func(r *dropRig) {
 			// Every datagram is held 5–10 ms, so host 1 dies with its
@@ -141,6 +140,57 @@ func TestDropSitesReleaseEveryPacket(t *testing.T) {
 				t.Fatalf("%d packets and %d frames never came back to the pool", out, frames)
 			}
 		})
+	}
+}
+
+// TestSetLinkChangesTheChainInPlace: a set-link event re-points an
+// installed chain in place, like tc qdisc replace. The chain toward the
+// changed path carries the new properties and keeps what it held: its
+// backlog, its parked sender and its Poll cursor.
+func TestSetLinkChangesTheChainInPlace(t *testing.T) {
+	r := newDropRig(t)
+	rt := r.rt
+	rt.Eng.Run(100 * time.Millisecond)
+	a, b := r.c("a"), r.c("b")
+	tc := a.TCAL()
+	r.flood("a", "b", 1, 100) // the first send installs the chain
+	rt.Eng.Run(rt.Eng.Now() + 10*time.Millisecond)
+	tc.Poll(b.IP)
+	var offered int64
+	for tc.Writable(b.IP, packet.MSS) {
+		p := r.packetTo(a.IP, b.IP)
+		p.Size = packet.MTU
+		offered += packet.MTU
+		tc.Send(p)
+	}
+	woken := 0
+	tc.NotifyWritable(b.IP, func() { woken++ })
+	backlog := tc.Backlog(b.IP)
+
+	lat, bw := 7*time.Millisecond, 5*units.Mbps
+	if err := rt.ApplyEvents(topology.Event{At: rt.Eng.Now(), Kind: topology.EvSetLink, Orig: "a", Dest: "b",
+		Props: topology.LinkPatch{Latency: &lat, Up: &bw}}); err != nil {
+		t.Fatal(err)
+	}
+	want := rt.path(a, b.IP).LinkProps
+	if want.Latency != lat || want.Bandwidth != bw {
+		t.Fatalf("a->b after the event is %+v, want latency %v and bandwidth %v", want, lat, bw)
+	}
+	if got, _ := tc.Props(b.IP); got != want {
+		t.Fatalf("a->b enforces %+v, want the new path's %+v", got, want)
+	}
+	if got := tc.Backlog(b.IP); got != backlog || backlog == 0 {
+		t.Fatalf("backlog %d B after the event, want the %d B held before it", got, backlog)
+	}
+	if woken != 0 {
+		t.Fatalf("the parked sender was woken %d times by the event, want it still parked", woken)
+	}
+	if sent, got := tc.Poll(b.IP); got != offered || sent+int64(backlog) != offered {
+		t.Fatalf("Poll = (%d, %d) after the event, want (%d, %d): the cursor moved", sent, got, offered-int64(backlog), offered)
+	}
+	rt.Eng.Run(rt.Eng.Now() + time.Second)
+	if woken != 1 {
+		t.Fatalf("the parked sender was woken %d times as the backlog drained, want once", woken)
 	}
 }
 

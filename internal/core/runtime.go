@@ -154,11 +154,10 @@ func (n containerNet) Send(p *packet.Packet) {
 		return
 	}
 	// Lazy path installation: Emulation Cores only materialize the part
-	// of the collapsed mesh their container talks to (§3).
-	if !n.rt.installPath(n.c, p.Dst) {
-		p.Release() // unreachable in the current topology state
-		return
-	}
+	// of the collapsed mesh their container talks to (§3). A destination
+	// that gets no chain (unknown or unreachable) is the TCAL's to drop
+	// and count.
+	n.rt.point(n.c, p.Dst)
 	n.c.tcal.Send(p)
 }
 
@@ -430,14 +429,7 @@ func (rt *Runtime) applyGroup(evs []topology.Event) error {
 	}
 	for _, c := range rt.containers {
 		for _, dstIP := range c.tcal.Destinations() {
-			p := rt.path(c, dstIP)
-			if p == nil {
-				c.tcal.RemovePath(dstIP)
-				continue
-			}
-			// Preserve counters: update in place.
-			_ = c.tcal.SetNetem(dstIP, p.Latency, p.Jitter, p.Loss)
-			_ = c.tcal.SetBandwidth(dstIP, p.Bandwidth)
+			rt.point(c, dstIP)
 		}
 	}
 	return nil
@@ -502,23 +494,22 @@ func (rt *Runtime) path(c *Container, dstIP packet.IP) *graph.Path {
 	return rt.live.State().Collapsed.Path(c.Node, dst.Node)
 }
 
-// installPath materializes the TCAL chain from container c toward dstIP
-// under the current topology state. Reports false when the destination is
-// unknown or unreachable.
-func (rt *Runtime) installPath(c *Container, dstIP packet.IP) bool {
+// point makes container c's TCAL chain toward dstIP carry the collapsed
+// path under the current topology state: installed on a first send,
+// changed in place (counters, backlog and parked senders kept) after a
+// topology event, and removed when the destination is unknown or
+// unreachable.
+func (rt *Runtime) point(c *Container, dstIP packet.IP) {
 	p := rt.path(c, dstIP)
 	if p == nil {
-		return false
+		c.tcal.RemovePath(dstIP)
+		return
 	}
-	err := c.tcal.InstallPath(dstIP, tcal.PathProps{
-		Latency: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Bandwidth: p.Bandwidth,
-	})
-	if err != nil {
+	if err := c.tcal.InstallPath(dstIP, p.LinkProps); err != nil {
 		// The address plan gives every container distinct last two
 		// octets, so only a bug reaches here.
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	return true
 }
 
 // KillManager kills host's Emulation Manager: its emulation loop stops,
@@ -569,8 +560,7 @@ func (rt *Runtime) RestartManager(host int) error {
 	// rate and publish demands inflated by a factor of the downtime.
 	for _, c := range m.locals {
 		for _, dst := range c.tcal.Destinations() {
-			_ = c.tcal.Usage(dst)
-			_ = c.tcal.Requested(dst)
+			c.tcal.Poll(dst)
 		}
 	}
 	m.dead = false

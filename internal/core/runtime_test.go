@@ -503,7 +503,7 @@ func TestSetLinkRepointsEveryChain(t *testing.T) {
 	for _, c := range rt.containers {
 		for _, d := range rt.containers {
 			if d != c {
-				rt.installPath(c, d.IP)
+				rt.point(c, d.IP)
 			}
 		}
 	}

@@ -13,15 +13,18 @@
 //
 // As on Linux, the qdiscs are the only record of what is enforced: the
 // htb holds the rate and the netem stage the delay, jitter and loss, and
-// Props reads them back.
+// Props reads them back. Each job has one call: InstallPath creates or
+// changes a chain in place (tc qdisc replace), SetBandwidth moves its
+// rate, Poll reads its usage, RemovePath discards it, and Send drops and
+// counts a packet toward a destination that has none.
 package tcal
 
 import (
 	"bytes"
 	"fmt"
 	"sort"
-	"time"
 
+	"repro/internal/graph"
 	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -29,13 +32,8 @@ import (
 )
 
 // PathProps are the end-to-end properties enforced toward one destination
-// (the collapsed virtual link of Figure 1).
-type PathProps struct {
-	Latency   time.Duration
-	Jitter    time.Duration
-	Loss      units.Loss
-	Bandwidth units.Bandwidth
-}
+// (the collapsed virtual link of Figure 1): a collapsed path's LinkProps.
+type PathProps = graph.LinkProps
 
 // TCAL shapes one container's egress traffic.
 type TCAL struct {
@@ -61,10 +59,10 @@ type TCAL struct {
 }
 
 type chain struct {
-	dst         packet.IP
-	qdisc       *netem.Chain
-	lastRead    int64
-	lastReadReq int64
+	dst   packet.IP
+	qdisc *netem.Chain
+	// Poll's cursors: sent and offered bytes at the previous Poll.
+	lastSent, lastOffered int64
 }
 
 // New creates a TCAL whose shaped packets exit through egress (the host
@@ -83,28 +81,31 @@ func (t *TCAL) chain(dst packet.IP) *chain {
 	return nil
 }
 
-// InstallPath creates (or replaces) the qdisc chain toward dst. It fails,
-// installing nothing, when another destination sharing dst's last two
-// octets is installed: the filter could not tell the two apart. Senders
-// parked on a replaced chain are woken in order, and consult the new one.
+// InstallPath creates the qdisc chain toward dst, or changes the
+// installed one in place, like tc qdisc replace: the netem stage takes
+// p's delay, jitter and loss, then the htb its rate, and the chain keeps
+// its backlog, counters and parked senders. It fails, installing
+// nothing, when another destination sharing dst's last two octets is
+// installed: the filter could not tell the two apart.
 func (t *TCAL) InstallPath(dst packet.IP, p PathProps) error {
 	page := t.chains[dst[2]]
 	if page == nil {
 		page = new([256]*chain)
 		t.chains[dst[2]] = page
 	}
-	old := page[dst[3]]
-	if old != nil && old.dst != dst {
-		return fmt.Errorf("tcal: path to %v collides with installed %v on octets 3-4", dst, old.dst)
-	}
-	page[dst[3]] = &chain{
-		dst:   dst,
-		qdisc: netem.NewChain(t.eng, netem.ChainProps{Delay: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Rate: p.Bandwidth}, t.egress),
-	}
-	if old == nil {
+	c := page[dst[3]]
+	switch {
+	case c == nil:
+		page[dst[3]] = &chain{
+			dst:   dst,
+			qdisc: netem.NewChain(t.eng, netem.ChainProps{Delay: p.Latency, Jitter: p.Jitter, Loss: p.Loss, Rate: p.Bandwidth}, t.egress),
+		}
 		t.dstsDirty = true
-	} else {
-		old.qdisc.HTB.WakeAll()
+	case c.dst != dst:
+		return fmt.Errorf("tcal: path to %v collides with installed %v on octets 3-4", dst, c.dst)
+	default:
+		c.qdisc.Netem.Set(p.Latency, p.Jitter, p.Loss)
+		c.qdisc.HTB.SetRate(p.Bandwidth)
 	}
 	return nil
 }
@@ -169,8 +170,9 @@ func (t *TCAL) Destinations() []packet.IP {
 }
 
 // Send classifies a packet into its destination chain — the container's
-// egress hook. A packet toward a destination without a chain is dropped
-// and counted in UnmatchedDropped.
+// egress hook. A packet toward a destination without a chain (unknown or
+// unreachable in the current topology state) is dropped and counted in
+// UnmatchedDropped: the TCAL's one drop site.
 func (t *TCAL) Send(p *packet.Packet) {
 	if !t.Shape(p) {
 		t.UnmatchedDropped++
@@ -200,17 +202,6 @@ func (t *TCAL) SetBandwidth(dst packet.IP, rate units.Bandwidth) error {
 	return nil
 }
 
-// SetNetem updates delay, jitter and loss toward dst (topology state
-// change).
-func (t *TCAL) SetNetem(dst packet.IP, delay, jitter time.Duration, loss units.Loss) error {
-	c := t.chain(dst)
-	if c == nil {
-		return fmt.Errorf("tcal: no path to %v", dst)
-	}
-	c.qdisc.Netem.Set(delay, jitter, loss)
-	return nil
-}
-
 // Props returns the currently installed properties toward dst, read
 // back from its qdiscs.
 func (t *TCAL) Props(dst packet.IP) (PathProps, bool) {
@@ -222,34 +213,22 @@ func (t *TCAL) Props(dst packet.IP) (PathProps, bool) {
 	return PathProps{Latency: ne.Delay(), Jitter: ne.Jitter(), Loss: ne.Loss(), Bandwidth: c.qdisc.HTB.Rate()}, true
 }
 
-// Usage returns the bytes sent toward dst since the previous Usage call —
-// the emulation loop's "obtain the bandwidth usage" step.
-func (t *TCAL) Usage(dst packet.IP) int64 {
+// Poll returns the bytes sent toward dst and the bytes offered toward it
+// since the previous Poll — the emulation loop's "obtain the bandwidth
+// usage" step. Offered bytes are those shaped through plus those
+// tail-dropped by the full htb queue plus the growth of its backlog: the
+// demand the Emulation Core allocates for. Offered never reads negative.
+func (t *TCAL) Poll(dst packet.IP) (sent, offered int64) {
 	c := t.chain(dst)
 	if c == nil {
-		return 0
+		return 0, 0
 	}
-	total := c.qdisc.HTB.SentBytes
-	delta := total - c.lastRead
-	c.lastRead = total
-	return delta
-}
-
-// Requested returns the bytes the application *offered* toward dst since
-// the previous Requested call: bytes shaped through plus bytes tail-dropped
-// by the full htb queue: the demand the Emulation Core allocates for.
-func (t *TCAL) Requested(dst packet.IP) int64 {
-	c := t.chain(dst)
-	if c == nil {
-		return 0
-	}
-	total := c.qdisc.HTB.SentBytes + c.qdisc.HTB.DroppedBytes + int64(c.qdisc.HTB.Backlog())
-	delta := total - c.lastReadReq
-	c.lastReadReq = total
-	if delta < 0 {
-		delta = 0
-	}
-	return delta
+	htb := c.qdisc.HTB
+	total := htb.SentBytes
+	sent, c.lastSent = total-c.lastSent, total
+	total += htb.DroppedBytes + int64(htb.Backlog())
+	offered, c.lastOffered = max(total-c.lastOffered, 0), total
+	return sent, offered
 }
 
 // TotalSent returns the cumulative bytes shaped toward dst.

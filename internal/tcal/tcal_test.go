@@ -52,18 +52,18 @@ func TestUsageDelta(t *testing.T) {
 		tc.Send(mk(dst, 1000))
 	}
 	eng.RunAll()
-	if got := tc.Usage(dst); got != 10_000 {
-		t.Fatalf("first Usage = %d, want 10000", got)
+	if sent, offered := tc.Poll(dst); sent != 10_000 || offered != 10_000 {
+		t.Fatalf("first Poll = (%d, %d), want (10000, 10000)", sent, offered)
 	}
-	if got := tc.Usage(dst); got != 0 {
-		t.Fatalf("second Usage = %d, want 0 (delta semantics)", got)
+	if sent, offered := tc.Poll(dst); sent != 0 || offered != 0 {
+		t.Fatalf("second Poll = (%d, %d), want (0, 0) (delta semantics)", sent, offered)
 	}
 	for i := 0; i < 5; i++ {
 		tc.Send(mk(dst, 1000))
 	}
 	eng.RunAll()
-	if got := tc.Usage(dst); got != 5_000 {
-		t.Fatalf("third Usage = %d, want 5000", got)
+	if sent, offered := tc.Poll(dst); sent != 5_000 || offered != 5_000 {
+		t.Fatalf("third Poll = (%d, %d), want (5000, 5000)", sent, offered)
 	}
 	if got := tc.TotalSent(dst); got != 15_000 {
 		t.Fatalf("TotalSent = %d", got)
@@ -103,7 +103,7 @@ func TestSetNetemLoss(t *testing.T) {
 	dst := packet.MakeIP(0, 1, 1)
 	tc.InstallPath(dst, PathProps{Latency: time.Millisecond, Bandwidth: units.Gbps, Loss: 0})
 	// 50% loss on a lossless path.
-	if err := tc.SetNetem(dst, time.Millisecond, 0, 0.5); err != nil {
+	if err := tc.InstallPath(dst, PathProps{Latency: time.Millisecond, Bandwidth: units.Gbps, Loss: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4000; i++ {
@@ -116,7 +116,7 @@ func TestSetNetemLoss(t *testing.T) {
 		t.Fatalf("delivered fraction = %.3f, want ~0.5", frac)
 	}
 	// Setting the loss back to 0 delivers everything again.
-	if err := tc.SetNetem(dst, time.Millisecond, 0, 0); err != nil {
+	if err := tc.InstallPath(dst, PathProps{Latency: time.Millisecond, Bandwidth: units.Gbps}); err != nil {
 		t.Fatal(err)
 	}
 	delivered = 0
@@ -150,11 +150,8 @@ func TestRemovePath(t *testing.T) {
 	if err := tc.SetBandwidth(dst, units.Mbps); err == nil {
 		t.Fatal("SetBandwidth on removed path should error")
 	}
-	if err := tc.SetNetem(dst, 0, 0, 0); err == nil {
-		t.Fatal("SetNetem on removed path should error")
-	}
-	if got := tc.Usage(dst); got != 0 {
-		t.Fatalf("Usage of removed path = %d", got)
+	if sent, offered := tc.Poll(dst); sent != 0 || offered != 0 {
+		t.Fatalf("Poll of removed path = (%d, %d)", sent, offered)
 	}
 	// Removing twice and removing unknown addresses is harmless.
 	other := packet.MakeIP(0, 1, 2)
@@ -226,12 +223,14 @@ func TestProps(t *testing.T) {
 	if _, ok := tc.Props(packet.MakeIP(9, 9, 9)); ok {
 		t.Fatal("Props of unknown dst should report !ok")
 	}
-	if err := tc.SetNetem(dst, 7*time.Millisecond, 0, 0.05); err != nil {
+	// Installing over the chain changes it in place.
+	installed := tc.chain(dst)
+	want = PathProps{Latency: 7 * time.Millisecond, Loss: 0.05, Bandwidth: 10 * units.Mbps}
+	if err := tc.InstallPath(dst, want); err != nil {
 		t.Fatal(err)
 	}
-	want = PathProps{Latency: 7 * time.Millisecond, Loss: 0.05, Bandwidth: 10 * units.Mbps}
-	if got, _ = tc.Props(dst); got != want {
-		t.Fatalf("Props after SetNetem = %+v, want %+v", got, want)
+	if got, _ = tc.Props(dst); got != want || tc.chain(dst) != installed {
+		t.Fatalf("Props after InstallPath = %+v, want %+v on the same chain", got, want)
 	}
 	if err := tc.SetBandwidth(dst, 3*units.Mbps); err != nil {
 		t.Fatal(err)
@@ -288,21 +287,16 @@ func TestTSQWaitersWakeInOrder(t *testing.T) {
 }
 
 // TestDiscardedChainWakesParkedSenders: a sender parked on a chain that
-// RemovePath drops, or InstallPath replaces, is woken in order with the
-// rest of that chain's senders, and finds dst writable (no chain, or an
-// empty one). Left parked it would wait on a drain that no longer answers
-// to it: a TCP connection would never re-arm its pacer.
+// RemovePath drops is woken in order with the rest of that chain's
+// senders, and finds dst writable (no chain). Left parked it would wait
+// on a drain that no longer answers to it: a TCP connection would never
+// re-arm its pacer.
 func TestDiscardedChainWakesParkedSenders(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		discard func(*TCAL, packet.IP)
 	}{
 		{"RemovePath", func(tc *TCAL, dst packet.IP) { tc.RemovePath(dst) }},
-		{"InstallPath", func(tc *TCAL, dst packet.IP) {
-			if err := tc.InstallPath(dst, PathProps{Bandwidth: 8 * units.Mbps}); err != nil {
-				t.Fatal(err)
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
