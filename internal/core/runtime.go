@@ -657,18 +657,10 @@ func (rt *Runtime) registerMetrics() {
 			full := "kollaps_dissem_" + name + "{" + labels + extra + "}"
 			reg.Gauge(full, func() float64 { return read(m.node.Stats()) })
 		}
-		gauge("datagrams_sent", "", func(s *dissem.Stats) float64 { return float64(s.DatagramsSent.Value()) })
-		gauge("bytes_sent", "", func(s *dissem.Stats) float64 { return float64(s.BytesSent.Value()) })
-		gauge("datagrams_received", "", func(s *dissem.Stats) float64 { return float64(s.DatagramsRecv.Value()) })
-		gauge("bytes_received", "", func(s *dissem.Stats) float64 { return float64(s.BytesRecv.Value()) })
-		gauge("suspicions", "", func(s *dissem.Stats) float64 { return float64(s.Suspicions.Value()) })
-		gauge("recoveries", "", func(s *dissem.Stats) float64 { return float64(s.Recoveries.Value()) })
-		gauge("bad_datagrams", "", func(s *dissem.Stats) float64 { return float64(s.BadDatagram.Value()) })
-		gauge("bad_checksums", "", func(s *dissem.Stats) float64 { return float64(s.BadChecksum.Value()) })
-		gauge("stale_links", "", func(s *dissem.Stats) float64 { return float64(s.StaleLinks.Value()) })
-		gauge("saturated", "", func(s *dissem.Stats) float64 { return float64(s.Saturated.Value()) })
-		gauge("truncated_records", "", func(s *dissem.Stats) float64 { return float64(s.TruncatedRecords.Value()) })
-		gauge("bad_versions", "", func(s *dissem.Stats) float64 { return float64(s.BadVersion.Value()) })
+		for _, c := range dissem.Counters {
+			c := c
+			gauge(c.Name, "", func(s *dissem.Stats) float64 { return float64(c.Of(s).Value()) })
+		}
 		gauge("staleness_ms", `,quantile="0.5"`, func(s *dissem.Stats) float64 { return s.Staleness.Percentile(50) })
 		gauge("staleness_ms", `,quantile="0.99"`, func(s *dissem.Stats) float64 { return s.Staleness.Percentile(99) })
 		hostLabel := fmt.Sprintf(`{host="%d"}`, m.host)

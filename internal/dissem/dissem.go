@@ -378,26 +378,39 @@ type Stats struct {
 // maxStalenessSamples caps the staleness histogram per node.
 const maxStalenessSamples = 1 << 16
 
+// Counters lists every counter of Stats once, each under the name its
+// kollaps_dissem_* gauge is exported as: AdoptFrom and the runtime's
+// metrics both walk it, so a counter added to Stats is carried across a
+// restart and exported as soon as it has a row here.
+var Counters = [...]struct {
+	Name string
+	Of   func(*Stats) *metrics.Counter
+}{
+	{"datagrams_sent", func(s *Stats) *metrics.Counter { return &s.DatagramsSent }},
+	{"bytes_sent", func(s *Stats) *metrics.Counter { return &s.BytesSent }},
+	{"datagrams_received", func(s *Stats) *metrics.Counter { return &s.DatagramsRecv }},
+	{"bytes_received", func(s *Stats) *metrics.Counter { return &s.BytesRecv }},
+	{"stale_links", func(s *Stats) *metrics.Counter { return &s.StaleLinks }},
+	{"suspicions", func(s *Stats) *metrics.Counter { return &s.Suspicions }},
+	{"recoveries", func(s *Stats) *metrics.Counter { return &s.Recoveries }},
+	{"truncated_records", func(s *Stats) *metrics.Counter { return &s.TruncatedRecords }},
+	{"bad_versions", func(s *Stats) *metrics.Counter { return &s.BadVersion }},
+	{"bad_datagrams", func(s *Stats) *metrics.Counter { return &s.BadDatagram }},
+	{"bad_checksums", func(s *Stats) *metrics.Counter { return &s.BadChecksum }},
+	{"saturated", func(s *Stats) *metrics.Counter { return &s.Saturated }},
+}
+
 // AdoptFrom transfers old's accumulated counters, staleness distribution
 // and envelope sequence into s, field by field. It exists for manager
 // restarts: control-plane counters are deployment observability, not
 // process state, so a fresh node adopts its predecessor's totals to stay
 // monotonic across the restart. Counters cannot be struct-copied (their
-// values are atomics), hence the explicit transfer. Call it on the
+// values are atomics), hence the transfer over Counters. Call it on the
 // simulation thread before the fresh node starts publishing.
 func (s *Stats) AdoptFrom(old *Stats) {
-	s.DatagramsSent.Store(old.DatagramsSent.Value())
-	s.BytesSent.Store(old.BytesSent.Value())
-	s.DatagramsRecv.Store(old.DatagramsRecv.Value())
-	s.BytesRecv.Store(old.BytesRecv.Value())
-	s.StaleLinks.Store(old.StaleLinks.Value())
-	s.Suspicions.Store(old.Suspicions.Value())
-	s.Recoveries.Store(old.Recoveries.Value())
-	s.TruncatedRecords.Store(old.TruncatedRecords.Value())
-	s.BadVersion.Store(old.BadVersion.Value())
-	s.BadDatagram.Store(old.BadDatagram.Value())
-	s.BadChecksum.Store(old.BadChecksum.Value())
-	s.Saturated.Store(old.Saturated.Value())
+	for _, c := range Counters {
+		c.Of(s).Store(c.Of(old).Value())
+	}
 	s.Staleness.Reset()
 	s.Staleness.Merge(&old.Staleness)
 	s.staleStride = old.staleStride

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/metadata"
+	"repro/internal/metrics"
 )
 
 // harness wires N nodes of one strategy together with a synchronous
@@ -907,5 +908,35 @@ func TestKindString(t *testing.T) {
 	}
 	if s := Kind(42).String(); s != fmt.Sprintf("dissem.Kind(%d)", 42) {
 		t.Errorf("unknown kind string = %q", s)
+	}
+}
+
+// TestCountersListEveryStatsCounter: every metrics.Counter field of Stats
+// has exactly one row in Counters, so AdoptFrom carries it across a
+// manager restart and the runtime exports it as a kollaps_dissem_* gauge.
+func TestCountersListEveryStatsCounter(t *testing.T) {
+	var s Stats
+	rows := map[*metrics.Counter]string{}
+	for _, c := range Counters {
+		p := c.Of(&s)
+		if prev, dup := rows[p]; dup {
+			t.Fatalf("rows %q and %q name the same counter", prev, c.Name)
+		}
+		rows[p] = c.Name
+	}
+	v := reflect.ValueOf(&s).Elem()
+	fields := 0
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Type != reflect.TypeOf(metrics.Counter{}) {
+			continue
+		}
+		fields++
+		if _, ok := rows[(*metrics.Counter)(v.Field(i).Addr().UnsafePointer())]; !ok {
+			t.Errorf("Stats.%s has no row in Counters", f.Name)
+		}
+	}
+	if fields != len(Counters) {
+		t.Fatalf("Counters has %d rows for %d counter fields", len(Counters), fields)
 	}
 }
