@@ -708,6 +708,9 @@ func (c *Conn) processAck(seg *packet.Segment) {
 	if ack > c.sndUna {
 		newly := ack - c.sndUna
 		c.sndUna = ack
+		if ack > c.sndNext {
+			c.takePastGoBackN(ack)
+		}
 		c.BytesAcked += newly
 		c.dupAcks = 0
 		// Drop acked message marks.
@@ -765,6 +768,21 @@ func (c *Conn) processAck(seg *packet.Segment) {
 			c.enterRecovery()
 		}
 	}
+}
+
+// takePastGoBackN takes an ACK beyond sndNext, which only an RTO's
+// go-back-N leaves behind what the receiver holds: the acknowledged bytes
+// leave the send buffer instead of being sent again, and an acknowledged
+// FIN slot counts as sent and acked, so no second FIN goes out.
+func (c *Conn) takePastGoBackN(ack int64) {
+	taken := ack - c.sndNext
+	if c.closingWanted && taken > c.sndBuf {
+		// The receiver holds the FIN the timeout rewound.
+		taken = c.sndBuf
+		c.closingWanted, c.finSent = false, true
+	}
+	c.sndBuf -= taken
+	c.sndNext = ack
 }
 
 // recoveryTransmit performs SACK-based loss recovery: while the pipe

@@ -539,27 +539,30 @@ func TestWriteMsgBidirectional(t *testing.T) {
 	}
 }
 
-// TestLostRetransmissionTimesOut drops one segment and then its fast
-// retransmission, while the dupACKs that every later segment draws keep
-// SACK recovery sending new data. RFC 6298 §5.1 starts the timer only
-// when it is not running, so those new segments must not push it back:
-// the timer has to fire within one RTO of the lost retransmission, and
-// the transfer must go on from there.
-func TestLostRetransmissionTimesOut(t *testing.T) {
+// lostRetransmission is the rig of TestLostRetransmissionTimesOut and
+// TestAckPastGoBackNIsTaken: a greedy Cubic transfer over 20 Mb/s and
+// 5 ms, from 500 ms on one segment and then its fast retransmission are
+// dropped, while the dupACKs that every later segment draws keep SACK
+// recovery sending new data.
+type lostRetransmission struct {
+	c                *Conn
+	copies           int           // copies of the target segment that reached b
+	lostAt, resentAt time.Duration // arrivals of the retransmission and of the copy after it
+	rtoAtLoss        time.Duration
+	belowUna         int   // data segments sent from below the sender's sndUna
+	received         int64 // in-order bytes the receiver got
+}
+
+func runLostRetransmission(run time.Duration) *lostRetransmission {
 	eng := sim.NewEngine(12)
 	g := graph.New()
 	a := g.MustAddNode("a", graph.Service)
 	b := g.MustAddNode("b", graph.Service)
 	g.AddBiLink(a, b, graph.LinkProps{Latency: 5 * time.Millisecond, Bandwidth: 20 * units.Mbps})
 	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
-	var c *Conn
+	r := &lostRetransmission{}
 	const dropAfter = 500 * time.Millisecond
-	var (
-		target           int64 = -1 // seq of the segment dropped twice
-		copies           int
-		lostAt, resentAt time.Duration // arrivals of the retransmission and of the copy after it
-		rtoAtLoss        time.Duration
-	)
+	var target int64 = -1 // seq of the segment dropped twice
 	hook := func(node graph.NodeID, p *packet.Packet, forward func()) {
 		if node != b || p.Src != ipA || p.TCP.Len == 0 || eng.Now() < dropAfter {
 			forward()
@@ -572,47 +575,122 @@ func TestLostRetransmissionTimesOut(t *testing.T) {
 			forward()
 			return
 		}
-		copies++
-		switch copies {
+		r.copies++
+		switch r.copies {
 		case 1: // the original
 			p.Release()
 			return
 		case 2: // its fast retransmission
-			lostAt, rtoAtLoss = eng.Now(), c.rto
+			r.lostAt, r.rtoAtLoss = eng.Now(), r.c.rto
 			p.Release()
 			return
 		case 3:
-			resentAt = eng.Now()
+			r.resentAt = eng.Now()
 		}
 		forward()
 	}
 	nw := fabric.New(eng, g, fabric.Options{Hook: hook})
 	nw.AttachEndpoint(a, ipA, nil)
 	nw.AttachEndpoint(b, ipB, nil)
-	cli, srv := NewStack(eng, nw, ipA), NewStack(eng, nw, ipB)
-	var received int64
+	cli := NewStack(eng, sendSpy{nw, func(p *packet.Packet) {
+		if p.Proto == packet.TCP && p.TCP.Len > 0 && p.TCP.Seq < r.c.sndUna {
+			r.belowUna++
+		}
+	}}, ipA)
+	srv := NewStack(eng, nw, ipB)
 	srv.Listen(80, &Listener{OnAccept: func(c *Conn) {
-		c.OnData = func(n int) { received += int64(n) }
+		c.OnData = func(n int) { r.received += int64(n) }
 	}})
-	c = cli.Dial(srv.ip, 80, Cubic)
-	c.Write(1 << 30)
-	const run = 5 * time.Second
+	r.c = cli.Dial(srv.ip, 80, Cubic)
+	r.c.Write(1 << 30)
 	eng.Run(run)
-	t.Logf("retransmission lost at %v (RTO %v), next copy at %v; %d RTOs, %d bytes received", lostAt, rtoAtLoss, resentAt, c.RTOs, received)
-	if copies < 2 {
-		t.Fatalf("saw %d copies of the target segment, want the original and its retransmission dropped", copies)
+	return r
+}
+
+// sendSpy shows every packet a stack sends to see before passing it on;
+// the fabric's TSQ backpressure stays in place.
+type sendSpy struct {
+	*fabric.Network
+	see func(*packet.Packet)
+}
+
+func (s sendSpy) Send(p *packet.Packet) {
+	s.see(p)
+	s.Network.Send(p)
+}
+
+// TestLostRetransmissionTimesOut: RFC 6298 §5.1 starts the timer only
+// when it is not running, so the new segments SACK recovery sends after a
+// lost retransmission must not push it back: the timer has to fire within
+// one RTO of the lost retransmission, and the transfer must go on from
+// there.
+func TestLostRetransmissionTimesOut(t *testing.T) {
+	const run = 5 * time.Second
+	r := runLostRetransmission(run)
+	c := r.c
+	t.Logf("retransmission lost at %v (RTO %v), next copy at %v; %d RTOs, %d bytes received", r.lostAt, r.rtoAtLoss, r.resentAt, c.RTOs, r.received)
+	if r.copies < 2 {
+		t.Fatalf("saw %d copies of the target segment, want the original and its retransmission dropped", r.copies)
 	}
 	if c.FastRecovery == 0 || c.RTOs == 0 {
 		t.Fatalf("fast recoveries %d, RTOs %d: want the retransmission's loss to end in a timeout", c.FastRecovery, c.RTOs)
 	}
 	// The copy after the lost one crosses the link once more: allow its
 	// one-way delay on top of one RTO.
-	if resentAt == 0 || resentAt-lostAt > rtoAtLoss+10*time.Millisecond {
-		t.Fatalf("retransmission lost at %v (RTO %v), next copy at %v: the timer was pushed back", lostAt, rtoAtLoss, resentAt)
+	if r.resentAt == 0 || r.resentAt-r.lostAt > r.rtoAtLoss+10*time.Millisecond {
+		t.Fatalf("retransmission lost at %v (RTO %v), next copy at %v: the timer was pushed back", r.lostAt, r.rtoAtLoss, r.resentAt)
 	}
 	// Resumed: the receiver's in-order bytes reach well past the hole,
 	// about half the line rate over the run at the least.
-	if min := int64(float64(20*units.Mbps) / 8 * run.Seconds() / 2); received < min {
-		t.Fatalf("received %d bytes in %v, want at least %d after the timeout", received, run, min)
+	if min := int64(float64(20*units.Mbps) / 8 * run.Seconds() / 2); r.received < min {
+		t.Fatalf("received %d bytes in %v, want at least %d after the timeout", r.received, run, min)
+	}
+}
+
+// TestAckPastGoBackNIsTaken: after the timeout the receiver holds
+// everything the sender had sent but the lost segment, so the ACK of
+// its go-back-N copy jumps past sndNext. The sender takes that ACK: it
+// moves sndNext up to it and re-sends nothing the receiver acknowledged,
+// so one timeout ends the episode.
+func TestAckPastGoBackNIsTaken(t *testing.T) {
+	r := runLostRetransmission(5 * time.Second)
+	if r.c.RTOs != 1 || r.belowUna != 0 {
+		t.Fatalf("%d RTOs and %d segments sent from below sndUna, want 1 and 0", r.c.RTOs, r.belowUna)
+	}
+	if r.c.sndNext < r.c.sndUna {
+		t.Fatalf("sndNext %d behind sndUna %d", r.c.sndNext, r.c.sndUna)
+	}
+}
+
+// TestAckPastGoBackNTakesTheFIN: a timeout rewound the data and the FIN
+// behind them, and the ACK that arrives covers both. The FIN counts as
+// acked: the buffer empties and no second FIN goes out.
+func TestAckPastGoBackNTakesTheFIN(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := graph.New()
+	a := g.MustAddNode("a", graph.Service)
+	b := g.MustAddNode("b", graph.Service)
+	g.AddBiLink(a, b, gigLink())
+	nw := fabric.New(eng, g, fabric.Options{})
+	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+	nw.AttachEndpoint(a, ipA, nil)
+	nw.AttachEndpoint(b, ipB, nil)
+	fins := 0
+	cli := NewStack(eng, sendSpy{nw, func(p *packet.Packet) {
+		if p.Proto == packet.TCP && p.TCP.Flags&flagFIN != 0 {
+			fins++
+		}
+	}}, ipA)
+	srv := NewStack(eng, nw, ipB)
+	srv.Listen(80, &Listener{})
+	c := cli.Dial(ipB, 80, Reno)
+	eng.RunAll()
+	// What onRTO leaves after rewinding 1000 data bytes and the FIN.
+	c.sndUna, c.sndNext, c.sndBuf = 0, 0, 1000
+	c.totalSent, c.closingWanted = 1000, true
+	c.processAck(&packet.Segment{Flags: flagACK, Ack: 1001})
+	if !c.finAcked || c.sndBuf != 0 || c.sndNext != 1001 || c.closingWanted || fins != 0 {
+		t.Fatalf("finAcked %v, sndBuf %d, sndNext %d, closingWanted %v, %d FINs sent; want true, 0, 1001, false, 0",
+			c.finAcked, c.sndBuf, c.sndNext, c.closingWanted, fins)
 	}
 }
