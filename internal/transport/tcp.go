@@ -770,8 +770,8 @@ func (c *Conn) processAck(seg *packet.Segment) {
 	}
 }
 
-// takePastGoBackN takes an ACK beyond sndNext, which only an RTO's
-// go-back-N leaves behind what the receiver holds: the acknowledged bytes
+// takePastGoBackN takes an ACK beyond sndNext. Only an RTO's go-back-N
+// leaves sndNext behind what the receiver holds: the acknowledged bytes
 // leave the send buffer instead of being sent again, and an acknowledged
 // FIN slot counts as sent and acked, so no second FIN goes out.
 func (c *Conn) takePastGoBackN(ack int64) {
