@@ -101,6 +101,8 @@ func TestDropSitesReleaseEveryPacket(t *testing.T) {
 			r.rt.Cluster.AttachEndpoint(host, unheard, nil)
 			r.rt.Cluster.Send(r.packetTo(a, unheard)) // no handler
 		}, func(r *dropRig) bool { return r.rt.Cluster.DroppedNoRoute == 2 }},
+		{"unmatched TCAL", func(r *dropRig) { r.c("a").TCAL().Send(r.packetTo(r.c("a").IP, r.c("x").IP)) },
+			func(r *dropRig) bool { return r.c("a").TCAL().UnmatchedDropped == 1 }},
 		{"unreachable install", func(r *dropRig) { r.flood("a", "y", 10, 100) },
 			func(r *dropRig) bool {
 				_, installed := r.c("a").TCAL().Props(r.c("y").IP)
