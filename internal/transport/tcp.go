@@ -882,7 +882,9 @@ func (c *Conn) retransmitNextHole() bool {
 // grow applies slow start or congestion avoidance for newly acked bytes.
 func (c *Conn) grow(acked float64) {
 	if c.cwnd < c.ssthresh {
-		c.cwnd += acked // slow start: exponential per RTT
+		// Slow start: exponential per RTT, at most 2 SMSS per ACK
+		// (RFC 3465, L = 2), however much one ACK covers.
+		c.cwnd += math.Min(acked, 2*mss)
 		if c.cwnd > c.ssthresh && c.cc == Cubic {
 			c.epochStart = 0
 		}

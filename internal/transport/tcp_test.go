@@ -539,11 +539,11 @@ func TestWriteMsgBidirectional(t *testing.T) {
 	}
 }
 
-// lostRetransmission is the rig of TestLostRetransmissionTimesOut and
-// TestAckPastGoBackNIsTaken: a greedy Cubic transfer over 20 Mb/s and
-// 5 ms, from 500 ms on one segment and then its fast retransmission are
-// dropped, while the dupACKs that every later segment draws keep SACK
-// recovery sending new data.
+// lostRetransmission is the rig of TestLostRetransmissionTimesOut,
+// TestAckPastGoBackNIsTaken and TestSlowStartCapsGrowthPerAck: a greedy
+// Cubic transfer over 20 Mb/s and 5 ms, from 500 ms on one segment and
+// then its fast retransmission are dropped, while the dupACKs that every
+// later segment draws keep SACK recovery sending new data.
 type lostRetransmission struct {
 	c                *Conn
 	copies           int           // copies of the target segment that reached b
@@ -551,9 +551,17 @@ type lostRetransmission struct {
 	rtoAtLoss        time.Duration
 	belowUna         int   // data segments sent from below the sender's sndUna
 	received         int64 // in-order bytes the receiver got
+	// The first ACK of new data after the timeout: the bytes it covers
+	// and how far it moved the sender's cwnd.
+	ackAfterRTO  int64
+	cwndAfterRTO float64
 }
 
-func runLostRetransmission(run time.Duration) *lostRetransmission {
+// runLostRetransmission runs the rig for run. With loseDupAcksAfterRTO
+// the return path loses every dupACK between the timeout and the first
+// ACK of new data, so no second fast recovery starts and that ACK
+// reaches the sender in slow start.
+func runLostRetransmission(run time.Duration, loseDupAcksAfterRTO bool) *lostRetransmission {
 	eng := sim.NewEngine(12)
 	g := graph.New()
 	a := g.MustAddNode("a", graph.Service)
@@ -564,6 +572,19 @@ func runLostRetransmission(run time.Duration) *lostRetransmission {
 	const dropAfter = 500 * time.Millisecond
 	var target int64 = -1 // seq of the segment dropped twice
 	hook := func(node graph.NodeID, p *packet.Packet, forward func()) {
+		if node == a && r.c.RTOs > 0 && r.ackAfterRTO == 0 && p.Proto == packet.TCP {
+			switch {
+			case p.TCP.Ack > r.c.sndUna:
+				acked, cwnd := p.TCP.Ack-r.c.sndUna, r.c.cwnd
+				forward()
+				r.ackAfterRTO, r.cwndAfterRTO = acked, r.c.cwnd-cwnd
+			case loseDupAcksAfterRTO:
+				p.Release()
+			default:
+				forward()
+			}
+			return
+		}
 		if node != b || p.Src != ipA || p.TCP.Len == 0 || eng.Now() < dropAfter {
 			forward()
 			return
@@ -626,7 +647,7 @@ func (s sendSpy) Send(p *packet.Packet) {
 // there.
 func TestLostRetransmissionTimesOut(t *testing.T) {
 	const run = 5 * time.Second
-	r := runLostRetransmission(run)
+	r := runLostRetransmission(run, false)
 	c := r.c
 	t.Logf("retransmission lost at %v (RTO %v), next copy at %v; %d RTOs, %d bytes received", r.lostAt, r.rtoAtLoss, r.resentAt, c.RTOs, r.received)
 	if r.copies < 2 {
@@ -653,12 +674,29 @@ func TestLostRetransmissionTimesOut(t *testing.T) {
 // moves sndNext up to it and re-sends nothing the receiver acknowledged,
 // so one timeout ends the episode.
 func TestAckPastGoBackNIsTaken(t *testing.T) {
-	r := runLostRetransmission(5 * time.Second)
+	r := runLostRetransmission(5*time.Second, false)
 	if r.c.RTOs != 1 || r.belowUna != 0 {
 		t.Fatalf("%d RTOs and %d segments sent from below sndUna, want 1 and 0", r.c.RTOs, r.belowUna)
 	}
 	if r.c.sndNext < r.c.sndUna {
 		t.Fatalf("sndNext %d behind sndUna %d", r.c.sndNext, r.c.sndUna)
+	}
+}
+
+// TestSlowStartCapsGrowthPerAck: RFC 3465 limits slow start to L = 2
+// SMSS of cwnd growth per ACK. With the dupACKs that would start a
+// second fast recovery lost, the first ACK after the timeout reaches the
+// sender in slow start and covers everything the receiver held beyond
+// the lost segment, hundreds of kilobytes; it may still raise cwnd by at
+// most 2 MSS.
+func TestSlowStartCapsGrowthPerAck(t *testing.T) {
+	r := runLostRetransmission(2*time.Second, true)
+	t.Logf("first ACK after the timeout: %d bytes, cwnd +%.0f", r.ackAfterRTO, r.cwndAfterRTO)
+	if r.ackAfterRTO < 100*mss {
+		t.Fatalf("first ACK after the timeout covers %d bytes, want a go-back-N's worth (at least %d)", r.ackAfterRTO, 100*mss)
+	}
+	if r.cwndAfterRTO > 2*mss {
+		t.Fatalf("an ACK of %d bytes raised cwnd by %.0f bytes, want at most 2 MSS (%d)", r.ackAfterRTO, r.cwndAfterRTO, 2*mss)
 	}
 }
 
