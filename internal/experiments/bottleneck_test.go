@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -52,18 +51,19 @@ experiment:
     up: 1Gbps
 `, mbps)
 		bottleneck := float64(mbps) * 1e6
-		for _, s := range fig5Systems(yaml, duration)[:2] {
+		for _, s := range []struct {
+			name string
+			sys  system
+		}{{"baremetal", baremetal}, {"kollaps", onKollaps(3)}} {
+			d := mustDeploy(mustYAML(yaml), s.sys)
 			var servers [2]*apps.IperfServer
-			s.run(func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-				svs, svIP, _ := p.AppStack("sv")
-				for i, c := range []string{"c1", "c2"} {
-					port := uint16(5201 + i)
-					servers[i] = apps.NewIperfServer(eng, svs, port, false)
-					cs, _, _ := p.AppStack(c)
-					apps.NewIperfClient(eng, cs, svIP, port, transport.Cubic)
-				}
-				return func() float64 { return 0 }
-			})
+			sv := d.hosts["sv"]
+			for i, c := range []string{"c1", "c2"} {
+				port := uint16(5201 + i)
+				servers[i] = apps.NewIperfServer(d.eng, sv.stack, port, false)
+				apps.NewIperfClient(d.eng, d.hosts[c].stack, sv.ip, port, transport.Cubic)
+			}
+			d.eng.Run(duration)
 			var got [2]float64
 			for i, srv := range servers {
 				got[i] = float64(srv.Received) * 8 / duration.Seconds()

@@ -42,7 +42,7 @@ func newDumbbell(name string, n int, period time.Duration, plan *chaos.Plan,
 	gate func(flow int, now time.Duration) bool, opts ...kollaps.Option) *dumbbell {
 	d := &dumbbell{name: name, n: n, period: period, maxAge: dissem.ExpireAfter * period,
 		received: make([]int64, dissemFlowsPerHost*n)}
-	d.exp = mustKollaps(dissemScaleYAML(n), n, plan, append(opts, kollaps.WithPeriod(period))...)
+	d.exp = mustKollaps(mustYAML(dissemScaleYAML(n)), n, plan, append(opts, kollaps.WithPeriod(period))...)
 	interval := time.Duration(float64(cbrPayload*8) / 8e6 * float64(time.Second))
 	for i := range d.received {
 		i := i

@@ -8,9 +8,14 @@
 // cmd/kollaps-bench runs its entries, the paper report (BENCH_paper.json)
 // pins the table experiments at their quick sizes, and the committed
 // reports' test regenerates every BENCH_*.json from it.
-// Every non-Kollaps system (bare metal, Mininet, Maxinet, and bare metal
-// under Trickle) is built one way, by deploy (deploy.go): one network
-// over the target graph with one transport stack per service.
+// Every system a workload runs on is built one way, by deploy
+// (deploy.go), from a system: bare metal, Mininet and Maxinet are
+// onFabric (one network over the target graph, one transport stack per
+// service; Trickle runs on bare metal), and Kollaps is onKollaps. Every
+// workload takes the one *deployment that deploy returns. Only the
+// experiments that read Kollaps's control plane (Figures 3 and 4, and
+// the dumbbell of dissem, failover, sweep and chaos) deploy through
+// mustKollaps and the public kollaps API instead.
 // README.md shows how to run them; DESIGN.md explains where the measured
 // values depart from the paper's (for Figure 7, "Sharing model").
 //

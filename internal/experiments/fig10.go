@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/aws"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
-	"repro/kollaps"
 )
 
 // fig10Geo builds the §5.6 Cassandra deployment: 4 replica pairs
@@ -31,23 +29,14 @@ func fig10Geo(latencyScale float64) *topology.Topology {
 	return top
 }
 
-// fig10Topology deploys the Cassandra deployment on Kollaps.
-func fig10Topology(latencyScale float64) *kollaps.Experiment {
-	exp := &kollaps.Experiment{Topology: fig10Geo(latencyScale)}
-	if err := exp.Deploy(5); err != nil {
-		panic(err)
-	}
-	return exp
-}
-
 // fig10Point runs the YCSB workload at one aggregate target rate and
 // returns (achieved ops/s, mean read ms, mean update ms, overall ms).
-func fig10Point(provider apps.StackProvider, eng *sim.Engine, totalRate float64, duration time.Duration) (float64, float64, float64, float64) {
-	cl, err := apps.DeployCassandra(eng, provider, 4, totalRate/4)
+func fig10Point(d *deployment, totalRate float64, duration time.Duration) (float64, float64, float64, float64) {
+	cl, err := apps.DeployCassandra(d.eng, d, 4, totalRate/4)
 	if err != nil {
 		panic(err)
 	}
-	eng.Run(duration)
+	d.eng.Run(duration)
 	var done int64
 	var readSum, updSum float64
 	var reads, upds int
@@ -86,14 +75,8 @@ func fig10(duration time.Duration) runner {
 		}
 		for _, target := range fig10Targets {
 			// "EC2": the target topology as a physical network.
-			ec2, err := deploy(mustGraph(fig10Geo(1), nil), baremetal)
-			if err != nil {
-				return result{}, err
-			}
-			e2tp, _, _, e2lat := fig10Point(ec2, ec2.eng, target, duration)
-			// Kollaps emulation.
-			kExp := fig10Topology(1)
-			ktp, _, _, klat := fig10Point(kExp, kExp.Eng, target, duration)
+			e2tp, _, _, e2lat := fig10Point(mustDeploy(fig10Geo(1), baremetal), target, duration)
+			ktp, _, _, klat := fig10Point(mustDeploy(fig10Geo(1), onKollaps(5)), target, duration)
 			t.Rows = append(t.Rows, Row{
 				Label: fmt.Sprintf("target %.0f", target),
 				Values: []string{
@@ -117,10 +100,8 @@ func fig11(duration time.Duration) runner {
 			Columns: []string{"orig read(ms)", "orig update(ms)", "halved read(ms)", "halved update(ms)", "orig ops/s", "halved ops/s"},
 		}
 		for _, target := range fig10Targets[:5] {
-			full := fig10Topology(1)
-			ftp, fr, fu, _ := fig10Point(full, full.Eng, target, duration)
-			half := fig10Topology(0.5)
-			htp, hr, hu, _ := fig10Point(half, half.Eng, target, duration)
+			ftp, fr, fu, _ := fig10Point(mustDeploy(fig10Geo(1), onKollaps(5)), target, duration)
+			htp, hr, hu, _ := fig10Point(mustDeploy(fig10Geo(0.5), onKollaps(5)), target, duration)
 			t.Rows = append(t.Rows, Row{
 				Label: fmt.Sprintf("target %.0f", target),
 				Values: []string{

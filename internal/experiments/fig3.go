@@ -66,7 +66,7 @@ func fig3Run(cfg fig3Config, hosts int, duration time.Duration) float64 {
 		fmt.Fprintf(&b, "    orig: c%d\n    dest: b1\n    latency: 1\n    up: 100Mbps\n", i)
 		fmt.Fprintf(&b, "    orig: sv%d\n    dest: b2\n    latency: 1\n    up: 100Mbps\n", i)
 	}
-	exp := mustKollaps(b.String(), hosts, nil)
+	exp := mustKollaps(mustYAML(b.String()), hosts, nil)
 	for f := 0; f < cfg.Flows && f < side; f++ {
 		cli, _ := exp.Container(fmt.Sprintf("c%d", f))
 		srv, _ := exp.Container(fmt.Sprintf("sv%d", f))

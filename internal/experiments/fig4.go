@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/aws"
 	"repro/internal/units"
-	"repro/kollaps"
 )
 
 // fig4 reproduces Figure 4: a geo-distributed memcached deployment
@@ -45,10 +44,7 @@ func fig4Table(duration time.Duration, hostCounts []int, connsPerClient int) *Ta
 		panic(err)
 	}
 	for _, hosts := range hostCounts {
-		exp := &kollaps.Experiment{Topology: top}
-		if err := exp.Deploy(hosts); err != nil {
-			panic(err)
-		}
+		exp := mustKollaps(top, hosts, nil)
 		var clients []*apps.MemtierClient
 		for i := range regions {
 			srv, _ := exp.Container(fmt.Sprintf("mc%d", i))

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -35,42 +33,10 @@ experiment:
     up: 1Gbps
 `
 
-// system runs one workload on one deployment flavour and returns the
-// measured value (bits/s or requests/s).
-type system struct {
-	name string
-	run  func(workload func(p apps.StackProvider, eng *sim.Engine) func() float64) float64
-}
-
-// fig5Systems builds the three deployments of the accuracy experiments:
-// bare metal (ground truth), Kollaps, and the Mininet baseline.
-func fig5Systems(yaml string, duration time.Duration) []system {
-	mk := func(name string, build func() (apps.StackProvider, *sim.Engine)) system {
-		return system{name: name, run: func(workload func(apps.StackProvider, *sim.Engine) func() float64) float64 {
-			p, eng := build()
-			measure := workload(p, eng)
-			eng.Run(duration)
-			return measure()
-		}}
-	}
-	onNetwork := func(nw network) func() (apps.StackProvider, *sim.Engine) {
-		return func() (apps.StackProvider, *sim.Engine) {
-			d, err := deploy(mustGraph(topology.ParseYAML(yaml)), nw)
-			if err != nil {
-				panic(err)
-			}
-			return d, d.eng
-		}
-	}
-	return []system{
-		mk("baremetal", onNetwork(baremetal)),
-		mk("kollaps", func() (apps.StackProvider, *sim.Engine) {
-			exp := mustKollaps(yaml, 3, nil)
-			return exp, exp.Eng
-		}),
-		mk("mininet", onNetwork(mininet)),
-	}
-}
+// fig5Systems are the three systems of the accuracy experiments, in
+// column order: bare metal (the ground truth), Kollaps on 3 hosts, and
+// the Mininet baseline.
+func fig5Systems() []system { return []system{baremetal, onKollaps(3), mininet} }
 
 // fig5 reproduces Figure 5: deviation of Kollaps and Mininet from the
 // bare-metal baseline for long-lived (iperf) and short-lived (wrk2) flows
@@ -83,33 +49,39 @@ func fig5(duration time.Duration) runner {
 		}
 		for _, cc := range []transport.CongestionControl{transport.Cubic, transport.Reno} {
 			cc := cc
-			long := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-				cs, _, _ := p.AppStack("c1")
-				_, svIP, _ := p.AppStack("sv")
-				svs, _, _ := p.AppStack("sv")
-				server := apps.NewIperfServer(eng, svs, 5201, false)
-				apps.NewIperfClient(eng, cs, svIP, 5201, cc)
-				return func() float64 { return float64(server.Received) * 8 / duration.Seconds() }
-			}
-			t.Rows = append(t.Rows, fig5Row("long-lived "+cc.String(), fig5Systems(fig5YAML, duration), long))
+			long := func(d *deployment) float64 { return iperf(d, cc, duration) }
+			t.Rows = append(t.Rows, fig5Row("long-lived "+cc.String(), long))
 
-			short := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-				cs, _, _ := p.AppStack("c1")
-				svs, svIP, _ := p.AppStack("sv")
-				apps.NewHTTPServer(svs, 80, 200, 64*1024)
-				w := apps.NewWrkClient(eng, cs, svIP, 80, 100, 200, 64*1024, cc)
-				return func() float64 { return float64(w.Completed) / duration.Seconds() }
+			short := func(d *deployment) float64 {
+				c1, sv := d.hosts["c1"], d.hosts["sv"]
+				apps.NewHTTPServer(sv.stack, 80, 200, 64*1024)
+				w := apps.NewWrkClient(d.eng, c1.stack, sv.ip, 80, 100, 200, 64*1024, cc)
+				d.eng.Run(duration)
+				return float64(w.Completed) / duration.Seconds()
 			}
-			t.Rows = append(t.Rows, fig5Row("short-lived "+cc.String(), fig5Systems(fig5YAML, duration), short))
+			t.Rows = append(t.Rows, fig5Row("short-lived "+cc.String(), short))
 		}
 		return result{tables: []*Table{t}}, nil
 	}
 }
 
-func fig5Row(label string, systems []system, workload func(apps.StackProvider, *sim.Engine) func() float64) Row {
-	vals := make([]float64, len(systems))
-	for i, s := range systems {
-		vals[i] = s.run(workload)
+// iperf runs one iperf flow from c1 to sv under cc for dur, the workload
+// of Table 2 and of Figure 5's long-lived rows, and returns its goodput
+// in bits/s.
+func iperf(d *deployment, cc transport.CongestionControl, dur time.Duration) float64 {
+	c1, sv := d.hosts["c1"], d.hosts["sv"]
+	server := apps.NewIperfServer(d.eng, sv.stack, 5201, false)
+	apps.NewIperfClient(d.eng, c1.stack, sv.ip, 5201, cc)
+	d.eng.Run(dur)
+	return float64(server.Received) * 8 / dur.Seconds()
+}
+
+// fig5Row runs workload, which returns what it measured, on each of
+// Figure 5's systems.
+func fig5Row(label string, workload func(*deployment) float64) Row {
+	var vals [3]float64
+	for i, sys := range fig5Systems() {
+		vals[i] = workload(mustDeploy(mustYAML(fig5YAML), sys))
 	}
 	dev := func(v float64) string {
 		if vals[0] == 0 {
@@ -154,25 +126,21 @@ func fig6(duration time.Duration) runner {
 		}
 		for _, clients := range []int{1, 2, 4, 8} {
 			clients := clients
-			workload := func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-				svs, svIP, _ := p.AppStack("server")
-				apps.NewHTTPServer(svs, 80, 200, 64*1024)
-				cs, _, _ := p.AppStack("client")
-				var curls []*apps.CurlClient
-				for i := 0; i < clients; i++ {
-					curls = append(curls, apps.NewCurlClient(eng, cs, svIP, 80, 200, 64*1024, transport.Cubic))
-				}
-				return func() float64 {
-					var bytes int64
-					for _, c := range curls {
-						bytes += c.BytesIn
-					}
-					return float64(bytes) * 8 / duration.Seconds() / 1e6
-				}
-			}
 			vals := make([]string, 3)
-			for i, s := range fig5Systems(fig6YAML, duration) {
-				vals[i] = fmt.Sprintf("%.1f", s.run(workload))
+			for i, sys := range fig5Systems() {
+				d := mustDeploy(mustYAML(fig6YAML), sys)
+				server, client := d.hosts["server"], d.hosts["client"]
+				apps.NewHTTPServer(server.stack, 80, 200, 64*1024)
+				var curls []*apps.CurlClient
+				for j := 0; j < clients; j++ {
+					curls = append(curls, apps.NewCurlClient(d.eng, client.stack, server.ip, 80, 200, 64*1024, transport.Cubic))
+				}
+				d.eng.Run(duration)
+				var bytes int64
+				for _, c := range curls {
+					bytes += c.BytesIn
+				}
+				vals[i] = fmt.Sprintf("%.1f", float64(bytes)*8/duration.Seconds()/1e6)
 			}
 			t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dx curl", clients), Values: vals})
 		}
@@ -188,33 +156,27 @@ func fig7(phase time.Duration) runner {
 	return func(string) (result, error) {
 		duration := 3 * phase
 		type measured struct{ iperfBits, wrkReqs float64 }
-		run := func(s system) measured {
-			var out measured
-			s.run(func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-				h1s, h1IP, _ := p.AppStack("c1")
-				h2s, _, _ := p.AppStack("c2")
-				svs, svIP, _ := p.AppStack("sv")
-				// Host 1 serves HTTP and drives iperf to host 3 (sv).
-				apps.NewHTTPServer(h1s, 80, 200, 64*1024)
-				server := apps.NewIperfServer(eng, svs, 5201, false)
-				apps.NewIperfClient(eng, h1s, svIP, 5201, transport.Cubic)
-				// Host 2 runs wrk2 against host 1 during the middle phase.
-				var w *apps.WrkClient
-				eng.At(phase, func() {
-					w = apps.NewWrkClient(eng, h2s, h1IP, 80, 100, 200, 64*1024, transport.Cubic)
-				})
-				eng.At(2*phase, func() { w.Stop() })
-				return func() float64 {
-					out.iperfBits = float64(server.Received) * 8 / duration.Seconds()
-					if w != nil {
-						out.wrkReqs = float64(w.Completed) / phase.Seconds()
-					}
-					return 0
-				}
+		run := func(sys system) measured {
+			d := mustDeploy(mustYAML(fig5YAML), sys)
+			h1, h2, sv := d.hosts["c1"], d.hosts["c2"], d.hosts["sv"]
+			// Host 1 serves HTTP and drives iperf to host 3 (sv).
+			apps.NewHTTPServer(h1.stack, 80, 200, 64*1024)
+			server := apps.NewIperfServer(d.eng, sv.stack, 5201, false)
+			apps.NewIperfClient(d.eng, h1.stack, sv.ip, 5201, transport.Cubic)
+			// Host 2 runs wrk2 against host 1 during the middle phase.
+			var w *apps.WrkClient
+			d.eng.At(phase, func() {
+				w = apps.NewWrkClient(d.eng, h2.stack, h1.ip, 80, 100, 200, 64*1024, transport.Cubic)
 			})
+			d.eng.At(2*phase, func() { w.Stop() })
+			d.eng.Run(duration)
+			out := measured{iperfBits: float64(server.Received) * 8 / duration.Seconds()}
+			if w != nil {
+				out.wrkReqs = float64(w.Completed) / phase.Seconds()
+			}
 			return out
 		}
-		systems := fig5Systems(fig5YAML, duration)
+		systems := fig5Systems()
 		base := run(systems[0])
 		kol := run(systems[1])
 		mn := run(systems[2])

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -27,35 +26,31 @@ func TestFig7SplitsPerDestination(t *testing.T) {
 	)
 	// split returns c1's middle-phase bytes to c2 (wrk2) over its bytes
 	// to sv (iperf), measured from phase+settle to 2·phase.
-	split := func(s system) float64 {
+	split := func(name string, sys system) float64 {
+		d := mustDeploy(mustYAML(fig5YAML), sys)
 		var wrkBytes, iperfBytes int64
-		s.run(func(p apps.StackProvider, eng *sim.Engine) func() float64 {
-			h1s, h1IP, _ := p.AppStack("c1")
-			h2s, _, _ := p.AppStack("c2")
-			svs, svIP, _ := p.AppStack("sv")
-			apps.NewHTTPServer(h1s, 80, 200, 64*1024)
-			server := apps.NewIperfServer(eng, svs, 5201, false)
-			apps.NewIperfClient(eng, h1s, svIP, 5201, transport.Cubic)
-			var w *apps.WrkClient
-			eng.At(phase, func() {
-				w = apps.NewWrkClient(eng, h2s, h1IP, 80, 100, 200, 64*1024, transport.Cubic)
-			})
-			eng.At(phase+settle, func() {
-				wrkBytes, iperfBytes = -w.BytesIn, -server.Received
-			})
-			eng.At(2*phase, func() {
-				wrkBytes += w.BytesIn
-				iperfBytes += server.Received
-			})
-			return func() float64 { return 0 }
+		h1, h2, sv := d.hosts["c1"], d.hosts["c2"], d.hosts["sv"]
+		apps.NewHTTPServer(h1.stack, 80, 200, 64*1024)
+		server := apps.NewIperfServer(d.eng, sv.stack, 5201, false)
+		apps.NewIperfClient(d.eng, h1.stack, sv.ip, 5201, transport.Cubic)
+		var w *apps.WrkClient
+		d.eng.At(phase, func() {
+			w = apps.NewWrkClient(d.eng, h2.stack, h1.ip, 80, 100, 200, 64*1024, transport.Cubic)
 		})
+		d.eng.At(phase+settle, func() {
+			wrkBytes, iperfBytes = -w.BytesIn, -server.Received
+		})
+		d.eng.At(2*phase, func() {
+			wrkBytes += w.BytesIn
+			iperfBytes += server.Received
+		})
+		d.eng.Run(2 * phase)
 		if iperfBytes <= 0 {
-			t.Fatalf("%s: iperf moved no bytes in the middle phase", s.name)
+			t.Fatalf("%s: iperf moved no bytes in the middle phase", name)
 		}
 		return float64(wrkBytes) / float64(iperfBytes)
 	}
-	systems := fig5Systems(fig5YAML, 2*phase)
-	bare, kol := split(systems[0]), split(systems[1])
+	bare, kol := split("baremetal", baremetal), split("kollaps", onKollaps(3))
 	t.Logf("c1 uplink, wrk2 : iperf bytes — bare metal %.1f, Kollaps %.2f", bare, kol)
 	if bare <= 10 {
 		t.Errorf("bare metal split %.2f, want > 10 (per connection: 100 wrk2 connections vs 1 iperf)", bare)

@@ -103,23 +103,21 @@ var Fig8Expected = [6][6]float64{
 // allocation.
 func fig8(phase time.Duration) runner {
 	return func(string) (result, error) {
-		exp := mustKollaps(fig8YAML, 4, nil)
-		eng := exp.Eng
+		d := mustDeploy(mustYAML(fig8YAML), onKollaps(4))
+		eng := d.eng
 
 		received := make([]int64, 6)
 		for i := 0; i < 6; i++ {
 			i := i
-			srv, _ := exp.Container(fmt.Sprintf("s%d", i+1))
-			srv.Stack.Listen(5201, &transport.Listener{OnAccept: func(c *transport.Conn) {
+			d.hosts[fmt.Sprintf("s%d", i+1)].stack.Listen(5201, &transport.Listener{OnAccept: func(c *transport.Conn) {
 				c.OnData = func(n int) { received[i] += int64(n) }
 			}})
 		}
 		for i := 0; i < 6; i++ {
 			i := i
 			eng.At(time.Duration(i)*phase, func() {
-				cli, _ := exp.Container(fmt.Sprintf("c%d", i+1))
-				srv, _ := exp.Container(fmt.Sprintf("s%d", i+1))
-				conn := cli.Stack.Dial(srv.IP, 5201, transport.Cubic)
+				cli, srv := d.hosts[fmt.Sprintf("c%d", i+1)], d.hosts[fmt.Sprintf("s%d", i+1)]
+				conn := cli.stack.Dial(srv.ip, 5201, transport.Cubic)
 				conn.Write(1 << 30)
 				eng.Every(time.Second, func() {
 					if !conn.Closed() && conn.Buffered() < 1<<29 {

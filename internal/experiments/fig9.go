@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/units"
-	"repro/kollaps"
 )
 
 // fig9 reproduces Figure 9: client latencies (50th/90th percentile) of
@@ -50,25 +49,19 @@ func fig9Run(replicaRegions []aws.Region, cfg apps.SMRConfig, duration time.Dura
 	if err != nil {
 		panic(err)
 	}
-	exp := &kollaps.Experiment{Topology: top}
-	if err := exp.Deploy(5); err != nil {
-		panic(err)
-	}
+	d := mustDeploy(top, onKollaps(5))
 	var ips []packet.IP
 	for i := range replicaRegions {
-		c, _ := exp.Container(fmt.Sprintf("replica-%d", i))
-		ips = append(ips, c.IP)
+		ips = append(ips, d.hosts[fmt.Sprintf("replica-%d", i)].ip)
 	}
 	for i := range replicaRegions {
-		c, _ := exp.Container(fmt.Sprintf("replica-%d", i))
-		apps.NewSMRReplica(exp.Eng, c.Stack, i, ips, cfg)
+		apps.NewSMRReplica(d.eng, d.hosts[fmt.Sprintf("replica-%d", i)].stack, i, ips, cfg)
 	}
 	var clients []*apps.SMRClient
 	for i := range clientRegions {
-		c, _ := exp.Container(fmt.Sprintf("client-%d", i))
-		clients = append(clients, apps.NewSMRClient(exp.Eng, c.Stack, i, ips, 1))
+		clients = append(clients, apps.NewSMRClient(d.eng, d.hosts[fmt.Sprintf("client-%d", i)].stack, i, ips, 1))
 	}
-	exp.Run(duration)
+	d.eng.Run(duration)
 	out := make([]*metrics.Histogram, len(clients))
 	for i, c := range clients {
 		c.Stop()

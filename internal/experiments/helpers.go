@@ -6,18 +6,17 @@ import (
 	"os"
 
 	"repro/internal/chaos"
+	"repro/internal/topology"
 	"repro/kollaps"
 )
 
-// mustKollaps loads a topology, installs plan (when non-nil) before the
-// deployment so its faults are a pure function of the seed, and deploys
-// it on hosts managers; experiment code treats malformed built-in
-// topologies as programming errors.
-func mustKollaps(yaml string, hosts int, plan *chaos.Plan, opts ...kollaps.Option) *kollaps.Experiment {
-	exp, err := kollaps.Load(yaml)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: bad built-in topology: %v", err))
-	}
+// mustKollaps deploys a built-in topology on Kollaps for an experiment
+// that reads the control plane: it installs plan (when non-nil) before
+// the deployment so its faults are a pure function of the seed, and
+// deploys on hosts managers. Experiment code treats a malformed built-in
+// topology as a programming error.
+func mustKollaps(top *topology.Topology, hosts int, plan *chaos.Plan, opts ...kollaps.Option) *kollaps.Experiment {
+	exp := kollaps.Experiment{Topology: top}
 	if plan != nil {
 		if err := exp.ChaosPlan(plan); err != nil {
 			panic(fmt.Sprintf("experiments: chaos plan: %v", err))
@@ -26,7 +25,7 @@ func mustKollaps(yaml string, hosts int, plan *chaos.Plan, opts ...kollaps.Optio
 	if err := exp.Deploy(hosts, opts...); err != nil {
 		panic(fmt.Sprintf("experiments: deploy failed: %v", err))
 	}
-	return exp
+	return &exp
 }
 
 // writeReport writes v as the indented, newline-terminated JSON every

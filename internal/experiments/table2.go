@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/baselines"
-	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/units"
 )
@@ -29,14 +27,14 @@ func table2(duration time.Duration) runner {
 			Columns: []string{"Kollaps", "Mininet", "trickle(def.)", "trickle(tuned)"},
 		}
 		for _, rate := range Table2Rates {
-			k := table2Kollaps(rate, duration)
-			m, mOK := table2Mininet(rate, duration)
-			td := table2Trickle(rate, duration, baselines.TrickleOptions{Window: 5 * time.Second})
-			tt := table2Trickle(rate, duration, baselines.Tuned(rate))
-			mCell := "N/A"
-			if mOK {
+			k := iperf(mustDeploy(mustYAML(table2Topology(rate)), onKollaps(2)), transport.Cubic, duration)
+			mCell := "N/A" // >1Gb/s: the real tool refuses too
+			if mn, err := deploy(mustGraph(mustYAML(table2Topology(rate))), mininet); err == nil {
+				m := iperf(mn, transport.Cubic, duration)
 				mCell = fmt.Sprintf("%s (%s)", mbps(m), pct(m, float64(rate)))
 			}
+			td := table2Trickle(rate, duration, baselines.TrickleOptions{Window: 5 * time.Second})
+			tt := table2Trickle(rate, duration, baselines.Tuned(rate))
 			t.Rows = append(t.Rows, Row{
 				Label: rate.String(),
 				Values: []string{
@@ -69,40 +67,12 @@ experiment:
 `, rate, rate)
 }
 
-// table2Iperf runs one iperf flow from c1 to sv for d and returns its
-// goodput in bits/s.
-func table2Iperf(p apps.StackProvider, eng *sim.Engine, d time.Duration) float64 {
-	cli, _, _ := p.AppStack("c1")
-	srv, svIP, _ := p.AppStack("sv")
-	server := apps.NewIperfServer(eng, srv, 5201, false)
-	apps.NewIperfClient(eng, cli, svIP, 5201, transport.Cubic)
-	eng.Run(d)
-	return float64(server.Received) * 8 / d.Seconds()
-}
-
-func table2Kollaps(rate units.Bandwidth, d time.Duration) float64 {
-	exp := mustKollaps(table2Topology(rate), 2, nil)
-	return table2Iperf(exp, exp.Eng, d)
-}
-
-func table2Mininet(rate units.Bandwidth, d time.Duration) (float64, bool) {
-	mn, err := deploy(mustGraph(topology.ParseYAML(table2Topology(rate))), mininet)
-	if err != nil {
-		return 0, false // >1Gb/s: the real tool refuses too
-	}
-	return table2Iperf(mn, mn.eng, d), true
-}
-
 func table2Trickle(rate units.Bandwidth, d time.Duration, opt baselines.TrickleOptions) float64 {
 	// Trickle shapes in userspace over an *unshaped* fat path.
-	bm, err := deploy(mustGraph(topology.ParseYAML(table2Topology(10*units.Gbps))), baremetal)
-	if err != nil {
-		panic(err)
-	}
-	cli, _, _ := bm.AppStack("c1")
-	srv, svIP, _ := bm.AppStack("sv")
-	server := apps.NewIperfServer(bm.eng, srv, 5201, false)
-	conn := cli.Dial(svIP, 5201, transport.Cubic)
+	bm := mustDeploy(mustYAML(table2Topology(10*units.Gbps)), baremetal)
+	c1, sv := bm.hosts["c1"], bm.hosts["sv"]
+	server := apps.NewIperfServer(bm.eng, sv.stack, 5201, false)
+	conn := c1.stack.Dial(sv.ip, 5201, transport.Cubic)
 	sh := baselines.NewTrickle(bm.eng, conn, rate, opt)
 	need := int64(rate.Bps()*d.Seconds()*4) + 1<<20
 	sh.Write(int(need))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/aws"
+	"repro/internal/metrics"
 	"repro/internal/units"
 )
 
@@ -37,12 +38,7 @@ func table3(pings int) runner {
 				},
 			})
 		}
-		var mse float64
-		for i := range observed {
-			d := observed[i] - expected[i]
-			mse += d * d
-		}
-		mse /= float64(len(observed))
+		mse := metrics.MSE(observed, expected)
 		t.Rows = append(t.Rows, Row{Label: "MSE", Values: []string{"", "", fmt.Sprintf("%.4f", mse)}})
 		return result{tables: []*Table{t}, jitterMSE: mse}, nil
 	}
@@ -61,11 +57,9 @@ experiment:
     jitter: %v
     up: %s
 `, link.Latency, link.Jitter, 10*units.Gbps)
-	exp := mustKollaps(yaml, 2, nil)
-	src, _ := exp.Container("src")
-	dst, _ := exp.Container("dst")
-	p := apps.NewPinger(exp.Eng, src.Stack, dst.IP, 20*time.Millisecond)
-	exp.Run(time.Duration(pings) * 20 * time.Millisecond)
+	d := mustDeploy(mustYAML(yaml), onKollaps(2))
+	p := apps.NewPinger(d.eng, d.hosts["src"].stack, d.hosts["dst"].ip, 20*time.Millisecond)
+	d.eng.Run(time.Duration(pings) * 20 * time.Millisecond)
 	p.Stop()
 	// Per-direction jitter estimate: RTT sd / sqrt(2) (two independent
 	// normal stages per round trip).

@@ -5,13 +5,9 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/packet"
-	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/units"
 )
 
@@ -30,28 +26,20 @@ func table4(sizes []int, duration time.Duration) runner {
 			Columns: []string{"#Nodes", "#Switches", "Kollaps", "Mininet", "Maxinet"},
 		}
 		for _, size := range sizes {
-			gK := table4Graph(size)
-			nodes := len(gK.Services())
-			switches := gK.NumNodes() - nodes
-
-			kMSE := table4Kollaps(gK, duration)
-			mCell := "NA"
-			if mMSE, err := table4System(table4Graph(size), mininet, duration); err == nil {
-				mCell = fmt.Sprintf("%.4f", mMSE)
-			}
-			xCell := "NA"
+			g := table4Graph(size)
+			nodes := len(g.Services())
+			vals := []string{fmt.Sprintf("%d", nodes), fmt.Sprintf("%d", g.NumNodes()-nodes), "NA", "NA", "NA"}
+			systems := []system{onKollaps(4), mininet}
 			if size < 4000 {
-				if xMSE, err := table4System(table4Graph(size), maxinet, duration); err == nil {
-					xCell = fmt.Sprintf("%.4f", xMSE)
+				systems = append(systems, maxinet)
+			}
+			for i, sys := range systems {
+				g := table4Graph(size)
+				if d, err := deploy(g, sys); err == nil {
+					vals[2+i] = fmt.Sprintf("%.4f", pingMSE(d, g, duration))
 				}
 			}
-			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("%d", size),
-				Values: []string{
-					fmt.Sprintf("%d", nodes), fmt.Sprintf("%d", switches),
-					fmt.Sprintf("%.4f", kMSE), mCell, xCell,
-				},
-			})
+			t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%d", size), Values: vals})
 		}
 		return result{tables: []*Table{t}}, nil
 	}
@@ -81,36 +69,10 @@ func pingPairs(g *graph.Graph, n int, seed int64) [][2]graph.NodeID {
 	return out
 }
 
-func table4Kollaps(g *graph.Graph, duration time.Duration) float64 {
-	eng := sim.NewEngine(42)
-	rt, err := core.NewRuntime(eng, g, 4, nil, core.Options{})
-	if err != nil {
-		panic(err)
-	}
-	rt.Start()
-	return pingMSE(eng, g, func(name string) (*transport.Stack, packet.IP) {
-		c, _ := rt.Container(name)
-		return c.Stack, c.IP
-	}, duration)
-}
-
-// table4System is Table 4's cell for a non-Kollaps system; it errors
-// when the system refuses the topology.
-func table4System(g *graph.Graph, nw network, duration time.Duration) (float64, error) {
-	d, err := deploy(g, nw)
-	if err != nil {
-		return 0, err
-	}
-	return pingMSE(d.eng, g, func(name string) (*transport.Stack, packet.IP) {
-		h := d.hosts[name]
-		return h.stack, h.ip
-	}, duration), nil
-}
-
-// pingMSE pings each reachable one of table4Pairs service pairs once a
-// second, through the stacks that stack looks up by service name, and
-// returns the MSE between the mean observed and the collapsed RTTs.
-func pingMSE(eng *sim.Engine, g *graph.Graph, stack func(name string) (*transport.Stack, packet.IP), duration time.Duration) float64 {
+// pingMSE pings each reachable one of table4Pairs service pairs of g
+// once a second on d, a deployment of g, and returns the MSE between the
+// mean observed and the collapsed RTTs.
+func pingMSE(d *deployment, g *graph.Graph, duration time.Duration) float64 {
 	col := topology.Collapse(g)
 	var obs, want []float64
 	for _, pr := range pingPairs(g, table4Pairs, 7) {
@@ -121,19 +83,18 @@ func pingMSE(eng *sim.Engine, g *graph.Graph, stack func(name string) (*transpor
 			continue
 		}
 		theo := (p.Latency + rev.Latency).Seconds() * 1000
-		s, _ := stack(g.Node(src).Name)
-		_, d := stack(g.Node(dst).Name)
+		s, dstIP := d.hosts[g.Node(src).Name].stack, d.hosts[g.Node(dst).Name].ip
 		h := &metrics.Histogram{}
-		eng.Every(time.Second, func() {
-			s.Ping(d, 64, func(rtt time.Duration) { h.AddDuration(rtt) })
+		d.eng.Every(time.Second, func() {
+			s.Ping(dstIP, 64, func(rtt time.Duration) { h.AddDuration(rtt) })
 		})
-		eng.At(duration-time.Millisecond, func() {
+		d.eng.At(duration-time.Millisecond, func() {
 			if h.Count() > 0 {
 				obs = append(obs, h.Mean())
 				want = append(want, theo)
 			}
 		})
 	}
-	eng.Run(duration)
+	d.eng.Run(duration)
 	return metrics.MSE(obs, want)
 }
